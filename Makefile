@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 vet race chaos serve-smoke bench bench-smoke bench-predicates fuzz nopanic nocopy ci
+.PHONY: build test tier1 vet race chaos serve-smoke bench bench-smoke bench-predicates bench-e2e bench-e2e-test fuzz nopanic nocopy ci
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,18 @@ bench-predicates:
 bench-smoke:
 	$(GO) test -short -run xxx -bench . -benchtime 1x ./...
 
+# The repository's one end-to-end + per-layer benchmark (BENCHMARK.json,
+# bench/e2e/README.md): every workload, five runs each, summary to
+# bench/e2e/out/run.json. Compare two such files with
+# `bash bench/e2e/run.sh -compare A.json B.json`.
+bench-e2e:
+	bash bench/e2e/run.sh -all -runs 5 -out bench/e2e/out/run.json
+
+# The harness's own self-test (about 3 s). bench/e2e is a module of its
+# own, so `go test ./...` from the root does not reach it.
+bench-e2e-test:
+	$(GO) -C bench/e2e test .
+
 # Fuzz smoke: a short budget per target keeps CI fast while still
 # exercising the mutation engine against the typed-error contracts.
 fuzz:
@@ -69,6 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDelaunayParallelStitch -fuzztime 10s ./internal/delaunay/
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzPredicatesExact -fuzztime 10s ./internal/geom/
+	$(GO) test -run '^$$' -fuzz FuzzHilbertOrder -fuzztime 10s ./internal/geom/
 
 # The hardened layers (geometry, ingestion, render) must stay panic-free:
 # every failure goes through the geomerr taxonomy instead.
@@ -88,4 +101,4 @@ nocopy:
 	$(GO) vet -copylocks ./...
 	$(GO) run ./cmd/nocopy-audit .
 
-ci: tier1 vet nopanic nocopy race chaos serve-smoke bench-smoke fuzz
+ci: tier1 vet nopanic nocopy race chaos serve-smoke bench-smoke bench-e2e-test fuzz

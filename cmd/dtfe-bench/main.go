@@ -90,7 +90,7 @@ func main() {
 	var (
 		out       = flag.String("out", "BENCH_PR10.json", "report output path")
 		baseline  = flag.String("baseline", "bench/baseline_pr10.json", "baseline report to compare against (empty to skip)")
-		benchRe   = flag.String("bench", "BenchmarkKernel|BenchmarkEntry|BenchmarkCodec|BenchmarkDelaunayBuild|BenchmarkPredicate|BenchmarkDistRender|BenchmarkFieldServe|BenchmarkDelta", "benchmark regex passed to go test")
+		benchRe   = flag.String("bench", "BenchmarkKernel|BenchmarkEntry|BenchmarkCodec|BenchmarkDelaunayBuild|BenchmarkCompact|BenchmarkHilbertKey|BenchmarkPredicate|BenchmarkDistRender|BenchmarkFieldServe|BenchmarkDelta", "benchmark regex passed to go test")
 		benchtime = flag.String("benchtime", "2s", "go test -benchtime")
 		count     = flag.Int("count", 1, "go test -count")
 		label     = flag.String("label", "current", "report label")

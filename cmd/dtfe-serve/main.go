@@ -356,13 +356,19 @@ func geomRand(seed int64) func() float64 {
 
 // bandChurnDelta removes up to 8 particles from a narrow interior x-band
 // and adds the same count back into the band, keeping the bounding box
-// fixed so updates stay on the incremental (non-DirtyAll) path.
+// fixed so updates stay on the incremental (non-DirtyAll) path. The scan
+// for particles to remove starts at a random index and wraps around:
+// from index 0 every update took the band's first eight survivors, and
+// repeated updates ate their way through the catalog's first halo.
 func bandChurnDelta(pts []geom.Vec3, rnd func() float64) fieldserve.Delta {
 	b := geom.BoundsOf(pts)
 	cx := 0.5 * (b.Min.X + b.Max.X)
 	band := 0.08 * (b.Max.X - b.Min.X)
 	var d fieldserve.Delta
-	for i, p := range pts {
+	off := int(rnd() * float64(len(pts)))
+	for k := range pts {
+		i := (off + k) % len(pts)
+		p := pts[i]
 		interior := p.X > b.Min.X && p.X < b.Max.X && p.Y > b.Min.Y && p.Y < b.Max.Y && p.Z > b.Min.Z && p.Z < b.Max.Z
 		if interior && p.X > cx-band && p.X < cx+band {
 			d.Remove = append(d.Remove, i)

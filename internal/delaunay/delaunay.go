@@ -40,6 +40,9 @@ type Tet struct {
 // InfSlot returns the slot of the infinite vertex, or -1 if the tet is
 // finite.
 func (t *Tet) InfSlot() int {
+	if t.V[0]|t.V[1]|t.V[2]|t.V[3] >= 0 {
+		return -1 // Inf is the only negative index: no sign bit, no Inf
+	}
 	for i, v := range t.V {
 		if v == Inf {
 			return i
@@ -63,6 +66,10 @@ type Triangulation struct {
 	tets []Tet
 	dead []bool
 	free []int32
+
+	// finite is the number of finite tets, which compact() sorts to the
+	// front of the pool; 0 until then.
+	finite int
 
 	// vertTet[v] is some live tet incident to vertex v.
 	vertTet []int32
@@ -158,8 +165,17 @@ func buildRaw(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 				&geomerr.BadParticleError{Index: i, Reason: fmt.Sprintf("non-finite coordinate %v", p)})
 		}
 	}
+	// The pool is sized once: an incremental build in three dimensions
+	// leaves about 6.8 slots per point (live tets plus the free list), so
+	// newTet's appends stay within capacity on all but adversarial inputs.
+	slots := 7*len(pts) + 64
 	t := &Triangulation{
 		pts:     pts,
+		tets:    make([]Tet, 0, slots),
+		dead:    make([]bool, 0, slots),
+		mark:    make([]int32, 0, slots),
+		cmark:   make([]int32, 0, slots),
+		cval:    make([]bool, 0, slots),
 		vertTet: make([]int32, len(pts)),
 		dupOf:   make([]int32, len(pts)),
 		rng:     0x9e3779b97f4a7c15,
@@ -365,16 +381,9 @@ func (t *Triangulation) VertexTet(v int32) int32 {
 	return t.vertTet[v]
 }
 
-// NumFiniteTets counts live finite tetrahedra.
-func (t *Triangulation) NumFiniteTets() int {
-	n := 0
-	for i := range t.tets {
-		if !t.dead[i] && t.tets[i].InfSlot() < 0 {
-			n++
-		}
-	}
-	return n
-}
+// NumFiniteTets returns the number of finite tetrahedra. They are the
+// first NumFiniteTets() entries of Tets(); the infinite ones follow.
+func (t *Triangulation) NumFiniteTets() int { return t.finite }
 
 // ForEachFiniteTet calls fn for every live finite tetrahedron.
 func (t *Triangulation) ForEachFiniteTet(fn func(ti int32, tet *Tet)) {
@@ -477,26 +486,16 @@ type Stats struct {
 	HullFacets int
 }
 
-// Stats returns summary counts.
+// Stats returns summary counts. Every point is either inserted or merged
+// into an earlier duplicate, and the compacted pool holds the finite tets
+// and then one infinite tet per hull facet, so nothing is scanned.
 func (t *Triangulation) Stats() Stats {
-	dups := 0
-	for i := range t.dupOf {
-		if t.dupOf[i] != int32(i) {
-			dups++
-		}
-	}
-	hull := 0
-	for i := range t.tets {
-		if !t.dead[i] && t.tets[i].InfSlot() >= 0 {
-			hull++
-		}
-	}
 	return Stats{
 		Points:     len(t.pts),
 		Inserted:   t.insertedCount,
-		Duplicates: dups,
-		FiniteTets: t.NumFiniteTets(),
-		HullFacets: hull,
+		Duplicates: len(t.pts) - t.insertedCount,
+		FiniteTets: t.finite,
+		HullFacets: len(t.tets) - t.finite,
 	}
 }
 

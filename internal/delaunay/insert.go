@@ -163,8 +163,13 @@ func (t *Triangulation) conflicts(ti int32, p geom.Vec3) (bool, error) {
 // bumped once per insert, so within one insertion each tet's conflict
 // status is computed at most once, however many cavity faces it borders.
 // The memo changes evaluation counts only, never results — the predicates
-// are exact and deterministic — so the build output is byte-identical.
+// are exact and deterministic — so the build output is byte-identical. A
+// compacted triangulation has no memo (compact drops the insert scratch);
+// ValidateDelaunay's queries on one are evaluated directly.
 func (t *Triangulation) conflictsCached(ti int32, p geom.Vec3) (bool, error) {
+	if t.cmark == nil {
+		return t.conflicts(ti, p)
+	}
 	if t.cmark[ti] == t.epoch {
 		return t.cval[ti], nil
 	}
@@ -269,7 +274,6 @@ func (t *Triangulation) carveCavity(seed int32, p geom.Vec3) error {
 	t.cavity = t.cavity[:0]
 	t.border = t.border[:0]
 	stack := t.stack[:0]
-	defer func() { t.stack = stack[:0] }()
 
 	t.mark[seed] = t.epoch
 	stack = append(stack, seed)
@@ -285,6 +289,7 @@ func (t *Triangulation) carveCavity(seed int32, p geom.Vec3) error {
 			}
 			c, err := t.conflictsCached(n, p)
 			if err != nil {
+				t.stack = stack
 				return err
 			}
 			if c {
@@ -304,6 +309,7 @@ func (t *Triangulation) carveCavity(seed int32, p geom.Vec3) error {
 				}
 			}
 			if g < 0 {
+				t.stack = stack
 				return geomerr.Corrupt("delaunay.insert", "neighbor symmetry violated between tets %d and %d", cur, n)
 			}
 			t.border = append(t.border, borderFace{
@@ -313,6 +319,7 @@ func (t *Triangulation) carveCavity(seed int32, p geom.Vec3) error {
 			})
 		}
 	}
+	t.stack = stack
 	return nil
 }
 

@@ -9,9 +9,10 @@ import (
 // TestHilbertCellHamiltonian is the defining property of the Hilbert curve:
 // visiting every cell of a 2^b-per-side grid in key order is a Hamiltonian
 // path on the grid graph — consecutive cells differ by exactly one step
-// along exactly one axis.
+// along exactly one axis. The grid is the corner sub-cube of the 12-bit
+// grid that the first 8^b keys cover.
 func TestHilbertCellHamiltonian(t *testing.T) {
-	const bits = 3
+	const bits = 4
 	const side = 1 << bits
 	type cell struct {
 		key     uint64
@@ -22,7 +23,7 @@ func TestHilbertCellHamiltonian(t *testing.T) {
 	for x := uint32(0); x < side; x++ {
 		for y := uint32(0); y < side; y++ {
 			for z := uint32(0); z < side; z++ {
-				k := hilbertFromCell([3]uint32{x, y, z}, bits)
+				k := hilbertFromCell(x, y, z)
 				if k >= side*side*side {
 					t.Fatalf("key %d out of range for cell (%d,%d,%d)", k, x, y, z)
 				}

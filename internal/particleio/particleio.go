@@ -54,7 +54,8 @@ func (h Header) rowSize() int64 {
 }
 
 // Write stores particles split into the given per-block index lists. Block
-// payloads are little-endian float64 x,y,z triplets.
+// payloads are little-endian float64 x,y,z triplets. With no block lists
+// (nil or empty) all particles go into one block, in input order.
 func Write(path string, pts []geom.Vec3, blocks [][]int32) error {
 	return writeFile(path, pts, nil, blocks)
 }
@@ -68,6 +69,14 @@ func WriteWithVelocities(path string, pts, vels []geom.Vec3, blocks [][]int32) e
 }
 
 func writeFile(path string, pts, vels []geom.Vec3, blocks [][]int32) error {
+	if len(blocks) == 0 {
+		// A header of N particles in zero blocks is one no reader accepts.
+		all := make([]int32, len(pts))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		blocks = [][]int32{all}
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -191,6 +191,34 @@ func TestReadAllValidated(t *testing.T) {
 	}
 }
 
+// TestWriteImplicitBlock: Write with no block lists used to produce a
+// header of N particles in zero blocks, which every reader rejects; it now
+// writes one block holding all of them, in input order.
+func TestWriteImplicitBlock(t *testing.T) {
+	pts := []geom.Vec3{{X: 0.1, Y: 0.2, Z: 0.3}, {X: 0.9, Y: 0.8, Z: 0.7}, {X: 0.5, Y: 0.5, Z: 0.5}}
+	for name, blocks := range map[string][][]int32{"nil": nil, "empty": {}} {
+		path := filepath.Join(t.TempDir(), name+".bin")
+		if err := Write(path, pts, blocks); err != nil {
+			t.Fatal(err)
+		}
+		got, rep, err := ReadAllValidated(path, ValidateOptions{Policy: PolicyFail})
+		if err != nil {
+			t.Fatalf("%s blocks: %v", name, err)
+		}
+		if rep.Dropped != 0 || len(got) != len(pts) {
+			t.Fatalf("%s blocks: read %d particles, report %v", name, len(got), rep)
+		}
+		for i := range pts {
+			if got[i] != pts[i] {
+				t.Fatalf("%s blocks: particle %d is %v, wrote %v", name, i, got[i], pts[i])
+			}
+		}
+		if h, err := ReadHeader(path); err != nil || len(h.Blocks) != 1 || h.Blocks[0].Count != int64(len(pts)) {
+			t.Fatalf("%s blocks: header %+v, %v", name, h, err)
+		}
+	}
+}
+
 // corrupt writes a mutated copy of the file and returns its path.
 func corrupt(t *testing.T, path string, mutate func([]byte) []byte) string {
 	t.Helper()
