@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 vet race chaos serve-smoke bench bench-smoke bench-predicates bench-e2e bench-e2e-test fuzz nopanic nocopy ci
+.PHONY: build test tier1 vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test fuzz nopanic nocopy ci
 
 build:
 	$(GO) build ./...
@@ -21,15 +21,22 @@ vet:
 race:
 	$(GO) test -race ./internal/mpi/... ./internal/pipeline/... ./internal/render/... ./internal/delaunay/... ./internal/geom/... ./internal/fieldserve/... ./internal/fault/... ./internal/vtime/...
 
-# Fault-injection suites under the race detector: interior-rank death in
-# the reduction tree, cascading failures, dropped/duplicated frames,
-# straggler re-dispatch, tolerant receives, and collective attribution.
-# The -timeout is the watchdog: a recovery-path hang fails the run instead
-# of wedging CI.
+# Fault-injection and cancellation suites under the race detector:
+# interior-rank death in the gather tree, cascading failures,
+# dropped/duplicated frames, straggler re-dispatch, stale frames, caller
+# cancellation, tolerant receives, and collective attribution. The -timeout
+# is the watchdog: a recovery-path hang fails the run instead of wedging CI.
+# The loop first prints how many tests the -run pattern selects in each
+# package and fails on zero, so a renamed suite cannot silently drop out.
+CHAOS_RUN  = Chaos|Fault|Recover|Crash|Straggler|Tolerant|Attribution|Tree|Cancel|Deadline
+CHAOS_PKGS = ./internal/mpi ./internal/fault ./internal/pipeline ./internal/render/distrender ./internal/delaunay ./internal/fieldserve
 chaos:
-	$(GO) test -race -timeout 180s -run 'Chaos|Fault|Recover|Crash|Straggler|Tolerant|Attribution|Tree' \
-		./internal/mpi/... ./internal/fault/... ./internal/pipeline/... ./internal/render/distrender/... ./internal/delaunay/... \
-		./internal/fieldserve/
+	@for p in $(CHAOS_PKGS); do \
+		n=$$($(GO) test -list '$(CHAOS_RUN)' $$p | grep -c '^Test'); \
+		echo "chaos: $$p: $$n tests match"; \
+		[ "$$n" -gt 0 ] || { echo "chaos: the -run pattern selects nothing in $$p"; exit 1; }; \
+	done
+	$(GO) test -race -timeout 180s -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 
 # Overload smoke: the resident field service at 2x capacity under the
 # race detector — the real service (bounded queue, shedding, degrade
@@ -38,21 +45,6 @@ chaos:
 # and nonzero-shed assertions.
 serve-smoke:
 	$(GO) test -race -timeout 300s -run 'OverloadSmoke|OverlapStorm' ./internal/fieldserve/ ./internal/vtime/
-
-# Regression benchmarks: run the kernel/entry/codec/build/predicate/
-# distributed-render/field-service/delta-update suite and write
-# BENCH_PR10.json with ns/op, allocs/op, and speedup ratios against the
-# checked-in baseline in bench/baseline_pr10.json. In the baseline the
-# BenchmarkDeltaUpdate entries carry the full-rebuild cost (before
-# ApplyDelta, rebuilding was the only way to update a catalog), so the
-# delta speedup ratios read directly as delta-vs-rebuild.
-bench:
-	$(GO) run ./cmd/dtfe-bench -out BENCH_PR10.json -baseline bench/baseline_pr10.json
-
-# Forced-exact predicate microbenchmarks only: the quickest check that a
-# predicates change kept the fallback path fast and allocation-free.
-bench-predicates:
-	$(GO) test -run '^$$' -bench BenchmarkPredicateFallback -benchmem ./internal/geom/
 
 # One-iteration smoke over every benchmark in the tree: catches bit-rot
 # in benchmark code without paying for stable timings. -short skips the
@@ -63,9 +55,12 @@ bench-smoke:
 # The repository's one end-to-end + per-layer benchmark (BENCHMARK.json,
 # bench/e2e/README.md): every workload, five runs each, summary to
 # bench/e2e/out/run.json. Compare two such files with
-# `bash bench/e2e/run.sh -compare A.json B.json`.
+# `bash bench/e2e/run.sh -compare A.json B.json`. `make bench` is the same
+# thing.
 bench-e2e:
 	bash bench/e2e/run.sh -all -runs 5 -out bench/e2e/out/run.json
+
+bench: bench-e2e
 
 # The harness's own self-test (about 3 s). bench/e2e is a module of its
 # own, so `go test ./...` from the root does not reach it.
@@ -80,13 +75,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDelaunayDelta -fuzztime 10s ./internal/delaunay/
 	$(GO) test -run '^$$' -fuzz FuzzDelaunayParallelStitch -fuzztime 10s ./internal/delaunay/
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/mpi/
+	$(GO) test -run '^$$' -fuzz FuzzTreeWireDecode -fuzztime 10s ./internal/render/distrender/
 	$(GO) test -run '^$$' -fuzz FuzzPredicatesExact -fuzztime 10s ./internal/geom/
 	$(GO) test -run '^$$' -fuzz FuzzHilbertOrder -fuzztime 10s ./internal/geom/
 
-# The hardened layers (geometry, ingestion, render) must stay panic-free:
-# every failure goes through the geomerr taxonomy instead.
+# The hardened layers (geometry, ingestion, render, the distributed gather
+# and the runtime under it) must stay panic-free: every failure goes
+# through the geomerr taxonomy or a returned error instead.
 nopanic:
-	@bad=$$(grep -n 'panic(' internal/delaunay/*.go internal/particleio/*.go internal/render/*.go internal/fieldserve/*.go | grep -v _test.go || true); \
+	@bad=$$(grep -n 'panic(' internal/delaunay/*.go internal/particleio/*.go internal/render/*.go internal/render/distrender/*.go internal/mpi/*.go internal/pipeline/*.go internal/fieldserve/*.go | grep -v _test.go || true); \
 	if [ -n "$$bad" ]; then \
 		echo "panic() found in hardened production code:"; echo "$$bad"; exit 1; \
 	fi

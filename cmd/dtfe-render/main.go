@@ -9,12 +9,12 @@
 // With -ranks > 1 the marching kernel runs the distributed fan-out over an
 // in-process MPI world: the grid is cut into cost-balanced column tiles
 // (-tiles), scattered over the ranks, marched, and gathered bit-identically
-// to the single-rank render. -gather selects the flat rank-0 gather or the
-// fault-tolerant k-ary reduction tree (-fanout arity; auto picks the tree
-// once the world has at least 4 ranks). -halo > 0 switches from full
-// catalog replication to halo-padded particle subsets with guard-column
-// verification; guard renders are skipped when the coordinator certifies
-// the halo from the triangulation's maximum circumradius.
+// to the single-rank render. Results stream back up a fault-tolerant k-ary
+// tree rooted at rank 0 (-fanout arity, default 4; a fanout of at least
+// -ranks makes it a star). -halo > 0 switches from full catalog replication
+// to halo-padded particle subsets with guard-column verification; guard
+// renders are skipped when the coordinator certifies the halo from the
+// triangulation's maximum circumradius.
 package main
 
 import (
@@ -49,8 +49,7 @@ func main() {
 	ranks := flag.Int("ranks", 1, "simulated MPI ranks for the distributed marching render")
 	tiles := flag.Int("tiles", 0, "column tiles for -ranks > 1 (default: 2x ranks, cost-balanced)")
 	halo := flag.Float64("halo", 0, "subset halo width for -ranks > 1 (0: replicate the catalog)")
-	gather := flag.String("gather", "auto", "result gather for -ranks > 1: auto | flat | tree")
-	fanout := flag.Int("fanout", 0, "reduction-tree arity for -gather tree/auto (default 4)")
+	fanout := flag.Int("fanout", 0, "gather-tree arity for -ranks > 1 (default 4; >= ranks is a star)")
 	deadline := flag.Duration("deadline", 0, "abort a distributed render after this long (0: no deadline)")
 	flag.Parse()
 
@@ -100,7 +99,7 @@ func main() {
 	switch *kernel {
 	case "marching":
 		if *ranks > 1 {
-			g, stats, err = distributedRender(spec, pts, *ranks, *tiles, *workers, *halo, *gather, *fanout, *deadline)
+			g, stats, err = distributedRender(spec, pts, *ranks, *tiles, *workers, *halo, *fanout, *deadline)
 			break
 		}
 		g, stats, err = render.NewMarcher(field).Render(spec, *workers, render.ScheduleDynamic)
@@ -144,21 +143,9 @@ func main() {
 // A non-zero deadline bounds the whole render: when it passes, the
 // coordinator cancels the run, drains the workers, and the typed
 // cancellation error is reported with the partial-progress accounting.
-func distributedRender(spec render.Spec, pts []geom.Vec3, ranks, tiles, workers int, halo float64, gather string, fanout int, deadline time.Duration) (*grid.Grid2D, []render.WorkerStat, error) {
-	var mode distrender.GatherMode
-	switch gather {
-	case "auto":
-		mode = distrender.GatherAuto
-	case "flat":
-		mode = distrender.GatherFlat
-	case "tree":
-		mode = distrender.GatherTree
-	default:
-		return nil, nil, fmt.Errorf("unknown -gather %q (want auto, flat, or tree)", gather)
-	}
+func distributedRender(spec render.Spec, pts []geom.Vec3, ranks, tiles, workers int, halo float64, fanout int, deadline time.Duration) (*grid.Grid2D, []render.WorkerStat, error) {
 	cfg := distrender.Config{
-		Spec: spec, Tiles: tiles, Workers: workers, Halo: halo,
-		Gather: mode, Fanout: fanout,
+		Spec: spec, Tiles: tiles, Workers: workers, Halo: halo, Fanout: fanout,
 	}
 	ctx := context.Background()
 	if deadline > 0 {
@@ -202,12 +189,8 @@ func distributedRender(spec render.Spec, pts []geom.Vec3, ranks, tiles, workers 
 			return nil, nil, fmt.Errorf("rank %d: %w", r, e)
 		}
 	}
-	topo := "flat gather"
-	if res.TreeGather {
-		topo = fmt.Sprintf("fanout-%d tree gather", res.Fanout)
-	}
-	fmt.Printf("distributed: %d ranks, %d tiles, %s, %d re-dispatched\n",
-		ranks, len(res.Tiles), topo, res.Redispatched)
+	fmt.Printf("distributed: %d ranks, %d tiles, fanout-%d gather, %d re-dispatched\n",
+		ranks, len(res.Tiles), res.Fanout, res.Redispatched)
 	if res.CertifiedTiles > 0 {
 		fmt.Printf("certified halo: %d/%d tiles skipped guard renders (bound %.4g <= halo %.4g)\n",
 			res.CertifiedTiles, len(res.Tiles), res.CertifiedHalo, halo)

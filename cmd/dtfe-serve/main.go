@@ -54,7 +54,6 @@ func main() {
 	batchWindow := flag.Duration("batch-window", 0, "batch leader wait for same-family followers (0: drain what's queued)")
 	maxBatch := flag.Int("max-batch", 16, "max requests served by one shared march")
 	colCache := flag.Int("col-cache", 1<<20, "column-cache budget in grid cells (negative disables)")
-	noCoalesce := flag.Bool("no-coalesce", false, "disable family batching and the column cache (baseline mode)")
 	updates := flag.Int("updates", 0, "incremental catalog updates (band churn) applied concurrently with the load")
 	overlap := flag.Float64("overlap", 0, "fraction of requests drawn from hot coalescing families with varied window extents")
 	overlapFams := flag.Int("overlap-families", 3, "hot family pool size for -overlap")
@@ -82,7 +81,7 @@ func main() {
 			n = 1_000_000
 		}
 		runSim(n, *rate, *workers, *queue, *cache, *seed, inj,
-			!*noCoalesce, (*batchWindow).Seconds(), *maxBatch, *overlapFams, *simCompare)
+			(*batchWindow).Seconds(), *maxBatch, *overlapFams, *simCompare)
 		return
 	}
 	runReal(*in, *particles, *gridN, *specs, *requests, *rate,
@@ -90,12 +89,11 @@ func main() {
 			BatchWindow:      *batchWindow,
 			MaxBatch:         *maxBatch,
 			ColumnCacheCells: *colCache,
-			DisableCoalesce:  *noCoalesce,
 		})
 }
 
 func runSim(requests int, rate float64, workers, queue, cache int, seed int64, inj *fault.Injector,
-	coalesce bool, batchWindow float64, maxBatch, familyPool int, compare bool) {
+	batchWindow float64, maxBatch, familyPool int, compare bool) {
 	if workers <= 0 {
 		workers = 2
 	}
@@ -115,7 +113,7 @@ func runSim(requests int, rate float64, workers, queue, cache int, seed int64, i
 		DegradeHitFrac: 0.25,
 		Seed:           seed,
 		Fault:          inj,
-		Coalesce:       coalesce,
+		Coalesce:       true,
 		BatchWindow:    batchWindow,
 		MaxBatch:       maxBatch,
 		FamilyPool:     familyPool,
@@ -127,25 +125,19 @@ func runSim(requests int, rate float64, workers, queue, cache int, seed int64, i
 	cfg.ArrivalRate = rate
 	t0 := time.Now()
 	out := vtime.SimulateFieldServe(cfg)
-	fmt.Printf("sim: %d requests at %.0f/s offered (%d workers, queue %d, cache %d, coalesce %v)\n",
-		requests, rate, cfg.Workers, cfg.QueueDepth, cfg.CacheEntries, cfg.Coalesce)
+	fmt.Printf("sim: %d requests at %.0f/s offered (%d workers, queue %d, cache %d)\n",
+		requests, rate, cfg.Workers, cfg.QueueDepth, cfg.CacheEntries)
 	fmt.Printf("served %d (%.1f/s virtual), shed %d (rate %.3f), degraded %d, expired %d, deduped %d\n",
 		out.Served, out.Throughput, out.Shed, out.ShedRate, out.Degraded, out.Expired, out.Deduped)
 	fmt.Printf("latency p50 %.2fms p99 %.2fms max %.2fms, hit rate %.3f, poisoned %d, builds %d\n",
 		out.P50*1e3, out.P99*1e3, out.Max*1e3, out.HitRate, out.Poisoned, out.Builds)
-	if cfg.Coalesce {
-		fmt.Printf("batches %d, coalesced %d\n", out.Batches, out.Coalesced)
-	}
+	fmt.Printf("batches %d, coalesced %d\n", out.Batches, out.Coalesced)
 	fmt.Printf("virtual makespan %.2fs simulated in %v\n", out.Makespan, time.Since(t0).Round(time.Millisecond))
 
 	if compare {
 		alt := cfg
-		alt.Coalesce = !cfg.Coalesce
-		altOut := vtime.SimulateFieldServe(alt)
-		on, off := out, altOut
-		if !cfg.Coalesce {
-			on, off = altOut, out
-		}
+		alt.Coalesce = false
+		on, off := out, vtime.SimulateFieldServe(alt)
 		ratio := 0.0
 		if off.Throughput > 0 {
 			ratio = on.Throughput / off.Throughput

@@ -21,13 +21,14 @@ var distRenderRanks = []int{1, 16, 64, 256, 1024, 4096, 16384}
 // per-column marching cost and the triangulation setup cost, a
 // cost-balanced tiling of a large virtual grid is cut with the production
 // tiler (distrender.MakeTiles), and the virtual-time simulator plays the
-// coordinator/worker protocol at up to 16k ranks — once with the flat
-// rank-0 gather and once with the k-ary reduction tree. The flat curve
-// saturates where the coordinator's serial per-tile protocol cost
-// overtakes the shrinking per-rank marching share; the tree coalesces
-// tiles into frames on the way up, so the coordinator's protocol cost is
-// per-frame (log-depth, fanout-bounded) and the floor moves down to the
-// output grid's memory-bandwidth copy.
+// one gather protocol at up to 16k ranks at two fanouts: fanout = ranks
+// (a star, every rank a leaf under rank 0) and the default k-ary tree. The
+// star curve saturates where the coordinator's serial per-frame protocol
+// cost — one frame per tile, nothing coalesces — overtakes the shrinking
+// per-rank marching share; with interior ranks tiles coalesce into frames
+// on the way up, so the coordinator's frame count is fanout-bounded
+// (log-depth) and the floor moves down to the output grid's
+// memory-bandwidth copy.
 func DistRender(opt Options) (*Report, error) {
 	opt = opt.fill()
 	start := time.Now()
@@ -76,9 +77,10 @@ func DistRender(opt Options) (*Report, error) {
 	bigSpec.Cell = 1.04 / float64(bigN)
 
 	r.Rowf("%-7s %7s %11s %8s %11s %8s %6s %7s %10s %10s", "ranks", "tiles",
-		"flat-mksp", "speedup", "tree-mksp", "speedup", "depth", "frames",
-		"flat-oh", "tree-oh")
-	var base float64
+		"star-mksp", "speedup", "tree-mksp", "speedup", "depth", "frames",
+		"star-oh", "tree-oh")
+	var base, worstTail float64
+	var worstRanks int
 	for _, ranks := range distRenderRanks {
 		nt := 4 * ranks
 		if nt > bigN {
@@ -93,44 +95,43 @@ func DistRender(opt Options) (*Report, error) {
 		copyCost := float64(resultBytes) / float64(commModel().BytesPerSec)
 		cfg := vtime.DistRenderConfig{
 			Ranks:       ranks,
+			Fanout:      ranks,
 			Comm:        commModel(),
 			TileCosts:   costs,
 			AssignBytes: 64,
 			ResultBytes: resultBytes,
 			SetupCost:   setupCost,
-			// Flat gather: rank 0 pays per-tile message ingest (the comm
-			// overhead) plus the bandwidth copy into the output grid.
-			StitchPerTile: commModel().SendOverhead + copyCost,
+			// Per tile only the bandwidth copy into the output grid; the
+			// simulator charges message ingest per frame itself.
+			StitchPerTile: copyCost,
 		}
-		flat := vtime.SimulateDistRender(cfg)
-		treeCfg := cfg
-		// Tree gather: the ingest overhead is per coalesced frame (charged
-		// by the tree simulator itself); per tile only the copy remains.
-		treeCfg.StitchPerTile = copyCost
-		tree := vtime.SimulateTreeDistRender(vtime.TreeDistRenderConfig{
-			DistRenderConfig: treeCfg,
-			Fanout:           distrender.DefaultFanout,
-		})
+		star := vtime.SimulateDistRender(cfg)
+		cfg.Fanout = distrender.DefaultFanout
+		tree := vtime.SimulateDistRender(cfg)
 		if ranks == 1 {
-			base = flat.Makespan
+			base = star.Makespan
 		}
-		// The saturation term: serialized per-message protocol overhead at
-		// rank 0's gather — per tile in the flat protocol, per coalesced
-		// frame in the tree (the stitch copy itself is identical bytes in
+		if tail := tree.Makespan/star.Makespan - 1; tail > worstTail {
+			worstTail, worstRanks = tail, ranks
+		}
+		// The saturation term: serialized per-frame protocol overhead at
+		// rank 0's gather — one frame per tile in the star, coalesced
+		// frames in the tree (the stitch copy itself is identical bytes in
 		// both and is excluded).
-		flatOH := float64(len(tiles)) * commModel().SendOverhead
+		starOH := float64(star.RootFrames) * commModel().SendOverhead
 		treeOH := float64(tree.RootFrames) * commModel().SendOverhead
 		r.Rowf("%-7d %7d %11.3f %8.1f %11.3f %8.1f %6d %7d %10.4f %10.4f",
 			ranks, len(tiles),
-			flat.Makespan, base/flat.Makespan,
+			star.Makespan, base/star.Makespan,
 			tree.Makespan, base/tree.Makespan,
-			tree.Depth, tree.RootFrames, flatOH, treeOH)
+			tree.Depth, tree.RootFrames, starOH, treeOH)
 	}
 	r.Notef("calibration: %d particles, %.3g s/column, %.3g s setup; virtual grid %d^2",
 		n, perColumn, setupCost, bigN)
-	r.Notef("flat saturates at the coordinator's per-tile gather serialization (flat-oh); the fanout-%d reduction tree coalesces tiles into frames, so rank 0 pays per-frame overhead at log depth (tree-oh) and the floor drops to the scatter plus the output-grid copy",
+	r.Notef("one protocol, two fanouts: the star (fanout = ranks) saturates at the coordinator's per-frame gather serialization, one frame per tile (star-oh); at fanout %d interior ranks coalesce tiles into frames, so rank 0 pays per-frame overhead at log depth (tree-oh) and the floor drops to the scatter plus the output-grid copy",
 		distrender.DefaultFanout)
-	r.Notef("below saturation the tree trades a small tail (static batches, relay head-of-line blocking behind marches) for that floor — the flat gather stays the better schedule until the per-tile protocol cost dominates")
+	r.Notef("below saturation the tree pays a relay tail for that floor — interior ranks forward child frames behind their own marches — at worst %.0f%% over the star, at %d ranks; the batches, per-frame costs and recovery are the same code, so fanout is the only topology knob",
+		100*worstTail, worstRanks)
 	r.Elapsed = time.Since(start)
 	return r, nil
 }

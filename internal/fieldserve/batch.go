@@ -19,12 +19,8 @@ import (
 // member's spec.
 
 // famKey maps a request key to its batching-group key: the coalescing
-// family (catalog + spec with extents zeroed), or the exact key when
-// coalescing is disabled (reproducing exact-key single-flight).
-func (s *Service) famKey(k Key) Key {
-	if s.opt.DisableCoalesce {
-		return k
-	}
+// family (catalog + spec with extents zeroed).
+func famKey(k Key) Key {
 	return Key{Catalog: k.Catalog, Spec: render.FamilyOf(k.Spec)}
 }
 
@@ -60,7 +56,7 @@ func (s *Service) nextLeader() (*task, Key) {
 			return nil, Key{}
 		}
 		for i, t := range s.q {
-			fk := s.famKey(t.key)
+			fk := famKey(t.key)
 			if s.inflight[fk] {
 				continue
 			}
@@ -89,7 +85,7 @@ func (s *Service) collectBatch(leader *task, fk Key) []*task {
 	}
 	s.qmu.Lock()
 	for i := 0; i < len(s.q) && len(members) < s.opt.MaxBatch; {
-		if s.famKey(s.q[i].key) == fk {
+		if famKey(s.q[i].key) == fk {
 			members = append(members, s.q[i])
 			s.q = append(s.q[:i], s.q[i+1:]...)
 		} else {

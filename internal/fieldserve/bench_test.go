@@ -3,7 +3,6 @@ package fieldserve
 import (
 	"context"
 	"errors"
-	"os"
 	"strconv"
 	"sync"
 	"testing"
@@ -121,26 +120,16 @@ func BenchmarkFieldServeShed(b *testing.B) {
 	}
 }
 
-// benchCoalesceOpts applies the DTFE_SERVE_NOCOALESCE baseline toggle so
-// the same benchmark binary produces both sides of the coalescing
-// comparison (bench/baseline_pr9.json is recorded with it set).
-func benchCoalesceOpts(o Options) Options {
-	if os.Getenv("DTFE_SERVE_NOCOALESCE") != "" {
-		o.DisableCoalesce = true
-	}
-	return o
-}
-
 // BenchmarkFieldServeCoalesce measures the shared-march batch path: each
 // iteration bursts 8 concurrent same-family requests with different
 // window extents at a cold family. Coalescing serves the burst with one
-// union march; the DTFE_SERVE_NOCOALESCE baseline marches every request
-// separately.
+// union march. (For the pre-coalescing baseline — every request marched
+// separately — set MaxBatch: -1, ColumnCacheCells: -1.)
 func BenchmarkFieldServeCoalesce(b *testing.B) {
-	s := New(benchCoalesceOpts(Options{
+	s := New(Options{
 		Workers: 2, QueueDepth: 32,
 		BatchWindow: 500 * time.Microsecond, MaxBatch: 16,
-	}))
+	})
 	defer s.Close()
 	if err := s.Register("halos", testPoints(400, 31)); err != nil {
 		b.Fatal(err)
@@ -172,11 +161,10 @@ func BenchmarkFieldServeCoalesce(b *testing.B) {
 
 // BenchmarkFieldServeColumnCacheHit measures serving a window extent
 // assembled entirely from cached columns. The whole-grid cache is
-// disabled so every serve takes the batch path; with coalescing on the
-// family's columns are warm and no marching happens, while the
-// DTFE_SERVE_NOCOALESCE baseline re-marches the window every time.
+// disabled so every serve takes the batch path; the family's columns are
+// warm and no marching happens.
 func BenchmarkFieldServeColumnCacheHit(b *testing.B) {
-	s := New(benchCoalesceOpts(Options{Workers: 1, CacheEntries: -1}))
+	s := New(Options{Workers: 1, CacheEntries: -1})
 	defer s.Close()
 	if err := s.Register("halos", testPoints(400, 31)); err != nil {
 		b.Fatal(err)
@@ -209,7 +197,7 @@ func BenchmarkFieldServeColumnCacheHit(b *testing.B) {
 // column cache, not exact-key caching.
 func BenchmarkFieldServeOverlapStorm(b *testing.B) {
 	inj := fault.New(fault.Plan{Seed: 99, OverlapProb: 0.8, OverlapFamilies: 3})
-	s := New(benchCoalesceOpts(Options{Workers: 2, QueueDepth: 64, MaxBatch: 16}))
+	s := New(Options{Workers: 2, QueueDepth: 64, MaxBatch: 16})
 	defer s.Close()
 	if err := s.Register("halos", testPoints(400, 31)); err != nil {
 		b.Fatal(err)

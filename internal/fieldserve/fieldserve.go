@@ -62,11 +62,6 @@ type Options struct {
 	// disables the quota. The quota is elastic: with free space a
 	// catalog may exceed its share.
 	CatalogCacheShare float64
-	// DisableCoalesce turns off family batching and the column cache:
-	// requests group only on exact (catalog, spec) keys, reproducing the
-	// pre-coalescing exact-key single-flight service. Used for baseline
-	// benchmarking.
-	DisableCoalesce bool
 
 	// Fault optionally injects request-level faults; the service itself
 	// only consults the cache-poisoning decision (slow clients and
@@ -261,7 +256,7 @@ func New(opt Options) *Service {
 	if opt.ColumnCacheCells == 0 {
 		opt.ColumnCacheCells = 1 << 20
 	}
-	if opt.ColumnCacheCells < 0 || opt.DisableCoalesce {
+	if opt.ColumnCacheCells < 0 {
 		opt.ColumnCacheCells = 0
 	}
 	if opt.CatalogCacheShare == 0 {

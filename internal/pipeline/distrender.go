@@ -29,10 +29,9 @@ type DistRenderConfig struct {
 	Sched     render.Schedule
 	Halo      float64
 	Guard     int
-	// Gather selects the flat rank-0 gather or the k-ary reduction tree
-	// (auto by world size when zero); Fanout is the tree arity. NoCertify
-	// disables the coordinator's certified-halo guard skip.
-	Gather    distrender.GatherMode
+	// Fanout is the gather-tree arity (distrender.DefaultFanout when 0;
+	// >= ranks is a star). NoCertify disables the coordinator's
+	// certified-halo guard skip.
 	Fanout    int
 	NoCertify bool
 	// Ingest is the rank-0 particle-validation policy applied before
@@ -88,7 +87,6 @@ func RunDistributedRenderCtx(ctx context.Context, c *mpi.Comm, cfg DistRenderCon
 		Sched:                cfg.Sched,
 		Halo:                 cfg.Halo,
 		Guard:                cfg.Guard,
-		Gather:               cfg.Gather,
 		Fanout:               cfg.Fanout,
 		NoCertify:            cfg.NoCertify,
 		Fault:                cfg.Fault,

@@ -10,7 +10,6 @@ import (
 	"godtfe/internal/mpi"
 	"godtfe/internal/particleio"
 	"godtfe/internal/render"
-	"godtfe/internal/render/distrender"
 	"godtfe/internal/synth"
 )
 
@@ -98,10 +97,10 @@ func TestRunDistributedRender(t *testing.T) {
 	}
 }
 
-// TestRunDistributedRenderTreeGather: the phase wrapper passes the gather
-// topology knobs through — a forced reduction tree with explicit fanout is
-// reported back and still stitches bit-identically to a one-rank run.
-func TestRunDistributedRenderTreeGather(t *testing.T) {
+// TestRunDistributedRenderTreeFanout: the phase wrapper passes the gather
+// topology through — an explicit fanout with interior ranks is reported
+// back and still stitches bit-identically to a one-rank run.
+func TestRunDistributedRenderTreeFanout(t *testing.T) {
 	box := geom.AABB{Min: geom.Vec3{}, Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
 	pts := synth.HaloSet(700, box, synth.DefaultHaloSpec(), 11)
 	b := geom.BoundsOf(pts)
@@ -143,11 +142,10 @@ func TestRunDistributedRenderTreeGather(t *testing.T) {
 	ref := run(1, base)
 
 	treeCfg := base
-	treeCfg.Gather = distrender.GatherTree
 	treeCfg.Fanout = 2
 	tree := run(5, treeCfg)
-	if !tree.TreeGather || tree.Fanout != 2 {
-		t.Fatalf("gather knobs not passed through: TreeGather=%v Fanout=%d", tree.TreeGather, tree.Fanout)
+	if tree.Fanout != 2 {
+		t.Fatalf("fanout not passed through: Fanout=%d", tree.Fanout)
 	}
 	for j := 0; j < spec.Ny; j++ {
 		for i := 0; i < spec.Nx; i++ {

@@ -67,7 +67,7 @@ func runCancelled(t *testing.T, ranks int, cfg Config, ctx context.Context) (*Re
 func TestCancelBeforeStartFlat(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := runCancelled(t, 4, Config{Gather: GatherFlat, Tiles: 8}, ctx)
+	res, err := runCancelled(t, 4, Config{Tiles: 8}, ctx)
 	var ce *CancelledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CancelledError", err)
@@ -86,15 +86,15 @@ func TestCancelBeforeStartFlat(t *testing.T) {
 	}
 }
 
-// A mid-flight cancellation during a 4-rank tree-gather render drains the
-// tree cleanly and reports partial progress.
+// A mid-flight cancellation during a 4-rank render with an interior rank
+// (fanout 2) drains the tree cleanly and reports partial progress.
 func TestCancelMidFlightTree(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	res, err := runCancelled(t, 4, Config{Gather: GatherTree, Fanout: 2, Tiles: 16}, ctx)
+	res, err := runCancelled(t, 4, Config{Fanout: 2, Tiles: 16}, ctx)
 	if err == nil {
 		// The render outran the cancel timer; nothing to assert beyond a
 		// complete result (possible on a very fast machine, not a failure).
@@ -124,7 +124,7 @@ func TestCancelMidFlightTree(t *testing.T) {
 func TestDeadlineSelfCompute(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
-	res, err := runCancelled(t, 1, Config{Gather: GatherFlat, Tiles: 8}, ctx)
+	res, err := runCancelled(t, 1, Config{Tiles: 8}, ctx)
 	if err == nil {
 		t.Skip("render finished inside the deadline; nothing to assert")
 	}

@@ -1,8 +1,16 @@
 // Package distrender shards one render.Spec grid into column-block tiles
 // and fans them out over the internal/mpi runtime: rank 0 coordinates (it
-// owns the catalog, cuts cost-balanced tiles, scatters assignments,
-// gathers partial grids, and stitches one Result), the remaining ranks
-// march tiles with the shared-memory SoA kernel.
+// owns the catalog, cuts cost-balanced tiles, scatters static batches,
+// stream-stitches the frames that come back into one Result), the
+// remaining ranks march tiles with the shared-memory SoA kernel and relay
+// their children's frames toward the root.
+//
+// There is one gather protocol and one topology parameter. Rank r's parent
+// is (r-1)/fanout, rank 0 is the root; every rank streams finished tiles to
+// its parent as coalesced treeFrames and the parent acks them hop-locally.
+// At fanout >= world size every parent is 0 and the tree is a star (the
+// topology the GatherFlat alias names); at fanout 1 it is a chain. See
+// tree.go for the worker side and the recovery ladder.
 //
 // Two decomposition modes:
 //
@@ -20,11 +28,11 @@
 //     column bit-for-bit and surfaces any disagreement as a typed
 //     geomerr.ErrHaloMismatch instead of silently stitching corruption.
 //
-// Failure handling reuses the PR 1 recovery concepts: assignments carry a
-// deadline; the coordinator polls with a tolerant AnySource receive,
-// re-queues the in-flight tiles of crashed ranks (mpi failure detection),
-// re-dispatches past-deadline tiles to idle ranks (straggler mitigation),
-// and — because tile renders are bit-exact — resolves duplicate results by
+// Failure handling reuses the PR 1 recovery concepts: the coordinator waits
+// with a tolerant AnySource receive, redistributes the outstanding tiles of
+// crashed ranks (mpi failure detection), steals the head tile of a rank
+// that shows no progress within TileTimeout (straggler mitigation), and —
+// because tile renders are bit-exact — resolves duplicate results by
 // first-arrival. If every worker is lost the coordinator computes the
 // remainder itself unless the NoCoordinatorCompute test knob forbids it,
 // in which case the Result is flagged Incomplete with the lost tiles
@@ -48,22 +56,20 @@ import (
 	"godtfe/internal/render"
 )
 
-// GatherMode selects how tile results flow back to rank 0.
+// GatherMode names a topology instead of an arity. It selects no code —
+// there is one gather protocol — and survives only as a fanout alias for
+// callers written against the two-protocol API (see Config.fanout).
 type GatherMode int
 
 const (
-	// GatherAuto uses the reduction tree when the world is big enough for
-	// one (>= 4 ranks) and the flat gather otherwise.
+	// GatherAuto and GatherTree use Config.Fanout (DefaultFanout when 0).
 	GatherAuto GatherMode = iota
-	// GatherFlat forces the PR 5 flat gather: dynamic work queue, every
-	// result sent straight to rank 0.
+	// GatherFlat is the star: fanout = world size, every rank's parent is 0.
 	GatherFlat
-	// GatherTree forces the k-ary reduction tree (still degrading to flat
-	// when the world is too small for interior ranks to exist).
 	GatherTree
 )
 
-// DefaultFanout is the reduction-tree arity when Config.Fanout is unset.
+// DefaultFanout is the gather-tree arity when Config.Fanout is unset.
 const DefaultFanout = 4
 
 // Config tunes one distributed render.
@@ -71,8 +77,7 @@ type Config struct {
 	Spec render.Spec
 
 	// Tiles is the number of column-block tiles; 0 means 2× the world
-	// size (over-decomposition keeps re-dispatch granular and lets the
-	// work queue balance stragglers).
+	// size (over-decomposition keeps re-dispatch granular).
 	Tiles int
 	// EvenTiles forces equal-width tiles instead of cost-balanced ones.
 	EvenTiles bool
@@ -85,12 +90,13 @@ type Config struct {
 	Workers int
 	Sched   render.Schedule
 
-	// Gather selects the flat gather or the reduction tree (GatherAuto
-	// picks by world size); Fanout is the tree arity (DefaultFanout when
-	// 0). The root decides authoritatively and broadcasts its choice, so
-	// all ranks always agree on the topology.
-	Gather GatherMode
+	// Fanout is the gather-tree arity (DefaultFanout when 0; 1 is a chain,
+	// >= world size a star). Gather == GatherFlat is an alias for
+	// "Fanout = world size" and overrides Fanout; the other modes change
+	// nothing. The root resolves the arity and broadcasts it, so all ranks
+	// always agree on the topology.
 	Fanout int
+	Gather GatherMode
 
 	// Halo <= 0 selects replication mode. Halo > 0 ships per-tile
 	// particle subsets within Halo of the tile's x-span and enables the
@@ -110,10 +116,11 @@ type Config struct {
 	// (chaos tests). Crash point: fault.PointTile.
 	Fault *fault.Injector
 
-	// TileTimeout is the re-dispatch deadline per assignment (default
-	// 30s). Poll, when set, caps the coordinator's gather wait; by default
-	// the gather blocks until a message, a membership change, or the next
-	// assignment deadline — it no longer ticks on a poll interval.
+	// TileTimeout is the per-rank progress deadline (default 30s): a rank
+	// with outstanding tiles and no accepted frame for this long has its
+	// head tile stolen. Poll, when set, caps the coordinator's gather wait;
+	// by default the gather blocks until a message, a membership change, or
+	// the next rank deadline.
 	TileTimeout time.Duration
 	Poll        time.Duration
 	// MaxSendRetries overrides the mpi send retry budget when > 0.
@@ -133,11 +140,16 @@ func (cfg *Config) tileTimeout() time.Duration {
 	return 30 * time.Second
 }
 
-func (cfg *Config) poll() time.Duration {
-	if cfg.Poll > 0 {
-		return cfg.Poll
+// fanout resolves the gather-tree arity for a world of size ranks. It is
+// the only place a GatherMode is interpreted.
+func (cfg *Config) fanout(size int) int {
+	switch {
+	case cfg.Gather == GatherFlat:
+		return size
+	case cfg.Fanout > 0:
+		return cfg.Fanout
 	}
-	return 5 * time.Millisecond
+	return DefaultFanout
 }
 
 func (cfg *Config) guard() int {
@@ -165,10 +177,8 @@ type Result struct {
 	Tiles    []render.Tile
 	TileRank []int
 
-	// TreeGather reports whether the reduction tree carried the gather
-	// (false: flat), and Fanout its arity.
-	TreeGather bool
-	Fanout     int
+	// Fanout is the resolved gather-tree arity.
+	Fanout int
 	// CertifiedHalo is the halo width above which subset renders are
 	// provably byte-identical (CertifiedHaloBound; 0 when unavailable).
 	// CertifiedTiles counts the tiles stitched with that certificate in
@@ -176,7 +186,7 @@ type Result struct {
 	CertifiedHalo  float64
 	CertifiedTiles int
 
-	// Redispatched counts re-queued assignments (crash or straggler
+	// Redispatched counts re-assigned tiles (crash or straggler
 	// deadline); Duplicates counts results discarded by first-wins.
 	Redispatched int
 	Duplicates   int
@@ -200,7 +210,7 @@ func Run(c *mpi.Comm, cfg Config, pts []geom.Vec3) (*Result, error) {
 // when ctx is cancelled or its deadline passes, rank 0 stops dispatching,
 // aborts any self-compute march at the next column, shuts the surviving
 // workers down cleanly (they finish their current tile, see the shutdown
-// message, and exit — no goroutine leaks), and returns the partial Result
+// batch, and exit — no goroutine leaks), and returns the partial Result
 // flagged Incomplete together with a *CancelledError. Worker ranks ignore
 // ctx; they are driven entirely by the coordinator's protocol, so a single
 // cancelled coordinator drains the whole world.
@@ -361,78 +371,11 @@ func marchTile(ctx context.Context, cfg Config, m *render.Marcher, msg tileMsg) 
 	return res, nil
 }
 
-// work is the worker loop: receive assignments from rank 0, march, reply.
-// A lost result send is deliberately not retried here — the coordinator's
-// deadline re-dispatch covers it, and the march is bit-exact so recomputing
-// elsewhere is safe.
-func work(c *mpi.Comm, cfg Config) error {
-	var setup setupMsg
-	if _, err := c.Recv(0, tagSetup, &setup); err != nil {
-		if errors.Is(err, mpi.ErrRankFailed) {
-			return nil // coordinator gone before setup; nothing to serve
-		}
-		return err
-	}
-	if setup.Tree {
-		return workTree(c, cfg, setup)
-	}
-	var marcher *render.Marcher
-	done := 0
-	for {
-		var msg tileMsg
-		if _, err := c.Recv(0, tagAssign, &msg); err != nil {
-			if errors.Is(err, mpi.ErrRankFailed) {
-				return nil // coordinator gone; nothing left to serve
-			}
-			return err
-		}
-		if msg.Shutdown {
-			return nil
-		}
-		if cfg.Fault != nil && cfg.Fault.ShouldCrash(c.Rank(), fault.PointTile, done) {
-			return fault.Crashed(c.Rank(), fault.PointTile, done)
-		}
-		if !msg.Subset && marcher == nil {
-			m, _, err := buildMarcher(setup.Particles)
-			if err != nil {
-				return err
-			}
-			marcher = m
-		}
-		start := time.Now()
-		res, err := marchTile(context.Background(), cfg, marcher, msg)
-		if err != nil {
-			return err
-		}
-		if cfg.Fault != nil {
-			cfg.Fault.StraggleSleep(c.Rank(), time.Since(start))
-		}
-		res.Rank = c.Rank()
-		if err := c.Send(0, tagResult, res); err != nil {
-			if errors.Is(err, mpi.ErrMessageLost) {
-				done++
-				continue // dropped gather message: re-dispatch recovers it
-			}
-			if errors.Is(err, mpi.ErrRankFailed) {
-				return nil
-			}
-			return err
-		}
-		done++
-	}
-}
-
-// assignment tracks one dispatched tile.
-type assignment struct {
-	tile     int
-	deadline time.Time
-}
-
-// coord is the rank-0 gather state shared by the flat and tree
-// coordinators. Tile grids are stitched into the output grid the moment
-// they are accepted (streaming stitch); only tile metadata — guards,
-// stats, failure strings — is retained per tile, so the coordinator's
-// footprint is one output grid regardless of tile count or topology.
+// coord is the rank-0 gather state. Tile grids are stitched into the output
+// grid the moment they are accepted (streaming stitch); only tile metadata —
+// guards, stats, failure strings — is retained per tile, so the
+// coordinator's footprint is one output grid regardless of tile count or
+// fanout.
 type coord struct {
 	cfg        Config
 	spec       render.Spec
@@ -581,27 +524,9 @@ func (co *coord) finalize() (*Result, error) {
 	return res, firstErr
 }
 
-// gatherTopology resolves the gather mode for a world size: tree needs at
-// least one level of interior ranks to be worth the protocol (>= 4 ranks
-// under GatherAuto; an explicit GatherTree still needs a child to exist).
-func gatherTopology(cfg Config, size int) (tree bool, fanout int) {
-	fanout = cfg.Fanout
-	if fanout <= 0 {
-		fanout = DefaultFanout
-	}
-	switch cfg.Gather {
-	case GatherFlat:
-		return false, fanout
-	case GatherTree:
-		return size > 2, fanout
-	default:
-		return size >= 4, fanout
-	}
-}
-
-// coordinate is the rank-0 side: tile the grid, broadcast setup, then
-// drive the flat work queue or the reduction tree, stream-stitching
-// results as they arrive.
+// coordinate is the rank-0 side: tile the grid, broadcast setup, hand every
+// live rank its static round-robin batch, then stream-stitch the frames
+// that come back while per-rank deadlines drive re-dispatch.
 func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (*Result, error) {
 	spec := cfg.Spec
 	if err := spec.Validate(false); err != nil {
@@ -618,18 +543,17 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 	if subset {
 		guard = cfg.guard()
 	}
-	tree, fanout := gatherTopology(cfg, c.Size())
 	setup := setupMsg{
 		Spec: spec, Tiles: tiles, Workers: cfg.Workers, Sched: cfg.Sched,
-		Halo: cfg.Halo, Guard: guard, Tree: tree, Fanout: fanout,
+		Halo: cfg.Halo, Guard: guard, Fanout: cfg.fanout(c.Size()),
 	}
 	if !subset {
 		setup.Particles = pts
 	}
 
 	co := newCoord(cfg, tiles, subset, guard, pts)
-	co.res.TreeGather = tree
-	co.res.Fanout = fanout
+	res := co.res
+	res.Fanout = setup.Fanout
 	if subset && guard > 0 && !cfg.NoCertify {
 		// Certified halo: one full triangulation up front buys every tile
 		// out of its guard renders when the configured halo provably
@@ -637,7 +561,7 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 		// below the bound) just leaves the guard cross-check in place.
 		if tri, err := delaunay.New(pts); err == nil {
 			if bound, ok := CertifiedHaloBound(tri); ok {
-				co.res.CertifiedHalo = bound
+				res.CertifiedHalo = bound
 				co.certified = cfg.Halo >= bound
 			}
 		}
@@ -651,55 +575,135 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 	for r := 1; r < c.Size(); r++ {
 		if err := c.Send(r, tagSetup, &setup); err != nil {
 			dead[r] = true
-			co.res.Failures = append(co.res.Failures,
+			res.Failures = append(res.Failures,
 				fmt.Sprintf("setup to rank %d: %s", r, err))
 		}
 	}
 
-	if tree {
-		return coordinateTree(ctx, c, cfg, co, dead, fanout)
-	}
-	return coordinateFlat(ctx, c, cfg, co, dead)
-}
-
-// coordinateFlat drives the PR 5 dynamic work queue: one assignment in
-// flight per rank, deadline re-dispatch, results straight to rank 0. The
-// gather wait is event-driven — it blocks until a result, a world
-// membership change, or the earliest assignment deadline — so an idle
-// gather burns no CPU and rank death is observed the moment it happens.
-func coordinateFlat(ctx context.Context, c *mpi.Comm, cfg Config, co *coord, dead map[int]bool) (*Result, error) {
-	res := co.res
-	queue := make([]int, len(co.tiles))
-	for k := range queue {
-		queue[k] = k
-	}
-	inflight := make(map[int]assignment) // rank → its current assignment
+	timeout := cfg.tileTimeout()
 	var coordMarcher *render.Marcher
-	epoch := c.FailureEpoch()
 
 	shutdown := func() {
 		for r := 1; r < c.Size(); r++ {
-			if !dead[r] {
-				_ = c.Send(r, tagAssign, tileMsg{Shutdown: true})
+			if !dead[r] && c.Alive(r) {
+				_ = c.Send(r, tagBatch, assignBatch{Shutdown: true})
 			}
 		}
 	}
 
-	markDead := func(r int) {
+	pending := make(map[int][]int)      // rank → tiles assigned, not yet arrived
+	owner := make(map[int]int)          // tile → rank currently responsible
+	deadline := make(map[int]time.Time) // rank → progress deadline
+
+	liveRanks := func() []int {
+		var out []int
+		for r := 1; r < c.Size(); r++ {
+			if !dead[r] {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+
+	// sendBatch dispatches tiles to rank r and arms its deadline. A failed
+	// send writes the rank off; its share is redistributed by the caller
+	// via markDead.
+	sendBatch := func(r int, tiles []int) bool {
+		b := assignBatch{Tiles: make([]tileMsg, 0, len(tiles))}
+		for _, k := range tiles {
+			b.Tiles = append(b.Tiles, co.msgFor(k))
+		}
+		if err := c.Send(r, tagBatch, b); err != nil {
+			return false
+		}
+		for _, k := range tiles {
+			owner[k] = r
+		}
+		pending[r] = append(pending[r], tiles...)
+		deadline[r] = time.Now().Add(timeout)
+		return true
+	}
+
+	// reassign hands one missing tile to the least-loaded live rank
+	// (excluding `not` when another candidate exists). With no live rank
+	// it stays unowned for the self-compute fallback.
+	var markDead func(r int)
+	reassign := func(k, not int) {
+		for {
+			if _, ok := co.have[k]; ok {
+				return
+			}
+			live := liveRanks()
+			best := -1
+			for _, r := range live {
+				if r == not && len(live) > 1 {
+					continue
+				}
+				if best < 0 || len(pending[r]) < len(pending[best]) {
+					best = r
+				}
+			}
+			if best < 0 {
+				delete(owner, k) // self-compute fallback picks it up
+				return
+			}
+			if sendBatch(best, []int{k}) {
+				res.Redispatched++
+				return
+			}
+			markDead(best) // and retry with the next-best live rank
+		}
+	}
+
+	markDead = func(r int) {
 		if dead[r] {
 			return
 		}
 		dead[r] = true
 		res.Failures = append(res.Failures, fmt.Sprintf("rank %d lost: %s", r, c.RankFailure(r)))
-		if a, ok := inflight[r]; ok {
-			delete(inflight, r)
-			if _, have := co.have[a.tile]; !have && !queued(queue, a.tile) {
-				queue = append(queue, a.tile)
-				res.Redispatched++
+		orphans := pending[r]
+		delete(pending, r)
+		delete(deadline, r)
+		for _, k := range orphans {
+			reassign(k, -1)
+		}
+	}
+
+	// cleared drops an accepted tile from its owner's outstanding share.
+	// It is keyed by the tile, never by the sender: a stale frame for a
+	// tile that was stolen from a rank must not touch the tracking of the
+	// tiles that rank still holds.
+	cleared := func(tile int) {
+		r, ok := owner[tile]
+		if !ok {
+			return
+		}
+		pending[r] = removeTile(pending[r], tile)
+		delete(owner, tile)
+		// Progress evidence: the owning rank's whole share gets a fresh
+		// deadline window.
+		if !dead[r] {
+			deadline[r] = time.Now().Add(timeout)
+		}
+	}
+
+	// Initial static round-robin distribution over the live world.
+	if live := liveRanks(); len(live) > 0 {
+		shares := make(map[int][]int)
+		for k := range co.tiles {
+			r := live[k%len(live)]
+			shares[r] = append(shares[r], k)
+		}
+		for _, r := range live {
+			if tiles := shares[r]; len(tiles) > 0 {
+				if !sendBatch(r, tiles) {
+					markDead(r)
+				}
 			}
 		}
 	}
 
+	epoch := c.FailureEpoch()
 	for !co.complete() {
 		if ctx.Err() != nil {
 			return co.abort(ctx, shutdown)
@@ -707,90 +711,66 @@ func coordinateFlat(ctx context.Context, c *mpi.Comm, cfg Config, co *coord, dea
 		for _, r := range c.FailedRanks() {
 			markDead(r)
 		}
-		// Straggler re-dispatch: a past-deadline assignment goes back on
-		// the queue and its rank is treated as available again — the
-		// rank is either truly straggling (its eventual result arrives
-		// and first-wins dedupe discards the loser) or it already sent a
-		// result that was lost in transit (and is idle, waiting). Either
-		// way further assignments just queue in its mailbox.
+		// Straggler expiry: a rank with outstanding tiles and no accepted
+		// progress within its deadline has its head tile stolen and
+		// re-dispatched; the remaining share gets a fresh window (either
+		// the rank is slow — its eventual duplicates are deduped — or its
+		// frames were lost, and re-dispatch elsewhere recovers them).
 		now := time.Now()
-		for r, a := range inflight {
-			if now.After(a.deadline) {
-				delete(inflight, r)
-				if _, have := co.have[a.tile]; !have && !queued(queue, a.tile) {
-					queue = append(queue, a.tile)
-					res.Redispatched++
-				}
+		for r, d := range deadline {
+			if len(pending[r]) == 0 || now.Before(d) {
+				continue
 			}
+			k := pending[r][0]
+			pending[r] = pending[r][1:]
+			deadline[r] = now.Add(timeout)
+			reassign(k, r)
 		}
-		// Dispatch to idle live workers.
-		for r := 1; r < c.Size() && len(queue) > 0; r++ {
-			if dead[r] {
-				continue
-			}
-			if _, busy := inflight[r]; busy {
-				continue
-			}
-			k := queue[0]
-			if _, have := co.have[k]; have {
-				queue = queue[1:]
-				continue
-			}
-			if err := c.Send(r, tagAssign, co.msgFor(k)); err != nil {
-				markDead(r)
-				continue
-			}
-			queue = queue[1:]
-			inflight[r] = assignment{tile: k, deadline: time.Now().Add(cfg.tileTimeout())}
-		}
-		// No live worker can take work: the coordinator marches one
-		// queued tile itself, unless the test knob forbids it — then
-		// the remaining tiles are lost and the result is partial.
-		idleLive := false
-		for r := 1; r < c.Size(); r++ {
-			if !dead[r] {
-				idleLive = true
+		// Self-compute fallback: no live worker is left (or the world never
+		// had one), so the root marches what is missing itself — unless the
+		// test knob forbids it, and then the remainder is lost.
+		if len(liveRanks()) == 0 {
+			if cfg.NoCoordinatorCompute {
 				break
 			}
-		}
-		if len(queue) > 0 && !idleLive {
-			if cfg.NoCoordinatorCompute {
-				if len(inflight) == 0 {
-					break
-				}
-			} else {
-				k := queue[0]
-				queue = queue[1:]
-				if _, have := co.have[k]; have {
-					continue
-				}
-				if err := co.selfCompute(ctx, k, &coordMarcher); err != nil {
-					if ctx.Err() != nil {
-						return co.abort(ctx, shutdown)
+			for k := range co.tiles {
+				if _, ok := co.have[k]; !ok {
+					if err := co.selfCompute(ctx, k, &coordMarcher); err != nil {
+						if ctx.Err() != nil {
+							return co.abort(ctx, shutdown)
+						}
+						return nil, err
 					}
-					return nil, err
 				}
-				continue
 			}
-		}
-		if co.complete() {
 			break
 		}
-		// Event-driven gather: block until a result arrives, the world
-		// membership changes (waking the failure scan at the loop top), or
-		// the earliest in-flight deadline is due.
+		// A missing tile with no live owner (its owner was written off
+		// while no rank was live to take it) is reassigned now.
+		for k := range co.tiles {
+			if _, ok := co.have[k]; ok {
+				continue
+			}
+			if r, ok := owner[k]; !ok || dead[r] {
+				reassign(k, -1)
+			}
+		}
+		// Event-driven wait until the next frame, membership change, or
+		// earliest rank deadline.
 		wait := time.Second
 		if cfg.Poll > 0 {
 			wait = cfg.Poll
 		}
 		now = time.Now()
-		for _, a := range inflight {
-			if d := a.deadline.Sub(now); d < wait {
-				wait = d
+		for r, d := range deadline {
+			if len(pending[r]) == 0 {
+				continue
+			}
+			if rem := d.Sub(now); rem < wait {
+				wait = rem
 			}
 		}
-		wait = ctxWait(ctx, wait)
-		msg, ep, err := c.RecvTolerant([]int{tagResult, tagFrame}, epoch, wait)
+		msg, ep, err := c.RecvTolerant([]int{tagFrame}, epoch, ctxWait(ctx, wait))
 		epoch = ep
 		if err != nil {
 			if errors.Is(err, mpi.ErrTimeout) || errors.Is(err, mpi.ErrWorldChanged) {
@@ -798,52 +778,26 @@ func coordinateFlat(ctx context.Context, c *mpi.Comm, cfg Config, co *coord, dea
 			}
 			return nil, fmt.Errorf("distrender: gather: %w", err)
 		}
-		if msg.Tag == tagFrame {
-			// A tree frame reaching a flat gather means a worker running
-			// the tree protocol (mode disagreement should be impossible —
-			// the root broadcasts the topology — but a robust gather
-			// ingests it rather than dropping the work).
-			ingestFrame(c, co, msg, func(tile, owner int) {
-				if a, ok := inflight[owner]; ok && a.tile == tile {
-					delete(inflight, owner)
-				}
-			})
-			continue
-		}
-		var r tileResult
-		if derr := msg.Decode(&r); derr != nil {
-			res.Failures = append(res.Failures, fmt.Sprintf("gather decode: %s", derr))
-			continue
-		}
-		// A late result for a *previous* assignment of this rank (the
-		// straggler path re-assigns past-deadline ranks) must not clear the
-		// tracking of its current tile: that tile may still be lost, and
-		// only its inflight deadline guarantees a re-dispatch.
-		if a, ok := inflight[msg.Src]; ok && a.tile == r.Tile {
-			delete(inflight, msg.Src)
-		}
-		co.accept(r, r.Grid, gi0For(co, r.Tile))
+		ingestFrame(c, co, msg, cleared)
 	}
 
-	// Shutdown the survivors; a failed send here is harmless.
 	shutdown()
-
 	return co.finalize()
 }
 
-// gi0For returns the global first column of tile k (0 for out-of-range
-// tiles, which accept rejects anyway).
-func gi0For(co *coord, k int) int {
-	if k < 0 || k >= len(co.tiles) {
-		return 0
+func removeTile(s []int, k int) []int {
+	for i, v := range s {
+		if v == k {
+			return append(s[:i], s[i+1:]...)
+		}
 	}
-	return co.tiles[k].I0
+	return s
 }
 
 // ingestFrame accepts every tile of a treeFrame into the coordinator state
-// and acks the sender. cleared is invoked for each newly accepted tile with
-// the rank that marched it, so the caller can clear its own tracking.
-func ingestFrame(c *mpi.Comm, co *coord, msg *mpi.Message, cleared func(tile, rank int)) {
+// and acks the sender. cleared is invoked for each newly accepted tile so
+// the caller can clear its tracking.
+func ingestFrame(c *mpi.Comm, co *coord, msg *mpi.Message, cleared func(tile int)) {
 	var f treeFrame
 	if err := msg.Decode(&f); err != nil {
 		co.res.Failures = append(co.res.Failures, fmt.Sprintf("gather decode: %s", err))
@@ -866,8 +820,8 @@ func ingestFrame(c *mpi.Comm, co *coord, msg *mpi.Message, cleared func(tile, ra
 				fmt.Sprintf("discarded frame for tile %d: span [%d,%d) does not match tiling", tf.Tile, tf.I0, tf.I1))
 			continue
 		}
-		if co.accept(meta, g, gi0) && cleared != nil {
-			cleared(tf.Tile, tf.Rank)
+		if co.accept(meta, g, gi0) {
+			cleared(tf.Tile)
 		}
 	}
 	_ = c.Send(msg.Src, tagAck, ack)
@@ -893,16 +847,6 @@ func findSpan(spans []gridSpan, i0, i1 int) (*grid.Grid2D, int) {
 		}
 	}
 	return nil, 0
-}
-
-// queued reports whether tile k is already waiting in the queue.
-func queued(queue []int, k int) bool {
-	for _, q := range queue {
-		if q == k {
-			return true
-		}
-	}
-	return false
 }
 
 // checkGuards compares every guard (duplicate) column against the owning

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -129,97 +130,109 @@ func assertGridsIdentical(t *testing.T, want, got *grid.Grid2D) {
 	}
 }
 
-// TestDistributedMatchesSingleRank is the PR's core invariant: for every
-// reference catalog, rank count, and tile split, the sharded render's grid
-// values, PGM bytes, and summed column outcomes are byte-identical to the
-// single-rank reference.
+// TestDistributedMatchesSingleRank is the package's core invariant, over
+// the whole topology range of the one gather protocol: for every reference
+// catalog, rank count, fanout (1 is a chain, >= ranks a star) and tile
+// split, the sharded render's grid values, PGM bytes and summed column
+// outcomes are byte-identical to the single-rank reference, and the
+// gathered worker stats carry globally re-based ids (rank r's local worker
+// w is r*Workers+w — distinct ranks never collide) that cover every cell
+// exactly once.
 func TestDistributedMatchesSingleRank(t *testing.T) {
+	const workers = 2
 	for name, pts := range testCatalogs() {
 		spec := testSpec(pts)
 		ref, refOutcomes := singleRank(t, pts, spec)
 		refPGM := pgmBytes(t, ref)
-		for _, ranks := range []int{1, 2, 4, 7} {
-			for _, even := range []bool{true, false} {
-				label := name + "/even"
-				if !even {
-					label = name + "/uneven"
-				}
-				ranks, even := ranks, even
-				t.Run(label+"/"+itoa(ranks), func(t *testing.T) {
-					cfg := Config{
-						Spec: spec, Workers: 2, EvenTiles: even,
-						Tiles: 2*ranks + 1, // odd count: tiles never align with ranks
-					}
-					res, err, errs := runDistributed(ranks, cfg, pts, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for r, e := range errs {
-						if e != nil {
-							t.Fatalf("rank %d: %v", r, e)
+		for _, ranks := range []int{1, 2, 3, 4, 7, 9} {
+			for _, fanout := range []int{1, 2, 4, 16} {
+				for _, split := range []string{"even", "uneven"} {
+					even := split == "even"
+					t.Run(fmt.Sprintf("%s/%s/ranks=%d/fanout=%d", name, split, ranks, fanout), func(t *testing.T) {
+						cfg := Config{
+							Spec: spec, Workers: workers, EvenTiles: even, Fanout: fanout,
+							Tiles: 2*ranks + 1, // odd count: tiles never align with ranks
 						}
-					}
-					if res.Incomplete {
-						t.Fatalf("unexpected partial result: %v", res.Failures)
-					}
-					assertGridsIdentical(t, ref, res.Grid)
-					if !bytes.Equal(refPGM, pgmBytes(t, res.Grid)) {
-						t.Fatal("PGM bytes differ from single-rank reference")
-					}
-					if res.Outcomes != refOutcomes {
-						t.Fatalf("outcome counts: reference %v, distributed %v", refOutcomes, res.Outcomes)
-					}
-				})
+						res, err, errs := runDistributed(ranks, cfg, pts, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for r, e := range errs {
+							if e != nil {
+								t.Fatalf("rank %d: %v", r, e)
+							}
+						}
+						if res.Incomplete {
+							t.Fatalf("unexpected partial result: %v", res.Failures)
+						}
+						if res.Fanout != fanout {
+							t.Fatalf("Result.Fanout = %d, want %d", res.Fanout, fanout)
+						}
+						assertGridsIdentical(t, ref, res.Grid)
+						if !bytes.Equal(refPGM, pgmBytes(t, res.Grid)) {
+							t.Fatal("PGM bytes differ from single-rank reference")
+						}
+						if res.Outcomes != refOutcomes {
+							t.Fatalf("outcome counts: reference %v, distributed %v", refOutcomes, res.Outcomes)
+						}
+						seen := make(map[int]bool)
+						ranksSeen := make(map[int]bool)
+						cells := 0
+						for _, s := range res.Stats {
+							if seen[s.Worker] {
+								t.Fatalf("worker id %d appears twice in merged stats", s.Worker)
+							}
+							seen[s.Worker] = true
+							r := s.Worker / workers
+							if r >= ranks || (r == 0) != (ranks == 1) {
+								t.Fatalf("worker id %d re-based to rank %d of %d", s.Worker, r, ranks)
+							}
+							ranksSeen[r] = true
+							cells += s.Cells
+						}
+						if len(ranksSeen) != max(1, ranks-1) {
+							t.Fatalf("stats from ranks %v, want every marching rank of %d", ranksSeen, ranks)
+						}
+						if cells != spec.Nx*spec.Ny {
+							t.Fatalf("merged stats cover %d cells, grid has %d", cells, spec.Nx*spec.Ny)
+						}
+					})
+				}
 			}
 		}
 	}
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
+// TestFanoutAlias pins the one place a GatherMode is read: it is a fanout
+// alias (GatherFlat = star = world size) and selects nothing else.
+func TestFanoutAlias(t *testing.T) {
+	for _, c := range []struct {
+		mode         GatherMode
+		fanout, size int
+		want         int
+	}{
+		{GatherAuto, 0, 1, DefaultFanout}, {GatherAuto, 0, 64, DefaultFanout}, {GatherAuto, 3, 8, 3},
+		{GatherTree, 0, 2, DefaultFanout}, {GatherTree, 2, 9, 2}, {GatherTree, 1, 5, 1},
+		{GatherFlat, 0, 1, 1}, {GatherFlat, 0, 64, 64}, {GatherFlat, 2, 7, 7},
+	} {
+		cfg := Config{Gather: c.mode, Fanout: c.fanout}
+		if got := cfg.fanout(c.size); got != c.want {
+			t.Errorf("Config{Gather: %d, Fanout: %d}.fanout(%d) = %d, want %d", c.mode, c.fanout, c.size, got, c.want)
+		}
 	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return "ranks=" + string(b[i:])
-}
-
-// TestWorkerIDsRebased is the satellite regression test: tile-local worker
-// ids (0..W-1 on every rank) must be re-based at the gather so distinct
-// ranks' workers never collide in the merged []WorkerStat.
-func TestWorkerIDsRebased(t *testing.T) {
-	pts := testCatalogs()["clustered"]
+	// The alias reaches the wire: a star reports fanout = world size and
+	// every tile still arrives.
+	pts := testCatalogs()["dirty"]
 	spec := testSpec(pts)
-	const workers = 3
-	cfg := Config{Spec: spec, Workers: workers, Tiles: 8}
-	res, err, _ := runDistributed(4, cfg, pts, nil)
+	ref, _ := singleRank(t, pts, spec)
+	res, err, _ := runDistributed(3, Config{Spec: spec, Workers: 2, Gather: GatherFlat, Fanout: 2}, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[int]bool)
-	ranksSeen := make(map[int]bool)
-	for _, s := range res.Stats {
-		if seen[s.Worker] {
-			t.Fatalf("worker id %d appears twice in merged stats", s.Worker)
-		}
-		seen[s.Worker] = true
-		ranksSeen[s.Worker/workers] = true
+	if res.Fanout != 3 {
+		t.Fatalf("GatherFlat on 3 ranks resolved to fanout %d, want 3", res.Fanout)
 	}
-	if len(ranksSeen) < 2 {
-		t.Fatalf("expected stats from >= 2 ranks, got rank set %v", ranksSeen)
-	}
-	var cells int
-	for _, s := range res.Stats {
-		cells += s.Cells
-	}
-	if cells != spec.Nx*spec.Ny {
-		t.Fatalf("merged stats cover %d cells, grid has %d", cells, spec.Nx*spec.Ny)
-	}
+	assertGridsIdentical(t, ref, res.Grid)
 }
 
 // TestMergeWorkerStats covers the render-layer helper directly: same-id
@@ -243,6 +256,10 @@ func TestMergeWorkerStats(t *testing.T) {
 }
 
 // --- chaos suite -----------------------------------------------------------
+
+// The cases down to TestChaosEmptySubsetTile run the protocol as a star at
+// 2–4 ranks (DefaultFanout >= ranks, so every worker is a leaf under the
+// root); tree_test.go repeats the failure modes with interior ranks.
 
 // TestChaosRankCrashMidTile: a rank crashing mid-render at 4 ranks must be
 // detected and its tiles re-dispatched, recovering the bit-exact grid.
@@ -368,14 +385,15 @@ func TestChaosAllWorkersLost(t *testing.T) {
 	}
 }
 
-// TestChaosStaleStragglerResultThenLoss pins the inflight-tracking rule: a
-// late result for a rank's *previous* assignment (the straggler path
-// re-assigns past-deadline ranks) must not clear the tracking of the tile
-// the rank currently holds. The scripted worker holds tile A past its
-// deadline, accepts the re-assignment B, sends the stale A result, and
-// drops B's result exactly as a lost gather send would — before the fix the
-// stale arrival deleted B's inflight entry, so no deadline could ever
-// re-dispatch B and the coordinator spun forever.
+// TestChaosStaleStragglerResultThenLoss pins the deadline-tracking rule: a
+// late frame for a tile that was *stolen* from a rank must not clear the
+// tracking of the tile the rank still holds. The scripted worker sits on
+// its batch {A, B} until A's deadline expires and the coordinator steals A
+// (and, this rank being the only live one, hands it straight back), then
+// sends the stale A frame and drops B's result exactly as a lost gather
+// send would. Only B's own deadline can recover it: if the stale arrival
+// cleared the rank's tracking instead of the tile's, nothing would ever
+// re-dispatch B and the coordinator would spin forever.
 func TestChaosStaleStragglerResultThenLoss(t *testing.T) {
 	pts := testCatalogs()["clustered"]
 	spec := testSpec(pts)
@@ -400,43 +418,47 @@ func TestChaosStaleStragglerResultThenLoss(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			var first, second tileMsg
-			if _, err := c.Recv(0, tagAssign, &first); err != nil {
-				return err
-			}
-			// Blocking here until the coordinator re-assigns guarantees
-			// tile A's deadline has expired and tile B is now in flight.
-			if _, err := c.Recv(0, tagAssign, &second); err != nil {
-				return err
-			}
-			stale, err := marchTile(context.Background(), cfg, m, first)
-			if err != nil {
-				return err
-			}
-			stale.Rank = c.Rank()
-			if err := c.Send(0, tagResult, stale); err != nil {
-				return err
-			}
-			// B's result is never sent — only its inflight deadline can
-			// recover it. Serve whatever the coordinator re-dispatches.
-			for {
-				var msg tileMsg
-				if _, err := c.Recv(0, tagAssign, &msg); err != nil {
-					if errors.Is(err, mpi.ErrRankFailed) {
-						return nil
-					}
-					return err
-				}
-				if msg.Shutdown {
-					return nil
-				}
+			// Acks pile up unread in the mailbox; the script never re-sends.
+			serve := func(msg tileMsg) error {
 				r, err := marchTile(context.Background(), cfg, m, msg)
 				if err != nil {
 					return err
 				}
 				r.Rank = c.Rank()
-				if err := c.Send(0, tagResult, r); err != nil {
+				return c.Send(0, tagFrame, buildFrame([]tileResult{r}, setup.Spec, setup.Tiles))
+			}
+			var first, second assignBatch
+			if _, err := c.Recv(0, tagBatch, &first); err != nil {
+				return err
+			}
+			if len(first.Tiles) != 2 {
+				return fmt.Errorf("initial batch has %d tiles, want both", len(first.Tiles))
+			}
+			// Blocking here until the coordinator re-dispatches guarantees
+			// tile A's deadline has expired and A has been stolen.
+			if _, err := c.Recv(0, tagBatch, &second); err != nil {
+				return err
+			}
+			if err := serve(first.Tiles[0]); err != nil {
+				return err
+			}
+			// B's result is never sent — only its deadline can recover it.
+			// Serve whatever the coordinator re-dispatches.
+			for {
+				var b assignBatch
+				if _, err := c.Recv(0, tagBatch, &b); err != nil {
+					if errors.Is(err, mpi.ErrRankFailed) {
+						return nil
+					}
 					return err
+				}
+				if b.Shutdown {
+					return nil
+				}
+				for _, msg := range b.Tiles {
+					if err := serve(msg); err != nil {
+						return err
+					}
 				}
 			}
 		})
@@ -445,7 +467,7 @@ func TestChaosStaleStragglerResultThenLoss(t *testing.T) {
 	select {
 	case errs = <-done:
 	case <-time.After(20 * time.Second):
-		t.Fatal("coordinator hung: stale straggler result discarded the in-flight tile's tracking")
+		t.Fatal("coordinator hung: stale frame for a stolen tile discarded the held tile's tracking")
 	}
 	for r, e := range errs {
 		if e != nil {
@@ -604,15 +626,11 @@ func TestHaloWidthProperty(t *testing.T) {
 
 // --- wire codec ------------------------------------------------------------
 
-// TestWireRoundTrip pins the typed fast codec for both hot-path message
-// types, including nil/occupied optional grids and empty particle sets.
+// TestWireRoundTrip pins the typed fast codec of the assignment message,
+// including the explicit subset flag on an empty particle set. (Batches,
+// frames and acks: TestTreeWireRoundTrip.)
 func TestWireRoundTrip(t *testing.T) {
-	g := grid.NewGrid2D(3, 2, geom.Vec2{X: 1, Y: 2}, 0.5)
-	for i := range g.Data {
-		g.Data[i] = float64(i) * 1.25
-	}
 	msgs := []tileMsg{
-		{Shutdown: true},
 		{Subset: true, Tile: 3, I0: 7, I1: 12, GL: 1, GR: 2,
 			Particles: []geom.Vec3{{X: 1, Y: 2, Z: 3}, {X: -4, Y: 5e-3, Z: 6}}},
 		{Subset: true, Tile: 2, I0: 4, I1: 7}, // empty subset: flag must survive
@@ -623,7 +641,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if err := got.UnmarshalFast(m.AppendFast(nil)); err != nil {
 			t.Fatal(err)
 		}
-		if got.Shutdown != m.Shutdown || got.Subset != m.Subset || got.Tile != m.Tile ||
+		if got.Subset != m.Subset || got.Tile != m.Tile ||
 			got.I0 != m.I0 || got.I1 != m.I1 || got.GL != m.GL || got.GR != m.GR ||
 			len(got.Particles) != len(m.Particles) {
 			t.Fatalf("tileMsg round trip: sent %+v, got %+v", m, got)
@@ -633,36 +651,6 @@ func TestWireRoundTrip(t *testing.T) {
 				t.Fatalf("particle %d: sent %v, got %v", i, m.Particles[i], got.Particles[i])
 			}
 		}
-	}
-	res := tileResult{
-		Tile: 5, Rank: 2, Err: "subset degenerate",
-		Grid:   g,
-		GuardR: grid.NewGrid2D(1, 2, geom.Vec2{}, 0.5),
-		Stats: []render.WorkerStat{
-			{Worker: 1, Busy: 17 * time.Millisecond, Cells: 96, Steps: 1234,
-				Columns: render.OutcomeCounts{Clean: 90, Perturbed: 4, Fallback: 1, Abandoned: 1}},
-		},
-	}
-	var got tileResult
-	if err := got.UnmarshalFast(res.AppendFast(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if got.Tile != res.Tile || got.Rank != res.Rank || got.Err != res.Err {
-		t.Fatalf("tileResult header round trip: sent %+v, got %+v", res, got)
-	}
-	if got.GuardL != nil {
-		t.Fatal("nil guard grid decoded as non-nil")
-	}
-	if got.Grid == nil || got.Grid.Nx != 3 || got.Grid.Ny != 2 {
-		t.Fatalf("grid round trip: %+v", got.Grid)
-	}
-	for i := range g.Data {
-		if math.Float64bits(got.Grid.Data[i]) != math.Float64bits(g.Data[i]) {
-			t.Fatalf("grid word %d differs", i)
-		}
-	}
-	if len(got.Stats) != 1 || got.Stats[0] != res.Stats[0] {
-		t.Fatalf("stats round trip: sent %+v, got %+v", res.Stats, got.Stats)
 	}
 }
 
@@ -726,18 +714,18 @@ func BenchmarkDistRender(b *testing.B) {
 	type variant struct {
 		name   string
 		ranks  int
-		gather GatherMode
+		fanout int
 	}
 	variants := []variant{
-		{"ranks=1", 1, GatherAuto},
-		{"ranks=4/gather=flat", 4, GatherFlat},
-		{"ranks=4/gather=tree", 4, GatherTree},
-		{"ranks=8/gather=flat", 8, GatherFlat},
-		{"ranks=8/gather=tree", 8, GatherTree},
+		{"ranks=1", 1, 0},
+		{"ranks=4/fanout=4", 4, 4},
+		{"ranks=8/fanout=8", 8, 8},
+		{"ranks=8/fanout=4", 8, 4},
+		{"ranks=8/fanout=2", 8, 2},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			cfg := Config{Spec: spec, Workers: 2, Tiles: 2 * v.ranks, Gather: v.gather}
+			cfg := Config{Spec: spec, Workers: 2, Tiles: 2 * v.ranks, Fanout: v.fanout}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err, _ := runDistributedBench(v.ranks, cfg, pts)

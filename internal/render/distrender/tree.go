@@ -1,13 +1,14 @@
-// The k-ary reduction-tree gather. Rank r's tree parent is (r-1)/fanout;
-// rank 0 is the root. Workers march their statically-batched tiles and
-// stream each finished tile toward the root as a treeFrame; interior ranks
-// ingest child frames, dedupe first-wins, merge column-adjacent tiles into
-// shared span buffers (disjoint columns make the merge a pure copy, so
-// stitching stays bit-exact), and forward upward. The root stream-stitches
-// frames straight into the output grid, so gather depth is O(log_k world)
-// instead of O(tiles) at rank 0.
+// The worker side of the gather. Rank r's parent is (r-1)/fanout; rank 0
+// is the root. Workers march their statically-batched tiles and stream each
+// finished tile toward the root as a treeFrame; interior ranks ingest child
+// frames, dedupe first-wins, merge column-adjacent tiles into shared span
+// buffers (disjoint columns make the merge a pure copy, so stitching stays
+// bit-exact), and forward upward. The root stream-stitches frames straight
+// into the output grid, so its protocol cost is per frame — O(tiles) in a
+// star (fanout >= ranks, every rank a leaf under 0), O(fanout x flushes)
+// once interior ranks coalesce.
 //
-// Recovery protocol:
+// Recovery ladder:
 //
 //   - Liveness per tree edge: every rank runs an epoch-aware tolerant
 //     receive (mpi.RecvTolerant), so any membership change wakes it
@@ -15,7 +16,7 @@
 //   - Re-parenting: when a rank's parent dies, it re-attaches to its
 //     nearest live ancestor (walking parent pointers toward the root,
 //     which never dies) and re-sends every unacknowledged frame. With all
-//     interior ranks dead this degrades to exactly the flat gather.
+//     interior ranks dead this degrades to exactly the star.
 //   - Idempotent dedupe: every merge level keeps a seen-set and drops
 //     repeated tiles first-wins; tile renders are bit-exact, so whichever
 //     copy survives is correct.
@@ -29,13 +30,12 @@
 //     the head of its outstanding share stolen and re-dispatched to the
 //     least-loaded live rank.
 //   - Fallback: with no live workers left the root marches the remainder
-//     itself (unless NoCoordinatorCompute), mirroring the flat gather.
+//     itself (unless NoCoordinatorCompute).
 package distrender
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -73,243 +73,22 @@ func clampDuration(d, lo, hi time.Duration) time.Duration {
 	return d
 }
 
-// coordinateTree drives the root side of the reduction tree: static
-// round-robin batches out, streamed frames in, per-rank deadlines driving
-// subtree re-dispatch.
-func coordinateTree(ctx context.Context, c *mpi.Comm, cfg Config, co *coord, dead map[int]bool, fanout int) (*Result, error) {
-	res := co.res
-	timeout := cfg.tileTimeout()
-	var coordMarcher *render.Marcher
-
-	shutdown := func() {
-		for r := 1; r < c.Size(); r++ {
-			if !dead[r] && c.Alive(r) {
-				_ = c.Send(r, tagBatch, assignBatch{Shutdown: true})
-			}
+// work is every non-root rank's loop: take the setup broadcast, march the
+// assigned batches, ingest and relay child frames, stream everything to the
+// current live parent, and keep re-sending until acked or shut down. A lost
+// frame is retried on a timer; one that never gets through is recovered by
+// the root's deadline re-dispatch — the march is bit-exact, so recomputing
+// elsewhere is safe.
+func work(c *mpi.Comm, cfg Config) error {
+	var setup setupMsg
+	if _, err := c.Recv(0, tagSetup, &setup); err != nil {
+		if errors.Is(err, mpi.ErrRankFailed) {
+			return nil // coordinator gone before setup; nothing to serve
 		}
+		return err
 	}
-
-	pending := make(map[int][]int)      // rank → tiles assigned, not yet arrived
-	owner := make(map[int]int)          // tile → rank currently responsible
-	deadline := make(map[int]time.Time) // rank → progress deadline
-
-	liveRanks := func() []int {
-		var out []int
-		for r := 1; r < c.Size(); r++ {
-			if !dead[r] {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-
-	// sendBatch dispatches tiles to rank r and arms its deadline. A failed
-	// send writes the rank off; its share is redistributed by the caller
-	// via markDeadTree.
-	sendBatch := func(r int, tiles []int) bool {
-		b := assignBatch{Tiles: make([]tileMsg, 0, len(tiles))}
-		for _, k := range tiles {
-			b.Tiles = append(b.Tiles, co.msgFor(k))
-		}
-		if err := c.Send(r, tagBatch, b); err != nil {
-			return false
-		}
-		for _, k := range tiles {
-			owner[k] = r
-		}
-		pending[r] = append(pending[r], tiles...)
-		deadline[r] = time.Now().Add(timeout)
-		return true
-	}
-
-	// reassign hands one missing tile to the least-loaded live rank
-	// (excluding `not` when another candidate exists). With no live rank
-	// it stays unowned for the self-compute fallback.
-	var markDeadTree func(r int)
-	reassign := func(k, not int) {
-		for {
-			if _, ok := co.have[k]; ok {
-				return
-			}
-			live := liveRanks()
-			best := -1
-			for _, r := range live {
-				if r == not && len(live) > 1 {
-					continue
-				}
-				if best < 0 || len(pending[r]) < len(pending[best]) {
-					best = r
-				}
-			}
-			if best < 0 {
-				delete(owner, k) // self-compute fallback picks it up
-				return
-			}
-			if sendBatch(best, []int{k}) {
-				res.Redispatched++
-				return
-			}
-			markDeadTree(best) // and retry with the next-best live rank
-		}
-	}
-
-	markDeadTree = func(r int) {
-		if dead[r] {
-			return
-		}
-		dead[r] = true
-		res.Failures = append(res.Failures, fmt.Sprintf("rank %d lost: %s", r, c.RankFailure(r)))
-		orphans := pending[r]
-		delete(pending, r)
-		delete(deadline, r)
-		for _, k := range orphans {
-			reassign(k, -1)
-		}
-	}
-
-	// Initial static round-robin distribution over the live world.
-	if live := liveRanks(); len(live) > 0 {
-		shares := make(map[int][]int)
-		for k := range co.tiles {
-			r := live[k%len(live)]
-			shares[r] = append(shares[r], k)
-		}
-		for _, r := range live {
-			if tiles := shares[r]; len(tiles) > 0 {
-				if !sendBatch(r, tiles) {
-					markDeadTree(r)
-				}
-			}
-		}
-	}
-
-	epoch := c.FailureEpoch()
-	for !co.complete() {
-		if ctx.Err() != nil {
-			return co.abort(ctx, shutdown)
-		}
-		for _, r := range c.FailedRanks() {
-			markDeadTree(r)
-		}
-		// Straggler expiry: a rank with outstanding tiles and no accepted
-		// progress within its deadline has its head tile stolen and
-		// re-dispatched; the remaining share gets a fresh window (either
-		// the rank is slow — its eventual duplicates are deduped — or its
-		// frames were lost, and re-dispatch elsewhere recovers them).
-		now := time.Now()
-		for r, d := range deadline {
-			if len(pending[r]) == 0 || now.Before(d) {
-				continue
-			}
-			k := pending[r][0]
-			pending[r] = pending[r][1:]
-			deadline[r] = now.Add(timeout)
-			reassign(k, r)
-		}
-		// Self-compute fallback: tiles nobody live owns.
-		if len(liveRanks()) == 0 {
-			if cfg.NoCoordinatorCompute {
-				break
-			}
-			for k := range co.tiles {
-				if _, ok := co.have[k]; !ok {
-					if err := co.selfCompute(ctx, k, &coordMarcher); err != nil {
-						if ctx.Err() != nil {
-							return co.abort(ctx, shutdown)
-						}
-						return nil, err
-					}
-				}
-			}
-			break
-		}
-		// Defensive: a missing tile with no live owner (e.g. its owner was
-		// written off while no rank was live) is reassigned now.
-		for k := range co.tiles {
-			if _, ok := co.have[k]; ok {
-				continue
-			}
-			if r, ok := owner[k]; !ok || dead[r] {
-				reassign(k, -1)
-			}
-		}
-		if co.complete() {
-			break
-		}
-		// Event-driven wait until the next frame, membership change, or
-		// earliest rank deadline.
-		wait := time.Second
-		if cfg.Poll > 0 {
-			wait = cfg.Poll
-		}
-		now = time.Now()
-		for r, d := range deadline {
-			if len(pending[r]) == 0 {
-				continue
-			}
-			if rem := d.Sub(now); rem < wait {
-				wait = rem
-			}
-		}
-		wait = ctxWait(ctx, wait)
-		msg, ep, err := c.RecvTolerant([]int{tagFrame, tagResult}, epoch, wait)
-		epoch = ep
-		if err != nil {
-			if errors.Is(err, mpi.ErrTimeout) || errors.Is(err, mpi.ErrWorldChanged) {
-				continue
-			}
-			return nil, fmt.Errorf("distrender: tree gather: %w", err)
-		}
-		cleared := func(tile, rank int) {
-			r, ok := owner[tile]
-			if !ok {
-				return
-			}
-			pending[r] = removeTile(pending[r], tile)
-			delete(owner, tile)
-			// Progress evidence: the owning rank's whole share gets a
-			// fresh deadline window.
-			if !dead[r] {
-				deadline[r] = time.Now().Add(timeout)
-			}
-		}
-		if msg.Tag == tagFrame {
-			ingestFrame(c, co, msg, cleared)
-			continue
-		}
-		// A flat-protocol result (defensive mode-mixing): ingest it too.
-		var r tileResult
-		if derr := msg.Decode(&r); derr != nil {
-			res.Failures = append(res.Failures, fmt.Sprintf("tree gather decode: %s", derr))
-			continue
-		}
-		if co.accept(r, r.Grid, gi0For(co, r.Tile)) {
-			cleared(r.Tile, r.Rank)
-		}
-	}
-
-	shutdown()
-	return co.finalize()
-}
-
-func removeTile(s []int, k int) []int {
-	for i, v := range s {
-		if v == k {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-// workTree is every non-root rank's tree-mode loop: march the assigned
-// batch, ingest and relay child frames, stream everything to the current
-// live parent, and keep re-sending until acked or shut down.
-func workTree(c *mpi.Comm, cfg Config, setup setupMsg) error {
 	me := c.Rank()
 	fanout := setup.Fanout
-	if fanout <= 0 {
-		fanout = DefaultFanout
-	}
 	retry := clampDuration(cfg.tileTimeout()/4, 25*time.Millisecond, 2*time.Second)
 
 	var marcher *render.Marcher

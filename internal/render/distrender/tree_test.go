@@ -1,7 +1,6 @@
 package distrender
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"strings"
@@ -29,107 +28,10 @@ func TestTreeParent(t *testing.T) {
 	}
 }
 
-// TestGatherTopology pins mode selection: auto flips to the tree at 4
-// ranks, an explicit tree still needs a child to exist, flat always wins.
-func TestGatherTopology(t *testing.T) {
-	cases := []struct {
-		mode GatherMode
-		size int
-		tree bool
-	}{
-		{GatherAuto, 1, false}, {GatherAuto, 3, false}, {GatherAuto, 4, true}, {GatherAuto, 64, true},
-		{GatherFlat, 64, false},
-		{GatherTree, 2, false}, {GatherTree, 3, true},
-	}
-	for _, c := range cases {
-		tree, fanout := gatherTopology(Config{Gather: c.mode}, c.size)
-		if tree != c.tree {
-			t.Errorf("gatherTopology(%v, %d): tree=%v, want %v", c.mode, c.size, tree, c.tree)
-		}
-		if fanout != DefaultFanout {
-			t.Errorf("gatherTopology(%v, %d): fanout=%d, want default %d", c.mode, c.size, fanout, DefaultFanout)
-		}
-	}
-	if _, fanout := gatherTopology(Config{Fanout: 3}, 8); fanout != 3 {
-		t.Errorf("explicit fanout not honored: got %d", fanout)
-	}
-}
-
-// TestTreeMatchesSingleRank is the tentpole invariant: across catalogs,
-// rank counts, and fanouts the reduction-tree gather reproduces the
-// single-rank render bit for bit — grid values, PGM bytes, and summed
-// column outcomes.
-func TestTreeMatchesSingleRank(t *testing.T) {
-	for name, pts := range testCatalogs() {
-		spec := testSpec(pts)
-		ref, refOutcomes := singleRank(t, pts, spec)
-		refPGM := pgmBytes(t, ref)
-		for _, ranks := range []int{4, 9} {
-			for _, fanout := range []int{2, 3} {
-				ranks, fanout := ranks, fanout
-				t.Run(name+"/"+itoa(ranks)+"/fanout="+string('0'+rune(fanout)), func(t *testing.T) {
-					cfg := Config{
-						Spec: spec, Workers: 2,
-						Gather: GatherTree, Fanout: fanout,
-						Tiles: 2*ranks + 1,
-					}
-					res, err, errs := runDistributed(ranks, cfg, pts, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for r, e := range errs {
-						if e != nil {
-							t.Fatalf("rank %d: %v", r, e)
-						}
-					}
-					if !res.TreeGather || res.Fanout != fanout {
-						t.Fatalf("gather mode: tree=%v fanout=%d, want tree fanout=%d",
-							res.TreeGather, res.Fanout, fanout)
-					}
-					if res.Incomplete {
-						t.Fatalf("unexpected partial result: %v", res.Failures)
-					}
-					assertGridsIdentical(t, ref, res.Grid)
-					if !bytes.Equal(refPGM, pgmBytes(t, res.Grid)) {
-						t.Fatal("PGM bytes differ from single-rank reference")
-					}
-					if res.Outcomes != refOutcomes {
-						t.Fatalf("outcome counts: reference %v, tree %v", refOutcomes, res.Outcomes)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestTreeFallbackSmallWorld: an explicit GatherTree on a 2-rank world has
-// no interior rank to merge anything, so the coordinator must degrade to
-// the flat gather — and say so in the Result.
-func TestTreeFallbackSmallWorld(t *testing.T) {
-	pts := testCatalogs()["dirty"]
-	spec := testSpec(pts)
-	ref, _ := singleRank(t, pts, spec)
-	cfg := Config{Spec: spec, Workers: 2, Gather: GatherTree, Tiles: 5}
-	res, err, errs := runDistributed(2, cfg, pts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, e := range errs {
-		if e != nil {
-			t.Fatalf("rank %d: %v", r, e)
-		}
-	}
-	if res.TreeGather {
-		t.Fatal("2-rank world must fall back to the flat gather")
-	}
-	assertGridsIdentical(t, ref, res.Grid)
-}
-
 // treeChaosCfg is the shared config for the tree chaos suite.
 func treeChaosCfg(spec render.Spec, fanout int) Config {
 	return Config{
-		Spec: spec, Workers: 2,
-		Gather: GatherTree, Fanout: fanout,
+		Spec: spec, Workers: 2, Fanout: fanout,
 		Tiles: 15, TileTimeout: 300 * time.Millisecond,
 	}
 }
@@ -160,9 +62,6 @@ func TestTreeChaosInteriorDeathMidMerge(t *testing.T) {
 		if errs[r] != nil {
 			t.Fatalf("rank %d: %v", r, errs[r])
 		}
-	}
-	if !res.TreeGather {
-		t.Fatal("expected a tree gather")
 	}
 	if res.Incomplete {
 		t.Fatalf("interior death left a partial result: %v", res.Failures)
@@ -330,7 +229,7 @@ func TestTreeSubsetHalo(t *testing.T) {
 
 	t.Run("sufficient", func(t *testing.T) {
 		cfg := Config{
-			Spec: spec, Workers: 2, Gather: GatherTree, Fanout: 2,
+			Spec: spec, Workers: 2, Fanout: 2,
 			Tiles: 4, EvenTiles: true, Halo: 2 * diam, Guard: 2, NoCertify: true,
 		}
 		res, err, errs := runDistributed(5, cfg, pts, nil)
@@ -358,7 +257,7 @@ func TestTreeSubsetHalo(t *testing.T) {
 	})
 	t.Run("too-small-detected", func(t *testing.T) {
 		cfg := Config{
-			Spec: spec, Workers: 2, Gather: GatherTree, Fanout: 2,
+			Spec: spec, Workers: 2, Fanout: 2,
 			Tiles: 4, EvenTiles: true, Halo: spec.Cell / 4, Guard: 2,
 		}
 		res, err, _ := runDistributed(5, cfg, pts, nil)
@@ -377,33 +276,30 @@ func TestTreeSubsetHalo(t *testing.T) {
 	})
 }
 
-// TestFailedRankAttributionInResult: when a rank dies, both gather
-// topologies must name it in Result.Failures with the underlying cause —
+// TestFailedRankAttributionInResult: when a rank dies, the gather must name
+// it in Result.Failures with the underlying cause, star or tree —
 // operators debugging a 1k-rank run need the rank id, not just "a rank
 // died somewhere".
 func TestFailedRankAttributionInResult(t *testing.T) {
 	pts := testCatalogs()["clustered"]
 	spec := testSpec(pts)
 	for _, tc := range []struct {
-		name   string
-		gather GatherMode
-		ranks  int
+		name          string
+		ranks, fanout int
 	}{
-		{"flat", GatherFlat, 3},
-		{"tree", GatherTree, 5},
+		{"star", 3, 3},
+		{"tree", 5, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Crash rank 2 on its very first tile (After: 0): every live
-			// worker is primed with one assignment, so the crash fires
-			// regardless of how the work queue drains — a later trigger
-			// would depend on rank 2 winning a second tile, which is a
-			// scheduling race on small machines.
+			// worker's static batch holds at least one tile, so the crash
+			// fires on any schedule.
 			inj := fault.New(fault.Plan{
 				Seed:    16,
 				Crashes: []fault.Crash{{Rank: 2, Point: fault.PointTile, After: 0}},
 			})
 			cfg := Config{
-				Spec: spec, Workers: 2, Gather: tc.gather,
+				Spec: spec, Workers: 2, Fanout: tc.fanout,
 				Tiles: 8, TileTimeout: 300 * time.Millisecond,
 			}
 			res, err, errs := runDistributed(tc.ranks, cfg, pts, inj)
@@ -449,10 +345,10 @@ func TestCertifiedHalo(t *testing.T) {
 		t.Fatalf("clustered catalog must yield a certificate bound, got %v ok=%v", bound, ok)
 	}
 
-	run := func(gather GatherMode, ranks int, noCertify bool) *Result {
+	run := func(ranks, fanout int, noCertify bool) *Result {
 		t.Helper()
 		cfg := Config{
-			Spec: spec, Workers: 2, Gather: gather,
+			Spec: spec, Workers: 2, Fanout: fanout,
 			Tiles: 4, EvenTiles: true, Halo: bound, Guard: 2, NoCertify: noCertify,
 		}
 		res, err, errs := runDistributed(ranks, cfg, pts, nil)
@@ -472,15 +368,14 @@ func TestCertifiedHalo(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name   string
-		gather GatherMode
-		ranks  int
+		name          string
+		ranks, fanout int
 	}{
-		{"flat", GatherFlat, 3},
-		{"tree", GatherTree, 5},
+		{"star", 3, 3},
+		{"tree", 5, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res := run(tc.gather, tc.ranks, false)
+			res := run(tc.ranks, tc.fanout, false)
 			if res.CertifiedHalo <= 0 {
 				t.Fatal("Result.CertifiedHalo not reported")
 			}
@@ -490,7 +385,7 @@ func TestCertifiedHalo(t *testing.T) {
 		})
 	}
 	t.Run("no-certify", func(t *testing.T) {
-		res := run(GatherFlat, 3, true)
+		res := run(3, 3, true)
 		if res.CertifiedTiles != 0 || res.CertifiedHalo != 0 {
 			t.Fatalf("NoCertify must disable certification, got tiles=%d bound=%v",
 				res.CertifiedTiles, res.CertifiedHalo)
@@ -597,7 +492,7 @@ func TestTreeWireRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzTreeWireDecode hammers every tree wire decoder with arbitrary bytes:
+// FuzzTreeWireDecode hammers every gather wire decoder with arbitrary bytes:
 // decoders must reject garbage with an error, never panic or over-allocate
 // on implausible counts.
 func FuzzTreeWireDecode(f *testing.F) {
@@ -620,7 +515,5 @@ func FuzzTreeWireDecode(f *testing.F) {
 		_ = ack.UnmarshalFast(data)
 		var tm tileMsg
 		_ = tm.UnmarshalFast(data)
-		var tr tileResult
-		_ = tr.UnmarshalFast(data)
 	})
 }

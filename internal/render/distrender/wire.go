@@ -1,8 +1,8 @@
 // Wire protocol of the distributed renderer. Setup (spec + tiling + the
-// replicated catalog) is broadcast once via the gob fallback; the per-tile
-// scatter/gather messages ride the typed fast codec (mpi.FastMarshaler),
-// reusing the exported particle/float helpers and Grid2D's own fast
-// encoding, so the hot path never touches gob.
+// replicated catalog) is broadcast once via the gob fallback; batches,
+// frames and acks ride the typed fast codec (mpi.FastMarshaler), reusing
+// the exported particle/float helpers and Grid2D's own fast encoding, so
+// the hot path never touches gob.
 package distrender
 
 import (
@@ -19,12 +19,10 @@ import (
 // Message tags. The pipeline owns 100–103; the distributed renderer's
 // block starts at 120.
 const (
-	tagSetup  = 120 // coordinator → worker: setupMsg (gob, once)
-	tagAssign = 121 // coordinator → worker: tileMsg (flat gather)
-	tagResult = 122 // worker → coordinator: tileResult (flat gather)
-	tagBatch  = 123 // coordinator → worker: assignBatch (tree gather)
-	tagFrame  = 124 // child → tree parent: treeFrame
-	tagAck    = 125 // tree parent → child: frameAck
+	tagSetup = 120 // coordinator → worker: setupMsg (gob, once)
+	tagBatch = 123 // coordinator → worker: assignBatch
+	tagFrame = 124 // child → tree parent: treeFrame
+	tagAck   = 125 // tree parent → child: frameAck
 )
 
 // setupMsg is the one-shot broadcast that primes every rank: the render
@@ -38,20 +36,19 @@ type setupMsg struct {
 	Sched     render.Schedule
 	Halo      float64
 	Guard     int
-	Tree      bool        // tree gather selected (the root decides authoritatively)
-	Fanout    int         // tree arity when Tree
+	Fanout    int         // gather-tree arity, resolved by the root
 	Particles []geom.Vec3 // full catalog when Halo <= 0; nil in subset mode
 }
 
-// tileMsg assigns one tile to a worker. In subset mode (Subset true) it
-// carries the halo-padded particle subset the worker triangulates for this
-// tile and the guard widths to render on each interior side; in
-// replication mode the worker marches its replicated mesh. The mode is an
+// tileMsg assigns one tile to a worker (it travels inside an assignBatch).
+// In subset mode (Subset true) it carries the halo-padded particle subset
+// the worker triangulates for this tile and the guard widths to render on
+// each interior side; in replication mode the worker marches its
+// replicated mesh. The mode is an
 // explicit flag — it must not be inferred from len(Particles), because a
 // subset can legitimately be empty (a void tile), which is a tile-level
 // failure, not replication.
 type tileMsg struct {
-	Shutdown  bool
 	Subset    bool
 	Certified bool // halo cleared CertifiedHaloBound: skip the guard renders
 	Tile      int  // index into the tiling
@@ -60,9 +57,10 @@ type tileMsg struct {
 	Particles []geom.Vec3
 }
 
-// tileResult returns one marched tile: the owned-column grid, optional
-// guard-column grids for the stitch-time halo cross-check, and the
-// tile-local worker stats (worker ids 0..W-1, re-based at the gather).
+// tileResult is one marched tile as a rank holds it in memory: the
+// owned-column grid, optional guard-column grids for the stitch-time halo
+// cross-check, and the tile-local worker stats (worker ids 0..W-1, re-based
+// at the gather). On the wire it travels as a tileFrame plus a span.
 type tileResult struct {
 	Tile      int
 	Rank      int
@@ -132,7 +130,6 @@ func readGrid(data []byte) (*grid.Grid2D, []byte, error) {
 
 // AppendFast implements mpi.FastMarshaler.
 func (m tileMsg) AppendFast(buf []byte) []byte {
-	buf = appendBool(buf, m.Shutdown)
 	buf = appendBool(buf, m.Subset)
 	buf = appendBool(buf, m.Certified)
 	buf = appendUvarint(buf, uint64(m.Tile))
@@ -146,9 +143,6 @@ func (m tileMsg) AppendFast(buf []byte) []byte {
 // UnmarshalFast implements mpi.FastUnmarshaler.
 func (m *tileMsg) UnmarshalFast(data []byte) error {
 	var err error
-	if m.Shutdown, data, err = readBool(data); err != nil {
-		return err
-	}
 	if m.Subset, data, err = readBool(data); err != nil {
 		return err
 	}
@@ -235,52 +229,7 @@ func readStats(data []byte) ([]render.WorkerStat, []byte, error) {
 	return stats, data, nil
 }
 
-// AppendFast implements mpi.FastMarshaler.
-func (r tileResult) AppendFast(buf []byte) []byte {
-	buf = appendUvarint(buf, uint64(r.Tile))
-	buf = appendUvarint(buf, uint64(r.Rank))
-	buf = appendString(buf, r.Err)
-	buf = appendBool(buf, r.Certified)
-	buf = appendGrid(buf, r.Grid)
-	buf = appendGrid(buf, r.GuardL)
-	buf = appendGrid(buf, r.GuardR)
-	return appendStats(buf, r.Stats)
-}
-
-// UnmarshalFast implements mpi.FastUnmarshaler.
-func (r *tileResult) UnmarshalFast(data []byte) error {
-	var err error
-	var v uint64
-	if v, data, err = readUvarint(data); err != nil {
-		return err
-	}
-	r.Tile = int(v)
-	if v, data, err = readUvarint(data); err != nil {
-		return err
-	}
-	r.Rank = int(v)
-	if r.Err, data, err = readString(data); err != nil {
-		return err
-	}
-	if r.Certified, data, err = readBool(data); err != nil {
-		return err
-	}
-	if r.Grid, data, err = readGrid(data); err != nil {
-		return err
-	}
-	if r.GuardL, data, err = readGrid(data); err != nil {
-		return err
-	}
-	if r.GuardR, data, err = readGrid(data); err != nil {
-		return err
-	}
-	if r.Stats, _, err = readStats(data); err != nil {
-		return err
-	}
-	return nil
-}
-
-// assignBatch is the tree-gather assignment unit: the coordinator hands
+// assignBatch is the assignment unit: the coordinator hands
 // each rank its whole static share of tiles up front (recovery
 // re-dispatches arrive as later single-tile batches), or Shutdown.
 type assignBatch struct {
@@ -332,7 +281,7 @@ func (b *assignBatch) UnmarshalFast(data []byte) error {
 	return nil
 }
 
-// tileFrame is the per-tile metadata of a tree-gather frame: which tile,
+// tileFrame is the per-tile metadata of a gather frame: which tile,
 // who marched it, its owned column span, optional guard grids, and the
 // tile-local stats. The owned grid itself rides in the frame's Spans (so
 // column-adjacent tiles share one merged buffer); a failed tile
@@ -395,7 +344,7 @@ type gridSpan struct {
 	Grid *grid.Grid2D
 }
 
-// treeFrame is the unit of upward streaming in the reduction tree: a set
+// treeFrame is the unit of upward streaming in the gather tree: a set
 // of completed tiles plus the merged column spans holding their grids.
 // Frames are idempotent — every merge level dedupes tiles first-wins — so
 // re-sending after a re-parent or a lost ack is always safe.

@@ -9,19 +9,20 @@ import (
 
 // The entry-location layer answers "which downward hull facet does the
 // vertical line through ξ pierce?" (the paper's Section IV-A2, eq 14).
-// Three locators share one facet list, extracted once per Marcher:
+// Two structures share one facet list, extracted once per Marcher:
 //
 //   - entryIndex: a uniform bucket grid over the projected facets
-//     (O(1) expected, query-order independent).
+//     (O(1) expected, query-order independent) — the stateless locator and
+//     the arbiter of every tie.
 //   - entryWalk: a visibility walk on the projected facet mesh — the
-//     paper's own entry structure, fast for spatially coherent queries.
-//   - the coherent mode in Marcher.Render: entryWalk seeded per worker
-//     from the previous column's facet, with entryIndex as fallback.
+//     paper's own entry structure — seeded per worker from the previous
+//     column's facet (Marcher.findEntryIdx), with entryIndex as fallback.
 //
-// All locators resolve containment with the same exact 2D orientation
-// predicate (geom.Orient2D) and the walk defers every boundary tie to the
-// bucket index, so they agree on the returned facet index for every query
-// — the foundation of the bit-identical-across-modes guarantee.
+// Both resolve containment with the same exact 2D orientation predicate
+// (geom.Orient2D) and the walk defers every boundary tie to the bucket
+// index, so they agree on the returned facet index for every query — the
+// foundation of the guarantee that a coherent scan renders the same bits
+// as stateless per-column lookups.
 
 // entryFace is one downward-facing hull facet: the facet vertices (outward
 // oriented), their x-y projections, and the finite tetrahedron behind it.
@@ -94,7 +95,7 @@ func buildEntryFaces(tri *delaunay.Triangulation) (faces []entryFace, nbr [][3]i
 
 // entryIndex locates entry facets through a uniform bucket grid over the
 // projected hull bounding box: O(1) expected lookups, independent of query
-// order. It is the arbiter the other locators defer to on ties.
+// order. It is the arbiter the walk defers to on ties.
 type entryIndex struct {
 	faces []entryFace
 	bmin  geom.Vec2

@@ -1,17 +1,14 @@
 package render
 
-import (
-	"sync/atomic"
-
-	"godtfe/internal/geom"
-)
+import "godtfe/internal/geom"
 
 // entryUnresolved is returned by entryWalk.findFrom when the walk cannot
 // certify a strict hit or a strict miss: the query lies on a facet edge or
 // vertex (a containment tie between neighboring facets), the start hint is
 // unusable, or the step budget ran out. Callers resolve through the bucket
-// index, which is the single arbiter for ties — this is what keeps every
-// entry mode's facet choice, and hence the rendered grid, bit-identical.
+// index, which is the single arbiter for ties — this is what keeps the
+// coherent scan's facet choice, and hence the rendered grid, bit-identical
+// to a stateless bucket lookup.
 const entryUnresolved = int32(-2)
 
 // entryWalk is the paper's own entry-location structure (Section IV-A2):
@@ -24,15 +21,7 @@ type entryWalk struct {
 	faces []entryFace
 	// nbr[f][e] is the facet across edge e of facet f (edges in the order
 	// (a,b), (b,c), (c,a)), or -1 on the projected-hull boundary.
-	nbr  [][3]int32
-	hint atomic.Int32
-	rng  atomic.Uint64
-}
-
-func newEntryWalk(faces []entryFace, nbr [][3]int32) *entryWalk {
-	w := &entryWalk{faces: faces, nbr: nbr}
-	w.rng.Store(0x9e3779b97f4a7c15)
-	return w
+	nbr [][3]int32
 }
 
 // findFrom walks from facet start toward xi and classifies the query:
@@ -103,20 +92,4 @@ func (w *entryWalk) findFrom(start int32, xi geom.Vec2, rng *uint64) int32 {
 	}
 	// Pathological: the stochastic walk failed to settle in budget.
 	return entryUnresolved
-}
-
-// findShared is findFrom with process-shared hint and rng state — the
-// stateless EntryWalking mode usable from concurrent Column calls. The
-// shared state is only a hint/entropy source; races just cost steps.
-func (w *entryWalk) findShared(xi geom.Vec2) int32 {
-	x := w.rng.Load()
-	if x == 0 {
-		x = 0x9e3779b97f4a7c15
-	}
-	fi := w.findFrom(w.hint.Load(), xi, &x)
-	w.rng.Store(x)
-	if fi >= 0 {
-		w.hint.Store(fi)
-	}
-	return fi
 }

@@ -61,49 +61,68 @@ func equivSpec(pts []geom.Vec3) Spec {
 	}
 }
 
-// TestEntryModesEquivalence is the cross-mode bit-identity gate: on every
-// catalog family, all three entry modes must produce byte-for-byte
-// identical grids, identical per-column outcome tallies, and identical
-// total step counts — under both serial and parallel schedules.
+// columnRender is the stateless reference for the coherent scan: the same
+// cell centres and jitter as renderInto, but every line of sight located
+// from scratch through the bucket index (Column carries no cursor).
+func columnRender(m *Marcher, spec Spec) (*grid.Grid2D, OutcomeCounts, int64) {
+	out := spec.Grid()
+	samples := max(spec.Samples, 1)
+	var outcomes OutcomeCounts
+	var steps int64
+	for j := 0; j < spec.Ny; j++ {
+		for i := 0; i < spec.Nx; i++ {
+			var acc float64
+			for s := 0; s < samples; s++ {
+				xi := geom.Vec2{
+					X: spec.Min.X + (float64(i)+0.5)*spec.Cell,
+					Y: spec.Min.Y + (float64(j)+0.5)*spec.Cell,
+				}
+				if samples > 1 {
+					xi.X += (jitter(spec.Seed, i, j, s, 0) - 0.5) * spec.Cell
+					xi.Y += (jitter(spec.Seed, i, j, s, 1) - 0.5) * spec.Cell
+				}
+				sigma, n, outcome := m.Column(xi, spec.ZMin, spec.ZMax)
+				acc += sigma
+				steps += int64(n)
+				outcomes.Note(outcome)
+			}
+			out.Set(i, j, acc/float64(samples))
+		}
+	}
+	return out, outcomes, steps
+}
+
+// TestEntryModesEquivalence is the entry-location bit-identity gate: on
+// every catalog family the coherent scan (Render: per-worker walk seeded
+// from the previous column, bucket fallback) must produce byte-for-byte
+// the grid, the per-column outcome tallies and the total step count of the
+// stateless bucket path (columnRender) — under both serial and parallel
+// schedules.
 func TestEntryModesEquivalence(t *testing.T) {
 	for name, pts := range equivCatalogs() {
 		t.Run(name, func(t *testing.T) {
-			f := fieldFor(t, pts)
+			m := NewMarcher(fieldFor(t, pts))
 			spec := equivSpec(pts)
-			type result struct {
-				g        *grid.Grid2D
-				outcomes OutcomeCounts
-				steps    int64
-			}
-			render := func(mode EntryMode, workers int, sched Schedule) result {
-				m := NewMarcher(f)
-				m.SetEntryMode(mode)
-				g, stats, err := m.Render(spec, workers, sched)
+			ref, refOutcomes, refSteps := columnRender(m, spec)
+			for _, workers := range []int{1, 4} {
+				g, stats, err := m.Render(spec, workers, ScheduleDynamic)
 				if err != nil {
 					t.Fatal(err)
+				}
+				for i, v := range g.Data {
+					if math.Float64bits(v) != math.Float64bits(ref.Data[i]) { // exact: no tolerance
+						t.Fatalf("workers %d: cell %d differs: %g != %g", workers, i, v, ref.Data[i])
+					}
+				}
+				if got := TotalOutcomes(stats); got != refOutcomes {
+					t.Errorf("workers %d: outcomes %v != %v", workers, got, refOutcomes)
 				}
 				var steps int64
 				for _, s := range stats {
 					steps += s.Steps
 				}
-				return result{g: g, outcomes: TotalOutcomes(stats), steps: steps}
-			}
-			ref := render(EntryBuckets, 1, ScheduleDynamic)
-			for _, mode := range []EntryMode{EntryBuckets, EntryWalking, EntryCoherent} {
-				for _, workers := range []int{1, 4} {
-					got := render(mode, workers, ScheduleDynamic)
-					for i, v := range got.g.Data {
-						if v != ref.g.Data[i] { // exact: no tolerance
-							t.Fatalf("mode %d workers %d: cell %d differs: %g != %g",
-								mode, workers, i, v, ref.g.Data[i])
-						}
-					}
-					if got.outcomes != ref.outcomes {
-						t.Errorf("mode %d workers %d: outcomes %v != %v", mode, workers, got.outcomes, ref.outcomes)
-					}
-					if got.steps != ref.steps {
-						t.Errorf("mode %d workers %d: steps %d != %d", mode, workers, got.steps, ref.steps)
-					}
+				if steps != refSteps {
+					t.Errorf("workers %d: steps %d != %d", workers, steps, refSteps)
 				}
 			}
 		})

@@ -22,44 +22,20 @@ import (
 //
 // The hot loop runs against an SoA snapshot of the mesh (see soaMesh) and
 // the entry facet of each column is located coherently from the previous
-// column in the worker's scan (see EntryCoherent); both are exact
-// restructurings, so the rendered grid is bit-identical across entry modes
-// and identical to the original pointer-chasing implementation.
+// column in the worker's scan (see findEntryIdx); both are exact
+// restructurings, so the rendered grid is bit-identical to a stateless
+// per-column bucket lookup and to the original pointer-chasing
+// implementation.
 type Marcher struct {
 	F     *dtfe.Field
 	soa   soaMesh
 	entry *entryIndex
 	walk  *entryWalk
-	mode  EntryMode
 	eps   float64 // perturbation magnitude for degenerate rays (Fig 2)
 
 	// MaxRetries bounds degeneracy-perturbation attempts per line.
 	MaxRetries int
 }
-
-// EntryMode selects how the first pierced hull facet is located.
-type EntryMode int
-
-const (
-	// EntryBuckets indexes the projected downward facets in a uniform
-	// bucket grid (O(1) expected lookups, query-order independent).
-	EntryBuckets EntryMode = iota
-	// EntryWalking walks the projected hull facet mesh from a
-	// process-shared remembered facet — the paper's own description of the
-	// entry step. Boundary ties fall back to the bucket index so the
-	// located facet matches EntryBuckets exactly.
-	EntryWalking
-	// EntryCoherent (the default) seeds each column's entry walk from the
-	// previous column located by the same worker — entry location is O(1)
-	// amortized for grid scans — falling back to the bucket index on a
-	// miss, a tie, or after a fallback restart. Output is bit-identical to
-	// EntryBuckets by construction: a strict hit names the unique
-	// containing facet and everything else is delegated to the buckets.
-	EntryCoherent
-)
-
-// SetEntryMode switches the entry-location strategy.
-func (m *Marcher) SetEntryMode(mode EntryMode) { m.mode = mode }
 
 // entryCursor is per-worker coherent-scan state: the facet located for the
 // previous column (the walk seed) and a private xorshift stream for the
@@ -74,24 +50,21 @@ func newEntryCursor(worker int) entryCursor {
 	return entryCursor{hint: -1, rng: r}
 }
 
-// findEntryIdx locates the entry facet index for xi under the marcher's
-// entry mode. cur carries coherent-scan state and may be nil (stateless
-// calls degrade to the bucket index). Every path returns the same facet
-// index the bucket locator would.
+// findEntryIdx locates the entry facet index for xi. With a cursor the
+// walk is seeded from the previous column located by the same worker —
+// entry location is O(1) amortized for grid scans — falling back to the
+// bucket index on a miss of the hint, a tie, or after a fallback restart;
+// cur may be nil (stateless calls go straight to the bucket index). Every
+// path returns the same facet index the bucket locator would: a strict
+// walk hit names the unique containing facet and everything else is
+// delegated to the buckets.
 func (m *Marcher) findEntryIdx(xi geom.Vec2, cur *entryCursor) int32 {
-	switch m.mode {
-	case EntryWalking:
-		if fi := m.walk.findShared(xi); fi != entryUnresolved {
-			return fi
-		}
-	case EntryCoherent:
-		if cur != nil && cur.hint >= 0 {
-			if fi := m.walk.findFrom(cur.hint, xi, &cur.rng); fi != entryUnresolved {
-				if fi >= 0 {
-					cur.hint = fi
-				}
-				return fi
+	if cur != nil && cur.hint >= 0 {
+		if fi := m.walk.findFrom(cur.hint, xi, &cur.rng); fi != entryUnresolved {
+			if fi >= 0 {
+				cur.hint = fi
 			}
+			return fi
 		}
 	}
 	fi := m.entry.find(xi)
@@ -113,8 +86,7 @@ func NewMarcher(f *dtfe.Field) *Marcher {
 		F:          f,
 		soa:        newSoAMesh(f),
 		entry:      newEntryIndex(faces),
-		walk:       newEntryWalk(faces, nbr),
-		mode:       EntryCoherent,
+		walk:       &entryWalk{faces: faces, nbr: nbr},
 		eps:        1e-9 * diag,
 		MaxRetries: 16,
 	}
@@ -404,8 +376,8 @@ func (m *Marcher) perturb(xi geom.Vec2, tet int32, attempt int) geom.Vec2 {
 // tryColumn marches once against the SoA mesh view. ok=false reports a
 // Plücker degeneracy (the ray met an edge or vertex), returning the tet
 // where it happened. With forceBuckets the entry face comes from the
-// bucket index regardless of the configured entry mode (the fallback's
-// fresh entry-location fix). The loop performs no allocations: all state
+// bucket index even when the cursor holds a hint (the fallback's fresh
+// entry-location fix). The loop performs no allocations: all state
 // is a fixed-size vertex buffer on the stack plus the caller's cursor.
 func (m *Marcher) tryColumn(xi geom.Vec2, zmin, zmax float64, forceBuckets bool, cur *entryCursor) (sigma float64, steps int, badTet int32, ok bool) {
 	var fi int32

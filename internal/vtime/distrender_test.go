@@ -2,14 +2,15 @@ package vtime
 
 import "testing"
 
+// distCfg is a star (fanout = ranks): every worker a leaf under the root.
 func distCfg(ranks int, tiles int) DistRenderConfig {
 	costs := make([]float64, tiles)
 	for i := range costs {
 		costs[i] = 1.0 + 0.1*float64(i%5)
 	}
 	return DistRenderConfig{
-		Ranks: ranks,
-		Comm:  CommModel{Latency: 1e-4, BytesPerSec: 1e9, SendOverhead: 1e-4},
+		Ranks: ranks, Fanout: ranks,
+		Comm:      CommModel{Latency: 1e-4, BytesPerSec: 1e9, SendOverhead: 1e-4},
 		TileCosts: costs, AssignBytes: 64, ResultBytes: 1 << 20,
 		SetupCost: 0.5, StitchPerTile: 1e-4,
 	}
@@ -45,8 +46,9 @@ func TestSimulateDistRenderScalesThenSaturates(t *testing.T) {
 	if speedup := SimulateDistRender(distCfg(1, tiles)).Makespan / prev; speedup < 20 {
 		t.Fatalf("64 ranks speedup %v, expected > 20 on a 256-tile workload", speedup)
 	}
-	// The coordinator's serial protocol cost lower-bounds the makespan at
-	// any rank count: scaling saturates instead of diverging to zero.
+	// In a star the coordinator ingests one frame per tile, and that serial
+	// protocol cost lower-bounds the makespan at any rank count: scaling
+	// saturates instead of diverging to zero.
 	cfg := distCfg(100000, tiles)
 	floor := float64(tiles) * (cfg.Comm.SendOverhead + cfg.StitchPerTile)
 	if m := SimulateDistRender(cfg).Makespan; m < floor {

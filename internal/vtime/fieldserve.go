@@ -53,7 +53,9 @@ type FieldServeConfig struct {
 	// MaxBatch queued same-family requests, and execute ONE march of the
 	// union extent; later same-family batches assemble from the warm
 	// column cache. Coalesce=false models exact-key single-flight only
-	// (the service's DisableCoalesce mode).
+	// (the service as it was before batching; the live service's nearest
+	// setting is MaxBatch -1 with ColumnCacheCells -1). It is the overlap
+	// experiment's independent variable, not a knob the service has.
 	Coalesce    bool
 	BatchWindow float64
 	MaxBatch    int

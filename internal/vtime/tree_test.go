@@ -5,37 +5,36 @@ import (
 	"testing"
 )
 
-func treeCfg(ranks, tiles, fanout int, tileCost float64) TreeDistRenderConfig {
+func treeCfg(ranks, tiles, fanout int, tileCost float64) DistRenderConfig {
 	costs := make([]float64, tiles)
 	for i := range costs {
 		costs[i] = tileCost
 	}
-	return TreeDistRenderConfig{
-		DistRenderConfig: DistRenderConfig{
-			Ranks: ranks,
-			Comm:  CommModel{Latency: 1e-5, BytesPerSec: 1e9, SendOverhead: 1e-4},
-			TileCosts: costs, AssignBytes: 64, ResultBytes: 1 << 16,
-			SetupCost: 0.05,
-			// The stitch is a memory copy, not a protocol round-trip: two
-			// orders cheaper than SendOverhead. The flat gather pays
-			// SendOverhead per tile regardless; the tree pays it per frame.
-			StitchPerTile: 1e-6,
-		},
-		Fanout: fanout,
+	return DistRenderConfig{
+		Ranks: ranks, Fanout: fanout,
+		Comm:      CommModel{Latency: 1e-5, BytesPerSec: 1e9, SendOverhead: 1e-4},
+		TileCosts: costs, AssignBytes: 64, ResultBytes: 1 << 16,
+		SetupCost: 0.05,
+		// The stitch is a memory copy, not a protocol round-trip: two
+		// orders cheaper than SendOverhead, which the root pays per frame
+		// — per tile in a star, per coalesced frame with interior ranks.
+		StitchPerTile: 1e-6,
 	}
 }
 
-// TestTreeDistRenderSmallWorldFallsBack: worlds below the tree threshold
-// delegate to the flat model, mirroring distrender's gatherTopology.
-func TestTreeDistRenderSmallWorldFallsBack(t *testing.T) {
-	cfg := treeCfg(2, 16, 2, 1e-2)
-	tree := SimulateTreeDistRender(cfg)
-	flat := SimulateDistRender(cfg.DistRenderConfig)
-	if tree.Makespan != flat.Makespan || tree.CoordBusy != flat.CoordBusy {
-		t.Fatalf("2-rank tree %+v diverges from flat %+v", tree.DistRenderOutcome, flat)
-	}
-	if tree.Depth != 1 {
-		t.Fatalf("fallback depth %d, want 1", tree.Depth)
+// TestTreeDistRenderSmallWorld: worlds too small for an interior rank run
+// the same model — every worker is a leaf under the root at any fanout >= 2,
+// so the fanout cannot matter.
+func TestTreeDistRenderSmallWorld(t *testing.T) {
+	for _, ranks := range []int{2, 3} {
+		star := SimulateDistRender(treeCfg(ranks, 16, ranks, 1e-2))
+		tree := SimulateDistRender(treeCfg(ranks, 16, 2, 1e-2))
+		if tree != star {
+			t.Fatalf("%d-rank fanout-2 %+v diverges from the star %+v", ranks, tree, star)
+		}
+		if star.Depth != 1 || star.RootFrames != 16 || star.Makespan <= 0 {
+			t.Fatalf("%d-rank star: %+v", ranks, star)
+		}
 	}
 }
 
@@ -43,15 +42,18 @@ func TestTreeDistRenderSmallWorldFallsBack(t *testing.T) {
 // the deepest hop count is ceil(log_fanout((fanout-1)*(R-1)/fanout + 1)).
 func TestTreeDistRenderDepth(t *testing.T) {
 	cases := []struct{ ranks, fanout, depth int }{
+		{2, 1, 1},
+		{5, 1, 4},
 		{5, 4, 1},
 		{6, 4, 2},
+		{64, 64, 1},
 		{8, 2, 3},
 		{21, 4, 2},
 		{22, 4, 3},
 		{16384, 4, 7},
 	}
 	for _, tc := range cases {
-		out := SimulateTreeDistRender(treeCfg(tc.ranks, 64, tc.fanout, 1e-3))
+		out := SimulateDistRender(treeCfg(tc.ranks, 64, tc.fanout, 1e-3))
 		if out.Depth != tc.depth {
 			t.Errorf("ranks=%d fanout=%d depth %d, want %d", tc.ranks, tc.fanout, out.Depth, tc.depth)
 		}
@@ -62,7 +64,7 @@ func TestTreeDistRenderDepth(t *testing.T) {
 // WorkBusy reflects the whole marched load.
 func TestTreeDistRenderConservation(t *testing.T) {
 	cfg := treeCfg(37, 200, 3, 2e-3)
-	out := SimulateTreeDistRender(cfg)
+	out := SimulateDistRender(cfg)
 	if out.Makespan <= 0 {
 		t.Fatalf("makespan %v (negative means lost tiles)", out.Makespan)
 	}
@@ -77,25 +79,29 @@ func TestTreeDistRenderConservation(t *testing.T) {
 	}
 }
 
-// TestTreeRemovesGatherFloor: on a protocol-bound workload the flat gather
-// saturates at tiles x SendOverhead serialized on the coordinator; the tree
-// coalesces tiles into frames on the way up, so the coordinator's protocol
-// cost scales with its frame count, far below the tile count.
+// TestTreeRemovesGatherFloor: on a protocol-bound workload the star
+// (fanout = ranks) saturates at tiles x SendOverhead serialized on the
+// coordinator; with interior ranks (fanout 4, same simulator) tiles coalesce
+// into frames on the way up, so the coordinator's protocol cost scales with
+// its frame count, far below the tile count.
 func TestTreeRemovesGatherFloor(t *testing.T) {
 	const ranks, tiles = 1024, 4096
 	cfg := treeCfg(ranks, tiles, 4, 1e-3)
-	flat := SimulateDistRender(cfg.DistRenderConfig)
-	tree := SimulateTreeDistRender(cfg)
+	star := SimulateDistRender(treeCfg(ranks, tiles, ranks, 1e-3))
+	tree := SimulateDistRender(cfg)
 
 	floor := float64(tiles) * cfg.Comm.SendOverhead
-	if flat.Makespan < floor {
-		t.Fatalf("flat makespan %v below its own serialization floor %v", flat.Makespan, floor)
+	if star.Makespan < floor {
+		t.Fatalf("star makespan %v below its own serialization floor %v", star.Makespan, floor)
+	}
+	if star.RootFrames != tiles {
+		t.Fatalf("star root ingested %d frames, want one per tile (%d)", star.RootFrames, tiles)
 	}
 	if tree.Makespan >= floor/2 {
-		t.Fatalf("tree makespan %v did not break the flat floor %v", tree.Makespan, floor)
+		t.Fatalf("tree makespan %v did not break the star floor %v", tree.Makespan, floor)
 	}
-	if tree.Makespan >= flat.Makespan/3 {
-		t.Fatalf("tree makespan %v vs flat %v: expected >3x win", tree.Makespan, flat.Makespan)
+	if tree.Makespan >= star.Makespan/3 {
+		t.Fatalf("tree makespan %v vs star %v: expected >3x win", tree.Makespan, star.Makespan)
 	}
 	if tree.RootFrames > tiles/10 {
 		t.Fatalf("root ingested %d frames for %d tiles — coalescing is not happening", tree.RootFrames, tiles)
