@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test fuzz nopanic nocopy ci
+.PHONY: build test tier1 vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test fuzz nopanic nocopy loc ci
 
 build:
 	$(GO) build ./...
@@ -97,5 +97,11 @@ nopanic:
 nocopy:
 	$(GO) vet -copylocks ./...
 	$(GO) run ./cmd/nocopy-audit .
+
+# Production-line count: every non-test .go file outside the benchmark
+# harness. The one number ROADMAP's "fewer production lines" target and the
+# simplicity PRs' before/after figures quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
 
 ci: tier1 vet nopanic nocopy race chaos serve-smoke bench-smoke bench-e2e-test fuzz

@@ -45,7 +45,6 @@ func main() {
 	rate := flag.Float64("rate", 0, "offered load in requests/sec (0: 2x measured capacity)")
 	workers := flag.Int("workers", 2, "serving workers")
 	queue := flag.Int("queue", 0, "admission queue depth (0: 2x workers)")
-	cache := flag.Int("cache", 64, "LRU cache entries")
 	degrade := flag.Int("degrade", 2, "max degrade ladder depth")
 	seed := flag.Int64("seed", 1, "seed for synthesis and fault injection")
 	cancelProb := flag.Float64("cancel-prob", 0, "per-request probability of a mid-flight cancellation")
@@ -58,7 +57,6 @@ func main() {
 	overlap := flag.Float64("overlap", 0, "fraction of requests drawn from hot coalescing families with varied window extents")
 	overlapFams := flag.Int("overlap-families", 3, "hot family pool size for -overlap")
 	sim := flag.Bool("sim", false, "run the virtual-time model instead of real renders")
-	simCompare := flag.Bool("sim-compare", false, "with -sim: run coalescing on AND off and report the ratio")
 	flag.Parse()
 
 	var inj *fault.Injector
@@ -80,20 +78,20 @@ func main() {
 		if n == 2000 { // flag default; the sim scales much further
 			n = 1_000_000
 		}
-		runSim(n, *rate, *workers, *queue, *cache, *seed, inj,
-			(*batchWindow).Seconds(), *maxBatch, *overlapFams, *simCompare)
+		runSim(n, *rate, *workers, *queue, *seed, inj,
+			(*batchWindow).Seconds(), *maxBatch, *overlapFams)
 		return
 	}
 	runReal(*in, *particles, *gridN, *specs, *requests, *rate,
-		*workers, *queue, *cache, *degrade, *seed, *updates, inj, fieldserve.Options{
+		*workers, *queue, *degrade, *seed, *updates, inj, fieldserve.Options{
 			BatchWindow:      *batchWindow,
 			MaxBatch:         *maxBatch,
 			ColumnCacheCells: *colCache,
 		})
 }
 
-func runSim(requests int, rate float64, workers, queue, cache int, seed int64, inj *fault.Injector,
-	batchWindow float64, maxBatch, familyPool int, compare bool) {
+func runSim(requests int, rate float64, workers, queue int, seed int64, inj *fault.Injector,
+	batchWindow float64, maxBatch, familyPool int) {
 	if workers <= 0 {
 		workers = 2
 	}
@@ -103,7 +101,6 @@ func runSim(requests int, rate float64, workers, queue, cache int, seed int64, i
 	cfg := vtime.FieldServeConfig{
 		Workers:        workers,
 		QueueDepth:     queue,
-		CacheEntries:   cache,
 		Requests:       requests,
 		SpecPool:       4096,
 		RenderCost:     0.01,
@@ -113,7 +110,6 @@ func runSim(requests int, rate float64, workers, queue, cache int, seed int64, i
 		DegradeHitFrac: 0.25,
 		Seed:           seed,
 		Fault:          inj,
-		Coalesce:       true,
 		BatchWindow:    batchWindow,
 		MaxBatch:       maxBatch,
 		FamilyPool:     familyPool,
@@ -125,31 +121,18 @@ func runSim(requests int, rate float64, workers, queue, cache int, seed int64, i
 	cfg.ArrivalRate = rate
 	t0 := time.Now()
 	out := vtime.SimulateFieldServe(cfg)
-	fmt.Printf("sim: %d requests at %.0f/s offered (%d workers, queue %d, cache %d)\n",
-		requests, rate, cfg.Workers, cfg.QueueDepth, cfg.CacheEntries)
-	fmt.Printf("served %d (%.1f/s virtual), shed %d (rate %.3f), degraded %d, expired %d, deduped %d\n",
-		out.Served, out.Throughput, out.Shed, out.ShedRate, out.Degraded, out.Expired, out.Deduped)
+	fmt.Printf("sim: %d requests at %.0f/s offered (%d workers, queue %d)\n",
+		requests, rate, cfg.Workers, cfg.QueueDepth)
+	fmt.Printf("served %d (%.1f/s virtual), shed %d (rate %.3f), degraded %d, expired %d\n",
+		out.Served, out.Throughput, out.Shed, out.ShedRate, out.Degraded, out.Expired)
 	fmt.Printf("latency p50 %.2fms p99 %.2fms max %.2fms, hit rate %.3f, poisoned %d, builds %d\n",
 		out.P50*1e3, out.P99*1e3, out.Max*1e3, out.HitRate, out.Poisoned, out.Builds)
 	fmt.Printf("batches %d, coalesced %d\n", out.Batches, out.Coalesced)
 	fmt.Printf("virtual makespan %.2fs simulated in %v\n", out.Makespan, time.Since(t0).Round(time.Millisecond))
-
-	if compare {
-		alt := cfg
-		alt.Coalesce = false
-		on, off := out, vtime.SimulateFieldServe(alt)
-		ratio := 0.0
-		if off.Throughput > 0 {
-			ratio = on.Throughput / off.Throughput
-		}
-		fmt.Printf("compare: coalesce on %.1f/s vs off %.1f/s (%.2fx served throughput); "+
-			"shed %.3f vs %.3f; p99 %.2fms vs %.2fms\n",
-			on.Throughput, off.Throughput, ratio, on.ShedRate, off.ShedRate, on.P99*1e3, off.P99*1e3)
-	}
 }
 
 func runReal(in string, particles, gridN, specPool, requests int, rate float64,
-	workers, queue, cache, degrade int, seed int64, updates int, inj *fault.Injector, copt fieldserve.Options) {
+	workers, queue, degrade int, seed int64, updates int, inj *fault.Injector, copt fieldserve.Options) {
 	var pts []geom.Vec3
 	if in != "" {
 		var err error
@@ -171,7 +154,7 @@ func runReal(in string, particles, gridN, specPool, requests int, rate float64,
 	}
 
 	opt := copt
-	opt.Workers, opt.QueueDepth, opt.CacheEntries = workers, queue, cache
+	opt.Workers, opt.QueueDepth = workers, queue
 	opt.MaxDegrade, opt.Fault = degrade, inj
 	s := fieldserve.New(opt)
 	defer s.Close()
@@ -313,12 +296,8 @@ func runReal(in string, particles, gridN, specPool, requests int, rate float64,
 		shed, float64(shed)/float64(requests), degraded, cancelled, failed)
 	fmt.Printf("latency p50 %v p99 %v max %v\n",
 		pct(0.50).Round(time.Microsecond), pct(0.99).Round(time.Microsecond), pct(1).Round(time.Microsecond))
-	hitRate := 0.0
-	if hm := st.CacheHits + st.CacheMiss; hm > 0 {
-		hitRate = float64(st.CacheHits) / float64(hm)
-	}
-	fmt.Printf("cache: hit rate %.3f (%d hits, %d misses), %d evicted, %d poisoned, %d deduped, %d builds\n",
-		hitRate, st.CacheHits, st.CacheMiss, st.Evicted, st.Poisoned, st.Deduped, st.Builds)
+	fmt.Printf("served without queueing: %d assembled inline from resident columns; %d builds\n",
+		st.CacheHits, st.Builds)
 	avgBatch := 0.0
 	if st.Batches > 0 {
 		avgBatch = float64(st.BatchedReqs) / float64(st.Batches)
@@ -327,8 +306,8 @@ func runReal(in string, particles, gridN, specPool, requests int, rate float64,
 		st.Batches, avgBatch, st.MaxBatchSeen, st.Coalesced, st.Marches, st.ColdColumns)
 	fmt.Printf("columns: %d hits, %d misses, %d evicted, %d poisoned, %d resident (%d cells)\n",
 		st.ColHits, st.ColMisses, st.ColEvicted, st.ColPoisoned, st.ColEntries, st.ColCells)
-	fmt.Printf("updates: %d applied (epoch %d), %d dirty columns evicted, %d whole grids evicted\n",
-		st.Updates, st.Epochs, st.DirtyColumns, st.EvictedByUpdate)
+	fmt.Printf("updates: %d applied (epoch %d), %d dirty columns evicted\n",
+		st.Updates, st.Epochs, st.DirtyColumns)
 	if failed > 0 {
 		log.Fatalf("%d requests failed unexpectedly", failed)
 	}

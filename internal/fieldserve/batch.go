@@ -2,7 +2,7 @@ package fieldserve
 
 import (
 	"context"
-	"math"
+	"slices"
 	"time"
 
 	"godtfe/internal/grid"
@@ -130,9 +130,11 @@ func batchContext(members []*task) (context.Context, func()) {
 	}
 }
 
-// executeBatch serves one batch: union cover plan, one shared march (via
-// the whole-grid cache's single-flight fill and the column cache), then a
-// per-member slice. Every member's done channel is resolved exactly once.
+// executeBatch serves one batch: union cover plan, one shared march
+// through the column cache, then a per-member slice. The family lock the
+// worker holds is the single-flight: no other batch of this family runs
+// until this one returns. Every member's done channel is resolved exactly
+// once.
 func (s *Service) executeBatch(members []*task) {
 	n := uint64(len(members))
 	s.batches.Add(1)
@@ -140,12 +142,7 @@ func (s *Service) executeBatch(members []*task) {
 	if n > 1 {
 		s.coalesced.Add(n - 1)
 	}
-	for {
-		old := s.maxBatch.Load()
-		if n <= old || s.maxBatch.CompareAndSwap(old, n) {
-			break
-		}
-	}
+	atomicMax(&s.maxBatch, n)
 
 	mctx, stopMerge := batchContext(members)
 	defer stopMerge()
@@ -167,31 +164,13 @@ func (s *Service) executeBatch(members []*task) {
 		s.failBatch(members, err)
 		return
 	}
-	unionKey := Key{Catalog: leader.key.Catalog, Spec: union}
 
-	var corrupt func(*grid.Grid2D) *grid.Grid2D
-	poisonCol := false
-	if s.opt.Fault != nil {
-		for _, t := range members {
-			if s.opt.Fault.ShouldPoisonCache(t.id) {
-				corrupt = poisonGrid
-				poisonCol = true
-				break
-			}
-		}
-	}
-
-	// The epoch guard: the batch marched mv; if the catalog has moved to
-	// a newer epoch by the time a cache insert is attempted (evaluated
-	// under the cache lock, after the update's invalidation sweep), the
-	// insert is dropped — the member responses are still served from the
-	// consistent old-epoch grid, it just never becomes resident.
-	insertOK := func() bool { return cat.epoch() == mv.epoch }
+	poisonCol := s.opt.Fault != nil && slices.ContainsFunc(members, func(t *task) bool {
+		return s.opt.Fault.ShouldPoisonCache(t.id)
+	})
 
 	start := time.Now()
-	shared, _, wholeHit, err := s.cache.do(mctx, unionKey, func(ctx context.Context) (*grid.Grid2D, uint64, error) {
-		return s.buildUnion(ctx, mv, cat, unionKey, poisonCol)
-	}, corrupt, insertOK)
+	shared, err := s.buildUnion(mctx, mv, cat, Key{Catalog: leader.key.Catalog, Spec: union}, poisonCol)
 	if err != nil {
 		s.failBatch(members, err)
 		return
@@ -200,7 +179,6 @@ func (s *Service) executeBatch(members []*task) {
 
 	for i, t := range members {
 		if t.ctx.Err() != nil {
-			s.expired.Add(1)
 			t.done <- taskResult{err: context.Cause(t.ctx)}
 			continue
 		}
@@ -212,31 +190,28 @@ func (s *Service) executeBatch(members []*task) {
 		t.done <- taskResult{resp: &Response{
 			Grid:     sliced,
 			Checksum: sliced.Checksum(),
-			CacheHit: wholeHit || i > 0,
+			CacheHit: i > 0,
 		}}
 	}
 }
 
 // buildUnion produces the union grid for a batch: pull every column the
 // family has cached, march only the cold runs, then publish the marched
-// columns back to the column cache. With the column cache disabled the
-// whole union is marched directly. All column traffic is pinned to the
+// columns back to the column cache (with the cache disabled every column
+// is cold and nothing is published). All column traffic is pinned to the
 // batch's mesh view: gets require the view's epoch tag and puts carry it
 // (guarded against publishing after a newer epoch landed), so the
-// assembled grid is a pure function of one mesh epoch.
-func (s *Service) buildUnion(ctx context.Context, mv *meshView, cat *catalog, key Key, poisonCol bool) (*grid.Grid2D, uint64, error) {
-	m := mv.m
+// assembled grid is a pure function of one mesh epoch. The union grid
+// itself is not stored anywhere: its columns are.
+func (s *Service) buildUnion(ctx context.Context, mv *meshView, cat *catalog, key Key, poisonCol bool) (*grid.Grid2D, error) {
+	s.unions.Add(1)
 	spec := key.Spec
-	if s.colcache == nil {
-		s.marches.Add(1)
-		s.coldCols.Add(uint64(spec.Nx))
-		out, _, err := m.RenderCtx(ctx, spec, s.opt.RenderWorkers, s.opt.Sched)
-		if err != nil {
-			return nil, 0, err
-		}
-		return out, out.Checksum(), nil
-	}
 
+	// The epoch guard: the batch marches mv; if the catalog has moved to a
+	// newer epoch by the time a column insert is attempted (evaluated under
+	// the cache lock, so ordered against the update's sweep), the insert is
+	// dropped — the members are still served the consistent old-epoch
+	// grid, its columns just never become resident.
 	insertOK := func() bool { return cat.epoch() == mv.epoch }
 	fam := render.FamilyOf(spec)
 	dst := spec.Grid()
@@ -259,25 +234,23 @@ func (s *Service) buildUnion(ctx context.Context, mv *meshView, cat *catalog, ke
 
 	if len(runs) > 0 {
 		s.marches.Add(1)
-		if _, err := m.RenderRunsCtx(ctx, spec, runs, dst, s.opt.RenderWorkers, s.opt.Sched); err != nil {
-			return nil, 0, err
+		if _, err := mv.m.RenderRunsCtx(ctx, spec, runs, dst, s.opt.RenderWorkers, s.opt.Sched); err != nil {
+			return nil, err
 		}
 		for _, r := range runs {
 			s.coldCols.Add(uint64(r.I1 - r.I0))
 			for i := r.I0; i < r.I1; i++ {
-				vals := dst.Column(i, nil)
-				s.colcache.put(colKey{Catalog: key.Catalog, Family: fam, Col: i}, vals, mv.epoch, insertOK)
+				ck := colKey{Catalog: key.Catalog, Family: fam, Col: i}
+				s.colcache.put(ck, dst.Column(i, nil), mv.epoch, insertOK)
 				if poisonCol && i == r.I0 {
-					// Fault injection: corrupt one marched column's *stored*
-					// copy in place after its checksum was recorded (cache
-					// rot); hit-time verification must catch it. dst itself
-					// stays pristine — Column handed put a private copy.
-					vals[len(vals)/2] = math.Float64frombits(math.Float64bits(vals[len(vals)/2]) ^ 1)
+					// Fault injection: the one poison path. dst itself stays
+					// pristine — Column handed put a private copy.
+					s.colcache.rot(ck)
 				}
 			}
 		}
 	}
-	return dst, dst.Checksum(), nil
+	return dst, nil
 }
 
 // failBatch resolves every member with the batch error, or with its own
@@ -285,7 +258,6 @@ func (s *Service) buildUnion(ctx context.Context, mv *meshView, cat *catalog, ke
 func (s *Service) failBatch(members []*task, err error) {
 	for _, t := range members {
 		if t.ctx.Err() != nil {
-			s.expired.Add(1)
 			t.done <- taskResult{err: context.Cause(t.ctx)}
 		} else {
 			t.done <- taskResult{err: err}

@@ -149,6 +149,54 @@ func TestCoalescedBitIdentical(t *testing.T) {
 			if st.ColHits == 0 {
 				t.Fatal("column cache never hit")
 			}
+
+			// The inline path: an exact repeat and a narrower, shorter
+			// window of the warm family are assembled on the calling
+			// goroutine (no batch, no march) with the direct render's bits.
+			serveDirect := func(spec render.Spec) (*Response, Stats) {
+				t.Helper()
+				g, _, err := m.Render(spec, 1, render.ScheduleDynamic)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := s.Serve(context.Background(), Request{Catalog: name, Spec: spec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.Checksum != g.Checksum() || resp.Grid.Checksum() != g.Checksum() {
+					t.Fatalf("%dx%d: served bits differ from direct render", spec.Nx, spec.Ny)
+				}
+				return resp, s.Stats()
+			}
+			narrow := fresh
+			narrow.Nx, narrow.Ny = 20, 30
+			for _, spec := range []render.Spec{fresh, narrow} {
+				resp, after := serveDirect(spec)
+				if !resp.CacheHit || after.Batches != st.Batches || after.ColdColumns != st.ColdColumns {
+					t.Fatalf("%dx%d on a warm family was not served inline: hit=%v batches %d→%d",
+						spec.Nx, spec.Ny, resp.CacheHit, st.Batches, after.Batches)
+				}
+				if after.CacheHits != st.CacheHits+1 {
+					t.Fatalf("inline hit not counted: CacheHits %d→%d", st.CacheHits, after.CacheHits)
+				}
+				st = after
+			}
+			// A window straddling warm and cold columns must queue, and
+			// march exactly the cold ones; the inline probe that fell
+			// through must not have touched the hit counters.
+			wide := fresh
+			wide.Nx, wide.Ny = 52, 48
+			resp, after := serveDirect(wide)
+			if resp.CacheHit || after.Batches != st.Batches+1 {
+				t.Fatalf("straddling window did not queue: hit=%v batches %d→%d", resp.CacheHit, st.Batches, after.Batches)
+			}
+			if cold := after.ColdColumns - st.ColdColumns; cold != 4 {
+				t.Fatalf("straddling window marched %d columns, want the 4 cold ones", cold)
+			}
+			if hits, miss := after.ColHits-st.ColHits, after.ColMisses-st.ColMisses; hits != 48 || miss != 4 {
+				t.Fatalf("straddling window moved column counters by %d hits / %d misses, want 48 / 4 (the batch's own)", hits, miss)
+			}
+			st = after
 			t.Logf("%s: batches=%d batched=%d coalesced=%d marches=%d coldCols=%d colHits=%d",
 				name, st.Batches, st.BatchedReqs, st.Coalesced, st.Marches, st.ColdColumns, st.ColHits)
 		})
@@ -246,6 +294,197 @@ func TestBatchLeaderCancelPromotesFollower(t *testing.T) {
 	}
 }
 
+// TestChaosSingleFlightColdStorm: 16 concurrent identical requests for a
+// cold family march it exactly once. Whichever way they interleave — one
+// batch, a batch plus followers parked on the family lock, late arrivals
+// assembled inline — the family lock is the single-flight.
+func TestChaosSingleFlightColdStorm(t *testing.T) {
+	pts := testPoints(600, 13)
+	s := New(Options{Workers: 4, QueueDepth: 32})
+	defer s.Close()
+	if err := s.Register("halos", pts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: testSpec(8, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	st0 := s.Stats()
+	spec := testSpec(96, 1)
+	want := directChecksum(t, pts, spec)
+
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: spec})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if resp.Checksum != want || resp.Grid.Checksum() != want {
+				t.Error("served bits differ from direct render")
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	st := s.Stats()
+	if st.Marches != st0.Marches+1 || st.ColdColumns != st0.ColdColumns+uint64(spec.Nx) {
+		t.Fatalf("16 identical cold requests: %d marches over %d columns, want 1 over %d",
+			st.Marches-st0.Marches, st.ColdColumns-st0.ColdColumns, spec.Nx)
+	}
+}
+
+// TestChaosCancelledLeaderFollowerMarches: a same-family request parked on
+// the family lock behind a batch whose only member is cancelled does not
+// inherit the failure — it is claimed next, marches itself, and is correct.
+func TestChaosCancelledLeaderFollowerMarches(t *testing.T) {
+	pts := testPoints(2500, 7)
+	s := New(Options{Workers: 2, QueueDepth: 8})
+	defer s.Close()
+	if err := s.Register("halos", pts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: testSpec(8, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	st0 := s.Stats()
+	waitFor := func(what string, cond func(Stats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for !cond(s.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never happened", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	leaderSpec := testSpec(1024, 1)
+	leaderSpec.Samples = 2
+	followerSpec := leaderSpec
+	followerSpec.Nx, followerSpec.Ny = 24, 24
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := s.Serve(leaderCtx, Request{Catalog: "halos", Spec: leaderSpec})
+		leaderDone <- err
+	}()
+	// Batches rises only after the batch's membership is closed, so the
+	// follower below cannot join the leader's batch.
+	waitFor("leader march", func(st Stats) bool { return st.Batches == st0.Batches+1 })
+	followerDone := make(chan taskResult, 1)
+	go func() {
+		resp, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: followerSpec})
+		followerDone <- taskResult{resp: resp, err: err}
+	}()
+	// The second worker is idle, yet the follower stays queued: its family
+	// is in flight.
+	waitFor("follower parked", func(st Stats) bool { return st.QueueLen == 1 })
+	cancelLeader()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader returned %v", err)
+	}
+	var fr taskResult
+	select {
+	case fr = <-followerDone:
+	case <-time.After(60 * time.Second):
+		t.Fatal("follower lost after its family's leader was cancelled")
+	}
+	if fr.err != nil {
+		t.Fatalf("follower: %v", fr.err)
+	}
+	if want := directChecksum(t, pts, followerSpec); fr.resp.Checksum != want || fr.resp.Grid.Checksum() != want {
+		t.Fatal("follower served wrong bits")
+	}
+	st := s.Stats()
+	if fr.resp.CacheHit || st.ColdColumns != st0.ColdColumns+uint64(followerSpec.Nx) {
+		t.Fatalf("follower did not march its own %d columns: hit=%v cold columns %d→%d",
+			followerSpec.Nx, fr.resp.CacheHit, st0.ColdColumns, st.ColdColumns)
+	}
+	if st.Batches != st0.Batches+2 || st.Expired != st0.Expired+1 {
+		t.Fatalf("want two batches and one expiry: %+v", st)
+	}
+}
+
+// TestChaosMixedSoakNoLeak hammers one small service for two seconds from
+// many goroutines mixing inline hits, batch assemblies, cold marches,
+// evictions (the column budget holds about two of the six families),
+// cancellations and sheds. Every served grid matches its spec's direct
+// render, residency never exceeds the budget, and Close leaves no
+// goroutine behind.
+func TestChaosMixedSoakNoLeak(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	pts := testPoints(400, 17)
+	const budget = 2 * 32 * 32
+	s := New(Options{Workers: 2, QueueDepth: 8, ColumnCacheCells: budget, MaxBatch: 4})
+	if err := s.Register("halos", pts); err != nil {
+		t.Fatal(err)
+	}
+	m := directMarcher(t, pts)
+	var specs []render.Spec
+	want := make(map[render.Spec]uint64)
+	for seed := int64(0); seed < 6; seed++ {
+		for _, e := range [][2]int{{32, 32}, {20, 28}, {28, 12}} {
+			spec := testSpec(32, seed)
+			spec.Nx, spec.Ny = e[0], e[1]
+			g, _, err := m.Render(spec, 1, render.ScheduleDynamic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs = append(specs, spec)
+			want[spec] = g.Checksum()
+		}
+	}
+
+	stop := time.Now().Add(2 * time.Second)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			x := uint64(w + 1)
+			for time.Now().Before(stop) {
+				x = x*6364136223846793005 + 1442695040888963407
+				spec := specs[int(x>>33)%len(specs)]
+				ctx, cancel := context.WithCancel(context.Background())
+				if x>>20&7 == 0 {
+					time.AfterFunc(time.Duration(x>>40%200)*time.Microsecond, cancel)
+				}
+				resp, err := s.Serve(ctx, Request{Catalog: "halos", Spec: spec})
+				switch {
+				case err == nil:
+					if resp.Checksum != want[spec] || resp.Grid.Checksum() != want[spec] {
+						t.Errorf("%dx%d seed %d: served bits differ from direct render", spec.Nx, spec.Ny, spec.Seed)
+					}
+				case errors.Is(err, ErrOverloaded), ctx.Err() != nil:
+				default:
+					t.Errorf("unexpected error %v", err)
+				}
+				cancel()
+				if st := s.Stats(); st.ColCells > budget {
+					t.Errorf("residency %d cells exceeds the %d-cell budget", st.ColCells, budget)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := s.Stats()
+	t.Logf("soak: served=%d inline=%d batches=%d marches=%d colEvicted=%d shed=%d expired=%d",
+		st.Served, st.CacheHits, st.Batches, st.Marches, st.ColEvicted, st.Shed, st.Expired)
+	if st.CacheHits == 0 || st.ColdColumns == 0 || st.ColEvicted == 0 {
+		t.Fatalf("soak failed to exercise inline hits, marches and eviction: %+v", st)
+	}
+
+	s.Close()
+	waitNoLeak(t, baseline)
+}
+
 // TestServeOverlapStormSmoke drives the service with the fault package's
 // overlap-shaped workload (80% of requests drawn from 3 hot spec
 // families with varied extents) — the coalescing analogue of the PR 7
@@ -337,60 +576,7 @@ func TestServeOverlapStormSmoke(t *testing.T) {
 	}
 
 	s.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= baseline+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutine leak: %d now vs %d baseline\n%s",
-				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestCacheCatalogQuota: under eviction pressure, a catalog over its
-// share evicts its own LRU entries, never another catalog's.
-func TestCacheCatalogQuota(t *testing.T) {
-	c := newTileCache(4, 2)
-	put := func(cat string, seed int64) Key {
-		key := Key{Catalog: cat, Spec: testSpec(8, seed)}
-		g := fillGrid(key)
-		c.mu.Lock()
-		c.insertLocked(key, g, g.Checksum())
-		c.mu.Unlock()
-		return key
-	}
-	a1 := put("a", 1)
-	a2 := put("a", 2)
-	b1 := put("b", 1)
-	a3 := put("a", 3) // cache has free space: "a" may exceed its share
-	for _, k := range []Key{a1, a2, b1, a3} {
-		if _, _, ok := c.peek(k); !ok {
-			t.Fatalf("entry %+v missing before pressure", k.Spec.Seed)
-		}
-	}
-	a4 := put("a", 4) // full: "a" over quota must evict its own LRU (a1)
-	if _, _, ok := c.peek(a1); ok {
-		t.Fatal("hot catalog's own LRU entry survived")
-	}
-	for _, k := range []Key{a2, b1, a3, a4} {
-		if _, _, ok := c.peek(k); !ok {
-			t.Fatalf("entry cat=%s seed=%d wrongly evicted", k.Catalog, k.Spec.Seed)
-		}
-	}
-	// "b" under quota at a full cache evicts globally (the true LRU,
-	// which by now is a2 — peeks above refreshed recency in order).
-	put("b", 2)
-	if _, _, ok := c.peek(a2); ok {
-		t.Fatal("global LRU survived an under-quota insert")
-	}
-	if _, _, ok := c.peek(b1); !ok {
-		t.Fatal("other catalog's entry evicted by an under-quota insert")
-	}
+	waitNoLeak(t, baseline)
 }
 
 // TestColCache covers the column cache: prefix hits, short-entry misses,
@@ -427,19 +613,23 @@ func TestColCache(t *testing.T) {
 	}
 
 	// Budget eviction: 100-cell budget, 20 resident + 5×20 more → the
-	// oldest columns leave and the budget holds.
+	// least recently used column leaves and the budget holds; a hit
+	// refreshes recency, so column 0 (touched after 1 went in) outlives 1.
 	for i := 1; i <= 5; i++ {
 		c.put(key("a", i), colVals(20, float64(i)), 0, nil)
+		if i == 1 {
+			c.get(key("a", 0), 20, 0)
+		}
 	}
 	st := c.stats()
-	if st.Cells > 100 {
-		t.Fatalf("budget exceeded: %+v", st)
+	if st.Cells != 100 || st.Entries != 5 || st.Evicted != 1 {
+		t.Fatalf("want a full budget and one eviction: %+v", st)
 	}
-	if st.Evicted == 0 {
-		t.Fatal("over-budget inserts evicted nothing")
-	}
-	if _, ok := c.get(key("a", 0), 1, 0); ok {
+	if _, ok := c.get(key("a", 1), 1, 0); ok {
 		t.Fatal("LRU column survived budget pressure")
+	}
+	if _, ok := c.get(key("a", 0), 1, 0); !ok {
+		t.Fatal("recently used column evicted")
 	}
 
 	// Poison detection: corrupt a resident column in place.

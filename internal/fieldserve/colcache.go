@@ -2,6 +2,7 @@ package fieldserve
 
 import (
 	"container/list"
+	"math"
 	"sync"
 
 	"godtfe/internal/delaunay"
@@ -39,18 +40,22 @@ type colEntry struct {
 	elem  *list.Element
 }
 
-// colCache is the column-granular render cache beneath the batcher,
-// budgeted in cells (float64s) rather than entries so tall and short
-// columns are accounted honestly. It applies the same two disciplines as
-// the grid cache: hit-time checksum verification (a corrupted column is
-// evicted and re-marched, never served), and an elastic per-catalog quota
-// (catBudget cells, 0 disables) enforced only under eviction pressure.
+// colCache is the service's one cache — a whole grid is a run of columns,
+// and a degraded grid a run of columns of a coarser family — budgeted in
+// cells (float64s) rather than entries so tall and short columns are
+// accounted honestly. Two disciplines hold on every read: hit-time checksum
+// verification (a corrupted column is evicted and re-marched, never
+// served), and an elastic per-catalog quota (catBudget cells, 0 disables)
+// enforced only under eviction pressure — a catalog may grow past its share
+// while the cache has free space, but once it is full an insert for a
+// catalog over its share evicts that catalog's own LRU column, so one hot
+// catalog can never drain every other catalog's entries.
 //
 // A lookup needs the column's rows 0..ny-1; a cached column taller than ny
 // serves the request as a prefix, and a shorter one is a miss (the caller
 // re-marches the full height and the taller result replaces it). A nil
-// *colCache is a valid "caching disabled" cache: get always misses and put
-// is a no-op.
+// *colCache is a valid "caching disabled" cache: get and assemble always
+// miss and put is a no-op.
 type colCache struct {
 	mu        sync.Mutex
 	budget    int
@@ -88,19 +93,83 @@ func (c *colCache) get(key colKey, ny int, epoch uint64) ([]float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
-	if !ok || len(e.vals) < ny || e.epoch != epoch {
-		c.misses++
-		return nil, false
-	}
-	if grid.ChecksumBits(e.vals) != e.sum {
-		c.poisoned++
-		c.removeLocked(e)
+	if !ok || len(e.vals) < ny || e.epoch != epoch || !c.verifiedLocked(e) {
 		c.misses++
 		return nil, false
 	}
 	c.order.MoveToFront(e.elem)
 	c.hits++
 	return e.vals[:ny], true
+}
+
+// verifiedLocked re-hashes a resident column against the checksum recorded
+// at insert. A mismatch means the entry was corrupted after it was stored
+// (cache rot): it is evicted and counted, and the caller sees a miss.
+func (c *colCache) verifiedLocked(e *colEntry) bool {
+	if grid.ChecksumBits(e.vals) == e.sum {
+		return true
+	}
+	c.poisoned++
+	c.removeLocked(e)
+	return false
+}
+
+// assemble is the resident-only lookup behind the inline fast path and
+// the degrade ladder: spec's grid built from cached columns of its family
+// at epoch — all Nx columns present, tall enough, epoch-tagged and
+// checksum-verified — or nil. It never marches and never queues. Presence,
+// height and epoch of every column are checked before any values are
+// hashed, and the hit counters move only on a commit, so a partly-warm
+// request costs Nx map lookups and leaves the hit ratio to the batch that
+// will serve it. The whole probe runs under the cache lock, which is what
+// makes the result a pure function of one epoch: an update's sweep
+// re-tags or evicts a catalog's columns atomically with respect to it.
+func (c *colCache) assemble(catalog string, spec render.Spec, epoch uint64) *grid.Grid2D {
+	if c == nil {
+		return nil
+	}
+	key := colKey{Catalog: catalog, Family: render.FamilyOf(spec)}
+	var cols []*colEntry // allocated once column 0 is in: a cold family costs one lookup
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := 0; i < spec.Nx; i++ {
+		key.Col = i
+		e, ok := c.entries[key]
+		if !ok || len(e.vals) < spec.Ny || e.epoch != epoch {
+			return nil
+		}
+		if cols == nil {
+			cols = make([]*colEntry, spec.Nx)
+		}
+		cols[i] = e
+	}
+	for _, e := range cols {
+		if !c.verifiedLocked(e) {
+			return nil
+		}
+	}
+	out := spec.Grid()
+	for i, e := range cols {
+		out.SetColumn(i, e.vals[:spec.Ny])
+		c.order.MoveToFront(e.elem)
+	}
+	c.hits += uint64(len(cols))
+	return out
+}
+
+// rot flips one mantissa bit of a resident column in place, after its
+// checksum was recorded (fault injection); hit-time verification must
+// catch it.
+func (c *colCache) rot(key colKey) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
+		i := len(e.vals) / 2
+		e.vals[i] = math.Float64frombits(math.Float64bits(e.vals[i]) ^ 1)
+	}
 }
 
 // put inserts a freshly marched column. vals is adopted, not copied — the
@@ -179,7 +248,7 @@ func (c *colCache) removeLocked(e *colEntry) {
 
 // victimLocked picks the eviction victim for an insert by owner: the
 // owner's own LRU column when the owner is over its cell quota, the global
-// LRU column otherwise (the same elastic rule as tileCache.victimLocked).
+// LRU column otherwise.
 func (c *colCache) victimLocked(owner string) *colEntry {
 	if c.catBudget > 0 && c.perCat[owner] > c.catBudget {
 		for el := c.order.Back(); el != nil; el = el.Prev() {

@@ -14,13 +14,13 @@
 //     sheds load explicitly with a typed *OverloadError carrying a
 //     retry-after hint; it never queues unboundedly and never blocks the
 //     caller on a full queue.
-//   - Before shedding, the service tries graceful degradation: if a
-//     coarser rendering of the same field is already cached it is served
-//     immediately, flagged Degraded, instead of an error.
-//   - Rendered grids are cached in an LRU keyed by (catalog, spec) with
-//     single-flight fill, and every cache hit is re-verified against the
-//     grid's FNV-1a checksum, so a poisoned entry is detected, evicted,
-//     and recomputed rather than served.
+//   - Before shedding, the service tries graceful degradation: if the
+//     columns of a coarser rendering of the same field are resident it is
+//     assembled and served immediately, flagged Degraded, instead of an
+//     error.
+//   - Marched columns are cached in one LRU; every read re-verifies the
+//     column's FNV-1a checksum, so a poisoned entry is detected, evicted,
+//     and re-marched rather than served.
 package fieldserve
 
 import (

@@ -27,9 +27,6 @@ type Options struct {
 	// request arriving at a full queue is degraded or shed, never
 	// queued unboundedly.
 	QueueDepth int
-	// CacheEntries is the LRU grid-cache capacity (default 64; 0 uses
-	// the default, negative disables caching).
-	CacheEntries int
 	// MaxDegrade is the deepest coarsening level the degrade ladder
 	// tries before shedding (default 2; negative disables degradation).
 	MaxDegrade int
@@ -52,12 +49,12 @@ type Options struct {
 	// MaxBatch bounds how many requests one shared march may serve
 	// (default 16; negative means 1, i.e. no batching beyond the leader).
 	MaxBatch int
-	// ColumnCacheCells budgets the column-granular render cache in grid
-	// cells (default 1<<20 ≈ 8 MB of float64s; 0 uses the default,
-	// negative disables the column cache).
+	// ColumnCacheCells budgets the column cache — the service's only
+	// cache — in grid cells (default 1<<20 ≈ 8 MB of float64s; 0 uses the
+	// default, negative disables caching).
 	ColumnCacheCells int
-	// CatalogCacheShare is the fraction of either cache one catalog may
-	// occupy before eviction pressure turns on it (its own LRU entries
+	// CatalogCacheShare is the fraction of the column cache one catalog
+	// may occupy before eviction pressure turns on it (its own LRU columns
 	// are evicted instead of other catalogs'). Default 0.5; negative
 	// disables the quota. The quota is elastic: with free space a
 	// catalog may exceed its share.
@@ -75,18 +72,19 @@ type Request struct {
 	Spec    render.Spec
 }
 
-// Response is one served grid. Grid is an immutable shared asset — it
-// may be resident in the cache and concurrently handed to other callers,
-// so callers must not mutate it (Clone first if needed).
+// Response is one served grid. Grid is the caller's own: every response is
+// a fresh assembly or slice, never a pointer the service retains.
 type Response struct {
 	Grid     *grid.Grid2D
 	Checksum uint64
-	// CacheHit reports the grid came from a warm source: the whole-grid
-	// cache, or another request's shared march (batch followers).
+	// CacheHit reports the request paid for no march of its own: it was
+	// assembled inline from resident columns, or sliced out of another
+	// request's shared march (batch followers).
 	CacheHit bool
 	// Degraded reports the service was overloaded and served a coarser
-	// cached rendering of the same field instead of shedding;
-	// DegradeLevel is the power-of-two coarsening applied.
+	// rendering of the same field, assembled from resident columns of the
+	// coarser family, instead of shedding; DegradeLevel is the
+	// power-of-two coarsening applied.
 	Degraded     bool
 	DegradeLevel int
 }
@@ -99,11 +97,15 @@ type Stats struct {
 	Expired   uint64 // requests whose context died before/while rendering
 	Builds    uint64 // Delaunay+field builds performed (once per catalog)
 	BuildNs   uint64 // cumulative wall time of those cold builds, in ns
-	CacheHits uint64
-	CacheMiss uint64
-	Evicted   uint64
-	Poisoned  uint64 // poisoned entries caught by hit-time verification
-	Deduped   uint64 // requests coalesced onto an identical in-flight fill
+	CacheHits uint64 // requests answered by inline column assembly, incl. degraded
+	CacheMiss uint64 // batches that ran buildUnion
+
+	// Evicted, Poisoned and EvictedByUpdate counted the whole-grid cache,
+	// which no longer exists; they are always 0 and stay only because the
+	// frozen bench/e2e harness reads them. Col* below are the live ones.
+	Evicted         uint64
+	Poisoned        uint64
+	EvictedByUpdate uint64
 
 	// Batching counters (the plan-based coalescing layer).
 	Batches      uint64 // shared-march batches executed
@@ -122,10 +124,9 @@ type Stats struct {
 	ColEntries  int
 
 	// Delta-update counters (Service.Update).
-	Updates         uint64 // accepted catalog updates, incl. pre-build edits
-	DirtyColumns    uint64 // column-cache entries evicted as dirty by updates
-	EvictedByUpdate uint64 // whole-grid cache entries evicted by update sweeps
-	Epochs          uint64 // highest mesh epoch reached by any catalog
+	Updates      uint64 // accepted catalog updates, incl. pre-build edits
+	DirtyColumns uint64 // column-cache entries evicted as dirty by updates
+	Epochs       uint64 // highest mesh epoch reached by any catalog
 
 	QueueLen int
 	Active   int // workers currently executing a batch
@@ -159,7 +160,7 @@ type catalog struct {
 	err      error
 
 	// umu serializes updates: ApplyDelta, the view swap, and the cache
-	// sweeps happen under it, so epochs are totally ordered per catalog.
+	// sweep happen under it, so epochs are totally ordered per catalog.
 	umu  sync.Mutex
 	view atomic.Pointer[meshView]
 }
@@ -170,6 +171,15 @@ func (c *catalog) epoch() uint64 {
 		return v.epoch
 	}
 	return 0
+}
+
+// Key identifies one rendering: a registered catalog plus the full render
+// spec. render.Spec is a flat comparable struct, so Key is usable directly
+// as a map key; with the spec's extents zeroed (famKey) it names a
+// coalescing family.
+type Key struct {
+	Catalog string
+	Spec    render.Spec
 }
 
 type task struct {
@@ -187,16 +197,18 @@ type taskResult struct {
 // Service is the resident field server. Create with New, populate with
 // Register, serve with Serve, shut down with Close.
 //
-// Serving is plan-based: workers claim a queued request as a batch
-// leader, optionally wait BatchWindow for followers, gather every queued
-// request in the same coalescing family (same catalog, same
-// origin/spacing/jitter — see render.FamilyOf), and execute ONE march
-// over the union extent, slicing each requester's grid out of the shared
-// result. An in-flight family lock serializes batches of the same family,
-// so concurrent overlapping traffic never marches the same columns twice.
+// While nothing is queued, a request whose columns are all resident is
+// assembled inline on the calling goroutine. Everything else is plan-based:
+// workers claim a queued request as a batch leader, optionally wait
+// BatchWindow for followers,
+// gather every queued request in the same coalescing family (same catalog,
+// same origin/spacing/jitter — see render.FamilyOf), and execute ONE march
+// over the union extent's cold columns, slicing each requester's grid out
+// of the shared result. An in-flight family lock serializes batches of the
+// same family — it is the service's single-flight — so concurrent
+// overlapping traffic never marches the same columns twice.
 type Service struct {
 	opt      Options
-	cache    *tileCache
 	colcache *colCache
 	quit     chan struct{}
 	wg       sync.WaitGroup
@@ -217,9 +229,10 @@ type Service struct {
 
 	served, shed, degraded, expired, builds   atomic.Uint64
 	buildNs                                   atomic.Uint64
+	inlineHits, unions                        atomic.Uint64
 	batches, batchedReqs, coalesced, maxBatch atomic.Uint64
 	marches, coldCols                         atomic.Uint64
-	updates, dirtyCols, updEvicted, epochs    atomic.Uint64
+	updates, dirtyCols, epochs                atomic.Uint64
 	active                                    atomic.Int64
 }
 
@@ -231,12 +244,6 @@ func New(opt Options) *Service {
 	}
 	if opt.QueueDepth <= 0 {
 		opt.QueueDepth = 2 * opt.Workers
-	}
-	if opt.CacheEntries == 0 {
-		opt.CacheEntries = 64
-	}
-	if opt.CacheEntries < 0 {
-		opt.CacheEntries = 0
 	}
 	if opt.MaxDegrade == 0 {
 		opt.MaxDegrade = 2
@@ -265,19 +272,9 @@ func New(opt Options) *Service {
 	if opt.CatalogCacheShare < 0 || opt.CatalogCacheShare > 1 {
 		opt.CatalogCacheShare = 0 // quota off
 	}
-	gridQuota := 0
-	colQuota := 0
-	if opt.CatalogCacheShare > 0 {
-		gridQuota = int(opt.CatalogCacheShare * float64(opt.CacheEntries))
-		if gridQuota < 1 {
-			gridQuota = 1
-		}
-		colQuota = int(opt.CatalogCacheShare * float64(opt.ColumnCacheCells))
-	}
 	s := &Service{
 		opt:      opt,
-		cache:    newTileCache(opt.CacheEntries, gridQuota),
-		colcache: newColCache(opt.ColumnCacheCells, colQuota),
+		colcache: newColCache(opt.ColumnCacheCells, int(opt.CatalogCacheShare*float64(opt.ColumnCacheCells))),
 		quit:     make(chan struct{}),
 		inflight: make(map[Key]bool),
 		catalogs: make(map[string]*catalog),
@@ -314,12 +311,14 @@ func (s *Service) Register(name string, pts []geom.Vec3) error {
 	return nil
 }
 
-// Serve renders req under ctx. Exact cache hits are served inline from
-// the calling goroutine; misses go through the bounded admission queue
-// and the batching planner. On overload it returns a degraded cached
-// response when one exists, otherwise a typed *OverloadError. A cancelled
-// ctx aborts the request; the shared march it may be part of continues as
-// long as any other batch member is still alive.
+// Serve renders req under ctx. With nothing queued, a request whose every
+// column is resident — an exact repeat, a sub-extent of a warm family, a
+// prefix of taller cached columns — is assembled inline; anything with a
+// cold column, and everything arriving behind a backlog, goes through the
+// bounded admission queue and the batching planner. On overload it
+// returns a degraded response when the degrade ladder has one, otherwise a
+// typed *OverloadError. A cancelled ctx aborts the request; the shared march
+// it may be part of continues as long as any other batch member is alive.
 func (s *Service) Serve(ctx context.Context, req Request) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -329,19 +328,20 @@ func (s *Service) Serve(ctx context.Context, req Request) (*Response, error) {
 	}
 	s.mu.RLock()
 	closed := s.closed
-	_, known := s.catalogs[req.Catalog]
+	cat := s.catalogs[req.Catalog]
 	s.mu.RUnlock()
 	if closed {
 		return nil, ErrClosed
 	}
-	if !known {
+	if cat == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownCatalog, req.Catalog)
 	}
 
 	key := Key{Catalog: req.Catalog, Spec: req.Spec}
-	if g, sum, ok := s.cache.peek(key); ok {
-		s.served.Add(1)
-		return &Response{Grid: g, Checksum: sum, CacheHit: true}, nil
+	if s.queueLen() == 0 {
+		if resp := s.resident(cat, key); resp != nil {
+			return resp, nil
+		}
 	}
 
 	t := &task{ctx: ctx, id: s.reqID.Add(1), key: key, done: make(chan taskResult, 1)}
@@ -353,15 +353,21 @@ func (s *Service) Serve(ctx context.Context, req Request) (*Response, error) {
 	if len(s.q) >= s.opt.QueueDepth {
 		depth := len(s.q)
 		s.qmu.Unlock()
-		return s.degradeOrShed(key, depth)
+		return s.degradeOrShed(cat, key, depth)
 	}
 	s.q = append(s.q, t)
 	s.qcond.Broadcast()
 	s.qmu.Unlock()
 
+	// Expired is counted here and nowhere else: every admitted request
+	// leaves through exactly one of these arms, whichever side noticed the
+	// dead context first.
 	select {
 	case r := <-t.done:
 		if r.err != nil {
+			if ctx.Err() != nil {
+				s.expired.Add(1)
+			}
 			return nil, r.err
 		}
 		s.served.Add(1)
@@ -374,18 +380,63 @@ func (s *Service) Serve(ctx context.Context, req Request) (*Response, error) {
 	}
 }
 
-// degradeOrShed is the full-queue path: serve the nearest coarser cached
-// rendering of the same field, or shed with a retry-after hint.
-func (s *Service) degradeOrShed(key Key, depth int) (*Response, error) {
+// queueLen is the number of admitted requests no worker has claimed yet.
+// While it is non-zero no arrival takes the inline path: a warm request
+// would overtake the queue, and under sustained overload warm traffic would
+// be served at the offered rate whatever the workers manage, leaving the
+// queue nothing but marches. Queued, it costs a worker one assembly.
+func (s *Service) queueLen() int {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	return len(s.q)
+}
+
+// resident answers key from the calling goroutine when every column it
+// needs is cached at the catalog's current epoch, and returns nil
+// otherwise. It never marches and never queues.
+func (s *Service) resident(cat *catalog, key Key) *Response {
+	g := s.colcache.assemble(key.Catalog, key.Spec, cat.epoch())
+	if g == nil {
+		return nil
+	}
+	s.inlineHits.Add(1)
+	s.served.Add(1)
+	return &Response{Grid: g, Checksum: g.Checksum(), CacheHit: true}
+}
+
+// Coarsen returns the spec one or more power-of-two levels coarser than
+// spec over the same physical domain: Nx and Ny halved per level, Cell
+// doubled, jitter settings unchanged. The second result is false when the
+// shape does not divide evenly (degradation must cover the identical
+// domain, or the fallback would lie about the field's support).
+func Coarsen(spec render.Spec, level int) (render.Spec, bool) {
+	if level <= 0 {
+		return spec, level == 0
+	}
+	f := 1 << uint(level)
+	if spec.Nx%f != 0 || spec.Ny%f != 0 || spec.Nx/f < 1 || spec.Ny/f < 1 {
+		return render.Spec{}, false
+	}
+	c := spec
+	c.Nx /= f
+	c.Ny /= f
+	c.Cell *= float64(f)
+	return c, true
+}
+
+// degradeOrShed is the full-queue path: walk the degrade ladder — the
+// same field in a coarser family, resident columns only — or shed with a
+// retry-after hint.
+func (s *Service) degradeOrShed(cat *catalog, key Key, depth int) (*Response, error) {
 	for level := 1; level <= s.opt.MaxDegrade; level++ {
 		coarse, ok := Coarsen(key.Spec, level)
 		if !ok {
 			break
 		}
-		if g, sum, hit := s.cache.peek(Key{Catalog: key.Catalog, Spec: coarse}); hit {
+		if resp := s.resident(cat, Key{Catalog: key.Catalog, Spec: coarse}); resp != nil {
 			s.degraded.Add(1)
-			s.served.Add(1)
-			return &Response{Grid: g, Checksum: sum, CacheHit: true, Degraded: true, DegradeLevel: level}, nil
+			resp.Degraded, resp.DegradeLevel = true, level
+			return resp, nil
 		}
 	}
 	s.shed.Add(1)
@@ -497,11 +548,11 @@ func (s *Service) viewFor(ctx context.Context, name string) (*meshView, *catalog
 
 // Update applies an incremental delta to a registered catalog via
 // delaunay.ApplyDelta. Updates on one catalog are serialized; each
-// successful update publishes a new mesh epoch and sweeps both caches.
+// successful update publishes a new mesh epoch and sweeps the column cache.
 //
-// Ordering is the crux: the new view is stored BEFORE the sweeps, so from
+// Ordering is the crux: the new view is stored BEFORE the sweep, so from
 // that instant every cache insert by a still-running old-epoch batch is
-// rejected by the epoch guard — anything the sweeps cannot see (because
+// rejected by the epoch guard — anything the sweep cannot see (because
 // it is not inserted yet) is already unstorable. In-flight old-epoch
 // batches keep rendering their retained view (copy-on-write keeps it
 // consistent) and either complete with a pure old-epoch response or die
@@ -565,11 +616,9 @@ func (s *Service) Update(ctx context.Context, name string, d delaunay.Delta) (*d
 	nv := &meshView{m: render.NewMarcher(f), tri: tri, epoch: old.epoch + 1}
 
 	cat.view.Store(nv) // publish first; see ordering note above
-	s.bumpEpochs(nv.epoch)
-	ev := s.cache.invalidate(name, st)
+	atomicMax(&s.epochs, nv.epoch)
 	dirty := s.colcache.invalidate(name, st, nv.epoch)
 	s.updates.Add(1)
-	s.updEvicted.Add(uint64(ev))
 	s.dirtyCols.Add(uint64(dirty))
 	return st, nil
 }
@@ -609,35 +658,19 @@ func editPoints(pts []geom.Vec3, d delaunay.Delta) ([]geom.Vec3, *delaunay.Delta
 	}, nil
 }
 
-// bumpEpochs tracks the highest epoch reached by any catalog.
-func (s *Service) bumpEpochs(e uint64) {
+// atomicMax raises a to v if v is larger.
+func atomicMax(a *atomic.Uint64, v uint64) {
 	for {
-		old := s.epochs.Load()
-		if e <= old || s.epochs.CompareAndSwap(old, e) {
+		old := a.Load()
+		if v <= old || a.CompareAndSwap(old, v) {
 			return
 		}
 	}
 }
 
-// poisonGrid returns a corrupted private copy for the cache: one cell's
-// low mantissa bit flipped, which hit-time checksum verification must
-// catch. The caller's pristine grid is untouched.
-func poisonGrid(g *grid.Grid2D) *grid.Grid2D {
-	bad := g.Clone()
-	if len(bad.Data) > 0 {
-		i := len(bad.Data) / 2
-		bad.Data[i] = math.Float64frombits(math.Float64bits(bad.Data[i]) ^ 1)
-	}
-	return bad
-}
-
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
-	cs := s.cache.stats()
 	cc := s.colcache.stats()
-	s.qmu.Lock()
-	depth := len(s.q)
-	s.qmu.Unlock()
 	return Stats{
 		Served:    s.served.Load(),
 		Shed:      s.shed.Load(),
@@ -645,11 +678,8 @@ func (s *Service) Stats() Stats {
 		Expired:   s.expired.Load(),
 		Builds:    s.builds.Load(),
 		BuildNs:   s.buildNs.Load(),
-		CacheHits: cs.Hits,
-		CacheMiss: cs.Misses,
-		Evicted:   cs.Evicted,
-		Poisoned:  cs.Poisoned,
-		Deduped:   cs.Dedup,
+		CacheHits: s.inlineHits.Load(),
+		CacheMiss: s.unions.Load(),
 
 		Batches:      s.batches.Load(),
 		BatchedReqs:  s.batchedReqs.Load(),
@@ -665,12 +695,11 @@ func (s *Service) Stats() Stats {
 		ColCells:    cc.Cells,
 		ColEntries:  cc.Entries,
 
-		Updates:         s.updates.Load(),
-		DirtyColumns:    s.dirtyCols.Load(),
-		EvictedByUpdate: s.updEvicted.Load(),
-		Epochs:          s.epochs.Load(),
+		Updates:      s.updates.Load(),
+		DirtyColumns: s.dirtyCols.Load(),
+		Epochs:       s.epochs.Load(),
 
-		QueueLen: depth,
+		QueueLen: s.queueLen(),
 		Active:   int(s.active.Load()),
 	}
 }

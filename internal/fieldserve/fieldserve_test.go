@@ -3,6 +3,7 @@ package fieldserve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +36,26 @@ func testSpec(n int, seed int64) render.Spec {
 	}
 }
 
+// waitNoLeak fails the test unless the goroutine count returns to the
+// baseline taken before the service was created (everything a closed
+// service started must unwind).
+func waitNoLeak(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		if n := runtime.NumGoroutine(); n <= baseline+2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutine leak: %d now vs %d baseline\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // directChecksum renders spec outside the service, from the same points,
 // for bit-identity checks.
 func directChecksum(t testing.TB, pts []geom.Vec3, spec render.Spec) uint64 {
@@ -54,12 +75,38 @@ func directChecksum(t testing.TB, pts []geom.Vec3, spec render.Spec) uint64 {
 	return g.Checksum()
 }
 
+func TestCoarsen(t *testing.T) {
+	spec := testSpec(64, 1)
+	c1, ok := Coarsen(spec, 1)
+	if !ok || c1.Nx != 32 || c1.Ny != 32 || c1.Cell != spec.Cell*2 || c1.Min != spec.Min {
+		t.Fatalf("level 1 coarsen wrong: %+v", c1)
+	}
+	c2, ok := Coarsen(spec, 2)
+	if !ok || c2.Nx != 16 || c2.Cell != spec.Cell*4 {
+		t.Fatalf("level 2 coarsen wrong: %+v", c2)
+	}
+	if _, ok := Coarsen(testSpec(63, 1), 1); ok {
+		t.Fatal("odd grid coarsened")
+	}
+	if same, ok := Coarsen(spec, 0); !ok || same != spec {
+		t.Fatal("level 0 must be identity")
+	}
+	if _, ok := Coarsen(spec, -1); ok {
+		t.Fatal("negative level accepted")
+	}
+}
+
 // Every grid the service serves must be bit-identical to a direct
 // render.Render of the same spec — residency, caching, and concurrency
 // must not perturb a single bit.
 func TestServeBitIdentical(t *testing.T) {
+	t.Run("cached", func(t *testing.T) { testServeBitIdentical(t, 0) })
+	t.Run("cache-disabled", func(t *testing.T) { testServeBitIdentical(t, -1) })
+}
+
+func testServeBitIdentical(t *testing.T, columnCacheCells int) {
 	pts := testPoints(600, 3)
-	s := New(Options{Workers: 2})
+	s := New(Options{Workers: 2, ColumnCacheCells: columnCacheCells})
 	defer s.Close()
 	if err := s.Register("halos", pts); err != nil {
 		t.Fatal(err)
@@ -76,16 +123,20 @@ func TestServeBitIdentical(t *testing.T) {
 		if resp.Grid.Checksum() != resp.Checksum {
 			t.Fatal("response checksum does not match the grid it carries")
 		}
-		// Second request: exact cache hit, same bits.
+		// Second request: assembled inline from the first one's columns,
+		// same bits in a grid of its own.
 		again, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !again.CacheHit {
-			t.Fatal("repeat request missed the cache")
+		if again.CacheHit != (columnCacheCells >= 0) {
+			t.Fatalf("repeat request: CacheHit = %v with ColumnCacheCells %d", again.CacheHit, columnCacheCells)
 		}
-		if again.Checksum != resp.Checksum {
+		if again.Checksum != resp.Checksum || again.Grid.Checksum() != resp.Checksum {
 			t.Fatal("cache hit served different bits")
+		}
+		if again.Grid == resp.Grid {
+			t.Fatal("a hit must be a fresh assembly, not a shared pointer")
 		}
 	}
 }
@@ -208,8 +259,8 @@ func TestCancelReleasesWorker(t *testing.T) {
 	if el := time.Since(start); el > 15*time.Second {
 		t.Fatalf("worker held for %v after cancellation", el)
 	}
-	if st := s.Stats(); st.Expired == 0 {
-		t.Fatal("expired counter never incremented")
+	if st := s.Stats(); st.Expired != 1 {
+		t.Fatalf("one cancelled request counted %d times in Expired", st.Expired)
 	}
 
 	// A deadline already in the past must not march at all.
@@ -220,11 +271,19 @@ func TestCancelReleasesWorker(t *testing.T) {
 	}
 }
 
-// Under overload with a warm coarse rendering cached, the service serves
-// the coarse grid flagged Degraded instead of shedding.
+// Under overload with the coarser family's columns resident, the service
+// serves the coarse grid flagged Degraded instead of shedding — whether
+// those columns were warmed by the coarse spec itself or by a wider, taller
+// window of its family. On the way there: a fully warm request that arrives
+// behind a queued one takes a queue slot instead of the inline path.
 func TestDegradedFallback(t *testing.T) {
+	t.Run("exact", func(t *testing.T) { testDegradedFallback(t, 32, 32) })
+	t.Run("wider", func(t *testing.T) { testDegradedFallback(t, 40, 36) })
+}
+
+func testDegradedFallback(t *testing.T, warmNx, warmNy int) {
 	pts := testPoints(2500, 9)
-	s := New(Options{Workers: 1, QueueDepth: 1, MaxDegrade: 2})
+	s := New(Options{Workers: 1, QueueDepth: 2, MaxDegrade: 2})
 	defer s.Close()
 	if err := s.Register("halos", pts); err != nil {
 		t.Fatal(err)
@@ -235,13 +294,14 @@ func TestDegradedFallback(t *testing.T) {
 		t.Fatal("64×64 should coarsen")
 	}
 	// Warm the degrade ladder.
-	cResp, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: coarse})
-	if err != nil {
+	warm := coarse
+	warm.Nx, warm.Ny = warmNx, warmNy
+	if _, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: warm}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Occupy the worker, then the queue slot, with long renders we cancel
-	// at the end of the test. Sequencing on the Active/QueueLen gauges
+	// at the end of the test. Sequencing on the Batches/QueueLen counters
 	// makes the overload state deterministic: the worker is deep in a
 	// multi-second render, so the full queue cannot drain under us.
 	hold, release := context.WithCancel(context.Background())
@@ -261,10 +321,33 @@ func TestDegradedFallback(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
+	st0 := s.Stats()
 	occupy(10)
-	waitFor("worker pickup", func(st Stats) bool { return st.Active == 1 && st.QueueLen == 0 })
+	// Batches, not Active: the warm-up's worker may still read as active.
+	waitFor("worker pickup", func(st Stats) bool { return st.Batches == st0.Batches+1 })
 	occupy(11)
-	waitFor("queue fill", func(st Stats) bool { return st.QueueLen == 1 })
+	waitFor("backlog", func(st Stats) bool { return st.QueueLen == 1 })
+
+	// An exact repeat of the warm-up, now behind a backlog: it must wait
+	// its turn, and is served by a batch once the long renders are gone.
+	queued := make(chan *Response, 1)
+	go func() {
+		resp, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: warm})
+		if err != nil {
+			t.Errorf("warm request behind a backlog: %v", err)
+		}
+		queued <- resp
+	}()
+	waitFor("queue fill", func(st Stats) bool { return st.QueueLen == 2 })
+	if st := s.Stats(); st.CacheHits != st0.CacheHits {
+		t.Fatalf("a request overtook the queue inline: CacheHits %d→%d", st0.CacheHits, st.CacheHits)
+	}
+	defer func() {
+		release()
+		if resp := <-queued; resp != nil && resp.Checksum != directChecksum(t, pts, warm) {
+			t.Error("queued warm request is not the direct render")
+		}
+	}()
 
 	resp, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: fine})
 	if err != nil {
@@ -273,8 +356,8 @@ func TestDegradedFallback(t *testing.T) {
 	if !resp.Degraded || resp.DegradeLevel != 1 {
 		t.Fatalf("response not degraded: %+v", resp)
 	}
-	if resp.Checksum != cResp.Checksum {
-		t.Fatal("degraded response is not the cached coarse grid")
+	if want := directChecksum(t, pts, coarse); resp.Checksum != want || resp.Grid.Checksum() != want {
+		t.Fatal("degraded response is not the coarse rendering")
 	}
 	if st := s.Stats(); st.Degraded == 0 {
 		t.Fatal("degraded counter never incremented")
@@ -293,9 +376,9 @@ func TestDegradedFallback(t *testing.T) {
 	}
 }
 
-// Poisoned cache entries are caught by hit-time checksum verification:
-// the corrupt grid is never served, the entry is evicted, and the field
-// is recomputed bit-identically.
+// Rot in one stored column is caught by hit-time checksum verification:
+// the inline probe that finds it falls through, the column is evicted and
+// counted, and the response is re-marched bit-identically.
 func TestPoisonDetection(t *testing.T) {
 	pts := testPoints(600, 11)
 	inj := faultInjectorAllPoison()
@@ -314,17 +397,23 @@ func TestPoisonDetection(t *testing.T) {
 	if first.Checksum != want {
 		t.Fatal("filling request served poisoned bits")
 	}
+	st0 := s.Stats()
 	second, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second.CacheHit {
-		t.Fatal("poisoned entry served as a cache hit")
+		t.Fatal("poisoned column served as a cache hit")
 	}
 	if second.Checksum != want || second.Grid.Checksum() != want {
 		t.Fatal("recomputed grid is not bit-identical")
 	}
-	if st := s.Stats(); st.Poisoned == 0 {
-		t.Fatal("poison detection never fired")
+	st := s.Stats()
+	if st.ColPoisoned != 1 || st.Poisoned != 0 {
+		t.Fatalf("ColPoisoned = %d, Poisoned = %d; want 1, 0", st.ColPoisoned, st.Poisoned)
+	}
+	if st.Batches != st0.Batches+1 || st.ColdColumns != st0.ColdColumns+1 {
+		t.Fatalf("want one batch re-marching the one rotten column: batches %d→%d, cold columns %d→%d",
+			st0.Batches, st.Batches, st0.ColdColumns, st.ColdColumns)
 	}
 }

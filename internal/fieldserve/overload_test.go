@@ -28,7 +28,7 @@ func TestServeOverloadSmoke(t *testing.T) {
 		CancelProb:      0.2,
 		CancelAfter:     2 * time.Millisecond,
 	})
-	s := New(Options{Workers: 2, QueueDepth: 4, CacheEntries: 16, MaxDegrade: 1})
+	s := New(Options{Workers: 2, QueueDepth: 4, MaxDegrade: 1})
 	if err := s.Register("halos", pts); err != nil {
 		t.Fatal(err)
 	}
@@ -187,17 +187,5 @@ func TestServeOverloadSmoke(t *testing.T) {
 
 	s.Close()
 	// No goroutine leaks: everything the service started must unwind.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= baseline+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutine leak: %d now vs %d baseline\n%s",
-				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitNoLeak(t, baseline)
 }

@@ -138,8 +138,10 @@ func TestUpdateBitIdentity(t *testing.T) {
 // Property (satellite): after an update, every column-cache entry for a
 // provably clean column survives, carries the new epoch, and passes
 // hit-time checksum verification with its exact pre-update bits; every
-// dirty column is evicted, so a stale column can never be served. The
-// follow-up request re-marches only the dirty columns.
+// dirty column is evicted, so a stale column can never be served. A window
+// of clean survivors is served inline with the new epoch's bits, a window
+// touching a dirty column is not, and the follow-up request re-marches only
+// the dirty columns.
 func TestUpdateColumnCacheSurvival(t *testing.T) {
 	pts := exactLattice(10)
 	spec := testSpec(48, 1)
@@ -216,14 +218,49 @@ func TestUpdateColumnCacheSurvival(t *testing.T) {
 		t.Fatalf("DirtyColumns = %d, want %d", got, len(dirty))
 	}
 
-	// The re-request marches exactly the dirty columns and serves bits
-	// identical to a fresh mesh over the edited catalog.
+	// The inline path after the update: the window left of the first dirty
+	// column is all clean survivors and is assembled on the calling
+	// goroutine with the new epoch's oracle bits; one column wider touches
+	// a dirty column, so the resident-only lookup refuses it without
+	// moving a hit or miss counter.
+	edited := applyDeltaOracle(pts, d)
+	firstDirty := 0
+	for !dirty[firstDirty] {
+		firstDirty++
+	}
 	pre := s.Stats()
-	resp, err := s.Serve(context.Background(), Request{Catalog: "lat", Spec: spec})
+	clean := spec
+	clean.Nx = firstDirty
+	resp, err := s.Serve(context.Background(), Request{Catalog: "lat", Spec: clean})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := directChecksum(t, applyDeltaOracle(pts, d), spec); resp.Checksum != want {
+	if want := directChecksum(t, edited, clean); resp.Checksum != want || resp.Grid.Checksum() != want {
+		t.Fatalf("inline window of clean survivors %#x, fresh-mesh render %#x", resp.Checksum, want)
+	}
+	if st := s.Stats(); !resp.CacheHit || st.Batches != pre.Batches || st.ColHits != pre.ColHits+uint64(firstDirty) {
+		t.Fatalf("clean-survivor window was not served inline: hit=%v batches %d→%d", resp.CacheHit, pre.Batches, st.Batches)
+	}
+	touching := spec
+	touching.Nx = firstDirty + 1
+	s.mu.RLock()
+	cat := s.catalogs["lat"]
+	s.mu.RUnlock()
+	pre = s.Stats()
+	if r := s.resident(cat, Key{Catalog: "lat", Spec: touching}); r != nil {
+		t.Fatal("window touching a dirty column was served inline")
+	}
+	if st := s.Stats(); st.ColHits != pre.ColHits || st.ColMisses != pre.ColMisses {
+		t.Fatal("a refused inline probe moved the column hit/miss counters")
+	}
+
+	// The re-request marches exactly the dirty columns and serves bits
+	// identical to a fresh mesh over the edited catalog.
+	resp, err = s.Serve(context.Background(), Request{Catalog: "lat", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := directChecksum(t, edited, spec); resp.Checksum != want {
 		t.Fatalf("post-update render %#x, fresh-mesh render %#x", resp.Checksum, want)
 	}
 	post := s.Stats()
@@ -328,6 +365,6 @@ func TestChaosUpdateRenderInterleave(t *testing.T) {
 			t.Fatalf("served checksum %#x matches no epoch's oracle render (epoch mixing)", sum)
 		}
 	}
-	t.Logf("served %d/%d renders across %d epochs, %d update-evicted grids, %d dirty columns",
-		len(served), 4*30, s.Stats().Epochs+1, s.Stats().EvictedByUpdate, s.Stats().DirtyColumns)
+	t.Logf("served %d/%d renders across %d epochs, %d inline, %d dirty columns",
+		len(served), 4*30, s.Stats().Epochs+1, s.Stats().CacheHits, s.Stats().DirtyColumns)
 }

@@ -30,10 +30,8 @@ type DistRenderConfig struct {
 	Halo      float64
 	Guard     int
 	// Fanout is the gather-tree arity (distrender.DefaultFanout when 0;
-	// >= ranks is a star). NoCertify disables the coordinator's
-	// certified-halo guard skip.
-	Fanout    int
-	NoCertify bool
+	// >= ranks is a star).
+	Fanout int
 	// Ingest is the rank-0 particle-validation policy applied before
 	// tiling (fail-fast by default, like the pipeline's Phase 1).
 	Ingest particleio.ValidateOptions
@@ -88,7 +86,6 @@ func RunDistributedRenderCtx(ctx context.Context, c *mpi.Comm, cfg DistRenderCon
 		Halo:                 cfg.Halo,
 		Guard:                cfg.Guard,
 		Fanout:               cfg.Fanout,
-		NoCertify:            cfg.NoCertify,
 		Fault:                cfg.Fault,
 		TileTimeout:          cfg.TileTimeout,
 		Poll:                 cfg.Poll,

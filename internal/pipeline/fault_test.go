@@ -7,6 +7,7 @@ import (
 
 	"godtfe/internal/fault"
 	"godtfe/internal/geom"
+	"godtfe/internal/kdtree"
 	"godtfe/internal/mpi"
 	"godtfe/internal/synth"
 )
@@ -133,6 +134,46 @@ func TestRecoveryCrashBitExact(t *testing.T) {
 	}
 	if recovered == 0 {
 		t.Fatal("no fields of the crashed rank marked recovered")
+	}
+}
+
+// TestRecoveryCoordinatorExitsRightAfterDone forces the ordering that made
+// the failure-free run above flake: rank 0 says Done and is gone before a
+// worker's first control poll. Done in hand is a clean end of phase — every
+// worker returns nil with a complete result, not "coordinator unreachable".
+func TestRecoveryCoordinatorExitsRightAfterDone(t *testing.T) {
+	const ranks = 3
+	pts := synth.Uniform(300, unitBox(), 7)
+	cfg := chaosConfig()
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*Result, ranks)
+	errs := mpi.NewWorld(ranks).RunEach(func(c *mpi.Comm) error {
+		if c.Rank() == 0 {
+			for r := 1; r < ranks; r++ {
+				if err := c.Send(r, tagControl, control{Kind: ctlDone}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for c.Alive(0) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		rt := &runtime{c: c, cfg: cfg, tree: kdtree.New(pts), halo: pts, res: &Result{}, owner: c.Rank()}
+		results[c.Rank()] = rt.res
+		local := []geom.Vec3{{X: 0.4, Y: 0.5, Z: 0.5}, {X: 0.6, Y: 0.5, Z: 0.5}}
+		return rt.recoveryWorker(local, []int{0, 1}, make([]float64, len(local)), make([]ckptMeta, ranks), -1, nil)
+	})
+	for r := 1; r < ranks; r++ {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		if res := results[r]; res.Incomplete || len(res.Status) != 2 {
+			t.Fatalf("rank %d: incomplete=%v failures=%v statuses=%d, want a complete run of 2 items",
+				r, res.Incomplete, res.Failures, len(res.Status))
+		}
 	}
 }
 

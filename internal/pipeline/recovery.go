@@ -175,7 +175,11 @@ func (rt *runtime) recoveryWorker(local []geom.Vec3, pending []int, pred []float
 		return nil // keep the partial result
 	}
 
-	yielded := false
+	// sawDone: Done is the coordinator's last word, and it may exit the
+	// moment it is sent. Once it is in hand there is nothing left to poll
+	// for — a poll would find rank 0 gone and misreport a clean end of
+	// phase as an unreachable coordinator.
+	yielded, sawDone := false, false
 	for k, pi := range pending {
 		if err := crashCheck(cfg, rank, fault.PointPhase4, k); err != nil {
 			return err
@@ -188,7 +192,7 @@ func (rt *runtime) recoveryWorker(local []geom.Vec3, pending []int, pred []float
 		hb.Finished = hb.Done == len(pending)
 		sendHB()
 		// Poll control orders between items.
-		for !yielded {
+		for !yielded && !sawDone {
 			var ctl control
 			_, ok, err := c.TryRecv(0, tagControl, &ctl)
 			if err != nil {
@@ -206,6 +210,7 @@ func (rt *runtime) recoveryWorker(local []geom.Vec3, pending []int, pred []float
 				}
 			case ctlRedispatch, ctlDone:
 				queued = append(queued, ctl)
+				sawDone = ctl.Kind == ctlDone
 			}
 		}
 		if yielded {

@@ -105,12 +105,12 @@ type Config struct {
 	// Guard is the number of duplicate boundary columns rendered per
 	// interior tile edge in subset mode (default 1).
 	Guard int
-	// NoCertify disables the certified-halo optimization: without it, a
+	// noCertify disables the certified-halo optimization: without it, a
 	// subset-mode worker that can prove from its subset triangulation that
 	// the configured halo suffices for its tile skips the guard-column
-	// renders (they would compare equal by construction). Chaos tests that
-	// exercise guard mismatches set it.
-	NoCertify bool
+	// renders (they would compare equal by construction). Only the
+	// in-package tests that exercise the guard path set it.
+	noCertify bool
 
 	// Fault optionally injects crashes/stragglers/message faults
 	// (chaos tests). Crash point: fault.PointTile.
@@ -554,7 +554,7 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 	co := newCoord(cfg, tiles, subset, guard, pts)
 	res := co.res
 	res.Fanout = setup.Fanout
-	if subset && guard > 0 && !cfg.NoCertify {
+	if subset && guard > 0 && !cfg.noCertify {
 		// Certified halo: one full triangulation up front buys every tile
 		// out of its guard renders when the configured halo provably
 		// suffices. Failure to certify (degenerate circumspheres, halo

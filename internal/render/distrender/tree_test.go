@@ -219,7 +219,7 @@ func TestTreeChaosAllWorkersLost(t *testing.T) {
 // TestTreeSubsetHalo runs subset mode through the tree: guard grids ride
 // the frame format and the stitch-time cross-check keeps working — a
 // sufficient halo stitches clean, a too-small one is detected as a typed
-// halo mismatch, never silently stitched. NoCertify pins the guard path on
+// halo mismatch, never silently stitched. noCertify pins the guard path on
 // for the sufficient case.
 func TestTreeSubsetHalo(t *testing.T) {
 	pts := testCatalogs()["clustered"]
@@ -230,7 +230,7 @@ func TestTreeSubsetHalo(t *testing.T) {
 	t.Run("sufficient", func(t *testing.T) {
 		cfg := Config{
 			Spec: spec, Workers: 2, Fanout: 2,
-			Tiles: 4, EvenTiles: true, Halo: 2 * diam, Guard: 2, NoCertify: true,
+			Tiles: 4, EvenTiles: true, Halo: 2 * diam, Guard: 2, noCertify: true,
 		}
 		res, err, errs := runDistributed(5, cfg, pts, nil)
 		if err != nil {
@@ -329,7 +329,7 @@ func TestFailedRankAttributionInResult(t *testing.T) {
 
 // TestCertifiedHalo: a halo at or above CertifiedHaloBound certifies every
 // tile — guard renders are skipped, no guard grids travel, and the render
-// is still byte-identical to the single-rank reference. NoCertify turns
+// is still byte-identical to the single-rank reference. noCertify turns
 // the optimization off without changing the bytes.
 func TestCertifiedHalo(t *testing.T) {
 	pts := testCatalogs()["clustered"]
@@ -349,7 +349,7 @@ func TestCertifiedHalo(t *testing.T) {
 		t.Helper()
 		cfg := Config{
 			Spec: spec, Workers: 2, Fanout: fanout,
-			Tiles: 4, EvenTiles: true, Halo: bound, Guard: 2, NoCertify: noCertify,
+			Tiles: 4, EvenTiles: true, Halo: bound, Guard: 2, noCertify: noCertify,
 		}
 		res, err, errs := runDistributed(ranks, cfg, pts, nil)
 		if err != nil {
@@ -387,7 +387,7 @@ func TestCertifiedHalo(t *testing.T) {
 	t.Run("no-certify", func(t *testing.T) {
 		res := run(3, 3, true)
 		if res.CertifiedTiles != 0 || res.CertifiedHalo != 0 {
-			t.Fatalf("NoCertify must disable certification, got tiles=%d bound=%v",
+			t.Fatalf("noCertify must disable certification, got tiles=%d bound=%v",
 				res.CertifiedTiles, res.CertifiedHalo)
 		}
 	})

@@ -2,13 +2,15 @@ package vtime
 
 // Virtual-time model of the resident field service
 // (internal/fieldserve): an open-loop load generator drives millions of
-// requests through the service's admission-control state machine — LRU
-// cache with single-flight fill, bounded queue, degrade-before-shed,
-// per-request cancellation with one-column release granularity — in pure
-// virtual time, so overload behavior at request volumes far beyond what
-// a wall-clock test can drive is still a deterministic function of the
-// seed. What this measures is policy quality: tail latency, shed rate,
-// and hit rate under a given capacity ratio, not kernel speed.
+// requests through the service's admission-control state machine — inline
+// hits on warm families while nothing is queued, bounded queue,
+// family-locked batches marching only cold columns, one LRU column cache,
+// degrade-before-shed, merged batch cancellation with one-column release
+// granularity — in pure virtual time, so overload behavior at request
+// volumes far beyond what a wall-clock test can drive is still a
+// deterministic function of the seed.
+// What this measures is policy quality: tail latency, shed rate, and hit
+// rate under a given capacity ratio, not kernel speed.
 
 import (
 	"container/heap"
@@ -21,9 +23,8 @@ import (
 // FieldServeConfig drives one simulated serving run.
 type FieldServeConfig struct {
 	// Service shape, mirroring fieldserve.Options.
-	Workers      int
-	QueueDepth   int
-	CacheEntries int
+	Workers    int
+	QueueDepth int
 
 	// Requests is the total open-loop request count; ArrivalRate is the
 	// offered load in requests per virtual second (arrivals are jittered
@@ -31,10 +32,10 @@ type FieldServeConfig struct {
 	Requests    int
 	ArrivalRate float64
 
-	// SpecPool is the number of distinct (catalog, spec) keys in the
-	// request mix; popularity is skewed (quadratic) so a small cache
+	// SpecPool is the number of distinct spec families in the cold tail of
+	// the request mix; popularity is skewed (quadratic) so a small cache
 	// still earns hits. RenderCost is the cold render time per spec,
-	// HitCost the inline cache-hit cost, BuildCost the one-time mesh
+	// HitCost the column-assembly cost of a hit, BuildCost the one-time mesh
 	// build folded into the first render, ColumnCost the cancellation
 	// release granularity (one column march).
 	SpecPool   int
@@ -48,21 +49,15 @@ type FieldServeConfig struct {
 	// ladder's warmth); 0 disables degradation.
 	DegradeHitFrac float64
 
-	// Coalesce enables the plan-based batcher model: workers claim a
-	// queued leader, wait BatchWindow virtual seconds, collect up to
-	// MaxBatch queued same-family requests, and execute ONE march of the
-	// union extent; later same-family batches assemble from the warm
-	// column cache. Coalesce=false models exact-key single-flight only
-	// (the service as it was before batching; the live service's nearest
-	// setting is MaxBatch -1 with ColumnCacheCells -1). It is the overlap
-	// experiment's independent variable, not a knob the service has.
-	Coalesce    bool
+	// The batcher: workers claim a queued leader, wait BatchWindow virtual
+	// seconds, collect up to MaxBatch queued same-family requests, and
+	// execute ONE march of the union extent's cold part; later same-family
+	// requests assemble from the warm columns.
 	BatchWindow float64
 	MaxBatch    int
 
 	// WarmFamilies bounds the column-cache model: how many families can
-	// hold marched columns at once (LRU beyond that). Defaults to
-	// CacheEntries, matching a column budget sized like the grid cache.
+	// hold marched columns at once (LRU beyond that; default 64).
 	WarmFamilies int
 
 	// Overlap workload shaping, mirroring fault.Plan's overlap verdicts:
@@ -70,8 +65,8 @@ type FieldServeConfig struct {
 	// at one of ExtentLevels window extents (level k costs (k+1)/levels of
 	// a full render); the rest draw from the skewed SpecPool tail at full
 	// extent. When Fault carries an overlap plan its verdicts drive the
-	// split instead, keyed by request id. Zero values reproduce the
-	// pre-coalescing workload exactly.
+	// split instead, keyed by request id. Zero values leave every request
+	// at full extent in the skewed tail.
 	OverlapFrac  float64
 	FamilyPool   int
 	ExtentLevels int
@@ -88,13 +83,12 @@ type FieldServeOutcome struct {
 	Shed     int
 	Degraded int
 	Expired  int // cancelled before service completed
-	Deduped  int // coalesced onto another request's in-flight render
-	Hits     int
-	Misses   int
-	Poisoned int // poisoned entries caught and recomputed
+	Hits     int // inline hits, plus batches assembled without a march
+	Misses   int // batches that marched
+	Poisoned int // rotten families caught at their next touch and re-marched
 	Builds   int
 
-	Batches   int // shared marches executed by the batcher (coalesce mode)
+	Batches   int // batches executed
 	Coalesced int // requests served by a batch they did not lead
 
 	P50, P99, Max float64 // served-request latency (virtual seconds)
@@ -108,8 +102,6 @@ type fsEventKind int
 
 const (
 	evArrive fsEventKind = iota
-	evRenderDone
-	evRenderAbort
 	evBatchExec
 	evBatchDone
 	evBatchAbort
@@ -117,10 +109,9 @@ const (
 
 type fsRequest struct {
 	id       int
-	spec     int     // exact cache key: fam*levels + level
+	spec     int     // exact request key, fam*levels + level (seeds the degrade verdict)
 	fam      int     // coalescing family (== spec when ExtentLevels is 1)
 	level    int     // window extent level, 0..levels-1
-	costFrac float64 // (level+1)/levels: this extent's share of a full march
 	arrive   float64 // submission time (after slow-client delay)
 	cancelAt float64 // +Inf when never cancelled
 }
@@ -151,19 +142,6 @@ func (h *fsEventHeap) Pop() interface{} {
 	return e
 }
 
-// fsFlight is one in-progress single-flight render.
-type fsFlight struct {
-	leader    *fsRequest
-	followers []*fsRequest
-}
-
-// fsCacheEntry tracks residency + poison state for one spec.
-type fsCacheEntry struct {
-	spec     int
-	poisoned bool
-	lru      int // last-touch counter
-}
-
 type fsSim struct {
 	cfg    FieldServeConfig
 	out    FieldServeOutcome
@@ -175,26 +153,26 @@ type fsSim struct {
 	rngSt   uint64
 	idle    int
 	queue   []*fsRequest
-	cache   map[int]*fsCacheEntry
-	flights map[int]*fsFlight
 	lruTick int
 	built   bool
 	lats    []float64
 
-	// Coalesce-mode state: per-family in-flight locks, collected batch
-	// members keyed by family, and the column-cache warmth model — the
-	// highest extent level marched per family (a level ≤ warm assembles
-	// from cached columns instead of marching), LRU-bounded to
-	// WarmFamilies resident families.
+	// Per-family in-flight locks, collected batch members keyed by family,
+	// and the column cache: the highest extent level marched per family (a
+	// level ≤ warm assembles from cached columns instead of marching),
+	// LRU-bounded to WarmFamilies resident families.
 	famInflight map[int]bool
 	famBatch    map[int][]*fsRequest
 	warm        map[int]*fsWarm
 }
 
-// fsWarm is one family's column-cache residency.
+// fsWarm is one family's column-cache residency. poisoned marks rot in a
+// stored column: hit-time verification catches it at the family's next
+// touch.
 type fsWarm struct {
-	level int
-	lru   int
+	level    int
+	poisoned bool
+	lru      int
 }
 
 func fsSplitmix(x uint64) uint64 {
@@ -223,9 +201,6 @@ func SimulateFieldServe(cfg FieldServeConfig) FieldServeOutcome {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2 * cfg.Workers
 	}
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 64
-	}
 	if cfg.SpecPool <= 0 {
 		cfg.SpecPool = 256
 	}
@@ -248,15 +223,13 @@ func SimulateFieldServe(cfg FieldServeConfig) FieldServeOutcome {
 		cfg.FamilyPool = 8
 	}
 	if cfg.WarmFamilies <= 0 {
-		cfg.WarmFamilies = cfg.CacheEntries
+		cfg.WarmFamilies = 64
 	}
 	s := &fsSim{
 		cfg:         cfg,
 		levels:      cfg.ExtentLevels,
 		rngSt:       uint64(cfg.Seed)*2862933555777941757 + 3037000493,
 		idle:        cfg.Workers,
-		cache:       make(map[int]*fsCacheEntry),
-		flights:     make(map[int]*fsFlight),
 		lats:        make([]float64, 0, cfg.Requests),
 		famInflight: make(map[int]bool),
 		famBatch:    make(map[int][]*fsRequest),
@@ -266,8 +239,7 @@ func SimulateFieldServe(cfg FieldServeConfig) FieldServeOutcome {
 	// Pre-generate arrivals: jittered open loop, skewed spec popularity,
 	// per-request faults from the shared deterministic injector. With
 	// overlap shaping on, a slice of the traffic is redirected at hot
-	// families with varied extents; the zero config draws exactly the
-	// pre-coalescing request stream.
+	// families with varied extents.
 	t := 0.0
 	mean := 1 / cfg.ArrivalRate
 	for i := 0; i < cfg.Requests; i++ {
@@ -292,7 +264,6 @@ func SimulateFieldServe(cfg FieldServeConfig) FieldServeOutcome {
 			spec:     fam*s.levels + level,
 			fam:      fam,
 			level:    level,
-			costFrac: float64(level+1) / float64(s.levels),
 			arrive:   t,
 			cancelAt: math.Inf(1),
 		}
@@ -314,10 +285,6 @@ func SimulateFieldServe(cfg FieldServeConfig) FieldServeOutcome {
 		switch e.kind {
 		case evArrive:
 			s.arrive(e.req)
-		case evRenderDone:
-			s.renderDone(e.req)
-		case evRenderAbort:
-			s.renderAbort(e.req)
 		case evBatchExec:
 			s.batchExec(e.req)
 		case evBatchDone:
@@ -345,37 +312,6 @@ func SimulateFieldServe(cfg FieldServeConfig) FieldServeOutcome {
 	return s.out
 }
 
-// lookup is a verified cache probe: poisoned entries are detected,
-// evicted, and counted, exactly like hit-time checksum verification.
-func (s *fsSim) lookup(spec int) bool {
-	e, ok := s.cache[spec]
-	if !ok {
-		return false
-	}
-	if e.poisoned {
-		s.out.Poisoned++
-		delete(s.cache, spec)
-		return false
-	}
-	s.lruTick++
-	e.lru = s.lruTick
-	return true
-}
-
-func (s *fsSim) insert(spec int, poisoned bool) {
-	s.lruTick++
-	s.cache[spec] = &fsCacheEntry{spec: spec, poisoned: poisoned, lru: s.lruTick}
-	for len(s.cache) > s.cfg.CacheEntries {
-		victim, oldest := -1, math.MaxInt
-		for id, e := range s.cache {
-			if e.lru < oldest {
-				victim, oldest = id, e.lru
-			}
-		}
-		delete(s.cache, victim)
-	}
-}
-
 func (s *fsSim) serveHit(req *fsRequest) {
 	s.out.Served++
 	s.lats = append(s.lats, s.clock-req.arrive+s.cfg.HitCost)
@@ -391,27 +327,21 @@ func (s *fsSim) degradeResident(spec int) bool {
 	return float64(h>>11)/float64(1<<53) < s.cfg.DegradeHitFrac
 }
 
+// arrive is the one arrival path: an inline hit when nothing is queued and
+// the family is warm at ≥ the request's extent, else the bounded queue, else
+// degrade or shed.
 func (s *fsSim) arrive(req *fsRequest) {
-	if s.lookup(req.spec) {
-		s.out.Hits++
-		s.serveHit(req)
-		return
+	if len(s.queue) == 0 {
+		if w := s.touchWarm(req.fam); w != nil && req.level <= w.level {
+			s.out.Hits++
+			s.serveHit(req)
+			return
+		}
 	}
-	if s.cfg.Coalesce {
-		if len(s.queue) < s.cfg.QueueDepth {
-			s.queue = append(s.queue, req)
-			s.dispatchCo()
-			return
-		}
-	} else {
-		if s.idle > 0 && len(s.queue) == 0 {
-			s.assign(req)
-			return
-		}
-		if len(s.queue) < s.cfg.QueueDepth {
-			s.queue = append(s.queue, req)
-			return
-		}
+	if len(s.queue) < s.cfg.QueueDepth {
+		s.queue = append(s.queue, req)
+		s.dispatch()
+		return
 	}
 	if s.degradeResident(req.spec) {
 		s.out.Degraded++
@@ -421,127 +351,12 @@ func (s *fsSim) arrive(req *fsRequest) {
 	s.out.Shed++
 }
 
-// assign hands req to an idle worker: join an in-flight render for the
-// same spec, or lead a new one.
-func (s *fsSim) assign(req *fsRequest) {
-	if f, ok := s.flights[req.spec]; ok {
-		s.idle--
-		s.out.Deduped++
-		f.followers = append(f.followers, req)
-		return
-	}
-	s.idle--
-	s.out.Misses++
-	cost := s.cfg.RenderCost * req.costFrac
-	if !s.built {
-		s.built = true
-		s.out.Builds++
-		cost += s.cfg.BuildCost
-	}
-	finish := s.clock + cost
-	s.flights[req.spec] = &fsFlight{leader: req}
-	if req.cancelAt < finish {
-		// Cancelled mid-march: the worker releases one column later.
-		s.push(req.cancelAt+s.cfg.ColumnCost, evRenderAbort, req)
-		return
-	}
-	s.push(finish, evRenderDone, req)
-}
-
-func (s *fsSim) renderDone(req *fsRequest) {
-	f := s.flights[req.spec]
-	delete(s.flights, req.spec)
-	poisoned := s.cfg.Fault != nil && s.cfg.Fault.ShouldPoisonCache(uint64(req.id))
-	s.insert(req.spec, poisoned)
-
-	freed := 1
-	if req.cancelAt <= s.clock {
-		s.out.Expired++
-	} else {
-		s.out.Served++
-		s.lats = append(s.lats, s.clock-req.arrive)
-	}
-	for _, fo := range f.followers {
-		freed++
-		if fo.cancelAt <= s.clock {
-			s.out.Expired++
-			continue
-		}
-		s.out.Hits++
-		s.out.Served++
-		s.lats = append(s.lats, s.clock-fo.arrive)
-	}
-	s.idle += freed
-	s.dispatch()
-}
-
-// renderAbort is a leader cancelled mid-render: the cache is not filled,
-// and a surviving follower takes over the flight as the new leader.
-func (s *fsSim) renderAbort(req *fsRequest) {
-	f := s.flights[req.spec]
-	s.out.Expired++
-	s.idle++
-
-	var next *fsRequest
-	rest := f.followers[:0]
-	for _, fo := range f.followers {
-		if next == nil && fo.cancelAt > s.clock {
-			next = fo
-			continue
-		}
-		if fo.cancelAt <= s.clock {
-			s.out.Expired++
-			s.idle++
-			continue
-		}
-		rest = append(rest, fo)
-	}
-	if next == nil {
-		delete(s.flights, req.spec)
-		s.dispatch()
-		return
-	}
-	// The survivor retries: a fresh render from now, same flight.
-	f.leader = next
-	f.followers = rest
-	s.out.Misses++
-	finish := s.clock + s.cfg.RenderCost*next.costFrac
-	if next.cancelAt < finish {
-		s.push(next.cancelAt+s.cfg.ColumnCost, evRenderAbort, next)
-	} else {
-		s.push(finish, evRenderDone, next)
-	}
-	s.dispatch()
-}
-
-// dispatch drains the queue onto idle workers, dropping requests whose
-// context died while queued.
-func (s *fsSim) dispatch() {
-	for s.idle > 0 && len(s.queue) > 0 {
-		req := s.queue[0]
-		s.queue = s.queue[1:]
-		if req.cancelAt <= s.clock {
-			s.out.Expired++
-			continue
-		}
-		if s.lookup(req.spec) {
-			// Filled while queued; served off the worker instantly.
-			s.out.Hits++
-			s.serveHit(req)
-			continue
-		}
-		s.assign(req)
-	}
-}
-
-// --- coalesce-mode machinery (the batcher model) ---
-
-// dispatchCo claims batch leaders: an idle worker takes the first queued
+// dispatch claims batch leaders: an idle worker takes the first queued
 // request whose family is not already executing, marks the family in
 // flight, and sits in its batch window. Same-family arrivals stay queued
 // behind the lock and join this batch (inside the window) or the next one
 // (served from warm columns).
-func (s *fsSim) dispatchCo() {
+func (s *fsSim) dispatch() {
 	for s.idle > 0 {
 		idx := -1
 		for i, r := range s.queue {
@@ -557,11 +372,6 @@ func (s *fsSim) dispatchCo() {
 		s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
 		if req.cancelAt <= s.clock {
 			s.out.Expired++
-			continue
-		}
-		if s.lookup(req.spec) {
-			s.out.Hits++
-			s.serveHit(req)
 			continue
 		}
 		s.idle--
@@ -630,9 +440,9 @@ func (s *fsSim) batchExec(leader *fsRequest) {
 	s.push(finish, evBatchDone, leader)
 }
 
-// batchDone completes a shared march: the family's columns warm up to the
-// union extent, the union grid enters the whole-grid cache, and every
-// surviving member is served its slice at once.
+// batchDone completes a batch: if it marched, the family's columns warm up
+// to the union extent (with rot in one of them when the leader drew the
+// poison verdict), and every surviving member is served its slice at once.
 func (s *fsSim) batchDone(leader *fsRequest) {
 	members := s.famBatch[leader.fam]
 	delete(s.famBatch, leader.fam)
@@ -642,9 +452,10 @@ func (s *fsSim) batchDone(leader *fsRequest) {
 			unionLevel = m.level
 		}
 	}
-	s.insertWarm(leader.fam, unionLevel)
-	poisoned := s.cfg.Fault != nil && s.cfg.Fault.ShouldPoisonCache(uint64(leader.id))
-	s.insert(leader.fam*s.levels+unionLevel, poisoned)
+	if w := s.warm[leader.fam]; w == nil || unionLevel > w.level {
+		poisoned := s.cfg.Fault != nil && s.cfg.Fault.ShouldPoisonCache(uint64(leader.id))
+		s.insertWarm(leader.fam, unionLevel, poisoned)
+	}
 
 	for _, m := range members {
 		if m.cancelAt <= s.clock {
@@ -656,14 +467,21 @@ func (s *fsSim) batchDone(leader *fsRequest) {
 	}
 	s.idle++
 	delete(s.famInflight, leader.fam)
-	s.dispatchCo()
+	s.dispatch()
 }
 
-// touchWarm returns the family's column residency (refreshing its
-// recency), or nil when its columns are not cached.
+// touchWarm returns the family's verified column residency (refreshing its
+// recency), or nil when its columns are not cached. A poisoned family is
+// detected here, exactly like hit-time checksum verification: counted,
+// dropped, and re-marched by whoever touched it.
 func (s *fsSim) touchWarm(fam int) *fsWarm {
 	w, ok := s.warm[fam]
 	if !ok {
+		return nil
+	}
+	if w.poisoned {
+		s.out.Poisoned++
+		delete(s.warm, fam)
 		return nil
 	}
 	s.lruTick++
@@ -673,16 +491,13 @@ func (s *fsSim) touchWarm(fam int) *fsWarm {
 
 // insertWarm records a family's columns as cached up to level, evicting
 // the least recently used family beyond the WarmFamilies budget.
-func (s *fsSim) insertWarm(fam, level int) {
+func (s *fsSim) insertWarm(fam, level int, poisoned bool) {
 	s.lruTick++
 	if w, ok := s.warm[fam]; ok {
-		if level > w.level {
-			w.level = level
-		}
-		w.lru = s.lruTick
+		w.level, w.poisoned, w.lru = level, poisoned, s.lruTick
 		return
 	}
-	s.warm[fam] = &fsWarm{level: level, lru: s.lruTick}
+	s.warm[fam] = &fsWarm{level: level, poisoned: poisoned, lru: s.lruTick}
 	for len(s.warm) > s.cfg.WarmFamilies {
 		victim, oldest := -1, math.MaxInt
 		for id, w := range s.warm {
@@ -704,5 +519,5 @@ func (s *fsSim) batchAbort(leader *fsRequest) {
 	s.out.Expired += len(members)
 	s.idle++
 	delete(s.famInflight, leader.fam)
-	s.dispatchCo()
+	s.dispatch()
 }
