@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test fuzz nopanic nocopy loc ci
+.PHONY: build test tier1 vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab fuzz nopanic nocopy loc ci
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,14 @@ bench-e2e:
 	bash bench/e2e/run.sh -all -runs 5 -out bench/e2e/out/run.json
 
 bench: bench-e2e
+
+# A/B of one workload: N alternated pairs of runs, revision PARENT against
+# the working tree, then `-compare`'s verdict (bench/ab.sh).
+PARENT ?= HEAD
+W      ?= batch_build
+N      ?= 5
+bench-ab:
+	bash bench/ab.sh $(PARENT) $(W) $(N)
 
 # The harness's own self-test (about 3 s). bench/e2e is a module of its
 # own, so `go test ./...` from the root does not reach it.

@@ -115,8 +115,9 @@ func BenchmarkKernelColumn(b *testing.B) {
 
 // --- ablation benches (DESIGN.md §4) ----------------------------------
 
-// Morton/BRIO insertion order vs raw input order for triangulation.
-func BenchmarkAblationBuildMorton(b *testing.B) {
+// BRIO insertion order (Hilbert-sorted rounds) vs raw input order for
+// triangulation.
+func BenchmarkAblationBuildBRIO(b *testing.B) {
 	box := geom.AABB{Min: geom.Vec3{}, Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
 	pts := synth.HaloSet(10000, box, synth.DefaultHaloSpec(), 4)
 	b.ResetTimer()

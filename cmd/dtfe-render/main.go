@@ -51,6 +51,7 @@ func main() {
 	halo := flag.Float64("halo", 0, "subset halo width for -ranks > 1 (0: replicate the catalog)")
 	fanout := flag.Int("fanout", 0, "gather-tree arity for -ranks > 1 (default 4; >= ranks is a star)")
 	deadline := flag.Duration("deadline", 0, "abort a distributed render after this long (0: no deadline)")
+	verbose := flag.Bool("v", false, "print the build's insert-loop counters (walk, conflict tests, cavity per insert)")
 	flag.Parse()
 
 	policy, err := particleio.ParsePolicy(*ingest)
@@ -79,6 +80,9 @@ func main() {
 	}
 	triTime := time.Since(t0)
 	fmt.Printf("triangulation: %v (%s)\n", triTime.Round(time.Millisecond), tri.Stats())
+	if *verbose {
+		fmt.Printf("build: %v\n", tri.BuildStats())
+	}
 
 	sz := box.Size()
 	cell := sz.X / float64(*gridN)

@@ -1,8 +1,8 @@
 package delaunay
 
 import (
+	"maps"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -263,7 +263,7 @@ func TestCanonicalizeMatchesReference(t *testing.T) {
 }
 
 // TestCompactMatchesReference compacts the same raw pools — built in
-// Hilbert and in input order, as built and scattered over a pool full of
+// BRIO and in input order, as built and scattered over a pool full of
 // holes — with compact() on both sides of the packed-index bound and with
 // the reference, and requires deeply equal results. New, NewInputOrder,
 // NewParallel and ApplyDelta all end in compact() and are asserted equal
@@ -273,6 +273,7 @@ func TestCompactMatchesReference(t *testing.T) {
 	cats := testCatalogSet(1500)
 	cats["squeezed"] = squeezedCatalog(1500, 3)
 	cats["tiny"] = randomCatalog(5, 4)
+	maps.Copy(cats, orderCatalogSet())
 	for name, pts := range cats {
 		for _, brio := range []bool{true, false} {
 			raw, err := buildRaw(pts, brio)
@@ -288,7 +289,7 @@ func TestCompactMatchesReference(t *testing.T) {
 					maxRadixSlots = limit
 					got.compact()
 					maxRadixSlots = saved
-					if !reflect.DeepEqual(want, got) {
+					if !meshEqual(want, got) {
 						requireTriEqual(t, want, got)
 						t.Fatalf("%s brio=%v limit=%d: compact() differs from the reference", name, brio, limit)
 					}

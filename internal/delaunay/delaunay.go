@@ -102,6 +102,9 @@ type Triangulation struct {
 	dlog *deltaLog
 
 	insertedCount int
+
+	// build counts the insert loop's work; see BuildStats.
+	build BuildStats
 }
 
 type borderFace struct {
@@ -116,11 +119,12 @@ type faceRef struct {
 }
 
 // New builds the Delaunay triangulation of pts. Points are inserted in
-// Hilbert-curve order for locality (see geom.HilbertOrder) and the tet pool
-// is compacted into canonical Hilbert order afterwards (see compact.go), so
-// the result is a pure function of the point set: any two builds of the
-// same points — whatever the insertion order or block decomposition —
-// produce deeply equal Triangulations. Exact duplicates are merged (see
+// biased randomized order — rounds of growing size, each along the Hilbert
+// curve (see brio.go) — and the tet pool is compacted into canonical
+// Hilbert order afterwards (see compact.go), so the mesh is a pure function
+// of the point set: any two builds of the same points — whatever the
+// insertion order or block decomposition — produce Triangulations that are
+// deeply equal but for BuildStats. Exact duplicates are merged (see
 // DuplicateOf). It returns geomerr.ErrDegenerateInput if any point is
 // non-finite or fewer than four affinely independent points exist, and
 // geomerr.ErrMeshCorrupt if a structural invariant breaks during
@@ -130,9 +134,9 @@ func New(pts []geom.Vec3) (*Triangulation, error) {
 }
 
 // NewInputOrder builds the triangulation inserting points in input order
-// (no space-filling-curve locality sort). It exists for the insertion-order
-// ablation benchmark; prefer New. The result is still canonicalized, so it
-// is deeply equal to New's.
+// (no rounds, no space-filling-curve sort). It exists for the
+// insertion-order ablation benchmark; prefer New. The result is still
+// canonicalized, so its mesh is deeply equal to New's.
 func NewInputOrder(pts []geom.Vec3) (*Triangulation, error) {
 	return build(pts, false)
 }
@@ -147,14 +151,15 @@ func build(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 }
 
 // buildRaw is the serial incremental build without the canonical
-// compaction pass. The block-parallel builder (parallel.go) uses it for
-// per-block and repair triangulations, which are consumed tet-by-tet and
-// never exposed, so compacting them would be wasted work.
+// compaction pass, in BRIO order (brio) or input order. The block-parallel
+// builder (parallel.go) uses it for per-block and repair triangulations,
+// which are consumed tet-by-tet and never exposed, so compacting them would
+// be wasted work.
 func buildRaw(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 	if len(pts) < 4 {
 		return nil, geomerr.Degenerate("delaunay.New", "need at least 4 points, got %d", len(pts))
 	}
-	// The exact predicates (and the Morton sort) require finite
+	// The exact predicates (and the Hilbert sort) require finite
 	// coordinates; reject NaN/Inf up front with the offending index. The
 	// error matches both ErrDegenerateInput (the build category) and
 	// ErrBadParticle (the per-particle detail).
@@ -187,7 +192,7 @@ func buildRaw(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 
 	var order []int
 	if brio {
-		order = geom.HilbertOrder(pts)
+		order = brioOrder(pts)
 	} else {
 		order = make([]int, len(pts))
 		for i := range order {
@@ -210,9 +215,10 @@ func buildRaw(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 	return t, nil
 }
 
-// initFirstTet finds four affinely independent points (scanning in Morton
-// order), builds the first finite tet plus its four infinite tets, and
-// returns the four consumed vertex indices.
+// initFirstTet finds four affinely independent points (scanning in
+// insertion order: with Hilbert rounds, the sparse first round), builds the
+// first finite tet plus its four infinite tets, and returns the four
+// consumed vertex indices.
 func (t *Triangulation) initFirstTet(order []int) ([4]int32, error) {
 	p := t.pts
 	i0 := int32(order[0])
@@ -502,4 +508,39 @@ func (t *Triangulation) Stats() Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("points=%d inserted=%d dups=%d finiteTets=%d hullFacets=%d",
 		s.Points, s.Inserted, s.Duplicates, s.FiniteTets, s.HullFacets)
+}
+
+// BuildStats counts what the insert loop did to produce a triangulation:
+// the cost drivers of the build, as exact integers, so an insertion-order
+// or predicate change can be judged without a stopwatch. Points merged as
+// duplicates and the four of the first tet are not inserts. The mesh is a
+// pure function of the point set; these are not — they record the order.
+type BuildStats struct {
+	Inserts       int64 // points that carved a cavity
+	WalkSteps     int64 // tets visited locating them
+	ConflictTests int64 // circumsphere tests (each tet at most once per insert)
+	CavityTets    int64 // tets killed
+	NewTets       int64 // tets created
+}
+
+// BuildStats returns the insert-loop counters of the build that made t:
+// one serial loop for New and NewInputOrder, the block and repair loops
+// together for NewParallel, the delta's own insertions for ApplyDelta (the
+// whole rebuild where it fell back to one).
+func (t *Triangulation) BuildStats() BuildStats { return t.build }
+
+// Add accumulates o into s.
+func (s *BuildStats) Add(o BuildStats) {
+	s.Inserts += o.Inserts
+	s.WalkSteps += o.WalkSteps
+	s.ConflictTests += o.ConflictTests
+	s.CavityTets += o.CavityTets
+	s.NewTets += o.NewTets
+}
+
+// String gives the per-insert means the counters exist for.
+func (s BuildStats) String() string {
+	per := func(x int64) float64 { return float64(x) / float64(max(s.Inserts, 1)) }
+	return fmt.Sprintf("inserts=%d per insert: walk=%.1f tests=%.1f killed=%.1f created=%.1f",
+		s.Inserts, per(s.WalkSteps), per(s.ConflictTests), per(s.CavityTets), per(s.NewTets))
 }

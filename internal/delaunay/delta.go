@@ -144,10 +144,11 @@ func sortedKey(a, b, c int32) tkey {
 }
 
 // build re-triangulates pts into the reusable scratch triangulation. It
-// is buildRaw without BRIO, finiteness checks (the inputs are mesh
-// coordinates), or fresh allocations: pool arrays are truncated and
-// regrown in place, which newTet does with explicit zero appends, so the
-// state is indistinguishable from a fresh build.
+// is buildRaw without BRIO (input order: a link is a few dozen points),
+// finiteness checks (the inputs are mesh coordinates), or fresh
+// allocations: pool arrays are truncated and regrown in place, which
+// newTet does with explicit zero appends, so the state is
+// indistinguishable from a fresh build.
 func (s *linkScratch) build(pts []geom.Vec3) (*Triangulation, error) {
 	if s.lt == nil {
 		s.lt = &Triangulation{}
@@ -536,10 +537,10 @@ func (t *Triangulation) removeVertex(v int32) bool {
 		lpts = append(lpts, t.pts[u])
 	}
 	sc.lpts = lpts
-	// No BRIO inside build: the link is a few dozen points, where the
-	// Hilbert sort costs more than the locate walks it would save — and
-	// insertion order never changes the result (the perturbation is
-	// coordinate-only).
+	// No BRIO inside build: the link is a few dozen points — under the
+	// size where brioOrder itself skips the rounds — and there the Hilbert
+	// sort costs more than the locate walks it would save. Insertion order
+	// never changes the result (the perturbation is coordinate-only).
 	lt, err := sc.build(lpts)
 	if err != nil {
 		return false

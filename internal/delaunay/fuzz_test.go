@@ -12,8 +12,8 @@ import (
 // decodeFuzzPoints maps raw fuzz bytes onto a point set biased toward the
 // triangulator's hard cases: each coordinate is one byte quantized to a
 // 1/16 lattice (so duplicates, collinear runs, coplanar sheets, and
-// cospherical shells are common), with two reserved byte values injecting
-// non-finite coordinates.
+// cospherical shells are common), with three reserved byte values
+// injecting non-finite coordinates and -0.
 func decodeFuzzPoints(data []byte, maxPts int) []geom.Vec3 {
 	n := len(data) / 3
 	if n > maxPts {
@@ -26,6 +26,8 @@ func decodeFuzzPoints(data []byte, maxPts int) []geom.Vec3 {
 			return math.NaN()
 		case 0xfe:
 			return math.Inf(1)
+		case 0xfd:
+			return math.Copysign(0, -1)
 		}
 		return float64(b) / 16
 	}
@@ -41,9 +43,10 @@ func decodeFuzzPoints(data []byte, maxPts int) []geom.Vec3 {
 
 // FuzzDelaunayInsert feeds degenerate point sets to the incremental
 // triangulator. The contract: New either succeeds with a mesh that passes
-// the structural validator, or fails with an error in the typed taxonomy
-// (ErrDegenerateInput for unusable input, ErrMeshCorrupt/ErrLocateDiverged
-// for internal failures) — it must never panic.
+// the structural validator and is the one NewInputOrder builds, or fails
+// with an error in the typed taxonomy (ErrDegenerateInput for unusable
+// input, ErrMeshCorrupt/ErrLocateDiverged for internal failures) — it must
+// never panic. Up to 96 points, so that inputs reach the BRIO rounds.
 func FuzzDelaunayInsert(f *testing.F) {
 	seed := func(pts []geom.Vec3) {
 		b := make([]byte, 0, 3*len(pts))
@@ -54,6 +57,9 @@ func FuzzDelaunayInsert(f *testing.F) {
 				}
 				if math.IsInf(v, 0) {
 					return 0xfe
+				}
+				if v == 0 && math.Signbit(v) {
+					return 0xfd
 				}
 				return byte(v * 16)
 			}
@@ -92,9 +98,16 @@ func FuzzDelaunayInsert(f *testing.F) {
 	for _, s := range stitchBoundarySeeds() {
 		seed(s)
 	}
+	// Enough points for rounds, among them a pair equal but for the sign
+	// of a zero, the -0 first: it must stay the canonical one.
+	signed := []geom.Vec3{{X: math.Copysign(0, -1), Y: 2, Z: 3}}
+	for i := 0; i < 70; i++ {
+		signed = append(signed, geom.Vec3{X: float64(i%5) / 2, Y: float64(i%7) / 4, Z: float64(i%11) / 8})
+	}
+	seed(append(signed, geom.Vec3{X: 0, Y: 2, Z: 3}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pts := decodeFuzzPoints(data, 48)
+		pts := decodeFuzzPoints(data, 96)
 		tri, err := New(pts)
 		if err != nil {
 			if !errors.Is(err, geomerr.ErrDegenerateInput) &&
@@ -107,6 +120,11 @@ func FuzzDelaunayInsert(f *testing.F) {
 		if err := tri.Validate(); err != nil {
 			t.Fatalf("accepted mesh fails validation: %v", err)
 		}
+		in, err := NewInputOrder(pts)
+		if err != nil {
+			t.Fatalf("New succeeded, NewInputOrder: %v", err)
+		}
+		requireTriEqual(t, in, tri)
 	})
 }
 
@@ -299,6 +317,9 @@ func FuzzDelaunayParallelStitch(f *testing.F) {
 				}
 				if math.IsInf(v, 0) {
 					return 0xfe
+				}
+				if v == 0 && math.Signbit(v) {
+					return 0xfd
 				}
 				return byte(v * 16)
 			}

@@ -173,6 +173,7 @@ func (t *Triangulation) conflictsCached(ti int32, p geom.Vec3) (bool, error) {
 	if t.cmark[ti] == t.epoch {
 		return t.cval[ti], nil
 	}
+	t.build.ConflictTests++
 	c, err := t.conflicts(ti, p)
 	if err != nil {
 		return false, err
@@ -193,7 +194,7 @@ func (t *Triangulation) insert(v int32) error {
 	// conflict memo, so findConflictSeed's evaluations are reused by the
 	// cavity flood fill.
 	t.epoch++
-	loc, err := t.LocateFrom(t.last, p)
+	loc, steps, err := t.LocateSeeded(t.last, p, &t.rng)
 	if err != nil {
 		return err
 	}
@@ -225,6 +226,10 @@ func (t *Triangulation) insert(v int32) error {
 		return err
 	}
 	t.insertedCount++
+	t.build.Inserts++
+	t.build.WalkSteps += int64(steps)
+	t.build.CavityTets += int64(len(t.cavity))
+	t.build.NewTets += int64(len(t.border))
 	return nil
 }
 

@@ -84,7 +84,7 @@ type BuildOptions struct {
 }
 
 // NewParallel builds the Delaunay triangulation of pts using `workers`
-// concurrent block builds. The result is deeply equal to New(pts) — same
+// concurrent block builds. The mesh is deeply equal to New(pts)'s — same
 // canonical tet pool, same adjacency, same anchors — at a fraction of the
 // wall time on multi-core machines. Inputs below a size threshold, and any
 // input the block pipeline cannot certify end-to-end, are built serially.
@@ -169,6 +169,7 @@ type blockResult struct {
 	accepted []tetQuad // certified global tets, canonical slot order
 	frontier []int32   // owned points whose owner-star is not fully settled
 	failed   bool      // block build failed; all owned points are frontier
+	build    BuildStats
 }
 
 func buildParallel(pts []geom.Vec3, opt BuildOptions) (*Triangulation, error) {
@@ -285,8 +286,10 @@ func buildParallel(pts []geom.Vec3, opt BuildOptions) (*Triangulation, error) {
 	inFrontier := make([]bool, len(pts))
 	acceptedSet := make(map[tetQuad]struct{}, 8*len(canonIdx))
 	var accepted []tetQuad
+	var build BuildStats // every insert loop that ran for this mesh
 	for b := 0; b < K; b++ {
 		res := results[b]
+		build.Add(res.build)
 		if res.failed {
 			for _, i := range canonIdx {
 				if owner[i] == int8(b) {
@@ -329,6 +332,7 @@ func buildParallel(pts []geom.Vec3, opt BuildOptions) (*Triangulation, error) {
 		rt, err := buildRaw(fpts, true)
 		switch {
 		case err == nil:
+			build.Add(rt.build)
 			for ti := range rt.tets {
 				if rt.dead[ti] {
 					continue
@@ -377,7 +381,12 @@ func buildParallel(pts []geom.Vec3, opt BuildOptions) (*Triangulation, error) {
 	}
 	parStats.repairTets.Add(uint64(len(accepted) - blockAccepted))
 
-	return assemble(pts, dupOf, canonIdx, accepted, box)
+	t, err := assemble(pts, dupOf, canonIdx, accepted, box)
+	if err != nil {
+		return nil, err
+	}
+	t.build = build
+	return t, nil
 }
 
 // runBlock triangulates one block's ghost-volume points and certifies each
@@ -398,6 +407,7 @@ func runBlock(b int, d domain.Decomp, pts []geom.Vec3, local []int32, owner []in
 		res.failed = true
 		return res
 	}
+	res.build = tri.build
 
 	gv := d.GhostVolume(b)
 	ownedHere := func(gi int32) bool { return owner[gi] == int8(b) }

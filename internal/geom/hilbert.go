@@ -3,7 +3,8 @@ package geom
 import "sort"
 
 // Hilbert-curve sorting of 3D points. Like Morton order (morton.go) the
-// Hilbert order is a space-filling-curve BRIO, but consecutive cells along
+// Hilbert order is a space-filling-curve insertion order (the sort inside
+// each round of delaunay's BRIO), but consecutive cells along
 // the curve are always face-adjacent (Manhattan distance 1 on the cell
 // grid), where the Z-order curve takes long jumps at octant boundaries.
 // That makes Hilbert insertion order strictly more local: the remembering

@@ -5,7 +5,7 @@ import "sort"
 // Morton (Z-order) sorting of 3D points. Inserting points into an
 // incremental Delaunay triangulation in Morton order keeps successive
 // points spatially close, which makes the remembering walk O(1) expected
-// per insertion (a BRIO-style space-filling-curve order).
+// per insertion.
 
 // MortonKey returns the 63-bit Morton code of p within the box b, using 21
 // bits per axis.

@@ -61,6 +61,38 @@ const (
 	isErrBound  = (16.0 + 224.0*macheps) * macheps
 )
 
+// InSphere's permanent — sixteen Abs and as many multiplies as the
+// determinant itself — exists only to scale isErrBound, and on all but
+// near-cospherical inputs |det| clears that bound by orders of magnitude.
+// A bound on the permanent from the four lifts alone decides those first.
+// The permanent is, for each of the four points, its lift times six
+// products |x·y·z| of coordinates of the other three; a coordinate is at
+// most the root of its point's lift and a lift at most their sum S, so
+// permanent <= 6·S^2.5. Stage 1 asks for |det| > 24·isErrBound·S^2.5,
+// squared so that it needs no root: four times the bound, which covers the
+// rounding of det², S and the computed permanent thousands of times over,
+// and a few ulps more. A stage-1 accept therefore implies the permanent
+// test would accept, with the same sign: the filter only ever skips work,
+// and which calls reach the exact tiers — ExactCalls, every mesh bit — is
+// what it was (TestInSphereStage1).
+//
+// Out of range the test fails safe. An S⁵ that overflows compares false.
+// Where S⁵ or det² underflows the products lose their relative accuracy,
+// so the bound is raised by isStage1Floor, far above anything an underflow
+// can produce and far below any det² a normal build sees: under it every
+// call takes the permanent test as before.
+const (
+	isStage1Sq    = (24 * isErrBound) * (24 * isErrBound) * (1 + 64*macheps)
+	isStage1Floor = 0x1p-1000
+)
+
+// inSphereStage1 reports whether det, InSphere's float64 determinant,
+// clears the stage-1 bound for lifts, the sum of the four lifts.
+func inSphereStage1(det, lifts float64) bool {
+	l2 := lifts * lifts
+	return det*det > isStage1Sq*(l2*l2*lifts)+isStage1Floor
+}
+
 // Orient2D returns +1, 0, or -1 as c lies to the left of, on, or to the
 // right of the directed line a→b.
 func Orient2D(a, b, c Vec2) int {
@@ -172,6 +204,13 @@ func InSphere(a, b, c, d, e Vec3) int {
 
 	det := (dlift*abc - clift*dab) + (blift*cda - alift*bcd)
 
+	// With our orientation convention (Orient3D(a,b,c,d) > 0) the lifted
+	// determinant is negative for points inside the sphere; flip so that
+	// +1 means inside.
+	if inSphereStage1(det, (alift+blift)+(clift+dlift)) {
+		return -sgn(det)
+	}
+
 	aezplus := math.Abs(aez)
 	bezplus := math.Abs(bez)
 	cezplus := math.Abs(cez)
@@ -193,9 +232,6 @@ func InSphere(a, b, c, d, e Vec3) int {
 		((aexbeyplus+bexaeyplus)*dezplus+(bexdeyplus+dexbeyplus)*aezplus+(dexaeyplus+aexdeyplus)*bezplus)*clift +
 		((bexceyplus+cexbeyplus)*aezplus+(cexaeyplus+aexceyplus)*bezplus+(aexbeyplus+bexaeyplus)*cezplus)*dlift
 
-	// With our orientation convention (Orient3D(a,b,c,d) > 0) the lifted
-	// determinant is negative for points inside the sphere; flip so that
-	// +1 means inside.
 	if math.Abs(det) > isErrBound*permanent {
 		return -sgn(det)
 	}

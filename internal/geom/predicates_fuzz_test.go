@@ -13,7 +13,10 @@ import (
 // collinear runs, coplanar sheets, cospherical shells, mirroring the
 // internal/delaunay fuzz corpus), decimal lattices (inexact difference
 // tails), large offsets (catastrophic cancellation), and one-ulp
-// perturbations of lattice points.
+// perturbations of lattice points. A sixteenth byte scales all five points
+// by 2^±104: every product the predicates form stays a normal float64, but
+// the square of InSphere's determinant underflows, or the fifth power of
+// its lifts overflows, which is where its stage-1 filter must fall through.
 
 // fuzzCoord maps one byte to a coordinate. All outputs are finite (the
 // oracle requires finite input, as do the production call sites, which
@@ -44,8 +47,12 @@ func decodePredFuzzPoints(data []byte) [5]Vec3 {
 		}
 		return 0
 	}
+	exp := 0
+	if len(data) > 15 {
+		exp = [4]int{0, 104, -104, 0}[data[15]&3]
+	}
 	for i := range pts {
-		pts[i] = Vec3{X: coord(3 * i), Y: coord(3*i + 1), Z: coord(3*i + 2)}
+		pts[i] = scaled(Vec3{X: coord(3 * i), Y: coord(3*i + 1), Z: coord(3*i + 2)}, exp)
 	}
 	return pts
 }
@@ -70,6 +77,14 @@ func FuzzPredicatesExact(f *testing.F) {
 	// Mixed-regime seeds: decimal lattice, offset, and one-ulp bytes.
 	f.Add([]byte{0x40, 0x44, 0x48, 0x4c, 0x42, 0x48, 0x44, 0x50, 0x48, 0x46, 0x46, 0x48, 0x80, 0x84, 0x88})
 	f.Add([]byte{0x80, 0x00, 0xc0, 0x00, 0x80, 0xc4, 0x84, 0x84, 0xc8, 0x04, 0x44, 0xcc, 0x88, 0x08, 0xc2})
+	// A well-conditioned tetrahedron and an inside point, a one-ulp-off
+	// cospherical one, and the cube corners, each scaled up (lifts⁵
+	// overflows) and down (det² underflows).
+	for _, scale := range []byte{1, 2} {
+		f.Add([]byte{0x00, 0x00, 0x00, 0x30, 0x00, 0x00, 0x00, 0x30, 0x00, 0x00, 0x00, 0x30, 0x10, 0x10, 0x10, scale})
+		f.Add([]byte{0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x10, 0xcf, 0x10, 0x10, scale})
+		f.Add([]byte{0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x10, 0x10, 0x10, 0x10, scale})
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodePredFuzzPoints(data)
@@ -95,6 +110,7 @@ func FuzzPredicatesExact(f *testing.F) {
 		if got := InSphere(a, b, c, d, e); got != wantIS {
 			t.Errorf("InSphere(%v,%v,%v,%v,%v) = %d, oracle %d", a, b, c, d, e, got, wantIS)
 		}
+		checkInSphereStages(t, a, b, c, d, e)
 
 		// Deep exact tiers directly (valid for arbitrary finite input).
 		if got := orient3DExactExp(a, b, c, d); got != orient3DExact(a, b, c, d) {

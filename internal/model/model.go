@@ -61,7 +61,10 @@ func (m PowerModel) Predict(n float64) float64 {
 
 // FitPower fits α·n^β. The initial guess comes from a linear fit of
 // log(t) against log(n); Gauss–Newton then minimizes the (non-log)
-// residuals, matching the paper's procedure.
+// residuals, matching the paper's procedure. On timings noisy enough that
+// Gauss–Newton leaves the domain (NaN, or α <= 0) the result is the
+// log-log fit itself, which is always finite with α > 0: a calibration on a
+// loaded host gets a coarser model, not an error.
 func FitPower(n, t []float64) (PowerModel, error) {
 	var xs, ts []float64
 	for i := range n {
@@ -93,6 +96,7 @@ func FitPower(n, t []float64) (PowerModel, error) {
 		beta = (N*sxy - sx*sy) / den
 		alpha = math.Exp((sy - beta*sx) / N)
 	}
+	seed := PowerModel{Alpha: alpha, Beta: beta}
 
 	// Gauss–Newton on r_i = t_i - α n_i^β with Jacobian columns
 	// ∂f/∂α = n^β, ∂f/∂β = α n^β ln n.
@@ -129,7 +133,7 @@ func FitPower(n, t []float64) (PowerModel, error) {
 		}
 	}
 	if math.IsNaN(alpha) || math.IsNaN(beta) || alpha <= 0 {
-		return PowerModel{}, errors.New("model: power fit diverged")
+		return seed, nil
 	}
 	return PowerModel{Alpha: alpha, Beta: beta}, nil
 }

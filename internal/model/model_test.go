@@ -172,3 +172,30 @@ func TestPredictClamps(t *testing.T) {
 		t.Fatalf("power predict clamp = %v", p.Predict(0))
 	}
 }
+
+// TestFitPowerDivergenceFallsBackToLogFit: eight timings of the kind a
+// loaded host produces (one 4x outlier), on which Gauss–Newton steps out of
+// the domain. FitPower used to return "power fit diverged" here, which
+// failed a whole calibration; it now returns the log-log fit it started
+// from.
+func TestFitPowerDivergenceFallsBackToLogFit(t *testing.T) {
+	ns := []float64{2937, 2131, 2590, 744, 139, 1261, 4156, 1578}
+	ts := []float64{0.006002288628908119, 0.004497409904839431, 0.0176590632393109, 0.001853244392929896,
+		0.00013958025869574754, 0.001171854326305174, 0.0027411339780388216, 0.004161934464878294}
+	m, err := FitPower(ns, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(m.Alpha > 0) || math.IsInf(m.Alpha, 0) || math.IsNaN(m.Beta) || math.IsInf(m.Beta, 0) {
+		t.Fatalf("fit = %+v, want finite with Alpha > 0", m)
+	}
+	// The log-log OLS line through these samples.
+	if math.Abs(m.Beta-1.1424) > 1e-4 {
+		t.Errorf("beta = %v, want the log-log slope 1.1424", m.Beta)
+	}
+	for i, n := range ns {
+		if p := m.Predict(n); p < ts[i]/8 || p > ts[i]*8 {
+			t.Errorf("Predict(%v) = %v, sample %v", n, p, ts[i])
+		}
+	}
+}

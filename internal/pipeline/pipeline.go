@@ -289,6 +289,9 @@ type Result struct {
 	// Columns aggregates per-column march outcomes over every item this
 	// rank computed.
 	Columns render.OutcomeCounts
+	// Build sums the insert-loop counters of every triangulation this
+	// rank built: what the Triangulate phase time was spent on.
+	Build delaunay.BuildStats
 }
 
 // execKind says on whose behalf an item is being computed.
@@ -664,6 +667,7 @@ func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []ge
 			delaunay.BuildOptions{Parallelism: cfg.BuildParallelism})
 		var f *dtfe.Field
 		if err == nil {
+			rt.res.Build.Add(tri.BuildStats())
 			f, err = dtfe.NewField(tri, nil)
 		}
 		rec.TriTime = time.Since(t0).Seconds()
@@ -768,8 +772,8 @@ func (r *Result) String() string {
 	if r.Incomplete {
 		state = " INCOMPLETE"
 	}
-	return fmt.Sprintf("rank %d: items=%d (sent %d, recv %d)%s phases{part=%.3fs model=%.3fs tri=%.3fs render=%.3fs share=%.3fs total=%.3fs}",
+	return fmt.Sprintf("rank %d: items=%d (sent %d, recv %d)%s phases{part=%.3fs model=%.3fs tri=%.3fs render=%.3fs share=%.3fs total=%.3fs} build{%v}",
 		r.Rank, len(r.Items), r.Sent, r.Received, state,
 		r.Phases.Partition, r.Phases.Model, r.Phases.Triangulate,
-		r.Phases.Render, r.Phases.WorkShare, r.Phases.Total)
+		r.Phases.Render, r.Phases.WorkShare, r.Phases.Total, r.Build)
 }
