@@ -6,7 +6,9 @@
 #   make bench-ab PARENT=HEAD~1 W=batch_build N=5
 # The parent revision is unpacked with `git archive` under
 # .bench_build/ab/parent and builds there with a cache of its own, exactly
-# as a fresh checkout would; the change is the working tree. Pair i runs
+# as a fresh checkout would, and is removed again on exit (60 MB of another
+# revision's source and build cache is a trap for every tool that walks the
+# tree); the change is the working tree. Pair i runs
 # both sides on seed i, the parent first when i is odd. Prints each pair's
 # end-to-end metrics, then both medians and the verdict of
 # `bench/e2e/run.sh -compare` on the two sample sets.
@@ -20,6 +22,7 @@ metrics="setup_s op_ms ops_per_s peak_rss_mb"
 root=$PWD
 ab=$root/.bench_build/ab
 rm -rf "$ab/parent"
+trap 'rm -rf "$ab/parent"' EXIT
 mkdir -p "$ab/parent"
 git archive "$parent" | tar -x -C "$ab/parent"
 

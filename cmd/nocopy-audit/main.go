@@ -17,6 +17,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,39 +66,49 @@ func structGuarded(st *ast.StructType) bool {
 	return false
 }
 
-func main() {
-	roots := os.Args[1:]
-	if len(roots) == 0 {
-		roots = []string{"."}
-	}
-	fset := token.NewFileSet()
-	type pkgFiles struct{ files []*ast.File }
-	pkgs := map[string]*pkgFiles{} // dir -> files (tests included: they copy too)
-
+// parseTree parses every .go file under roots (tests included: they copy
+// too), grouped by directory. Like the go tool it skips directories whose
+// name starts with "." or "_" and testdata — .bench_build can hold a whole
+// checkout of another revision — but never a root itself.
+func parseTree(fset *token.FileSet, roots []string) (map[string][]*ast.File, error) {
+	pkgs := map[string][]*ast.File{}
 	for _, root := range roots {
-		filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-			if err != nil || info.IsDir() || !strings.HasSuffix(path, ".go") {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if n := d.Name(); path != root && (strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") || n == "testdata") {
+					return filepath.SkipDir
+				}
 				return nil
 			}
-			f, perr := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if perr != nil {
-				fmt.Fprintf(os.Stderr, "nocopy-audit: %v\n", perr)
-				os.Exit(2)
+			if !strings.HasSuffix(path, ".go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
 			}
 			dir := filepath.Dir(path)
-			if pkgs[dir] == nil {
-				pkgs[dir] = &pkgFiles{}
-			}
-			pkgs[dir].files = append(pkgs[dir].files, f)
+			pkgs[dir] = append(pkgs[dir], f)
 			return nil
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
+	return pkgs, nil
+}
 
-	bad := 0
-	for _, p := range pkgs {
+// audit returns one "file:line: ..." finding per by-value receiver,
+// parameter or result of a struct that carries locks or atomics.
+func audit(fset *token.FileSet, pkgs map[string][]*ast.File) []string {
+	var findings []string
+	for _, files := range pkgs {
 		// Pass 1: which named structs in this package carry locks/atomics?
 		guarded := map[string]bool{}
-		for _, f := range p.files {
+		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSpec)
 				if !ok {
@@ -114,40 +125,46 @@ func main() {
 		}
 		// Pass 2: flag by-value receivers, params, and results of those
 		// types. A bare Ident of a guarded name in a signature is a copy.
-		flag := func(field *ast.Field, kind string) {
-			id, ok := field.Type.(*ast.Ident)
-			if !ok || !guarded[id.Name] {
+		flag := func(fields *ast.FieldList, kind string) {
+			if fields == nil {
 				return
 			}
-			pos := fset.Position(field.Pos())
-			fmt.Printf("%s: %s passes %s by value (copies its locks/atomics)\n", pos, kind, id.Name)
-			bad++
+			for _, field := range fields.List {
+				if id, ok := field.Type.(*ast.Ident); ok && guarded[id.Name] {
+					findings = append(findings, fmt.Sprintf("%s: %s passes %s by value (copies its locks/atomics)",
+						fset.Position(field.Pos()), kind, id.Name))
+				}
+			}
 		}
-		for _, f := range p.files {
+		for _, f := range files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if fd.Recv != nil {
-					for _, r := range fd.Recv.List {
-						flag(r, "receiver")
-					}
-				}
-				if fd.Type.Params != nil {
-					for _, prm := range fd.Type.Params.List {
-						flag(prm, "parameter")
-					}
-				}
-				if fd.Type.Results != nil {
-					for _, res := range fd.Type.Results.List {
-						flag(res, "result")
-					}
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					flag(fd.Recv, "receiver")
+					flag(fd.Type.Params, "parameter")
+					flag(fd.Type.Results, "result")
 				}
 			}
 		}
 	}
-	if bad > 0 {
+	return findings
+}
+
+func main() {
+	roots := os.Args[1:]
+	if len(roots) == 0 {
+		roots = []string{"."}
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parseTree(fset, roots)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nocopy-audit: %v\n", err)
+		os.Exit(2)
+	}
+	findings := audit(fset, pkgs)
+	for _, f := range findings {
+		fmt.Println(f)
+	}
+	if len(findings) > 0 {
 		os.Exit(1)
 	}
 	fmt.Println("nocopy-audit: clean")

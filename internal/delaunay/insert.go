@@ -17,10 +17,6 @@ func xorshiftStar(rng *uint64) uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-// nextRand draws from the triangulation's internal stream (mutates shared
-// state — callers that locate concurrently must use LocateSeeded).
-func (t *Triangulation) nextRand() uint64 { return xorshiftStar(&t.rng) }
-
 // Locate returns a live tetrahedron whose closure contains p, walking from
 // an internal hint. The result is an infinite tet when p lies outside the
 // convex hull. It returns geomerr.ErrDegenerateInput for a non-finite

@@ -12,7 +12,7 @@ import (
 //
 //	stage A — the exact expansion determinant of the *rounded* coordinate
 //	          differences, certified by a B-style bound on the rounding of
-//	          the differences themselves. If every twoDiff tail is zero the
+//	          the differences themselves. If every twoDiffTail is zero the
 //	          rounded differences are the true differences and the stage-A
 //	          expansion is the exact determinant: return its sign.
 //	stage C — a first-order (linear in the tails) floating-point correction
@@ -45,13 +45,11 @@ const (
 	// Stage-A certification bounds (Shewchuk's B bounds).
 	ccwErrBoundB = (2 + 12*macheps) * macheps
 	o3dErrBoundB = (3 + 28*macheps) * macheps
-	iccErrBoundB = (4 + 48*macheps) * macheps
 	ispErrBoundB = (5 + 72*macheps) * macheps
 	// Stage-C certification bounds: Shewchuk's C constants with a 64x
 	// safety factor for our independently derived correction formulas.
 	ccwErrBoundCSafe = 64 * (9 + 64*macheps) * macheps * macheps
 	o3dErrBoundCSafe = 64 * (26 + 288*macheps) * macheps * macheps
-	iccErrBoundCSafe = 64 * (44 + 576*macheps) * macheps * macheps
 	ispErrBoundCSafe = 64 * (71 + 1408*macheps) * macheps * macheps
 )
 
@@ -202,113 +200,6 @@ func orient3DExactExp(a, b, c, d Vec3) int {
 	ns2 := fastExpansionSumZeroElim(tabd[:nabd], tabc[:nabc], s2[:])
 	ndd := fastExpansionSumZeroElim(s1[:ns1], s2[:ns2], dd[:])
 	return -expSign(dd[:ndd])
-}
-
-// inCircleAdapt resolves an InCircle call that missed the static filter.
-func inCircleAdapt(a, b, c, d Vec2, permanent float64) int {
-	adx, ady := a.X-d.X, a.Y-d.Y
-	bdx, bdy := b.X-d.X, b.Y-d.Y
-	cdx, cdy := c.X-d.X, c.Y-d.Y
-
-	// Stage A: exact determinant of the rounded differences.
-	var m1, m2, m3 [4]float64
-	n1 := prodDiff(bdx, cdy, cdx, bdy, m1[:])
-	n2 := prodDiff(cdx, ady, adx, cdy, m2[:])
-	n3 := prodDiff(adx, bdy, bdx, ady, m3[:])
-	var la, lb, lc [4]float64
-	nla := sumSquares2(adx, ady, la[:])
-	nlb := sumSquares2(bdx, bdy, lb[:])
-	nlc := sumSquares2(cdx, cdy, lc[:])
-	var term [8]float64
-	var qa1, qa2, qb1, qb2, qc1, qc2 [32]float64
-	pa := mulExpansion(la[:nla], m1[:n1], term[:], qa1[:], qa2[:])
-	pb := mulExpansion(lb[:nlb], m2[:n2], term[:], qb1[:], qb2[:])
-	pc := mulExpansion(lc[:nlc], m3[:n3], term[:], qc1[:], qc2[:])
-	var s12 [64]float64
-	var fin [96]float64
-	ns := fastExpansionSumZeroElim(pa, pb, s12[:])
-	nfin := fastExpansionSumZeroElim(s12[:ns], pc, fin[:])
-	det := estimate(fin[:nfin])
-	if errbound := iccErrBoundB * permanent; det >= errbound || -det >= errbound {
-		return sgn(det)
-	}
-
-	adxtail := twoDiffTail(a.X, d.X, adx)
-	adytail := twoDiffTail(a.Y, d.Y, ady)
-	bdxtail := twoDiffTail(b.X, d.X, bdx)
-	bdytail := twoDiffTail(b.Y, d.Y, bdy)
-	cdxtail := twoDiffTail(c.X, d.X, cdx)
-	cdytail := twoDiffTail(c.Y, d.Y, cdy)
-	if adxtail == 0 && adytail == 0 && bdxtail == 0 && bdytail == 0 &&
-		cdxtail == 0 && cdytail == 0 {
-		return expSign(fin[:nfin])
-	}
-
-	// Stage C: first-order tail correction over float approximations of
-	// the minors and lifts.
-	errbound := iccErrBoundCSafe*permanent + resultErrBound*math.Abs(det)
-	m1F := bdx*cdy - cdx*bdy
-	m2F := cdx*ady - adx*cdy
-	m3F := adx*bdy - bdx*ady
-	m1T := (bdx*cdytail + cdy*bdxtail) - (bdy*cdxtail + cdx*bdytail)
-	m2T := (cdx*adytail + ady*cdxtail) - (cdy*adxtail + adx*cdytail)
-	m3T := (adx*bdytail + bdy*adxtail) - (ady*bdxtail + bdx*adytail)
-	laF := adx*adx + ady*ady
-	lbF := bdx*bdx + bdy*bdy
-	lcF := cdx*cdx + cdy*cdy
-	laT := 2 * (adx*adxtail + ady*adytail)
-	lbT := 2 * (bdx*bdxtail + bdy*bdytail)
-	lcT := 2 * (cdx*cdxtail + cdy*cdytail)
-	det += (laT*m1F + laF*m1T) + (lbT*m2F + lbF*m2T) + (lcT*m3F + lcF*m3T)
-	if det >= errbound || -det >= errbound {
-		return sgn(det)
-	}
-	return inCircleExactExp(a, b, c, d)
-}
-
-// inCircleExactExp computes the exact sign over the untranslated inputs:
-// the 4x4 determinant with rows (p, |p|^2, 1), expanded along the lifted
-// column as sum lift_p * K_p with K_a = bc + cd - bd, K_b = ad - ac - cd,
-// K_c = ab + bd - ad, K_d = ac - ab - bc. Equals the filter's translated
-// 3x3, so the sign is returned as-is.
-func inCircleExactExp(a, b, c, d Vec2) int {
-	DeepExactCalls.Add(1)
-	var ab, ac, ad, bc, bd, cd [4]float64
-	nab := prodDiff(a.X, b.Y, b.X, a.Y, ab[:])
-	nac := prodDiff(a.X, c.Y, c.X, a.Y, ac[:])
-	nad := prodDiff(a.X, d.Y, d.X, a.Y, ad[:])
-	nbc := prodDiff(b.X, c.Y, c.X, b.Y, bc[:])
-	nbd := prodDiff(b.X, d.Y, d.X, b.Y, bd[:])
-	ncd := prodDiff(c.X, d.Y, d.X, c.Y, cd[:])
-
-	var ka, kb, kc, kd [24]float64
-	nka := scale3(bc[:nbc], 1, cd[:ncd], 1, bd[:nbd], -1, ka[:])
-	nkb := scale3(ad[:nad], 1, ac[:nac], -1, cd[:ncd], -1, kb[:])
-	nkc := scale3(ab[:nab], 1, bd[:nbd], 1, ad[:nad], -1, kc[:])
-	nkd := scale3(ac[:nac], 1, ab[:nab], -1, bc[:nbc], -1, kd[:])
-
-	var la, lb, lc, ld [4]float64
-	nla := sumSquares2(a.X, a.Y, la[:])
-	nlb := sumSquares2(b.X, b.Y, lb[:])
-	nlc := sumSquares2(c.X, c.Y, lc[:])
-	nld := sumSquares2(d.X, d.Y, ld[:])
-
-	var term [48]float64
-	var q1, q2 [192]float64
-	var r1, r2 [768]float64
-	p := mulExpansion(la[:nla], ka[:nka], term[:], q1[:], q2[:])
-	rn := copy(r1[:], p)
-	cur, nxt := r1[:], r2[:]
-	p = mulExpansion(lb[:nlb], kb[:nkb], term[:], q1[:], q2[:])
-	rn = fastExpansionSumZeroElim(cur[:rn], p, nxt)
-	cur, nxt = nxt, cur
-	p = mulExpansion(lc[:nlc], kc[:nkc], term[:], q1[:], q2[:])
-	rn = fastExpansionSumZeroElim(cur[:rn], p, nxt)
-	cur, nxt = nxt, cur
-	p = mulExpansion(ld[:nld], kd[:nkd], term[:], q1[:], q2[:])
-	rn = fastExpansionSumZeroElim(cur[:rn], p, nxt)
-	cur = nxt
-	return expSign(cur[:rn])
 }
 
 // inSphereAdapt resolves an InSphere call that missed the static filter.

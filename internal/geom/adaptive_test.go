@@ -63,19 +63,6 @@ func TestOrient3DExactExpMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestInCircleExactExpMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 20000; i++ {
-		p, q, r, s := adversarialVec3(rng), adversarialVec3(rng), adversarialVec3(rng), adversarialVec3(rng)
-		a, b, c, d := Vec2{p.X, p.Y}, Vec2{q.X, q.Y}, Vec2{r.X, r.Y}, Vec2{s.X, s.Y}
-		got := inCircleExactExp(a, b, c, d)
-		want := inCircleExact(a, b, c, d)
-		if got != want {
-			t.Fatalf("inCircleExactExp(%v,%v,%v,%v) = %d, oracle %d", a, b, c, d, got, want)
-		}
-	}
-}
-
 func TestInSphereExactExpMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 10000; i++ {
@@ -98,7 +85,6 @@ func TestPublicPredicatesMatchOracle(t *testing.T) {
 		wantO3 := Orient3D(a, b, c, d)
 		wantIS := InSphere(a, b, c, d, e)
 		wantO2 := Orient2D(Vec2{a.X, a.Y}, Vec2{b.X, b.Y}, Vec2{c.X, c.Y})
-		wantIC := InCircle(Vec2{a.X, a.Y}, Vec2{b.X, b.Y}, Vec2{c.X, c.Y}, Vec2{d.X, d.Y})
 		SetOracleFallback(prev)
 		if got := Orient3D(a, b, c, d); got != wantO3 {
 			t.Fatalf("Orient3D(%v,%v,%v,%v) = %d, oracle %d", a, b, c, d, got, wantO3)
@@ -108,9 +94,6 @@ func TestPublicPredicatesMatchOracle(t *testing.T) {
 		}
 		if got := Orient2D(Vec2{a.X, a.Y}, Vec2{b.X, b.Y}, Vec2{c.X, c.Y}); got != wantO2 {
 			t.Fatalf("Orient2D mismatch: %d vs oracle %d", got, wantO2)
-		}
-		if got := InCircle(Vec2{a.X, a.Y}, Vec2{b.X, b.Y}, Vec2{c.X, c.Y}, Vec2{d.X, d.Y}); got != wantIC {
-			t.Fatalf("InCircle mismatch: %d vs oracle %d", got, wantIC)
 		}
 	}
 }
@@ -135,7 +118,6 @@ func TestExactPredicatesZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		orient3DExactExp(Vec3{0, 0, 0}, Vec3{3, 0, 0}, Vec3{0, 5, 0}, Vec3{1, 1, 0})
 		inSphereExactExp(Vec3{0, 0, 0}, Vec3{1, 0, 0}, Vec3{0, 1, 0}, Vec3{1, 1, 0}, Vec3{1, 1, 1})
-		inCircleExactExp(Vec2{0, 0}, Vec2{1, 0}, Vec2{0, 1}, Vec2{1, 1})
 	}); n != 0 {
 		t.Fatalf("deep exact tiers allocated %v times per run", n)
 	}

@@ -37,12 +37,6 @@ func twoSum(a, b float64) (x, y float64) {
 	return x, y
 }
 
-// twoDiff returns (x, y) with a - b = x + y exactly, x = fl(a-b).
-func twoDiff(a, b float64) (x, y float64) {
-	x = a - b
-	return x, twoDiffTail(a, b, x)
-}
-
 // twoDiffTail returns the roundoff y = (a - b) - x for x = fl(a-b).
 func twoDiffTail(a, b, x float64) float64 {
 	bvirt := a - x

@@ -100,7 +100,7 @@ func BenchmarkPredicateFallbackInSphere(b *testing.B) {
 	}
 }
 
-// BenchmarkPredicateFallbackOrient2D covers the 2D pair on collinear and
+// BenchmarkPredicateFallbackOrient2D covers Orient2D on collinear and
 // one-ulp-off-collinear inputs.
 func BenchmarkPredicateFallbackOrient2D(b *testing.B) {
 	cases := [][3]Vec2{
@@ -113,21 +113,5 @@ func BenchmarkPredicateFallbackOrient2D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := &cases[i%len(cases)]
 		Orient2D(c[0], c[1], c[2])
-	}
-}
-
-// BenchmarkPredicateFallbackInCircle covers cocircular and one-ulp-inside
-// inputs.
-func BenchmarkPredicateFallbackInCircle(b *testing.B) {
-	cases := [][4]Vec2{
-		{{0, 0}, {1, 0}, {0, 1}, {1, 1}},
-		{{0.2, 0.2}, {0.8, 0.2}, {0.2, 0.8}, {0.8, 0.8}},
-		{{0, 0}, {1, 0}, {0, 1}, {1, math.Nextafter(1, 0)}},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := &cases[i%len(cases)]
-		InCircle(c[0], c[1], c[2], c[3])
 	}
 }

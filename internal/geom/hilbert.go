@@ -2,11 +2,10 @@ package geom
 
 import "sort"
 
-// Hilbert-curve sorting of 3D points. Like Morton order (morton.go) the
-// Hilbert order is a space-filling-curve insertion order (the sort inside
-// each round of delaunay's BRIO), but consecutive cells along
-// the curve are always face-adjacent (Manhattan distance 1 on the cell
-// grid), where the Z-order curve takes long jumps at octant boundaries.
+// Hilbert-curve sorting of 3D points: the space-filling-curve insertion
+// order inside each round of delaunay's BRIO. Consecutive cells along the
+// curve are always face-adjacent (Manhattan distance 1 on the cell grid),
+// where a Z-order (Morton) curve takes long jumps at octant boundaries.
 // That makes Hilbert insertion order strictly more local: the remembering
 // walk in the incremental Delaunay build revisits the same cache-resident
 // tets more often, which is what caps random-catalog build throughput.
@@ -20,11 +19,11 @@ import "sort"
 // transpose code (which survives as the oracle in hilbert_ref_test.go,
 // where the table is re-derived and compared); hilbertPair composes it
 // with itself so one lookup consumes two levels. 12 bits per axis (4096
-// cells per side) is far below MortonKey's 21 but is pure overkill
-// removal, not a quality loss: keys only order points and tet barycenters,
-// sets of at most ~2^21 elements in a 2^36-cell grid. Ties (distinct
-// points in one cell, or exact duplicates) are broken deterministically
-// by the callers.
+// cells per side) is far below the 21 a 64-bit key has room for but is
+// pure overkill removal, not a quality loss: keys only order points and
+// tet barycenters, sets of at most ~2^21 elements in a 2^36-cell grid. Ties
+// (distinct points in one cell, or exact duplicates) are broken
+// deterministically by the callers.
 
 const hilbertBits = 12
 
@@ -81,6 +80,23 @@ func HilbertKey(p Vec3, b AABB) uint64 {
 		uint32(normCoord(p.X, b.Min.X, size.X, maxv)),
 		uint32(normCoord(p.Y, b.Min.Y, size.Y, maxv)),
 		uint32(normCoord(p.Z, b.Min.Z, size.Z, maxv)))
+}
+
+// normCoord maps x to its cell in [0, maxv] along an axis that starts at
+// min and is size long, clamping points outside it; a zero-size axis is
+// one cell.
+func normCoord(x, min, size float64, maxv uint64) uint64 {
+	if size <= 0 {
+		return 0
+	}
+	f := (x - min) / size
+	if f < 0 {
+		f = 0
+	}
+	if f > 1 {
+		f = 1
+	}
+	return uint64(f * float64(maxv))
 }
 
 // hilbertFromCell returns the Hilbert index of the integer cell (x, y, z),
@@ -143,7 +159,7 @@ func SortHilbertWords(words, scratch []uint64) []uint64 {
 
 // HilbertOrder returns a permutation of indices [0,len(pts)) that visits
 // the points in Hilbert-curve order over their bounding box, ties broken by
-// ascending index (so duplicate points keep input order, like MortonOrder).
+// ascending index (so duplicate points keep input order).
 func HilbertOrder(pts []Vec3) []int {
 	b := BoundsOf(pts)
 	n := len(pts)

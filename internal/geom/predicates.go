@@ -29,8 +29,6 @@ import (
 //	InSphere(a,b,c,d,e) > 0 ⇔ e strictly inside the circumsphere of the
 //	                         positively oriented tetrahedron (a,b,c,d).
 //	Orient2D(a,b,c) > 0    ⇔ (a,b,c) counterclockwise.
-//	InCircle(a,b,c,d) > 0  ⇔ d strictly inside the circumcircle of the
-//	                         counterclockwise triangle (a,b,c).
 
 // ExactCalls counts how many predicate evaluations fell through the
 // static filter to an exact path (adaptive or oracle); exposed for the
@@ -43,7 +41,7 @@ var ExactCalls atomic.Uint64
 // render walkers see a consistent value.
 var oracleExact atomic.Bool
 
-// SetOracleFallback toggles the big.Rat oracle fallback for all four
+// SetOracleFallback toggles the big.Rat oracle fallback for all three
 // predicates and returns the previous setting. Test-only knob: the oracle
 // and the adaptive tiers return identical signs on every input, so this
 // changes performance (and allocation behavior), never results.
@@ -57,7 +55,6 @@ const (
 	macheps     = 2.220446049250313e-16 // 2^-52
 	o2dErrBound = (3.0 + 16.0*macheps) * macheps
 	o3dErrBound = (7.0 + 56.0*macheps) * macheps
-	icErrBound  = (10.0 + 96.0*macheps) * macheps
 	isErrBound  = (16.0 + 224.0*macheps) * macheps
 )
 
@@ -258,54 +255,6 @@ func inSphereExact(a, b, c, d, e Vec3) int {
 	// (p - e, |p - e|^2) for p in a,b,c,d positively oriented, e inside
 	// the circumsphere ⇔ det < 0. Return +1 for inside.
 	return -det4Rat(m).Sign()
-}
-
-// InCircle returns +1, 0, or -1 as d lies strictly inside, on, or outside
-// the circumcircle of the counterclockwise triangle (a,b,c). For a
-// clockwise triangle the sign is flipped by the caller.
-func InCircle(a, b, c, d Vec2) int {
-	adx, ady := a.X-d.X, a.Y-d.Y
-	bdx, bdy := b.X-d.X, b.Y-d.Y
-	cdx, cdy := c.X-d.X, c.Y-d.Y
-
-	bdxcdy := bdx * cdy
-	cdxbdy := cdx * bdy
-	alift := adx*adx + ady*ady
-
-	cdxady := cdx * ady
-	adxcdy := adx * cdy
-	blift := bdx*bdx + bdy*bdy
-
-	adxbdy := adx * bdy
-	bdxady := bdx * ady
-	clift := cdx*cdx + cdy*cdy
-
-	det := alift*(bdxcdy-cdxbdy) + blift*(cdxady-adxcdy) + clift*(adxbdy-bdxady)
-
-	permanent := (math.Abs(bdxcdy)+math.Abs(cdxbdy))*alift +
-		(math.Abs(cdxady)+math.Abs(adxcdy))*blift +
-		(math.Abs(adxbdy)+math.Abs(bdxady))*clift
-	if math.Abs(det) > icErrBound*permanent {
-		return sgn(det)
-	}
-	ExactCalls.Add(1)
-	if oracleExact.Load() {
-		return inCircleExact(a, b, c, d)
-	}
-	return inCircleAdapt(a, b, c, d, permanent)
-}
-
-func inCircleExact(a, b, c, d Vec2) int {
-	rows := [3]Vec2{a, b, c}
-	var m [3][3]*big.Rat
-	for i, p := range rows {
-		x := ratSub(p.X, d.X)
-		y := ratSub(p.Y, d.Y)
-		l := new(big.Rat).Mul(x, x)
-		l.Add(l, new(big.Rat).Mul(y, y))
-		m[i] = [3]*big.Rat{x, y, l}
-	}
-	return det3Rat(m).Sign()
 }
 
 func sgn(x float64) int {

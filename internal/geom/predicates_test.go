@@ -153,22 +153,6 @@ func circumsphere(a, b, c, d Vec3) (Vec3, float64, bool) {
 	return x, x.Sub(a).Norm2(), true
 }
 
-func TestInCircleBasics(t *testing.T) {
-	a, b, c := Vec2{0, 0}, Vec2{1, 0}, Vec2{0, 1} // CCW
-	if Orient2D(a, b, c) != 1 {
-		t.Fatal("triangle must be CCW")
-	}
-	if got := InCircle(a, b, c, Vec2{0.3, 0.3}); got != 1 {
-		t.Errorf("inside point: %d", got)
-	}
-	if got := InCircle(a, b, c, Vec2{2, 2}); got != -1 {
-		t.Errorf("outside point: %d", got)
-	}
-	if got := InCircle(a, b, c, Vec2{1, 1}); got != 0 {
-		t.Errorf("cocircular point (1,1): %d", got)
-	}
-}
-
 func TestCoSphericalExactness(t *testing.T) {
 	// Eight corners of a cube are cospherical; every insphere test among
 	// them must return exactly 0 for the 5th corner.

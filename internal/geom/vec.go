@@ -167,20 +167,3 @@ func Solve3(r0, r1, r2, rhs Vec3) (x Vec3, ok bool) {
 func TetVolume(a, b, c, d Vec3) float64 {
 	return b.Sub(a).Dot(c.Sub(a).Cross(d.Sub(a))) / 6.0
 }
-
-// TriangleArea2 returns twice the signed area of the 2D triangle (a,b,c);
-// positive for counterclockwise orientation.
-func TriangleArea2(a, b, c Vec2) float64 {
-	return b.Sub(a).Cross(c.Sub(a))
-}
-
-// InTriangle2D reports whether p lies inside (or on the boundary of) the 2D
-// triangle (a,b,c), which may have either orientation.
-func InTriangle2D(p, a, b, c Vec2) bool {
-	d1 := b.Sub(a).Cross(p.Sub(a))
-	d2 := c.Sub(b).Cross(p.Sub(b))
-	d3 := a.Sub(c).Cross(p.Sub(c))
-	hasNeg := d1 < 0 || d2 < 0 || d3 < 0
-	hasPos := d1 > 0 || d2 > 0 || d3 > 0
-	return !(hasNeg && hasPos)
-}

@@ -146,36 +146,3 @@ func TestTetVolumeTranslationInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestInTriangle2D(t *testing.T) {
-	a, b, c := Vec2{0, 0}, Vec2{2, 0}, Vec2{0, 2}
-	cases := []struct {
-		p    Vec2
-		want bool
-	}{
-		{Vec2{0.5, 0.5}, true},
-		{Vec2{1, 1}, true}, // on hypotenuse
-		{Vec2{0, 0}, true}, // vertex
-		{Vec2{1.1, 1.1}, false},
-		{Vec2{-0.1, 0.5}, false},
-		{Vec2{3, 0}, false},
-	}
-	for _, tc := range cases {
-		if got := InTriangle2D(tc.p, a, b, c); got != tc.want {
-			t.Errorf("InTriangle2D(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-		// Orientation of the triangle must not matter.
-		if got := InTriangle2D(tc.p, a, c, b); got != tc.want {
-			t.Errorf("InTriangle2D(%v) reversed = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
-func TestTriangleArea2(t *testing.T) {
-	if got := TriangleArea2(Vec2{0, 0}, Vec2{1, 0}, Vec2{0, 1}); got != 1 {
-		t.Errorf("ccw area2 = %v, want 1", got)
-	}
-	if got := TriangleArea2(Vec2{0, 0}, Vec2{0, 1}, Vec2{1, 0}); got != -1 {
-		t.Errorf("cw area2 = %v, want -1", got)
-	}
-}

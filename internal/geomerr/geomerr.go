@@ -122,12 +122,9 @@ func (e *FormatError) Error() string {
 	return s
 }
 
+// Unwrap deliberately yields the sentinel, not Err, so errors.Is sorts by
+// category; read Err when the I/O cause matters.
 func (e *FormatError) Unwrap() error { return ErrBadFormat }
-
-// Cause exposes the underlying error for errors.Is chains beyond
-// ErrBadFormat (FormatError deliberately unwraps to the sentinel; use
-// Cause when the I/O error matters).
-func (e *FormatError) Cause() error { return e.Err }
 
 // Format builds a FormatError.
 func Format(offset int64, cause error, format string, args ...any) error {

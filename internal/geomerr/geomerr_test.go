@@ -55,8 +55,8 @@ func TestFormatCause(t *testing.T) {
 	if !errors.As(err, &fe) {
 		t.Fatal("not a FormatError")
 	}
-	if fe.Cause() != io.ErrUnexpectedEOF {
-		t.Fatalf("cause = %v", fe.Cause())
+	if fe.Err != io.ErrUnexpectedEOF {
+		t.Fatalf("cause = %v", fe.Err)
 	}
 	// The sentinel, not the cause, drives errors.Is — callers sort by
 	// category first.

@@ -1,7 +1,6 @@
-// Package grid provides dense 2D and 3D regular grids used for rendered
+// Package grid provides the dense 2D regular grid used for rendered
 // density fields, plus the map algebra needed by the paper's evaluation
-// (z-projection, ratio maps, summaries) and a PGM dump for eyeballing
-// results.
+// (ratio maps, summaries) and a PGM dump for eyeballing results.
 package grid
 
 import (
@@ -259,58 +258,4 @@ func (g *Grid2D) WritePGM(w io.Writer, logScale bool) error {
 		}
 	}
 	return nil
-}
-
-// Grid3D is a dense 3D scalar field over a physical box, laid out with x
-// fastest, then y, then z.
-type Grid3D struct {
-	Nx, Ny, Nz int
-	Min        geom.Vec3
-	Cell       float64
-	Data       []float64
-}
-
-// NewGrid3D allocates a 3D grid.
-func NewGrid3D(nx, ny, nz int, min geom.Vec3, cell float64) *Grid3D {
-	return &Grid3D{Nx: nx, Ny: ny, Nz: nz, Min: min, Cell: cell, Data: make([]float64, nx*ny*nz)}
-}
-
-// At returns the value at (i, j, k).
-func (g *Grid3D) At(i, j, k int) float64 { return g.Data[(k*g.Ny+j)*g.Nx+i] }
-
-// Set stores v at (i, j, k).
-func (g *Grid3D) Set(i, j, k int, v float64) { g.Data[(k*g.Ny+j)*g.Nx+i] = v }
-
-// Center returns the physical center of cell (i, j, k).
-func (g *Grid3D) Center(i, j, k int) geom.Vec3 {
-	return geom.Vec3{
-		X: g.Min.X + (float64(i)+0.5)*g.Cell,
-		Y: g.Min.Y + (float64(j)+0.5)*g.Cell,
-		Z: g.Min.Z + (float64(k)+0.5)*g.Cell,
-	}
-}
-
-// ProjectZ integrates the field along z (paper eq 4): out(i,j) =
-// Σ_k v(i,j,k) Δz.
-func (g *Grid3D) ProjectZ() *Grid2D {
-	out := NewGrid2D(g.Nx, g.Ny, geom.Vec2{X: g.Min.X, Y: g.Min.Y}, g.Cell)
-	for k := 0; k < g.Nz; k++ {
-		for j := 0; j < g.Ny; j++ {
-			base := (k*g.Ny + j) * g.Nx
-			orow := j * g.Nx
-			for i := 0; i < g.Nx; i++ {
-				out.Data[orow+i] += g.Data[base+i] * g.Cell
-			}
-		}
-	}
-	return out
-}
-
-// Sum returns the sum of all cell values.
-func (g *Grid3D) Sum() float64 {
-	var s float64
-	for _, v := range g.Data {
-		s += v
-	}
-	return s
 }

@@ -87,27 +87,6 @@ func TestL1Diff(t *testing.T) {
 	}
 }
 
-func TestGrid3DProjectZ(t *testing.T) {
-	g := NewGrid3D(2, 2, 3, geom.Vec3{}, 0.5)
-	// Column (1,0): values 1, 2, 3 along z -> integral (1+2+3)*0.5 = 3.
-	g.Set(1, 0, 0, 1)
-	g.Set(1, 0, 1, 2)
-	g.Set(1, 0, 2, 3)
-	p := g.ProjectZ()
-	if got := p.At(1, 0); got != 3 {
-		t.Fatalf("projected = %v, want 3", got)
-	}
-	if got := p.At(0, 1); got != 0 {
-		t.Fatalf("empty column = %v", got)
-	}
-	if g.Sum() != 6 {
-		t.Fatalf("3d sum = %v", g.Sum())
-	}
-	if c := g.Center(0, 0, 2); c != (geom.Vec3{X: 0.25, Y: 0.25, Z: 1.25}) {
-		t.Fatalf("3d center = %v", c)
-	}
-}
-
 func TestWriteCSVAndXYZ(t *testing.T) {
 	g := NewGrid2D(2, 2, geom.Vec2{}, 0.5)
 	g.Set(0, 0, 1)

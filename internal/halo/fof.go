@@ -248,48 +248,6 @@ func Find(pts []geom.Vec3, link float64, minMembers int) []Halo {
 	return out
 }
 
-// Properties are derived per-group quantities.
-type Properties struct {
-	// RRMS is the root-mean-square member distance from the centroid.
-	RRMS float64
-	// RMax is the largest member distance from the centroid.
-	RMax float64
-	// VMean is the mean member velocity (zero vector when vels is nil).
-	VMean geom.Vec3
-	// SigmaV is the 3D velocity dispersion about VMean.
-	SigmaV float64
-}
-
-// Props computes size and kinematic properties of a halo. vels may be nil
-// (positions only).
-func (h *Halo) Props(pts []geom.Vec3, vels []geom.Vec3) Properties {
-	var p Properties
-	if len(h.Members) == 0 {
-		return p
-	}
-	var r2 float64
-	for _, m := range h.Members {
-		d := pts[m].Sub(h.Center).Norm2()
-		r2 += d
-		if d > p.RMax*p.RMax {
-			p.RMax = math.Sqrt(d)
-		}
-	}
-	p.RRMS = math.Sqrt(r2 / float64(len(h.Members)))
-	if vels != nil {
-		for _, m := range h.Members {
-			p.VMean = p.VMean.Add(vels[m])
-		}
-		p.VMean = p.VMean.Scale(1 / float64(len(h.Members)))
-		var v2 float64
-		for _, m := range h.Members {
-			v2 += vels[m].Sub(p.VMean).Norm2()
-		}
-		p.SigmaV = math.Sqrt(v2 / float64(len(h.Members)))
-	}
-	return p
-}
-
 // MeanSeparation returns the mean interparticle separation
 // (V/n)^(1/3) — the usual normalization for the FOF linking length
 // (b ≈ 0.2 of this).

@@ -107,50 +107,6 @@ func TestFOFTwoBlobs(t *testing.T) {
 	}
 }
 
-func TestHaloProps(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var pts, vels []geom.Vec3
-	const n = 2000
-	const sigmaPos = 0.02
-	const sigmaVel = 3.0
-	bulk := geom.Vec3{X: 10, Y: -5, Z: 2}
-	for i := 0; i < n; i++ {
-		pts = append(pts, geom.Vec3{
-			X: 0.5 + sigmaPos*rng.NormFloat64(),
-			Y: 0.5 + sigmaPos*rng.NormFloat64(),
-			Z: 0.5 + sigmaPos*rng.NormFloat64(),
-		})
-		vels = append(vels, bulk.Add(geom.Vec3{
-			X: sigmaVel * rng.NormFloat64(),
-			Y: sigmaVel * rng.NormFloat64(),
-			Z: sigmaVel * rng.NormFloat64(),
-		}))
-	}
-	halos := Find(pts, 0.02, 100)
-	if len(halos) != 1 {
-		t.Fatalf("found %d halos", len(halos))
-	}
-	p := halos[0].Props(pts, vels)
-	// 3D gaussian: RMS radius = sqrt(3)*sigma.
-	if wantR := sigmaPos * 1.7320508; p.RRMS < 0.9*wantR || p.RRMS > 1.1*wantR {
-		t.Fatalf("RRMS = %v, want ~%v", p.RRMS, wantR)
-	}
-	if p.RMax < p.RRMS {
-		t.Fatal("RMax below RRMS")
-	}
-	if p.VMean.Sub(bulk).Norm() > 0.3 {
-		t.Fatalf("VMean = %v, want ~%v", p.VMean, bulk)
-	}
-	if wantS := sigmaVel * 1.7320508; p.SigmaV < 0.9*wantS || p.SigmaV > 1.1*wantS {
-		t.Fatalf("SigmaV = %v, want ~%v", p.SigmaV, wantS)
-	}
-	// Positions-only path.
-	p2 := halos[0].Props(pts, nil)
-	if p2.SigmaV != 0 || p2.VMean != (geom.Vec3{}) {
-		t.Fatal("nil velocities should zero kinematics")
-	}
-}
-
 func TestFOFMinMembersFilter(t *testing.T) {
 	pts := []geom.Vec3{
 		{X: 0, Y: 0, Z: 0}, {X: 0.001, Y: 0, Z: 0}, // pair

@@ -1,5 +1,5 @@
 // Package kdtree implements a 3D kd-tree over points with nearest-neighbor,
-// k-nearest, range-count and range-query operations. It backs the
+// range-count and range-query operations. It backs the
 // zero-order (Voronoi-cell) density baseline — nearest-particle lookup is
 // exactly Voronoi-cell membership — and fast particle counting for the
 // workload model.
@@ -7,7 +7,6 @@ package kdtree
 
 import (
 	"math"
-	"sort"
 
 	"godtfe/internal/geom"
 )
@@ -37,9 +36,6 @@ func New(pts []geom.Vec3) *Tree {
 	t.build(0, len(pts), 0)
 	return t
 }
-
-// Len returns the number of indexed points.
-func (t *Tree) Len() int { return len(t.pts) }
 
 func coord(p geom.Vec3, axis int) float64 {
 	switch axis {
@@ -155,107 +151,6 @@ func (t *Tree) nearest(q geom.Vec3, lo, hi, depth int, best *int, bestD *float64
 	}
 }
 
-// KNearest returns the indices of the k points closest to q, ordered by
-// increasing distance.
-func (t *Tree) KNearest(q geom.Vec3, k int) []int {
-	if k <= 0 {
-		return nil
-	}
-	h := &maxHeap{}
-	t.knearest(q, 0, len(t.pts), 0, k, h)
-	out := make([]int, len(h.items))
-	for i := len(h.items) - 1; i >= 0; i-- {
-		out[i] = h.items[0].idx
-		h.pop()
-	}
-	return out
-}
-
-func (t *Tree) knearest(q geom.Vec3, lo, hi, depth, k int, h *maxHeap) {
-	if hi-lo <= t.leafSize {
-		for _, i := range t.idx[lo:hi] {
-			h.offer(int(i), t.pts[i].Sub(q).Norm2(), k)
-		}
-		return
-	}
-	axis := depth % 3
-	mid := (lo + hi) / 2
-	mp := t.pts[t.idx[mid]]
-	h.offer(int(t.idx[mid]), mp.Sub(q).Norm2(), k)
-	delta := coord(q, axis) - coord(mp, axis)
-	var farLo, farHi int
-	if delta < 0 {
-		farLo, farHi = mid+1, hi
-		t.knearest(q, lo, mid, depth+1, k, h)
-	} else {
-		farLo, farHi = lo, mid
-		t.knearest(q, mid+1, hi, depth+1, k, h)
-	}
-	if len(h.items) < k || delta*delta < h.items[0].d {
-		t.knearest(q, farLo, farHi, depth+1, k, h)
-	}
-}
-
-type heapItem struct {
-	idx int
-	d   float64
-}
-
-type maxHeap struct {
-	items []heapItem
-}
-
-func (h *maxHeap) offer(idx int, d float64, k int) {
-	if len(h.items) < k {
-		h.items = append(h.items, heapItem{idx, d})
-		h.up(len(h.items) - 1)
-		return
-	}
-	if d < h.items[0].d {
-		h.items[0] = heapItem{idx, d}
-		h.down(0)
-	}
-}
-
-func (h *maxHeap) pop() {
-	n := len(h.items) - 1
-	h.items[0] = h.items[n]
-	h.items = h.items[:n]
-	if n > 0 {
-		h.down(0)
-	}
-}
-
-func (h *maxHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.items[p].d >= h.items[i].d {
-			break
-		}
-		h.items[p], h.items[i] = h.items[i], h.items[p]
-		i = p
-	}
-}
-
-func (h *maxHeap) down(i int) {
-	n := len(h.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && h.items[l].d > h.items[big].d {
-			big = l
-		}
-		if r < n && h.items[r].d > h.items[big].d {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h.items[i], h.items[big] = h.items[big], h.items[i]
-		i = big
-	}
-}
-
 // CountInBox returns the number of points inside the closed box.
 func (t *Tree) CountInBox(box geom.AABB) int {
 	return t.countInBox(box, 0, len(t.pts), 0)
@@ -335,23 +230,4 @@ func (t *Tree) inBox(box geom.AABB, lo, hi, depth int, dst []int32) []int32 {
 		dst = t.inBox(box, mid+1, hi, depth+1, dst)
 	}
 	return dst
-}
-
-// InRadius returns the indices of points within distance r of q, sorted by
-// index.
-func (t *Tree) InRadius(q geom.Vec3, r float64) []int32 {
-	box := geom.AABB{
-		Min: geom.Vec3{X: q.X - r, Y: q.Y - r, Z: q.Z - r},
-		Max: geom.Vec3{X: q.X + r, Y: q.Y + r, Z: q.Z + r},
-	}
-	cand := t.InBox(box, nil)
-	out := cand[:0]
-	r2 := r * r
-	for _, i := range cand {
-		if t.pts[i].Sub(q).Norm2() <= r2 {
-			out = append(out, i)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

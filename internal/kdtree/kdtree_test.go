@@ -3,7 +3,6 @@ package kdtree
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -48,47 +47,6 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestKNearestMatchesBruteForce(t *testing.T) {
-	pts := randPts(500, 3)
-	tree := New(pts)
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		q := geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
-		for _, k := range []int{1, 3, 10, 50} {
-			got := tree.KNearest(q, k)
-			if len(got) != k {
-				t.Fatalf("k=%d returned %d", k, len(got))
-			}
-			// Brute force: sort all by distance.
-			order := make([]int, len(pts))
-			for i := range order {
-				order[i] = i
-			}
-			sort.Slice(order, func(a, b int) bool {
-				return pts[order[a]].Sub(q).Norm2() < pts[order[b]].Sub(q).Norm2()
-			})
-			for i := 0; i < k; i++ {
-				gd := pts[got[i]].Sub(q).Norm2()
-				bd := pts[order[i]].Sub(q).Norm2()
-				if gd != bd {
-					t.Fatalf("k=%d pos %d: dist %v vs %v", k, i, gd, bd)
-				}
-			}
-		}
-	}
-}
-
-func TestKNearestDegenerateK(t *testing.T) {
-	pts := randPts(10, 5)
-	tree := New(pts)
-	if got := tree.KNearest(geom.Vec3{}, 0); got != nil {
-		t.Errorf("k=0 should return nil")
-	}
-	if got := tree.KNearest(geom.Vec3{}, 20); len(got) != 10 {
-		t.Errorf("k>n should return all points, got %d", len(got))
-	}
-}
-
 func TestCountInBoxMatchesBruteForce(t *testing.T) {
 	pts := randPts(800, 7)
 	tree := New(pts)
@@ -113,31 +71,6 @@ func TestCountInBoxMatchesBruteForce(t *testing.T) {
 		for _, i := range ids {
 			if !box.Contains(pts[i]) {
 				t.Fatalf("InBox returned outside point %d", i)
-			}
-		}
-	}
-}
-
-func TestInRadiusMatchesBruteForce(t *testing.T) {
-	pts := randPts(600, 9)
-	tree := New(pts)
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 50; trial++ {
-		q := geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
-		r := 0.2 * rng.Float64()
-		got := tree.InRadius(q, r)
-		var want []int32
-		for i, p := range pts {
-			if p.Sub(q).Norm2() <= r*r {
-				want = append(want, int32(i))
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("got %d points want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("index %d: %d vs %d", i, got[i], want[i])
 			}
 		}
 	}

@@ -1,9 +1,9 @@
 // Package lens implements the gravitational-lensing analysis the paper's
 // surface-density fields feed (its motivating application): convergence
-// maps under the thin-lens approximation, FFT solutions of the lens
-// equation ∇²ψ = 2κ for the lensing potential and deflection field, and
-// multiplane ray shooting through a stack of lens planes (the paper's
-// "multiplane lensing experiment" configuration).
+// maps under the thin-lens approximation, the FFT solution of the lens
+// equation ∇²ψ = 2κ for the deflection field α = ∇ψ, and multiplane ray
+// shooting through a stack of lens planes (the paper's "multiplane lensing
+// experiment" configuration).
 package lens
 
 import (
@@ -24,44 +24,6 @@ func Convergence(sigma *grid.Grid2D, sigmaCrit float64) (*grid.Grid2D, error) {
 	inv := 1 / sigmaCrit
 	for i := range out.Data {
 		out.Data[i] *= inv
-	}
-	return out, nil
-}
-
-// Potential solves ∇²ψ = 2κ on the (periodic) grid in Fourier space. The
-// mean of κ is projected out (the k=0 mode has no periodic solution).
-func Potential(kappa *grid.Grid2D) (*grid.Grid2D, error) {
-	nx, ny := kappa.Nx, kappa.Ny
-	if !fft.IsPow2(nx) || !fft.IsPow2(ny) {
-		return nil, errors.New("lens: grid dimensions must be powers of two")
-	}
-	a := make([]complex128, nx*ny)
-	for i, v := range kappa.Data {
-		a[i] = complex(v, 0)
-	}
-	if err := fft.FFT2D(a, nx, ny, false); err != nil {
-		return nil, err
-	}
-	d := kappa.Cell
-	for y := 0; y < ny; y++ {
-		ky := fft.Wavenumber(y, ny, d)
-		for x := 0; x < nx; x++ {
-			kx := fft.Wavenumber(x, nx, d)
-			k2 := kx*kx + ky*ky
-			idx := y*nx + x
-			if k2 == 0 {
-				a[idx] = 0
-				continue
-			}
-			a[idx] *= complex(-2/k2, 0)
-		}
-	}
-	if err := fft.FFT2D(a, nx, ny, true); err != nil {
-		return nil, err
-	}
-	out := grid.NewGrid2D(nx, ny, kappa.Min, kappa.Cell)
-	for i := range out.Data {
-		out.Data[i] = real(a[i])
 	}
 	return out, nil
 }

@@ -23,30 +23,6 @@ func TestConvergence(t *testing.T) {
 	}
 }
 
-func TestPotentialSineMode(t *testing.T) {
-	// κ = cos(k x) ⇒ ψ = -2 cos(k x)/k² exactly (single Fourier mode).
-	const n = 64
-	g := grid.NewGrid2D(n, n, geom.Vec2{}, 1.0/n)
-	k := 2 * math.Pi * 3 // mode 3 over unit box
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			g.Set(i, j, math.Cos(k*g.Center(i, j).X))
-		}
-	}
-	psi, err := Potential(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < n; j += 7 {
-		for i := 0; i < n; i += 5 {
-			want := -2 * math.Cos(k*g.Center(i, j).X) / (k * k)
-			if math.Abs(psi.At(i, j)-want) > 1e-10 {
-				t.Fatalf("psi(%d,%d) = %v, want %v", i, j, psi.At(i, j), want)
-			}
-		}
-	}
-}
-
 func TestDeflectionSineMode(t *testing.T) {
 	// κ = cos(kx) ⇒ αx = 2 sin(kx)/k, αy = 0.
 	const n = 64
@@ -135,9 +111,6 @@ func TestDeflectionDivergenceRecoversKappa(t *testing.T) {
 
 func TestNonPow2Rejected(t *testing.T) {
 	g := grid.NewGrid2D(10, 10, geom.Vec2{}, 1)
-	if _, err := Potential(g); err == nil {
-		t.Fatal("non-pow2 accepted")
-	}
 	if _, _, err := Deflection(g); err == nil {
 		t.Fatal("non-pow2 accepted")
 	}

@@ -263,7 +263,9 @@ func TestCodecFastPathsOverWorld(t *testing.T) {
 	}
 	w := NewWorld(3)
 	errs := w.RunEach(func(c *Comm) error {
-		centers := pts[:10:10]
+		// A copy per rank: Bcast decodes into the slice's backing array on
+		// every rank but the root, which must not be the pts rank 0 reads.
+		centers := append([]geom.Vec3(nil), pts[:10]...)
 		if err := c.Bcast(0, &centers); err != nil {
 			return err
 		}

@@ -1,8 +1,8 @@
 // Package mpi is an in-process message-passing runtime with MPI-flavored
 // semantics: a fixed-size world of ranks (goroutines), blocking tagged
 // point-to-point Send/Recv matched by (source, tag), and the collectives
-// the paper's framework uses (Barrier, Bcast, Allgather, Allreduce,
-// Alltoall). Payloads are gob-encoded, which both enforces value semantics
+// the paper's framework uses (Barrier, Bcast, Allgather, Alltoall).
+// Payloads are gob-encoded, which both enforces value semantics
 // (no accidental sharing across "processes") and lets the runtime account
 // for communication volume the way a real interconnect would.
 //
@@ -51,7 +51,7 @@ var (
 
 // RankError attributes a communication failure to a specific peer rank.
 // Every failure-aware path that knows which rank broke an operation —
-// point-to-point receives, collectives (Barrier, Bcast, Gather, ...),
+// point-to-point receives, collectives (Barrier, Bcast, Allgather, ...),
 // terminally dropped sends, and decode failures — wraps its error in a
 // RankError so callers can report *who* failed, not just that something
 // did. Extract it with FailedRank.
@@ -78,10 +78,8 @@ func FailedRank(err error) (int, bool) {
 const (
 	tagBarrier = -(1 + iota)
 	tagBcast
-	tagGather
 	tagAllgather
 	tagAlltoall
-	tagReduce
 )
 
 // rank lifecycle states.
@@ -416,11 +414,6 @@ func (w *World) Run(f func(c *Comm) error) error {
 // size and waits for all to finish, returning the first error.
 func Run(size int, f func(c *Comm) error) error {
 	return NewWorld(size).Run(f)
-}
-
-// RunEach is like Run but returns every rank's error indexed by rank.
-func RunEach(size int, f func(c *Comm) error) []error {
-	return NewWorld(size).RunEach(f)
 }
 
 // Rank returns this communicator's rank.
@@ -786,51 +779,6 @@ func Allgather[T any](c *Comm, v T) ([]T, error) {
 	var out []T
 	if err := decodeFrom(e, "allgather", &out); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// Gather collects one value from every rank at root; non-root ranks
-// receive nil.
-func Gather[T any](c *Comm, root int, v T) ([]T, error) {
-	tag := c.nextCollTag(tagGather)
-	if c.rank == root {
-		out := make([]T, c.world.size)
-		out[root] = v
-		for i := 0; i < c.world.size-1; i++ {
-			e, err := c.world.take(root, AnySource, tag, time.Time{}, false)
-			if err != nil {
-				return nil, fmt.Errorf("mpi: gather: %w", err)
-			}
-			if err := decodeFrom(e, "gather", &out[e.src]); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	data, err := encode(v, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.sendRaw(root, tag, data, true); err != nil {
-		return nil, fmt.Errorf("mpi: gather: %w", err)
-	}
-	return nil, nil
-}
-
-// AllreduceFloat64 returns the elementwise reduction of v across all
-// ranks.
-func AllreduceFloat64(c *Comm, v []float64, op func(a, b float64) float64) ([]float64, error) {
-	all, err := Allgather(c, v)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(v))
-	copy(out, all[0])
-	for r := 1; r < len(all); r++ {
-		for i := range out {
-			out[i] = op(out[i], all[r][i])
-		}
 	}
 	return out, nil
 }

@@ -167,60 +167,6 @@ func TestBarrierOrdering(t *testing.T) {
 	}
 }
 
-func TestAllreduce(t *testing.T) {
-	err := Run(6, func(c *Comm) error {
-		v := []float64{float64(c.Rank()), 1}
-		sum, err := AllreduceFloat64(c, v, func(a, b float64) float64 { return a + b })
-		if err != nil {
-			return err
-		}
-		if sum[0] != 15 || sum[1] != 6 {
-			return fmt.Errorf("sum = %v", sum)
-		}
-		maxv, err := AllreduceFloat64(c, v, func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-		if err != nil {
-			return err
-		}
-		if maxv[0] != 5 {
-			return fmt.Errorf("max = %v", maxv)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGather(t *testing.T) {
-	const n = 6
-	err := Run(n, func(c *Comm) error {
-		got, err := Gather(c, 2, c.Rank()*c.Rank())
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 2 {
-			if got != nil {
-				return fmt.Errorf("non-root received %v", got)
-			}
-			return nil
-		}
-		for r, v := range got {
-			if v != r*r {
-				return fmt.Errorf("slot %d = %d", r, v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlltoall(t *testing.T) {
 	const n = 5
 	err := Run(n, func(c *Comm) error {

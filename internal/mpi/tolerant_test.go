@@ -160,7 +160,7 @@ func TestRecvTolerantRejectsNegativeTag(t *testing.T) {
 	}
 }
 
-// TestCollectiveFailureAttribution: Barrier, Bcast, and Gather errors must
+// TestCollectiveFailureAttribution: Barrier, Bcast, and Allgather errors must
 // identify which rank failed, extractable with FailedRank. Survivors stash
 // their collective errors out-of-band (returning them from RunEach would
 // mark the survivor itself failed and cascade the attribution).
@@ -178,8 +178,8 @@ func TestCollectiveFailureAttribution(t *testing.T) {
 			v := 0
 			return c.Bcast(2, &v) // root is the dead rank
 		}, []int{0, 1, 3}},
-		{"gather", func(c *Comm) error {
-			_, err := Gather(c, 0, c.Rank())
+		{"allgather", func(c *Comm) error {
+			_, err := Allgather(c, c.Rank())
 			return err
 		}, []int{0}},
 	}

@@ -344,15 +344,6 @@ func (s *Sim) Accelerations() ([]geom.Vec3, error) {
 	return acc, nil
 }
 
-// KineticEnergy returns Σ v²/2 (unit masses).
-func (s *Sim) KineticEnergy() float64 {
-	var e float64
-	for _, v := range s.Vel {
-		e += v.Norm2() / 2
-	}
-	return e
-}
-
 // Momentum returns the total momentum vector (unit masses).
 func (s *Sim) Momentum() geom.Vec3 {
 	var p geom.Vec3

@@ -420,13 +420,3 @@ func ReadAll(path string) ([]geom.Vec3, error) {
 	}
 	return ReadBlocks(path, h, blocks)
 }
-
-// BlockAssignment deals blocks across ranks round-robin (the "arbitrary
-// block assignment" of the partition phase).
-func BlockAssignment(numBlocks, ranks, rank int) []int {
-	var out []int
-	for b := rank; b < numBlocks; b += ranks {
-		out = append(out, b)
-	}
-	return out
-}

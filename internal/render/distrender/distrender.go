@@ -198,15 +198,12 @@ type Result struct {
 	Failures   []string
 }
 
-// Run executes one distributed render on this rank. Rank 0 must pass the
-// catalog; other ranks' pts is ignored. Rank 0 returns the stitched
+// RunCtx executes one distributed render on this rank. Rank 0 must pass
+// the catalog; other ranks' pts is ignored. Rank 0 returns the stitched
 // Result; workers return (nil, nil) after a clean shutdown. All ranks of
-// the communicator must call Run with an equivalent Config.
-func Run(c *mpi.Comm, cfg Config, pts []geom.Vec3) (*Result, error) {
-	return RunCtx(context.Background(), c, cfg, pts)
-}
-
-// RunCtx is Run under a caller context, observed on the coordinator rank:
+// the communicator must call RunCtx with an equivalent Config.
+//
+// The caller context is observed on the coordinator rank:
 // when ctx is cancelled or its deadline passes, rank 0 stops dispatching,
 // aborts any self-compute march at the next column, shuts the surviving
 // workers down cleanly (they finish their current tile, see the shutdown

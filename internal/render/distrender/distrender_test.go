@@ -95,7 +95,7 @@ func runDistributed(ranks int, cfg Config, pts []geom.Vec3, inj *fault.Injector)
 	var res *Result
 	var resErr error
 	errs := w.RunEach(func(c *mpi.Comm) error {
-		r, err := Run(c, cfg, pts)
+		r, err := RunCtx(context.Background(), c, cfg, pts)
 		if c.Rank() == 0 {
 			res, resErr = r, err
 			return err
@@ -745,7 +745,7 @@ func runDistributedBench(ranks int, cfg Config, pts []geom.Vec3) (*Result, error
 	var res *Result
 	var resErr error
 	errs := w.RunEach(func(c *mpi.Comm) error {
-		r, err := Run(c, cfg, pts)
+		r, err := RunCtx(context.Background(), c, cfg, pts)
 		if c.Rank() == 0 {
 			res, resErr = r, err
 		}

@@ -116,17 +116,11 @@ func (m *Marcher) RenderCtx(ctx context.Context, spec Spec, workers int, sched S
 	return out, stats, nil
 }
 
-// RenderTile renders one column-block tile of the spec's grid into a
-// Width×Ny tile grid. Cell centers and Monte Carlo jitter are evaluated at
-// the columns' global indices, so every cell of the tile is bit-identical
-// to the same cell of a whole-grid Render — the invariant the distributed
-// fan-out's stitch relies on.
-func (m *Marcher) RenderTile(spec Spec, t Tile, workers int, sched Schedule) (*grid.Grid2D, []WorkerStat, error) {
-	return m.RenderTileCtx(context.Background(), spec, t, workers, sched)
-}
-
-// RenderTileCtx is RenderTile under a context, with RenderCtx's
-// cancellation semantics.
+// RenderTileCtx renders one column-block tile of the spec's grid into a
+// Width×Ny tile grid, with RenderCtx's cancellation semantics. Cell centers
+// and Monte Carlo jitter are evaluated at the columns' global indices, so
+// every cell of the tile is bit-identical to the same cell of a whole-grid
+// Render — the invariant the distributed fan-out's stitch relies on.
 func (m *Marcher) RenderTileCtx(ctx context.Context, spec Spec, t Tile, workers int, sched Schedule) (*grid.Grid2D, []WorkerStat, error) {
 	if err := spec.Validate(false); err != nil {
 		return nil, nil, err
@@ -228,7 +222,7 @@ func (m *Marcher) RenderRunsCtx(ctx context.Context, spec Spec, runs []Tile, dst
 	return FlattenWorkerStats(merged), nil
 }
 
-// renderInto is the shared column loop of Render, RenderTile, and
+// renderInto is the shared column loop of Render, RenderTileCtx, and
 // RenderRunsCtx: march the tile's columns [t.I0, t.I1) of every row into
 // out, whose column 0 holds global column outBase (t.I0 for re-based tile
 // grids, 0 for full-spec destinations). Entry-location cursors are seeded
@@ -473,9 +467,9 @@ func (m *Marcher) tryColumn(xi geom.Vec2, zmin, zmax float64, forceBuckets bool,
 			}
 		}
 		if hi > lo {
-			// interpolate(p0, mid) inlined: D0 + G·(mid − p0), dot
-			// accumulated X then Y then Z — dtfe.Field.Interpolate's exact
-			// expression tree.
+			// The tet's linear density at the midpoint: D0 + G·(mid − p0),
+			// dot accumulated X then Y then Z — dtfe.Field.Interpolate's
+			// exact expression tree.
 			midZ := (lo + hi) / 2
 			sigma += (st.D0 + (st.G.X*(xiX-p0.X) + st.G.Y*(xiY-p0.Y) + st.G.Z*(midZ-p0.Z))) * (hi - lo)
 		}

@@ -428,36 +428,3 @@ func TestMarcherThinSlab(t *testing.T) {
 		}
 	}
 }
-
-func TestRender3DProjectionMatchesRender(t *testing.T) {
-	pts := randPoints(300, 61)
-	f := fieldFor(t, pts)
-	w := NewWalker(f)
-	// Cubic sampling: dz == Cell, so ProjectZ must reproduce Render.
-	const n = 16
-	spec := Spec{
-		Min: geom.Vec2{X: 0.2, Y: 0.2}, Nx: n, Ny: n, Cell: 0.6 / n,
-		ZMin: 0.2, ZMax: 0.2 + 0.6, Nz: n,
-	}
-	g3, _, err := w.Render3D(spec, 2, ScheduleDynamic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, _, err := w.Render(spec, 2, ScheduleDynamic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proj := g3.ProjectZ()
-	for i := range g2.Data {
-		if math.Abs(proj.Data[i]-g2.Data[i]) > 1e-9*(1+g2.Data[i]) {
-			t.Fatalf("cell %d: projected %v vs direct %v", i, proj.Data[i], g2.Data[i])
-		}
-	}
-	// 3D values are plain interpolations: spot check against f.At.
-	p := g3.Center(n/2, n/2, n/2)
-	if rho, ok, _ := f.At(p); ok {
-		if math.Abs(g3.At(n/2, n/2, n/2)-rho) > 1e-9*(1+rho) {
-			t.Fatalf("3D sample %v vs field %v", g3.At(n/2, n/2, n/2), rho)
-		}
-	}
-}

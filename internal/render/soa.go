@@ -66,13 +66,3 @@ func newSoAMesh(f *dtfe.Field) soaMesh {
 	}
 	return s
 }
-
-// interpolate evaluates tet st's linear density model at p, reproducing
-// dtfe.Field.Interpolate's expression tree exactly (d0 + g·(p-x0), with
-// the dot product accumulated X then Y then Z) so the SoA path is
-// bit-identical to the original. x0 is the tet's slot-0 vertex, already
-// loaded for the exit test.
-func (st *soaTet) interpolate(x0, p geom.Vec3) float64 {
-	d := p.Sub(x0)
-	return st.D0 + (st.G.X*d.X + st.G.Y*d.Y + st.G.Z*d.Z)
-}

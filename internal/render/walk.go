@@ -69,72 +69,6 @@ func (w *Walker) Render(spec Spec, workers int, sched Schedule) (*grid.Grid2D, [
 	return out, stats, nil
 }
 
-// Render3D computes the full 3D density grid (the DTFE public software's
-// primary product; eq 4's intermediate representation) by walking every
-// sample. When the z sampling matches the cell size ((ZMax-ZMin)/Nz ==
-// Cell, a cubic grid), ProjectZ() of the result equals Render's output
-// with Samples <= 1; Grid3D stores cubic cells, so other z samplings are
-// returned with the x-y cell size and the caller's dz applies on
-// projection.
-func (w *Walker) Render3D(spec Spec, workers int, sched Schedule) (*grid.Grid3D, []WorkerStat, error) {
-	if err := spec.Validate(true); err != nil {
-		return nil, nil, err
-	}
-	zmin, zmax := spec.ZMin, spec.ZMax
-	if zmin >= zmax {
-		zmin, zmax = w.zlo, w.zhi
-	}
-	dz := (zmax - zmin) / float64(spec.Nz)
-	out := grid.NewGrid3D(spec.Nx, spec.Ny, spec.Nz,
-		geom.Vec3{X: spec.Min.X, Y: spec.Min.Y, Z: zmin}, spec.Cell)
-	stats := forEachRow(spec.Ny, workers, sched, func(wk, j int, st *WorkerStat) {
-		seed := delaunay.NoTet
-		rng := splitmix64(uint64(wk)+1) | 1 // private walk stream: no shared-state races
-		for i := 0; i < spec.Nx; i++ {
-			xi := geom.Vec2{
-				X: spec.Min.X + (float64(i)+0.5)*spec.Cell,
-				Y: spec.Min.Y + (float64(j)+0.5)*spec.Cell,
-			}
-			cur := seed
-			if cur == delaunay.NoTet {
-				c, _, err := w.F.Tri.LocateSeeded(delaunay.NoTet, geom.Vec3{X: xi.X, Y: xi.Y, Z: zmin}, &rng)
-				if err != nil {
-					st.Columns.Note(ColumnAbandoned)
-					st.Cells++
-					continue
-				}
-				cur = c
-			}
-			bad := false
-			for k := 0; k < spec.Nz; k++ {
-				p := geom.Vec3{X: xi.X, Y: xi.Y, Z: zmin + (float64(k)+0.5)*dz}
-				ti, n, err := w.F.Tri.LocateSeeded(cur, p, &rng)
-				st.Steps += int64(n)
-				if err != nil {
-					// A diverged walk poisons the seed chain; abandon the
-					// rest of the column and restart the next from scratch.
-					bad = true
-					seed = delaunay.NoTet
-					break
-				}
-				cur = ti
-				if w.F.Tri.IsInfinite(ti) {
-					continue
-				}
-				seed = ti
-				out.Set(i, j, k, w.F.Interpolate(ti, p))
-			}
-			if bad {
-				st.Columns.Note(ColumnAbandoned)
-			} else {
-				st.Columns.Note(ColumnClean)
-			}
-			st.Cells++
-		}
-	})
-	return out, stats, nil
-}
-
 // Column walks the Nz z-samples of one column, seeding each location from
 // the previous one, and returns the accumulated surface density, the
 // number of tetrahedra visited by the walks (the true work measure — it
