@@ -7,14 +7,13 @@
 //	dtfe-render -i particles.dtfe -grid 512 -kernel marching -o sigma.pgm
 //
 // With -ranks > 1 the marching kernel runs the distributed fan-out over an
-// in-process MPI world: the grid is cut into cost-balanced column tiles
-// (-tiles), scattered over the ranks, marched, and gathered bit-identically
-// to the single-rank render. Results stream back up a fault-tolerant k-ary
-// tree rooted at rank 0 (-fanout arity, default 4; a fanout of at least
-// -ranks makes it a star). -halo > 0 switches from full catalog replication
-// to halo-padded particle subsets with guard-column verification; guard
-// renders are skipped when the coordinator certifies the halo from the
-// triangulation's maximum circumradius.
+// in-process MPI world: the catalog is replicated, the grid is cut into
+// cost-balanced column tiles (-tiles), scattered over the ranks, marched,
+// and gathered bit-identically to the single-rank render. Results stream
+// back up a fault-tolerant k-ary tree rooted at rank 0 (-fanout arity,
+// default 4; a fanout of at least -ranks makes it a star). Every rank
+// builds its own mesh, so no mesh is built (or reported by -v) locally, and
+// the other kernels, which only run locally, are refused.
 package main
 
 import (
@@ -48,11 +47,15 @@ func main() {
 	ingest := flag.String("ingest", "fail", "invalid-particle policy: fail | drop | clamp")
 	ranks := flag.Int("ranks", 1, "simulated MPI ranks for the distributed marching render")
 	tiles := flag.Int("tiles", 0, "column tiles for -ranks > 1 (default: 2x ranks, cost-balanced)")
-	halo := flag.Float64("halo", 0, "subset halo width for -ranks > 1 (0: replicate the catalog)")
 	fanout := flag.Int("fanout", 0, "gather-tree arity for -ranks > 1 (default 4; >= ranks is a star)")
 	deadline := flag.Duration("deadline", 0, "abort a distributed render after this long (0: no deadline)")
-	verbose := flag.Bool("v", false, "print the build's insert-loop counters (walk, conflict tests, cavity per insert)")
+	verbose := flag.Bool("v", false, "print the build's insert-loop counters (walk, conflict tests, cavity per insert); -ranks 1 only")
 	flag.Parse()
+	if *ranks > 1 && (*kernel != "marching" || *verbose) {
+		fmt.Fprintln(os.Stderr, "dtfe-render: -ranks > 1 shards the marching kernel and builds no local mesh; it cannot be combined with -kernel walking|zeroorder or -v")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	policy, err := particleio.ParsePolicy(*ingest)
 	if err != nil {
@@ -68,21 +71,6 @@ func main() {
 	box := geom.BoundsOf(pts)
 	fmt.Printf("%d particles in [%g..%g]x[%g..%g]x[%g..%g]\n", len(pts),
 		box.Min.X, box.Max.X, box.Min.Y, box.Max.Y, box.Min.Z, box.Max.Z)
-
-	t0 := time.Now()
-	tri, err := delaunay.New(pts)
-	if err != nil {
-		log.Fatalf("triangulate: %v", err)
-	}
-	field, err := dtfe.NewField(tri, nil)
-	if err != nil {
-		log.Fatalf("dtfe: %v", err)
-	}
-	triTime := time.Since(t0)
-	fmt.Printf("triangulation: %v (%s)\n", triTime.Round(time.Millisecond), tri.Stats())
-	if *verbose {
-		fmt.Printf("build: %v\n", tri.BuildStats())
-	}
 
 	sz := box.Size()
 	cell := sz.X / float64(*gridN)
@@ -100,24 +88,37 @@ func main() {
 	var g *grid.Grid2D
 	var stats []render.WorkerStat
 	t1 := time.Now()
-	switch *kernel {
-	case "marching":
-		if *ranks > 1 {
-			g, stats, err = distributedRender(spec, pts, *ranks, *tiles, *workers, *halo, *fanout, *deadline)
-			break
+	if *ranks > 1 {
+		g, stats, err = distributedRender(spec, pts, *ranks, *tiles, *workers, *fanout, *deadline)
+	} else {
+		var tri *delaunay.Triangulation
+		if tri, err = delaunay.New(pts); err != nil {
+			log.Fatalf("triangulate: %v", err)
 		}
-		g, stats, err = render.NewMarcher(field).Render(spec, *workers, render.ScheduleDynamic)
-	case "walking":
-		g, stats, err = render.NewWalker(field).Render(spec, *workers, render.ScheduleDynamic)
-	case "zeroorder":
-		var vorDen []float64
-		vorDen, _, err = dtfe.VoronoiDensities(tri, nil)
-		if err != nil {
-			log.Fatalf("voronoi: %v", err)
+		var field *dtfe.Field
+		if field, err = dtfe.NewField(tri, nil); err != nil {
+			log.Fatalf("dtfe: %v", err)
 		}
-		g, stats, err = render.NewZeroOrder(pts, vorDen).Render(spec, *workers, render.ScheduleDynamic)
-	default:
-		log.Fatalf("unknown kernel %q", *kernel)
+		fmt.Printf("triangulation: %v (%s)\n", time.Since(t1).Round(time.Millisecond), tri.Stats())
+		if *verbose {
+			fmt.Printf("build: %v\n", tri.BuildStats())
+		}
+		t1 = time.Now()
+		switch *kernel {
+		case "marching":
+			g, stats, err = render.NewMarcher(field).Render(spec, *workers, render.ScheduleDynamic)
+		case "walking":
+			g, stats, err = render.NewWalker(field).Render(spec, *workers, render.ScheduleDynamic)
+		case "zeroorder":
+			var vorDen []float64
+			vorDen, _, err = dtfe.VoronoiDensities(tri, nil)
+			if err != nil {
+				log.Fatalf("voronoi: %v", err)
+			}
+			g, stats, err = render.NewZeroOrder(pts, vorDen).Render(spec, *workers, render.ScheduleDynamic)
+		default:
+			log.Fatalf("unknown kernel %q", *kernel)
+		}
 	}
 	if err != nil {
 		log.Fatalf("render: %v", err)
@@ -147,10 +148,8 @@ func main() {
 // A non-zero deadline bounds the whole render: when it passes, the
 // coordinator cancels the run, drains the workers, and the typed
 // cancellation error is reported with the partial-progress accounting.
-func distributedRender(spec render.Spec, pts []geom.Vec3, ranks, tiles, workers int, halo float64, fanout int, deadline time.Duration) (*grid.Grid2D, []render.WorkerStat, error) {
-	cfg := distrender.Config{
-		Spec: spec, Tiles: tiles, Workers: workers, Halo: halo, Fanout: fanout,
-	}
+func distributedRender(spec render.Spec, pts []geom.Vec3, ranks, tiles, workers, fanout int, deadline time.Duration) (*grid.Grid2D, []render.WorkerStat, error) {
+	cfg := distrender.Config{Spec: spec, Tiles: tiles, Workers: workers, Fanout: fanout}
 	ctx := context.Background()
 	if deadline > 0 {
 		var cancel context.CancelFunc
@@ -195,9 +194,5 @@ func distributedRender(spec render.Spec, pts []geom.Vec3, ranks, tiles, workers 
 	}
 	fmt.Printf("distributed: %d ranks, %d tiles, fanout-%d gather, %d re-dispatched\n",
 		ranks, len(res.Tiles), res.Fanout, res.Redispatched)
-	if res.CertifiedTiles > 0 {
-		fmt.Printf("certified halo: %d/%d tiles skipped guard renders (bound %.4g <= halo %.4g)\n",
-			res.CertifiedTiles, len(res.Tiles), res.CertifiedHalo, halo)
-	}
 	return res.Grid, res.Stats, nil
 }

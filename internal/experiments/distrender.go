@@ -86,7 +86,7 @@ func DistRender(opt Options) (*Report, error) {
 		if nt > bigN {
 			nt = bigN
 		}
-		tiles := distrender.MakeTiles(bigSpec, pts, nt, false, 0)
+		tiles := distrender.MakeTiles(bigSpec, pts, nt, false)
 		costs := make([]float64, len(tiles))
 		for i, t := range tiles {
 			costs[i] = perColumn * float64(t.Width()*bigN)

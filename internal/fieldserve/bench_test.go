@@ -3,7 +3,6 @@ package fieldserve
 import (
 	"context"
 	"errors"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -14,38 +13,16 @@ import (
 // BenchmarkFieldServeColdBuild measures the full cold path: service
 // creation, catalog registration, mesh build, and the first render. The
 // mesh-build share of the wall time is reported separately (build-ns/op,
-// from Stats.BuildNs) so build-parallelism changes are visible even when
-// render time dominates. The /parN variants run a larger catalog with
-// parallel cold builds — large enough that the block pipeline actually
-// engages rather than deferring to the serial threshold.
+// from Stats.BuildNs) so build changes are visible even when render time
+// dominates.
 func BenchmarkFieldServeColdBuild(b *testing.B) {
-	benchColdBuild(b, 400, 0)
-}
-
-// BenchmarkFieldServeColdBuildPar is the cold path with parallel mesh
-// builds on a catalog large enough that the block pipeline engages
-// instead of deferring to the serial size threshold.
-func BenchmarkFieldServeColdBuildPar(b *testing.B) {
-	for _, w := range []int{2, 8} {
-		w := w
-		b.Run("par"+strconv.Itoa(w), func(b *testing.B) {
-			if testing.Short() {
-				b.Skip("large cold build skipped in -short mode")
-			}
-			benchColdBuild(b, 12_000, w)
-		})
-	}
-}
-
-func benchColdBuild(b *testing.B, n, buildPar int) {
-	b.Helper()
-	pts := testPoints(n, 31)
+	pts := testPoints(400, 31)
 	spec := testSpec(16, 1)
 	b.ReportAllocs()
 	var buildNs uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := New(Options{Workers: 1, BuildParallelism: buildPar})
+		s := New(Options{Workers: 1})
 		if err := s.Register("halos", pts); err != nil {
 			b.Fatal(err)
 		}

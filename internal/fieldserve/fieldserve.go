@@ -33,13 +33,6 @@ type Options struct {
 	// RenderWorkers is the marching parallelism per render (default 1:
 	// concurrency comes from serving many requests, not one).
 	RenderWorkers int
-	// BuildParallelism is the worker count for cold catalog mesh builds
-	// (delaunay.NewParallel). <= 1 builds serially. Cold builds are the
-	// service's longest unavailability window for a fresh catalog, so
-	// unlike rendering they are worth parallelizing inside one request.
-	BuildParallelism int
-	// Sched is the per-render column schedule.
-	Sched render.Schedule
 
 	// BatchWindow is how long a batch leader waits after claiming its
 	// first request for same-family followers to arrive before marching
@@ -53,18 +46,18 @@ type Options struct {
 	// cache — in grid cells (default 1<<20 ≈ 8 MB of float64s; 0 uses the
 	// default, negative disables caching).
 	ColumnCacheCells int
-	// CatalogCacheShare is the fraction of the column cache one catalog
-	// may occupy before eviction pressure turns on it (its own LRU columns
-	// are evicted instead of other catalogs'). Default 0.5; negative
-	// disables the quota. The quota is elastic: with free space a
-	// catalog may exceed its share.
-	CatalogCacheShare float64
 
 	// Fault optionally injects request-level faults; the service itself
 	// only consults the cache-poisoning decision (slow clients and
 	// cancellations are the load generator's side of the contract).
 	Fault *fault.Injector
 }
+
+// catalogCacheShare is the fraction of the column cache one catalog may
+// occupy before eviction pressure turns on it (its own LRU columns are
+// evicted instead of other catalogs'). The quota is elastic: with free
+// space a catalog may exceed its share.
+const catalogCacheShare = 0.5
 
 // Request names a registered catalog and the grid to render.
 type Request struct {
@@ -266,15 +259,9 @@ func New(opt Options) *Service {
 	if opt.ColumnCacheCells < 0 {
 		opt.ColumnCacheCells = 0
 	}
-	if opt.CatalogCacheShare == 0 {
-		opt.CatalogCacheShare = 0.5
-	}
-	if opt.CatalogCacheShare < 0 || opt.CatalogCacheShare > 1 {
-		opt.CatalogCacheShare = 0 // quota off
-	}
 	s := &Service{
 		opt:      opt,
-		colcache: newColCache(opt.ColumnCacheCells, int(opt.CatalogCacheShare*float64(opt.ColumnCacheCells))),
+		colcache: newColCache(opt.ColumnCacheCells, int(catalogCacheShare*float64(opt.ColumnCacheCells))),
 		quit:     make(chan struct{}),
 		inflight: make(map[Key]bool),
 		catalogs: make(map[string]*catalog),
@@ -518,8 +505,7 @@ func (s *Service) viewFor(ctx context.Context, name string) (*meshView, *catalog
 			defer close(cat.built)
 			s.builds.Add(1)
 			start := time.Now()
-			tri, err := delaunay.NewWithOptions(cat.pts,
-				delaunay.BuildOptions{Parallelism: s.opt.BuildParallelism})
+			tri, err := delaunay.New(cat.pts)
 			if err != nil {
 				cat.err = fmt.Errorf("fieldserve: building catalog %q: %w", name, err)
 				return

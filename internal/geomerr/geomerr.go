@@ -36,12 +36,6 @@ var (
 	ErrMeshCorrupt     = errors.New("mesh corrupt")
 	ErrBadParticle     = errors.New("bad particle")
 	ErrBadFormat       = errors.New("bad file format")
-	// ErrHaloMismatch: two tiles of a distributed render disagree on a
-	// shared guard column, i.e. a halo-padded particle subset was too
-	// narrow and its subset triangulation diverged from the neighbour's
-	// inside the guard band. The render must not be stitched silently;
-	// callers widen the halo or fall back to full replication.
-	ErrHaloMismatch = errors.New("halo too small: tile boundary mismatch")
 )
 
 // DegenerateError is an ErrDegenerateInput with context: which operation
@@ -130,20 +124,3 @@ func (e *FormatError) Unwrap() error { return ErrBadFormat }
 func Format(offset int64, cause error, format string, args ...any) error {
 	return &FormatError{Offset: offset, Msg: fmt.Sprintf(format, args...), Err: cause}
 }
-
-// HaloMismatchError is an ErrHaloMismatch locating the first disagreeing
-// guard cell between two tiles of a distributed render. TileA computed the
-// column as an interior (owned) column, TileB as a guard duplicate; A and
-// B are the two surface-density values.
-type HaloMismatchError struct {
-	TileA, TileB int // tile indices in the render's tiling
-	Column, Row  int // global grid indices of the disagreeing cell
-	A, B         float64
-}
-
-func (e *HaloMismatchError) Error() string {
-	return fmt.Sprintf("%v: tiles %d/%d at cell (%d,%d): %g vs %g",
-		ErrHaloMismatch, e.TileA, e.TileB, e.Column, e.Row, e.A, e.B)
-}
-
-func (e *HaloMismatchError) Unwrap() error { return ErrHaloMismatch }

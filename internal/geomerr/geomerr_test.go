@@ -17,9 +17,8 @@ func TestSentinelMatching(t *testing.T) {
 		{Corrupt("delaunay.insert", "neighbor symmetry violated"), ErrMeshCorrupt},
 		{&BadParticleError{Index: 7, Reason: "nan coordinate"}, ErrBadParticle},
 		{Format(16, io.ErrUnexpectedEOF, "truncated block table"), ErrBadFormat},
-		{&HaloMismatchError{TileA: 0, TileB: 1, Column: 12, Row: 3, A: 1.5, B: 1.25}, ErrHaloMismatch},
 	}
-	sentinels := []error{ErrDegenerateInput, ErrLocateDiverged, ErrMeshCorrupt, ErrBadParticle, ErrBadFormat, ErrHaloMismatch}
+	sentinels := []error{ErrDegenerateInput, ErrLocateDiverged, ErrMeshCorrupt, ErrBadParticle, ErrBadFormat}
 	for _, c := range cases {
 		if !errors.Is(c.err, c.sentinel) {
 			t.Errorf("%v should match %v", c.err, c.sentinel)

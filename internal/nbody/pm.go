@@ -41,21 +41,21 @@ type Sim struct {
 	fz  []complex128
 }
 
+// spectralIndex is n of the initial conditions' P(k) ∝ k^n.
+const spectralIndex = -1
+
 // Config configures New.
 type Config struct {
-	Mesh          int     // mesh cells per dimension (power of two)
-	Particles     int     // particles per dimension (particle count = Particles³)
-	Box           float64 // box edge length
-	G             float64 // gravitational constant (default 1)
-	Softening     float64 // in mesh cells (default 1)
-	SpectralIndex float64 // P(k) ∝ k^n for the ICs (default -1)
-	Amplitude     float64 // initial displacement amplitude in cells (default 1)
-	Seed          int64
+	Mesh      int     // mesh cells per dimension (power of two)
+	Particles int     // particles per dimension (particle count = Particles³)
+	Box       float64 // box edge length
+	Amplitude float64 // initial displacement amplitude in cells (default 1)
+	Seed      int64
 }
 
 // New builds a simulation with Zel'dovich initial conditions: particles on
 // a lattice displaced by ψ = ∇∇⁻²δ for a Gaussian random field δ with
-// P(k) ∝ k^SpectralIndex, with velocities proportional to the displacement
+// P(k) ∝ k^spectralIndex, with velocities proportional to the displacement
 // (growing mode).
 func New(cfg Config) (*Sim, error) {
 	if !fft.IsPow2(cfg.Mesh) {
@@ -64,15 +64,6 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Particles <= 0 || cfg.Box <= 0 {
 		return nil, errors.New("nbody: particles and box must be positive")
 	}
-	if cfg.G == 0 {
-		cfg.G = 1
-	}
-	if cfg.Softening == 0 {
-		cfg.Softening = 1
-	}
-	if cfg.SpectralIndex == 0 {
-		cfg.SpectralIndex = -1
-	}
 	if cfg.Amplitude == 0 {
 		cfg.Amplitude = 1
 	}
@@ -80,8 +71,8 @@ func New(cfg Config) (*Sim, error) {
 	s := &Sim{
 		Mesh:      m,
 		Box:       cfg.Box,
-		G:         cfg.G,
-		Softening: cfg.Softening,
+		G:         1,
+		Softening: 1,
 		rho:       make([]complex128, m*m*m),
 		fx:        make([]complex128, m*m*m),
 		fy:        make([]complex128, m*m*m),
@@ -112,7 +103,7 @@ func New(cfg Config) (*Sim, error) {
 					delta[idx] = 0
 					continue
 				}
-				p := math.Pow(math.Sqrt(k2), cfg.SpectralIndex)
+				p := math.Pow(math.Sqrt(k2), spectralIndex)
 				delta[idx] *= complex(math.Sqrt(p), 0)
 			}
 		}

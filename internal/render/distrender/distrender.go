@@ -12,21 +12,13 @@
 // topology the GatherFlat alias names); at fanout 1 it is a chain. See
 // tree.go for the worker side and the recovery ladder.
 //
-// Two decomposition modes:
-//
-//   - Replication (Halo <= 0, the default): the full catalog is broadcast
-//     once and every rank builds the same triangulation. The build is
-//     deterministic and column marching is independent, so the stitched
-//     grid is byte-identical to a single-rank render — the invariant the
-//     test suite pins. This is the paper's Section V shape (ghost-zone
-//     style replication of the input, decomposition of the output).
-//   - Halo subsets (Halo > 0): each tile ships only the particles within
-//     Halo of its column span and the worker triangulates the subset. A
-//     subset triangulation can diverge from the full one near its fringe,
-//     so each tile also renders Guard duplicate columns past its interior
-//     edges; at stitch time the coordinator cross-checks every duplicated
-//     column bit-for-bit and surfaces any disagreement as a typed
-//     geomerr.ErrHaloMismatch instead of silently stitching corruption.
+// There is one decomposition: the output grid is partitioned, the
+// tessellation never is. The full catalog is broadcast once and every rank
+// builds the same triangulation. The build is deterministic and column
+// marching is independent, so the stitched grid is byte-identical to a
+// single-rank render — the invariant the test suite pins. Sharding the
+// catalog itself is not attempted; DESIGN §9 records what a bit-exact
+// version of it would have to guarantee.
 //
 // Failure handling reuses the PR 1 recovery concepts: the coordinator waits
 // with a tolerant AnySource receive, redistributes the outstanding tiles of
@@ -43,14 +35,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"godtfe/internal/delaunay"
 	"godtfe/internal/dtfe"
 	"godtfe/internal/fault"
 	"godtfe/internal/geom"
-	"godtfe/internal/geomerr"
 	"godtfe/internal/grid"
 	"godtfe/internal/mpi"
 	"godtfe/internal/render"
@@ -81,14 +71,10 @@ type Config struct {
 	Tiles int
 	// EvenTiles forces equal-width tiles instead of cost-balanced ones.
 	EvenTiles bool
-	// CostBeta is the marching-cost exponent for tile balancing
-	// (DefaultCostBeta when 0).
-	CostBeta float64
 
 	// Workers is the shared-memory worker count each rank marches with
-	// (1 when 0) and Sched its row schedule.
+	// (1 when 0).
 	Workers int
-	Sched   render.Schedule
 
 	// Fanout is the gather-tree arity (DefaultFanout when 0; 1 is a chain,
 	// >= world size a star). Gather == GatherFlat is an alias for
@@ -97,20 +83,6 @@ type Config struct {
 	// always agree on the topology.
 	Fanout int
 	Gather GatherMode
-
-	// Halo <= 0 selects replication mode. Halo > 0 ships per-tile
-	// particle subsets within Halo of the tile's x-span and enables the
-	// guard-column cross-check.
-	Halo float64
-	// Guard is the number of duplicate boundary columns rendered per
-	// interior tile edge in subset mode (default 1).
-	Guard int
-	// noCertify disables the certified-halo optimization: without it, a
-	// subset-mode worker that can prove from its subset triangulation that
-	// the configured halo suffices for its tile skips the guard-column
-	// renders (they would compare equal by construction). Only the
-	// in-package tests that exercise the guard path set it.
-	noCertify bool
 
 	// Fault optionally injects crashes/stragglers/message faults
 	// (chaos tests). Crash point: fault.PointTile.
@@ -152,13 +124,6 @@ func (cfg *Config) fanout(size int) int {
 	return DefaultFanout
 }
 
-func (cfg *Config) guard() int {
-	if cfg.Guard > 0 {
-		return cfg.Guard
-	}
-	return 1
-}
-
 // Result is the stitched output of a distributed render.
 type Result struct {
 	// Grid is the full stitched surface-density grid. Lost tiles (only
@@ -167,9 +132,9 @@ type Result struct {
 	// Stats are the gathered worker stats with globally re-based worker
 	// ids (rank r's local worker w becomes r*Workers+w).
 	Stats []render.WorkerStat
-	// Outcomes sums every marched column's outcome over owned columns
-	// (guard duplicates are excluded, so totals match a single-rank
-	// render exactly).
+	// Outcomes sums every marched column's outcome; each column is
+	// stitched from exactly one tile, so totals match a single-rank
+	// render exactly.
 	Outcomes render.OutcomeCounts
 
 	// Tiles is the tiling; TileRank[k] is the rank whose result for
@@ -179,12 +144,6 @@ type Result struct {
 
 	// Fanout is the resolved gather-tree arity.
 	Fanout int
-	// CertifiedHalo is the halo width above which subset renders are
-	// provably byte-identical (CertifiedHaloBound; 0 when unavailable).
-	// CertifiedTiles counts the tiles stitched with that certificate in
-	// force — their guard renders were skipped as provably redundant.
-	CertifiedHalo  float64
-	CertifiedTiles int
 
 	// Redispatched counts re-assigned tiles (crash or straggler
 	// deadline); Duplicates counts results discarded by first-wins.
@@ -277,56 +236,28 @@ func ctxWait(ctx context.Context, wait time.Duration) time.Duration {
 	return wait
 }
 
-// buildMarcher triangulates a catalog and prepares the SoA kernel. The
-// triangulation is returned alongside so subset-mode workers can run the
-// halo certificate against it.
-func buildMarcher(pts []geom.Vec3) (*render.Marcher, *delaunay.Triangulation, error) {
+// buildMarcher triangulates the catalog and prepares the SoA kernel.
+func buildMarcher(pts []geom.Vec3) (*render.Marcher, error) {
 	tri, err := delaunay.New(pts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	f, err := dtfe.NewField(tri, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return render.NewMarcher(f), tri, nil
+	return render.NewMarcher(f), nil
 }
 
-// subsetFor selects the particles within halo of a tile's marched x-span
-// (owned plus guard columns; jittered samples stay inside the cell, so the
-// span of cell edges bounds every line of sight).
-func subsetFor(spec render.Spec, t render.Tile, gl, gr int, halo float64, pts []geom.Vec3) []geom.Vec3 {
-	lo := spec.Min.X + float64(t.I0-gl)*spec.Cell - halo
-	hi := spec.Min.X + float64(t.I1+gr)*spec.Cell + halo
-	out := make([]geom.Vec3, 0, len(pts)/2)
-	for _, p := range pts {
-		if p.X >= lo && p.X <= hi {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// marchTile renders one assignment: the owned tile plus any guard columns,
-// against either the replicated marcher or a subset triangulation built
-// from the message's particles. ctx aborts the march at the next column
-// (the coordinator's self-compute path passes its caller's context;
-// workers pass Background and rely on the shutdown protocol instead). A
-// context error propagates as the rank-level error — it is the caller
-// cancelling, not the tile failing.
-func marchTile(ctx context.Context, cfg Config, m *render.Marcher, msg tileMsg) (res tileResult, err error) {
-	res.Tile = msg.Tile
-	if msg.Subset {
-		// An empty subset (void tile) fails the triangulation build; that
-		// is a tile-level failure to report, never a rank-fatal one.
-		if m, _, err = buildMarcher(msg.Particles); err != nil {
-			res.Err = err.Error()
-			return res, nil
-		}
-	}
-	spec := cfg.Spec
-	owned := render.Tile{I0: msg.I0, I1: msg.I1}
-	g, stats, err := m.RenderTileCtx(ctx, spec, owned, cfg.Workers, cfg.Sched)
+// marchTile renders tile k of the setup tiling against the replicated
+// marcher. ctx aborts the march at the next column (the coordinator's
+// self-compute path passes its caller's context; workers pass Background
+// and rely on the shutdown protocol instead). A context error propagates
+// as the rank-level error — it is the caller cancelling, not the tile
+// failing; any other render error is the tile's own (Err).
+func marchTile(ctx context.Context, m *render.Marcher, setup *setupMsg, k, rank int) (tileResult, error) {
+	res := tileResult{Tile: k, Rank: rank}
+	g, stats, err := m.RenderTileCtx(ctx, setup.Spec, setup.Tiles[k], setup.Workers, render.ScheduleDynamic)
 	if err != nil {
 		if ctx.Err() != nil {
 			return res, err
@@ -335,130 +266,81 @@ func marchTile(ctx context.Context, cfg Config, m *render.Marcher, msg tileMsg) 
 		return res, nil
 	}
 	res.Grid, res.Stats = g, stats
-	gl, gr := msg.GL, msg.GR
-	if msg.Certified {
-		// The coordinator proved the configured halo sufficient
-		// (CertifiedHaloBound): the guard columns would compare equal by
-		// construction, so rendering them is pure overhead.
-		res.Certified = true
-		gl, gr = 0, 0
-	}
-	if gl > 0 {
-		gL, _, err := m.RenderTileCtx(ctx, spec, render.Tile{I0: msg.I0 - gl, I1: msg.I0}, cfg.Workers, cfg.Sched)
-		if err != nil {
-			if ctx.Err() != nil {
-				return res, err
-			}
-			res.Err = err.Error()
-			return res, nil
-		}
-		res.GuardL = gL
-	}
-	if gr > 0 {
-		gR, _, err := m.RenderTileCtx(ctx, spec, render.Tile{I0: msg.I1, I1: msg.I1 + gr}, cfg.Workers, cfg.Sched)
-		if err != nil {
-			if ctx.Err() != nil {
-				return res, err
-			}
-			res.Err = err.Error()
-			return res, nil
-		}
-		res.GuardR = gR
-	}
 	return res, nil
 }
 
 // coord is the rank-0 gather state. Tile grids are stitched into the output
-// grid the moment they are accepted (streaming stitch); only tile metadata —
-// guards, stats, failure strings — is retained per tile, so the
-// coordinator's footprint is one output grid regardless of tile count or
-// fanout.
+// grid the moment they are accepted (streaming stitch) and then dropped;
+// per tile only its failure string is retained, so the coordinator's
+// footprint is one output grid regardless of tile count or fanout.
 type coord struct {
-	cfg        Config
-	spec       render.Spec
+	setup      *setupMsg
 	tiles      []render.Tile
 	res        *Result
-	have       map[int]tileResult // accepted tiles, metadata only (Grid nil)
+	have       map[int]string // accepted tile → its Err ("" once stitched)
 	merged     map[int]*render.WorkerStat
 	workersAll int
-	guard      int
-	subset     bool
-	certified  bool // halo cleared CertifiedHaloBound: assignments skip guards
-	pts        []geom.Vec3
 }
 
-func newCoord(cfg Config, tiles []render.Tile, subset bool, guard int, pts []geom.Vec3) *coord {
-	workersAll := cfg.Workers
+func newCoord(setup *setupMsg) *coord {
+	workersAll := setup.Workers
 	if workersAll <= 0 {
 		workersAll = 1
 	}
 	res := &Result{
-		Grid:     cfg.Spec.Grid(),
-		Tiles:    tiles,
-		TileRank: make([]int, len(tiles)),
+		Grid:     setup.Spec.Grid(),
+		Tiles:    setup.Tiles,
+		TileRank: make([]int, len(setup.Tiles)),
+		Fanout:   setup.Fanout,
 	}
 	for k := range res.TileRank {
 		res.TileRank[k] = -1
 	}
 	return &coord{
-		cfg: cfg, spec: cfg.Spec, tiles: tiles, res: res,
-		have:       make(map[int]tileResult),
+		setup: setup, tiles: setup.Tiles, res: res,
+		have:       make(map[int]string),
 		merged:     make(map[int]*render.WorkerStat),
-		workersAll: workersAll, guard: guard, subset: subset, pts: pts,
+		workersAll: workersAll,
 	}
 }
 
-func (co *coord) msgFor(k int) tileMsg {
-	t := co.tiles[k]
-	msg := tileMsg{Tile: k, I0: t.I0, I1: t.I1}
-	if co.subset {
-		msg.Subset = true
-		msg.Certified = co.certified
-		msg.GL = min(co.guard, t.I0)
-		msg.GR = min(co.guard, co.spec.Nx-t.I1)
-		msg.Particles = subsetFor(co.spec, t, msg.GL, msg.GR, co.cfg.Halo, co.pts)
+// wellFormed reports whether r names a tile of the setup tiling and, when
+// healthy, carries exactly that tile's grid (I1-I0 columns, Ny rows).
+// Frames cross several hops; an entry that fails this is ingested nowhere.
+func (s *setupMsg) wellFormed(r tileResult) bool {
+	if r.Tile < 0 || r.Tile >= len(s.Tiles) {
+		return false
 	}
-	return msg
+	t, g := s.Tiles[r.Tile], r.Grid
+	return r.Err != "" || g != nil && g.Nx == t.I1-t.I0 && g.Ny == s.Spec.Ny
 }
 
-// accept ingests one tile: g holds the tile's values with global column
-// gi0 at local column 0 (it may be a shared span buffer covering more than
-// this tile — only the tile's own columns are read). The grid is stitched
-// immediately and only metadata retained. Returns true when the tile was
-// new (first-wins); duplicates and malformed frames return false, the
-// latter left un-ingested so the deadline re-dispatch recovers the tile.
-func (co *coord) accept(meta tileResult, g *grid.Grid2D, gi0 int) bool {
-	k := meta.Tile
-	if k < 0 || k >= len(co.tiles) {
+// accept ingests one tile: a healthy tile's grid is stitched immediately
+// and dropped. Returns true when the tile was new (first-wins); duplicates
+// and malformed entries return false, the latter left un-ingested so the
+// deadline re-dispatch recovers the tile.
+func (co *coord) accept(r tileResult) bool {
+	k := r.Tile
+	if !co.setup.wellFormed(r) {
 		co.res.Failures = append(co.res.Failures,
-			fmt.Sprintf("discarded result for unknown tile %d from rank %d", k, meta.Rank))
+			fmt.Sprintf("discarded malformed frame entry for tile %d from rank %d", k, r.Rank))
 		return false
 	}
 	if _, ok := co.have[k]; ok {
 		co.res.Duplicates++
 		return false
 	}
-	t := co.tiles[k]
-	if meta.Err == "" {
-		if g == nil || g.Ny != co.spec.Ny || gi0 > t.I0 || gi0+g.Nx < t.I1 {
-			co.res.Failures = append(co.res.Failures,
-				fmt.Sprintf("discarded malformed grid frame for tile %d from rank %d", k, meta.Rank))
-			return false
-		}
-		off := t.I0 - gi0
-		for j := 0; j < co.spec.Ny; j++ {
-			for i := 0; i < t.I1-t.I0; i++ {
-				co.res.Grid.Set(t.I0+i, j, g.At(off+i, j))
+	if r.Err == "" {
+		t, g := co.tiles[k], r.Grid
+		for j := 0; j < g.Ny; j++ {
+			for i := 0; i < g.Nx; i++ {
+				co.res.Grid.Set(t.I0+i, j, g.At(i, j))
 			}
 		}
-		co.res.TileRank[k] = meta.Rank
-		co.merged = render.MergeWorkerStats(co.merged, meta.Stats, meta.Rank*co.workersAll)
-		if meta.Certified {
-			co.res.CertifiedTiles++
-		}
+		co.res.TileRank[k] = r.Rank
+		co.merged = render.MergeWorkerStats(co.merged, r.Stats, r.Rank*co.workersAll)
 	}
-	meta.Grid = nil
-	co.have[k] = meta
+	co.have[k] = r.Err
 	return true
 }
 
@@ -469,56 +351,42 @@ func (co *coord) complete() bool { return len(co.have) == len(co.tiles) }
 // resort when no live worker can take it). ctx aborts the march at the
 // next column so a cancelled caller is not stuck behind a full self-march.
 func (co *coord) selfCompute(ctx context.Context, k int, marcher **render.Marcher) error {
-	msg := co.msgFor(k)
-	var m *render.Marcher
-	if !co.subset {
-		if *marcher == nil {
-			cm, _, err := buildMarcher(co.pts)
-			if err != nil {
-				return err
-			}
-			*marcher = cm
+	if *marcher == nil {
+		m, err := buildMarcher(co.setup.Particles)
+		if err != nil {
+			return err
 		}
-		m = *marcher
-		msg.Particles = nil
+		*marcher = m
 	}
-	r, err := marchTile(ctx, co.cfg, m, msg)
+	r, err := marchTile(ctx, *marcher, co.setup, k, 0)
 	if err != nil {
 		return err
 	}
-	r.Rank = 0
-	co.accept(r, r.Grid, co.tiles[k].I0)
+	co.accept(r)
 	return nil
 }
 
-// finalize enumerates lost/failed tiles, cross-checks guard duplicates in
-// subset mode, and folds the gathered stats.
+// finalize enumerates lost/failed tiles and folds the gathered stats.
 func (co *coord) finalize() (*Result, error) {
 	res := co.res
-	var firstErr error
 	for k, t := range co.tiles {
-		r, ok := co.have[k]
-		if !ok || r.Err != "" {
-			res.Incomplete = true
-			res.Lost = append(res.Lost, k)
-			why := "never completed"
-			if ok {
-				why = r.Err
-			}
-			res.Failures = append(res.Failures, fmt.Sprintf("tile %d [%d,%d): %s", k, t.I0, t.I1, why))
+		why, ok := co.have[k]
+		if ok && why == "" {
+			continue
 		}
-	}
-	if co.guard > 0 {
-		if err := checkGuards(co.spec, res, co.tiles, co.have, co.guard); err != nil {
-			firstErr = err
+		if !ok {
+			why = "never completed"
 		}
+		res.Incomplete = true
+		res.Lost = append(res.Lost, k)
+		res.Failures = append(res.Failures, fmt.Sprintf("tile %d [%d,%d): %s", k, t.I0, t.I1, why))
 	}
 	res.Stats = render.FlattenWorkerStats(co.merged)
 	res.Outcomes = render.TotalOutcomes(res.Stats)
-	if res.Incomplete && firstErr == nil {
-		firstErr = fmt.Errorf("distrender: incomplete render: %d tile(s) lost", len(res.Lost))
+	if res.Incomplete {
+		return res, fmt.Errorf("distrender: incomplete render: %d tile(s) lost", len(res.Lost))
 	}
-	return res, firstErr
+	return res, nil
 }
 
 // coordinate is the rank-0 side: tile the grid, broadcast setup, hand every
@@ -533,36 +401,12 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 	if nt <= 0 {
 		nt = 2 * c.Size()
 	}
-	tiles := MakeTiles(spec, pts, nt, cfg.EvenTiles, cfg.CostBeta)
-
-	subset := cfg.Halo > 0
-	guard := 0
-	if subset {
-		guard = cfg.guard()
-	}
 	setup := setupMsg{
-		Spec: spec, Tiles: tiles, Workers: cfg.Workers, Sched: cfg.Sched,
-		Halo: cfg.Halo, Guard: guard, Fanout: cfg.fanout(c.Size()),
+		Spec: spec, Tiles: MakeTiles(spec, pts, nt, cfg.EvenTiles),
+		Workers: cfg.Workers, Fanout: cfg.fanout(c.Size()), Particles: pts,
 	}
-	if !subset {
-		setup.Particles = pts
-	}
-
-	co := newCoord(cfg, tiles, subset, guard, pts)
+	co := newCoord(&setup)
 	res := co.res
-	res.Fanout = setup.Fanout
-	if subset && guard > 0 && !cfg.noCertify {
-		// Certified halo: one full triangulation up front buys every tile
-		// out of its guard renders when the configured halo provably
-		// suffices. Failure to certify (degenerate circumspheres, halo
-		// below the bound) just leaves the guard cross-check in place.
-		if tri, err := delaunay.New(pts); err == nil {
-			if bound, ok := CertifiedHaloBound(tri); ok {
-				res.CertifiedHalo = bound
-				co.certified = cfg.Halo >= bound
-			}
-		}
-	}
 	dead := make(map[int]bool)
 
 	// Setup fan-out. A rank whose setup send is lost past the retry
@@ -606,11 +450,7 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 	// send writes the rank off; its share is redistributed by the caller
 	// via markDead.
 	sendBatch := func(r int, tiles []int) bool {
-		b := assignBatch{Tiles: make([]tileMsg, 0, len(tiles))}
-		for _, k := range tiles {
-			b.Tiles = append(b.Tiles, co.msgFor(k))
-		}
-		if err := c.Send(r, tagBatch, b); err != nil {
+		if err := c.Send(r, tagBatch, assignBatch{Tiles: tiles}); err != nil {
 			return false
 		}
 		for _, k := range tiles {
@@ -801,112 +641,15 @@ func ingestFrame(c *mpi.Comm, co *coord, msg *mpi.Message, cleared func(tile int
 		return
 	}
 	ack := frameAck{Tiles: make([]int, 0, len(f.Tiles))}
-	for _, tf := range f.Tiles {
+	for _, r := range f.Tiles {
 		// Ack everything in the frame — duplicates and malformed entries
 		// included — so the child stops re-sending; a tile rejected as
 		// malformed is recovered by the deadline re-dispatch, not by a
 		// retry of the same bytes.
-		ack.Tiles = append(ack.Tiles, tf.Tile)
-		meta := tileResult{
-			Tile: tf.Tile, Rank: tf.Rank, Err: tf.Err, Certified: tf.Certified,
-			GuardL: tf.GuardL, GuardR: tf.GuardR, Stats: tf.Stats,
-		}
-		g, gi0 := findSpan(f.Spans, tf.I0, tf.I1)
-		if meta.Err == "" && !spanMatchesTile(co, tf) {
-			co.res.Failures = append(co.res.Failures,
-				fmt.Sprintf("discarded frame for tile %d: span [%d,%d) does not match tiling", tf.Tile, tf.I0, tf.I1))
-			continue
-		}
-		if co.accept(meta, g, gi0) {
-			cleared(tf.Tile)
+		ack.Tiles = append(ack.Tiles, r.Tile)
+		if co.accept(r) {
+			cleared(r.Tile)
 		}
 	}
 	_ = c.Send(msg.Src, tagAck, ack)
-}
-
-// spanMatchesTile verifies a frame's claimed column span against the
-// authoritative tiling (frames cross multiple hops; a corrupt span must
-// not be stitched at the wrong offset).
-func spanMatchesTile(co *coord, tf tileFrame) bool {
-	if tf.Tile < 0 || tf.Tile >= len(co.tiles) {
-		return false
-	}
-	t := co.tiles[tf.Tile]
-	return tf.I0 == t.I0 && tf.I1 == t.I1
-}
-
-// findSpan locates the span grid covering global columns [i0, i1) and
-// returns it with its global first column.
-func findSpan(spans []gridSpan, i0, i1 int) (*grid.Grid2D, int) {
-	for _, s := range spans {
-		if s.Grid != nil && s.I0 <= i0 && i1 <= s.I0+s.Grid.Nx {
-			return s.Grid, s.I0
-		}
-	}
-	return nil, 0
-}
-
-// checkGuards compares every guard (duplicate) column against the owning
-// tile's stitched values, bit for bit. The first mismatch is returned as a
-// typed geomerr.HaloMismatchError and the result flagged Incomplete —
-// a too-small halo must be detected, never silently stitched.
-func checkGuards(spec render.Spec, res *Result, tiles []render.Tile, results map[int]tileResult, guard int) error {
-	var firstErr error
-	note := func(err error) {
-		res.Incomplete = true
-		res.Failures = append(res.Failures, err.Error())
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	owner := func(i int) int {
-		for k, t := range tiles {
-			if i >= t.I0 && i < t.I1 {
-				return k
-			}
-		}
-		return -1
-	}
-	healthy := func(k int) bool {
-		r, ok := results[k]
-		return ok && r.Err == ""
-	}
-	cmp := func(tileK int, g *grid.Grid2D, gi0 int) {
-		if g == nil || firstErr != nil {
-			return
-		}
-		for gi := 0; gi < g.Nx; gi++ {
-			// A guard column owned by a lost or failed tile has only zeros
-			// in the stitched grid — comparing against it would misreport
-			// the loss (already flagged Incomplete) as halo corruption.
-			i := gi0 + gi
-			ownerK := owner(i)
-			if ownerK < 0 || !healthy(ownerK) {
-				continue
-			}
-			for j := 0; j < spec.Ny; j++ {
-				a := res.Grid.At(i, j) // owner's stitched value
-				b := g.At(gi, j)       // this tile's guard duplicate
-				if math.Float64bits(a) != math.Float64bits(b) {
-					note(&geomerr.HaloMismatchError{
-						TileA: ownerK, TileB: tileK, Column: i, Row: j, A: a, B: b,
-					})
-					return
-				}
-			}
-		}
-	}
-	for k, t := range tiles {
-		if !healthy(k) {
-			continue
-		}
-		r := results[k]
-		if gl := min(guard, t.I0); gl > 0 {
-			cmp(k, r.GuardL, t.I0-gl)
-		}
-		if gr := min(guard, spec.Nx-t.I1); gr > 0 {
-			cmp(k, r.GuardR, t.I1)
-		}
-	}
-	return firstErr
 }

@@ -7,13 +7,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
-	"godtfe/internal/delaunay"
 	"godtfe/internal/fault"
 	"godtfe/internal/geom"
-	"godtfe/internal/geomerr"
 	"godtfe/internal/grid"
 	"godtfe/internal/mpi"
 	"godtfe/internal/render"
@@ -73,7 +72,7 @@ func testSpec(pts []geom.Vec3) render.Spec {
 // for byte.
 func singleRank(t testing.TB, pts []geom.Vec3, spec render.Spec) (*grid.Grid2D, render.OutcomeCounts) {
 	t.Helper()
-	m, _, err := buildMarcher(pts)
+	m, err := buildMarcher(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestMergeWorkerStats(t *testing.T) {
 
 // --- chaos suite -----------------------------------------------------------
 
-// The cases down to TestChaosEmptySubsetTile run the protocol as a star at
+// The cases down to TestChaosMalformedGridRedispatched run the protocol as a star at
 // 2–4 ranks (DefaultFanout >= ranks, so every worker is a leaf under the
 // root); tree_test.go repeats the failure modes with interior ranks.
 
@@ -385,6 +384,88 @@ func TestChaosAllWorkersLost(t *testing.T) {
 	}
 }
 
+// scriptedWorker is rank 1 of a two-rank world whose rank 0 runs the real
+// coordinator: it has taken the setup broadcast and built the mesh, and the
+// test's script decides which frames it sends and when. Acks pile up unread
+// in the mailbox unless the script receives them; nothing is ever re-sent.
+type scriptedWorker struct {
+	c     *mpi.Comm
+	setup setupMsg
+	m     *render.Marcher
+}
+
+func (w *scriptedWorker) march(k int) (tileResult, error) {
+	return marchTile(context.Background(), w.m, &w.setup, k, w.c.Rank())
+}
+
+func (w *scriptedWorker) send(tiles ...tileResult) error {
+	return w.c.Send(0, tagFrame, treeFrame{Tiles: tiles})
+}
+
+// serveUntilShutdown marches and sends every tile of every further batch.
+func (w *scriptedWorker) serveUntilShutdown() error {
+	for {
+		var b assignBatch
+		if _, err := w.c.Recv(0, tagBatch, &b); err != nil {
+			if errors.Is(err, mpi.ErrRankFailed) {
+				return nil
+			}
+			return err
+		}
+		if b.Shutdown {
+			return nil
+		}
+		for _, k := range b.Tiles {
+			r, err := w.march(k)
+			if err != nil {
+				return err
+			}
+			if err := w.send(r); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// runScripted renders pts on two ranks, the coordinator against script,
+// under a 20 s watchdog (hung names what a hang means), and returns the
+// complete Result once both ranks have exited cleanly.
+func runScripted(t *testing.T, cfg Config, pts []geom.Vec3, hung string, script func(w *scriptedWorker) error) *Result {
+	t.Helper()
+	var res *Result
+	done := make(chan []error, 1)
+	go func() {
+		done <- mpi.NewWorld(2).RunEach(func(c *mpi.Comm) (err error) {
+			if c.Rank() == 0 {
+				res, err = coordinate(context.Background(), c, cfg, pts)
+				return err
+			}
+			w := &scriptedWorker{c: c}
+			if _, err := c.Recv(0, tagSetup, &w.setup); err != nil {
+				return err
+			}
+			if w.m, err = buildMarcher(w.setup.Particles); err != nil {
+				return err
+			}
+			return script(w)
+		})
+	}()
+	select {
+	case errs := <-done:
+		for r, e := range errs {
+			if e != nil {
+				t.Fatalf("rank %d: %v", r, e)
+			}
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal(hung)
+	}
+	if res.Incomplete {
+		t.Fatalf("unexpected partial result: %v", res.Failures)
+	}
+	return res
+}
+
 // TestChaosStaleStragglerResultThenLoss pins the deadline-tracking rule: a
 // late frame for a tile that was *stolen* from a rank must not clear the
 // tracking of the tile the rank still holds. The scripted worker sits on
@@ -400,35 +481,10 @@ func TestChaosStaleStragglerResultThenLoss(t *testing.T) {
 	ref, _ := singleRank(t, pts, spec)
 
 	cfg := Config{Spec: spec, Workers: 2, Tiles: 2, TileTimeout: 200 * time.Millisecond}
-	w := mpi.NewWorld(2)
-	var res *Result
-	var resErr error
-	done := make(chan []error, 1)
-	go func() {
-		done <- w.RunEach(func(c *mpi.Comm) error {
-			if c.Rank() == 0 {
-				res, resErr = coordinate(context.Background(), c, cfg, pts)
-				return resErr
-			}
-			var setup setupMsg
-			if _, err := c.Recv(0, tagSetup, &setup); err != nil {
-				return err
-			}
-			m, _, err := buildMarcher(setup.Particles)
-			if err != nil {
-				return err
-			}
-			// Acks pile up unread in the mailbox; the script never re-sends.
-			serve := func(msg tileMsg) error {
-				r, err := marchTile(context.Background(), cfg, m, msg)
-				if err != nil {
-					return err
-				}
-				r.Rank = c.Rank()
-				return c.Send(0, tagFrame, buildFrame([]tileResult{r}, setup.Spec, setup.Tiles))
-			}
+	res := runScripted(t, cfg, pts, "coordinator hung: stale frame for a stolen tile discarded the held tile's tracking",
+		func(w *scriptedWorker) error {
 			var first, second assignBatch
-			if _, err := c.Recv(0, tagBatch, &first); err != nil {
+			if _, err := w.c.Recv(0, tagBatch, &first); err != nil {
 				return err
 			}
 			if len(first.Tiles) != 2 {
@@ -436,96 +492,81 @@ func TestChaosStaleStragglerResultThenLoss(t *testing.T) {
 			}
 			// Blocking here until the coordinator re-dispatches guarantees
 			// tile A's deadline has expired and A has been stolen.
-			if _, err := c.Recv(0, tagBatch, &second); err != nil {
+			if _, err := w.c.Recv(0, tagBatch, &second); err != nil {
 				return err
 			}
-			if err := serve(first.Tiles[0]); err != nil {
+			a, err := w.march(first.Tiles[0])
+			if err != nil {
+				return err
+			}
+			if err := w.send(a); err != nil {
 				return err
 			}
 			// B's result is never sent — only its deadline can recover it.
-			// Serve whatever the coordinator re-dispatches.
-			for {
-				var b assignBatch
-				if _, err := c.Recv(0, tagBatch, &b); err != nil {
-					if errors.Is(err, mpi.ErrRankFailed) {
-						return nil
-					}
-					return err
-				}
-				if b.Shutdown {
-					return nil
-				}
-				for _, msg := range b.Tiles {
-					if err := serve(msg); err != nil {
-						return err
-					}
-				}
-			}
+			return w.serveUntilShutdown()
 		})
-	}()
-	var errs []error
-	select {
-	case errs = <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatal("coordinator hung: stale frame for a stolen tile discarded the held tile's tracking")
-	}
-	for r, e := range errs {
-		if e != nil {
-			t.Fatalf("rank %d: %v", r, e)
-		}
-	}
-	if resErr != nil {
-		t.Fatal(resErr)
-	}
-	if res.Incomplete {
-		t.Fatalf("unexpected partial result: %v", res.Failures)
-	}
 	assertGridsIdentical(t, ref, res.Grid)
 	if res.Redispatched < 2 {
 		t.Fatalf("expected >= 2 deadline re-dispatches, got %d", res.Redispatched)
 	}
 }
 
-// TestChaosEmptySubsetTile: in subset mode a void tile ships an empty
-// particle subset. That must decode as subset mode (explicit wire flag, not
-// inferred from the empty slice), fail at tile level on the worker, and be
-// reported as lost tiles — the ranks survive, and the healthy tiles' guard
-// columns bordering the lost ones are not misreported as halo corruption.
-func TestChaosEmptySubsetTile(t *testing.T) {
-	// Two clusters at the x extremes: with even tiles and a small halo the
-	// middle tiles' halo-padded spans hold no particles at all.
-	rng := rand.New(rand.NewSource(9))
-	var pts []geom.Vec3
-	for i := 0; i < 200; i++ {
-		pts = append(pts, geom.Vec3{X: rng.Float64() * 0.08, Y: rng.Float64(), Z: rng.Float64()})
-		pts = append(pts, geom.Vec3{X: 0.92 + rng.Float64()*0.08, Y: rng.Float64(), Z: rng.Float64()})
-	}
+// TestChaosMalformedGridRedispatched feeds the root's ingestFrame a frame
+// whose first grid is one column too narrow, or one row too short, for its
+// tile, next to a healthy tile. The bad entry must be discarded (never
+// stitched at some offset), acked like the good one (the same bytes again
+// would be no better), and recovered by the deadline re-dispatch.
+func TestChaosMalformedGridRedispatched(t *testing.T) {
+	pts := testCatalogs()["dirty"]
 	spec := testSpec(pts)
-	cfg := Config{
-		Spec: spec, Workers: 2, Tiles: 6, EvenTiles: true,
-		Halo: spec.Cell, Guard: 1,
-	}
-	res, err, errs := runDistributed(3, cfg, pts, nil)
-	for r, e := range errs[1:] { // errs[0] is the coordinator's incomplete-render error
-		if e != nil {
-			t.Fatalf("rank %d died on an empty subset (must be a tile-level failure): %v", r+1, e)
-		}
-	}
-	if err == nil {
-		t.Fatal("empty-subset tiles must surface an incomplete-render error")
-	}
-	if errors.Is(err, geomerr.ErrHaloMismatch) {
-		t.Fatalf("lost tiles misreported as halo corruption: %v", err)
-	}
-	if res == nil || !res.Incomplete || len(res.Lost) == 0 {
-		t.Fatal("expected a flagged partial result with lost tiles")
-	}
-	if countStitched(res) == 0 {
-		t.Fatal("cluster-covering tiles should still have been stitched")
-	}
-	if len(res.Lost)+countStitched(res) != len(res.Tiles) {
-		t.Fatalf("lost (%d) + stitched (%d) tiles != total (%d)",
-			len(res.Lost), countStitched(res), len(res.Tiles))
+	ref, _ := singleRank(t, pts, spec)
+
+	for name, trim := range map[string]func(g *grid.Grid2D) (*grid.Grid2D, error){
+		"narrow": func(g *grid.Grid2D) (*grid.Grid2D, error) { return g.SubGrid(0, 0, g.Nx-1, g.Ny) },
+		"short":  func(g *grid.Grid2D) (*grid.Grid2D, error) { return g.SubGrid(0, 0, g.Nx, g.Ny-1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Spec: spec, Workers: 2, Tiles: 2, TileTimeout: 200 * time.Millisecond}
+			res := runScripted(t, cfg, pts, "coordinator hung: the discarded tile was never re-dispatched",
+				func(w *scriptedWorker) error {
+					var b assignBatch
+					if _, err := w.c.Recv(0, tagBatch, &b); err != nil {
+						return err
+					}
+					if len(b.Tiles) != 2 {
+						return fmt.Errorf("initial batch has %d tiles, want both", len(b.Tiles))
+					}
+					bad, err := w.march(b.Tiles[0])
+					if err != nil {
+						return err
+					}
+					if bad.Grid, err = trim(bad.Grid); err != nil {
+						return err
+					}
+					good, err := w.march(b.Tiles[1])
+					if err != nil {
+						return err
+					}
+					if err := w.send(bad, good); err != nil {
+						return err
+					}
+					var ack frameAck
+					if _, err := w.c.Recv(0, tagAck, &ack); err != nil {
+						return err
+					}
+					if len(ack.Tiles) != 2 || ack.Tiles[0] != bad.Tile || ack.Tiles[1] != good.Tile {
+						return fmt.Errorf("ack names %v, want the discarded tile %d and the stitched tile %d", ack.Tiles, bad.Tile, good.Tile)
+					}
+					return w.serveUntilShutdown()
+				})
+			assertGridsIdentical(t, ref, res.Grid)
+			if res.Redispatched != 1 || res.Duplicates != 0 {
+				t.Fatalf("re-dispatched %d, duplicates %d; want exactly the discarded tile re-dispatched", res.Redispatched, res.Duplicates)
+			}
+			if len(res.Failures) != 1 || !strings.Contains(res.Failures[0], "discarded malformed") {
+				t.Fatalf("Failures = %q, want the one discarded entry", res.Failures)
+			}
+		})
 	}
 }
 
@@ -539,121 +580,6 @@ func countStitched(res *Result) int {
 	return n
 }
 
-// --- halo property test ----------------------------------------------------
-
-// maxProjectedTetDiameter measures the largest x/y extent of any finite
-// tetrahedron of the catalog's triangulation — the halo width above which
-// a subset triangulation should reproduce the reference at tile
-// boundaries.
-func maxProjectedTetDiameter(t *testing.T, pts []geom.Vec3) float64 {
-	t.Helper()
-	tri, err := delaunay.New(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := tri.Points()
-	var d float64
-	tri.ForEachFiniteTet(func(ti int32, tet *delaunay.Tet) {
-		for a := 0; a < 4; a++ {
-			for b := a + 1; b < 4; b++ {
-				pa, pb := all[tet.V[a]], all[tet.V[b]]
-				d = math.Max(d, math.Abs(pa.X-pb.X))
-				d = math.Max(d, math.Abs(pa.Y-pb.Y))
-			}
-		}
-	})
-	return d
-}
-
-// TestHaloWidthProperty sweeps the halo width in subset mode: a halo at
-// least the max projected tet diameter (doubled, to cover the
-// density-estimate stencil) reproduces the reference on tile-boundary
-// columns and passes the guard cross-check; an intentionally tiny halo is
-// *detected* as a typed geomerr.ErrHaloMismatch — never silently stitched.
-func TestHaloWidthProperty(t *testing.T) {
-	pts := testCatalogs()["clustered"]
-	spec := testSpec(pts)
-	ref, _ := singleRank(t, pts, spec)
-
-	diam := maxProjectedTetDiameter(t, pts)
-	t.Run("sufficient", func(t *testing.T) {
-		cfg := Config{
-			Spec: spec, Workers: 2, Tiles: 4, EvenTiles: true,
-			Halo: 2 * diam, Guard: 2,
-		}
-		res, err, _ := runDistributed(3, cfg, pts, nil)
-		if err != nil {
-			t.Fatalf("sufficient halo (%.3g) rejected: %v", 2*diam, err)
-		}
-		if res.Incomplete {
-			t.Fatalf("sufficient halo flagged incomplete: %v", res.Failures)
-		}
-		// Tile-boundary columns must match the full-triangulation
-		// reference exactly (interior columns may legitimately differ in
-		// subset mode; the boundary property is what the halo guards).
-		for _, tile := range res.Tiles {
-			for _, i := range []int{tile.I0, tile.I1 - 1} {
-				for j := 0; j < spec.Ny; j++ {
-					a, b := ref.At(i, j), res.Grid.At(i, j)
-					if math.Float64bits(a) != math.Float64bits(b) {
-						t.Fatalf("boundary column %d row %d: reference %v, subset render %v", i, j, a, b)
-					}
-				}
-			}
-		}
-	})
-	t.Run("too-small-detected", func(t *testing.T) {
-		cfg := Config{
-			Spec: spec, Workers: 2, Tiles: 4, EvenTiles: true,
-			Halo: spec.Cell / 4, Guard: 2,
-		}
-		res, err, _ := runDistributed(3, cfg, pts, nil)
-		if err == nil {
-			t.Fatal("too-small halo was not detected")
-		}
-		if !errors.Is(err, geomerr.ErrHaloMismatch) {
-			t.Fatalf("want geomerr.ErrHaloMismatch, got %v", err)
-		}
-		var hm *geomerr.HaloMismatchError
-		if !errors.As(err, &hm) {
-			t.Fatalf("error %v does not carry HaloMismatchError detail", err)
-		}
-		if res == nil || !res.Incomplete {
-			t.Fatal("halo mismatch must flag the result incomplete")
-		}
-	})
-}
-
-// --- wire codec ------------------------------------------------------------
-
-// TestWireRoundTrip pins the typed fast codec of the assignment message,
-// including the explicit subset flag on an empty particle set. (Batches,
-// frames and acks: TestTreeWireRoundTrip.)
-func TestWireRoundTrip(t *testing.T) {
-	msgs := []tileMsg{
-		{Subset: true, Tile: 3, I0: 7, I1: 12, GL: 1, GR: 2,
-			Particles: []geom.Vec3{{X: 1, Y: 2, Z: 3}, {X: -4, Y: 5e-3, Z: 6}}},
-		{Subset: true, Tile: 2, I0: 4, I1: 7}, // empty subset: flag must survive
-		{Tile: 0, I0: 0, I1: 48},
-	}
-	for _, m := range msgs {
-		var got tileMsg
-		if err := got.UnmarshalFast(m.AppendFast(nil)); err != nil {
-			t.Fatal(err)
-		}
-		if got.Subset != m.Subset || got.Tile != m.Tile ||
-			got.I0 != m.I0 || got.I1 != m.I1 || got.GL != m.GL || got.GR != m.GR ||
-			len(got.Particles) != len(m.Particles) {
-			t.Fatalf("tileMsg round trip: sent %+v, got %+v", m, got)
-		}
-		for i := range m.Particles {
-			if got.Particles[i] != m.Particles[i] {
-				t.Fatalf("particle %d: sent %v, got %v", i, m.Particles[i], got.Particles[i])
-			}
-		}
-	}
-}
-
 // TestMakeTiles pins the tiling invariants: full contiguous cover for both
 // split styles and any rank count, and cost-balanced boundaries that react
 // to particle clustering.
@@ -662,7 +588,7 @@ func TestMakeTiles(t *testing.T) {
 	spec := testSpec(pts)
 	for _, n := range []int{1, 2, 3, 5, 7, 16, 48, 100} {
 		for _, even := range []bool{true, false} {
-			tiles := MakeTiles(spec, pts, n, even, 0)
+			tiles := MakeTiles(spec, pts, n, even)
 			want := n
 			if want > spec.Nx {
 				want = spec.Nx
@@ -684,8 +610,8 @@ func TestMakeTiles(t *testing.T) {
 	}
 	// Cost balancing: on a strongly clustered catalog the uneven split
 	// must not equal the even one.
-	evenT := MakeTiles(spec, pts, 6, true, 0)
-	costT := MakeTiles(spec, pts, 6, false, 0)
+	evenT := MakeTiles(spec, pts, 6, true)
+	costT := MakeTiles(spec, pts, 6, false)
 	same := true
 	for i := range evenT {
 		if evenT[i] != costT[i] {

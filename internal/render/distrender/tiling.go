@@ -11,18 +11,15 @@ import (
 	"godtfe/internal/render"
 )
 
-// DefaultCostBeta is the marching-cost exponent used when Config.CostBeta
-// is unset: the β the PR 4 recalibration fitted for per-item interpolation
-// work (EXPERIMENTS.md fig11), which tracks tet traversal density.
-const DefaultCostBeta = 0.54
+// costBeta is the marching-cost exponent of tile balancing: the β the PR 4
+// recalibration fitted for per-item interpolation work (EXPERIMENTS.md
+// fig11), which tracks tet traversal density.
+const costBeta = 0.54
 
 // columnWeights predicts the relative marching cost of each grid column
 // from the catalog's x-histogram: columns over dense regions traverse more
 // tetrahedra per line of sight.
-func columnWeights(spec render.Spec, pts []geom.Vec3, beta float64) []float64 {
-	if beta <= 0 {
-		beta = DefaultCostBeta
-	}
+func columnWeights(spec render.Spec, pts []geom.Vec3) []float64 {
 	counts := make([]float64, spec.Nx)
 	for _, p := range pts {
 		i := int((p.X - spec.Min.X) / spec.Cell)
@@ -34,7 +31,7 @@ func columnWeights(spec render.Spec, pts []geom.Vec3, beta float64) []float64 {
 		}
 		counts[i]++
 	}
-	m := model.PowerModel{Alpha: 1, Beta: beta}
+	m := model.PowerModel{Alpha: 1, Beta: costBeta}
 	w := make([]float64, spec.Nx)
 	for i, n := range counts {
 		w[i] = m.Predict(1 + n)
@@ -48,7 +45,7 @@ func columnWeights(spec render.Spec, pts []geom.Vec3, beta float64) []float64 {
 // predicted marching cost (columnWeights) is as close as possible to an
 // equal share. Every tile holds at least one column, so n is clamped to
 // spec.Nx. pts may be nil, which degrades to the even split.
-func MakeTiles(spec render.Spec, pts []geom.Vec3, n int, even bool, beta float64) []render.Tile {
+func MakeTiles(spec render.Spec, pts []geom.Vec3, n int, even bool) []render.Tile {
 	if n < 1 {
 		n = 1
 	}
@@ -69,7 +66,7 @@ func MakeTiles(spec render.Spec, pts []geom.Vec3, n int, even bool, beta float64
 		}
 		return tiles
 	}
-	w := columnWeights(spec, pts, beta)
+	w := columnWeights(spec, pts)
 	var total float64
 	for _, v := range w {
 		total += v

@@ -1,12 +1,11 @@
 // The worker side of the gather. Rank r's parent is (r-1)/fanout; rank 0
 // is the root. Workers march their statically-batched tiles and stream each
 // finished tile toward the root as a treeFrame; interior ranks ingest child
-// frames, dedupe first-wins, merge column-adjacent tiles into shared span
-// buffers (disjoint columns make the merge a pure copy, so stitching stays
-// bit-exact), and forward upward. The root stream-stitches frames straight
-// into the output grid, so its protocol cost is per frame — O(tiles) in a
-// star (fanout >= ranks, every rank a leaf under 0), O(fanout x flushes)
-// once interior ranks coalesce.
+// frames, dedupe first-wins, and forward the child tiles upward in the same
+// frame as their own. The root stream-stitches frames straight into the
+// output grid, so its protocol cost is per frame — O(tiles) in a star
+// (fanout >= ranks, every rank a leaf under 0), O(fanout x flushes) once
+// interior ranks coalesce.
 //
 // Recovery ladder:
 //
@@ -17,7 +16,7 @@
 //     nearest live ancestor (walking parent pointers toward the root,
 //     which never dies) and re-sends every unacknowledged frame. With all
 //     interior ranks dead this degrades to exactly the star.
-//   - Idempotent dedupe: every merge level keeps a seen-set and drops
+//   - Idempotent dedupe: every level keeps a seen-set and drops
 //     repeated tiles first-wins; tile renders are bit-exact, so whichever
 //     copy survives is correct.
 //   - Acks are hop-local: a parent acks the tiles it ingested so the child
@@ -36,11 +35,9 @@ package distrender
 import (
 	"context"
 	"errors"
-	"sort"
 	"time"
 
 	"godtfe/internal/fault"
-	"godtfe/internal/grid"
 	"godtfe/internal/mpi"
 	"godtfe/internal/render"
 )
@@ -92,7 +89,7 @@ func work(c *mpi.Comm, cfg Config) error {
 	retry := clampDuration(cfg.tileTimeout()/4, 25*time.Millisecond, 2*time.Second)
 
 	var marcher *render.Marcher
-	var todo []tileMsg
+	var todo []int
 	pending := make(map[int]tileResult) // tiles unacked by the parent (grids held)
 	sentAt := make(map[int]time.Time)   // last upward send per pending tile
 	seen := make(map[int]bool)          // every tile ever ingested here (first-wins)
@@ -117,8 +114,7 @@ func work(c *mpi.Comm, cfg Config) error {
 		if cfg.Fault != nil && cfg.Fault.ShouldCrash(me, fault.PointRelay, relayed) {
 			return fault.Crashed(me, fault.PointRelay, relayed)
 		}
-		frame := buildFrame(due, setup.Spec, setup.Tiles)
-		if err := c.Send(parent, tagFrame, frame); err != nil {
+		if err := c.Send(parent, tagFrame, treeFrame{Tiles: due}); err != nil {
 			if errors.Is(err, mpi.ErrMessageLost) {
 				return nil // retry timer re-sends
 			}
@@ -167,27 +163,26 @@ func work(c *mpi.Comm, cfg Config) error {
 				}
 			case errors.Is(err, mpi.ErrTimeout):
 				if len(todo) > 0 {
-					m := todo[0]
+					k := todo[0]
 					todo = todo[1:]
 					if cfg.Fault != nil && cfg.Fault.ShouldCrash(me, fault.PointTile, marched) {
 						return fault.Crashed(me, fault.PointTile, marched)
 					}
-					if !m.Subset && marcher == nil {
-						mm, _, err := buildMarcher(setup.Particles)
+					if marcher == nil {
+						m, err := buildMarcher(setup.Particles)
 						if err != nil {
 							return err
 						}
-						marcher = mm
+						marcher = m
 					}
 					start := time.Now()
-					r, err := marchTile(context.Background(), cfg, marcher, m)
+					r, err := marchTile(context.Background(), marcher, &setup, k, me)
 					if err != nil {
 						return err
 					}
 					if cfg.Fault != nil {
 						cfg.Fault.StraggleSleep(me, time.Since(start))
 					}
-					r.Rank = me
 					marched++
 					ingest(r)
 				}
@@ -209,31 +204,22 @@ func work(c *mpi.Comm, cfg Config) error {
 			if b.Shutdown {
 				return nil
 			}
-			todo = append(todo, b.Tiles...)
+			for _, k := range b.Tiles {
+				if k >= 0 && k < len(setup.Tiles) { // indexes the tiling: checked off the wire
+					todo = append(todo, k)
+				}
+			}
 		case tagFrame:
 			var f treeFrame
 			if err := msg.Decode(&f); err != nil {
 				continue // sender re-sends; persistent corruption falls to the root deadline
 			}
 			ack := frameAck{Tiles: make([]int, 0, len(f.Tiles))}
-			for _, tf := range f.Tiles {
-				ack.Tiles = append(ack.Tiles, tf.Tile)
-				if tf.Tile < 0 || tf.Tile >= len(setup.Tiles) || seen[tf.Tile] {
-					continue
+			for _, r := range f.Tiles {
+				ack.Tiles = append(ack.Tiles, r.Tile)
+				if setup.wellFormed(r) { // malformed: don't ingest; root deadline recovers
+					ingest(r)
 				}
-				r := tileResult{
-					Tile: tf.Tile, Rank: tf.Rank, Err: tf.Err, Certified: tf.Certified,
-					GuardL: tf.GuardL, GuardR: tf.GuardR, Stats: tf.Stats,
-				}
-				if r.Err == "" {
-					ti := setup.Tiles[tf.Tile]
-					span, gi0 := findSpan(f.Spans, tf.I0, tf.I1)
-					if span == nil || tf.I0 != ti.I0 || tf.I1 != ti.I1 || span.Ny != setup.Spec.Ny {
-						continue // malformed: don't ingest; root deadline recovers
-					}
-					r.Grid = extractColumns(span, gi0, tf.I0, tf.I1, setup.Spec)
-				}
-				ingest(r)
 			}
 			_ = c.Send(msg.Src, tagAck, ack)
 			if err := flush(false); err != nil {
@@ -250,79 +236,4 @@ func work(c *mpi.Comm, cfg Config) error {
 			}
 		}
 	}
-}
-
-// tileWithSpan pairs a pending tile result with its owned global column
-// span.
-type tileWithSpan struct {
-	res tileResult
-	i0  int
-	i1  int
-}
-
-// buildFrame packages pending tile results as one treeFrame: healthy tiles
-// sorted by first column, column-adjacent runs merged into a single span
-// buffer (a pure copy — the columns are disjoint), failed tiles carried as
-// metadata only. tiles is the authoritative tiling from setup.
-func buildFrame(due []tileResult, spec render.Spec, tiles []render.Tile) treeFrame {
-	var frame treeFrame
-	var healthy []tileWithSpan
-	for _, r := range due {
-		tf := tileFrame{
-			Tile: r.Tile, Rank: r.Rank, Err: r.Err, Certified: r.Certified,
-			GuardL: r.GuardL, GuardR: r.GuardR, Stats: r.Stats,
-		}
-		if r.Err == "" && r.Grid != nil && r.Tile >= 0 && r.Tile < len(tiles) {
-			t := tiles[r.Tile]
-			tf.I0, tf.I1 = t.I0, t.I1
-			healthy = append(healthy, tileWithSpan{res: r, i0: t.I0, i1: t.I1})
-		}
-		frame.Tiles = append(frame.Tiles, tf)
-	}
-	sort.Slice(healthy, func(a, b int) bool { return healthy[a].i0 < healthy[b].i0 })
-	for i := 0; i < len(healthy); {
-		j := i + 1
-		for j < len(healthy) && healthy[j].i0 == healthy[j-1].i1 {
-			j++
-		}
-		if j == i+1 {
-			// Single-tile run: ship the grid as-is, no copy.
-			frame.Spans = append(frame.Spans, gridSpan{I0: healthy[i].i0, Grid: healthy[i].res.Grid})
-		} else {
-			span := mergeRun(healthy[i:j], spec)
-			frame.Spans = append(frame.Spans, gridSpan{I0: healthy[i].i0, Grid: span})
-		}
-		i = j
-	}
-	return frame
-}
-
-// mergeRun concatenates a column-adjacent run of tile grids into one span
-// buffer.
-func mergeRun(run []tileWithSpan, spec render.Spec) *grid.Grid2D {
-	i0, i1 := run[0].i0, run[len(run)-1].i1
-	min := spec.Min
-	min.X += float64(i0) * spec.Cell
-	out := grid.NewGrid2D(i1-i0, spec.Ny, min, spec.Cell)
-	for _, t := range run {
-		g := t.res.Grid
-		off := t.i0 - i0
-		for j := 0; j < g.Ny; j++ {
-			copy(out.Data[j*out.Nx+off:j*out.Nx+off+g.Nx], g.Data[j*g.Nx:(j+1)*g.Nx])
-		}
-	}
-	return out
-}
-
-// extractColumns copies global columns [i0, i1) out of a span buffer whose
-// first column is gi0.
-func extractColumns(span *grid.Grid2D, gi0, i0, i1 int, spec render.Spec) *grid.Grid2D {
-	min := spec.Min
-	min.X += float64(i0) * spec.Cell
-	out := grid.NewGrid2D(i1-i0, span.Ny, min, spec.Cell)
-	off := i0 - gi0
-	for j := 0; j < span.Ny; j++ {
-		copy(out.Data[j*out.Nx:(j+1)*out.Nx], span.Data[j*span.Nx+off:j*span.Nx+off+out.Nx])
-	}
-	return out
 }

@@ -1,16 +1,15 @@
 package distrender
 
 import (
+	"encoding/hex"
 	"errors"
-	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"godtfe/internal/delaunay"
 	"godtfe/internal/fault"
 	"godtfe/internal/geom"
-	"godtfe/internal/geomerr"
 	"godtfe/internal/grid"
 	"godtfe/internal/render"
 )
@@ -216,66 +215,6 @@ func TestTreeChaosAllWorkersLost(t *testing.T) {
 	}
 }
 
-// TestTreeSubsetHalo runs subset mode through the tree: guard grids ride
-// the frame format and the stitch-time cross-check keeps working — a
-// sufficient halo stitches clean, a too-small one is detected as a typed
-// halo mismatch, never silently stitched. noCertify pins the guard path on
-// for the sufficient case.
-func TestTreeSubsetHalo(t *testing.T) {
-	pts := testCatalogs()["clustered"]
-	spec := testSpec(pts)
-	ref, _ := singleRank(t, pts, spec)
-	diam := maxProjectedTetDiameter(t, pts)
-
-	t.Run("sufficient", func(t *testing.T) {
-		cfg := Config{
-			Spec: spec, Workers: 2, Fanout: 2,
-			Tiles: 4, EvenTiles: true, Halo: 2 * diam, Guard: 2, noCertify: true,
-		}
-		res, err, errs := runDistributed(5, cfg, pts, nil)
-		if err != nil {
-			t.Fatalf("sufficient halo rejected: %v", err)
-		}
-		for r, e := range errs {
-			if e != nil {
-				t.Fatalf("rank %d: %v", r, e)
-			}
-		}
-		if res.Incomplete {
-			t.Fatalf("sufficient halo flagged incomplete: %v", res.Failures)
-		}
-		for _, tile := range res.Tiles {
-			for _, i := range []int{tile.I0, tile.I1 - 1} {
-				for j := 0; j < spec.Ny; j++ {
-					a, b := ref.At(i, j), res.Grid.At(i, j)
-					if math.Float64bits(a) != math.Float64bits(b) {
-						t.Fatalf("boundary column %d row %d: reference %v, tree subset %v", i, j, a, b)
-					}
-				}
-			}
-		}
-	})
-	t.Run("too-small-detected", func(t *testing.T) {
-		cfg := Config{
-			Spec: spec, Workers: 2, Fanout: 2,
-			Tiles: 4, EvenTiles: true, Halo: spec.Cell / 4, Guard: 2,
-		}
-		res, err, _ := runDistributed(5, cfg, pts, nil)
-		if err == nil {
-			t.Fatal("too-small halo was not detected through the tree")
-		}
-		if !errors.Is(err, geomerr.ErrHaloMismatch) {
-			t.Fatalf("want geomerr.ErrHaloMismatch, got %v", err)
-		}
-		if res == nil || !res.Incomplete {
-			t.Fatal("halo mismatch must flag the result incomplete")
-		}
-		if res.CertifiedTiles != 0 {
-			t.Fatalf("a halo below the bound must never certify, got %d certified tiles", res.CertifiedTiles)
-		}
-	})
-}
-
 // TestFailedRankAttributionInResult: when a rank dies, the gather must name
 // it in Result.Failures with the underlying cause, star or tree —
 // operators debugging a 1k-rank run need the rank id, not just "a rank
@@ -325,170 +264,83 @@ func TestFailedRankAttributionInResult(t *testing.T) {
 	}
 }
 
-// --- certified halo --------------------------------------------------------
-
-// TestCertifiedHalo: a halo at or above CertifiedHaloBound certifies every
-// tile — guard renders are skipped, no guard grids travel, and the render
-// is still byte-identical to the single-rank reference. noCertify turns
-// the optimization off without changing the bytes.
-func TestCertifiedHalo(t *testing.T) {
-	pts := testCatalogs()["clustered"]
-	spec := testSpec(pts)
-	ref, _ := singleRank(t, pts, spec)
-
-	tri, err := delaunay.New(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, ok := CertifiedHaloBound(tri)
-	if !ok || bound <= 0 {
-		t.Fatalf("clustered catalog must yield a certificate bound, got %v ok=%v", bound, ok)
-	}
-
-	run := func(ranks, fanout int, noCertify bool) *Result {
-		t.Helper()
-		cfg := Config{
-			Spec: spec, Workers: 2, Fanout: fanout,
-			Tiles: 4, EvenTiles: true, Halo: bound, Guard: 2, noCertify: noCertify,
-		}
-		res, err, errs := runDistributed(ranks, cfg, pts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r, e := range errs {
-			if e != nil {
-				t.Fatalf("rank %d: %v", r, e)
-			}
-		}
-		if res.Incomplete {
-			t.Fatalf("unexpected partial result: %v", res.Failures)
-		}
-		assertGridsIdentical(t, ref, res.Grid)
-		return res
-	}
-
-	for _, tc := range []struct {
-		name          string
-		ranks, fanout int
-	}{
-		{"star", 3, 3},
-		{"tree", 5, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			res := run(tc.ranks, tc.fanout, false)
-			if res.CertifiedHalo <= 0 {
-				t.Fatal("Result.CertifiedHalo not reported")
-			}
-			if res.CertifiedTiles != len(res.Tiles) {
-				t.Fatalf("certified %d of %d tiles, want all", res.CertifiedTiles, len(res.Tiles))
-			}
-		})
-	}
-	t.Run("no-certify", func(t *testing.T) {
-		res := run(3, 3, true)
-		if res.CertifiedTiles != 0 || res.CertifiedHalo != 0 {
-			t.Fatalf("noCertify must disable certification, got tiles=%d bound=%v",
-				res.CertifiedTiles, res.CertifiedHalo)
-		}
-	})
-}
-
-// TestCertifiedHaloBoundLattice pins the bound as a geometry-derived
-// quantity: on the exact 6x6x6 unit lattice every tet inscribes in a
-// 0.2-cube cell, whose circumradius is half the space diagonal, so the
-// bound is 4 * sqrt(3) * 0.1 (the perturbed predicates resolve the
-// cosphericity deterministically rather than failing the solve).
-func TestCertifiedHaloBoundLattice(t *testing.T) {
-	pts := testCatalogs()["lattice"]
-	tri, err := delaunay.New(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, ok := CertifiedHaloBound(tri)
-	if !ok {
-		t.Fatal("lattice bound not computable")
-	}
-	want := 4 * math.Sqrt(3) * 0.1
-	if math.Abs(bound-want) > 1e-6 {
-		t.Fatalf("lattice bound %v, want ~%v", bound, want)
-	}
-}
-
 // --- tree wire format ------------------------------------------------------
 
-// TestTreeWireRoundTrip pins the frame wire format: batches, frames with
-// merged spans and per-tile guard grids, and acks.
+// wireCodec is what every gather message implements through its pointer.
+type wireCodec interface {
+	AppendFast(buf []byte) []byte
+	UnmarshalFast(data []byte) error
+}
+
+// wireCase is one gather message with a constructor of its zero value and
+// its golden encoding in hex.
+type wireCase struct {
+	name   string
+	msg    wireCodec
+	zero   func() wireCodec
+	golden string
+}
+
+// wireCases are one message of each wire type: a batch and the shutdown
+// batch, a two-tile frame (one healthy tile with its grid and stats, one
+// Err-only tile), and an ack.
+func wireCases() []wireCase {
+	g := grid.NewGrid2D(2, 1, geom.Vec2{X: 1, Y: -2}, 0.5)
+	g.Data[0], g.Data[1] = 1.5, -0.25
+	batch := func() wireCodec { return new(assignBatch) }
+	return []wireCase{
+		{"assignBatch", &assignBatch{Tiles: []int{1, 200}}, batch,
+			"00" + "02" + "01" + "c801"},
+		{"shutdown", &assignBatch{Shutdown: true}, batch,
+			"01" + "00"},
+		{"treeFrame", &treeFrame{Tiles: []tileResult{
+			{Tile: 3, Rank: 4, Grid: g, Stats: []render.WorkerStat{{
+				Worker: 1, Busy: time.Millisecond, Cells: 2, Steps: 300,
+				Columns: render.OutcomeCounts{Clean: 2, Perturbed: 1},
+			}}},
+			{Tile: 5, Rank: 4, Err: "march failed"},
+		}}, func() wireCodec { return new(treeFrame) },
+			"02" + // two tiles
+				"03" + "04" + "00" + // tile 3, rank 4, no error
+				"01" + "2b" + // grid present, 43 bytes:
+				"02" + "01" + "000000000000f03f" + "00000000000000c0" + "000000000000e03f" + // 2x1 at (1,-2), cell 0.5
+				"02" + "000000000000f83f" + "000000000000d0bf" + // 2 words: 1.5, -0.25
+				"01" + "01" + "c0843d" + "02" + "ac02" + "02" + "01" + "00" + "00" + // one stat
+				"05" + "04" + "0c" + "6d61726368206661696c6564" + // tile 5, rank 4, "march failed"
+				"00" + "00"}, // no grid, no stats
+		{"frameAck", &frameAck{Tiles: []int{3, 4, 5}}, func() wireCodec { return new(frameAck) },
+			"03" + "03" + "04" + "05"},
+	}
+}
+
+// TestTreeWireRoundTrip pins the gather wire format byte for byte, checks
+// that each message decodes back to itself, and that every strict prefix of
+// each encoding is an error that leaves the receiver untouched — a
+// truncated message is never half-accepted.
 func TestTreeWireRoundTrip(t *testing.T) {
-	b := assignBatch{Tiles: []tileMsg{
-		{Tile: 1, I0: 0, I1: 8},
-		{Subset: true, Certified: true, Tile: 2, I0: 8, I1: 16, GL: 1,
-			Particles: []geom.Vec3{{X: 1, Y: 2, Z: 3}}},
-	}}
-	var gotB assignBatch
-	if err := gotB.UnmarshalFast(b.AppendFast(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if len(gotB.Tiles) != 2 || gotB.Shutdown {
-		t.Fatalf("assignBatch round trip: %+v", gotB)
-	}
-	if gotB.Tiles[1].Tile != 2 || !gotB.Tiles[1].Subset || !gotB.Tiles[1].Certified ||
-		len(gotB.Tiles[1].Particles) != 1 {
-		t.Fatalf("assignBatch tile 1 round trip: %+v", gotB.Tiles[1])
-	}
-	var gotShut assignBatch
-	if err := gotShut.UnmarshalFast((assignBatch{Shutdown: true}).AppendFast(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if !gotShut.Shutdown {
-		t.Fatal("shutdown flag lost")
-	}
-
-	span := grid.NewGrid2D(6, 3, geom.Vec2{X: 1}, 0.5)
-	for i := range span.Data {
-		span.Data[i] = float64(i) * 0.75
-	}
-	f := treeFrame{
-		Tiles: []tileFrame{
-			{Tile: 3, Rank: 4, I0: 10, I1: 13, Certified: true,
-				GuardR: grid.NewGrid2D(1, 3, geom.Vec2{}, 0.5),
-				Stats:  []render.WorkerStat{{Worker: 0, Cells: 9, Busy: time.Millisecond}}},
-			{Tile: 4, Rank: 5, I0: 13, I1: 16},
-			{Tile: 5, Rank: 4, Err: "subset degenerate"},
-		},
-		Spans: []gridSpan{{I0: 10, Grid: span}},
-	}
-	var gotF treeFrame
-	if err := gotF.UnmarshalFast(f.AppendFast(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if len(gotF.Tiles) != 3 || len(gotF.Spans) != 1 {
-		t.Fatalf("treeFrame round trip: %d tiles, %d spans", len(gotF.Tiles), len(gotF.Spans))
-	}
-	tf := gotF.Tiles[0]
-	if tf.Tile != 3 || tf.Rank != 4 || tf.I0 != 10 || tf.I1 != 13 || !tf.Certified ||
-		tf.GuardR == nil || tf.GuardL != nil || len(tf.Stats) != 1 || tf.Stats[0].Cells != 9 {
-		t.Fatalf("tileFrame round trip: %+v", tf)
-	}
-	if gotF.Tiles[2].Err != "subset degenerate" {
-		t.Fatalf("failed-tile error lost: %+v", gotF.Tiles[2])
-	}
-	gs := gotF.Spans[0]
-	if gs.I0 != 10 || gs.Grid == nil || gs.Grid.Nx != 6 || gs.Grid.Ny != 3 {
-		t.Fatalf("gridSpan round trip: %+v", gs)
-	}
-	for i := range span.Data {
-		if math.Float64bits(gs.Grid.Data[i]) != math.Float64bits(span.Data[i]) {
-			t.Fatalf("span word %d differs", i)
-		}
-	}
-
-	a := frameAck{Tiles: []int{3, 4, 5}}
-	var gotA frameAck
-	if err := gotA.UnmarshalFast(a.AppendFast(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if len(gotA.Tiles) != 3 || gotA.Tiles[2] != 5 {
-		t.Fatalf("frameAck round trip: %+v", gotA)
+	for _, c := range wireCases() {
+		t.Run(c.name, func(t *testing.T) {
+			enc := c.msg.AppendFast(nil)
+			if got := hex.EncodeToString(enc); got != c.golden {
+				t.Fatalf("encoding\n got %s\nwant %s", got, c.golden)
+			}
+			got := c.zero()
+			if err := got.UnmarshalFast(enc); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, c.msg) {
+				t.Fatalf("round trip: sent %+v, got %+v", c.msg, got)
+			}
+			for n := range enc {
+				got := c.zero()
+				if err := got.UnmarshalFast(enc[:n]); err == nil {
+					t.Fatalf("prefix of %d/%d bytes decoded without error: %+v", n, len(enc), got)
+				}
+				if !reflect.DeepEqual(got, c.zero()) {
+					t.Fatalf("prefix of %d/%d bytes left a half-accepted message: %+v", n, len(enc), got)
+				}
+			}
+		})
 	}
 }
 
@@ -496,14 +348,9 @@ func TestTreeWireRoundTrip(t *testing.T) {
 // decoders must reject garbage with an error, never panic or over-allocate
 // on implausible counts.
 func FuzzTreeWireDecode(f *testing.F) {
-	span := grid.NewGrid2D(2, 2, geom.Vec2{}, 1)
-	frame := treeFrame{
-		Tiles: []tileFrame{{Tile: 1, Rank: 2, I0: 0, I1: 2}},
-		Spans: []gridSpan{{I0: 0, Grid: span}},
+	for _, c := range wireCases() {
+		f.Add(c.msg.AppendFast(nil))
 	}
-	f.Add(frame.AppendFast(nil))
-	f.Add((assignBatch{Tiles: []tileMsg{{Tile: 0, I0: 0, I1: 4}}}).AppendFast(nil))
-	f.Add((frameAck{Tiles: []int{0, 1}}).AppendFast(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -513,7 +360,5 @@ func FuzzTreeWireDecode(f *testing.F) {
 		_ = ab.UnmarshalFast(data)
 		var ack frameAck
 		_ = ack.UnmarshalFast(data)
-		var tm tileMsg
-		_ = tm.UnmarshalFast(data)
 	})
 }

@@ -1,8 +1,9 @@
 // Wire protocol of the distributed renderer. Setup (spec + tiling + the
 // replicated catalog) is broadcast once via the gob fallback; batches,
 // frames and acks ride the typed fast codec (mpi.FastMarshaler), reusing
-// the exported particle/float helpers and Grid2D's own fast encoding, so
-// the hot path never touches gob.
+// Grid2D's own fast encoding, so the hot path never touches gob. Every
+// decoder fills its receiver only after the whole payload has parsed: a
+// truncated message is an error and leaves nothing half-accepted.
 package distrender
 
 import (
@@ -12,7 +13,6 @@ import (
 
 	"godtfe/internal/geom"
 	"godtfe/internal/grid"
-	"godtfe/internal/mpi"
 	"godtfe/internal/render"
 )
 
@@ -26,50 +26,27 @@ const (
 )
 
 // setupMsg is the one-shot broadcast that primes every rank: the render
-// spec, the tiling, and — in replication mode (Halo <= 0) — the full
-// catalog each rank triangulates locally. Sent via gob; it is not on the
-// per-tile hot path.
+// spec, the authoritative tiling, and the full catalog each rank
+// triangulates locally. Sent via gob; it is not on the per-tile hot path.
 type setupMsg struct {
 	Spec      render.Spec
 	Tiles     []render.Tile
 	Workers   int
-	Sched     render.Schedule
-	Halo      float64
-	Guard     int
-	Fanout    int         // gather-tree arity, resolved by the root
-	Particles []geom.Vec3 // full catalog when Halo <= 0; nil in subset mode
-}
-
-// tileMsg assigns one tile to a worker (it travels inside an assignBatch).
-// In subset mode (Subset true) it carries the halo-padded particle subset
-// the worker triangulates for this tile and the guard widths to render on
-// each interior side; in replication mode the worker marches its
-// replicated mesh. The mode is an
-// explicit flag — it must not be inferred from len(Particles), because a
-// subset can legitimately be empty (a void tile), which is a tile-level
-// failure, not replication.
-type tileMsg struct {
-	Subset    bool
-	Certified bool // halo cleared CertifiedHaloBound: skip the guard renders
-	Tile      int  // index into the tiling
-	I0, I1    int  // owned columns [I0, I1)
-	GL, GR    int  // guard columns to render left/right of the owned block
+	Fanout    int // gather-tree arity, resolved by the root
 	Particles []geom.Vec3
 }
 
-// tileResult is one marched tile as a rank holds it in memory: the
-// owned-column grid, optional guard-column grids for the stitch-time halo
-// cross-check, and the tile-local worker stats (worker ids 0..W-1, re-based
-// at the gather). On the wire it travels as a tileFrame plus a span.
+// tileResult is one marched tile, as a rank holds it in memory and as it
+// travels inside a treeFrame: the tile's own grid (exactly its columns of
+// the tiling, I1-I0 wide) and the tile-local worker stats (worker ids
+// 0..W-1, re-based at the gather). The column span is not carried: every
+// rank reads it from the setup tiling by index.
 type tileResult struct {
-	Tile      int
-	Rank      int
-	Err       string // non-empty: the tile failed on this rank (e.g. degenerate subset)
-	Certified bool   // subset mode: halo certificate held, guard renders skipped
-	Grid      *grid.Grid2D
-	GuardL    *grid.Grid2D
-	GuardR    *grid.Grid2D
-	Stats     []render.WorkerStat
+	Tile  int
+	Rank  int    // the rank that marched it
+	Err   string // non-empty: the tile failed on that rank; Grid is nil
+	Grid  *grid.Grid2D
+	Stats []render.WorkerStat
 }
 
 func appendUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
@@ -126,44 +103,6 @@ func readGrid(data []byte) (*grid.Grid2D, []byte, error) {
 		return nil, nil, err
 	}
 	return g, data[n:], nil
-}
-
-// AppendFast implements mpi.FastMarshaler.
-func (m tileMsg) AppendFast(buf []byte) []byte {
-	buf = appendBool(buf, m.Subset)
-	buf = appendBool(buf, m.Certified)
-	buf = appendUvarint(buf, uint64(m.Tile))
-	buf = appendUvarint(buf, uint64(m.I0))
-	buf = appendUvarint(buf, uint64(m.I1))
-	buf = appendUvarint(buf, uint64(m.GL))
-	buf = appendUvarint(buf, uint64(m.GR))
-	return mpi.AppendVec3s(buf, m.Particles)
-}
-
-// UnmarshalFast implements mpi.FastUnmarshaler.
-func (m *tileMsg) UnmarshalFast(data []byte) error {
-	var err error
-	if m.Subset, data, err = readBool(data); err != nil {
-		return err
-	}
-	if m.Certified, data, err = readBool(data); err != nil {
-		return err
-	}
-	ints := [5]*int{&m.Tile, &m.I0, &m.I1, &m.GL, &m.GR}
-	for _, p := range ints {
-		var v uint64
-		if v, data, err = readUvarint(data); err != nil {
-			return err
-		}
-		*p = int(v)
-	}
-	if _, err = mpi.ReadVec3s(data, &m.Particles); err != nil {
-		return err
-	}
-	if len(m.Particles) == 0 {
-		m.Particles = nil
-	}
-	return nil
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -229,142 +168,80 @@ func readStats(data []byte) ([]render.WorkerStat, []byte, error) {
 	return stats, data, nil
 }
 
-// assignBatch is the assignment unit: the coordinator hands
-// each rank its whole static share of tiles up front (recovery
-// re-dispatches arrive as later single-tile batches), or Shutdown.
-type assignBatch struct {
-	Shutdown bool
-	Tiles    []tileMsg
-}
-
-// AppendFast implements mpi.FastMarshaler.
-func (b assignBatch) AppendFast(buf []byte) []byte {
-	buf = appendBool(buf, b.Shutdown)
-	buf = appendUvarint(buf, uint64(len(b.Tiles)))
-	for _, t := range b.Tiles {
-		sub := t.AppendFast(nil)
-		buf = appendUvarint(buf, uint64(len(sub)))
-		buf = append(buf, sub...)
+// appendTiles and readTiles carry a list of tile indices (a batch's
+// assignments, an ack's receipts): uvarint count, then the indices.
+func appendTiles(buf []byte, tiles []int) []byte {
+	buf = appendUvarint(buf, uint64(len(tiles)))
+	for _, k := range tiles {
+		buf = appendUvarint(buf, uint64(k))
 	}
 	return buf
 }
 
-// UnmarshalFast implements mpi.FastUnmarshaler.
-func (b *assignBatch) UnmarshalFast(data []byte) error {
-	var err error
-	if b.Shutdown, data, err = readBool(data); err != nil {
-		return err
-	}
+func readTiles(data []byte) ([]int, error) {
 	n, data, err := readUvarint(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if n > uint64(len(data)) { // each tileMsg frame is >= 8 bytes
-		return fmt.Errorf("distrender: implausible batch size %d", n)
+	if n > uint64(len(data)) { // each index is >= 1 byte
+		return nil, fmt.Errorf("distrender: implausible tile count %d", n)
 	}
-	b.Tiles = nil
+	var tiles []int
 	for i := uint64(0); i < n; i++ {
-		var sz uint64
-		if sz, data, err = readUvarint(data); err != nil {
-			return err
-		}
-		if uint64(len(data)) < sz {
-			return fmt.Errorf("distrender: truncated batch entry")
-		}
-		var t tileMsg
-		if err := t.UnmarshalFast(data[:sz]); err != nil {
-			return err
-		}
-		b.Tiles = append(b.Tiles, t)
-		data = data[sz:]
-	}
-	return nil
-}
-
-// tileFrame is the per-tile metadata of a gather frame: which tile,
-// who marched it, its owned column span, optional guard grids, and the
-// tile-local stats. The owned grid itself rides in the frame's Spans (so
-// column-adjacent tiles share one merged buffer); a failed tile
-// (Err != "") is metadata-only.
-type tileFrame struct {
-	Tile      int
-	Rank      int
-	I0, I1    int
-	Err       string
-	Certified bool
-	GuardL    *grid.Grid2D
-	GuardR    *grid.Grid2D
-	Stats     []render.WorkerStat
-}
-
-func (f tileFrame) appendFast(buf []byte) []byte {
-	buf = appendUvarint(buf, uint64(f.Tile))
-	buf = appendUvarint(buf, uint64(f.Rank))
-	buf = appendUvarint(buf, uint64(f.I0))
-	buf = appendUvarint(buf, uint64(f.I1))
-	buf = appendString(buf, f.Err)
-	buf = appendBool(buf, f.Certified)
-	buf = appendGrid(buf, f.GuardL)
-	buf = appendGrid(buf, f.GuardR)
-	return appendStats(buf, f.Stats)
-}
-
-func (f *tileFrame) unmarshalFast(data []byte) ([]byte, error) {
-	var err error
-	ints := [4]*int{&f.Tile, &f.Rank, &f.I0, &f.I1}
-	for _, p := range ints {
 		var v uint64
 		if v, data, err = readUvarint(data); err != nil {
 			return nil, err
 		}
-		*p = int(v)
+		tiles = append(tiles, int(v))
 	}
-	if f.Err, data, err = readString(data); err != nil {
-		return nil, err
-	}
-	if f.Certified, data, err = readBool(data); err != nil {
-		return nil, err
-	}
-	if f.GuardL, data, err = readGrid(data); err != nil {
-		return nil, err
-	}
-	if f.GuardR, data, err = readGrid(data); err != nil {
-		return nil, err
-	}
-	if f.Stats, data, err = readStats(data); err != nil {
-		return nil, err
-	}
-	return data, nil
+	return tiles, nil
 }
 
-// gridSpan is one contiguous run of merged owned columns: Grid holds the
-// values for global columns [I0, I0+Grid.Nx).
-type gridSpan struct {
-	I0   int
-	Grid *grid.Grid2D
+// assignBatch is the assignment unit: the coordinator hands each rank its
+// whole static share up front as indices into the setup tiling (recovery
+// re-dispatches arrive as later single-tile batches), or Shutdown.
+type assignBatch struct {
+	Shutdown bool
+	Tiles    []int
 }
 
-// treeFrame is the unit of upward streaming in the gather tree: a set
-// of completed tiles plus the merged column spans holding their grids.
-// Frames are idempotent — every merge level dedupes tiles first-wins — so
-// re-sending after a re-parent or a lost ack is always safe.
+// AppendFast implements mpi.FastMarshaler.
+func (b assignBatch) AppendFast(buf []byte) []byte {
+	return appendTiles(appendBool(buf, b.Shutdown), b.Tiles)
+}
+
+// UnmarshalFast implements mpi.FastUnmarshaler.
+func (b *assignBatch) UnmarshalFast(data []byte) error {
+	shutdown, data, err := readBool(data)
+	if err != nil {
+		return err
+	}
+	tiles, err := readTiles(data)
+	if err != nil {
+		return err
+	}
+	*b = assignBatch{Shutdown: shutdown, Tiles: tiles}
+	return nil
+}
+
+// treeFrame is the unit of upward streaming in the gather tree: every
+// tile its sender has finished or been handed by a child and not yet had
+// acknowledged, each with its own grid. Frames are idempotent — every
+// level dedupes tiles first-wins — so re-sending after a re-parent or a
+// lost ack is always safe.
 type treeFrame struct {
-	Tiles []tileFrame
-	Spans []gridSpan
+	Tiles []tileResult
 }
 
 // AppendFast implements mpi.FastMarshaler.
 func (f treeFrame) AppendFast(buf []byte) []byte {
 	buf = appendUvarint(buf, uint64(len(f.Tiles)))
 	for _, t := range f.Tiles {
-		sub := t.appendFast(nil)
-		buf = appendUvarint(buf, uint64(len(sub)))
-		buf = append(buf, sub...)
-	}
-	buf = appendUvarint(buf, uint64(len(f.Spans)))
-	for _, s := range f.Spans {
-		buf = appendUvarint(buf, uint64(s.I0))
-		buf = appendGrid(buf, s.Grid)
+		buf = appendUvarint(buf, uint64(t.Tile))
+		buf = appendUvarint(buf, uint64(t.Rank))
+		buf = appendString(buf, t.Err)
+		buf = appendGrid(buf, t.Grid)
+		buf = appendStats(buf, t.Stats)
 	}
 	return buf
 }
@@ -375,48 +252,36 @@ func (f *treeFrame) UnmarshalFast(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if n > uint64(len(data)) {
+	if n > uint64(len(data)) { // each tile is >= 5 bytes
 		return fmt.Errorf("distrender: implausible frame tile count %d", n)
 	}
-	f.Tiles = nil
+	var tiles []tileResult
 	for i := uint64(0); i < n; i++ {
-		var sz uint64
-		if sz, data, err = readUvarint(data); err != nil {
+		var t tileResult
+		var tile, rank uint64
+		if tile, data, err = readUvarint(data); err != nil {
 			return err
 		}
-		if uint64(len(data)) < sz {
-			return fmt.Errorf("distrender: truncated frame tile")
-		}
-		var t tileFrame
-		if _, err := t.unmarshalFast(data[:sz]); err != nil {
+		if rank, data, err = readUvarint(data); err != nil {
 			return err
 		}
-		f.Tiles = append(f.Tiles, t)
-		data = data[sz:]
-	}
-	if n, data, err = readUvarint(data); err != nil {
-		return err
-	}
-	if n > uint64(len(data)) {
-		return fmt.Errorf("distrender: implausible frame span count %d", n)
-	}
-	f.Spans = nil
-	for i := uint64(0); i < n; i++ {
-		var s gridSpan
-		var v uint64
-		if v, data, err = readUvarint(data); err != nil {
+		t.Tile, t.Rank = int(tile), int(rank)
+		if t.Err, data, err = readString(data); err != nil {
 			return err
 		}
-		s.I0 = int(v)
-		if s.Grid, data, err = readGrid(data); err != nil {
+		if t.Grid, data, err = readGrid(data); err != nil {
 			return err
 		}
-		f.Spans = append(f.Spans, s)
+		if t.Stats, data, err = readStats(data); err != nil {
+			return err
+		}
+		tiles = append(tiles, t)
 	}
+	f.Tiles = tiles
 	return nil
 }
 
-// frameAck acknowledges tiles a parent has ingested (merged or deduped).
+// frameAck acknowledges tiles a parent has ingested (kept or deduped).
 // Acks are hop-local flow control — they stop the child re-sending to
 // *this* parent — not end-to-end delivery receipts: if an interior rank
 // dies after acking but before forwarding, the loss is recovered by the
@@ -427,30 +292,14 @@ type frameAck struct {
 }
 
 // AppendFast implements mpi.FastMarshaler.
-func (a frameAck) AppendFast(buf []byte) []byte {
-	buf = appendUvarint(buf, uint64(len(a.Tiles)))
-	for _, t := range a.Tiles {
-		buf = appendUvarint(buf, uint64(t))
-	}
-	return buf
-}
+func (a frameAck) AppendFast(buf []byte) []byte { return appendTiles(buf, a.Tiles) }
 
 // UnmarshalFast implements mpi.FastUnmarshaler.
 func (a *frameAck) UnmarshalFast(data []byte) error {
-	n, data, err := readUvarint(data)
+	tiles, err := readTiles(data)
 	if err != nil {
 		return err
 	}
-	if n > uint64(len(data)) {
-		return fmt.Errorf("distrender: implausible ack count %d", n)
-	}
-	a.Tiles = nil
-	for i := uint64(0); i < n; i++ {
-		var v uint64
-		if v, data, err = readUvarint(data); err != nil {
-			return err
-		}
-		a.Tiles = append(a.Tiles, int(v))
-	}
+	a.Tiles = tiles
 	return nil
 }

@@ -33,7 +33,7 @@ type DistRenderConfig struct {
 	// (replicated triangulation build), paid concurrently by all ranks.
 	SetupCost float64
 	// StitchPerTile is the cost to copy one gathered tile into the output
-	// grid at the coordinator, or into a merged span buffer at an interior
+	// grid at the coordinator, or out of a child's frame at an interior
 	// rank (memory bandwidth, not protocol: every frame additionally costs
 	// its receiver Comm.SendOverhead).
 	StitchPerTile float64
@@ -62,7 +62,7 @@ type frame struct {
 // SimulateDistRender evaluates the gather schedule. Tiles are statically
 // round-robined over the workers; each worker marches its batch
 // sequentially, flushing completed tiles to its tree parent after every
-// march; interior ranks serialize child-frame ingest, merge, and relay on
+// march; interior ranks serialize child-frame ingest and relay on
 // the same clock as their own marching, coalescing everything pending into
 // one frame per flush — exactly the adaptive batching the real worker loop
 // performs. With Ranks == 1 the coordinator marches every tile itself

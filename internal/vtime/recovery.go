@@ -37,8 +37,6 @@ type RecoveryConfig struct {
 	// StragglerFactor multiplies the item times of afflicted ranks
 	// (values > 1).
 	StragglerFactor map[int]float64
-	// FixedPhases adds constant per-rank time, as in Config.
-	FixedPhases float64
 }
 
 // RecoveryOutcome is the simulated result.
@@ -121,8 +119,8 @@ func SimulateRecovery(cfg RecoveryConfig, items []Item) RecoveryOutcome {
 		for _, i := range sims[r].items {
 			busy += items[i].Actual
 		}
-		if f := busy + cfg.FixedPhases; f > out.Baseline {
-			out.Baseline = f
+		if busy > out.Baseline {
+			out.Baseline = busy
 		}
 	}
 
@@ -215,8 +213,8 @@ func SimulateRecovery(cfg RecoveryConfig, items []Item) RecoveryOutcome {
 		if sims[r].crashed {
 			continue
 		}
-		if f := finish[r] + cfg.FixedPhases; f > out.Makespan {
-			out.Makespan = f
+		if finish[r] > out.Makespan {
+			out.Makespan = finish[r]
 		}
 	}
 	out.Overhead = out.Makespan - out.Baseline

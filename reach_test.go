@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -49,33 +50,10 @@ var reachAllow = []struct{ ident, reason, test string }{
 // that this walk does not reach is test-only or dead: delete it with its
 // tests, or give it a reachAllow entry.
 func TestProductionIsReachable(t *testing.T) {
-	fset := token.NewFileSet()
-	l := &reachLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*reachPkg{}}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if n := d.Name(); path != "." && (n[0] == '.' || n[0] == '_' || n == "testdata") {
-			return filepath.SkipDir
-		}
-		if goFiles, _ := filepath.Glob(filepath.Join(path, "*.go")); len(goFiles) == 0 {
-			return nil
-		}
-		_, err = l.Import(filepath.ToSlash(filepath.Join("godtfe", path)))
-		return err
-	})
+	g, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := parser.ParseFile(fset, "literals.go", stdLiterals, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.literals, err = new(types.Config).Check("literals", fset, []*ast.File{f}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	g := newReachGraph(l)
 	reached := map[types.Object]bool{}
 	for obj := range g.roots {
 		g.visit(reached, obj)
@@ -102,7 +80,7 @@ func TestProductionIsReachable(t *testing.T) {
 	var dead []string
 	for name, obj := range g.byName {
 		if !reached[obj] && !strings.HasPrefix(name, "bench/") {
-			pos := fset.Position(obj.Pos())
+			pos := g.l.fset.Position(obj.Pos())
 			dead = append(dead, fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, name))
 		}
 	}
@@ -111,6 +89,38 @@ func TestProductionIsReachable(t *testing.T) {
 		t.Errorf("unreachable from every program and from the godtfe API: %s", d)
 	}
 }
+
+// loadModule type-checks the non-test files of every package of the module
+// and of the benchmark harness, once for all the tests that scan them, and
+// builds the reference graph over their top-level declarations.
+var loadModule = sync.OnceValues(func() (*reachGraph, error) {
+	fset := token.NewFileSet()
+	l := &reachLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*reachPkg{}}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if n := d.Name(); path != "." && (n[0] == '.' || n[0] == '_' || n == "testdata") {
+			return filepath.SkipDir
+		}
+		if goFiles, _ := filepath.Glob(filepath.Join(path, "*.go")); len(goFiles) == 0 {
+			return nil
+		}
+		_, err = l.Import(filepath.ToSlash(filepath.Join("godtfe", path)))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	f, err := parser.ParseFile(fset, "literals.go", stdLiterals, 0)
+	if err != nil {
+		return nil, err
+	}
+	if l.literals, err = new(types.Config).Check("literals", fset, []*ast.File{f}, nil); err != nil {
+		return nil, err
+	}
+	return newReachGraph(l), nil
+})
 
 // reachPkg is one type-checked package: its non-test files that match the
 // build constraints of this platform.
@@ -179,13 +189,14 @@ func (l *reachLoader) Import(path string) (*types.Package, error) {
 // reachGraph has one node per top-level func, method, type, var and const of
 // the loaded packages and an edge to every node a declaration's source names.
 type reachGraph struct {
+	l      *reachLoader
 	byName map[string]types.Object
 	edges  map[types.Object][]types.Object
 	roots  map[types.Object]bool
 }
 
 func newReachGraph(l *reachLoader) *reachGraph {
-	g := &reachGraph{byName: map[string]types.Object{}, edges: map[types.Object][]types.Object{}, roots: map[types.Object]bool{}}
+	g := &reachGraph{l: l, byName: map[string]types.Object{}, edges: map[types.Object][]types.Object{}, roots: map[types.Object]bool{}}
 	type decl struct {
 		obj  types.Object
 		node ast.Node
@@ -383,34 +394,41 @@ func (g *reachGraph) visit(reached map[types.Object]bool, obj types.Object) {
 	}
 }
 
-// testMentions checks that test ("<package dir>.<TestFunc>") is a function
-// in one of the directory's _test.go files whose body names ident.
-func testMentions(test, ident string) error {
+// testFunc parses test ("<package dir>.<TestFunc>") out of the directory's
+// _test.go files.
+func testFunc(test string) (*ast.FuncDecl, error) {
 	dot := strings.LastIndexByte(test, '.')
 	dir, fn := test[:dot], test[dot+1:]
 	names, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
 	for _, name := range names {
 		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || fd.Name.Name != fn || fd.Body == nil {
-				continue
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == fn && fd.Body != nil {
+				return fd, nil
 			}
-			found := false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id.Name == ident {
-					found = true
-				}
-				return !found
-			})
-			if !found {
-				return fmt.Errorf("%s in %s no longer mentions %s", fn, name, ident)
-			}
-			return nil
 		}
 	}
-	return fmt.Errorf("test %s not found in %s", fn, dir)
+	return nil, fmt.Errorf("test %s not found in %s", fn, dir)
+}
+
+// testMentions checks that the body of test names ident.
+func testMentions(test, ident string) error {
+	fd, err := testFunc(test)
+	if err != nil {
+		return err
+	}
+	found := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == ident {
+			found = true
+		}
+		return !found
+	})
+	if !found {
+		return fmt.Errorf("%s no longer mentions %s", test, ident)
+	}
+	return nil
 }
