@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab fuzz nopanic nocopy loc ci
+.PHONY: build test tier1 vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab fuzz loc ci
 
 build:
 	$(GO) build ./...
@@ -8,7 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Tier-1 gate: everything builds and every test passes.
+# Tier-1 gate: everything builds and every test passes. The static guards
+# are tests of the root package on one go/types load of the module
+# (reach_test.go): nothing unreachable, no unset knob, no call to panic and
+# no sync state passed by value in production code.
 tier1: build test
 
 vet:
@@ -29,7 +32,7 @@ race:
 # The loop first prints how many tests the -run pattern selects in each
 # package and fails on zero, so a renamed suite cannot silently drop out.
 CHAOS_RUN  = Chaos|Fault|Recover|Crash|Straggler|Tolerant|Attribution|Tree|Cancel|Deadline
-CHAOS_PKGS = ./internal/mpi ./internal/fault ./internal/pipeline ./internal/render/distrender ./internal/delaunay ./internal/fieldserve
+CHAOS_PKGS = ./internal/mpi ./internal/fault ./internal/pipeline ./internal/render/distrender ./internal/fieldserve
 chaos:
 	@for p in $(CHAOS_PKGS); do \
 		n=$$($(GO) test -list '$(CHAOS_RUN)' $$p | grep -c '^Test'); \
@@ -81,30 +84,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParticleIO -fuzztime 10s ./internal/particleio/
 	$(GO) test -run '^$$' -fuzz FuzzDelaunayInsert -fuzztime 10s ./internal/delaunay/
 	$(GO) test -run '^$$' -fuzz FuzzDelaunayDelta -fuzztime 10s ./internal/delaunay/
-	$(GO) test -run '^$$' -fuzz FuzzDelaunayParallelStitch -fuzztime 10s ./internal/delaunay/
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTreeWireDecode -fuzztime 10s ./internal/render/distrender/
 	$(GO) test -run '^$$' -fuzz FuzzPredicatesExact -fuzztime 10s ./internal/geom/
 	$(GO) test -run '^$$' -fuzz FuzzHilbertOrder -fuzztime 10s ./internal/geom/
-
-# The hardened layers (geometry, ingestion, render, the distributed gather
-# and the runtime under it) must stay panic-free: every failure goes
-# through the geomerr taxonomy or a returned error instead.
-nopanic:
-	@bad=$$(grep -n 'panic(' internal/delaunay/*.go internal/particleio/*.go internal/render/*.go internal/render/distrender/*.go internal/mpi/*.go internal/pipeline/*.go internal/fieldserve/*.go | grep -v _test.go || true); \
-	if [ -n "$$bad" ]; then \
-		echo "panic() found in hardened production code:"; echo "$$bad"; exit 1; \
-	fi
-	@echo "nopanic: clean"
-
-# Atomic-telemetry audit: `go vet -copylocks` (flags copies of values
-# carrying locks, which includes every sync/atomic type via its noCopy
-# sentinel) plus the structural scan in cmd/nocopy-audit, which flags
-# by-value receivers/params/results of any struct embedding sync or
-# sync/atomic state — forked counters and copied locks never ship.
-nocopy:
-	$(GO) vet -copylocks ./...
-	$(GO) run ./cmd/nocopy-audit .
 
 # Production-line count: every non-test .go file outside the benchmark
 # harness. The one number ROADMAP's "fewer production lines" target and the
@@ -112,4 +95,4 @@ nocopy:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
 
-ci: tier1 vet nopanic nocopy race chaos serve-smoke bench-smoke bench-e2e-test fuzz
+ci: tier1 vet race chaos serve-smoke bench-smoke bench-e2e-test fuzz

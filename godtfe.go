@@ -147,16 +147,6 @@ func ApplyDelta(tri *Triangulation, d Delta) (*Triangulation, *DeltaStats, error
 	return tri.ApplyDelta(d)
 }
 
-// TriangulateParallel builds the same triangulation as Triangulate using
-// `workers` concurrent block builds with exact ghost-zone stitching. The
-// result is deeply equal to Triangulate's — identical tetrahedra pool,
-// adjacency, and downstream fields — so the two are interchangeable;
-// small inputs and inputs the block pipeline cannot certify are built
-// serially.
-func TriangulateParallel(points []Vec3, workers int) (*Triangulation, error) {
-	return delaunay.NewParallel(points, workers)
-}
-
 // NewDensityField estimates DTFE densities on the triangulation; masses
 // may be nil for unit particle masses.
 func NewDensityField(tri *Triangulation, masses []float64) (*DensityField, error) {

@@ -33,8 +33,8 @@ const brioMinPoints = 64
 // partitioned into rounds, smallest first. A point's round comes from a
 // hash of its coordinate values, so equal points share a round and stay in
 // ascending index order there — the lowest-index duplicate is still the
-// first inserted, which is the rule dupOf, the block-parallel builder's
-// merge and ApplyDelta's relabelling all rest on.
+// first inserted, which is the rule dupOf and ApplyDelta's relabelling
+// both rest on.
 func brioOrder(pts []geom.Vec3) []int {
 	order := geom.HilbertOrder(pts)
 	n := len(pts)

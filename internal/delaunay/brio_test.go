@@ -12,7 +12,8 @@ import (
 // order-independence and compaction suites: duplicates whose indices an
 // index hash would deal into different rounds, points equal under == but
 // not bit for bit, a lattice small enough that the first rounds are a few
-// cospherical points, and a catalog under brioMinPoints.
+// cospherical points, a catalog under brioMinPoints, and the seam catalog
+// (a cospherical sheet with mirror and coincident pairs on one plane).
 func orderCatalogSet() map[string][]geom.Vec3 {
 	// Every point of the first third again in the last third, reversed.
 	dups := randomCatalog(900, 21)
@@ -44,6 +45,7 @@ func orderCatalogSet() map[string][]geom.Vec3 {
 		"zeros":    zeros,
 		"lattice6": latticeCatalog(216),
 		"small":    small,
+		"seam":     seamCatalog(),
 	}
 }
 

@@ -78,32 +78,8 @@ func benchBuildPts(b *testing.B, pts []geom.Vec3) {
 	}
 }
 
-// benchBuildParPts benchmarks the block-parallel builder at a fixed worker
-// count and reports the serial-fallback rate: a nonzero fallbacks/op means
-// the timing is really the serial builder plus pipeline overhead, which
-// would otherwise be invisible in the ns/op number.
-func benchBuildParPts(b *testing.B, pts []geom.Vec3, workers int) {
-	b.Helper()
-	b.ReportAllocs()
-	before := ReadParallelStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tri, err := NewParallel(pts, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = tri
-	}
-	b.StopTimer()
-	after := ReadParallelStats()
-	b.ReportMetric(float64(after.Fallbacks-before.Fallbacks)/float64(b.N), "fallbacks/op")
-}
-
-// benchSizes emits the serial build under the historical names
-// (BenchmarkDelaunayBuild*/10k, .../100k) so baselines stay comparable,
-// plus /parW sub-benchmarks over the block-parallel builder. The 10k/parW
-// cases run in -short mode, so `make bench-smoke` exercises the parallel
-// path.
+// benchSizes emits the build under the historical names
+// (BenchmarkDelaunayBuild*/10k, .../100k) so baselines stay comparable.
 func benchSizes(b *testing.B, mk func(n int) []geom.Vec3) {
 	b.Helper()
 	for _, n := range []int{10_000, 100_000} {
@@ -114,15 +90,6 @@ func benchSizes(b *testing.B, mk func(n int) []geom.Vec3) {
 			}
 			benchBuildPts(b, mk(n))
 		})
-		for _, w := range []int{2, 4, 8} {
-			w := w
-			b.Run(sizeName(n)+"/par"+itoa(w), func(b *testing.B) {
-				if n > 10_000 && testing.Short() {
-					b.Skip("100k build skipped in -short mode")
-				}
-				benchBuildParPts(b, mk(n), w)
-			})
-		}
 	}
 }
 

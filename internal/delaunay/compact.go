@@ -25,10 +25,10 @@ import (
 // followed by infinite tets sorted by vertex triple. The finite sort is the
 // radix pass of geom.SortHilbertWords over key<<28 | slot words, so the
 // whole pass is linear in the tet count but for the runs of tets that
-// share a Hilbert cell. Two builds of the same point set — serial
-// Hilbert-order, serial input-order, or the block-parallel builder in
-// parallel.go — then produce deeply equal Triangulations, which is how
-// parallel-vs-serial bit-identity is enforced.
+// share a Hilbert cell. Two builds of the same point set — BRIO order,
+// input order, or a delta applied to an earlier mesh — then produce deeply
+// equal Triangulations, which is how update-vs-rebuild bit-identity is
+// enforced.
 // The Hilbert ordering is also the random-catalog locality fix: pool
 // neighbors are spatial neighbors, so the SoA records the render kernel
 // walks (internal/render) stay cache-resident.

@@ -265,10 +265,10 @@ func TestCanonicalizeMatchesReference(t *testing.T) {
 // TestCompactMatchesReference compacts the same raw pools — built in
 // BRIO and in input order, as built and scattered over a pool full of
 // holes — with compact() on both sides of the packed-index bound and with
-// the reference, and requires deeply equal results. New, NewInputOrder,
-// NewParallel and ApplyDelta all end in compact() and are asserted equal
-// to one another by the differential suites, so this pins all four to the
-// parent's output.
+// the reference, and requires deeply equal results. New, NewInputOrder
+// and ApplyDelta all end in compact() and are asserted equal to one
+// another by the differential suites, so this pins all three to the
+// reference's output.
 func TestCompactMatchesReference(t *testing.T) {
 	cats := testCatalogSet(1500)
 	cats["squeezed"] = squeezedCatalog(1500, 3)

@@ -123,8 +123,8 @@ type faceRef struct {
 // curve (see brio.go) — and the tet pool is compacted into canonical
 // Hilbert order afterwards (see compact.go), so the mesh is a pure function
 // of the point set: any two builds of the same points — whatever the
-// insertion order or block decomposition — produce Triangulations that are
-// deeply equal but for BuildStats. Exact duplicates are merged (see
+// insertion order — produce Triangulations that are deeply equal but for
+// BuildStats. Exact duplicates are merged (see
 // DuplicateOf). It returns geomerr.ErrDegenerateInput if any point is
 // non-finite or fewer than four affinely independent points exist, and
 // geomerr.ErrMeshCorrupt if a structural invariant breaks during
@@ -141,6 +141,12 @@ func NewInputOrder(pts []geom.Vec3) (*Triangulation, error) {
 	return build(pts, false)
 }
 
+// NewParallel is New: the block-parallel builder it once selected measured
+// 0.4–0.5× of serial on two cores and was deleted (DESIGN.md §12). The name
+// survives only because bench/e2e/probes.go, frozen outside benchmark PRs,
+// calls it; it leaves with that probe in ROADMAP's benchmark v2 (d).
+func NewParallel(pts []geom.Vec3, _ int) (*Triangulation, error) { return New(pts) }
+
 func build(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 	t, err := buildRaw(pts, brio)
 	if err != nil {
@@ -150,11 +156,8 @@ func build(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 	return t, nil
 }
 
-// buildRaw is the serial incremental build without the canonical
-// compaction pass, in BRIO order (brio) or input order. The block-parallel
-// builder (parallel.go) uses it for per-block and repair triangulations,
-// which are consumed tet-by-tet and never exposed, so compacting them would
-// be wasted work.
+// buildRaw is the incremental build without the canonical compaction pass,
+// in BRIO order (brio) or input order.
 func buildRaw(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 	if len(pts) < 4 {
 		return nil, geomerr.Degenerate("delaunay.New", "need at least 4 points, got %d", len(pts))
@@ -524,9 +527,8 @@ type BuildStats struct {
 }
 
 // BuildStats returns the insert-loop counters of the build that made t:
-// one serial loop for New and NewInputOrder, the block and repair loops
-// together for NewParallel, the delta's own insertions for ApplyDelta (the
-// whole rebuild where it fell back to one).
+// the one loop of New and NewInputOrder, the delta's own insertions for
+// ApplyDelta (the whole rebuild where it fell back to one).
 func (t *Triangulation) BuildStats() BuildStats { return t.build }
 
 // Add accumulates o into s.

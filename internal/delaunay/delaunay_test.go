@@ -3,6 +3,8 @@ package delaunay
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -373,8 +375,72 @@ func TestCoplanarInputRejected(t *testing.T) {
 func TestStatsString(t *testing.T) {
 	tri := buildOrFatal(t, randPoints(30, 91))
 	s := tri.Stats()
-	if s.Points != 30 || s.FiniteTets == 0 || s.String() == "" {
+	if s.Points != 30 || tri.NumPoints() != 30 || s.FiniteTets == 0 || s.String() == "" {
 		t.Fatalf("stats = %+v", s)
+	}
+	// What pipeline sums per rank and dtfe-render -v prints.
+	b := tri.BuildStats()
+	sum := b
+	sum.Add(b)
+	if b.Inserts != 26 || sum.Inserts != 52 || sum.WalkSteps != 2*b.WalkSteps || sum.ConflictTests != 2*b.ConflictTests ||
+		sum.CavityTets != 2*b.CavityTets || sum.NewTets != 2*b.NewTets {
+		t.Fatalf("build stats %+v, added to themselves %+v", b, sum)
+	}
+	if got := (BuildStats{Inserts: 4, WalkSteps: 10, ConflictTests: 6, CavityTets: 2, NewTets: 8}).String(); got != "inserts=4 per insert: walk=2.5 tests=1.5 killed=0.5 created=2.0" {
+		t.Fatalf("BuildStats.String() = %q", got)
+	}
+	if got := (BuildStats{}).String(); !strings.HasPrefix(got, "inserts=0 per insert: walk=0.0") {
+		t.Fatalf("zero BuildStats.String() = %q", got)
+	}
+}
+
+// TestValidateRejectsCorruption: every structural failure Validate exists
+// to report, planted by hand in an otherwise valid mesh.
+func TestValidateRejectsCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		want    string
+		corrupt func(tri *Triangulation)
+	}{
+		{"has no neighbor", func(tri *Triangulation) { tri.tets[0].N[0] = NoTet }},
+		{"points to dead tet", func(tri *Triangulation) { tri.dead[tri.tets[0].N[0]] = true }},
+		{"lacks back pointer", func(tri *Triangulation) {
+			for m := range tri.tets {
+				if m != 0 && !slices.Contains(tri.tets[m].N[:], 0) {
+					tri.tets[0].N[0] = int32(m)
+					return
+				}
+			}
+		}},
+		{"do not share vertices", func(tri *Triangulation) {
+			n := &tri.tets[0].N
+			n[0], n[1] = n[1], n[0]
+		}},
+		{"not positively oriented", func(tri *Triangulation) {
+			tet := &tri.tets[0] // finite: compact() puts those first
+			tet.V[0], tet.V[1] = tet.V[1], tet.V[0]
+			tet.N[0], tet.N[1] = tet.N[1], tet.N[0]
+		}},
+		{"anchored to dead tet", func(tri *Triangulation) {
+			tri.tets, tri.dead = append(tri.tets, Tet{}), append(tri.dead, true)
+			tri.vertTet[0] = int32(len(tri.tets) - 1)
+		}},
+		{"does not contain it", func(tri *Triangulation) {
+			for m := range tri.tets {
+				if !slices.Contains(tri.tets[m].V[:], 0) {
+					tri.vertTet[0] = int32(m)
+					return
+				}
+			}
+		}},
+	} {
+		tri := buildOrFatal(t, randPoints(30, 91))
+		if tri.Dead(0) {
+			t.Fatal("slot 0 of a compacted pool is dead")
+		}
+		tc.corrupt(tri)
+		if err := tri.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("want an error saying %q, got %v", tc.want, err)
+		}
 	}
 }
 

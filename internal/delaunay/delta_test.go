@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"godtfe/internal/geom"
@@ -305,4 +306,38 @@ func TestDeltaReceiverUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireTriEqual(t, want, tri)
+}
+
+// TestDirtyIntervals: the merge and the overlap query the column cache's
+// invalidation rests on — closed intervals, so touching ones merge and a
+// range ending where an interval starts is dirty — and the collapse to one
+// span past maxDirtyIntervals, which may only coarsen.
+func TestDirtyIntervals(t *testing.T) {
+	if got := mergeIntervals(nil); got == nil || len(got) != 0 {
+		t.Fatalf("no intervals: %#v, want empty and non-nil", got)
+	}
+	got := mergeIntervals([]XInterval{{5, 6}, {0, 1}, {1, 2}, {0.5, 0.75}, {8, 9}})
+	if want := []XInterval{{0, 2}, {5, 6}, {8, 9}}; !slices.Equal(got, want) {
+		t.Fatalf("merged %v, want %v", got, want)
+	}
+	var many []XInterval
+	for i := maxDirtyIntervals; i >= 0; i-- {
+		many = append(many, XInterval{float64(2 * i), float64(2*i + 1)})
+	}
+	if got := mergeIntervals(many); !slices.Equal(got, []XInterval{{0, 2*maxDirtyIntervals + 1}}) {
+		t.Fatalf("%d disjoint intervals: %v, want their span", maxDirtyIntervals+1, got)
+	}
+
+	st := &DeltaStats{DirtyX: []XInterval{{0, 2}, {5, 6}}}
+	for _, q := range []struct {
+		lo, hi float64
+		want   bool
+	}{{-1, -0.5, false}, {-1, 0, true}, {2, 3, true}, {2.5, 4.5, false}, {4, 7, true}, {5.2, 5.4, true}, {6.5, 9, false}} {
+		if got := st.DirtyIntersects(q.lo, q.hi); got != q.want {
+			t.Errorf("DirtyIntersects(%v, %v) = %v on %v", q.lo, q.hi, got, st.DirtyX)
+		}
+	}
+	if !(&DeltaStats{DirtyAll: true}).DirtyIntersects(3, 4) {
+		t.Error("DirtyAll must intersect every range")
+	}
 }

@@ -66,11 +66,6 @@ type Config struct {
 	BufferFrac float64
 	// Workers is the shared-memory worker count for each render. Default 1.
 	Workers int
-	// BuildParallelism is the worker count for each item's Delaunay build
-	// (delaunay.NewParallel). <= 1 builds serially. Item catalogs below
-	// the builder's internal size threshold build serially regardless, so
-	// enabling this is safe for mixed item sizes.
-	BuildParallelism int
 	// Periodic wraps ghost zones across the box faces, so fields near the
 	// box boundary see the full periodic neighborhood (cosmological
 	// convention).
@@ -663,8 +658,7 @@ func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []ge
 			sel[i] = pts[id]
 		}
 		t0 := time.Now()
-		tri, err := delaunay.NewWithOptions(sel,
-			delaunay.BuildOptions{Parallelism: cfg.BuildParallelism})
+		tri, err := delaunay.New(sel)
 		var f *dtfe.Field
 		if err == nil {
 			rt.res.Build.Add(tri.BuildStats())

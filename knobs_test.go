@@ -19,9 +19,6 @@ import (
 // entry whose field is gone or set by a program again, or whose test is gone
 // or no longer sets it.
 var knobAllow = []struct{ field, reason, test string }{
-	{"internal/delaunay.BuildOptions.Blocks", "forces a block count so the stitch is exercised on small catalogs; goes with parallel.go at its ROADMAP gate", "internal/delaunay.TestParallelMatchesSerial"},
-	{"internal/delaunay.BuildOptions.GhostSpacings", "sweeps the ghost width the stitch certificate must hold for; goes with parallel.go", "internal/delaunay.TestParallelGhostWidths"},
-	{"internal/delaunay.BuildOptions.MinParallel", "lifts the serial-below-4096 threshold so tests reach the block pipeline; goes with parallel.go", "internal/delaunay.TestParallelMatchesSerial"},
 	{"internal/render/distrender.Config.EvenTiles", "the even half of the bit-identity matrix: tile cuts that ignore the catalog", "internal/render/distrender.TestDistributedMatchesSingleRank"},
 	{"internal/render/distrender.Config.Fault", "fault hook: crash points and straggler sleeps of the chaos suites", "internal/render/distrender.runDistributed"},
 	{"internal/render/distrender.Config.TileTimeout", "shortens the 30 s straggler deadline so re-dispatch happens inside a test", "internal/render/distrender.TestChaosRankCrashMidTile"},

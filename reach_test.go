@@ -26,7 +26,6 @@ import (
 // test is gone or no longer mentions it.
 var reachAllow = []struct{ ident, reason, test string }{
 	{"internal/delaunay.NewInputOrder", "reference build the order-independence suites compare New against", "internal/delaunay.TestBuildOrderIndependence"},
-	{"internal/delaunay.ReadParallelStats", "only view of which parallel.go path a build took; goes with parallel.go at its ROADMAP gate", "internal/delaunay.TestParallelPathIsExercised"},
 	{"internal/geom.SetOracleFallback", "switches the reachable predicates onto the big.Rat oracle they are compared with (ROADMAP: Oracle switch)", "internal/geom.TestPublicPredicatesMatchOracle"},
 	{"internal/mpi.World.SetInjector", "fault hook: the only way a test drops, delays or kills a rank's traffic", "internal/mpi.TestInjectedDropsAreRetried"},
 	{"internal/mpi.FailedRank", "reads the failed rank out of the reachable RankError chain the attribution suites assert on", "internal/mpi.TestCollectiveFailureAttribution"},
