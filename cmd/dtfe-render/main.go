@@ -49,7 +49,7 @@ func main() {
 	tiles := flag.Int("tiles", 0, "column tiles for -ranks > 1 (default: 2x ranks, cost-balanced)")
 	fanout := flag.Int("fanout", 0, "gather-tree arity for -ranks > 1 (default 4; >= ranks is a star)")
 	deadline := flag.Duration("deadline", 0, "abort a distributed render after this long (0: no deadline)")
-	verbose := flag.Bool("v", false, "print the build's insert-loop counters (walk, conflict tests, cavity per insert); -ranks 1 only")
+	verbose := flag.Bool("v", false, "print the build's insert-loop counters (walk, conflict tests, cavity per insert) and the marcher's resident bytes; -ranks 1 only")
 	flag.Parse()
 	if *ranks > 1 && (*kernel != "marching" || *verbose) {
 		fmt.Fprintln(os.Stderr, "dtfe-render: -ranks > 1 shards the marching kernel and builds no local mesh; it cannot be combined with -kernel walking|zeroorder or -v")
@@ -106,7 +106,11 @@ func main() {
 		t1 = time.Now()
 		switch *kernel {
 		case "marching":
-			g, stats, err = render.NewMarcher(field).Render(spec, *workers, render.ScheduleDynamic)
+			m := render.NewMarcher(field)
+			if *verbose {
+				fmt.Printf("marcher: %d bytes (%.0f B/particle)\n", m.Bytes(), float64(m.Bytes())/float64(len(pts)))
+			}
+			g, stats, err = m.Render(spec, *workers, render.ScheduleDynamic)
 		case "walking":
 			g, stats, err = render.NewWalker(field).Render(spec, *workers, render.ScheduleDynamic)
 		case "zeroorder":

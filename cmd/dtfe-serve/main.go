@@ -308,6 +308,8 @@ func runReal(in string, particles, gridN, specPool, requests int, rate float64,
 		st.ColHits, st.ColMisses, st.ColEvicted, st.ColPoisoned, st.ColEntries, st.ColCells)
 	fmt.Printf("updates: %d applied (epoch %d), %d dirty columns evicted\n",
 		st.Updates, st.Epochs, st.DirtyColumns)
+	fmt.Printf("mesh: %d resident bytes (%.0f B/particle)\n",
+		st.ResidentBytes, float64(st.ResidentBytes)/float64(len(pts)))
 	if failed > 0 {
 		log.Fatalf("%d requests failed unexpectedly", failed)
 	}

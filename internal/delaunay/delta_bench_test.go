@@ -81,3 +81,31 @@ func BenchmarkDeltaUpdate1PctChurn(b *testing.B)   { benchDeltaUpdate(b, 0.01) }
 func BenchmarkDeltaUpdate10PctChurn(b *testing.B)  { benchDeltaUpdate(b, 0.10) }
 func BenchmarkDeltaRebuild1PctChurn(b *testing.B)  { benchDeltaRebuild(b, 0.01) }
 func BenchmarkDeltaRebuild10PctChurn(b *testing.B) { benchDeltaRebuild(b, 0.10) }
+
+// BenchmarkRestore times what fieldserve's Update pays before ApplyDelta:
+// copying the resident mesh's finite tets out (as render.Marcher.Mesh does)
+// and restoring the Triangulation from them, in ns per tet of the pool.
+func BenchmarkRestore(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(sizeName(n), func(b *testing.B) {
+			if n > 10_000 && testing.Short() {
+				b.Skip("100k build skipped in -short mode")
+			}
+			tri, err := New(randomCatalog(n, 21))
+			if err != nil {
+				b.Fatal(err)
+			}
+			finite, dup := restoreInput(tri)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				in := make([]Tet, len(finite), cap(finite))
+				copy(in, finite)
+				if _, err := Restore(tri.pts, dup, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tri.tets)), "ns/tet")
+		})
+	}
+}

@@ -135,7 +135,9 @@ func FuzzDelaunayInsert(f *testing.F) {
 // incremental state must be deeply equal to a from-scratch build of the
 // edited point set, or both sides must reject it with the typed
 // taxonomy — ApplyDelta may never panic, corrupt the mesh, or diverge
-// from the oracle.
+// from the oracle. Every receiver is first dropped to its resident form
+// and restored (Restore), as fieldserve's Update does, and must come back
+// deeply equal.
 func FuzzDelaunayDelta(f *testing.F) {
 	enc := func(v float64) byte {
 		if math.IsNaN(v) {
@@ -234,7 +236,7 @@ func FuzzDelaunayDelta(f *testing.F) {
 				continue
 			}
 			final := applyOracle(cur, d)
-			got, _, err := tri.ApplyDelta(d)
+			got, _, err := restoreOrFatal(t, tri).ApplyDelta(d)
 			want, werr := New(final)
 			if werr != nil {
 				if err == nil {

@@ -12,7 +12,8 @@ import (
 )
 
 // Field is a DTFE density field: a Delaunay triangulation plus per-vertex
-// density estimates and per-tetrahedron constant density gradients.
+// density estimates. It holds nothing per tet: Gradient solves a tet's on
+// demand, and the kernels that need them all keep their own table.
 type Field struct {
 	Tri *delaunay.Triangulation
 
@@ -24,10 +25,6 @@ type Field struct {
 	// cells are unbounded; their densities are only meaningful when the
 	// vertex lies in a ghost zone.
 	Hull []bool
-
-	// grad[t] is the constant density gradient inside tet t (indexed like
-	// Tri.Tets(); entries for dead or infinite tets are zero).
-	grad []geom.Vec3
 }
 
 // NewField estimates densities on tri's vertices. masses may be nil
@@ -65,35 +62,11 @@ func NewField(tri *delaunay.Triangulation, masses []float64) (*Field, error) {
 		}
 	}
 
-	f := &Field{Tri: tri, Density: density, Hull: hull}
-	f.computeGradients()
-	return f, nil
+	return &Field{Tri: tri, Density: density, Hull: hull}, nil
 }
 
-// computeGradients solves, for every finite tet with vertices x0..x3,
-// the 3x3 system (xi - x0)·∇ρ = ρi - ρ0 (i = 1..3).
-func (f *Field) computeGradients() {
-	pts := f.Tri.Points()
-	f.grad = make([]geom.Vec3, len(f.Tri.Tets()))
-	f.Tri.ForEachFiniteTet(func(ti int32, tet *delaunay.Tet) {
-		x0 := pts[tet.V[0]]
-		r0 := pts[tet.V[1]].Sub(x0)
-		r1 := pts[tet.V[2]].Sub(x0)
-		r2 := pts[tet.V[3]].Sub(x0)
-		d0 := f.Density[tet.V[0]]
-		rhs := geom.Vec3{
-			X: f.Density[tet.V[1]] - d0,
-			Y: f.Density[tet.V[2]] - d0,
-			Z: f.Density[tet.V[3]] - d0,
-		}
-		if g, ok := geom.Solve3(r0, r1, r2, rhs); ok {
-			f.grad[ti] = g
-		}
-	})
-}
-
-// SetValues replaces the per-vertex field values and recomputes the
-// per-tet gradients. This turns the Field into a generic DTFE interpolator
+// SetValues replaces the per-vertex field values, and with them every
+// tet's gradient. This turns the Field into a generic DTFE interpolator
 // for any point-sampled quantity (the estimator was originally proposed
 // for volume-weighted velocity fields).
 func (f *Field) SetValues(values []float64) error {
@@ -101,12 +74,28 @@ func (f *Field) SetValues(values []float64) error {
 		return errors.New("dtfe: values length mismatch")
 	}
 	f.Density = values
-	f.computeGradients()
 	return nil
 }
 
-// Gradient returns the constant density gradient of finite tet ti.
-func (f *Field) Gradient(ti int32) geom.Vec3 { return f.grad[ti] }
+// Gradient solves, for finite tet ti with vertices x0..x3 in slot order,
+// the 3x3 system (xi - x0)·∇ρ = ρi - ρ0 (i = 1..3) and returns ∇ρ, zero
+// when it is singular: the one expression every per-tet table is built by.
+func (f *Field) Gradient(ti int32) geom.Vec3 {
+	tet := &f.Tri.Tets()[ti]
+	pts := f.Tri.Points()
+	x0 := pts[tet.V[0]]
+	r0 := pts[tet.V[1]].Sub(x0)
+	r1 := pts[tet.V[2]].Sub(x0)
+	r2 := pts[tet.V[3]].Sub(x0)
+	d0 := f.Density[tet.V[0]]
+	rhs := geom.Vec3{
+		X: f.Density[tet.V[1]] - d0,
+		Y: f.Density[tet.V[2]] - d0,
+		Z: f.Density[tet.V[3]] - d0,
+	}
+	g, _ := geom.Solve3(r0, r1, r2, rhs) // zero when singular
+	return g
+}
 
 // Interpolate evaluates the linear density model of finite tet ti at point
 // p (paper eq 1). p need not lie inside the tet; callers are responsible
@@ -114,7 +103,7 @@ func (f *Field) Gradient(ti int32) geom.Vec3 { return f.grad[ti] }
 func (f *Field) Interpolate(ti int32, p geom.Vec3) float64 {
 	tet := &f.Tri.Tets()[ti]
 	x0 := f.Tri.Points()[tet.V[0]]
-	return f.Density[tet.V[0]] + f.grad[ti].Dot(p.Sub(x0))
+	return f.Density[tet.V[0]] + f.Gradient(ti).Dot(p.Sub(x0))
 }
 
 // At locates p and returns the interpolated density. ok is false when p is

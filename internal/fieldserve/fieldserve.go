@@ -121,6 +121,10 @@ type Stats struct {
 	DirtyColumns uint64 // column-cache entries evicted as dirty by updates
 	Epochs       uint64 // highest mesh epoch reached by any catalog
 
+	// ResidentBytes is what the current mesh views hold (Marcher.Bytes and
+	// the duplicate table), counted as each view is published.
+	ResidentBytes int64
+
 	QueueLen int
 	Active   int // workers currently executing a batch
 }
@@ -129,16 +133,37 @@ type Stats struct {
 // need not import internal/delaunay directly.
 type Delta = delaunay.Delta
 
-// meshView is one immutable mesh epoch: a triangulation and the marcher
-// over its density field. Updates never mutate a published view —
-// ApplyDelta is copy-on-write over the touched tet records — so a batch
-// that loaded a view keeps a consistent mesh for its whole march even
-// while later epochs land.
+// meshView is one immutable mesh epoch: the marcher, whose SoA view is the
+// catalog's only per-tet structure, and the duplicate table with which
+// Update restores the Triangulation from it. Updates never mutate a
+// published view, so a batch that loaded one keeps a consistent mesh for
+// its whole march even while later epochs land.
 type meshView struct {
 	m     *render.Marcher
-	tri   *delaunay.Triangulation
+	dupOf []int32
+	bytes int // m.Bytes() plus the duplicate table
 	epoch uint64
 }
+
+// newView builds the serving view of tri at epoch. Neither tri nor its
+// field stays reachable from the view.
+func newView(tri *delaunay.Triangulation, epoch uint64) (*meshView, error) {
+	f, err := dtfe.NewField(tri, nil)
+	if err != nil {
+		return nil, err
+	}
+	dup := make([]int32, tri.NumPoints())
+	for i := range dup {
+		dup[i] = int32(tri.DuplicateOf(i))
+	}
+	m := render.NewMarcher(f)
+	return &meshView{m: m, dupOf: dup, bytes: m.Bytes() + 4*len(dup), epoch: epoch}, nil
+}
+
+// restoredPools recycles the tet pools Update restores, garbage once
+// ApplyDelta has copied them: without it every update allocates a pool
+// more on a heap that holds less, and the collector runs in more of them.
+var restoredPools = sync.Pool{New: func() any { return new([]delaunay.Tet) }}
 
 // catalog is one registered particle set and its lazily built mesh.
 // built closes exactly once (after which err is immutable and view is
@@ -226,7 +251,7 @@ type Service struct {
 	batches, batchedReqs, coalesced, maxBatch atomic.Uint64
 	marches, coldCols                         atomic.Uint64
 	updates, dirtyCols, epochs                atomic.Uint64
-	active                                    atomic.Int64
+	active, residentBytes                     atomic.Int64
 }
 
 // New starts a service with opt (zero-value fields defaulted) and its
@@ -489,8 +514,8 @@ func (s *Service) observeBatch(d time.Duration, size int) {
 // exactly once. The build runs on a detached goroutine so the initiating
 // request's cancellation cannot abort a build other requests are waiting
 // on; waiters block on the build or their own context, whichever ends
-// first. The triangulation is retained in the view so Update can apply
-// incremental deltas to it.
+// first. Only the view stays resident: Update restores the triangulation
+// from it.
 func (s *Service) viewFor(ctx context.Context, name string) (*meshView, *catalog, error) {
 	s.mu.RLock()
 	cat := s.catalogs[name]
@@ -510,12 +535,13 @@ func (s *Service) viewFor(ctx context.Context, name string) (*meshView, *catalog
 				cat.err = fmt.Errorf("fieldserve: building catalog %q: %w", name, err)
 				return
 			}
-			f, err := dtfe.NewField(tri, nil)
+			v, err := newView(tri, 0)
 			if err != nil {
 				cat.err = fmt.Errorf("fieldserve: building catalog %q: %w", name, err)
 				return
 			}
-			cat.view.Store(&meshView{m: render.NewMarcher(f), tri: tri, epoch: 0})
+			cat.view.Store(v)
+			s.residentBytes.Add(int64(v.bytes))
 			cat.pts = nil // the SoA mesh is the serving asset now
 			s.buildNs.Add(uint64(time.Since(start).Nanoseconds()))
 		}()
@@ -591,17 +617,25 @@ func (s *Service) Update(ctx context.Context, name string, d delaunay.Delta) (*d
 	}
 
 	old := cat.view.Load()
-	tri, st, err := old.tri.ApplyDelta(d)
+	buf := restoredPools.Get().(*[]delaunay.Tet)
+	pts, finite := old.m.Mesh(*buf)
+	restored, err := delaunay.Restore(pts, old.dupOf, finite)
 	if err != nil {
 		return nil, fmt.Errorf("fieldserve: updating catalog %q: %w", name, err)
 	}
-	f, err := dtfe.NewField(tri, nil)
+	tri, st, err := restored.ApplyDelta(d)
+	*buf = restored.Tets()[:0]
+	restoredPools.Put(buf)
 	if err != nil {
 		return nil, fmt.Errorf("fieldserve: updating catalog %q: %w", name, err)
 	}
-	nv := &meshView{m: render.NewMarcher(f), tri: tri, epoch: old.epoch + 1}
+	nv, err := newView(tri, old.epoch+1)
+	if err != nil {
+		return nil, fmt.Errorf("fieldserve: updating catalog %q: %w", name, err)
+	}
 
 	cat.view.Store(nv) // publish first; see ordering note above
+	s.residentBytes.Add(int64(nv.bytes - old.bytes))
 	atomicMax(&s.epochs, nv.epoch)
 	dirty := s.colcache.invalidate(name, st, nv.epoch)
 	s.updates.Add(1)
@@ -684,6 +718,8 @@ func (s *Service) Stats() Stats {
 		Updates:      s.updates.Load(),
 		DirtyColumns: s.dirtyCols.Load(),
 		Epochs:       s.epochs.Load(),
+
+		ResidentBytes: s.residentBytes.Load(),
 
 		QueueLen: s.queueLen(),
 		Active:   int(s.active.Load()),

@@ -4,7 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
+	"godtfe/internal/delaunay"
+	"godtfe/internal/dtfe"
 	"godtfe/internal/geom"
 	"godtfe/internal/grid"
 	"godtfe/internal/synth"
@@ -133,22 +136,23 @@ func TestEntryModesEquivalence(t *testing.T) {
 // bucket index, exit faces through the gather-based exitVertical, density
 // through dtfe.Field.Interpolate, hull exits through Tri.IsInfinite. It is
 // the pinned reference for TestMarchMatchesReference: the SoA fast path in
-// tryColumn must agree with it bit for bit.
-func (m *Marcher) refTryColumn(xi geom.Vec2, zmin, zmax float64) (sigma float64, steps int, badTet int32, ok bool) {
+// tryColumn must agree with it bit for bit. f is the field m was built
+// from, which the Marcher itself does not keep.
+func (m *Marcher) refTryColumn(f *dtfe.Field, xi geom.Vec2, zmin, zmax float64) (sigma float64, steps int, badTet int32, ok bool) {
 	fi := m.entry.find(xi)
 	if fi < 0 {
 		return 0, 0, -1, true
 	}
-	f := &m.entry.faces[fi]
+	ef := &m.entry.faces[fi]
 	clip := zmin < zmax
 	ray := geom.PluckerFromRay(geom.Vec3{X: xi.X, Y: xi.Y, Z: 0}, geom.Vec3{Z: 1})
-	zPrev, entryOK := crossZ(ray, f.a, f.b, f.c, +1)
+	zPrev, entryOK := crossZ(ray, ef.a, ef.b, ef.c, +1)
 	if !entryOK {
-		return 0, 0, f.behind, false
+		return 0, 0, ef.behind, false
 	}
-	cur := f.behind
-	tets := m.F.Tri.Tets()
-	pts := m.F.Tri.Points()
+	cur := ef.behind
+	tets := f.Tri.Tets()
+	pts := f.Tri.Points()
 	maxSteps := len(tets) + 16
 	for ; steps < maxSteps; steps++ {
 		tt := &tets[cur]
@@ -167,10 +171,10 @@ func (m *Marcher) refTryColumn(xi geom.Vec2, zmin, zmax float64) (sigma float64,
 		}
 		if hi > lo {
 			mid := geom.Vec3{X: xi.X, Y: xi.Y, Z: (lo + hi) / 2}
-			sigma += m.F.Interpolate(cur, mid) * (hi - lo)
+			sigma += f.Interpolate(cur, mid) * (hi - lo)
 		}
 		next := tt.N[exitFace]
-		if m.F.Tri.IsInfinite(next) {
+		if f.Tri.IsInfinite(next) {
 			return sigma, steps + 1, -1, true
 		}
 		if clip && zExit >= zmax {
@@ -182,10 +186,36 @@ func (m *Marcher) refTryColumn(xi geom.Vec2, zmin, zmax float64) (sigma float64,
 	return sigma, steps, cur, false
 }
 
-// refColumn mirrors Marcher.column on top of refTryColumn (same
-// perturb-retry ladder, same fallback), so whole-column results are
+// refPerturb is Marcher.perturb as it read the triangulation before the
+// Marcher stopped keeping one: the same nudge, from f.Tri's slots.
+func (m *Marcher) refPerturb(f *dtfe.Field, xi geom.Vec2, tet int32, attempt int) geom.Vec2 {
+	eps := m.eps * float64(uint(1)<<uint(min(attempt, 20)))
+	pts := f.Tri.Points()
+	if tet >= 0 {
+		tt := &f.Tri.Tets()[tet]
+		for k := 0; k < 4; k++ {
+			v := tt.V[(k+attempt)&3]
+			if v == delaunay.Inf {
+				continue
+			}
+			delta := pts[v].XY().Sub(xi)
+			n := delta.Norm()
+			if n == 0 {
+				continue
+			}
+			if n > eps {
+				delta = delta.Scale(eps / n)
+			}
+			return xi.Add(delta)
+		}
+	}
+	return xi.Add(geom.Vec2{X: eps, Y: eps * 0.7071067811865476})
+}
+
+// refColumn mirrors Marcher.column on top of refTryColumn and refPerturb
+// (same perturb-retry ladder, same fallback), so whole-column results are
 // comparable exactly.
-func (m *Marcher) refColumn(xi geom.Vec2, zmin, zmax float64) (float64, int, ColumnOutcome) {
+func (m *Marcher) refColumn(f *dtfe.Field, xi geom.Vec2, zmin, zmax float64) (float64, int, ColumnOutcome) {
 	if !xi.IsFinite() {
 		return 0, 0, ColumnAbandoned
 	}
@@ -194,7 +224,7 @@ func (m *Marcher) refColumn(xi geom.Vec2, zmin, zmax float64) (float64, int, Col
 		var steps int
 		x := xi
 		for attempt := 0; ; attempt++ {
-			s, n, badTet, ok := m.refTryColumn(x, zmin, zmax)
+			s, n, badTet, ok := m.refTryColumn(f, x, zmin, zmax)
 			steps += n
 			sigma = s
 			if ok {
@@ -203,7 +233,7 @@ func (m *Marcher) refColumn(xi geom.Vec2, zmin, zmax float64) (float64, int, Col
 			if attempt >= m.MaxRetries {
 				return sigma, steps, attempt, false
 			}
-			x = m.perturb(x, badTet, base+attempt)
+			x = m.refPerturb(f, x, badTet, base+attempt)
 		}
 	}
 	sigma, steps, attempts, ok := ladder(0)
@@ -253,7 +283,7 @@ func TestMarchMatchesReference(t *testing.T) {
 			for _, clip := range [][2]float64{{0, 0}, {0.2, 0.8}} {
 				for _, xi := range probes {
 					gotS, gotN, gotO := m.Column(xi, clip[0], clip[1])
-					refS, refN, refO := m.refColumn(xi, clip[0], clip[1])
+					refS, refN, refO := m.refColumn(f, xi, clip[0], clip[1])
 					if gotS != refS || gotN != refN || gotO != refO {
 						t.Fatalf("xi=%v clip=%v: got (Σ=%v steps=%d %v), ref (Σ=%v steps=%d %v)",
 							xi, clip, gotS, gotN, gotO, refS, refN, refO)
@@ -279,5 +309,18 @@ func TestColumnZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Column allocates: %v allocs/op", allocs)
+	}
+}
+
+// TestMarcherBytes pins the record sizes Marcher.Bytes counts, and that the
+// count covers at least the SoA records and the positions.
+func TestMarcherBytes(t *testing.T) {
+	if s := [3]uintptr{unsafe.Sizeof(soaTet{}), unsafe.Sizeof(geom.Vec3{}), unsafe.Sizeof(entryFace{})}; s != [3]uintptr{64, 24, 128} {
+		t.Fatalf("soaTet, Vec3, entryFace sizes %v; Marcher.Bytes counts 64, 24, 128", s)
+	}
+	pts := equivCatalogs()["clustered"]
+	m := NewMarcher(fieldFor(t, pts))
+	if min := 64*len(m.soa.tets) + 24*len(pts); m.Bytes() < min {
+		t.Fatalf("Bytes() = %d, below the %d of records and positions", m.Bytes(), min)
 	}
 }

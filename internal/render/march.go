@@ -27,7 +27,6 @@ import (
 // per-column bucket lookup and to the original pointer-chasing
 // implementation.
 type Marcher struct {
-	F     *dtfe.Field
 	soa   soaMesh
 	entry *entryIndex
 	walk  *entryWalk
@@ -77,13 +76,13 @@ func (m *Marcher) findEntryIdx(xi geom.Vec2, cur *entryCursor) int32 {
 // NewMarcher prepares the kernel: it extracts the downward-facing hull
 // facets (eq 14), builds the 2D entry-location structures (bucket index
 // and walk mesh over a shared facet list), and flattens the tetrahedra
-// into the SoA view the march runs against. The Marcher snapshots the
-// field's densities and gradients; build a new one after Field.SetValues.
+// into the SoA view the march runs against, solving each finite tet's
+// gradient into its record. It keeps neither f nor f.Tri, only the SoA
+// view and the shared positions; build a new one after Field.SetValues.
 func NewMarcher(f *dtfe.Field) *Marcher {
 	diag := geom.BoundsOf(f.Tri.Points()).Diagonal()
 	faces, nbr := buildEntryFaces(f.Tri)
 	return &Marcher{
-		F:          f,
 		soa:        newSoAMesh(f),
 		entry:      newEntryIndex(faces),
 		walk:       &entryWalk{faces: faces, nbr: nbr},
@@ -340,18 +339,15 @@ func (m *Marcher) marchRetries(xi geom.Vec2, zmin, zmax float64, fallback bool, 
 
 // perturb implements the paper's Perturb subroutine (Fig 2): move ξ toward
 // the projection of a vertex of the degenerate tetrahedron by at most ε.
-// This is a cold path (degeneracies only), so it reads the triangulation
-// directly rather than the SoA view.
+// tet is always finite (an entry facet's tet or a march step's), so its
+// SoA record carries the triangulation's vertex slots.
 func (m *Marcher) perturb(xi geom.Vec2, tet int32, attempt int) geom.Vec2 {
 	eps := m.eps * float64(uint(1)<<uint(min(attempt, 20)))
-	pts := m.F.Tri.Points()
+	pts := m.soa.pts
 	if tet >= 0 {
-		tt := &m.F.Tri.Tets()[tet]
+		tt := &m.soa.tets[tet]
 		for k := 0; k < 4; k++ {
 			v := tt.V[(k+attempt)&3]
-			if v == delaunay.Inf {
-				continue
-			}
 			delta := pts[v].XY().Sub(xi)
 			n := delta.Norm()
 			if n == 0 {

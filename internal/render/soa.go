@@ -1,6 +1,9 @@
 package render
 
 import (
+	"slices"
+
+	"godtfe/internal/delaunay"
 	"godtfe/internal/dtfe"
 	"godtfe/internal/geom"
 )
@@ -20,7 +23,8 @@ import (
 //     check instead of an InfSlot scan of the neighbor.
 //   - D0, G: the density at vertex slot 0 and the tet's constant density
 //     gradient, fused so interpolation is one multiply-add chain off the
-//     line just loaded, with no reads back through dtfe.Field.
+//     line just loaded. G is solved here (dtfe.Field.Gradient); no other
+//     table holds it.
 type soaTet struct {
 	V  [4]int32
 	N  [4]int32
@@ -29,35 +33,38 @@ type soaTet struct {
 }
 
 // soaMesh is the flattened snapshot of the mesh the march runs against,
-// built at NewMarcher time. Vertex positions stay shared (each vertex is
-// touched by ~24 tets; duplicating them per tet would multiply the working
-// set past cache). The snapshot is not invalidated by later
-// Field.SetValues calls — build a new Marcher after changing field values.
+// built at NewMarcher time: the only per-tet structure a Marcher keeps, so
+// a resident Marcher is the resident mesh (see Mesh). Records follow the
+// compacted pool, one unused record (N all -1) per infinite tet. Vertex
+// positions stay shared: each is touched by ~24 tets, and duplicating them
+// per tet would multiply the working set past cache.
 type soaMesh struct {
-	tets []soaTet
-	pts  []geom.Vec3
+	// finite leads so tets and pts keep their offsets in Marcher: moved
+	// 8 bytes, they recompiled tryColumn with an extra spill (DESIGN §14).
+	finite int // records [0, finite) are the finite tets
+	tets   []soaTet
+	pts    []geom.Vec3
 }
 
 func newSoAMesh(f *dtfe.Field) soaMesh {
 	tri := f.Tri
 	tets := tri.Tets()
 	s := soaMesh{
-		tets: make([]soaTet, len(tets)),
-		pts:  tri.Points(),
+		tets:   make([]soaTet, len(tets)),
+		pts:    tri.Points(),
+		finite: tri.NumFiniteTets(),
 	}
+	nf := int32(s.finite)
 	for ti := range s.tets {
 		st := &s.tets[ti]
 		st.N = [4]int32{-1, -1, -1, -1}
-		if tri.Dead(int32(ti)) {
+		if int32(ti) >= nf {
 			continue
 		}
 		tt := &tets[ti]
-		if tt.InfSlot() >= 0 {
-			continue
-		}
 		st.V = tt.V
-		for k := 0; k < 4; k++ {
-			if nn := tt.N[k]; nn >= 0 && !tri.IsInfinite(nn) {
+		for k, nn := range tt.N {
+			if nn < nf { // a hull face's neighbour is an infinite tet
 				st.N[k] = nn
 			}
 		}
@@ -65,4 +72,24 @@ func newSoAMesh(f *dtfe.Field) soaMesh {
 		st.G = f.Gradient(int32(ti))
 	}
 	return s
+}
+
+// Mesh returns the mesh the Marcher holds in the form delaunay.Restore
+// takes: the shared vertex positions, and the finite records' V and N
+// (a hull face's neighbour NoTet) copied over dst if it is large enough,
+// with capacity for Restore to append the infinite tets in place.
+func (m *Marcher) Mesh(dst []delaunay.Tet) (pts []geom.Vec3, finite []delaunay.Tet) {
+	s := &m.soa
+	finite = slices.Grow(dst[:0], len(s.tets))[:s.finite]
+	for i := range finite {
+		finite[i] = delaunay.Tet{V: s.tets[i].V, N: s.tets[i].N}
+	}
+	return s.pts, finite
+}
+
+// Bytes is the heap the Marcher keeps reachable, from slice lengths and the
+// record sizes TestMarcherBytes pins: the SoA records, the positions they
+// share with the caller, the entry facets and the bucket index's headers.
+func (m *Marcher) Bytes() int {
+	return 64*len(m.soa.tets) + 24*len(m.soa.pts) + (128+12)*len(m.entry.faces) + 24*len(m.entry.cells)
 }

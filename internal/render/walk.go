@@ -15,7 +15,8 @@ import (
 // z with fixed Δz (eq 4). Its cost is O(N_cell) point locations — the
 // 3D-grid work the marching kernel avoids.
 type Walker struct {
-	F *dtfe.Field
+	F    *dtfe.Field
+	grad []geom.Vec3 // F.Gradient of each finite tet: every sample interpolates
 	// zlo/zhi default integration bounds (triangulation z extent).
 	zlo, zhi float64
 }
@@ -23,7 +24,9 @@ type Walker struct {
 // NewWalker wraps a DTFE field for 3D-grid rendering.
 func NewWalker(f *dtfe.Field) *Walker {
 	b := geom.BoundsOf(f.Tri.Points())
-	return &Walker{F: f, zlo: b.Min.Z, zhi: b.Max.Z}
+	grad := make([]geom.Vec3, len(f.Tri.Tets()))
+	f.Tri.ForEachFiniteTet(func(ti int32, _ *delaunay.Tet) { grad[ti] = f.Gradient(ti) })
+	return &Walker{F: f, grad: grad, zlo: b.Min.Z, zhi: b.Max.Z}
 }
 
 // Render computes the projected (surface) density on the spec's 2D grid by
@@ -114,7 +117,8 @@ func (w *Walker) column(xi geom.Vec2, zmin, zmax float64, nz int, seed int32, rn
 			continue // outside hull: zero density
 		}
 		last = ti
-		sigma += w.F.Interpolate(ti, p) * dz
+		v0 := w.F.Tri.Tets()[ti].V[0] // F.Interpolate, with the gradient from the table
+		sigma += (w.F.Density[v0] + w.grad[ti].Dot(p.Sub(w.F.Tri.Points()[v0]))) * dz
 	}
 	return sigma, steps, last, nil
 }
