@@ -286,6 +286,13 @@ func (d Decomp) ghostVolumeUnclipped(rank int) geom.AABB {
 	return geom.AABB{Min: sv.Min.Sub(g), Max: sv.Max.Add(g)}
 }
 
+// packet is what Exchange's Alltoall carries from one rank to another: the
+// receiver's owned particles and its ghost replicas.
+type packet struct {
+	Owned []geom.Vec3
+	Ghost []geom.Vec3
+}
+
 // Exchange redistributes arbitrarily assigned particles to their spatial
 // owners and fills ghost zones: every rank contributes its input slice,
 // and receives (owned, ghosts) where owned are particles in its sub-volume
@@ -296,10 +303,6 @@ func (d Decomp) ghostVolumeUnclipped(rank int) geom.AABB {
 func Exchange(c *mpi.Comm, d Decomp, local []geom.Vec3) (owned, ghosts []geom.Vec3, err error) {
 	if c.Size() != d.NumRanks() {
 		return nil, nil, fmt.Errorf("domain: world size %d != decomp ranks %d", c.Size(), d.NumRanks())
-	}
-	type packet struct {
-		Owned []geom.Vec3
-		Ghost []geom.Vec3
 	}
 	send := make([]packet, c.Size())
 	for _, p := range local {

@@ -1,7 +1,9 @@
 package domain
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"godtfe/internal/geom"
@@ -339,5 +341,37 @@ func TestPeriodicGhostFieldNearBoxEdge(t *testing.T) {
 	// The wrapped cube is a full (0.2)^3 region: expect ~ n * 0.008.
 	if want := int(float64(n) * 0.008); wrapped < want/2 || wrapped > want*2 {
 		t.Fatalf("wrapped corner count %d, want ~%d", wrapped, want)
+	}
+}
+
+// TestPacketOverWorld sends Exchange's packet through Alltoall, as
+// Exchange does, and checks every receiver holds exactly what was sent.
+func TestPacketOverWorld(t *testing.T) {
+	const ranks = 3
+	pk := func(src, dst int) packet {
+		p := packet{Owned: []geom.Vec3{{X: float64(src), Y: float64(dst), Z: 0.5}}}
+		if src != dst {
+			p.Ghost = []geom.Vec3{{X: -1, Y: float64(src + dst)}}
+		}
+		return p
+	}
+	err := mpi.Run(ranks, func(c *mpi.Comm) error {
+		send := make([]packet, ranks)
+		for dst := range send {
+			send[dst] = pk(c.Rank(), dst)
+		}
+		got, err := mpi.Alltoall(c, send)
+		if err != nil {
+			return err
+		}
+		for src := range got {
+			if !reflect.DeepEqual(got[src], pk(src, c.Rank())) {
+				return fmt.Errorf("rank %d from %d: got %+v", c.Rank(), src, got[src])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@
 package grid
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -129,6 +130,24 @@ func ChecksumBits(vals []float64) uint64 {
 		h = fnvMix(h, math.Float64bits(v))
 	}
 	return h
+}
+
+// AppendFast appends a compact binary encoding of the grid to buf: header
+// fields as uvarints and little-endian IEEE 754 words, then the data block.
+// It is not the wire format — grids cross ranks through the mpi codec like
+// every other message; the benchmark harness (bench/e2e) times it per cell
+// as a serialization cost.
+func (g *Grid2D) AppendFast(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(g.Nx))
+	buf = binary.AppendUvarint(buf, uint64(g.Ny))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.Min.X))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.Min.Y))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.Cell))
+	buf = binary.AppendUvarint(buf, uint64(len(g.Data)))
+	for _, v := range g.Data {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf
 }
 
 // SubGrid extracts a copy of the nx×ny window whose lower-left cell is

@@ -2,9 +2,9 @@
 // semantics: a fixed-size world of ranks (goroutines), blocking tagged
 // point-to-point Send/Recv matched by (source, tag), and the collectives
 // the paper's framework uses (Barrier, Bcast, Allgather, Alltoall).
-// Payloads are gob-encoded, which both enforces value semantics
-// (no accidental sharing across "processes") and lets the runtime account
-// for communication volume the way a real interconnect would.
+// Payloads cross as bytes of the one wire codec (codec.go), which both
+// enforces value semantics (no accidental sharing across "processes") and
+// lets the runtime account for communication volume like an interconnect.
 //
 // It substitutes for MPI on Cooley/Mira in the paper's distributed
 // framework; the framework code is structured exactly as the MPI program
@@ -20,8 +20,6 @@
 package mpi
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -473,43 +471,12 @@ func (w *World) TotalMessages() int64 {
 	return t
 }
 
-// encode produces a wire message (format byte + payload, see codec.go):
-// hot payload shapes take the typed fast path, everything else falls back
-// to gob. With pooled set the buffer is drawn from the codec pool — only
-// valid for point-to-point messages, whose single receiver releases it
-// after decode.
-func encode(v any, pooled bool) ([]byte, error) {
-	var buf []byte
-	if pooled {
-		buf = getBuf()
-	}
-	if out, handled, err := encodeFast(buf, v); handled || err != nil {
-		return out, err
-	}
-	bb := bytes.NewBuffer(append(buf, fmtGob))
-	if err := gob.NewEncoder(bb).Encode(v); err != nil {
-		return nil, err
-	}
-	return bb.Bytes(), nil
-}
-
-func decode(data []byte, v any) error {
-	if len(data) == 0 {
-		// Match the pre-codec failure mode for empty payloads (gob EOF).
-		return gob.NewDecoder(bytes.NewReader(nil)).Decode(v)
-	}
-	if data[0] == fmtGob {
-		return gob.NewDecoder(bytes.NewReader(data[1:])).Decode(v)
-	}
-	return decodeFast(data[0], data[1:], v)
-}
-
 // decodeFrom wraps decode failures with the message's origin, the
 // operation it arrived under, and the target type, so a tag collision or
-// type mismatch is diagnosable instead of a bare "gob: type mismatch".
+// type mismatch is diagnosable instead of a bare codec error.
 // Pool-backed buffers are returned to the codec pool once decoded.
 func decodeFrom(e envelope, op string, v any) error {
-	err := decode(e.data, v)
+	err := Decode(e.data, v)
 	if e.pooled {
 		releaseBuf(e.data)
 	}
@@ -566,8 +533,9 @@ func (c *Comm) sendRaw(dst, tag int, data []byte, pooled bool) error {
 		dst, tag, attempts, ErrMessageLost)}
 }
 
-// Send gob-encodes v and delivers it to rank dst with the given tag
-// (tag >= 0). It does not block on the receiver (buffered semantics).
+// Send encodes v (codec.go; a kind the codec cannot carry is an error here)
+// and delivers it to rank dst with the given tag (tag >= 0). It does not
+// block on the receiver (buffered semantics).
 func (c *Comm) Send(dst, tag int, v any) error {
 	if tag < 0 {
 		return fmt.Errorf("mpi: user tags must be >= 0, got %d", tag)
@@ -575,7 +543,7 @@ func (c *Comm) Send(dst, tag int, v any) error {
 	if dst < 0 || dst >= c.world.size {
 		return fmt.Errorf("mpi: invalid destination rank %d", dst)
 	}
-	data, err := encode(v, true)
+	data, err := Encode(getBuf(), v)
 	if err != nil {
 		return err
 	}
@@ -714,7 +682,7 @@ func (c *Comm) Barrier() error {
 func (c *Comm) Bcast(root int, v any) error {
 	tag := c.nextCollTag(tagBcast)
 	if c.rank == root {
-		data, err := encode(v, false)
+		data, err := Encode(nil, v)
 		if err != nil {
 			return err
 		}
@@ -754,7 +722,7 @@ func Allgather[T any](c *Comm, v T) ([]T, error) {
 			}
 			out[e.src] = tv
 		}
-		data, err := encode(out, false)
+		data, err := Encode(nil, out)
 		if err != nil {
 			return nil, err
 		}
@@ -765,7 +733,7 @@ func Allgather[T any](c *Comm, v T) ([]T, error) {
 		}
 		return out, nil
 	}
-	data, err := encode(v, true)
+	data, err := Encode(getBuf(), v)
 	if err != nil {
 		return nil, err
 	}
@@ -794,7 +762,7 @@ func Alltoall[T any](c *Comm, send []T) ([]T, error) {
 		if dst == c.rank {
 			continue
 		}
-		data, err := encode(send[dst], true)
+		data, err := Encode(getBuf(), send[dst])
 		if err != nil {
 			return nil, err
 		}

@@ -133,14 +133,18 @@ func TestAllgatherRepeated(t *testing.T) {
 
 func TestBcast(t *testing.T) {
 	err := Run(5, func(c *Comm) error {
-		v := map[string]int{}
+		type msg struct {
+			X    int
+			Name string
+		}
+		var v msg
 		if c.Rank() == 2 {
-			v["x"] = 42
+			v = msg{X: 42, Name: "root"}
 		}
 		if err := c.Bcast(2, &v); err != nil {
 			return err
 		}
-		if v["x"] != 42 {
+		if v.X != 42 || v.Name != "root" {
 			return fmt.Errorf("rank %d got %v", c.Rank(), v)
 		}
 		return nil
@@ -196,11 +200,11 @@ func TestByteAccounting(t *testing.T) {
 	c0, c1 := w.Comm(0), w.Comm(1)
 	done := make(chan error, 1)
 	go func() {
-		var v [256]byte
+		var v []byte
 		_, err := c1.Recv(0, 3, &v)
 		done <- err
 	}()
-	var payload [256]byte
+	payload := make([]byte, 256)
 	if err := c0.Send(1, 3, payload); err != nil {
 		t.Fatal(err)
 	}

@@ -375,7 +375,6 @@ func Run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	for i, ctr := range local {
 		counts[i] = tree.CountInBox(rt.cube(ctr))
 	}
-	type sample struct{ N, TTri, TRender float64 }
 	var mine sample
 	done := make([]bool, len(local))
 	samplePick := -1
@@ -567,36 +566,16 @@ func crashCheck(cfg Config, rank int, point string, progress int) error {
 }
 
 // workPackage is the payload of a work-sharing message: the shipped field
-// centers plus a copy of the sender's particles covering their cubes. It
-// is the pipeline's largest hot message, so it implements the mpi codec's
-// typed fast path instead of riding the gob fallback.
+// centers plus a copy of the sender's particles covering their cubes: the
+// pipeline's largest message, both slices crossing as bulk Vec3 blocks.
 type workPackage struct {
 	Centers []geom.Vec3
 	Points  []geom.Vec3
 }
 
-// AppendFast implements mpi.FastMarshaler.
-func (p workPackage) AppendFast(buf []byte) []byte {
-	buf = mpi.AppendVec3s(buf, p.Centers)
-	return mpi.AppendVec3s(buf, p.Points)
-}
-
-// UnmarshalFast implements mpi.FastUnmarshaler; the decoded slices are
-// copies, never aliases of the wire buffer.
-func (p *workPackage) UnmarshalFast(data []byte) error {
-	rest, err := mpi.ReadVec3s(data, &p.Centers)
-	if err != nil {
-		return fmt.Errorf("work package centers: %w", err)
-	}
-	rest, err = mpi.ReadVec3s(rest, &p.Points)
-	if err != nil {
-		return fmt.Errorf("work package points: %w", err)
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("work package: %d trailing bytes", len(rest))
-	}
-	return nil
-}
+// sample is a rank's Phase 2 timing of its test item, allgathered to fit
+// the cost model (zero N: the rank had no item).
+type sample struct{ N, TTri, TRender float64 }
 
 type runtime struct {
 	c     *mpi.Comm

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -355,4 +357,76 @@ func TestConfigValidation(t *testing.T) {
 		cfg.MaxSendRetries != 5 || cfg.DeadTimeout != 50*cfg.HeartbeatEvery {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
+}
+
+// TestWireMessagesOverWorld sends one value of each pipeline message type
+// through the runtime the way production does — point-to-point for work
+// packages and the recovery protocol, Allgather for the checkpoint lists,
+// the Phase 2 samples and the Phase 3 totals — and checks every receiver
+// holds exactly what was sent.
+func TestWireMessagesOverWorld(t *testing.T) {
+	pts := []geom.Vec3{{X: 1, Y: 2, Z: 3}, {X: -4, Y: 0.5}}
+	p2p := []struct {
+		name string
+		msg  any
+		zero func() any
+	}{
+		{"workPackage", &workPackage{Centers: pts[:1], Points: pts}, func() any { return new(workPackage) }},
+		{"heartbeat", &heartbeat{Rank: 2, Ward: -1, Done: 7, PredDone: 0.5, ActualDone: 0.75, Finished: true, NoCkpt: true},
+			func() any { return new(heartbeat) }},
+		{"control", &control{Kind: ctlRedispatch, Ward: 3, From: 2}, func() any { return new(control) }},
+		{"halo", &pts, func() any { return new([]geom.Vec3) }},
+	}
+	for _, c := range p2p {
+		t.Run(c.name, func(t *testing.T) {
+			err := mpi.Run(2, func(comm *mpi.Comm) error {
+				if comm.Rank() == 0 {
+					return comm.Send(1, tagWork, c.msg)
+				}
+				got := c.zero()
+				if _, err := comm.Recv(0, tagWork, got); err != nil {
+					return err
+				}
+				if !reflect.DeepEqual(got, c.msg) {
+					return fmt.Errorf("sent %+v, received %+v", c.msg, got)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	t.Run("collectives", func(t *testing.T) {
+		const ranks = 3
+		meta := func(r int) ckptMeta {
+			return ckptMeta{Centers: pts[:r%2+1], Sample: pts[r%2], HasSample: r != 1}
+		}
+		smp := func(r int) sample { return sample{N: float64(100 * r), TTri: 0.1 * float64(r), TRender: 0.2} }
+		err := mpi.Run(ranks, func(comm *mpi.Comm) error {
+			r := comm.Rank()
+			metas, err := mpi.Allgather(comm, meta(r))
+			if err != nil {
+				return err
+			}
+			samples, err := mpi.Allgather(comm, smp(r))
+			if err != nil {
+				return err
+			}
+			totals, err := mpi.Allgather(comm, 1.5*float64(r))
+			if err != nil {
+				return err
+			}
+			for k := 0; k < ranks; k++ {
+				if !reflect.DeepEqual(metas[k], meta(k)) || samples[k] != smp(k) || totals[k] != 1.5*float64(k) {
+					return fmt.Errorf("rank %d slot %d: %+v %+v %v", r, k, metas[k], samples[k], totals[k])
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 }

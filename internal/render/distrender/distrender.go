@@ -305,14 +305,15 @@ func newCoord(setup *setupMsg) *coord {
 }
 
 // wellFormed reports whether r names a tile of the setup tiling and, when
-// healthy, carries exactly that tile's grid (I1-I0 columns, Ny rows).
-// Frames cross several hops; an entry that fails this is ingested nowhere.
+// healthy, carries exactly that tile's grid (I1-I0 columns, Ny rows, and
+// that many data words). Frames cross several hops; an entry that fails
+// this is ingested nowhere.
 func (s *setupMsg) wellFormed(r tileResult) bool {
 	if r.Tile < 0 || r.Tile >= len(s.Tiles) {
 		return false
 	}
 	t, g := s.Tiles[r.Tile], r.Grid
-	return r.Err != "" || g != nil && g.Nx == t.I1-t.I0 && g.Ny == s.Spec.Ny
+	return r.Err != "" || g != nil && g.Nx == t.I1-t.I0 && g.Ny == s.Spec.Ny && len(g.Data) == g.Nx*g.Ny
 }
 
 // accept ingests one tile: a healthy tile's grid is stitched immediately

@@ -512,8 +512,8 @@ func TestChaosStaleStragglerResultThenLoss(t *testing.T) {
 }
 
 // TestChaosMalformedGridRedispatched feeds the root's ingestFrame a frame
-// whose first grid is one column too narrow, or one row too short, for its
-// tile, next to a healthy tile. The bad entry must be discarded (never
+// whose first grid is one column too narrow, one row too short, or one
+// data word short for its tile, next to a healthy tile. The bad entry must be discarded (never
 // stitched at some offset), acked like the good one (the same bytes again
 // would be no better), and recovered by the deadline re-dispatch.
 func TestChaosMalformedGridRedispatched(t *testing.T) {
@@ -524,6 +524,12 @@ func TestChaosMalformedGridRedispatched(t *testing.T) {
 	for name, trim := range map[string]func(g *grid.Grid2D) (*grid.Grid2D, error){
 		"narrow": func(g *grid.Grid2D) (*grid.Grid2D, error) { return g.SubGrid(0, 0, g.Nx-1, g.Ny) },
 		"short":  func(g *grid.Grid2D) (*grid.Grid2D, error) { return g.SubGrid(0, 0, g.Nx, g.Ny-1) },
+		// The right Nx×Ny, one data word short: stitching it would index
+		// past the end of Data.
+		"short-data": func(g *grid.Grid2D) (*grid.Grid2D, error) {
+			g.Data = g.Data[:len(g.Data)-1]
+			return g, nil
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := Config{Spec: spec, Workers: 2, Tiles: 2, TileTimeout: 200 * time.Millisecond}
