@@ -9,11 +9,11 @@
 // With -ranks > 1 the marching kernel runs the distributed fan-out over an
 // in-process MPI world: the catalog is replicated, the grid is cut into
 // cost-balanced column tiles (-tiles), scattered over the ranks, marched,
-// and gathered bit-identically to the single-rank render. Results stream
-// back up a fault-tolerant k-ary tree rooted at rank 0 (-fanout arity,
-// default 4; a fanout of at least -ranks makes it a star). Every rank
-// builds its own mesh, so no mesh is built (or reported by -v) locally, and
-// the other kernels, which only run locally, are refused.
+// and gathered bit-identically to the single-rank render. Every worker
+// streams its tiles straight to rank 0, which acks them per tile and
+// re-dispatches the tiles of lost or stalled ranks. Every rank builds its
+// own mesh, so no mesh is built (or reported by -v) locally, and the other
+// kernels, which only run locally, are refused.
 package main
 
 import (
@@ -47,7 +47,6 @@ func main() {
 	ingest := flag.String("ingest", "fail", "invalid-particle policy: fail | drop | clamp")
 	ranks := flag.Int("ranks", 1, "simulated MPI ranks for the distributed marching render")
 	tiles := flag.Int("tiles", 0, "column tiles for -ranks > 1 (default: 2x ranks, cost-balanced)")
-	fanout := flag.Int("fanout", 0, "gather-tree arity for -ranks > 1 (default 4; >= ranks is a star)")
 	deadline := flag.Duration("deadline", 0, "abort a distributed render after this long (0: no deadline)")
 	verbose := flag.Bool("v", false, "print the build's insert-loop counters (walk, conflict tests, cavity per insert) and the marcher's resident bytes; -ranks 1 only")
 	flag.Parse()
@@ -89,7 +88,7 @@ func main() {
 	var stats []render.WorkerStat
 	t1 := time.Now()
 	if *ranks > 1 {
-		g, stats, err = distributedRender(spec, pts, *ranks, *tiles, *workers, *fanout, *deadline)
+		g, stats, err = distributedRender(spec, pts, *ranks, *tiles, *workers, *deadline)
 	} else {
 		var tri *delaunay.Triangulation
 		if tri, err = delaunay.New(pts); err != nil {
@@ -152,8 +151,8 @@ func main() {
 // A non-zero deadline bounds the whole render: when it passes, the
 // coordinator cancels the run, drains the workers, and the typed
 // cancellation error is reported with the partial-progress accounting.
-func distributedRender(spec render.Spec, pts []geom.Vec3, ranks, tiles, workers, fanout int, deadline time.Duration) (*grid.Grid2D, []render.WorkerStat, error) {
-	cfg := distrender.Config{Spec: spec, Tiles: tiles, Workers: workers, Fanout: fanout}
+func distributedRender(spec render.Spec, pts []geom.Vec3, ranks, tiles, workers int, deadline time.Duration) (*grid.Grid2D, []render.WorkerStat, error) {
+	cfg := distrender.Config{Spec: spec, Tiles: tiles, Workers: workers}
 	ctx := context.Background()
 	if deadline > 0 {
 		var cancel context.CancelFunc
@@ -196,7 +195,7 @@ func distributedRender(spec render.Spec, pts []geom.Vec3, ranks, tiles, workers,
 			return nil, nil, fmt.Errorf("rank %d: %w", r, e)
 		}
 	}
-	fmt.Printf("distributed: %d ranks, %d tiles, fanout-%d gather, %d re-dispatched\n",
-		ranks, len(res.Tiles), res.Fanout, res.Redispatched)
+	fmt.Printf("distributed: %d ranks, %d tiles, %d re-dispatched\n",
+		ranks, len(res.Tiles), res.Redispatched)
 	return res.Grid, res.Stats, nil
 }

@@ -99,13 +99,12 @@ func All() map[string]Driver {
 		"fig10":  Fig10,
 		"fig11":  Fig11,
 		"fig12":  Fig12,
-		"fig13":      Fig13,
-		"faults":     Faults,
-		"distrender": DistRender,
+		"fig13":  Fig13,
+		"faults": Faults,
 	}
 }
 
 // IDs lists figure ids in order.
 func IDs() []string {
-	return []string{"fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "faults", "distrender"}
+	return []string{"fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "faults"}
 }

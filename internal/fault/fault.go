@@ -35,10 +35,9 @@ const (
 	// PointTile is consulted by the distributed renderer before each tile
 	// march; progress is the number of tiles the rank has completed.
 	PointTile = "tile"
-	// PointRelay is consulted by the reduction-tree gather before a rank
-	// relays a merged frame upward; progress is the number of frames the
-	// rank has relayed. Crashing here kills an interior rank mid-merge,
-	// orphaning its subtree.
+	// PointRelay is consulted by the distributed renderer before a worker
+	// sends a frame to rank 0; progress is the number of frames the rank
+	// has sent. Crashing here loses tiles that were marched but never sent.
 	PointRelay = "relay"
 )
 

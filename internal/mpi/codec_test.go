@@ -379,7 +379,6 @@ type (
 		Spec      render.Spec
 		Tiles     []render.Tile
 		Workers   int
-		Fanout    int
 		Particles []geom.Vec3
 	}
 	tileResult struct {
@@ -430,7 +429,7 @@ func productionShapes() []struct {
 		msg  any
 		zero func() any
 	}{
-		{setupMsg{Spec: render.Spec{Nx: 4, Ny: 2, Cell: 0.25, Samples: 2, Seed: 5}, Tiles: []render.Tile{{I0: 0, I1: 2}, {I0: 2, I1: 4}}, Workers: 2, Fanout: 3, Particles: pts},
+		{setupMsg{Spec: render.Spec{Nx: 4, Ny: 2, Cell: 0.25, Samples: 2, Seed: 5}, Tiles: []render.Tile{{I0: 0, I1: 2}, {I0: 2, I1: 4}}, Workers: 2, Particles: pts},
 			func() any { return new(setupMsg) }},
 		{assignBatch{Tiles: []int{1, 200}}, func() any { return new(assignBatch) }},
 		{treeFrame{Tiles: []tileResult{

@@ -66,8 +66,10 @@ func TestPipelineComputesAllFields(t *testing.T) {
 }
 
 func TestPipelineFieldsIndependentOfRankCount(t *testing.T) {
-	// The rendered fields must not depend on the decomposition: ghost
-	// zones make every item self-contained.
+	// The rendered fields must not depend on the decomposition, bit for
+	// bit: ghost zones make every item self-contained, and the build sees
+	// an item's points in the same order whichever rank holds them or
+	// computes the item (LoadBalance ships some).
 	pts := synth.HaloSet(5000, unitBox(), synth.DefaultHaloSpec(), 4)
 	centers := []geom.Vec3{
 		{X: 0.3, Y: 0.3, Z: 0.3},
@@ -75,31 +77,46 @@ func TestPipelineFieldsIndependentOfRankCount(t *testing.T) {
 		{X: 0.7, Y: 0.7, Z: 0.7},
 		{X: 0.25, Y: 0.75, Z: 0.5},
 	}
-	cfg := Config{Box: unitBox(), FieldLen: 0.12, GridN: 10, KeepFields: true, Seed: 5}
+	// Eight more in one rank's octant, so work sharing has items to ship.
+	for i := 0; i < 8; i++ {
+		centers = append(centers, geom.Vec3{X: 0.15 + 0.03*float64(i%4), Y: 0.15 + 0.05*float64(i/4), Z: 0.2})
+	}
 
-	collect := func(ranks int) map[geom.Vec3][]float64 {
-		out := map[geom.Vec3][]float64{}
-		for _, r := range runPipeline(t, ranks, cfg, pts, centers) {
-			for _, f := range r.Fields {
-				out[f.Center] = f.Grid.Data
+	for _, lb := range []bool{false, true} {
+		cfg := Config{Box: unitBox(), FieldLen: 0.12, GridN: 10, KeepFields: true, LoadBalance: lb, Seed: 5}
+		shipped := 0
+		collect := func(ranks int) map[geom.Vec3][]float64 {
+			out := map[geom.Vec3][]float64{}
+			for _, r := range runPipeline(t, ranks, cfg, pts, centers) {
+				for _, f := range r.Fields {
+					out[f.Center] = f.Grid.Data
+				}
+				for _, it := range r.Items {
+					if it.Shipped {
+						shipped++
+					}
+				}
 			}
+			return out
 		}
-		return out
-	}
-	f1 := collect(1)
-	f8 := collect(8)
-	if len(f1) != len(centers) || len(f8) != len(centers) {
-		t.Fatalf("field counts: %d and %d", len(f1), len(f8))
-	}
-	for _, ctr := range centers {
-		a, b := f1[ctr], f8[ctr]
-		if a == nil || b == nil {
-			t.Fatalf("missing field at %v", ctr)
+		f1 := collect(1)
+		f8 := collect(8)
+		if len(f1) != len(centers) || len(f8) != len(centers) {
+			t.Fatalf("LoadBalance=%v: field counts: %d and %d", lb, len(f1), len(f8))
 		}
-		for i := range a {
-			if math.Abs(a[i]-b[i]) > 1e-9*(1+math.Abs(a[i])) {
-				t.Fatalf("field at %v differs between 1 and 8 ranks at cell %d: %v vs %v",
-					ctr, i, a[i], b[i])
+		if lb && shipped == 0 {
+			t.Fatal("LoadBalance=true shipped no item: the shipped path is not covered")
+		}
+		for _, ctr := range centers {
+			a, b := f1[ctr], f8[ctr]
+			if a == nil || b == nil {
+				t.Fatalf("LoadBalance=%v: missing field at %v", lb, ctr)
+			}
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+					t.Fatalf("LoadBalance=%v: field at %v differs between 1 and 8 ranks at cell %d: %v vs %v",
+						lb, ctr, i, a[i], b[i])
+				}
 			}
 		}
 	}

@@ -2,15 +2,12 @@
 // and fans them out over the internal/mpi runtime: rank 0 coordinates (it
 // owns the catalog, cuts cost-balanced tiles, scatters static batches,
 // stream-stitches the frames that come back into one Result), the
-// remaining ranks march tiles with the shared-memory SoA kernel and relay
-// their children's frames toward the root.
+// remaining ranks march tiles with the shared-memory SoA kernel and stream
+// them straight back to rank 0.
 //
-// There is one gather protocol and one topology parameter. Rank r's parent
-// is (r-1)/fanout, rank 0 is the root; every rank streams finished tiles to
-// its parent as coalesced treeFrames and the parent acks them hop-locally.
-// At fanout >= world size every parent is 0 and the tree is a star (the
-// topology the GatherFlat alias names); at fanout 1 it is a chain. See
-// tree.go for the worker side and the recovery ladder.
+// There is one gather protocol and one topology: the star. Every worker
+// sends its finished tiles to rank 0 as treeFrames and rank 0 acks them
+// per tile. See worker.go for the worker side and the recovery ladder.
 //
 // There is one decomposition: the output grid is partitioned, the
 // tessellation never is. The full catalog is broadcast once and every rank
@@ -46,21 +43,17 @@ import (
 	"godtfe/internal/render"
 )
 
-// GatherMode names a topology instead of an arity. It selects no code —
-// there is one gather protocol — and survives only as a fanout alias for
-// callers written against the two-protocol API (see Config.fanout).
+// GatherMode selects nothing: every render gathers over the star. The type
+// and its constants survive only because the benchmark harness
+// (bench/e2e/dist.go) still names them; the next benchmark-only change
+// deletes them together with Config.Gather.
 type GatherMode int
 
 const (
-	// GatherAuto and GatherTree use Config.Fanout (DefaultFanout when 0).
 	GatherAuto GatherMode = iota
-	// GatherFlat is the star: fanout = world size, every rank's parent is 0.
 	GatherFlat
 	GatherTree
 )
-
-// DefaultFanout is the gather-tree arity when Config.Fanout is unset.
-const DefaultFanout = 4
 
 // Config tunes one distributed render.
 type Config struct {
@@ -76,16 +69,12 @@ type Config struct {
 	// (1 when 0).
 	Workers int
 
-	// Fanout is the gather-tree arity (DefaultFanout when 0; 1 is a chain,
-	// >= world size a star). Gather == GatherFlat is an alias for
-	// "Fanout = world size" and overrides Fanout; the other modes change
-	// nothing. The root resolves the arity and broadcasts it, so all ranks
-	// always agree on the topology.
-	Fanout int
+	// Gather is read by nothing (see GatherMode).
 	Gather GatherMode
 
 	// Fault optionally injects crashes/stragglers/message faults
-	// (chaos tests). Crash point: fault.PointTile.
+	// (chaos tests). Crash points: fault.PointTile before a march,
+	// fault.PointRelay before a worker sends a frame.
 	Fault *fault.Injector
 
 	// TileTimeout is the per-rank progress deadline (default 30s): a rank
@@ -112,18 +101,6 @@ func (cfg *Config) tileTimeout() time.Duration {
 	return 30 * time.Second
 }
 
-// fanout resolves the gather-tree arity for a world of size ranks. It is
-// the only place a GatherMode is interpreted.
-func (cfg *Config) fanout(size int) int {
-	switch {
-	case cfg.Gather == GatherFlat:
-		return size
-	case cfg.Fanout > 0:
-		return cfg.Fanout
-	}
-	return DefaultFanout
-}
-
 // Result is the stitched output of a distributed render.
 type Result struct {
 	// Grid is the full stitched surface-density grid. Lost tiles (only
@@ -141,9 +118,6 @@ type Result struct {
 	// tile k was stitched (-1 if lost).
 	Tiles    []render.Tile
 	TileRank []int
-
-	// Fanout is the resolved gather-tree arity.
-	Fanout int
 
 	// Redispatched counts re-assigned tiles (crash or straggler
 	// deadline); Duplicates counts results discarded by first-wins.
@@ -272,7 +246,7 @@ func marchTile(ctx context.Context, m *render.Marcher, setup *setupMsg, k, rank 
 // coord is the rank-0 gather state. Tile grids are stitched into the output
 // grid the moment they are accepted (streaming stitch) and then dropped;
 // per tile only its failure string is retained, so the coordinator's
-// footprint is one output grid regardless of tile count or fanout.
+// footprint is one output grid regardless of tile or rank count.
 type coord struct {
 	setup      *setupMsg
 	tiles      []render.Tile
@@ -291,7 +265,6 @@ func newCoord(setup *setupMsg) *coord {
 		Grid:     setup.Spec.Grid(),
 		Tiles:    setup.Tiles,
 		TileRank: make([]int, len(setup.Tiles)),
-		Fanout:   setup.Fanout,
 	}
 	for k := range res.TileRank {
 		res.TileRank[k] = -1
@@ -306,8 +279,8 @@ func newCoord(setup *setupMsg) *coord {
 
 // wellFormed reports whether r names a tile of the setup tiling and, when
 // healthy, carries exactly that tile's grid (I1-I0 columns, Ny rows, and
-// that many data words). Frames cross several hops; an entry that fails
-// this is ingested nowhere.
+// that many data words). Frames arrive off the wire; an entry that fails
+// this is never stitched.
 func (s *setupMsg) wellFormed(r tileResult) bool {
 	if r.Tile < 0 || r.Tile >= len(s.Tiles) {
 		return false
@@ -404,7 +377,7 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 	}
 	setup := setupMsg{
 		Spec: spec, Tiles: MakeTiles(spec, pts, nt, cfg.EvenTiles),
-		Workers: cfg.Workers, Fanout: cfg.fanout(c.Size()), Particles: pts,
+		Workers: cfg.Workers, Particles: pts,
 	}
 	co := newCoord(&setup)
 	res := co.res

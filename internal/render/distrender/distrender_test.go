@@ -129,13 +129,27 @@ func assertGridsIdentical(t *testing.T, want, got *grid.Grid2D) {
 	}
 }
 
-// TestDistributedMatchesSingleRank is the package's core invariant, over
-// the whole topology range of the one gather protocol: for every reference
-// catalog, rank count, fanout (1 is a chain, >= ranks a star) and tile
-// split, the sharded render's grid values, PGM bytes and summed column
-// outcomes are byte-identical to the single-rank reference, and the
-// gathered worker stats carry globally re-based ids (rank r's local worker
-// w is r*Workers+w — distinct ranks never collide) that cover every cell
+// starArities are the gather fan-outs, out of {1, 2, 4, 16}, that describe
+// a star at the given rank count: a k-ary gather tree rooted at rank 0 is
+// the star exactly when k >= ranks-1. The star is the one topology the
+// renderer runs, so these are the fan-out labels the bit-identity matrix
+// names; every label runs the same star.
+func starArities(ranks int) []int {
+	var fs []int
+	for _, f := range []int{1, 2, 4, 16} {
+		if f >= ranks-1 {
+			fs = append(fs, f)
+		}
+	}
+	return fs
+}
+
+// TestDistributedMatchesSingleRank is the package's core invariant: for
+// every reference catalog, rank count, star fan-out label and tile split,
+// the sharded render's grid values, PGM bytes and summed column outcomes
+// are byte-identical to the single-rank reference, and the gathered worker
+// stats carry globally re-based ids (rank r's local worker w is
+// r*Workers+w — distinct ranks never collide) that cover every cell
 // exactly once.
 func TestDistributedMatchesSingleRank(t *testing.T) {
 	const workers = 2
@@ -144,12 +158,12 @@ func TestDistributedMatchesSingleRank(t *testing.T) {
 		ref, refOutcomes := singleRank(t, pts, spec)
 		refPGM := pgmBytes(t, ref)
 		for _, ranks := range []int{1, 2, 3, 4, 7, 9} {
-			for _, fanout := range []int{1, 2, 4, 16} {
+			for _, fanout := range starArities(ranks) {
 				for _, split := range []string{"even", "uneven"} {
 					even := split == "even"
 					t.Run(fmt.Sprintf("%s/%s/ranks=%d/fanout=%d", name, split, ranks, fanout), func(t *testing.T) {
 						cfg := Config{
-							Spec: spec, Workers: workers, EvenTiles: even, Fanout: fanout,
+							Spec: spec, Workers: workers, EvenTiles: even,
 							Tiles: 2*ranks + 1, // odd count: tiles never align with ranks
 						}
 						res, err, errs := runDistributed(ranks, cfg, pts, nil)
@@ -163,9 +177,6 @@ func TestDistributedMatchesSingleRank(t *testing.T) {
 						}
 						if res.Incomplete {
 							t.Fatalf("unexpected partial result: %v", res.Failures)
-						}
-						if res.Fanout != fanout {
-							t.Fatalf("Result.Fanout = %d, want %d", res.Fanout, fanout)
 						}
 						assertGridsIdentical(t, ref, res.Grid)
 						if !bytes.Equal(refPGM, pgmBytes(t, res.Grid)) {
@@ -202,36 +213,22 @@ func TestDistributedMatchesSingleRank(t *testing.T) {
 	}
 }
 
-// TestFanoutAlias pins the one place a GatherMode is read: it is a fanout
-// alias (GatherFlat = star = world size) and selects nothing else.
-func TestFanoutAlias(t *testing.T) {
-	for _, c := range []struct {
-		mode         GatherMode
-		fanout, size int
-		want         int
-	}{
-		{GatherAuto, 0, 1, DefaultFanout}, {GatherAuto, 0, 64, DefaultFanout}, {GatherAuto, 3, 8, 3},
-		{GatherTree, 0, 2, DefaultFanout}, {GatherTree, 2, 9, 2}, {GatherTree, 1, 5, 1},
-		{GatherFlat, 0, 1, 1}, {GatherFlat, 0, 64, 64}, {GatherFlat, 2, 7, 7},
-	} {
-		cfg := Config{Gather: c.mode, Fanout: c.fanout}
-		if got := cfg.fanout(c.size); got != c.want {
-			t.Errorf("Config{Gather: %d, Fanout: %d}.fanout(%d) = %d, want %d", c.mode, c.fanout, c.size, got, c.want)
-		}
-	}
-	// The alias reaches the wire: a star reports fanout = world size and
-	// every tile still arrives.
+// TestGatherModeInert pins that Config.Gather selects nothing: every mode
+// renders the same star and the same grid bits.
+func TestGatherModeInert(t *testing.T) {
 	pts := testCatalogs()["dirty"]
 	spec := testSpec(pts)
-	ref, _ := singleRank(t, pts, spec)
-	res, err, _ := runDistributed(3, Config{Spec: spec, Workers: 2, Gather: GatherFlat, Fanout: 2}, pts, nil)
-	if err != nil {
-		t.Fatal(err)
+	ref, refOutcomes := singleRank(t, pts, spec)
+	for _, mode := range []GatherMode{GatherAuto, GatherFlat, GatherTree} {
+		res, err, _ := runDistributed(5, Config{Spec: spec, Workers: 2, Gather: mode}, pts, nil)
+		if err != nil {
+			t.Fatalf("Gather %d: %v", mode, err)
+		}
+		assertGridsIdentical(t, ref, res.Grid)
+		if res.Outcomes != refOutcomes {
+			t.Fatalf("Gather %d: outcome counts: reference %v, distributed %v", mode, refOutcomes, res.Outcomes)
+		}
 	}
-	if res.Fanout != 3 {
-		t.Fatalf("GatherFlat on 3 ranks resolved to fanout %d, want 3", res.Fanout)
-	}
-	assertGridsIdentical(t, ref, res.Grid)
 }
 
 // TestMergeWorkerStats covers the render-layer helper directly: same-id
@@ -255,10 +252,6 @@ func TestMergeWorkerStats(t *testing.T) {
 }
 
 // --- chaos suite -----------------------------------------------------------
-
-// The cases down to TestChaosMalformedGridRedispatched run the protocol as a star at
-// 2–4 ranks (DefaultFanout >= ranks, so every worker is a leaf under the
-// root); tree_test.go repeats the failure modes with interior ranks.
 
 // TestChaosRankCrashMidTile: a rank crashing mid-render at 4 ranks must be
 // detected and its tiles re-dispatched, recovering the bit-exact grid.
@@ -382,6 +375,81 @@ func TestChaosAllWorkersLost(t *testing.T) {
 			t.Fatalf("worker should have crashed, got %v", e)
 		}
 	}
+}
+
+// TestChaosCrashBeforeSend: rank 1 dies between a march and the send of
+// its second frame, taking a marched-but-unsent tile and the rest of its
+// batch with it. The coordinator must write the rank off, re-dispatch its
+// whole share, and still stitch the bit-exact grid.
+func TestChaosCrashBeforeSend(t *testing.T) {
+	pts := testCatalogs()["clustered"]
+	spec := testSpec(pts)
+	ref, refOutcomes := singleRank(t, pts, spec)
+
+	inj := fault.New(fault.Plan{
+		Seed:    11,
+		Crashes: []fault.Crash{{Rank: 1, Point: fault.PointRelay, After: 1}},
+	})
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 15, TileTimeout: 300 * time.Millisecond}
+	res, err, errs := runDistributed(4, cfg, pts, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(errs[1], fault.ErrInjectedCrash) {
+		t.Fatalf("rank 1 should have crashed before its second send, got %v", errs[1])
+	}
+	for _, r := range []int{2, 3} {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+	}
+	if res.Incomplete {
+		t.Fatalf("crash before send left a partial result: %v", res.Failures)
+	}
+	if res.Redispatched == 0 {
+		t.Fatal("the crashed rank's tiles were never re-dispatched")
+	}
+	assertGridsIdentical(t, ref, res.Grid)
+	if res.Outcomes != refOutcomes {
+		t.Fatalf("outcome counts after recovery: want %v, got %v", refOutcomes, res.Outcomes)
+	}
+}
+
+// TestFailedRankAttributionInResult: when a rank dies, the gather must name
+// it in Result.Failures with the underlying cause — operators debugging a
+// 1k-rank run need the rank id, not just "a rank died somewhere".
+func TestFailedRankAttributionInResult(t *testing.T) {
+	pts := testCatalogs()["clustered"]
+	spec := testSpec(pts)
+	t.Run("star", func(t *testing.T) {
+		// Crash rank 2 on its very first tile (After: 0): every live
+		// worker's static batch holds at least one tile, so the crash
+		// fires on any schedule.
+		inj := fault.New(fault.Plan{
+			Seed:    16,
+			Crashes: []fault.Crash{{Rank: 2, Point: fault.PointTile, After: 0}},
+		})
+		cfg := Config{Spec: spec, Workers: 2, Tiles: 8, TileTimeout: 300 * time.Millisecond}
+		res, err, errs := runDistributed(5, cfg, pts, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(errs[2], fault.ErrInjectedCrash) {
+			t.Fatalf("rank 2 should have crashed, got %v", errs[2])
+		}
+		if res.Incomplete {
+			t.Fatalf("crash recovery left a partial result: %v", res.Failures)
+		}
+		var attributed bool
+		for _, f := range res.Failures {
+			if strings.Contains(f, "rank 2 lost") && strings.Contains(f, "injected crash") {
+				attributed = true
+			}
+		}
+		if !attributed {
+			t.Fatalf("failed rank not attributed in Failures: %v", res.Failures)
+		}
+	})
 }
 
 // scriptedWorker is rank 1 of a two-rank world whose rank 0 runs the real
@@ -643,24 +711,12 @@ func BenchmarkDistRender(b *testing.B) {
 	pts := synth.HaloSet(n, box, synth.DefaultHaloSpec(), 11)
 	spec := testSpec(pts)
 	spec.Nx, spec.Ny = gridN, gridN
-	type variant struct {
-		name   string
-		ranks  int
-		fanout int
-	}
-	variants := []variant{
-		{"ranks=1", 1, 0},
-		{"ranks=4/fanout=4", 4, 4},
-		{"ranks=8/fanout=8", 8, 8},
-		{"ranks=8/fanout=4", 8, 4},
-		{"ranks=8/fanout=2", 8, 2},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			cfg := Config{Spec: spec, Workers: 2, Tiles: 2 * v.ranks, Fanout: v.fanout}
+	for _, ranks := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			cfg := Config{Spec: spec, Workers: 2, Tiles: 2 * ranks}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err, _ := runDistributedBench(v.ranks, cfg, pts)
+				res, err, _ := runDistributedBench(ranks, cfg, pts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -16,8 +16,8 @@ import (
 const (
 	tagSetup = 120 // coordinator → worker: setupMsg (once)
 	tagBatch = 123 // coordinator → worker: assignBatch
-	tagFrame = 124 // child → tree parent: treeFrame
-	tagAck   = 125 // tree parent → child: frameAck
+	tagFrame = 124 // worker → coordinator: treeFrame
+	tagAck   = 125 // coordinator → worker: frameAck
 )
 
 // setupMsg is the one-shot broadcast that primes every rank: the render
@@ -27,7 +27,6 @@ type setupMsg struct {
 	Spec      render.Spec
 	Tiles     []render.Tile
 	Workers   int
-	Fanout    int // gather-tree arity, resolved by the root
 	Particles []geom.Vec3
 }
 
@@ -52,20 +51,19 @@ type assignBatch struct {
 	Tiles    []int
 }
 
-// treeFrame is the unit of upward streaming in the gather tree: every
-// tile its sender has finished or been handed by a child and not yet had
-// acknowledged, each with its own grid. Frames are idempotent — every
-// level dedupes tiles first-wins — so re-sending after a re-parent or a
-// lost ack is always safe.
+// treeFrame is the unit of streaming to the coordinator: every tile its
+// sender has marched and not yet had acknowledged, each with its own grid.
+// (The name, which the wire header carries, predates the star.) Frames are
+// idempotent — the coordinator dedupes tiles first-wins — so re-sending
+// after a lost frame or a lost ack is always safe.
 type treeFrame struct {
 	Tiles []tileResult
 }
 
-// frameAck acknowledges tiles a parent has ingested (kept or deduped).
-// Acks are hop-local flow control — they stop the child re-sending to
-// *this* parent — not end-to-end delivery receipts: if an interior rank
-// dies after acking but before forwarding, the loss is recovered by the
-// root's per-rank deadline re-dispatch (tile renders are bit-exact, so
+// frameAck acknowledges the tiles of a frame the coordinator has ingested
+// (stitched, deduped or discarded as malformed), so the worker stops
+// re-sending them. A tile that never reaches the coordinator is recovered
+// by its per-rank deadline re-dispatch (tile renders are bit-exact, so
 // recomputing elsewhere is always safe).
 type frameAck struct {
 	Tiles []int
