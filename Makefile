@@ -22,7 +22,7 @@ vet:
 # concurrent point location, and the shared predicate counters/oracle
 # switch in geom) under the race detector.
 race:
-	$(GO) test -race ./internal/mpi/... ./internal/pipeline/... ./internal/render/... ./internal/delaunay/... ./internal/geom/... ./internal/fieldserve/... ./internal/fault/... ./internal/vtime/...
+	$(GO) test -race ./internal/mpi/... ./internal/pipeline/... ./internal/render/... ./internal/delaunay/... ./internal/geom/... ./internal/fieldserve/... ./internal/fault/...
 
 # Fault-injection and cancellation suites under the race detector: worker
 # death mid-march and before a send, dropped/duplicated/malformed frames,
@@ -42,12 +42,11 @@ chaos:
 	$(GO) test -race -timeout 180s -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 
 # Overload smoke: the resident field service at 2x capacity under the
-# race detector — the real service (bounded queue, shedding, degrade
-# ladder, goroutine-leak check), the 80%-overlap coalescing storm, and
-# the million-request virtual-time load generator with its bounded-p99
-# and nonzero-shed assertions.
+# race detector — bounded queue, shedding, degrade ladder, request
+# conservation and the goroutine-leak check — and the 80%-overlap
+# coalescing storm.
 serve-smoke:
-	$(GO) test -race -timeout 300s -run 'OverloadSmoke|OverlapStorm' ./internal/fieldserve/ ./internal/vtime/
+	$(GO) test -race -timeout 300s -run 'OverloadSmoke|OverlapStorm' ./internal/fieldserve/
 
 # One-iteration smoke over every benchmark in the tree: catches bit-rot
 # in benchmark code without paying for stable timings. -short skips the

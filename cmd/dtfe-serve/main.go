@@ -9,12 +9,6 @@
 // Usage:
 //
 //	dtfe-serve -particles 20000 -grid 64 -requests 2000
-//	dtfe-serve -sim -requests 1000000
-//
-// With -sim the same open-loop generator runs against the virtual-time
-// model of the service (internal/vtime), which scales to millions of
-// requests deterministically; without it, real renders are served from
-// an in-process fieldserve.Service.
 package main
 
 import (
@@ -23,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -33,7 +28,6 @@ import (
 	"godtfe/internal/particleio"
 	"godtfe/internal/render"
 	"godtfe/internal/synth"
-	"godtfe/internal/vtime"
 )
 
 func main() {
@@ -41,7 +35,7 @@ func main() {
 	particles := flag.Int("particles", 20000, "synthetic catalog size when -i is empty")
 	gridN := flag.Int("grid", 64, "request grid resolution (NxN)")
 	specs := flag.Int("specs", 8, "distinct specs in the request mix (jitter seeds)")
-	requests := flag.Int("requests", 2000, "total requests to offer (default 1000000 with -sim)")
+	requests := flag.Int("requests", 2000, "total requests to offer")
 	rate := flag.Float64("rate", 0, "offered load in requests/sec (0: 2x measured capacity)")
 	workers := flag.Int("workers", 2, "serving workers")
 	queue := flag.Int("queue", 0, "admission queue depth (0: 2x workers)")
@@ -56,8 +50,12 @@ func main() {
 	updates := flag.Int("updates", 0, "incremental catalog updates (band churn) applied concurrently with the load")
 	overlap := flag.Float64("overlap", 0, "fraction of requests drawn from hot coalescing families with varied window extents")
 	overlapFams := flag.Int("overlap-families", 3, "hot family pool size for -overlap")
-	sim := flag.Bool("sim", false, "run the virtual-time model instead of real renders")
 	flag.Parse()
+	if err := checkFlags(*specs, *workers, *gridN, *overlap); err != nil {
+		fmt.Fprintln(os.Stderr, "dtfe-serve:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var inj *fault.Injector
 	if *cancelProb > 0 || *slowProb > 0 || *poisonProb > 0 || *overlap > 0 {
@@ -73,16 +71,7 @@ func main() {
 		})
 	}
 
-	if *sim {
-		n := *requests
-		if n == 2000 { // flag default; the sim scales much further
-			n = 1_000_000
-		}
-		runSim(n, *rate, *workers, *queue, *seed, inj,
-			(*batchWindow).Seconds(), *maxBatch, *overlapFams)
-		return
-	}
-	runReal(*in, *particles, *gridN, *specs, *requests, *rate,
+	run(*in, *particles, *gridN, *specs, *requests, *rate,
 		*workers, *queue, *degrade, *seed, *updates, inj, fieldserve.Options{
 			BatchWindow:      *batchWindow,
 			MaxBatch:         *maxBatch,
@@ -90,48 +79,23 @@ func main() {
 		})
 }
 
-func runSim(requests int, rate float64, workers, queue int, seed int64, inj *fault.Injector,
-	batchWindow float64, maxBatch, familyPool int) {
-	if workers <= 0 {
-		workers = 2
+// checkFlags rejects the flag values the load generator cannot run with:
+// the spec mix is indexed modulo -specs, the offered rate is derived from
+// -workers, and an -overlap window spans half to all of -grid on each axis,
+// which is no cells at all when -grid is 1.
+func checkFlags(specs, workers, gridN int, overlap float64) error {
+	switch {
+	case specs < 1:
+		return fmt.Errorf("-specs %d: need at least one spec", specs)
+	case workers < 1:
+		return fmt.Errorf("-workers %d: need at least one worker", workers)
+	case gridN < 2 && overlap > 0:
+		return fmt.Errorf("-grid %d: -overlap windows need a grid of at least 2", gridN)
 	}
-	if queue <= 0 {
-		queue = 2 * workers
-	}
-	cfg := vtime.FieldServeConfig{
-		Workers:        workers,
-		QueueDepth:     queue,
-		Requests:       requests,
-		SpecPool:       4096,
-		RenderCost:     0.01,
-		HitCost:        0.0001,
-		BuildCost:      0.5,
-		ColumnCost:     0.0002,
-		DegradeHitFrac: 0.25,
-		Seed:           seed,
-		Fault:          inj,
-		BatchWindow:    batchWindow,
-		MaxBatch:       maxBatch,
-		FamilyPool:     familyPool,
-		ExtentLevels:   32,
-	}
-	if rate <= 0 {
-		rate = 2 * float64(cfg.Workers) / cfg.RenderCost
-	}
-	cfg.ArrivalRate = rate
-	t0 := time.Now()
-	out := vtime.SimulateFieldServe(cfg)
-	fmt.Printf("sim: %d requests at %.0f/s offered (%d workers, queue %d)\n",
-		requests, rate, cfg.Workers, cfg.QueueDepth)
-	fmt.Printf("served %d (%.1f/s virtual), shed %d (rate %.3f), degraded %d, expired %d\n",
-		out.Served, out.Throughput, out.Shed, out.ShedRate, out.Degraded, out.Expired)
-	fmt.Printf("latency p50 %.2fms p99 %.2fms max %.2fms, hit rate %.3f, poisoned %d, builds %d\n",
-		out.P50*1e3, out.P99*1e3, out.Max*1e3, out.HitRate, out.Poisoned, out.Builds)
-	fmt.Printf("batches %d, coalesced %d\n", out.Batches, out.Coalesced)
-	fmt.Printf("virtual makespan %.2fs simulated in %v\n", out.Makespan, time.Since(t0).Round(time.Millisecond))
+	return nil
 }
 
-func runReal(in string, particles, gridN, specPool, requests int, rate float64,
+func run(in string, particles, gridN, specPool, requests int, rate float64,
 	workers, queue, degrade int, seed int64, updates int, inj *fault.Injector, copt fieldserve.Options) {
 	var pts []geom.Vec3
 	if in != "" {

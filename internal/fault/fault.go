@@ -248,12 +248,6 @@ func (in *Injector) OverlapVerdict(id uint64) (family int, overlap bool) {
 	return int(splitmix64(h) % uint64(in.plan.OverlapFamilies)), true
 }
 
-// HasOverlapPlan reports whether the plan shapes an overlap workload at
-// all (OverlapVerdict can return true).
-func (in *Injector) HasOverlapPlan() bool {
-	return in.plan.OverlapProb > 0 && in.plan.OverlapFamilies > 0
-}
-
 // StraggleFactor returns the slowdown multiplier for a rank (1 = none).
 func (in *Injector) StraggleFactor(rank int) float64 {
 	for _, s := range in.plan.Stragglers {

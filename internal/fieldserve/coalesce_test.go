@@ -574,6 +574,10 @@ func TestServeOverlapStormSmoke(t *testing.T) {
 	if st.Coalesced == 0 && st.ColHits == 0 {
 		t.Fatal("overlap storm neither coalesced a request nor hit the column cache")
 	}
+	if st.Shed != uint64(shed) {
+		t.Fatalf("stats count %d shed, callers saw %d", st.Shed, shed)
+	}
+	checkConservation(t, st, storm)
 
 	s.Close()
 	waitNoLeak(t, baseline)

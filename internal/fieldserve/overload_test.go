@@ -142,6 +142,8 @@ func TestServeOverloadSmoke(t *testing.T) {
 	if st.Shed != uint64(shed) || st.Degraded != uint64(degraded) {
 		t.Fatalf("stats disagree with observed outcomes: %+v", st)
 	}
+	offered := uint64(len(specSeeds) + burst) // warm-ups included
+	checkConservation(t, st, offered)
 
 	// Phase 2: same burst against specs whose degrade ladder is cold —
 	// with no coarser rendering to fall back on, overload MUST shed with
@@ -184,8 +186,20 @@ func TestServeOverloadSmoke(t *testing.T) {
 	if coldShed == 0 {
 		t.Fatal("cold-ladder overload never shed with ErrOverloaded")
 	}
+	checkConservation(t, s.Stats(), offered+burst)
 
 	s.Close()
 	// No goroutine leaks: everything the service started must unwind.
 	waitNoLeak(t, baseline)
+}
+
+// checkConservation asserts that every request offered so far left Serve
+// through exactly one terminal counter: served (degraded included), shed or
+// expired.
+func checkConservation(t *testing.T, st Stats, offered uint64) {
+	t.Helper()
+	if got := st.Served + st.Shed + st.Expired; got != offered {
+		t.Fatalf("served %d + shed %d + expired %d = %d, want the %d requests offered",
+			st.Served, st.Shed, st.Expired, got, offered)
+	}
 }

@@ -26,8 +26,6 @@ var knobAllow = []struct{ field, reason, test string }{
 	{"internal/render/distrender.Config.MaxSendRetries", "shrinks the send retry budget so injected drops become real losses", "internal/render/distrender.TestChaosDroppedResult"},
 	{"internal/render/distrender.Config.NoCoordinatorCompute", "forbids the root's self-compute fallback so a flagged-partial Result can be observed", "internal/render/distrender.TestChaosAllWorkersLost"},
 	{"internal/vtime.Config.FixedPhases", "constant per-rank offset of the schedule model; the experiments report it separately instead", "internal/vtime.TestFixedPhasesShiftFinish"},
-	{"internal/vtime.FieldServeConfig.WarmFamilies", "sizes the column-cache model to the test's spec pool (dtfe-serve -sim runs the default 64)", "internal/vtime.TestSimFieldServeOverloadSmoke"},
-	{"internal/vtime.FieldServeConfig.OverlapFrac", "overlap shaping without a fault plan, for the 8x overlap-storm smoke", "internal/vtime.TestSimFieldServeOverlapStormSmoke"},
 }
 
 // TestKnobsAreSet keeps options from outliving their callers. A field of a
