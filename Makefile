@@ -31,6 +31,9 @@ race:
 # is the watchdog: a recovery-path hang fails the run instead of wedging CI.
 # The loop first prints how many tests the -run pattern selects in each
 # package and fails on zero, so a renamed suite cannot silently drop out.
+# The last step soaks the pipeline's recovery suite 20 times: its waits are
+# ordering-dependent (a Done can race the coordinator's exit), so one pass
+# proves little.
 CHAOS_RUN  = Chaos|Fault|Recover|Crash|Straggler|Tolerant|Attribution|Cancel|Deadline
 CHAOS_PKGS = ./internal/mpi ./internal/fault ./internal/pipeline ./internal/render/distrender ./internal/fieldserve
 chaos:
@@ -40,6 +43,7 @@ chaos:
 		[ "$$n" -gt 0 ] || { echo "chaos: the -run pattern selects nothing in $$p"; exit 1; }; \
 	done
 	$(GO) test -race -timeout 180s -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
+	$(GO) test -race -timeout 300s -count=20 -run Recover ./internal/pipeline/
 
 # Overload smoke: the resident field service at 2x capacity under the
 # race detector — bounded queue, shedding, degrade ladder, request

@@ -91,20 +91,19 @@ type Driver func(Options) (*Report, error)
 // All maps figure ids to drivers.
 func All() map[string]Driver {
 	return map[string]Driver{
-		"fig1":   Fig1,
-		"fig6":   Fig6,
-		"fig7":   Fig7,
-		"fig8":   Fig8,
-		"fig9":   Fig9,
-		"fig10":  Fig10,
-		"fig11":  Fig11,
-		"fig12":  Fig12,
-		"fig13":  Fig13,
-		"faults": Faults,
+		"fig1":  Fig1,
+		"fig6":  Fig6,
+		"fig7":  Fig7,
+		"fig8":  Fig8,
+		"fig9":  Fig9,
+		"fig10": Fig10,
+		"fig11": Fig11,
+		"fig12": Fig12,
+		"fig13": Fig13,
 	}
 }
 
 // IDs lists figure ids in order.
 func IDs() []string {
-	return []string{"fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "faults"}
+	return []string{"fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13"}
 }

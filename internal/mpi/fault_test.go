@@ -100,90 +100,6 @@ func TestQueuedMessageOutlivesSender(t *testing.T) {
 	}
 }
 
-func TestRecvTimeoutExpires(t *testing.T) {
-	hold := make(chan struct{})
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 1 {
-			<-hold // stay alive, send nothing
-			return nil
-		}
-		defer close(hold)
-		start := time.Now()
-		_, err := c.RecvTimeout(1, 9, new(int), 30*time.Millisecond)
-		if !errors.Is(err, ErrTimeout) {
-			return errors.New("expected ErrTimeout: " + errString(err))
-		}
-		if time.Since(start) < 30*time.Millisecond {
-			return errors.New("returned before deadline")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvTimeoutAnySourceToleratesFailures(t *testing.T) {
-	// AnySource with a deadline is the monitoring mode: a peer failure must
-	// not abort the wait while another peer's message is still coming.
-	errs := NewWorld(3).RunEach(func(c *Comm) error {
-		switch c.Rank() {
-		case 1:
-			return errors.New("injected death")
-		case 2:
-			time.Sleep(20 * time.Millisecond)
-			return c.Send(0, 4, 7)
-		default:
-			var v int
-			src, err := c.RecvTimeout(AnySource, 4, &v, time.Second)
-			if err != nil {
-				return err
-			}
-			if src != 2 || v != 7 {
-				return errors.New("wrong message")
-			}
-			if got := c.FailedRanks(); len(got) != 1 || got[0] != 1 {
-				return errors.New("FailedRanks should report rank 1")
-			}
-			return nil
-		}
-	})
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("errs = %v", errs)
-	}
-}
-
-func TestTryRecv(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 1 {
-			return c.Send(0, 2, 11)
-		}
-		var v int
-		// Poll until the message lands.
-		for {
-			src, ok, err := c.TryRecv(AnySource, 2, &v)
-			if err != nil {
-				return err
-			}
-			if ok {
-				if src != 1 || v != 11 {
-					return errors.New("wrong message")
-				}
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		// Nothing else queued under another tag.
-		if _, ok, err := c.TryRecv(AnySource, 3, &v); err != nil || ok {
-			return errors.New("phantom message")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAnySourcePerSourceOrdering(t *testing.T) {
 	// AnySource must preserve each source's send order (FIFO per source),
 	// deterministically, however the arrivals interleave.

@@ -13,10 +13,14 @@
 // Unlike classic fail-stop MPI, the runtime is failure-aware: Run marks a
 // rank that returns (with or without an error) so that peers blocked in
 // Recv or a collective on a message that can no longer arrive observe
-// ErrRankFailed instead of deadlocking. Deadline-aware receives
-// (RecvTimeout, TryRecv) and a fault-injection hook on the send path
+// ErrRankFailed instead of deadlocking. There are two ways to wait: the
+// fail-fast Recv (and the collectives), and RecvTolerant for a rank that
+// owns recovery itself — it never fails on peer death, wakes on every
+// membership change (ErrWorldChanged), takes a bound (ErrTimeout) and
+// polls with a zero one. Those and a fault-injection hook on the send path
 // (SetInjector, with capped exponential-backoff retries on injected drops)
-// support the fault-tolerant execution mode of internal/pipeline.
+// carry the fault-tolerant modes of internal/pipeline and
+// internal/render/distrender.
 package mpi
 
 import (
@@ -36,7 +40,8 @@ var (
 	// exited (with or without an error) and the awaited message can no
 	// longer arrive.
 	ErrRankFailed = errors.New("mpi: rank failed")
-	// ErrTimeout reports that a deadline-aware receive expired.
+	// ErrTimeout reports that a tolerant receive's bound expired (at once
+	// for a zero-timeout poll of an empty mailbox).
 	ErrTimeout = errors.New("mpi: receive timed out")
 	// ErrMessageLost reports that a send was dropped by the fault
 	// injector on every retry attempt.
@@ -209,13 +214,6 @@ func (w *World) markDone(rank int) {
 	w.wakeAll()
 }
 
-// FailureEpoch returns a counter that increments on every world membership
-// change (a rank failing or exiting cleanly). Tolerant receivers snapshot
-// it and pass it to RecvTolerant, which wakes with ErrWorldChanged the
-// moment the epoch moves — the failure-aware alternative to polling
-// FailedRanks on a timer.
-func (w *World) FailureEpoch() uint64 { return w.epoch.Load() }
-
 func (w *World) wakeAll() {
 	for _, m := range w.boxes {
 		m.mu.Lock()
@@ -253,31 +251,18 @@ func (w *World) totalInFlight() int64 {
 	return t
 }
 
-// take blocks until a message matching (src, tag) is queued at rank me, a
-// dependency failure is detected, or the deadline (if non-zero) expires.
-// Queued messages always win over failure detection: a message sent before
-// its sender died remains deliverable, like bytes buffered in a real
-// interconnect.
+// take blocks until a message matching (src, tag) is queued at rank me or a
+// dependency failure is detected. Queued messages always win over failure
+// detection: a message sent before its sender died remains deliverable,
+// like bytes buffered in a real interconnect.
 //
 // Failure semantics: for a specific src, the take fails with ErrRankFailed
 // as soon as src is no longer alive (and nothing is queued or in flight
 // from it). For AnySource the take fails if any peer has failed or every
-// peer has exited — unless tolerant is set, in which case failures are
-// ignored and the caller is expected to bound the wait with a deadline and
-// inspect FailedRanks itself (the recovery executor's monitoring mode).
-func (w *World) take(me, src, tag int, deadline time.Time, tolerant bool) (envelope, error) {
+// peer has exited. A caller that owns recovery itself waits in takeMulti,
+// which never fails on peer death.
+func (w *World) take(me, src, tag int) (envelope, error) {
 	m := w.boxes[me]
-	hasDeadline := !deadline.IsZero()
-	if hasDeadline {
-		if d := time.Until(deadline); d > 0 {
-			t := time.AfterFunc(d, func() {
-				m.mu.Lock()
-				m.mu.Unlock() //nolint:staticcheck // park barrier before broadcast
-				m.cond.Broadcast()
-			})
-			defer t.Stop()
-		}
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -287,34 +272,29 @@ func (w *World) take(me, src, tag int, deadline time.Time, tolerant bool) (envel
 				return e, nil
 			}
 		}
-		if !tolerant {
-			if src != AnySource {
-				if src != me && w.states[src].Load() != stateAlive && w.inFlight[src].Load() == 0 {
-					return envelope{}, fmt.Errorf("recv tag %d: %w", tag, w.failureOf(src))
+		if src != AnySource {
+			if src != me && w.states[src].Load() != stateAlive && w.inFlight[src].Load() == 0 {
+				return envelope{}, fmt.Errorf("recv tag %d: %w", tag, w.failureOf(src))
+			}
+		} else {
+			failed, allGone := -1, true
+			for r := 0; r < w.size; r++ {
+				if r == me {
+					continue
 				}
-			} else {
-				failed, allGone := -1, true
-				for r := 0; r < w.size; r++ {
-					if r == me {
-						continue
-					}
-					switch w.states[r].Load() {
-					case stateFailed:
-						failed = r
-					case stateAlive:
-						allGone = false
-					}
-				}
-				if failed >= 0 {
-					return envelope{}, fmt.Errorf("recv tag %d (any source): %w", tag, w.failureOf(failed))
-				}
-				if allGone && w.size > 1 && w.totalInFlight() == 0 {
-					return envelope{}, fmt.Errorf("recv tag %d (any source): all peers exited: %w", tag, ErrRankFailed)
+				switch w.states[r].Load() {
+				case stateFailed:
+					failed = r
+				case stateAlive:
+					allGone = false
 				}
 			}
-		}
-		if hasDeadline && !time.Now().Before(deadline) {
-			return envelope{}, fmt.Errorf("recv tag %d from %d: %w", tag, src, ErrTimeout)
+			if failed >= 0 {
+				return envelope{}, fmt.Errorf("recv tag %d (any source): %w", tag, w.failureOf(failed))
+			}
+			if allGone && w.size > 1 && w.totalInFlight() == 0 {
+				return envelope{}, fmt.Errorf("recv tag %d (any source): all peers exited: %w", tag, ErrRankFailed)
+			}
 		}
 		m.cond.Wait()
 	}
@@ -423,8 +403,12 @@ func (c *Comm) Size() int { return c.world.size }
 // FailedRanks returns the ranks currently marked failed.
 func (c *Comm) FailedRanks() []int { return c.world.FailedRanks() }
 
-// FailureEpoch returns the world's current membership-change counter.
-func (c *Comm) FailureEpoch() uint64 { return c.world.FailureEpoch() }
+// FailureEpoch returns a counter that increments on every world membership
+// change (a rank failing or exiting cleanly). Tolerant receivers snapshot
+// it and pass it to RecvTolerant, which wakes with ErrWorldChanged the
+// moment the epoch moves — the failure-aware alternative to polling
+// FailedRanks on a timer.
+func (c *Comm) FailureEpoch() uint64 { return c.world.epoch.Load() }
 
 // Alive reports whether rank is still running (not done, not failed).
 func (c *Comm) Alive(rank int) bool {
@@ -558,24 +542,7 @@ func (c *Comm) Recv(src, tag int, v any) (int, error) {
 	if tag < 0 {
 		return 0, fmt.Errorf("mpi: user tags must be >= 0, got %d", tag)
 	}
-	e, err := c.world.take(c.rank, src, tag, time.Time{}, false)
-	if err != nil {
-		return 0, fmt.Errorf("mpi: %w", err)
-	}
-	return e.src, decodeFrom(e, fmt.Sprintf("recv tag %d", tag), v)
-}
-
-// RecvTimeout is Recv with a deadline: it returns an error satisfying
-// errors.Is(err, ErrTimeout) if no matching message arrives in time. For a
-// specific source the failure semantics match Recv (fail fast on a dead
-// rank); for AnySource, peer failures do NOT abort the wait — the caller
-// holds the deadline and is expected to consult FailedRanks, which is what
-// the pipeline's recovery coordinator does while monitoring heartbeats.
-func (c *Comm) RecvTimeout(src, tag int, v any, timeout time.Duration) (int, error) {
-	if tag < 0 {
-		return 0, fmt.Errorf("mpi: user tags must be >= 0, got %d", tag)
-	}
-	e, err := c.world.take(c.rank, src, tag, time.Now().Add(timeout), src == AnySource)
+	e, err := c.world.take(c.rank, src, tag)
 	if err != nil {
 		return 0, fmt.Errorf("mpi: %w", err)
 	}
@@ -625,22 +592,6 @@ func (c *Comm) RecvTolerant(tags []int, epoch uint64, timeout time.Duration) (*M
 	return &Message{Src: e.src, Tag: e.tag, env: e}, ep, nil
 }
 
-// TryRecv is a non-blocking Recv: it returns ok=false when no matching
-// message is queued. A dead specific source still reports ErrRankFailed.
-func (c *Comm) TryRecv(src, tag int, v any) (int, bool, error) {
-	if tag < 0 {
-		return 0, false, fmt.Errorf("mpi: user tags must be >= 0, got %d", tag)
-	}
-	e, err := c.world.take(c.rank, src, tag, time.Now(), src == AnySource)
-	if err != nil {
-		if errors.Is(err, ErrTimeout) {
-			return 0, false, nil
-		}
-		return 0, false, fmt.Errorf("mpi: %w", err)
-	}
-	return e.src, true, decodeFrom(e, fmt.Sprintf("recv tag %d", tag), v)
-}
-
 // nextCollTag returns a fresh internal tag for a collective; each rank
 // calls collectives in the same order (SPMD), so sequence numbers line up.
 func (c *Comm) nextCollTag(base int) int {
@@ -657,7 +608,7 @@ func (c *Comm) Barrier() error {
 	// Dissemination-free simple barrier: gather-to-0 then broadcast.
 	if c.rank == 0 {
 		for i := 1; i < c.world.size; i++ {
-			if _, err := c.world.take(0, AnySource, tag, time.Time{}, false); err != nil {
+			if _, err := c.world.take(0, AnySource, tag); err != nil {
 				return fmt.Errorf("mpi: barrier: %w", err)
 			}
 		}
@@ -671,7 +622,7 @@ func (c *Comm) Barrier() error {
 	if err := c.sendRaw(0, tag, nil, false); err != nil {
 		return fmt.Errorf("mpi: barrier: %w", err)
 	}
-	if _, err := c.world.take(c.rank, 0, tag, time.Time{}, false); err != nil {
+	if _, err := c.world.take(c.rank, 0, tag); err != nil {
 		return fmt.Errorf("mpi: barrier: %w", err)
 	}
 	return nil
@@ -695,7 +646,7 @@ func (c *Comm) Bcast(root int, v any) error {
 		}
 		return nil
 	}
-	e, err := c.world.take(c.rank, root, tag, time.Time{}, false)
+	e, err := c.world.take(c.rank, root, tag)
 	if err != nil {
 		return fmt.Errorf("mpi: bcast: %w", err)
 	}
@@ -712,7 +663,7 @@ func Allgather[T any](c *Comm, v T) ([]T, error) {
 		out := make([]T, w.size)
 		out[0] = v
 		for i := 1; i < w.size; i++ {
-			e, err := w.take(0, AnySource, tag, time.Time{}, false)
+			e, err := w.take(0, AnySource, tag)
 			if err != nil {
 				return nil, fmt.Errorf("mpi: allgather: %w", err)
 			}
@@ -740,7 +691,7 @@ func Allgather[T any](c *Comm, v T) ([]T, error) {
 	if err := c.sendRaw(0, tag, data, true); err != nil {
 		return nil, fmt.Errorf("mpi: allgather: %w", err)
 	}
-	e, err := w.take(c.rank, 0, tag-1, time.Time{}, false)
+	e, err := w.take(c.rank, 0, tag-1)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: allgather: %w", err)
 	}
@@ -773,7 +724,7 @@ func Alltoall[T any](c *Comm, send []T) ([]T, error) {
 	out := make([]T, c.world.size)
 	out[c.rank] = send[c.rank]
 	for i := 0; i < c.world.size-1; i++ {
-		e, err := c.world.take(c.rank, AnySource, tag, time.Time{}, false)
+		e, err := c.world.take(c.rank, AnySource, tag)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: alltoall: %w", err)
 		}

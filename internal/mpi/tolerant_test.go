@@ -143,6 +143,103 @@ func TestRecvTolerantEpochWakeupIsImmediate(t *testing.T) {
 	}
 }
 
+// TestRecvTolerantZeroTimeoutPolls: timeout 0 is a non-blocking poll. An
+// empty mailbox reports ErrTimeout at once, a queued message is delivered,
+// and a message under a tag outside the set stays queued for a later call.
+func TestRecvTolerantZeroTimeoutPolls(t *testing.T) {
+	polled, sent, hold := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	errs := NewWorld(2).RunEach(func(c *Comm) error {
+		if c.Rank() == 1 {
+			<-polled
+			if err := c.Send(0, 3, 30); err != nil {
+				return err
+			}
+			if err := c.Send(0, 2, 20); err != nil {
+				return err
+			}
+			close(sent)
+			<-hold // stay alive: no membership change while rank 0 polls
+			return nil
+		}
+		defer close(hold)
+		epoch := c.FailureEpoch()
+		start := time.Now()
+		if _, _, err := c.RecvTolerant([]int{2}, epoch, 0); !errors.Is(err, ErrTimeout) {
+			return fmt.Errorf("empty mailbox: want ErrTimeout, got %v", err)
+		}
+		if wait := time.Since(start); wait > time.Second {
+			return fmt.Errorf("zero-timeout poll blocked for %v", wait)
+		}
+		close(polled)
+		<-sent
+		for _, want := range []struct{ tag, v int }{{2, 20}, {3, 30}} {
+			msg, _, err := c.RecvTolerant([]int{want.tag}, epoch, 0)
+			if err != nil {
+				return fmt.Errorf("tag %d queued but not delivered: %w", want.tag, err)
+			}
+			var v int
+			if err := msg.Decode(&v); err != nil {
+				return err
+			}
+			if msg.Src != 1 || v != want.v {
+				return fmt.Errorf("tag %d: got %d from rank %d", want.tag, v, msg.Src)
+			}
+			if want.tag == 2 {
+				// Tag 3 is still queued, but outside the set.
+				if _, _, err := c.RecvTolerant([]int{2}, epoch, 0); !errors.Is(err, ErrTimeout) {
+					return fmt.Errorf("tag 2 drained: want ErrTimeout, got %v", err)
+				}
+			}
+		}
+		return nil
+	})
+	for r, e := range errs {
+		if e != nil {
+			t.Fatalf("rank %d: %v", r, e)
+		}
+	}
+}
+
+// TestRecvTolerantPeerDeathDoesNotAbortWait: one peer's death wakes the
+// wait with ErrWorldChanged, never ErrRankFailed, and a re-armed wait still
+// receives the message another peer sends later.
+func TestRecvTolerantPeerDeathDoesNotAbortWait(t *testing.T) {
+	errs := NewWorld(3).RunEach(func(c *Comm) error {
+		switch c.Rank() {
+		case 1:
+			return errors.New("injected death")
+		case 2:
+			time.Sleep(20 * time.Millisecond)
+			return c.Send(0, 4, 7)
+		}
+		epoch := c.FailureEpoch()
+		for {
+			msg, ep, err := c.RecvTolerant([]int{4}, epoch, 5*time.Second)
+			epoch = ep
+			if errors.Is(err, ErrWorldChanged) {
+				continue
+			}
+			if err != nil {
+				return err
+			}
+			var v int
+			if err := msg.Decode(&v); err != nil {
+				return err
+			}
+			if msg.Src != 2 || v != 7 {
+				return fmt.Errorf("got %d from rank %d, want 7 from rank 2", v, msg.Src)
+			}
+			if got := c.FailedRanks(); len(got) != 1 || got[0] != 1 {
+				return fmt.Errorf("FailedRanks %v, want [1]", got)
+			}
+			return nil
+		}
+	})
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("errs = %v", errs)
+	}
+}
+
 // TestRecvTolerantRejectsNegativeTag pins the argument contract: AnyTag
 // semantics are expressed by listing tags, never by negative sentinels
 // (which would collide with the internal collective tag space).

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,13 +26,19 @@ type rankOut struct {
 // on both the message layer and the pipeline's instrumentation points.
 func runChaos(t *testing.T, ranks int, cfg Config, plan *fault.Plan, pts, centers []geom.Vec3) []rankOut {
 	t.Helper()
-	outs := make([]rankOut, ranks)
 	w := mpi.NewWorld(ranks)
 	if plan != nil {
 		inj := fault.New(*plan)
 		w.SetInjector(inj)
 		cfg.Fault = inj
 	}
+	return runWorld(w, ranks, cfg, pts, centers)
+}
+
+// runWorld runs the pipeline on every rank of w, with the particles dealt
+// round-robin and every centre starting on rank 0.
+func runWorld(w *mpi.World, ranks int, cfg Config, pts, centers []geom.Vec3) []rankOut {
+	outs := make([]rankOut, ranks)
 	w.RunEach(func(c *mpi.Comm) error {
 		var local []geom.Vec3
 		for i := c.Rank(); i < len(pts); i += ranks {
@@ -65,7 +73,7 @@ func chaosConfig() Config {
 	return Config{
 		Box: unitBox(), FieldLen: 0.15, GridN: 8,
 		KeepFields: true, Recovery: true, Seed: 17,
-		HeartbeatEvery: 2 * time.Millisecond,
+		DeadTimeout: 100 * time.Millisecond,
 	}
 }
 
@@ -137,6 +145,56 @@ func TestRecoveryCrashBitExact(t *testing.T) {
 	}
 }
 
+// delayCheckpoint holds rank 1's checkpoint to rank 0 in flight for 100ms,
+// so rank 1 is already dead when rank 0 enters its Phase 4 loop.
+type delayCheckpoint struct{ mpi.Injector }
+
+func (d delayCheckpoint) SendVerdict(src, dst, tag, attempt, bytes int) mpi.SendVerdict {
+	if src == 1 && dst == 0 && tag == tagCkptHalo {
+		return mpi.SendVerdict{Delay: 100 * time.Millisecond}
+	}
+	return d.Injector.SendVerdict(src, dst, tag, attempt, bytes)
+}
+
+// TestRecoveryCrashBeforeCoordinatorStarts: in a 2-rank world no other
+// worker's heartbeat will wake the coordinator, so a death that precedes
+// its first wait must still be acted on. Rank 0 holds rank 1's checkpoint
+// and recomputes every one of its fields, the Phase 2 sample included.
+func TestRecoveryCrashBeforeCoordinatorStarts(t *testing.T) {
+	const ranks = 2
+	pts := synth.HaloSet(4000, unitBox(), synth.DefaultHaloSpec(), 41)
+	centers := synth.Uniform(14, unitBox(), 42)
+	cfg := chaosConfig()
+	inj := fault.New(fault.Plan{
+		Crashes: []fault.Crash{{Rank: 1, Point: fault.PointPhase4, After: 0}},
+	})
+	cfg.Fault = inj
+	w := mpi.NewWorld(ranks)
+	w.SetInjector(delayCheckpoint{inj})
+	outs := runWorld(w, ranks, cfg, pts, centers)
+
+	if !errors.Is(outs[1].err, fault.ErrInjectedCrash) {
+		t.Fatalf("rank 1 should die of the injected crash, got: %v", outs[1].err)
+	}
+	if outs[0].err != nil {
+		t.Fatalf("rank 0: %v", outs[0].err)
+	}
+	res := outs[0].res
+	if res.Incomplete {
+		t.Fatalf("rank 0 incomplete: %v", res.Failures)
+	}
+	statuses := map[geom.Vec3][]FieldState{}
+	for _, s := range res.Status {
+		statuses[s.Center] = append(statuses[s.Center], s.State)
+	}
+	for _, ctr := range centers {
+		got := statuses[ctr]
+		if len(got) != 1 || got[0] == FieldLost {
+			t.Errorf("centre %v: statuses %v, want one done or recovered", ctr, got)
+		}
+	}
+}
+
 // TestRecoveryCoordinatorExitsRightAfterDone forces the ordering that made
 // the failure-free run above flake: rank 0 says Done and is gone before a
 // worker's first control poll. Done in hand is a clean end of phase — every
@@ -173,6 +231,139 @@ func TestRecoveryCoordinatorExitsRightAfterDone(t *testing.T) {
 		if res := results[r]; res.Incomplete || len(res.Status) != 2 {
 			t.Fatalf("rank %d: incomplete=%v failures=%v statuses=%d, want a complete run of 2 items",
 				r, res.Incomplete, res.Failures, len(res.Status))
+		}
+	}
+}
+
+// delayControl holds every control message in flight for 50ms.
+type delayControl struct{}
+
+func (delayControl) SendVerdict(src, dst, tag, attempt, bytes int) mpi.SendVerdict {
+	if tag == tagControl {
+		return mpi.SendVerdict{Delay: 50 * time.Millisecond}
+	}
+	return mpi.SendVerdict{}
+}
+
+// TestRecoveryDoneInFlightWhenCoordinatorExits: rank 0 has exited but its
+// Done is still in flight. A worker that finds rank 0 gone must still take
+// that Done and end cleanly, not report the coordinator unreachable.
+func TestRecoveryDoneInFlightWhenCoordinatorExits(t *testing.T) {
+	const ranks = 3
+	pts := synth.Uniform(300, unitBox(), 7)
+	cfg := chaosConfig()
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*Result, ranks)
+	w := mpi.NewWorld(ranks)
+	w.SetInjector(delayControl{})
+	errs := w.RunEach(func(c *mpi.Comm) error {
+		if c.Rank() == 0 {
+			for r := 1; r < ranks; r++ {
+				if err := c.Send(r, tagControl, control{Kind: ctlDone}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for c.Alive(0) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		rt := &runtime{c: c, cfg: cfg, tree: kdtree.New(pts), halo: pts, res: &Result{}, owner: c.Rank()}
+		results[c.Rank()] = rt.res
+		local := []geom.Vec3{{X: 0.4, Y: 0.5, Z: 0.5}}
+		return rt.recoveryWorker(local, []int{0}, make([]float64, len(local)), make([]ckptMeta, ranks), -1, nil)
+	})
+	for r := 1; r < ranks; r++ {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		if res := results[r]; res.Incomplete || len(res.Status) != 1 {
+			t.Fatalf("rank %d: incomplete=%v failures=%v statuses=%d, want a complete run of 1 item",
+				r, res.Incomplete, res.Failures, len(res.Status))
+		}
+	}
+}
+
+// TestRecoveryCoordinatorSilentButAlive: rank 0 stays alive and never says
+// Done. A worker must give up after its bound, keep its partial result and
+// report the coordinator unreachable, not hang.
+func TestRecoveryCoordinatorSilentButAlive(t *testing.T) {
+	const ranks = 3
+	pts := synth.Uniform(300, unitBox(), 7)
+	cfg := chaosConfig()
+	cfg.DeadTimeout = 20 * time.Millisecond // the bound need only be finite
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	bound := 10 * cfg.DeadTimeout
+	results := make([]*Result, ranks)
+	returned := make(chan struct{}, ranks-1)
+	done := make(chan []error, 1)
+	start := time.Now()
+	go func() {
+		done <- mpi.NewWorld(ranks).RunEach(func(c *mpi.Comm) error {
+			if c.Rank() == 0 {
+				for r := 1; r < ranks; r++ {
+					<-returned // alive and silent until every worker is back
+				}
+				return nil
+			}
+			defer func() { returned <- struct{}{} }()
+			rt := &runtime{c: c, cfg: cfg, tree: kdtree.New(pts), halo: pts, res: &Result{}, owner: c.Rank()}
+			results[c.Rank()] = rt.res
+			local := []geom.Vec3{{X: 0.4, Y: 0.5, Z: 0.5}, {X: 0.6, Y: 0.5, Z: 0.5}}
+			return rt.recoveryWorker(local, []int{0, 1}, make([]float64, len(local)), make([]ckptMeta, ranks), -1, nil)
+		})
+	}()
+	var errs []error
+	select {
+	case errs = <-done:
+	case <-time.After(bound + 30*time.Second):
+		t.Fatal("worker hung on a silent coordinator")
+	}
+	if waited := time.Since(start); waited < bound {
+		t.Fatalf("workers gave up after %v, before their %v bound", waited, bound)
+	}
+	for r := 1; r < ranks; r++ {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		res := results[r]
+		if !res.Incomplete || len(res.Failures) != 1 || !strings.Contains(res.Failures[0], "coordinator unreachable") {
+			t.Fatalf("rank %d: incomplete=%v failures=%v, want one coordinator-unreachable failure", r, res.Incomplete, res.Failures)
+		}
+		if len(res.Status) != 2 {
+			t.Fatalf("rank %d: %d statuses, want its 2 computed items kept", r, len(res.Status))
+		}
+	}
+}
+
+// TestRecoveryGiveUpLeavesOneStatusPerField: a straggler silent past
+// DeadTimeout is given up on while alive. The fields the coordinator lists
+// lost must be exactly those the straggler does not keep: every centre
+// carries one status across the surviving Results, never lost and done.
+func TestRecoveryGiveUpLeavesOneStatusPerField(t *testing.T) {
+	const ranks = 4
+	pts := synth.HaloSet(4000, unitBox(), synth.DefaultHaloSpec(), 45)
+	centers := synth.Uniform(28, unitBox(), 46)
+	outs := runChaos(t, ranks, chaosConfig(), &fault.Plan{
+		Stragglers:       []fault.Straggler{{Rank: 1, Factor: 1000}},
+		MaxStraggleSleep: 400 * time.Millisecond,
+	}, pts, centers)
+	statuses := map[geom.Vec3][]string{}
+	for r, o := range outs {
+		if o.res == nil {
+			t.Fatalf("rank %d returned no result: %v", r, o.err)
+		}
+		for _, s := range o.res.Status {
+			statuses[s.Center] = append(statuses[s.Center], fmt.Sprintf("%v@%d", s.State, r))
+		}
+	}
+	for _, ctr := range centers {
+		if got := statuses[ctr]; len(got) != 1 {
+			t.Errorf("centre %v: statuses %v, want exactly one", ctr, got)
 		}
 	}
 }

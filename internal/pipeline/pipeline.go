@@ -103,9 +103,6 @@ type Config struct {
 	// stragglers) at the pipeline's instrumentation points. Message-level
 	// faults are installed on the mpi.World directly.
 	Fault *fault.Injector
-	// HeartbeatEvery is the coordinator's monitoring tick and bounds
-	// failure-detection latency. Default 10ms.
-	HeartbeatEvery time.Duration
 	// StragglerThreshold flags a rank whose measured Phase 4 item times
 	// exceed threshold × the model-predicted times; must exceed 1.
 	// Default 4.
@@ -114,8 +111,8 @@ type Config struct {
 	// Default 5.
 	MaxSendRetries int
 	// DeadTimeout is the silence window after which the recovery
-	// protocol stops waiting for an unresponsive peer and degrades.
-	// Default 50 × HeartbeatEvery.
+	// protocol stops waiting for an unresponsive peer and degrades; a
+	// worker waits 10 × DeadTimeout for its next order. Default 500ms.
 	DeadTimeout time.Duration
 }
 
@@ -134,12 +131,6 @@ func (c *Config) fill() error {
 	}
 	if c.Recovery && c.LoadBalance {
 		return errors.New("pipeline: Recovery replaces the a-priori work-sharing schedule; it cannot be combined with LoadBalance")
-	}
-	if c.HeartbeatEvery < 0 {
-		return fmt.Errorf("pipeline: HeartbeatEvery must be >= 0, got %v", c.HeartbeatEvery)
-	}
-	if c.HeartbeatEvery == 0 {
-		c.HeartbeatEvery = 10 * time.Millisecond
 	}
 	if c.StragglerThreshold < 0 {
 		return fmt.Errorf("pipeline: StragglerThreshold must not be negative, got %v", c.StragglerThreshold)
@@ -160,7 +151,7 @@ func (c *Config) fill() error {
 		return fmt.Errorf("pipeline: DeadTimeout must be >= 0, got %v", c.DeadTimeout)
 	}
 	if c.DeadTimeout == 0 {
-		c.DeadTimeout = 50 * c.HeartbeatEvery
+		c.DeadTimeout = 500 * time.Millisecond
 	}
 	return nil
 }

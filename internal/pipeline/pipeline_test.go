@@ -345,7 +345,6 @@ func TestConfigValidation(t *testing.T) {
 		want string
 	}{
 		{"recovery+loadbalance", func(c *Config) { c.Recovery = true; c.LoadBalance = true }, "LoadBalance"},
-		{"negative heartbeat", func(c *Config) { c.HeartbeatEvery = -time.Second }, "HeartbeatEvery"},
 		{"negative straggler threshold", func(c *Config) { c.StragglerThreshold = -1 }, "StragglerThreshold"},
 		{"sub-unit straggler threshold", func(c *Config) { c.StragglerThreshold = 0.5 }, "exceed 1"},
 		{"negative send retries", func(c *Config) { c.MaxSendRetries = -3 }, "MaxSendRetries"},
@@ -370,8 +369,8 @@ func TestConfigValidation(t *testing.T) {
 	if err := cfg.fill(); err != nil {
 		t.Fatalf("valid recovery config rejected: %v", err)
 	}
-	if cfg.HeartbeatEvery != 10*time.Millisecond || cfg.StragglerThreshold != 4 ||
-		cfg.MaxSendRetries != 5 || cfg.DeadTimeout != 50*cfg.HeartbeatEvery {
+	if cfg.StragglerThreshold != 4 || cfg.MaxSendRetries != 5 ||
+		cfg.DeadTimeout != 500*time.Millisecond {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }

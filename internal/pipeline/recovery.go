@@ -12,6 +12,8 @@
 //     same kd-tree, same kernel).
 //   - Heartbeats: after every completed item, a rank reports
 //     (done, predicted-so-far, actual-so-far) to the coordinator (rank 0).
+//     Every wait is an mpi.RecvTolerant: the coordinator acts when a
+//     heartbeat arrives or world membership changes, never on a tick.
 //   - Straggler detection: a rank whose measured item times exceed
 //     StragglerThreshold × its model predictions (the Fig 13 misprediction
 //     signal) is sent a yield order; it stops after the current item and
@@ -24,12 +26,14 @@
 //     buddy both die, or a peer goes silent past DeadTimeout), the
 //     coordinator declares the affected fields lost, records them in its
 //     Result's per-field status, and terminates the phase instead of
-//     hanging.
+//     hanging. A live rank given up on drops what it computed of its own
+//     lost items rather than also report them done.
 package pipeline
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"godtfe/internal/fault"
@@ -77,6 +81,9 @@ type control struct {
 	// re-executes the ward's Phase 2 sample item (full re-execution of a
 	// dead rank, whose sample field died with it).
 	From int
+	// Lost, on Done, is how many of the receiver's own items, counted from
+	// the end of its list, the coordinator gave up on and listed lost.
+	Lost int
 }
 
 // ckptMeta is each rank's work list, allgathered so the coordinator can
@@ -167,7 +174,6 @@ func (rt *runtime) recoveryWorker(local []geom.Vec3, pending []int, pred []float
 		// Heartbeats are best-effort: a lost one only delays detection.
 		_ = c.Send(0, tagHeartbeat, hb)
 	}
-	var queued []control
 	coordinatorGone := func(err error) error {
 		rt.res.Incomplete = true
 		rt.res.Failures = append(rt.res.Failures,
@@ -175,46 +181,82 @@ func (rt *runtime) recoveryWorker(local []geom.Vec3, pending []int, pred []float
 		return nil // keep the partial result
 	}
 
-	// sawDone: Done is the coordinator's last word, and it may exit the
-	// moment it is sent. Once it is in hand there is nothing left to poll
-	// for — a poll would find rank 0 gone and misreport a clean end of
-	// phase as an unreachable coordinator.
-	yielded, sawDone := false, false
-	for k, pi := range pending {
+	// nextOrder returns the coordinator's next order, waiting up to wait
+	// (0 polls); ErrTimeout means none came.
+	epoch := c.FailureEpoch()
+	nextOrder := func(wait time.Duration) (control, error) {
+		var ctl control
+		deadline := time.Now().Add(wait)
+		for c.Alive(0) {
+			msg, ep, err := c.RecvTolerant([]int{tagControl}, epoch, max(time.Until(deadline), 0))
+			epoch = ep
+			if errors.Is(err, mpi.ErrWorldChanged) {
+				continue // re-check rank 0 against the new epoch
+			}
+			if err != nil {
+				return ctl, err
+			}
+			return ctl, msg.Decode(&ctl)
+		}
+		// Rank 0 is gone, but what it sent first — queued or still in
+		// flight — outlives it: the fail-fast Recv delivers it and reports
+		// ErrRankFailed once nothing is left.
+		_, err := c.Recv(0, tagControl, &ctl)
+		return ctl, err
+	}
+
+	// ownAt maps a computed pending index to its record's index in rt.res
+	// (a worker's Items, Status and Fields grow in step).
+	ownAt := make(map[int]int)
+	computeOwn := func(k int) {
+		ownAt[k] = len(rt.res.Status)
+		rt.computeTimedItem(local[pending[k]], &pred[pending[k]], execLocal)
+	}
+
+	// Done is the coordinator's last word, and it may exit the moment it is
+	// sent: once Done is in hand nothing is left to wait for, and orders
+	// queued before it are moot (the fields they cover were settled). Done
+	// names the tail of own items [cut:] the coordinator listed lost; they
+	// are not computed, and any already computed is dropped, so no field
+	// carries two statuses.
+	var orders []control
+	cut, sawDone, yielded := len(pending), false, false
+	handle := func(ctl control) {
+		switch ctl.Kind {
+		case ctlYield:
+			// A yield that raced with our completion needs no
+			// acknowledgment: the coordinator has our finished heartbeat.
+			if !hb.Finished {
+				yielded, hb.Finished = true, true
+				sendHB() // acknowledge with exact progress
+			}
+		case ctlRedispatch:
+			orders = append(orders, ctl)
+		case ctlDone:
+			sawDone, cut = true, len(pending)-min(max(ctl.Lost, 0), len(pending))
+		}
+	}
+	for k := 0; k < cut && !yielded; k++ {
 		if err := crashCheck(cfg, rank, fault.PointPhase4, k); err != nil {
 			return err
 		}
 		t0 := time.Now()
-		rt.computeTimedItem(local[pi], &pred[pi], execLocal)
+		computeOwn(k)
 		hb.Done = k + 1
-		hb.PredDone += pred[pi]
+		hb.PredDone += pred[pending[k]]
 		hb.ActualDone += time.Since(t0).Seconds()
 		hb.Finished = hb.Done == len(pending)
 		sendHB()
 		// Poll control orders between items.
 		for !yielded && !sawDone {
-			var ctl control
-			_, ok, err := c.TryRecv(0, tagControl, &ctl)
+			ctl, err := nextOrder(0)
+			if errors.Is(err, mpi.ErrTimeout) {
+				break
+			}
 			if err != nil {
 				return coordinatorGone(err)
 			}
-			if !ok {
-				break
-			}
-			switch ctl.Kind {
-			case ctlYield:
-				if !hb.Finished {
-					yielded = true
-					hb.Finished = true
-					sendHB() // acknowledge with exact progress
-				}
-			case ctlRedispatch, ctlDone:
-				queued = append(queued, ctl)
-				sawDone = ctl.Kind == ctlDone
-			}
-		}
-		if yielded {
-			break
+			handle(ctl)
 		}
 	}
 	if len(pending) == 0 {
@@ -222,51 +264,50 @@ func (rt *runtime) recoveryWorker(local []geom.Vec3, pending []int, pred []float
 		sendHB()
 	}
 
-	// Wait for orders: re-dispatched recovery work, or Done.
-	waited := time.Duration(0)
-	for {
-		var ctl control
-		if len(queued) > 0 {
-			ctl, queued = queued[0], queued[1:]
-		} else {
-			_, err := c.RecvTimeout(0, tagControl, &ctl, cfg.DeadTimeout)
+	// Work off re-dispatched recovery orders and wait for Done. Each wait
+	// is bounded, so a Done lost past the send retries cannot hang the
+	// rank; the bound is generous because the other ranks may still be busy.
+	for !sawDone {
+		if len(orders) == 0 {
+			ctl, err := nextOrder(10 * cfg.DeadTimeout)
 			if err != nil {
-				if errors.Is(err, mpi.ErrTimeout) {
-					waited += cfg.DeadTimeout
-					if waited < 10*cfg.DeadTimeout {
-						continue
-					}
-				}
 				return coordinatorGone(err)
 			}
-			waited = 0
+			handle(ctl)
+			continue
 		}
-		switch ctl.Kind {
-		case ctlDone:
-			return nil
-		case ctlYield:
-			// Raced with our completion; the coordinator has our
-			// finished heartbeat and needs no acknowledgment.
-		case ctlRedispatch:
-			if ctl.Ward == rank {
-				// Our own remaining items handed back: our checkpoint
-				// holder died after we yielded. Compute them from our own
-				// halo (still execLocal — we are the owner).
-				self := heartbeat{Rank: rank, Ward: rank}
-				for _, pi := range pending[ctl.From:] {
-					rt.computeTimedItem(local[pi], &pred[pi], execLocal)
-					self.Done++
-					_ = c.Send(0, tagHeartbeat, self)
-				}
-				self.Finished = true
+		ctl := orders[0]
+		orders = orders[1:]
+		if ctl.Ward == rank {
+			// Our own remaining items handed back: our checkpoint holder
+			// died after we yielded. Compute them from our own halo (still
+			// execLocal — we are the owner).
+			self := heartbeat{Rank: rank, Ward: rank}
+			for k := ctl.From; k < len(pending); k++ {
+				computeOwn(k)
+				self.Done++
 				_ = c.Send(0, tagHeartbeat, self)
-				continue
 			}
-			rt.recoverWard(ctl.Ward, ctl.From, allMeta[ctl.Ward], wardHalo, func(h heartbeat) {
-				_ = c.Send(0, tagHeartbeat, h)
-			})
+			self.Finished = true
+			_ = c.Send(0, tagHeartbeat, self)
+			continue
+		}
+		rt.recoverWard(ctl.Ward, ctl.From, allMeta[ctl.Ward], wardHalo, func(h heartbeat) {
+			_ = c.Send(0, tagHeartbeat, h)
+		})
+	}
+	// Drop what was computed of the items Done listed lost, last first so
+	// the earlier indexes stay valid.
+	for k := len(pending) - 1; k >= cut; k-- {
+		if i, ok := ownAt[k]; ok {
+			rt.res.Items = slices.Delete(rt.res.Items, i, i+1)
+			rt.res.Status = slices.Delete(rt.res.Status, i, i+1)
+			if cfg.KeepFields {
+				rt.res.Fields = slices.Delete(rt.res.Fields, i, i+1)
+			}
 		}
 	}
+	return nil
 }
 
 // coordState tracks one rank's Phase 4 fate at the coordinator.
@@ -413,57 +454,57 @@ func (rt *runtime) recoveryCoordinator(local []geom.Vec3, pending []int, pred []
 		}
 	}
 
-	drain := func() error {
-		for {
+	// await waits up to wait (0 polls) for a heartbeat or a membership
+	// change and supervises on either; false means neither came in time.
+	epoch := c.FailureEpoch()
+	supervise() // a death before the snapshot raises no wakeup
+	await := func(wait time.Duration) (bool, error) {
+		msg, ep, err := c.RecvTolerant([]int{tagHeartbeat}, epoch, wait)
+		epoch = ep
+		switch {
+		case errors.Is(err, mpi.ErrTimeout):
+			return false, nil
+		case err == nil:
 			var hb heartbeat
-			_, ok, err := c.TryRecv(mpi.AnySource, tagHeartbeat, &hb)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
+			if err := msg.Decode(&hb); err != nil {
+				return false, err
 			}
 			process(hb)
+		case !errors.Is(err, mpi.ErrWorldChanged):
+			return false, err
 		}
+		supervise()
+		return true, nil
 	}
 
-	// Own items, supervising between them.
+	// Own items, draining heartbeats between them.
 	for k, pi := range pending {
 		if err := crashCheck(cfg, 0, fault.PointPhase4, k); err != nil {
 			return err
 		}
 		rt.computeTimedItem(local[pi], &pred[pi], execLocal)
-		if err := drain(); err != nil {
-			return err
+		for moved := true; moved; {
+			var err error
+			if moved, err = await(0); err != nil {
+				return err
+			}
 		}
-		supervise()
 	}
 	st[0].finished, st[0].covered = true, true
 
-	allSettled := func() bool {
-		for r := range st {
-			if !st[r].covered && !st[r].lost {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Monitor until every rank's fields are accounted for.
-	for !allSettled() {
-		var hb heartbeat
-		_, err := c.RecvTimeout(mpi.AnySource, tagHeartbeat, &hb, cfg.HeartbeatEvery)
-		if err == nil {
-			process(hb)
-		} else if !errors.Is(err, mpi.ErrTimeout) {
+	// Monitor until every rank's fields are accounted for, or until no
+	// heartbeat has come for DeadTimeout.
+	unsettled := func(s coordState) bool { return !s.covered && !s.lost }
+	for slices.ContainsFunc(st, unsettled) {
+		moved, err := await(max(cfg.DeadTimeout-time.Since(lastProgress), 0))
+		if err != nil {
 			return err
 		}
-		supervise()
-		if time.Since(lastProgress) > cfg.DeadTimeout {
+		if !moved {
 			// A peer (or its recovery) went silent: give its fields up
 			// rather than hang.
 			for r := 1; r < n; r++ {
-				if !st[r].covered && !st[r].lost {
+				if unsettled(st[r]) {
 					st[r].lost = true
 					rt.res.Failures = append(rt.res.Failures,
 						fmt.Sprintf("recovery: rank %d silent for %v, declaring its fields lost", r, cfg.DeadTimeout))
@@ -473,34 +514,34 @@ func (rt *runtime) recoveryCoordinator(local []geom.Vec3, pending []int, pred []
 		}
 	}
 
-	// Terminate the phase on every surviving rank.
+	// Terminate the phase on every surviving rank, and account losses in
+	// the coordinator's Result. A dead rank's Result died with it: all its
+	// fields are lost. A live one keeps its sample and the items [0:done)
+	// it reported; Done tells it to drop the rest, which are listed here.
 	for r := 1; r < n; r++ {
-		if !st[r].dead {
-			_ = c.Send(r, tagControl, control{Kind: ctlDone})
+		s := &st[r]
+		lost := allMeta[r].Centers[s.done:]
+		if s.dead {
+			lost = allMeta[r].Centers
+			if allMeta[r].HasSample {
+				lost = append([]geom.Vec3{allMeta[r].Sample}, lost...)
+			}
+		} else {
+			done := control{Kind: ctlDone}
+			if s.lost {
+				done.Lost = len(lost)
+			}
+			_ = c.Send(r, tagControl, done)
 		}
-	}
-
-	// Account losses in the coordinator's Result.
-	for r := 1; r < n; r++ {
-		if !st[r].lost {
+		if !s.lost {
 			continue
 		}
 		rt.res.Incomplete = true
 		rt.res.Failures = append(rt.res.Failures,
-			fmt.Sprintf("recovery: rank %d's %d fields are unrecoverable", r, st[r].total+boolInt(allMeta[r].HasSample)))
-		if allMeta[r].HasSample {
-			rt.res.Status = append(rt.res.Status, FieldStatus{Center: allMeta[r].Sample, State: FieldLost, Owner: r})
-		}
-		for _, ctr := range allMeta[r].Centers {
+			fmt.Sprintf("recovery: rank %d's %d fields are unrecoverable", r, len(lost)))
+		for _, ctr := range lost {
 			rt.res.Status = append(rt.res.Status, FieldStatus{Center: ctr, State: FieldLost, Owner: r})
 		}
 	}
 	return nil
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
