@@ -91,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTreeWireDecode -fuzztime 10s ./internal/render/distrender/
 	$(GO) test -run '^$$' -fuzz FuzzPredicatesExact -fuzztime 10s ./internal/geom/
 	$(GO) test -run '^$$' -fuzz FuzzHilbertOrder -fuzztime 10s ./internal/geom/
+	$(GO) test -run '^$$' -fuzz FuzzFOF -fuzztime 10s ./internal/halo/
 
 # Production-line count: every non-test .go file outside the benchmark
 # harness. The one number ROADMAP's "fewer production lines" target and the

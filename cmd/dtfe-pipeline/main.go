@@ -58,13 +58,13 @@ func main() {
 	var centers []geom.Vec3
 	switch *config {
 	case "halos":
-		link := 0.2 * halo.MeanSeparation(pts)
-		halos := halo.Find(pts, link, 8)
-		centers = halo.Centers(halos, *nFields)
+		var link float64
+		var groups int
+		centers, link, groups = haloCenters(pts, box, *nFields, *periodic)
 		if len(centers) < *nFields {
 			centers = append(centers, synth.Uniform(*nFields-len(centers), box, *seed)...)
 		}
-		fmt.Printf("placed %d fields on FOF halos (link=%.4g, %d groups)\n", len(centers), link, len(halos))
+		fmt.Printf("placed %d fields on FOF halos (link=%.4g, %d groups)\n", len(centers), link, groups)
 	case "los":
 		planes := 8
 		centers = synth.LineOfSightStacks((*nFields+planes-1)/planes, planes, box, *seed)
@@ -139,4 +139,20 @@ func main() {
 		fmt.Println("\nwork-sharing schedule over measured compute times:")
 		fmt.Print(cl.TimelineText(compute, 48))
 	}
+}
+
+// haloCenters returns the centres of the n largest friends-of-friends
+// groups of at least 8 particles, linked at 0.2 mean separations, with the
+// linking length and the group count. With periodic set the groups link
+// through the faces of box, as the ghost zones then wrap: a group across a
+// face is one group with one centre.
+func haloCenters(pts []geom.Vec3, box geom.AABB, n int, periodic bool) ([]geom.Vec3, float64, int) {
+	link := 0.2 * halo.MeanSeparation(pts)
+	var halos []halo.Halo
+	if periodic {
+		halos = halo.FindPeriodic(pts, box, link, 8)
+	} else {
+		halos = halo.Find(pts, link, 8)
+	}
+	return halo.Centers(halos, n), link, len(halos)
 }

@@ -31,80 +31,40 @@ func FindPeriodic(pts []geom.Vec3, box geom.AABB, link float64, minMembers int) 
 		return nil
 	}
 	sz := box.Size()
-	// Augment with shifted images of particles within `link` of a face;
-	// link images back to their source with union-find, then report each
-	// group once.
-	type image struct {
-		pos geom.Vec3
-		src int32
+	// Shifted images of the particles within link of a face, each owned by
+	// its source particle, so a pair linked through a face unites the
+	// sources.
+	pos := append(make([]geom.Vec3, 0, 2*len(pts)), pts...)
+	owner := make([]int32, len(pts), 2*len(pts))
+	for i := range owner {
+		owner[i] = int32(i)
 	}
-	imgs := make([]image, 0, len(pts)*2)
-	for i, p := range pts {
-		imgs = append(imgs, image{pos: p, src: int32(i)})
-	}
-	shift := func(v, lo, hi, L float64) []float64 {
-		out := []float64{0}
+	shifts := func(v, lo, hi, L float64) (d [3]float64, n int) {
+		n = 1
 		if v-lo < link {
-			out = append(out, L)
+			d[n], n = L, n+1
 		}
 		if hi-v < link {
-			out = append(out, -L)
+			d[n], n = -L, n+1
 		}
-		return out
+		return d, n
 	}
 	for i, p := range pts {
-		for _, dx := range shift(p.X, box.Min.X, box.Max.X, sz.X) {
-			for _, dy := range shift(p.Y, box.Min.Y, box.Max.Y, sz.Y) {
-				for _, dz := range shift(p.Z, box.Min.Z, box.Max.Z, sz.Z) {
-					if dx == 0 && dy == 0 && dz == 0 {
-						continue
+		dx, nx := shifts(p.X, box.Min.X, box.Max.X, sz.X)
+		dy, ny := shifts(p.Y, box.Min.Y, box.Max.Y, sz.Y)
+		dz, nz := shifts(p.Z, box.Min.Z, box.Max.Z, sz.Z)
+		for a := 0; a < nx; a++ {
+			for b := 0; b < ny; b++ {
+				for c := 0; c < nz; c++ {
+					if a+b+c > 0 {
+						pos = append(pos, geom.Vec3{X: p.X + dx[a], Y: p.Y + dy[b], Z: p.Z + dz[c]})
+						owner = append(owner, int32(i))
 					}
-					imgs = append(imgs, image{
-						pos: geom.Vec3{X: p.X + dx, Y: p.Y + dy, Z: p.Z + dz},
-						src: int32(i),
-					})
 				}
 			}
 		}
 	}
-	ipts := make([]geom.Vec3, len(imgs))
-	for i, im := range imgs {
-		ipts[i] = im.pos
-	}
-	groups := Find(ipts, link, 1)
-	// Merge image groups by source particle with a second union-find over
-	// the original indices.
-	parent := make([]int32, len(pts))
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, g := range groups {
-		first := imgs[g.Members[0]].src
-		for _, m := range g.Members[1:] {
-			a, b := find(first), find(imgs[m].src)
-			if a != b {
-				parent[b] = a
-			}
-		}
-	}
-	merged := map[int32][]int32{}
-	for i := range pts {
-		r := find(int32(i))
-		merged[r] = append(merged[r], int32(i))
-	}
-	var out []Halo
-	for _, members := range merged {
-		if len(members) < minMembers {
-			continue
-		}
+	return collect(unite(pos, owner, len(pts), link), minMembers, func(members []int32) geom.Vec3 {
 		// Minimum-image centroid relative to the first member, wrapped
 		// back into the box.
 		ref := pts[members[0]]
@@ -124,12 +84,191 @@ func FindPeriodic(pts []geom.Vec3, box geom.AABB, link float64, minMembers int) 
 			}
 			return lo + v
 		}
-		c = geom.Vec3{
+		return geom.Vec3{
 			X: wrap(c.X, box.Min.X, sz.X),
 			Y: wrap(c.Y, box.Min.Y, sz.Y),
 			Z: wrap(c.Z, box.Min.Z, sz.Z),
 		}
-		out = append(out, Halo{Members: members, Center: c, N: len(members)})
+	})
+}
+
+// Find links particles with separation <= link and returns the groups with
+// at least minMembers members, sorted by descending member count. Members
+// ascend, and Center sums them in that order. A particle with a non-finite
+// coordinate links to nothing unless link² overflows.
+func Find(pts []geom.Vec3, link float64, minMembers int) []Halo {
+	if len(pts) == 0 || link <= 0 {
+		return nil
+	}
+	return collect(unite(pts, nil, len(pts), link), minMembers, func(members []int32) geom.Vec3 {
+		var c geom.Vec3
+		for _, m := range members {
+			c = c.Add(pts[m])
+		}
+		return c.Scale(1 / float64(len(members)))
+	})
+}
+
+// unite returns a union-find forest over n particles in which the owners of
+// every two positions at most link apart share a root: position i belongs
+// to owner[i], or to particle i when owner is nil, and the pair test is
+// pos[j].Sub(pos[i]).Norm2() <= link², or its exact negation. At a finite
+// link², positions with a non-finite coordinate link to nothing and stay
+// out of the box and the grid.
+//
+// It walks one sorted cell list. Each position's cell key (x fastest) and
+// index are packed into one word and the words sorted once. The occupied
+// cells are then visited in key order, each against itself and its 13
+// neighbours of higher key: the next cell in its row, and three cells in
+// each of four rows. A row's key range only grows with the cell's key, so
+// each of the four rows is read through a cursor that only moves forward.
+func unite(pos []geom.Vec3, owner []int32, n int, link float64) []int32 {
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	if math.IsNaN(link) {
+		return parent // nothing is within NaN of anything
+	}
+	// A position with a non-finite coordinate is Inf or NaN away from any
+	// other: it links to nothing unless link² is infinite, and then to
+	// what it is not NaN away from.
+	link2 := link * link
+	keep := geom.Vec3.IsFinite
+	if math.IsInf(link2, 1) {
+		keep = func(p geom.Vec3) bool { return !math.IsNaN(p.Norm2()) }
+	}
+	box := geom.EmptyAABB()
+	words := make([]uint64, 0, len(pos))
+	for i, p := range pos {
+		if keep(p) {
+			box.Extend(p)
+			words = append(words, uint64(i))
+		}
+	}
+	if len(words) == 0 {
+		return parent
+	}
+	sz := box.Size()
+	// Cells a hair wider than link, so that neither the rounding of a cell
+	// index (relative 2⁻⁵² of the extent) nor an underflowing link² can put
+	// a linked pair two cells apart; an infinite link² links every finite
+	// pair, in one cell. At most 2³² cells, so a key fits the high half of
+	// a word: outliers far from the rest widen the cells instead.
+	w := math.Max(link, 0x1p-500)*(1+0x1p-40) + math.Max(sz.X, math.Max(sz.Y, sz.Z))*0x1p-44
+	if math.IsInf(link2, 1) {
+		w = math.Inf(1)
+	}
+	var fx, fy, fz float64
+	for {
+		fx, fy, fz = cellCount(sz.X, w), cellCount(sz.Y, w), cellCount(sz.Z, w)
+		if fx*fy*fz <= 1<<32 {
+			break
+		}
+		w *= 2
+	}
+	nx, ny, nz := int(fx), int(fy), int(fz)
+	inv := 1 / w
+	cell := func(v, lo float64, n int) uint64 {
+		return uint64(min(max(int((v-lo)*inv), 0), n-1))
+	}
+	for k, i := range words {
+		p := pos[i]
+		key := (cell(p.Z, box.Min.Z, nz)*uint64(ny)+cell(p.Y, box.Min.Y, ny))*uint64(nx) + cell(p.X, box.Min.X, nx)
+		words[k] = key<<32 | i
+	}
+	// SortHilbertWords orders by bits 28 and up: by key, then by bits of
+	// the index, which keeps every cell's words together.
+	words = geom.SortHilbertWords(words, make([]uint64, len(words)))
+
+	sp := make([]geom.Vec3, len(words)) // positions in cell order
+	so := make([]int32, len(words))     // and their owners
+	for k, wd := range words {
+		i := uint32(wd)
+		sp[k], so[k] = pos[i], int32(i)
+		if owner != nil {
+			so[k] = owner[i]
+		}
+	}
+	test := func(a, b int) {
+		if sp[b].Sub(sp[a]).Norm2() <= link2 {
+			union(parent, so[a], so[b])
+		}
+	}
+	X, XY := uint64(nx), uint64(nx*ny)
+	rowDY := [4]int{1, -1, 0, 1} // rows (y+1, z), then (y-1…y+1, z+1)
+	rowDZ := [4]int{0, 1, 1, 1}
+	rowKey := [4]uint64{X, XY - X, XY, XY + X}
+	var cur [4]int
+	m := len(words)
+	for s := 0; s < m; {
+		key := words[s] >> 32
+		e := s + 1
+		for e < m && words[e]>>32 == key {
+			e++
+		}
+		cx, cy, cz := int(key%X), int(key/X%uint64(ny)), int(key/XY)
+		for a := s; a < e; a++ {
+			for b := a + 1; b < e; b++ {
+				test(a, b)
+			}
+		}
+		if cx+1 < nx {
+			for b := e; b < m && words[b]>>32 == key+1; b++ {
+				for a := s; a < e; a++ {
+					test(a, b)
+				}
+			}
+		}
+		for r := range cur {
+			if y := cy + rowDY[r]; y < 0 || y >= ny || cz+rowDZ[r] >= nz {
+				continue
+			}
+			lo, hi := key+rowKey[r], key+rowKey[r]
+			if cx > 0 {
+				lo--
+			}
+			if cx+1 < nx {
+				hi++
+			}
+			b := cur[r]
+			for b < m && words[b]>>32 < lo {
+				b++
+			}
+			cur[r] = b
+			for ; b < m && words[b]>>32 <= hi; b++ {
+				for a := s; a < e; a++ {
+					test(a, b)
+				}
+			}
+		}
+		s = e
+	}
+	return parent
+}
+
+// collect resolves the forest into halos: members ascending, a member slice
+// only for a group of at least minMembers, center(members) as its Center,
+// sorted by descending size and then by first member.
+func collect(parent []int32, minMembers int, center func(members []int32) geom.Vec3) []Halo {
+	size := make([]int32, len(parent))
+	for i := range parent {
+		parent[i] = root(parent, int32(i))
+		size[parent[i]]++
+	}
+	var out []Halo
+	for i, r := range parent {
+		if s := size[r]; s > 0 && int(s) >= minMembers {
+			out = append(out, Halo{Members: make([]int32, 0, s), N: int(s)})
+			size[r] = -int32(len(out)) // from here on, minus one more than its index in out
+		}
+		if s := size[r]; s < 0 {
+			h := &out[-s-1]
+			h.Members = append(h.Members, int32(i))
+		}
+	}
+	for k := range out {
+		out[k].Center = center(out[k].Members)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].N != out[b].N {
@@ -140,112 +279,23 @@ func FindPeriodic(pts []geom.Vec3, box geom.AABB, link float64, minMembers int) 
 	return out
 }
 
-// Find links particles with separation <= link and returns the groups with
-// at least minMembers members, sorted by descending member count.
-func Find(pts []geom.Vec3, link float64, minMembers int) []Halo {
-	n := len(pts)
-	if n == 0 || link <= 0 {
-		return nil
+// root returns the root of x's tree, halving the path on the way.
+func root(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
 	}
-	// Cell list with cell size = linking length: neighbors are within the
-	// 27 surrounding cells.
-	box := geom.BoundsOf(pts)
-	sz := box.Size()
-	nx := cellCount(sz.X, link)
-	ny := cellCount(sz.Y, link)
-	nz := cellCount(sz.Z, link)
-	cellOf := func(p geom.Vec3) (int, int, int) {
-		cx := clamp(int((p.X-box.Min.X)/link), 0, nx-1)
-		cy := clamp(int((p.Y-box.Min.Y)/link), 0, ny-1)
-		cz := clamp(int((p.Z-box.Min.Z)/link), 0, nz-1)
-		return cx, cy, cz
-	}
-	cells := make(map[int64][]int32, n/4+1)
-	key := func(cx, cy, cz int) int64 {
-		return (int64(cz)*int64(ny)+int64(cy))*int64(nx) + int64(cx)
-	}
-	for i, p := range pts {
-		cx, cy, cz := cellOf(p)
-		k := key(cx, cy, cz)
-		cells[k] = append(cells[k], int32(i))
-	}
+	return x
+}
 
-	parent := make([]int32, n)
-	rank := make([]int8, n)
-	for i := range parent {
-		parent[i] = int32(i)
+// union joins the trees of a and b under the smaller root.
+func union(parent []int32, a, b int32) {
+	a, b = root(parent, a), root(parent, b)
+	if a < b {
+		parent[b] = a
+	} else if b < a {
+		parent[a] = b
 	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		if rank[ra] < rank[rb] {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
-		if rank[ra] == rank[rb] {
-			rank[ra]++
-		}
-	}
-
-	link2 := link * link
-	for i := 0; i < n; i++ {
-		p := pts[i]
-		cx, cy, cz := cellOf(p)
-		for dz := -1; dz <= 1; dz++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					ncx, ncy, ncz := cx+dx, cy+dy, cz+dz
-					if ncx < 0 || ncy < 0 || ncz < 0 || ncx >= nx || ncy >= ny || ncz >= nz {
-						continue
-					}
-					for _, j := range cells[key(ncx, ncy, ncz)] {
-						if j <= int32(i) {
-							continue
-						}
-						if pts[j].Sub(p).Norm2() <= link2 {
-							union(int32(i), j)
-						}
-					}
-				}
-			}
-		}
-	}
-
-	groups := make(map[int32][]int32)
-	for i := 0; i < n; i++ {
-		r := find(int32(i))
-		groups[r] = append(groups[r], int32(i))
-	}
-	var out []Halo
-	for _, members := range groups {
-		if len(members) < minMembers {
-			continue
-		}
-		var c geom.Vec3
-		for _, m := range members {
-			c = c.Add(pts[m])
-		}
-		c = c.Scale(1 / float64(len(members)))
-		out = append(out, Halo{Members: members, Center: c, N: len(members)})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].N != out[b].N {
-			return out[a].N > out[b].N
-		}
-		// Deterministic tie-break on first member.
-		return out[a].Members[0] < out[b].Members[0]
-	})
-	return out
 }
 
 // MeanSeparation returns the mean interparticle separation
@@ -273,20 +323,11 @@ func Centers(halos []Halo, n int) []geom.Vec3 {
 	return out
 }
 
-func cellCount(extent, link float64) int {
-	n := int(extent/link) + 1
-	if n < 1 {
-		n = 1
+// cellCount is the number of cells of width w spanning extent: one for an
+// infinite width.
+func cellCount(extent, w float64) float64 {
+	if math.IsInf(w, 1) {
+		return 1
 	}
-	return n
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	return math.Floor(extent/w) + 1
 }

@@ -1,13 +1,18 @@
 package halo
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"godtfe/internal/geom"
+	"godtfe/internal/synth"
 )
 
-// bruteFOF is an O(n²) reference implementation.
+// bruteFOF is an O(n²) reference implementation: groups in map order,
+// members ascending, centers summed in that order.
 func bruteFOF(pts []geom.Vec3, link float64, minMembers int) []Halo {
 	n := len(pts)
 	parent := make([]int, n)
@@ -36,10 +41,43 @@ func bruteFOF(pts []geom.Vec3, link float64, minMembers int) []Halo {
 	var out []Halo
 	for _, m := range groups {
 		if len(m) >= minMembers {
-			out = append(out, Halo{Members: m, N: len(m)})
+			var c geom.Vec3
+			for _, i := range m {
+				c = c.Add(pts[i])
+			}
+			out = append(out, Halo{Members: m, Center: c.Scale(1 / float64(len(m))), N: len(m)})
 		}
 	}
 	return out
+}
+
+// checkBrute fails t unless Find returns bruteFOF's groups exactly: the
+// same member lists in Find's order, and centers equal bit for bit (a
+// non-finite particle's own group has a NaN center).
+func checkBrute(t *testing.T, pts []geom.Vec3, link float64, minMembers int) {
+	t.Helper()
+	got := Find(pts, link, minMembers)
+	want := bruteFOF(pts, link, minMembers)
+	sort.Slice(want, func(a, b int) bool {
+		if want[a].N != want[b].N {
+			return want[a].N > want[b].N
+		}
+		return want[a].Members[0] < want[b].Members[0]
+	})
+	if len(got) != len(want) {
+		t.Fatalf("link %v, minMembers %d: %d groups, brute force %d", link, minMembers, len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i].Members, want[i].Members) || got[i].N != want[i].N || !sameBits(got[i].Center, want[i].Center) {
+			t.Fatalf("link %v, minMembers %d, group %d: %+v, brute force %+v", link, minMembers, i, got[i], want[i])
+		}
+	}
+}
+
+func sameBits(a, b geom.Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
 }
 
 func TestFOFMatchesBruteForce(t *testing.T) {
@@ -51,25 +89,23 @@ func TestFOFMatchesBruteForce(t *testing.T) {
 			pts[i] = geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
 		}
 		link := 0.02 + 0.05*rng.Float64()
-		got := Find(pts, link, 2)
-		want := bruteFOF(pts, link, 2)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d groups vs brute %d", trial, len(got), len(want))
-		}
-		// Compare the multiset of group sizes.
-		sizes := func(hs []Halo) map[int]int {
-			m := map[int]int{}
-			for _, h := range hs {
-				m[h.N]++
-			}
-			return m
-		}
-		gs, ws := sizes(got), sizes(want)
-		for k, v := range ws {
-			if gs[k] != v {
-				t.Fatalf("trial %d: size %d count %d vs %d", trial, k, gs[k], v)
+		checkBrute(t, pts, link, 2)
+	}
+	// A lattice whose spacing 0.1 is not a binary fraction: neighbour
+	// pairs are ties up to rounding, and the cell index of a site rounds
+	// either way of a cell boundary.
+	var lattice []geom.Vec3
+	for i := 0; i < 10; i++ {
+		for j := 0; j < 10; j++ {
+			for k := 0; k < 10; k++ {
+				if rng.Float64() < 0.4 {
+					lattice = append(lattice, geom.Vec3{X: float64(i) * 0.1, Y: float64(j) * 0.1, Z: float64(k) * 0.1})
+				}
 			}
 		}
+	}
+	for _, m := range []int{1, 5, 8} {
+		checkBrute(t, lattice, 0.1, m)
 	}
 }
 
@@ -231,5 +267,20 @@ func BenchmarkFOF20k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Find(pts, 0.02, 5)
+	}
+}
+
+// BenchmarkFOF100kClustered is the master catalog of bench/e2e's dist_fields
+// workload: 106 250 HaloSet particles, linked at 0.2 mean separations, groups
+// of at least 5. The Ref variant runs the map-based finder Find replaced.
+func BenchmarkFOF100kClustered(b *testing.B)    { benchClustered(b, Find) }
+func BenchmarkFOF100kClusteredRef(b *testing.B) { benchClustered(b, findRef) }
+
+func benchClustered(b *testing.B, find func([]geom.Vec3, float64, int) []Halo) {
+	pts := synth.HaloSet(106250, unitBox, synth.DefaultHaloSpec(), 1)
+	link := 0.2 * MeanSeparation(pts)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		find(pts, link, 5)
 	}
 }
