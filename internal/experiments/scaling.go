@@ -46,6 +46,14 @@ type phaseRow struct {
 	Transfers              int
 }
 
+// Assumed, not measured: the partition and model phases the DES does not
+// execute are priced with these constants (reportScaling prints them).
+const (
+	ioFloor    = 0.4  // seconds: metadata + contention floor
+	countCost  = 5e-4 // seconds per local work item counted
+	gatherCost = 5e-5 // seconds per rank in the allgather
+)
+
 // commModel mirrors an InfiniBand-ish interconnect.
 func commModel() vtime.CommModel {
 	return vtime.CommModel{Latency: 5e-6, BytesPerSec: 3e9, SendOverhead: 2e-5}
@@ -103,11 +111,6 @@ func (s *scalingStudy) run(procs []int, loadBalance bool) ([]phaseRow, error) {
 			meanItem += a
 		}
 		meanItem /= float64(n)
-		const (
-			ioFloor    = 0.4  // seconds: metadata + contention floor
-			countCost  = 5e-4 // seconds per local work item counted
-			gatherCost = 5e-5 // seconds per rank in the allgather
-		)
 		ioPerPart := s.IoPerPart
 		if ioPerPart == 0 {
 			ioPerPart = 1e-4
@@ -133,20 +136,24 @@ func (s *scalingStudy) run(procs []int, loadBalance bool) ([]phaseRow, error) {
 		if allTot > 0 {
 			gTriFrac = triTot / allTot
 		}
-		var maxCompute, maxShare float64
+		// The phase columns are the critical rank's own: its compute split
+		// by the tri fraction, and its own wait and send time. They sum to
+		// its Finish, which is the makespan, so the row sums to its total.
+		var crit vtime.RankOutcome
 		for _, ro := range out.Ranks {
-			maxCompute = maxf(maxCompute, ro.Compute)
-			maxShare = maxf(maxShare, ro.Wait+ro.Send)
+			if ro.Finish > crit.Finish {
+				crit = ro
+			}
 		}
 		unb, bal := out.ImbalanceStats()
 		rows = append(rows, phaseRow{
 			Procs:         p,
 			Partition:     partition,
 			Model:         modelPh,
-			Tri:           out.Makespan * gTriFrac,
-			Render:        out.Makespan * (1 - gTriFrac),
-			WorkShare:     maxShare,
-			Total:         partition + modelPh + out.Makespan + maxShare,
+			Tri:           crit.Compute * gTriFrac,
+			Render:        crit.Compute * (1 - gTriFrac),
+			WorkShare:     crit.Wait + crit.Send,
+			Total:         partition + modelPh + out.Makespan,
 			UnbalancedStd: unb,
 			BalancedStd:   bal,
 			Transfers:     out.Transfers,
@@ -184,4 +191,7 @@ func reportScaling(r *Report, rows []phaseRow) {
 	for i := range rows {
 		r.Rowf("%-6d %10.1f %10.1f %12.1f %12.1f", procs[i], sTot[i], sPart[i], sMod[i], sWork[i])
 	}
+	r.Notef("tri, grid-render and work-share are the critical rank's; the row sums to its total")
+	r.Notef("assumed, not measured: partition = %gs + read share, model = test item + %gs/item counted + %gs/rank allgather",
+		ioFloor, countCost, gatherCost)
 }

@@ -48,10 +48,6 @@ type Config struct {
 	Ranks       int
 	Comm        CommModel
 	LoadBalance bool
-	// FixedPhases adds constant per-rank time (partition + modeling
-	// overhead) to the completion time, letting the caller model the
-	// phases that flatten the paper's speedup curves.
-	FixedPhases float64
 }
 
 // RankOutcome is one rank's simulated execution.
@@ -59,7 +55,7 @@ type RankOutcome struct {
 	Compute float64 // busy compute time (actual item costs)
 	Wait    float64 // receiver time blocked on not-yet-arrived messages
 	Send    float64 // sender-side packaging overhead
-	Finish  float64 // completion time (includes FixedPhases)
+	Finish  float64 // completion time
 }
 
 // Outcome is the full simulation result.
@@ -98,7 +94,7 @@ func Simulate(cfg Config, items []Item) Outcome {
 			for _, i := range perRank[r] {
 				busy += items[i].Actual
 			}
-			out.Ranks[r] = RankOutcome{Compute: busy, Finish: busy + cfg.FixedPhases}
+			out.Ranks[r] = RankOutcome{Compute: busy, Finish: busy}
 			out.BalancedLoads[r] = busy
 			if out.Ranks[r].Finish > out.Makespan {
 				out.Makespan = out.Ranks[r].Finish
@@ -164,7 +160,7 @@ func Simulate(cfg Config, items []Item) Outcome {
 			clock += items[gi].Actual
 			ro.Compute += items[gi].Actual
 		}
-		ro.Finish = clock + cfg.FixedPhases
+		ro.Finish = clock
 	}
 
 	// Receivers and neutral ranks: local work, then scheduled receives.
@@ -189,7 +185,7 @@ func Simulate(cfg Config, items []Item) Outcome {
 				ro.Compute += items[gi].Actual
 			}
 		}
-		ro.Finish = clock + cfg.FixedPhases
+		ro.Finish = clock
 	}
 
 	for r := 0; r < n; r++ {

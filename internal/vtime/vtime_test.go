@@ -125,14 +125,6 @@ func TestMispredictionDelaysSharing(t *testing.T) {
 	}
 }
 
-func TestFixedPhasesShiftFinish(t *testing.T) {
-	items := []Item{{Rank: 0, Predicted: 1, Actual: 1}}
-	out := Simulate(Config{Ranks: 1, FixedPhases: 5}, items)
-	if out.Makespan != 6 {
-		t.Fatalf("makespan = %v", out.Makespan)
-	}
-}
-
 func TestCommModelTransit(t *testing.T) {
 	m := CommModel{Latency: 0.1, BytesPerSec: 100}
 	if got := m.Transit(50); math.Abs(got-0.6) > 1e-12 {

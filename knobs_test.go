@@ -25,7 +25,6 @@ var knobAllow = []struct{ field, reason, test string }{
 	{"internal/render/distrender.Config.Poll", "caps the gather wait so the cancel suite observes a cancellation within milliseconds", "internal/render/distrender.runCancelled"},
 	{"internal/render/distrender.Config.MaxSendRetries", "shrinks the send retry budget so injected drops become real losses", "internal/render/distrender.TestChaosDroppedResult"},
 	{"internal/render/distrender.Config.NoCoordinatorCompute", "forbids the root's self-compute fallback so a flagged-partial Result can be observed", "internal/render/distrender.TestChaosAllWorkersLost"},
-	{"internal/vtime.Config.FixedPhases", "constant per-rank offset of the schedule model; the experiments report it separately instead", "internal/vtime.TestFixedPhasesShiftFinish"},
 }
 
 // TestKnobsAreSet keeps options from outliving their callers. A field of a
