@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab fuzz loc ci
+.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab fuzz loc ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,10 @@ test:
 # (reach_test.go): nothing unreachable, no unset knob, no call to panic and
 # no sync state passed by value in production code.
 tier1: build test
+
+# Every Go file is gofmt-clean; the target lists the ones that are not.
+fmt:
+	@files=$$(gofmt -l .); [ -z "$$files" ] || { echo "gofmt -l lists:"; echo "$$files"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -99,4 +103,4 @@ fuzz:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
 
-ci: tier1 vet race chaos serve-smoke bench-smoke bench-e2e-test fuzz
+ci: tier1 fmt vet race chaos serve-smoke bench-smoke bench-e2e-test fuzz

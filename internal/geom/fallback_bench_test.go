@@ -49,9 +49,9 @@ func inSphereFallbackCases() []isphCase {
 		}
 	}
 	cases := []isphCase{
-		cube(1, 0),      // exact tails
-		cube(0.2, 0.1),  // inexact coordinates, inexact tails
-		cube(3, 1e6),    // large offset: subtraction cancellation
+		cube(1, 0),     // exact tails
+		cube(0.2, 0.1), // inexact coordinates, inexact tails
+		cube(3, 1e6),   // large offset: subtraction cancellation
 	}
 	base := len(cases)
 	for i := 0; i < base; i++ {

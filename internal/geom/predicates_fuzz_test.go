@@ -69,7 +69,7 @@ func FuzzPredicatesExact(f *testing.F) {
 		f.Add(b)
 	}
 	same := Vec3{1, 1, 1}
-	seed(same, same, same, same, same) // all duplicates
+	seed(same, same, same, same, same)                                                    // all duplicates
 	seed(Vec3{0, 0, 0}, Vec3{1, 1, 1}, Vec3{2, 2, 2}, Vec3{3, 3, 3}, Vec3{0.5, 0.5, 0.5}) // collinear
 	seed(Vec3{0, 0, 2}, Vec3{1, 0, 2}, Vec3{0, 1, 2}, Vec3{1, 1, 2}, Vec3{0.5, 0.5, 2})   // coplanar sheet
 	seed(Vec3{0, 0, 0}, Vec3{1, 0, 0}, Vec3{0, 1, 0}, Vec3{1, 1, 0}, Vec3{1, 1, 1})       // cospherical cube corners

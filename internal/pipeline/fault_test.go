@@ -574,3 +574,68 @@ func TestRecoveryUnderMessageChaos(t *testing.T) {
 		}
 	}
 }
+
+func TestChaosLostWorkPackage(t *testing.T) {
+	// A work package dropped past the retry budget, without recovery: the
+	// sender records the loss, and the receiver that waits for the package
+	// must be released instead of blocking on a live sender forever. Every
+	// field ends up in exactly one rank's Status or in the item count of a
+	// "shipping N items ... failed" entry. These seeds drop a package after
+	// Phases 1-3 went through.
+	pts := synth.HaloSet(8000, unitBox(), synth.DefaultHaloSpec(), 6)
+	var centers []geom.Vec3
+	for i := 0; i < 18; i++ {
+		centers = append(centers, geom.Vec3{X: 0.1 + 0.02*float64(i%4), Y: 0.1 + 0.02*float64(i/4), Z: 0.15})
+	}
+	cfg := Config{Box: unitBox(), FieldLen: 0.14, GridN: 10, LoadBalance: true, Seed: 7, MaxSendRetries: 1}
+	for _, seed := range []int64{6, 39, 51, 52} {
+		done := make(chan []rankOut, 1)
+		go func() {
+			done <- runChaos(t, 4, cfg, &fault.Plan{Seed: seed, DropProb: 0.04, DropCount: 100}, pts, centers)
+		}()
+		var outs []rankOut
+		select {
+		case outs = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("seed %d: the run hung on a lost work package", seed)
+		}
+		statuses := map[geom.Vec3]int{}
+		lost, released := 0, false
+		for r, o := range outs {
+			if o.res == nil {
+				t.Fatalf("seed %d rank %d: no partial result: %v", seed, r, o.err)
+			}
+			for _, s := range o.res.Status {
+				statuses[s.Center]++
+			}
+			for _, f := range o.res.Failures {
+				var n, to int
+				if _, err := fmt.Sscanf(f, "phase 4: shipping %d items to rank %d failed", &n, &to); err == nil {
+					lost += n
+					if o.err == nil {
+						t.Errorf("seed %d rank %d: lost a package but returned no error", seed, r)
+					}
+				}
+				if strings.HasPrefix(f, "phase 4: work package from rank") {
+					released = true
+				}
+			}
+		}
+		if lost == 0 || !released {
+			t.Fatalf("seed %d: no package was lost (%d items) or no receiver released (%v): the test checks nothing", seed, lost, released)
+		}
+		missing := 0
+		for _, ctr := range centers {
+			switch statuses[ctr] {
+			case 0:
+				missing++
+			case 1:
+			default:
+				t.Errorf("seed %d: centre %v has %d statuses", seed, ctr, statuses[ctr])
+			}
+		}
+		if missing != lost {
+			t.Errorf("seed %d: %d fields have no status, the failures name %d lost items", seed, missing, lost)
+		}
+	}
+}

@@ -373,7 +373,7 @@ func Run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	if len(local) > 0 {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(c.Rank())))
 		samplePick = rng.Intn(len(local))
-		rec := rt.computeItem(local[samplePick], nil, execLocal)
+		rec := rt.computeItem(local[samplePick], false, execLocal)
 		done[samplePick] = true
 		mine = sample{N: float64(rec.N), TTri: rec.TriTime, TRender: rec.RenderTime}
 	}
@@ -410,33 +410,28 @@ func Run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	if err := crashCheck(cfg, c.Rank(), fault.PointPhase3, 0); err != nil {
 		return nil, err
 	}
-	var cl sched.CommList
-	var plan sched.SenderPlan
-	var pending []int // local item indices still to run (non-LB order)
+	var pending []int // local item indices still to run
 	for i := range local {
 		if !done[i] {
 			pending = append(pending, i)
 		}
 	}
-	if cfg.LoadBalance && c.Size() > 1 {
-		ts := time.Now()
-		totals, err := mpi.Allgather(c, remaining)
-		if err != nil {
+	share := cfg.LoadBalance && c.Size() > 1
+	ts := time.Now()
+	var cl sched.CommList
+	var totals []float64
+	if share {
+		if totals, err = mpi.Allgather(c, remaining); err != nil {
 			return degrade(res, "phase 3 load allgather", err)
 		}
 		cl = sched.CreateCommunicationList(totals)
-		sends := cl.SendsFrom(c.Rank())
-		if len(sends) > 0 {
-			itemTimes := make([]float64, len(pending))
-			for k, i := range pending {
-				itemTimes[k] = pred[i]
-			}
-			avail := make([]float64, len(sends))
-			for k, tr := range sends {
-				avail[k] = totals[tr.To]
-			}
-			plan = sched.PlanSender(itemTimes, sends, avail)
-		}
+	}
+	itemTimes := make([]float64, len(pending))
+	for k, i := range pending {
+		itemTimes[k] = pred[i]
+	}
+	steps := cl.Steps(totals, c.Rank(), itemTimes)
+	if share {
 		res.Phases.WorkShare = time.Since(ts).Seconds()
 	}
 
@@ -456,67 +451,44 @@ func Run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 		return res, nil
 	}
 
+	// Walk this rank's steps. Compute steps are numbered in order for
+	// crash injection; a package that cannot be shipped is recorded and
+	// the walk goes on.
 	var failures []string
-	if !cfg.LoadBalance || c.Size() == 1 {
-		for k, i := range pending {
-			if err := crashCheck(cfg, c.Rank(), fault.PointPhase4, k); err != nil {
+	executed, shipFailed := 0, false
+	for _, st := range steps {
+		switch st.Kind {
+		case sched.Compute:
+			if err := crashCheck(cfg, c.Rank(), fault.PointPhase4, executed); err != nil {
 				return nil, err
 			}
-			rt.computeTimedItem(local[i], &pred[i], execLocal)
-		}
-	} else if sends := cl.SendsFrom(c.Rank()); len(sends) > 0 {
-		// Sender role.
-		executed := 0
-		for k := range plan.Sends {
-			for _, pi := range plan.GapItems[k] {
-				if err := crashCheck(cfg, c.Rank(), fault.PointPhase4, executed); err != nil {
-					return nil, err
-				}
-				i := pending[pi]
-				rt.computeTimedItem(local[i], &pred[i], execLocal)
-				executed++
-			}
+			rt.computeTimedItem(local[pending[st.Item]], execLocal)
+			executed++
+		case sched.Ship:
 			tw := time.Now()
-			pkg := rt.buildPackage(local, pending, plan.ShipItems[k])
-			if err := c.Send(plan.Sends[k].To, tagWork, pkg); err != nil {
+			pkg := rt.buildPackage(local, pending, st.Items)
+			if err := c.Send(st.Peer, tagWork, pkg); err != nil {
 				if errors.Is(err, mpi.ErrRankFailed) || errors.Is(err, mpi.ErrMessageLost) {
 					failures = append(failures, fmt.Sprintf(
 						"phase 4: shipping %d items to rank %d failed: %v",
-						len(plan.ShipItems[k]), plan.Sends[k].To, err))
+						len(st.Items), st.Peer, err))
+					shipFailed = true
 					continue
 				}
 				return nil, err
 			}
-			res.Sent += len(plan.ShipItems[k])
+			res.Sent += len(st.Items)
 			res.Phases.WorkShare += time.Since(tw).Seconds()
-		}
-		for _, pi := range plan.Tail {
-			if err := crashCheck(cfg, c.Rank(), fault.PointPhase4, executed); err != nil {
-				return nil, err
-			}
-			i := pending[pi]
-			rt.computeTimedItem(local[i], &pred[i], execLocal)
-			executed++
-		}
-	} else {
-		// Receiver (or neutral) role: drain local work, then accept
-		// shipped work in the scheduled order.
-		for k, i := range pending {
-			if err := crashCheck(cfg, c.Rank(), fault.PointPhase4, k); err != nil {
-				return nil, err
-			}
-			rt.computeTimedItem(local[i], &pred[i], execLocal)
-		}
-		for _, src := range cl.RecvsAt(c.Rank()) {
+		case sched.Recv:
 			tw := time.Now()
 			var pkg workPackage
-			if _, err := c.Recv(src, tagWork, &pkg); err != nil {
+			if _, err := c.Recv(st.Peer, tagWork, &pkg); err != nil {
 				if errors.Is(err, mpi.ErrRankFailed) {
-					// The sender died before shipping: its items are gone
-					// with it under the a-priori schedule. Record and keep
-					// draining other senders.
+					// The sender died or lost the package: its items are
+					// gone with it under the a-priori schedule. Record and
+					// keep draining other senders.
 					failures = append(failures,
-						fmt.Sprintf("phase 4: work package from rank %d lost: %v", src, err))
+						fmt.Sprintf("phase 4: work package from rank %d lost: %v", st.Peer, err))
 					continue
 				}
 				return nil, err
@@ -524,17 +496,24 @@ func Run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 			res.Phases.WorkShare += time.Since(tw).Seconds()
 			res.Received += len(pkg.Centers)
 			ptree := kdtree.New(pkg.Points)
+			rt.owner = st.Peer // the field's status names the rank it was planned on
 			for _, ctr := range pkg.Centers {
-				rt.computeItemWith(ctr, ptree, pkg.Points, nil, execShipped)
+				rt.computeItemWith(ctr, ptree, pkg.Points, true, execShipped)
 			}
+			rt.owner = c.Rank()
 		}
 	}
 
-	if err := c.Barrier(); err != nil {
-		if errors.Is(err, mpi.ErrRankFailed) {
-			failures = append(failures, "final barrier: "+err.Error())
-		} else {
-			return nil, err
+	// After a failed ship the package's receiver is blocked on this rank,
+	// which is alive: skip the barrier and return the error, so the world
+	// marks this rank failed and the receiver's Recv is released.
+	if !shipFailed {
+		if err := c.Barrier(); err != nil {
+			if errors.Is(err, mpi.ErrRankFailed) || errors.Is(err, mpi.ErrMessageLost) {
+				failures = append(failures, "final barrier: "+err.Error())
+			} else {
+				return nil, err
+			}
 		}
 	}
 	res.CommBytes = c.BytesSent()
@@ -586,17 +565,19 @@ func (rt *runtime) cube(center geom.Vec3) geom.AABB {
 	}
 }
 
-// computeItem renders the field at center from the rank's halo particles.
-func (rt *runtime) computeItem(center geom.Vec3, pred *float64, kind execKind) ItemRecord {
-	return rt.computeItemWith(center, rt.tree, rt.halo, pred, kind)
+// computeItem renders the field at center from the rank's halo particles;
+// predict records the cost model's predictions (off before the model is
+// fit).
+func (rt *runtime) computeItem(center geom.Vec3, predict bool, kind execKind) ItemRecord {
+	return rt.computeItemWith(center, rt.tree, rt.halo, predict, kind)
 }
 
 // computeTimedItem is computeItem plus straggler fault injection: the
 // injected slowdown is charged to the item's wall time so straggler
 // detection sees it.
-func (rt *runtime) computeTimedItem(center geom.Vec3, pred *float64, kind execKind) ItemRecord {
+func (rt *runtime) computeTimedItem(center geom.Vec3, kind execKind) ItemRecord {
 	t0 := time.Now()
-	rec := rt.computeItem(center, pred, kind)
+	rec := rt.computeItem(center, true, kind)
 	if rt.cfg.Fault != nil {
 		rt.cfg.Fault.StraggleSleep(rt.c.Rank(), time.Since(t0))
 	}
@@ -624,12 +605,12 @@ func lexCompare(a, b geom.Vec3) int {
 	return 0
 }
 
-func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []geom.Vec3, pred *float64, kind execKind) ItemRecord {
+func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []geom.Vec3, predict bool, kind execKind) ItemRecord {
 	cfg := rt.cfg
 	rec := ItemRecord{Center: center, Shipped: kind == execShipped, Recovered: kind == execRecovered}
 	idx := tree.InBox(rt.cube(center), nil)
 	rec.N = len(idx)
-	if pred != nil {
+	if predict {
 		rec.PredTri = rt.res.Model.Tri.Predict(float64(rec.N))
 		rec.PredRender = rt.res.Model.Interp.Predict(float64(rec.N))
 	}

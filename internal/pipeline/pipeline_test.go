@@ -11,6 +11,7 @@ import (
 	"godtfe/internal/geom"
 	"godtfe/internal/mpi"
 	"godtfe/internal/synth"
+	"godtfe/internal/vtime"
 )
 
 func unitBox() geom.AABB {
@@ -197,6 +198,77 @@ func TestPipelineLoadBalancedFieldsMatchUnbalanced(t *testing.T) {
 			if math.Abs(av[i]-bv[i]) > 1e-9*(1+math.Abs(av[i])) {
 				t.Fatalf("LB changed field at %v cell %d", ctr, i)
 			}
+		}
+	}
+}
+
+// TestPhase4MatchesDES runs the real executor and the DES on the same
+// predictions and asks for the same schedule: both walk sched.Steps, so
+// every rank's executed predicted load equals the DES's BalancedLoads and
+// the shipped item counts agree. Each executed item enters the DES under
+// its status's Owner with PredTri+PredRender as both its predicted and
+// actual cost, in the centres' order (the order Phase 1 gives each rank's
+// local items); each rank's Phase-2 test item, Items[0] when it owns any,
+// carries no prediction and is left out. Bytes are 1 per item, so the
+// DES's BytesMoved counts shipped items.
+func TestPhase4MatchesDES(t *testing.T) {
+	pts := synth.HaloSet(8000, unitBox(), synth.DefaultHaloSpec(), 12)
+	var centers []geom.Vec3
+	for i := 0; i < 36; i++ {
+		// Most centres crowd one corner; a few spread out.
+		c := geom.Vec3{X: 0.12 + 0.03*float64(i%4), Y: 0.12 + 0.03*float64(i/4%3), Z: 0.15 + 0.03*float64(i/12)}
+		if i%6 == 5 {
+			c = geom.Vec3{X: 0.3 + 0.1*float64(i%5), Y: 0.8 - 0.1*float64(i%4), Z: 0.7}
+		}
+		centers = append(centers, c)
+	}
+	index := map[geom.Vec3]int{}
+	for i, c := range centers {
+		index[c] = i
+	}
+	cfg := Config{Box: unitBox(), FieldLen: 0.12, GridN: 6, LoadBalance: true, Seed: 3}
+	for _, ranks := range []int{2, 4, 8} {
+		results := runPipeline(t, ranks, cfg, pts, centers)
+		items := make([]vtime.Item, len(centers))
+		placed := make([]bool, len(centers))
+		executed := make([]float64, ranks)
+		sent, received := 0, 0
+		for r, res := range results {
+			sent += res.Sent
+			received += res.Received
+			skip := 0
+			if res.LocalWork > 0 {
+				skip = 1
+			}
+			for k := skip; k < len(res.Items); k++ {
+				it, st := res.Items[k], res.Status[k]
+				p := it.PredTri + it.PredRender
+				if p <= 0 || st.Center != it.Center {
+					t.Fatalf("ranks=%d rank %d item %d: prediction %v, status %+v", ranks, r, k, p, st)
+				}
+				i := index[it.Center]
+				items[i] = vtime.Item{Rank: st.Owner, Predicted: p, Actual: p, Bytes: 1}
+				placed[i] = true
+				executed[r] += p
+			}
+		}
+		// The test items stay out of the DES, with a rank it does not have.
+		for i := range items {
+			if !placed[i] {
+				items[i].Rank = -1
+			}
+		}
+		out := vtime.Simulate(vtime.Config{Ranks: ranks, LoadBalance: true}, items)
+		if out.Transfers == 0 {
+			t.Fatalf("ranks=%d: the schedule shares no work; the test checks nothing", ranks)
+		}
+		for r := range executed {
+			if want := out.BalancedLoads[r]; math.Abs(executed[r]-want) > 1e-9*want {
+				t.Errorf("ranks=%d rank %d: executed load %v, DES %v", ranks, r, executed[r], want)
+			}
+		}
+		if int64(sent) != out.BytesMoved || received != sent {
+			t.Errorf("ranks=%d: sent %d, received %d items; the DES ships %d", ranks, sent, received, out.BytesMoved)
 		}
 	}
 }

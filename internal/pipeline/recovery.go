@@ -151,12 +151,12 @@ func (rt *runtime) recoverWard(wardRank, from int, meta ckptMeta, wardHalo []geo
 	rt.owner = wardRank
 	defer func() { rt.owner = rt.c.Rank() }()
 	if from == 0 && meta.HasSample {
-		rt.computeItemWith(meta.Sample, tree, wardHalo, nil, execRecovered)
+		rt.computeItemWith(meta.Sample, tree, wardHalo, false, execRecovered)
 		hb.Done++
 		report(hb)
 	}
 	for _, ctr := range meta.Centers[from:] {
-		rt.computeItemWith(ctr, tree, wardHalo, nil, execRecovered)
+		rt.computeItemWith(ctr, tree, wardHalo, false, execRecovered)
 		hb.Done++
 		report(hb)
 	}
@@ -210,7 +210,7 @@ func (rt *runtime) recoveryWorker(local []geom.Vec3, pending []int, pred []float
 	ownAt := make(map[int]int)
 	computeOwn := func(k int) {
 		ownAt[k] = len(rt.res.Status)
-		rt.computeTimedItem(local[pending[k]], &pred[pending[k]], execLocal)
+		rt.computeTimedItem(local[pending[k]], execLocal)
 	}
 
 	// Done is the coordinator's last word, and it may exit the moment it is
@@ -482,7 +482,7 @@ func (rt *runtime) recoveryCoordinator(local []geom.Vec3, pending []int, pred []
 		if err := crashCheck(cfg, 0, fault.PointPhase4, k); err != nil {
 			return err
 		}
-		rt.computeTimedItem(local[pi], &pred[pi], execLocal)
+		rt.computeTimedItem(local[pi], execLocal)
 		for moved := true; moved; {
 			var err error
 			if moved, err = await(0); err != nil {

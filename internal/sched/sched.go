@@ -1,8 +1,10 @@
 // Package sched implements the paper's a-priori work-sharing schedule
 // (Section IV-D): the CreateCommunicationList algorithm (Fig 5), which
 // pairs over-loaded sender ranks with under-loaded receiver ranks around
-// the mean load, and the greedy first-fit variable-size bin-packing used
-// by senders to order their local work items between send points.
+// the mean load, the greedy first-fit variable-size bin-packing used by
+// senders to order their local work items between send points, and Steps,
+// the one Phase-4 execution order that internal/pipeline runs and
+// internal/vtime simulates.
 package sched
 
 import "sort"
@@ -176,65 +178,73 @@ func PackWork(items []float64, bins []*Bin) (leftover []int) {
 	return leftover
 }
 
-// SenderPlan is a sender's complete local execution plan: which items to
-// compute before each send, which items to ship with each send, and which
-// to compute at the end.
-type SenderPlan struct {
-	// Sends mirrors the sender's transfers in schedule order.
-	Sends []Transfer
-	// ShipItems[k] lists the local item indices shipped with send k.
-	ShipItems [][]int
-	// GapItems[k] lists the local item indices computed before send k.
-	GapItems [][]int
-	// Tail lists the items computed after the last send.
-	Tail []int
+// StepKind is what one step of a rank's Phase-4 list does.
+type StepKind uint8
+
+const (
+	// Compute runs local item Step.Item.
+	Compute StepKind = iota
+	// Ship sends local items Step.Items to rank Step.Peer.
+	Ship
+	// Recv takes the package rank Step.Peer ships here and runs its items.
+	Recv
+)
+
+// Step is one entry of a rank's Phase-4 execution order. Item and Items
+// index the rank's local items as Steps was given them.
+type Step struct {
+	Kind  StepKind
+	Item  int   // Compute
+	Peer  int   // Ship: the receiver; Recv: the sender
+	Items []int // Ship
 }
 
-// PlanSender builds a sender's plan. itemTimes are the modeled times of the
-// sender's local work items; sends are its transfers (amount = modeled work
-// to ship); recvAvail[k] is the modeled time at which receiver k becomes
-// free (its local total), used to order sends and size the compute gaps.
-func PlanSender(itemTimes []float64, sends []Transfer, recvAvail []float64) SenderPlan {
-	plan := SenderPlan{Sends: make([]Transfer, len(sends))}
-	copy(plan.Sends, sends)
-	// Sort sends by the receiver's availability time ascending (the paper:
-	// "senders sort their SendList by send time in ascending order").
-	avail := make([]float64, len(sends))
-	copy(avail, recvAvail)
-	order := make([]int, len(sends))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return avail[order[a]] < avail[order[b]] })
-	sorted := make([]Transfer, len(sends))
-	sortedAvail := make([]float64, len(sends))
-	for i, o := range order {
-		sorted[i] = plan.Sends[o]
-		sortedAvail[i] = avail[o]
-	}
-	plan.Sends = sorted
-
-	// Bins: one gap before each send (capacity = time between consecutive
-	// send points) plus one ship bin per send (capacity = shipped work).
-	bins := make([]*Bin, 0, 2*len(sorted))
-	gapBins := make([]*Bin, len(sorted))
-	shipBins := make([]*Bin, len(sorted))
-	prev := 0.0
-	for k, tr := range sorted {
-		gapBins[k] = &Bin{Cap: sortedAvail[k] - prev}
-		if gapBins[k].Cap < 0 {
-			gapBins[k].Cap = 0
+// Steps is rank's Phase-4 execution order under the schedule; the real
+// executor walks it in wall time and the DES in virtual time. totals are
+// every rank's modeled loads (what cl was built from) and itemTimes the
+// modeled times of rank's local items.
+//
+// A sender orders its sends by the receiver's availability, its total,
+// ascending (the paper: "senders sort their SendList by send time in
+// ascending order"). Its items are packed first-fit into one bin per gap
+// before a send (capacity: the time between consecutive send points) and
+// one per send (capacity: the shipped work); it computes each gap, ships,
+// and computes what fit nowhere after its last send. Every other rank
+// computes its items in order, then takes one package from each sender
+// that ships to it, in schedule order. Without transfers (no sharing, or
+// one rank) the list computes the items in order.
+func (cl CommList) Steps(totals []float64, rank int, itemTimes []float64) []Step {
+	sends := cl.SendsFrom(rank)
+	if len(sends) == 0 {
+		recvs := cl.RecvsAt(rank)
+		steps := make([]Step, len(itemTimes), len(itemTimes)+len(recvs))
+		for i := range itemTimes {
+			steps[i] = Step{Kind: Compute, Item: i}
 		}
-		prev = sortedAvail[k]
-		shipBins[k] = &Bin{Cap: tr.Amount}
-		bins = append(bins, gapBins[k], shipBins[k])
+		for _, src := range recvs {
+			steps = append(steps, Step{Kind: Recv, Peer: src})
+		}
+		return steps
 	}
-	plan.Tail = PackWork(itemTimes, bins)
-	plan.GapItems = make([][]int, len(sorted))
-	plan.ShipItems = make([][]int, len(sorted))
-	for k := range sorted {
-		plan.GapItems[k] = gapBins[k].Items
-		plan.ShipItems[k] = shipBins[k].Items
+	sort.SliceStable(sends, func(a, b int) bool { return totals[sends[a].To] < totals[sends[b].To] })
+	bins := make([]*Bin, 2*len(sends))
+	prev := 0.0
+	for k, tr := range sends {
+		bins[2*k] = &Bin{Cap: max(totals[tr.To]-prev, 0)}
+		bins[2*k+1] = &Bin{Cap: tr.Amount}
+		prev = totals[tr.To]
 	}
-	return plan
+	tail := PackWork(itemTimes, bins)
+	steps := make([]Step, 0, len(itemTimes)+len(sends))
+	compute := func(items []int) {
+		for _, i := range items {
+			steps = append(steps, Step{Kind: Compute, Item: i})
+		}
+	}
+	for k, tr := range sends {
+		compute(bins[2*k].Items)
+		steps = append(steps, Step{Kind: Ship, Peer: tr.To, Items: bins[2*k+1].Items})
+	}
+	compute(tail)
+	return steps
 }

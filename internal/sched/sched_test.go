@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -215,28 +216,29 @@ func TestPlanSender(t *testing.T) {
 	// Sender has 6 local items; two receivers become available at t=4 and
 	// t=10; ship 5 units to each.
 	items := []float64{3, 1, 4, 2, 5, 2} // total 17
-	sends := []Transfer{{From: 0, To: 2, Amount: 5}, {From: 0, To: 1, Amount: 5}}
-	avail := []float64{10, 4} // receiver 2 free at 10, receiver 1 at 4
-	plan := PlanSender(items, sends, avail)
+	cl := CommList{Transfers: []Transfer{{From: 0, To: 2, Amount: 5}, {From: 0, To: 1, Amount: 5}}}
+	totals := []float64{17, 4, 10} // receiver 2 free at 10, receiver 1 at 4
+	steps := cl.Steps(totals, 0, items)
 	// Sends must be reordered by availability: receiver 1 (t=4) first.
-	if plan.Sends[0].To != 1 || plan.Sends[1].To != 2 {
-		t.Fatalf("send order: %+v", plan.Sends)
+	var ships []Step
+	seen := make(map[int]int)
+	for _, st := range steps {
+		switch st.Kind {
+		case Compute:
+			seen[st.Item]++
+		case Ship:
+			ships = append(ships, st)
+			for _, it := range st.Items {
+				seen[it]++
+			}
+		case Recv:
+			t.Fatalf("sender receives: %+v", st)
+		}
+	}
+	if len(ships) != 2 || ships[0].Peer != 1 || ships[1].Peer != 2 {
+		t.Fatalf("send order: %+v", ships)
 	}
 	// Every item appears exactly once across gaps, ships and tail.
-	seen := make(map[int]int)
-	for _, g := range plan.GapItems {
-		for _, it := range g {
-			seen[it]++
-		}
-	}
-	for _, s := range plan.ShipItems {
-		for _, it := range s {
-			seen[it]++
-		}
-	}
-	for _, it := range plan.Tail {
-		seen[it]++
-	}
 	if len(seen) != len(items) {
 		t.Fatalf("items covered: %d of %d", len(seen), len(items))
 	}
@@ -246,21 +248,99 @@ func TestPlanSender(t *testing.T) {
 		}
 	}
 	// Ship bins respect their capacity.
-	for k, s := range plan.ShipItems {
+	for k, sh := range ships {
 		var load float64
-		for _, it := range s {
+		for _, it := range sh.Items {
 			load += items[it]
 		}
-		if load > plan.Sends[k].Amount+1e-9 {
-			t.Fatalf("ship %d overloaded: %v > %v", k, load, plan.Sends[k].Amount)
+		if load > 5+1e-9 {
+			t.Fatalf("ship %d overloaded: %v > 5", k, load)
 		}
 	}
 }
 
 func TestPlanSenderNoSends(t *testing.T) {
-	plan := PlanSender([]float64{1, 2, 3}, nil, nil)
-	if len(plan.Tail) != 3 || len(plan.Sends) != 0 {
-		t.Fatalf("plan = %+v", plan)
+	steps := CommList{}.Steps(nil, 0, []float64{1, 2, 3})
+	if len(steps) != 3 {
+		t.Fatalf("steps = %+v", steps)
+	}
+	for i, st := range steps {
+		if st.Kind != Compute || st.Item != i {
+			t.Fatalf("step %d = %+v, want Compute(%d)", i, st, i)
+		}
+	}
+}
+
+// TestStepsCoverEveryItemOnce pins the one Phase-4 list on random loads:
+// each local item appears in exactly one Compute or Ship, ships follow the
+// receivers' availability, Recv peers are RecvsAt in order, and no rank
+// both ships and receives.
+func TestStepsCoverEveryItemOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(48)
+		itemTimes := make([][]float64, n)
+		totals := make([]float64, n)
+		for r := range itemTimes {
+			k := rng.Intn(12) // some ranks own nothing
+			if rng.Intn(4) == 0 {
+				k += 30
+			}
+			for i := 0; i < k; i++ {
+				v := rng.ExpFloat64()
+				itemTimes[r] = append(itemTimes[r], v)
+				totals[r] += v
+			}
+		}
+		cl := CreateCommunicationList(totals)
+		if trial%5 == 0 {
+			cl = CommList{} // no load balancing
+		}
+		for r := 0; r < n; r++ {
+			steps := cl.Steps(totals, r, itemTimes[r])
+			seen := make([]int, len(itemTimes[r]))
+			var shipTo, recvFrom []int
+			for _, st := range steps {
+				switch st.Kind {
+				case Compute:
+					seen[st.Item]++
+				case Ship:
+					shipTo = append(shipTo, st.Peer)
+					for _, i := range st.Items {
+						seen[i]++
+					}
+				case Recv:
+					recvFrom = append(recvFrom, st.Peer)
+				}
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("trial %d rank %d: item %d in %d steps", trial, r, i, c)
+				}
+			}
+			if len(shipTo) > 0 && len(recvFrom) > 0 {
+				t.Fatalf("trial %d rank %d both ships %v and receives %v", trial, r, shipTo, recvFrom)
+			}
+			sends := cl.SendsFrom(r)
+			if len(shipTo) != len(sends) {
+				t.Fatalf("trial %d rank %d: %d ships for %d transfers", trial, r, len(shipTo), len(sends))
+			}
+			for k := 1; k < len(shipTo); k++ {
+				if totals[shipTo[k]] < totals[shipTo[k-1]] {
+					t.Fatalf("trial %d rank %d: ships %v out of availability order", trial, r, shipTo)
+				}
+			}
+			if want := cl.RecvsAt(r); !slices.Equal(recvFrom, want) {
+				t.Fatalf("trial %d rank %d: receives from %v, RecvsAt %v", trial, r, recvFrom, want)
+			}
+			if len(cl.Transfers) == 0 {
+				for i, st := range steps {
+					if st.Kind != Compute || st.Item != i {
+						t.Fatalf("trial %d rank %d: without transfers step %d is %+v", trial, r, i, st)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,20 +1,21 @@
-// Package vtime is a deterministic virtual-time simulator of the
-// framework's execution phase at arbitrary rank counts. This host has a
-// single core, so wall-clock runs cannot exhibit 240- or 16,384-way
-// parallel behavior; what Figs 9, 10, 12 and 13 of the paper actually
-// measure, though, is schedule quality — per-rank completion times given
-// per-item costs and the work-sharing schedule — which is a deterministic
-// function this package evaluates exactly. Per-item costs are calibrated
-// from the real kernel (see internal/experiments), so shapes are honest.
+// Package vtime is a deterministic virtual-time simulator (a DES) of the
+// framework's execution phase at arbitrary rank counts. Figs 9, 10, 12 and
+// 13 of the paper run on up to 16,384 cores; what they measure, though, is
+// schedule quality — per-rank completion times given per-item costs and
+// the work-sharing schedule — which is a deterministic function this
+// package evaluates exactly. Per-item costs are calibrated from the real
+// kernel (see internal/experiments), so shapes are honest.
 //
-// The simulator mirrors the execution semantics of internal/pipeline:
-// receivers drain local work and then block on sends in schedule order;
-// senders interleave computing gap items with (buffered, non-blocking)
-// sends; shipped items run on their receiver. Message delivery time uses a
-// latency + bytes/bandwidth model.
+// The simulator walks the same per-rank sched.Steps list that
+// internal/pipeline executes: a Compute advances the rank's clock by the
+// item's actual cost, a Ship costs its sender a packaging overhead and
+// arrives after a latency + bytes/bandwidth transit, and a Recv waits for
+// that arrival before computing the shipped items.
 package vtime
 
 import (
+	"slices"
+
 	"godtfe/internal/sched"
 	"godtfe/internal/stats"
 )
@@ -71,7 +72,10 @@ type Outcome struct {
 	BalancedLoads []float64
 }
 
-// Simulate runs the virtual execution.
+// Simulate runs the virtual execution. Every rank's steps come from one
+// communication list built on the predicted loads; ranks without a Recv
+// step are walked first, so every arrival is known before a receiver
+// needs it.
 func Simulate(cfg Config, items []Item) Outcome {
 	n := cfg.Ranks
 	out := Outcome{
@@ -87,111 +91,72 @@ func Simulate(cfg Config, items []Item) Outcome {
 		perRank[it.Rank] = append(perRank[it.Rank], i)
 		out.PredictedLoads[it.Rank] += it.Predicted
 	}
-
-	if !cfg.LoadBalance {
-		for r := 0; r < n; r++ {
-			var busy float64
-			for _, i := range perRank[r] {
-				busy += items[i].Actual
-			}
-			out.Ranks[r] = RankOutcome{Compute: busy, Finish: busy}
-			out.BalancedLoads[r] = busy
-			if out.Ranks[r].Finish > out.Makespan {
-				out.Makespan = out.Ranks[r].Finish
-			}
+	var cl sched.CommList
+	if cfg.LoadBalance {
+		cl = sched.CreateCommunicationList(out.PredictedLoads)
+	}
+	steps := make([][]sched.Step, n)
+	for r := range steps {
+		times := make([]float64, len(perRank[r]))
+		for k, i := range perRank[r] {
+			times[k] = items[i].Predicted
 		}
-		return out
+		steps[r] = cl.Steps(out.PredictedLoads, r, times)
 	}
 
-	cl := sched.CreateCommunicationList(out.PredictedLoads)
-
-	// Senders: build plans, walk their timeline, record message arrivals.
+	// A shipped package, keyed by (sender, receiver): its Ship step and
+	// its arrival time.
 	type message struct {
-		items   []int // global item indices shipped
+		ship    sched.Step
 		arrival float64
 	}
-	// Keyed by (sender, receiver): each pair transfers at most once; the
-	// receiver drains them in its RecvsAt order.
 	msgs := make(map[[2]int]message)
-	isSender := make([]bool, n)
-	for r := 0; r < n; r++ {
-		sends := cl.SendsFrom(r)
-		if len(sends) == 0 {
-			continue
-		}
-		isSender[r] = true
-		itemTimes := make([]float64, len(perRank[r]))
-		for k, i := range perRank[r] {
-			itemTimes[k] = items[i].Predicted
-		}
-		avail := make([]float64, len(sends))
-		for k, tr := range sends {
-			avail[k] = out.PredictedLoads[tr.To]
-		}
-		plan := sched.PlanSender(itemTimes, sends, avail)
-
+	walk := func(r int) {
 		ro := &out.Ranks[r]
 		clock := 0.0
-		for k := range plan.Sends {
-			for _, pi := range plan.GapItems[k] {
-				gi := perRank[r][pi]
-				clock += items[gi].Actual
-				ro.Compute += items[gi].Actual
-			}
-			var shipped []int
-			var bytes int64
-			for _, pi := range plan.ShipItems[k] {
-				gi := perRank[r][pi]
-				shipped = append(shipped, gi)
-				bytes += items[gi].Bytes
-			}
-			clock += cfg.Comm.SendOverhead
-			ro.Send += cfg.Comm.SendOverhead
-			to := plan.Sends[k].To
-			msgs[[2]int{r, to}] = message{
-				items:   shipped,
-				arrival: clock + cfg.Comm.Transit(bytes),
-			}
-			out.Transfers++
-			out.BytesMoved += bytes
-		}
-		for _, pi := range plan.Tail {
-			gi := perRank[r][pi]
-			clock += items[gi].Actual
-			ro.Compute += items[gi].Actual
-		}
-		ro.Finish = clock
-	}
-
-	// Receivers and neutral ranks: local work, then scheduled receives.
-	for r := 0; r < n; r++ {
-		if isSender[r] {
-			continue
-		}
-		ro := &out.Ranks[r]
-		clock := 0.0
-		for _, i := range perRank[r] {
+		run := func(i int) {
 			clock += items[i].Actual
 			ro.Compute += items[i].Actual
 		}
-		for _, src := range cl.RecvsAt(r) {
-			m := msgs[[2]int{src, r}]
-			if m.arrival > clock {
-				ro.Wait += m.arrival - clock
-				clock = m.arrival
-			}
-			for _, gi := range m.items {
-				clock += items[gi].Actual
-				ro.Compute += items[gi].Actual
+		for _, st := range steps[r] {
+			switch st.Kind {
+			case sched.Compute:
+				run(perRank[r][st.Item])
+			case sched.Ship:
+				var bytes int64
+				for _, k := range st.Items {
+					bytes += items[perRank[r][k]].Bytes
+				}
+				clock += cfg.Comm.SendOverhead
+				ro.Send += cfg.Comm.SendOverhead
+				msgs[[2]int{r, st.Peer}] = message{ship: st, arrival: clock + cfg.Comm.Transit(bytes)}
+				out.Transfers++
+				out.BytesMoved += bytes
+			case sched.Recv:
+				m := msgs[[2]int{st.Peer, r}]
+				if m.arrival > clock {
+					ro.Wait += m.arrival - clock
+					clock = m.arrival
+				}
+				for _, k := range m.ship.Items {
+					run(perRank[st.Peer][k])
+				}
 			}
 		}
 		ro.Finish = clock
+		out.BalancedLoads[r] = ro.Compute
+		if clock > out.Makespan {
+			out.Makespan = clock
+		}
 	}
-
-	for r := 0; r < n; r++ {
-		out.BalancedLoads[r] = out.Ranks[r].Compute
-		if out.Ranks[r].Finish > out.Makespan {
-			out.Makespan = out.Ranks[r].Finish
+	receives := func(r int) bool {
+		return slices.ContainsFunc(steps[r], func(st sched.Step) bool { return st.Kind == sched.Recv })
+	}
+	for _, second := range []bool{false, true} {
+		for r := range steps {
+			if receives(r) == second {
+				walk(r)
+			}
 		}
 	}
 	return out
