@@ -104,8 +104,8 @@ func Simulate(cfg Config, items []Item) Outcome {
 		steps[r] = cl.Steps(out.PredictedLoads, r, times)
 	}
 
-	// A shipped package, keyed by (sender, receiver): its Ship step and
-	// its arrival time.
+	// A shipped package: its Ship step and its arrival time, keyed by
+	// (sender, receiver), a pair the communication list joins at most once.
 	type message struct {
 		ship    sched.Step
 		arrival float64
