@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab fuzz loc ci
+.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay fuzz loc ci
 
 build:
 	$(GO) build ./...
@@ -79,6 +79,11 @@ W      ?= batch_build
 N      ?= 5
 bench-ab:
 	bash bench/ab.sh $(PARENT) $(W) $(N)
+
+# The Delaunay build's layer number: New on the clustered 10k and 100k
+# catalogs, one pinned core, five counts (ns/point beside ns/op).
+bench-delaunay:
+	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench DelaunayBuildClustered -count 5 ./internal/delaunay/
 
 # The harness's own self-test (about 3 s). bench/e2e is a module of its
 # own, so `go test ./...` from the root does not reach it.

@@ -6,15 +6,17 @@ import (
 	"testing"
 
 	"godtfe/internal/geom"
+	"godtfe/internal/synth"
 )
 
-// The build benchmarks cover the three point-distribution regimes the
-// paper's catalogs exercise: random (filter almost always certifies, the
+// The build benchmarks cover the point-distribution regimes the paper's
+// catalogs exercise: clustered (synth.HaloSet, the kind of catalog every
+// end-to-end workload builds), random (filter almost always certifies, the
 // insert loop dominates), lattice (grid-aligned coordinates: cospherical
 // shells everywhere, so the exact predicate path fires constantly), and
 // snapped (random points quantized to a coarse grid: a mix of clean and
 // degenerate conflicts). 10k and 100k sizes bracket the per-item particle
-// counts the scheduler experiments use.
+// counts the scheduler experiments use. Each reports ns/point beside ns/op.
 
 func randomCatalog(n int, seed int64) []geom.Vec3 {
 	rng := rand.New(rand.NewSource(seed))
@@ -76,6 +78,7 @@ func benchBuildPts(b *testing.B, pts []geom.Vec3) {
 		}
 		_ = tri
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
 }
 
 // benchSizes emits the build under the historical names
@@ -124,4 +127,11 @@ func BenchmarkDelaunayBuildLattice(b *testing.B) {
 
 func BenchmarkDelaunayBuildSnapped(b *testing.B) {
 	benchSizes(b, func(n int) []geom.Vec3 { return snappedCatalog(n, 2) })
+}
+
+// BenchmarkDelaunayBuildClustered is the insert loop's layer number on the
+// end-to-end workloads' own kind of catalog (`make bench-delaunay`).
+func BenchmarkDelaunayBuildClustered(b *testing.B) {
+	box := geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
+	benchSizes(b, func(n int) []geom.Vec3 { return synth.HaloSet(n, box, synth.DefaultHaloSpec(), 1) })
 }
