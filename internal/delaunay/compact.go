@@ -41,8 +41,8 @@ import (
 // vertex; the three even permutations that put slot m first are (m, then a
 // rotation of faceTable[m]), and the smallest of those starts the rotation
 // at the face's smallest vertex. For infinite tets the canonical form
-// therefore always has V[0] == Inf.
-func canonicalize(tet *Tet) {
+// therefore always has V[0] == Inf. It returns the new slots' old ones.
+func canonicalize(tet *Tet) [4]int {
 	v, n := tet.V, tet.N
 	m := 0
 	for k := 1; k < 4; k++ {
@@ -59,6 +59,7 @@ func canonicalize(tet *Tet) {
 	}
 	tet.V = [4]int32{v[m], v[a], v[b], v[c]}
 	tet.N = [4]int32{n[m], n[a], n[b], n[c]}
+	return [4]int{m, a, b, c}
 }
 
 // int32Buf returns buf resliced to n entries if it has the capacity, else
@@ -71,8 +72,9 @@ func int32Buf(buf []int32, n int) []int32 {
 }
 
 // permuteTets moves tets[order[j]] to tets[j] for every j < len(order), in
-// place, consuming order, and rewrites the neighbor indices of each tet it
-// moves through perm (old index -> new index; neighbors are always live).
+// place, consuming order, after rewriting every live tet's neighbor
+// indices through perm (old index -> new index; neighbors are always live)
+// in one pass off the moves' serial chain.
 // order lists the live slots, each once; dead marks the others. A dead slot
 // below len(order) is the open end of a chain: it takes its tet from a live
 // slot, which — emptied — takes its own from the next, until the source
@@ -80,12 +82,15 @@ func int32Buf(buf []int32, n int) []int32 {
 // leave are cycles among the first len(order) slots. Every live tet moves
 // exactly once, a fixed point onto itself.
 func permuteTets(tets []Tet, dead []bool, order, perm []int32) {
+	for i := range tets {
+		if !dead[i] {
+			n := &tets[i].N
+			n[0], n[1], n[2], n[3] = perm[n[0]], perm[n[1]], perm[n[2]], perm[n[3]]
+		}
+	}
 	const done = int32(-1)
 	n := int32(len(order))
-	move := func(dst int32, tt Tet) {
-		tt.N = [4]int32{perm[tt.N[0]], perm[tt.N[1]], perm[tt.N[2]], perm[tt.N[3]]}
-		tets[dst] = tt
-	}
+	move := func(dst int32, tt Tet) { tets[dst] = tt }
 	for s := int32(0); s < n; s++ {
 		if !dead[s] {
 			continue
@@ -123,7 +128,12 @@ func permuteTets(tets []Tet, dead []bool, order, perm []int32) {
 // tet is in canonical form.
 func (t *Triangulation) barycenterKey(ti int32, box geom.AABB) uint64 {
 	v := &t.tets[ti].V
-	p0, p1, p2, p3 := t.pts[v[0]], t.pts[v[1]], t.pts[v[2]], t.pts[v[3]]
+	return baryKey(t.pts[v[0]], t.pts[v[1]], t.pts[v[2]], t.pts[v[3]], box)
+}
+
+// baryKey is the Hilbert key, within box, of the barycenter of p0..p3,
+// summed in that order.
+func baryKey(p0, p1, p2, p3 geom.Vec3, box geom.AABB) uint64 {
 	return geom.HilbertKey(geom.Vec3{
 		X: (p0.X + p1.X + p2.X + p3.X) * 0.25,
 		Y: (p0.Y + p1.Y + p2.Y + p3.Y) * 0.25,
@@ -138,10 +148,11 @@ var maxRadixSlots = 1 << geom.HilbertIndexBits
 
 // compact canonicalizes every live tet and rebuilds the pool in canonical
 // order (finite tets in Hilbert-barycenter order, then infinite tets),
-// dropping free slots and all insert scratch state. After compact the
-// Triangulation is a pure function of the input point set.
+// dropping free slots and all insert scratch state and restoring input
+// labels. After compact the Triangulation is a pure function of the input
+// point set.
 func (t *Triangulation) compact() {
-	box := geom.BoundsOf(t.pts)
+	box := geom.BoundsOf(t.pts) // the insertion-ordered copy has the input's bounds
 
 	// The insert scratch is spent: its arrays hold the live-slot order and
 	// the slot permutation, and the pool is permuted in place, so the pass
@@ -150,24 +161,55 @@ func (t *Triangulation) compact() {
 	// the caller builds next.
 	order := int32Buf(t.mark, len(t.tets)-len(t.free)) // every dead slot is on the free list
 	perm := int32Buf(t.cmark, len(t.tets))             // old index -> new index
+	radix := len(t.tets) <= maxRadixSlots
+	var buf []uint64
+	if radix {
+		buf = make([]uint64, 2*len(order))
+	}
 
-	// Live slots in ascending order: finite from the front of order,
-	// infinite from the back.
+	// One scan over the live slots, ascending: input labels, canonical
+	// slot order from them, and each finite tet's radix word, its key read
+	// through the local labels in canonical slot order (the input's sum,
+	// bit for bit). Finite slots fill order from the front, infinite ones
+	// from the back.
+	ids := t.ids
 	nf, ni := 0, len(order)
 	for i := range t.tets {
 		if t.dead[i] {
 			continue
 		}
-		canonicalize(&t.tets[i])
-		if t.tets[i].V[0] == Inf {
+		tt := &t.tets[i]
+		lv := tt.V
+		if ids != nil {
+			for k, u := range lv {
+				if u != Inf {
+					tt.V[k] = ids[u]
+				}
+			}
+		}
+		s := canonicalize(tt)
+		if tt.V[0] == Inf {
 			ni--
 			order[ni] = int32(i)
-		} else {
-			order[nf] = int32(i)
-			nf++
+			continue
 		}
+		if radix {
+			key := baryKey(t.pts[lv[s[0]]], t.pts[lv[s[1]]], t.pts[lv[s[2]]], t.pts[lv[s[3]]], box)
+			buf[nf] = key<<geom.HilbertIndexBits | uint64(i)
+		}
+		order[nf] = int32(i)
+		nf++
 	}
 	finite, infinite := order[:nf], order[nf:]
+	if ids != nil {
+		// vertTet, recomputed below, lends its array to dupOf.
+		dup := t.vertTet
+		for k, c := range t.dupOf {
+			dup[ids[k]] = ids[c]
+		}
+		t.dupOf, t.vertTet = dup, t.dupOf
+		t.pts, t.ids, t.input = t.input, nil, nil
+	}
 
 	vCmp := func(a, b int32) int {
 		va, vb := &t.tets[a].V, &t.tets[b].V
@@ -181,12 +223,8 @@ func (t *Triangulation) compact() {
 		}
 		return 0 // distinct live tets never share all four vertices
 	}
-	if len(t.tets) <= maxRadixSlots {
-		buf := make([]uint64, 2*nf)
-		for j, ti := range finite {
-			buf[j] = t.barycenterKey(ti, box)<<geom.HilbertIndexBits | uint64(ti)
-		}
-		sorted := geom.SortHilbertWords(buf[:nf], buf[nf:])
+	if radix {
+		sorted := geom.SortHilbertWords(buf[:nf], buf[nf:2*nf])
 		// The radix pass left tets that share a cell in slot order; the
 		// canonical order within such a run is by vertex quadruple.
 		wCmp := func(a, b uint64) int {
@@ -246,7 +284,7 @@ func (t *Triangulation) compact() {
 
 	// No exported method inserts, so the exposed triangulation carries no
 	// insert scratch; ApplyDelta's working copy allocates its own.
-	t.mark, t.cmark, t.cval = nil, nil, nil
+	t.mark, t.cmark = nil, nil
 	t.epoch = 0
 	t.last = 0
 	t.rng = 0x9e3779b97f4a7c15

@@ -74,6 +74,7 @@ func canonicalizeRef(tet *Tet) {
 }
 
 func (t *Triangulation) compactRef() {
+	relabelRef(t)
 	box := geom.BoundsOf(t.pts)
 
 	var finite, infinite []int32
@@ -158,7 +159,6 @@ func (t *Triangulation) compactRef() {
 
 	t.mark = make([]int32, len(newTets))
 	t.cmark = make([]int32, len(newTets))
-	t.cval = make([]bool, len(newTets))
 	t.epoch = 0
 	t.last = 0
 	t.rng = 0x9e3779b97f4a7c15
@@ -168,11 +168,35 @@ func (t *Triangulation) compactRef() {
 	t.faceTab = flatFaceTable{}
 }
 
+// relabelRef gives a pool built over an insertion-ordered copy of the
+// points its input labels and points back, so that compactRef sees the
+// pool the build once made directly.
+func relabelRef(t *Triangulation) {
+	if t.ids == nil {
+		return
+	}
+	for i := range t.tets {
+		if t.dead[i] {
+			continue
+		}
+		for k, u := range t.tets[i].V {
+			if u != Inf {
+				t.tets[i].V[k] = t.ids[u]
+			}
+		}
+	}
+	dup := make([]int32, len(t.dupOf))
+	for k, c := range t.dupOf {
+		dup[t.ids[k]] = t.ids[c]
+	}
+	t.dupOf, t.pts, t.ids, t.input = dup, t.input, nil, nil
+}
+
 // normalizeRef brings a reference-compacted triangulation to the present
 // layout: the exposed triangulation no longer carries insert scratch, and
 // it records its finite-tet count.
 func normalizeRef(t *Triangulation) {
-	t.mark, t.cmark, t.cval = nil, nil, nil
+	t.mark, t.cmark = nil, nil
 	t.finite = 0
 	for i := range t.tets {
 		if t.tets[i].V[0] != Inf {
@@ -181,10 +205,12 @@ func normalizeRef(t *Triangulation) {
 	}
 }
 
-// cloneRaw copies an uncompacted build so that it can be compacted twice.
+// cloneRaw copies an uncompacted build so that it can be compacted twice,
+// labels of an insertion-ordered build included.
 func cloneRaw(t *Triangulation) *Triangulation {
 	c := t.cloneForDelta()
 	c.epoch = t.epoch
+	c.ids, c.input = slices.Clone(t.ids), t.input
 	return c
 }
 
@@ -198,7 +224,7 @@ func scatterPool(t *Triangulation, seed int64) *Triangulation {
 	to := rand.New(rand.NewSource(seed)).Perm(slots)[:len(t.tets)]
 	c.tets = make([]Tet, slots)
 	c.dead = make([]bool, slots)
-	c.mark, c.cmark, c.cval = make([]int32, slots), make([]int32, slots), make([]bool, slots)
+	c.mark, c.cmark = make([]int32, slots), make([]int32, slots)
 	for i := range c.dead {
 		c.dead[i] = true
 	}

@@ -62,16 +62,20 @@ var faceTable = [4][3]int{
 
 // Triangulation is a 3D Delaunay triangulation. Build one with New.
 type Triangulation struct {
-	pts  []geom.Vec3
-	tets []Tet
-	dead []bool
-	free []int32
+	pts []geom.Vec3
+	// While New inserts, pts is the input copied into insertion order and
+	// local vertex k is input point ids[k]; compact() maps back to input.
+	ids   []int32
+	input []geom.Vec3
+	tets  []Tet
+	dead  []bool
+	free  []int32
 
 	// finite is the number of finite tets, which compact() sorts to the
 	// front of the pool; 0 until then.
 	finite int
 
-	// vertTet[v] is some live tet incident to vertex v.
+	// vertTet[v] is some live tet incident to vertex v (set by compact).
 	vertTet []int32
 
 	// dupOf[i] == i for canonical vertices; for an exact duplicate it is
@@ -82,19 +86,18 @@ type Triangulation struct {
 
 	// scratch state reused across insertions (no steady-state allocation
 	// in the insert loop: the flood-fill stack, the cavity/border lists,
-	// the flat face-matching table, and the per-insertion conflict memo
+	// the flat face-matching table, and the per-insertion conflict state
 	// all keep their backing arrays across insertions)
-	mark    []int32
+	mark    []int32 // collectStar's flood marks (delta.go)
 	epoch   int32
 	cavity  []int32
 	border  []borderFace
 	stack   []int32
 	faceTab flatFaceTable
-	// conflict memo: conflicts(ti, p) is evaluated at most once per
-	// (tet, insertion) — findConflictSeed and the cavity flood fill would
-	// otherwise re-test border tets once per adjacent cavity face.
+	// cmark[ti] = epoch<<2 | inCavity<<1 | conflict: conflicts(ti, p) is
+	// evaluated at most once per (tet, insertion), and the cavity flood
+	// reads one word per face.
 	cmark []int32
-	cval  []bool
 	rng   uint64
 
 	// dlog records kills/creates for dirty-region tracking while an
@@ -183,7 +186,6 @@ func buildRaw(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 		dead:    make([]bool, 0, slots),
 		mark:    make([]int32, 0, slots),
 		cmark:   make([]int32, 0, slots),
-		cval:    make([]bool, 0, slots),
 		vertTet: make([]int32, len(pts)),
 		dupOf:   make([]int32, len(pts)),
 		rng:     0x9e3779b97f4a7c15,
@@ -192,42 +194,46 @@ func buildRaw(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 		t.dupOf[i] = int32(i)
 		t.vertTet[i] = NoTet
 	}
-
-	var order []int
 	if brio {
-		order = brioOrder(pts)
-	} else {
-		order = make([]int, len(pts))
-		for i := range order {
-			order[i] = i
+		// Insert over a copy in insertion order, as CGAL's range insert
+		// does: consecutive inserts read neighbouring coordinates.
+		t.input, t.pts, t.ids = pts, make([]geom.Vec3, len(pts)), make([]int32, len(pts))
+		for k, i := range brioOrder(pts) {
+			t.pts[k], t.ids[k] = pts[i], int32(i)
 		}
 	}
-	used, err := t.initFirstTet(order)
-	if err != nil {
+	if err := t.insertAll(); err != nil {
 		return nil, err
 	}
-	for _, idx := range order {
-		v := int32(idx)
+	return t, nil
+}
+
+// insertAll triangulates t.pts, inserting in index order.
+func (t *Triangulation) insertAll() error {
+	used, err := t.initFirstTet()
+	if err != nil {
+		return err
+	}
+	for v := range int32(len(t.pts)) {
 		if v == used[0] || v == used[1] || v == used[2] || v == used[3] {
 			continue
 		}
 		if err := t.insert(v); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // initFirstTet finds four affinely independent points (scanning in
 // insertion order: with Hilbert rounds, the sparse first round), builds the
 // first finite tet plus its four infinite tets, and returns the four
 // consumed vertex indices.
-func (t *Triangulation) initFirstTet(order []int) ([4]int32, error) {
+func (t *Triangulation) initFirstTet() ([4]int32, error) {
 	p := t.pts
-	i0 := int32(order[0])
+	i0 := int32(0)
 	i1, i2, i3 := NoTet, NoTet, NoTet
-	for _, oi := range order[1:] {
-		v := int32(oi)
+	for v := int32(1); v < int32(len(p)); v++ {
 		if i1 == NoTet {
 			if p[v] != p[i0] {
 				i1 = v
@@ -255,22 +261,18 @@ func (t *Triangulation) initFirstTet(order []int) ([4]int32, error) {
 	// One finite tet and four infinite tets. The infinite tet across the
 	// face opposite slot i stores (Inf, reversed outward face) so that it
 	// is symbolically positively oriented.
-	t0 := t.newTet(Tet{V: [4]int32{i0, i1, i2, i3}})
+	t0 := t.newTet(Tet{V: [4]int32{i0, i1, i2, i3}, N: [4]int32{NoTet, NoTet, NoTet, NoTet}})
 	infs := [4]int32{}
 	tv := t.tets[t0].V
 	for i := 0; i < 4; i++ {
 		f := faceTable[i]
 		w0, w1, w2 := tv[f[0]], tv[f[1]], tv[f[2]]
-		ti := t.newTet(Tet{V: [4]int32{Inf, w0, w2, w1}})
+		ti := t.newTet(Tet{V: [4]int32{Inf, w0, w2, w1}, N: [4]int32{t0, NoTet, NoTet, NoTet}})
 		infs[i] = ti
 		t.tets[t0].N[i] = ti
-		t.tets[ti].N[0] = t0
 	}
 	// Glue the infinite tets to each other along their (Inf, x, y) faces.
 	t.linkFacesBrute(append([]int32{t0}, infs[:]...))
-	for _, v := range []int32{i0, i1, i2, i3} {
-		t.vertTet[v] = t0
-	}
 	t.last = t0
 	t.insertedCount = 4
 	return [4]int32{i0, i1, i2, i3}, nil
@@ -329,9 +331,6 @@ func sort3(a, b, c *int32) {
 }
 
 func (t *Triangulation) newTet(tet Tet) int32 {
-	if tet.N == ([4]int32{}) {
-		tet.N = [4]int32{NoTet, NoTet, NoTet, NoTet}
-	}
 	var idx int32
 	if n := len(t.free); n > 0 {
 		idx = t.free[n-1]
@@ -343,13 +342,23 @@ func (t *Triangulation) newTet(tet Tet) int32 {
 		t.dead = append(t.dead, false)
 		t.mark = append(t.mark, 0)
 		t.cmark = append(t.cmark, 0)
-		t.cval = append(t.cval, false)
 		idx = int32(len(t.tets) - 1)
 	}
 	if t.dlog != nil {
 		t.dlog.noteNew(t, idx)
 	}
 	return idx
+}
+
+// reuseTet is killTet(ti) then newTet(tet) landing in slot ti.
+func (t *Triangulation) reuseTet(ti int32, tet Tet) {
+	if t.dlog != nil {
+		t.dlog.noteKill(t, ti)
+	}
+	t.tets[ti] = tet
+	if t.dlog != nil {
+		t.dlog.noteNew(t, ti)
+	}
 }
 
 func (t *Triangulation) killTet(ti int32) {

@@ -123,11 +123,10 @@ type deltaLog struct {
 // linkScratch recycles the buffers of the per-removal link triangulation
 // and the face maps of the star-hole glue pass.
 type linkScratch struct {
-	lt    *Triangulation
-	order []int
-	lpts  []geom.Vec3
-	link  []int32
-	hole  [][4]int32
+	lt   *Triangulation
+	lpts []geom.Vec3
+	link []int32
+	hole [][4]int32
 
 	boundary  map[tkey]faceRef
 	faceCount map[tkey]int
@@ -145,7 +144,8 @@ func sortedKey(a, b, c int32) tkey {
 
 // build re-triangulates pts into the reusable scratch triangulation. It
 // is buildRaw without BRIO (input order: a link is a few dozen points),
-// finiteness checks (the inputs are mesh coordinates), or fresh
+// finiteness checks (the inputs are mesh coordinates), vertex anchors
+// (nothing reads them before the link mesh is dropped), or fresh
 // allocations: pool arrays are truncated and regrown in place, which
 // newTet does with explicit zero appends, so the state is
 // indistinguishable from a fresh build.
@@ -155,38 +155,21 @@ func (s *linkScratch) build(pts []geom.Vec3) (*Triangulation, error) {
 	}
 	t := s.lt
 	t.pts = append(t.pts[:0], pts...)
-	t.vertTet = t.vertTet[:0]
 	t.dupOf = t.dupOf[:0]
 	for i := range pts {
-		t.vertTet = append(t.vertTet, NoTet)
 		t.dupOf = append(t.dupOf, int32(i))
 	}
 	t.tets = t.tets[:0]
 	t.dead = t.dead[:0]
 	t.mark = t.mark[:0]
 	t.cmark = t.cmark[:0]
-	t.cval = t.cval[:0]
 	t.free = t.free[:0]
 	t.epoch = 0
 	t.last = NoTet
 	t.rng = 0x9e3779b97f4a7c15
 	t.insertedCount = 0
-	for len(s.order) < len(pts) {
-		s.order = append(s.order, len(s.order))
-	}
-	order := s.order[:len(pts)]
-	used, err := t.initFirstTet(order)
-	if err != nil {
+	if err := t.insertAll(); err != nil {
 		return nil, err
-	}
-	for _, idx := range order {
-		v := int32(idx)
-		if v == used[0] || v == used[1] || v == used[2] || v == used[3] {
-			continue
-		}
-		if err := t.insert(v); err != nil {
-			return nil, err
-		}
 	}
 	return t, nil
 }
@@ -342,7 +325,6 @@ func (t *Triangulation) cloneForDelta() *Triangulation {
 		last:          t.last,
 		mark:          make([]int32, len(t.tets)),
 		cmark:         make([]int32, len(t.tets)),
-		cval:          make([]bool, len(t.tets)),
 		rng:           rng,
 		insertedCount: t.insertedCount,
 	}
@@ -659,7 +641,7 @@ func (t *Triangulation) removeVertex(v int32) bool {
 	glue := sc.glue
 	lastNew := NoTet
 	for _, q := range hole {
-		nt := t.newTet(Tet{V: q})
+		nt := t.newTet(Tet{V: q, N: [4]int32{NoTet, NoTet, NoTet, NoTet}})
 		lastNew = nt
 		for f := 0; f < 4; f++ {
 			ft := faceTable[f]

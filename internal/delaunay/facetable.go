@@ -1,70 +1,68 @@
 package delaunay
 
-// flatFaceTable is a reusable open-addressing hash table mapping internal
-// cavity-face keys (edgeKey pairs) to the tet/face waiting for its mate.
-// It replaces the Go map previously used in fillCavity: one insertion per
-// point used to clear and re-grow the map's buckets; the flat table is
-// reset in O(1) by bumping an epoch and reuses its backing arrays across
-// every insertion of a build, so the fill loop performs zero allocations
-// in steady state.
-//
-// Matching is exact (full keys are compared), so replacing the map cannot
-// change which faces pair up: the triangulation produced is byte-identical.
+// flatFaceTable is a reusable open-addressing hash table mapping the
+// directed boundary edges of a cavity's new tets to the tet that owns
+// each (fillCavity's two-pass face matching). It is reset in O(1) by
+// bumping an epoch and reuses its backing array across every insertion
+// of a build, so the fill loop performs zero allocations in steady state.
+// Keys are compared in full, so matching is exact.
 type flatFaceTable struct {
-	keys []uint64
-	vals []faceRef
-	// meta[i] == epoch<<1 marks a live entry, epoch<<1|1 a tombstone;
-	// any other value is an empty slot left over from an earlier epoch.
-	meta  []uint64
-	epoch uint64
+	slots []faceSlot
+	epoch uint32
 	mask  uint64
-	live  int
+}
+
+// faceSlot is one entry; it is empty unless its epoch is the table's.
+type faceSlot struct {
+	key   uint64
+	tet   int32
+	epoch uint32
 }
 
 // reset prepares the table for up to n insertions without growing
-// mid-fill (the caller knows the bound: three internal faces per new tet).
+// mid-fill (the caller knows the bound: three edges per new tet).
 func (ft *flatFaceTable) reset(n int) {
 	need := 2 * n
 	if need < 16 {
 		need = 16
 	}
-	if len(ft.keys) < need {
+	if len(ft.slots) < need {
 		sz := 16
 		for sz < need {
 			sz <<= 1
 		}
-		ft.keys = make([]uint64, sz)
-		ft.vals = make([]faceRef, sz)
-		ft.meta = make([]uint64, sz)
+		ft.slots = make([]faceSlot, sz)
 		ft.epoch = 0
 		ft.mask = uint64(sz - 1)
 	}
 	ft.epoch++
-	ft.live = 0
 }
 
-// takeOrInsert removes and returns the entry for key if one is live, and
-// otherwise inserts key → ref. Each cavity face key appears exactly twice
-// (once from each of the two new tets sharing it), so the first call
-// parks the reference and the second retrieves it; tombstones keep probe
-// chains intact within the epoch.
-func (ft *flatFaceTable) takeOrInsert(key uint64, ref faceRef) (faceRef, bool) {
-	liveTag := ft.epoch << 1
-	i := (key * 0x9e3779b97f4a7c15) >> 32 & ft.mask
-	for {
-		m := ft.meta[i]
-		if m>>1 != ft.epoch {
-			ft.meta[i] = liveTag
-			ft.keys[i] = key
-			ft.vals[i] = ref
-			ft.live++
-			return faceRef{}, false
-		}
-		if m == liveTag && ft.keys[i] == key {
-			ft.meta[i] = liveTag | 1
-			ft.live--
-			return ft.vals[i], true
-		}
+// dirEdgeKey names the directed edge a→b (Inf included).
+func dirEdgeKey(a, b int32) uint64 {
+	return uint64(uint32(a))<<32 | uint64(uint32(b))
+}
+
+func (ft *flatFaceTable) home(key uint64) uint64 {
+	return (key * 0x9e3779b97f4a7c15) >> 32 & ft.mask
+}
+
+// put records that tet owns the directed edge key. Each key is put at most
+// once per epoch.
+func (ft *flatFaceTable) put(key uint64, tet int32) {
+	i := ft.home(key)
+	for ft.slots[i].epoch == ft.epoch {
 		i = (i + 1) & ft.mask
 	}
+	ft.slots[i] = faceSlot{key: key, tet: tet, epoch: ft.epoch}
+}
+
+// get returns the tet that put key this epoch, or NoTet.
+func (ft *flatFaceTable) get(key uint64) int32 {
+	for i := ft.home(key); ft.slots[i].epoch == ft.epoch; i = (i + 1) & ft.mask {
+		if ft.slots[i].key == key {
+			return ft.slots[i].tet
+		}
+	}
+	return NoTet
 }

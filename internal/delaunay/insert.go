@@ -166,17 +166,30 @@ func (t *Triangulation) conflictsCached(ti int32, p geom.Vec3) (bool, error) {
 	if t.cmark == nil {
 		return t.conflicts(ti, p)
 	}
-	if t.cmark[ti] == t.epoch {
-		return t.cval[ti], nil
+	m := t.cmark[ti]
+	if m&^3 != t.epoch<<2 {
+		var err error
+		if m, err = t.testConflict(ti, p); err != nil {
+			return false, err
+		}
 	}
+	return m&1 != 0, nil
+}
+
+// testConflict evaluates conflicts(ti, p), counts it, and stores and
+// returns ti's state word for this insertion: epoch<<2 | conflict.
+func (t *Triangulation) testConflict(ti int32, p geom.Vec3) (int32, error) {
 	t.build.ConflictTests++
 	c, err := t.conflicts(ti, p)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	t.cmark[ti] = t.epoch
-	t.cval[ti] = c
-	return c, nil
+	m := t.epoch << 2
+	if c {
+		m |= 1
+	}
+	t.cmark[ti] = m
+	return m, nil
 }
 
 // insert adds vertex v to the triangulation. Exact duplicates are recorded
@@ -186,9 +199,8 @@ func (t *Triangulation) conflictsCached(ti int32, p geom.Vec3) (bool, error) {
 // the triangulation must be discarded.
 func (t *Triangulation) insert(v int32) error {
 	p := t.pts[v]
-	// One epoch per insertion: it scopes both the cavity marks and the
-	// conflict memo, so findConflictSeed's evaluations are reused by the
-	// cavity flood fill.
+	// One epoch per insertion: it scopes the conflict state words, so
+	// findConflictSeed's evaluations are reused by the cavity flood fill.
 	t.epoch++
 	loc, steps, err := t.LocateSeeded(t.last, p, &t.rng)
 	if err != nil {
@@ -268,40 +280,44 @@ func (t *Triangulation) findConflictSeed(loc int32, p geom.Vec3) (int32, error) 
 }
 
 // carveCavity flood-fills the conflict region from seed, recording cavity
-// tets and the outward-oriented boundary faces.
+// tets and the outward-oriented boundary faces. A tet's state word (cmark)
+// also carries its cavity membership, so the fill reads one per face.
 func (t *Triangulation) carveCavity(seed int32, p geom.Vec3) error {
 	// The epoch was bumped by insert(); the flood-fill stack keeps its
-	// backing array on the Triangulation across insertions.
-	t.cavity = t.cavity[:0]
-	t.border = t.border[:0]
-	stack := t.stack[:0]
+	// backing array on the Triangulation across insertions. findConflictSeed
+	// tested seed in this epoch, so its word is ep|1.
+	ep := t.epoch << 2
+	cavity, border, stack := t.cavity[:0], t.border[:0], t.stack[:0]
+	defer func() { t.cavity, t.border, t.stack = cavity, border, stack }()
 
-	t.mark[seed] = t.epoch
+	t.cmark[seed] = ep | 3
 	stack = append(stack, seed)
-	t.cavity = append(t.cavity, seed)
+	cavity = append(cavity, seed)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		tt := t.tets[cur] // copy: t.tets may grow later, but not here
+		tt := &t.tets[cur] // the pool is not written until fillCavity
 		for f := 0; f < 4; f++ {
 			n := tt.N[f]
-			if t.mark[n] == t.epoch {
+			m := t.cmark[n]
+			if m == ep|3 {
 				continue
 			}
-			c, err := t.conflictsCached(n, p)
-			if err != nil {
-				t.stack = stack
-				return err
+			if m&^3 != ep {
+				var err error
+				if m, err = t.testConflict(n, p); err != nil {
+					return err
+				}
 			}
-			if c {
-				t.mark[n] = t.epoch
-				t.cavity = append(t.cavity, n)
+			if m&1 != 0 {
+				t.cmark[n] = ep | 3
+				cavity = append(cavity, n)
 				stack = append(stack, n)
 				continue
 			}
 			ft := faceTable[f]
 			// Record the reciprocal face index now: by the time the cavity
-			// is refilled the slot for cur may have been recycled.
+			// is refilled the slot for cur holds a new tet.
 			g := int32(-1)
 			for j := 0; j < 4; j++ {
 				if t.tets[n].N[j] == cur {
@@ -310,70 +326,60 @@ func (t *Triangulation) carveCavity(seed int32, p geom.Vec3) error {
 				}
 			}
 			if g < 0 {
-				t.stack = stack
 				return geomerr.Corrupt("delaunay.insert", "neighbor symmetry violated between tets %d and %d", cur, n)
 			}
-			t.border = append(t.border, borderFace{
+			border = append(border, borderFace{
 				outside:     n,
 				outsideFace: g,
 				w:           [3]int32{tt.V[ft[0]], tt.V[ft[1]], tt.V[ft[2]]},
 			})
 		}
 	}
-	t.stack = stack
 	return nil
 }
 
-// fillCavity deletes the cavity and retriangulates it as the star of vertex
-// v over the boundary faces, rebuilding all adjacency.
+// fillCavity retriangulates the cavity as the star of vertex v over the
+// boundary faces, rebuilding all adjacency. New tet i takes cavity slot i;
+// only a surplus goes to the free list and only a shortfall comes from it.
+// vertTet is not kept up: nothing reads it before compact() recomputes it.
 func (t *Triangulation) fillCavity(v int32) error {
-	for _, ti := range t.cavity {
+	// Pass 1: create the tets, glue each to the outside across its boundary
+	// face, and enter its three directed boundary edges in the face table.
+	// The list of new tets reuses the spent flood-fill stack.
+	t.faceTab.reset(3 * len(t.border))
+	news := t.stack[:0]
+	for i, bf := range t.border {
+		a, b, c := bf.w[0], bf.w[1], bf.w[2]
+		tet := Tet{V: [4]int32{v, a, b, c}, N: [4]int32{bf.outside, NoTet, NoTet, NoTet}}
+		var nt int32
+		if i < len(t.cavity) {
+			nt = t.cavity[i]
+			t.reuseTet(nt, tet)
+		} else {
+			nt = t.newTet(tet)
+		}
+		news = append(news, nt)
+		t.tets[bf.outside].N[bf.outsideFace] = nt
+		t.faceTab.put(dirEdgeKey(b, c), nt)
+		t.faceTab.put(dirEdgeKey(c, a), nt)
+		t.faceTab.put(dirEdgeKey(a, b), nt)
+	}
+	t.stack = news
+	for _, ti := range t.cavity[min(len(t.border), len(t.cavity)):] {
 		t.killTet(ti)
 	}
-	// Three internal faces per new tet bounds the table load; reset is
-	// O(1) (epoch bump) once the backing arrays have grown.
-	t.faceTab.reset(3 * len(t.border))
-	var lastNew int32 = NoTet
-	for _, bf := range t.border {
-		nt := t.newTet(Tet{V: [4]int32{v, bf.w[0], bf.w[1], bf.w[2]}})
-		lastNew = nt
-		// Face opposite v is the boundary face; glue to the outside tet.
-		t.tets[nt].N[0] = bf.outside
-		t.tets[bf.outside].N[bf.outsideFace] = nt
-		// Internal faces: opposite slot k (k=1..3) the face holds v and
-		// the two w's other than w[k-1]; key on that vertex pair.
-		for k := 1; k <= 3; k++ {
-			var x, y int32
-			switch k {
-			case 1:
-				x, y = bf.w[1], bf.w[2]
-			case 2:
-				x, y = bf.w[0], bf.w[2]
-			case 3:
-				x, y = bf.w[0], bf.w[1]
-			}
-			key := edgeKey(x, y)
-			if prev, ok := t.faceTab.takeOrInsert(key, faceRef{tet: nt, face: int32(k)}); ok {
-				t.tets[nt].N[k] = prev.tet
-				t.tets[prev.tet].N[prev.face] = nt
-			}
-		}
-		for _, u := range t.tets[nt].V {
-			if u != Inf {
-				t.vertTet[u] = nt
-			}
+	// Pass 2: the internal face opposite slot k holds v and the edge of the
+	// boundary face opposite w[k-1]; its mate owns the reversed edge.
+	for i, bf := range t.border {
+		a, b, c := bf.w[0], bf.w[1], bf.w[2]
+		n := &t.tets[news[i]].N
+		n[1] = t.faceTab.get(dirEdgeKey(c, b))
+		n[2] = t.faceTab.get(dirEdgeKey(a, c))
+		n[3] = t.faceTab.get(dirEdgeKey(b, a))
+		if n[1] == NoTet || n[2] == NoTet || n[3] == NoTet {
+			return geomerr.Corrupt("delaunay.insert", "cavity retriangulation left an unmatched face on tet %d", news[i])
 		}
 	}
-	if t.faceTab.live != 0 {
-		return geomerr.Corrupt("delaunay.insert", "cavity retriangulation left %d unmatched faces", t.faceTab.live)
-	}
-	t.last = lastNew
+	t.last = news[len(news)-1]
 	return nil
-}
-
-func edgeKey(a, b int32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(uint32(a+1))<<32 | uint64(uint32(b+1))
 }

@@ -60,7 +60,7 @@ func (t *Triangulation) VoronoiVolumes() (vol []float64, bounded []bool) {
 		for e := 0; e < 6; e++ {
 			v := tt.V[edgeSlotPairs[e][0]]
 			u := tt.V[edgeSlotPairs[e][1]]
-			key := edgeKey(v, u)
+			key := dirEdgeKey(min(v, u), max(v, u))
 			if processed[key] {
 				continue
 			}
