@@ -17,6 +17,7 @@ import (
 	"log"
 	"math"
 	"math/rand"
+	"os"
 
 	"godtfe/internal/geom"
 	"godtfe/internal/nbody"
@@ -35,6 +36,11 @@ func main() {
 	dt := flag.Float64("dt", 0.08, "pm: time step")
 	mesh := flag.Int("mesh", 64, "pm: mesh cells per dimension (power of two)")
 	flag.Parse()
+	if err := checkFlags(*n, *boxLen, *steps, *dt, *mesh); err != nil {
+		fmt.Fprintln(os.Stderr, "dtfe-gen:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	box := geom.AABB{Min: geom.Vec3{}, Max: geom.Vec3{X: *boxLen, Y: *boxLen, Z: *boxLen}}
 	var pts []geom.Vec3
@@ -100,4 +106,21 @@ func main() {
 	b := geom.BoundsOf(pts)
 	fmt.Printf("wrote %d particles (%s) to %s  bounds=[%.3g..%.3g]^3 blocks=%d\n",
 		len(pts), *kind, *out, b.Min.X, b.Max.X, (*blocks)*(*blocks)*(*blocks))
+}
+
+// checkFlags rejects the flag values no generator can make a catalog from.
+func checkFlags(n int, boxLen float64, steps int, dt float64, mesh int) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("-n %d: need at least one particle", n)
+	case !(boxLen > 0) || math.IsInf(boxLen, 1):
+		return fmt.Errorf("-box %v: need a positive, finite edge length", boxLen)
+	case steps < 0:
+		return fmt.Errorf("-steps %d: need zero or more steps", steps)
+	case !(dt > 0) || math.IsInf(dt, 1):
+		return fmt.Errorf("-dt %v: need a positive, finite time step", dt)
+	case mesh < 1 || mesh&(mesh-1) != 0:
+		return fmt.Errorf("-mesh %d: need a power of two", mesh)
+	}
+	return nil
 }

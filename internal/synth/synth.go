@@ -23,8 +23,11 @@ import (
 	"godtfe/internal/geom"
 )
 
-// Uniform returns n points uniformly distributed in box.
+// Uniform returns n points uniformly distributed in box; nil for n <= 0.
 func Uniform(n int, box geom.AABB, seed int64) []geom.Vec3 {
+	if n <= 0 {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(seed))
 	sz := box.Size()
 	pts := make([]geom.Vec3, n)
@@ -62,8 +65,11 @@ func DefaultHaloSpec() HaloSpec {
 }
 
 // HaloSet distributes n points over randomly placed halos with an NFW-like
-// radial profile plus a uniform background.
+// radial profile plus a uniform background; nil for n <= 0.
 func HaloSet(n int, box geom.AABB, spec HaloSpec, seed int64) []geom.Vec3 {
+	if n <= 0 {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(seed))
 	sz := box.Size()
 	type halo struct {

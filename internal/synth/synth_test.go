@@ -45,6 +45,19 @@ func TestUniformInBox(t *testing.T) {
 	}
 }
 
+// TestNonPositiveCountIsEmpty: a count of zero or less is no points, not a
+// makeslice panic.
+func TestNonPositiveCountIsEmpty(t *testing.T) {
+	for _, n := range []int{0, -5} {
+		if pts := Uniform(n, unitBox(), 1); pts != nil {
+			t.Errorf("Uniform(%d) = %d points", n, len(pts))
+		}
+		if pts := HaloSet(n, unitBox(), DefaultHaloSpec(), 1); pts != nil {
+			t.Errorf("HaloSet(%d) = %d points", n, len(pts))
+		}
+	}
+}
+
 func TestUniformDeterministic(t *testing.T) {
 	a := Uniform(100, unitBox(), 7)
 	b := Uniform(100, unitBox(), 7)
