@@ -13,6 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
+	"os"
 
 	"godtfe/internal/domain"
 	"godtfe/internal/geom"
@@ -39,6 +41,11 @@ func main() {
 	seed := flag.Int64("seed", 3, "random seed")
 	ingest := flag.String("ingest", "fail", "invalid-particle policy: fail | drop | clamp")
 	flag.Parse()
+	if err := checkFlags(*ranks, *nFields, *gridN, *fieldLen, *config); err != nil {
+		fmt.Fprintln(os.Stderr, "dtfe-pipeline:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	policy, err := particleio.ParsePolicy(*ingest)
 	if err != nil {
@@ -71,8 +78,6 @@ func main() {
 		fmt.Printf("placed %d fields on %d line-of-sight stacks\n", len(centers), (*nFields+planes-1)/planes)
 	case "uniform":
 		centers = synth.Uniform(*nFields, box, *seed)
-	default:
-		log.Fatalf("unknown config %q", *config)
 	}
 
 	cfg := pipeline.Config{
@@ -155,4 +160,22 @@ func haloCenters(pts []geom.Vec3, box geom.AABB, n int, periodic bool) ([]geom.V
 		halos = halo.Find(pts, link, 8)
 	}
 	return halo.Centers(halos, n), link, len(halos)
+}
+
+// checkFlags rejects, before the catalog is read, the flag values the run
+// cannot honour (halo.Centers would read -fields 0 as "every halo").
+func checkFlags(ranks, fields, gridN int, fieldLen float64, config string) error {
+	switch {
+	case ranks < 1:
+		return fmt.Errorf("-ranks %d: need at least one rank", ranks)
+	case fields < 1:
+		return fmt.Errorf("-fields %d: need at least one field", fields)
+	case gridN < 1:
+		return fmt.Errorf("-grid %d: need at least one column", gridN)
+	case !(fieldLen > 0) || math.IsInf(fieldLen, 1):
+		return fmt.Errorf("-fieldlen %v: need a positive, finite cube edge", fieldLen)
+	case config != "halos" && config != "los" && config != "uniform":
+		return fmt.Errorf("-config %q: want halos, los or uniform", config)
+	}
+	return nil
 }

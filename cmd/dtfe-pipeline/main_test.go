@@ -1,8 +1,13 @@
 package main
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"godtfe/internal/geom"
@@ -37,5 +42,40 @@ func TestHaloCentersPeriodic(t *testing.T) {
 	}
 	if _, _, groups := haloCenters(pts, box, 4, false); groups != 2 {
 		t.Fatalf("non-periodic: %d groups; want the blob split by the face", groups)
+	}
+}
+
+// TestBadFlagsExitWithUsage runs the command on flag values it cannot run
+// with and expects exit status 2 and the usage text before the catalog is
+// read: the input path names no file, so a check that came after the read
+// would fail with the read's exit status 1 instead. The test binary re-runs
+// itself with DTFE_PIPELINE_ARGS set to execute main on those flags.
+func TestBadFlagsExitWithUsage(t *testing.T) {
+	if args := os.Getenv("DTFE_PIPELINE_ARGS"); args != "" {
+		os.Args = append([]string{"dtfe-pipeline"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	in := " -i " + filepath.Join(t.TempDir(), "missing.dtfe")
+	for _, tc := range []struct{ args, want string }{
+		{"-fields 0", "-fields 0"},
+		{"-fields -3", "-fields -3"},
+		{"-ranks 0", "-ranks 0"},
+		{"-grid 0", "-grid 0"},
+		{"-fieldlen 0", "-fieldlen 0"},
+		{"-fieldlen NaN", "-fieldlen NaN"},
+		{"-config bogus", `-config "bogus"`},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitWithUsage$")
+		cmd.Env = append(os.Environ(), "DTFE_PIPELINE_ARGS="+tc.args+in)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%s: exit %v, want status 2\n%s", tc.args, err, out)
+			continue
+		}
+		if s := string(out); !strings.Contains(s, "dtfe-pipeline: "+tc.want) || !strings.Contains(s, "Usage of") || strings.Contains(s, "panic: ") {
+			t.Errorf("%s: want the offending flag named, then usage, and no panic:\n%s", tc.args, s)
+		}
 	}
 }

@@ -50,8 +50,8 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "abort a distributed render after this long (0: no deadline)")
 	verbose := flag.Bool("v", false, "print the build's insert-loop counters (walk, conflict tests, cavity per insert) and the marcher's resident bytes; -ranks 1 only")
 	flag.Parse()
-	if *ranks > 1 && (*kernel != "marching" || *verbose) {
-		fmt.Fprintln(os.Stderr, "dtfe-render: -ranks > 1 shards the marching kernel and builds no local mesh; it cannot be combined with -kernel walking|zeroorder or -v")
+	if err := checkFlags(*gridN, *kernel, *samples, *workers, *ranks, *tiles, *verbose); err != nil {
+		fmt.Fprintln(os.Stderr, "dtfe-render:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -119,8 +119,6 @@ func main() {
 				log.Fatalf("voronoi: %v", err)
 			}
 			g, stats, err = render.NewZeroOrder(pts, vorDen).Render(spec, *workers, render.ScheduleDynamic)
-		default:
-			log.Fatalf("unknown kernel %q", *kernel)
 		}
 	}
 	if err != nil {
@@ -144,6 +142,28 @@ func main() {
 		log.Fatalf("pgm: %v", err)
 	}
 	fmt.Printf("wrote %s (%dx%d)\n", *out, g.Nx, g.Ny)
+}
+
+// checkFlags rejects, before the catalog is read, the flag values no render
+// can run with, and -ranks > 1 beside what only a local mesh provides.
+func checkFlags(gridN int, kernel string, samples, workers, ranks, tiles int, verbose bool) error {
+	switch {
+	case gridN < 1:
+		return fmt.Errorf("-grid %d: need at least one column", gridN)
+	case kernel != "marching" && kernel != "walking" && kernel != "zeroorder":
+		return fmt.Errorf("-kernel %q: want marching, walking or zeroorder", kernel)
+	case samples < 1:
+		return fmt.Errorf("-samples %d: need at least one line per cell", samples)
+	case workers < 1:
+		return fmt.Errorf("-workers %d: need at least one worker", workers)
+	case ranks < 1:
+		return fmt.Errorf("-ranks %d: need at least one rank", ranks)
+	case tiles < 0:
+		return fmt.Errorf("-tiles %d: need zero (the default) or more tiles", tiles)
+	case ranks > 1 && (kernel != "marching" || verbose):
+		return errors.New("-ranks > 1 shards the marching kernel and builds no local mesh; it cannot be combined with -kernel walking|zeroorder or -v")
+	}
+	return nil
 }
 
 // distributedRender fans the marching render out over an in-process MPI
