@@ -81,31 +81,30 @@ func int32Buf(buf []int32, n int) []int32 {
 // lies at or beyond len(order), where nothing is written. What the chains
 // leave are cycles among the first len(order) slots. Every live tet moves
 // exactly once, a fixed point onto itself.
-func permuteTets(tets []Tet, dead []bool, order, perm []int32) {
+func permuteTets(tets []Tet, dead []bool, order []uint64, perm []int32) {
 	for i := range tets {
 		if !dead[i] {
 			n := &tets[i].N
 			n[0], n[1], n[2], n[3] = perm[n[0]], perm[n[1]], perm[n[2]], perm[n[3]]
 		}
 	}
-	const done = int32(-1)
-	n := int32(len(order))
-	move := func(dst int32, tt Tet) { tets[dst] = tt }
-	for s := int32(0); s < n; s++ {
+	const done = ^uint64(0)
+	n := uint64(len(order))
+	for s := uint64(0); s < n; s++ {
 		if !dead[s] {
 			continue
 		}
 		for j := s; ; {
 			src := order[j]
 			order[j] = done
-			move(j, tets[src])
+			tets[j] = tets[src]
 			if src >= n {
 				break
 			}
 			j = src
 		}
 	}
-	for s := int32(0); s < n; s++ {
+	for s := uint64(0); s < n; s++ {
 		if order[s] == done {
 			continue
 		}
@@ -114,10 +113,10 @@ func permuteTets(tets []Tet, dead []bool, order, perm []int32) {
 			src := order[j]
 			order[j] = done
 			if src == s {
-				move(j, saved)
+				tets[j] = saved
 				break
 			}
-			move(j, tets[src])
+			tets[j] = tets[src]
 			j = src
 		}
 	}
@@ -154,26 +153,23 @@ var maxRadixSlots = 1 << geom.HilbertIndexBits
 func (t *Triangulation) compact() {
 	box := geom.BoundsOf(t.pts) // the insertion-ordered copy has the input's bounds
 
-	// The insert scratch is spent: its arrays hold the live-slot order and
-	// the slot permutation, and the pool is permuted in place, so the pass
-	// allocates nothing but the sort buffer — a second pool's worth of
-	// garbage would otherwise sit beside the field and the march SoA that
-	// the caller builds next.
-	order := int32Buf(t.mark, len(t.tets)-len(t.free)) // every dead slot is on the free list
-	perm := int32Buf(t.cmark, len(t.tets))             // old index -> new index
+	// The insert scratch is spent: cmark holds the slot permutation and the
+	// pool is permuted in place, so the pass allocates nothing but the sort
+	// buffer, whose spare words also carry the live-slot order — a second
+	// pool's worth of garbage would otherwise sit beside the field and the
+	// march SoA that the caller builds next.
+	live := len(t.tets) - len(t.free)      // every dead slot is on the free list
+	perm := int32Buf(t.cmark, len(t.tets)) // old index -> new index
+	buf := make([]uint64, 2*live)
 	radix := len(t.tets) <= maxRadixSlots
-	var buf []uint64
-	if radix {
-		buf = make([]uint64, 2*len(order))
-	}
 
 	// One scan over the live slots, ascending: input labels, canonical
-	// slot order from them, and each finite tet's radix word, its key read
-	// through the local labels in canonical slot order (the input's sum,
-	// bit for bit). Finite slots fill order from the front, infinite ones
-	// from the back.
+	// slot order from them, and each finite tet's word, with (radix) its
+	// key read through the local labels in canonical slot order (the
+	// input's sum, bit for bit). Finite words fill buf from the front,
+	// infinite slots from the back.
 	ids := t.ids
-	nf, ni := 0, len(order)
+	nf, ni := 0, len(buf)
 	for i := range t.tets {
 		if t.dead[i] {
 			continue
@@ -190,17 +186,16 @@ func (t *Triangulation) compact() {
 		s := canonicalize(tt)
 		if tt.V[0] == Inf {
 			ni--
-			order[ni] = int32(i)
+			buf[ni] = uint64(i)
 			continue
 		}
+		buf[nf] = uint64(i)
 		if radix {
 			key := baryKey(t.pts[lv[s[0]]], t.pts[lv[s[1]]], t.pts[lv[s[2]]], t.pts[lv[s[3]]], box)
-			buf[nf] = key<<geom.HilbertIndexBits | uint64(i)
+			buf[nf] |= key << geom.HilbertIndexBits
 		}
-		order[nf] = int32(i)
 		nf++
 	}
-	finite, infinite := order[:nf], order[nf:]
 	if ids != nil {
 		// vertTet, recomputed below, lends its array to dupOf.
 		dup := t.vertTet
@@ -223,8 +218,9 @@ func (t *Triangulation) compact() {
 		}
 		return 0 // distinct live tets never share all four vertices
 	}
+	finite := buf[:nf]
 	if radix {
-		sorted := geom.SortHilbertWords(buf[:nf], buf[nf:2*nf])
+		finite = geom.SortHilbertWords(buf[:nf], buf[nf:2*nf])
 		// The radix pass left tets that share a cell in slot order; the
 		// canonical order within such a run is by vertex quadruple.
 		wCmp := func(a, b uint64) int {
@@ -232,34 +228,39 @@ func (t *Triangulation) compact() {
 		}
 		for lo := 0; lo < nf; {
 			hi := lo + 1
-			for hi < nf && sorted[hi]>>geom.HilbertIndexBits == sorted[lo]>>geom.HilbertIndexBits {
+			for hi < nf && finite[hi]>>geom.HilbertIndexBits == finite[lo]>>geom.HilbertIndexBits {
 				hi++
 			}
 			if hi-lo > 1 {
-				slices.SortFunc(sorted[lo:hi], wCmp)
+				slices.SortFunc(finite[lo:hi], wCmp)
 			}
 			lo = hi
 		}
-		for j, w := range sorted {
-			finite[j] = int32(w & geom.HilbertIndexMask)
+		for j := range finite {
+			finite[j] &= geom.HilbertIndexMask
 		}
 	} else {
 		keys := make([]uint64, len(t.tets))
 		for _, ti := range finite {
-			keys[ti] = t.barycenterKey(ti, box)
+			keys[ti] = t.barycenterKey(int32(ti), box)
 		}
-		slices.SortFunc(finite, func(a, b int32) int {
+		slices.SortFunc(finite, func(a, b uint64) int {
 			if keys[a] != keys[b] {
 				if keys[a] < keys[b] {
 					return -1
 				}
 				return 1
 			}
-			return vCmp(a, b)
+			return vCmp(int32(a), int32(b))
 		})
 	}
-	slices.SortFunc(infinite, vCmp)
-
+	infinite := buf[ni:]
+	slices.SortFunc(infinite, func(a, b uint64) int { return vCmp(int32(a), int32(b)) })
+	// The order is the finite slots, then the infinite ones, copied down
+	// from the top of buf to just past whichever half the sort left the
+	// finite ones in.
+	order := finite[:nf+len(infinite)]
+	copy(order[nf:], infinite)
 	for newIdx, oldIdx := range order {
 		perm[oldIdx] = int32(newIdx)
 	}
@@ -284,7 +285,7 @@ func (t *Triangulation) compact() {
 
 	// No exported method inserts, so the exposed triangulation carries no
 	// insert scratch; ApplyDelta's working copy allocates its own.
-	t.mark, t.cmark = nil, nil
+	t.cmark = nil
 	t.epoch = 0
 	t.last = 0
 	t.rng = 0x9e3779b97f4a7c15

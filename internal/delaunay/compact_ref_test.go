@@ -157,7 +157,6 @@ func (t *Triangulation) compactRef() {
 		}
 	}
 
-	t.mark = make([]int32, len(newTets))
 	t.cmark = make([]int32, len(newTets))
 	t.epoch = 0
 	t.last = 0
@@ -196,7 +195,7 @@ func relabelRef(t *Triangulation) {
 // layout: the exposed triangulation no longer carries insert scratch, and
 // it records its finite-tet count.
 func normalizeRef(t *Triangulation) {
-	t.mark, t.cmark = nil, nil
+	t.cmark = nil
 	t.finite = 0
 	for i := range t.tets {
 		if t.tets[i].V[0] != Inf {
@@ -224,7 +223,7 @@ func scatterPool(t *Triangulation, seed int64) *Triangulation {
 	to := rand.New(rand.NewSource(seed)).Perm(slots)[:len(t.tets)]
 	c.tets = make([]Tet, slots)
 	c.dead = make([]bool, slots)
-	c.mark, c.cmark = make([]int32, slots), make([]int32, slots)
+	c.cmark = make([]int32, slots)
 	for i := range c.dead {
 		c.dead[i] = true
 	}

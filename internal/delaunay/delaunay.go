@@ -88,7 +88,6 @@ type Triangulation struct {
 	// in the insert loop: the flood-fill stack, the cavity/border lists,
 	// the flat face-matching table, and the per-insertion conflict state
 	// all keep their backing arrays across insertions)
-	mark    []int32 // collectStar's flood marks (delta.go)
 	epoch   int32
 	cavity  []int32
 	border  []borderFace
@@ -96,7 +95,7 @@ type Triangulation struct {
 	faceTab flatFaceTable
 	// cmark[ti] = epoch<<2 | inCavity<<1 | conflict: conflicts(ti, p) is
 	// evaluated at most once per (tet, insertion), and the cavity flood
-	// reads one word per face.
+	// reads one word per face. collectStar marks a star as a cavity.
 	cmark []int32
 	rng   uint64
 
@@ -184,7 +183,6 @@ func buildRaw(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 		pts:     pts,
 		tets:    make([]Tet, 0, slots),
 		dead:    make([]bool, 0, slots),
-		mark:    make([]int32, 0, slots),
 		cmark:   make([]int32, 0, slots),
 		vertTet: make([]int32, len(pts)),
 		dupOf:   make([]int32, len(pts)),
@@ -340,7 +338,6 @@ func (t *Triangulation) newTet(tet Tet) int32 {
 	} else {
 		t.tets = append(t.tets, tet)
 		t.dead = append(t.dead, false)
-		t.mark = append(t.mark, 0)
 		t.cmark = append(t.cmark, 0)
 		idx = int32(len(t.tets) - 1)
 	}

@@ -161,7 +161,6 @@ func (s *linkScratch) build(pts []geom.Vec3) (*Triangulation, error) {
 	}
 	t.tets = t.tets[:0]
 	t.dead = t.dead[:0]
-	t.mark = t.mark[:0]
 	t.cmark = t.cmark[:0]
 	t.free = t.free[:0]
 	t.epoch = 0
@@ -323,7 +322,6 @@ func (t *Triangulation) cloneForDelta() *Triangulation {
 		vertTet:       slices.Clone(t.vertTet),
 		dupOf:         slices.Clone(t.dupOf),
 		last:          t.last,
-		mark:          make([]int32, len(t.tets)),
 		cmark:         make([]int32, len(t.tets)),
 		rng:           rng,
 		insertedCount: t.insertedCount,
@@ -440,15 +438,17 @@ func (t *Triangulation) applyDeltaInPlace(d Delta, rset map[int32]bool, st *Delt
 }
 
 // collectStar returns every live tet incident to v (finite and infinite),
-// flooding across the faces that contain v. On return t.mark[ti] ==
-// t.epoch exactly for star members. nil means the anchor was broken.
+// flooding across the faces that contain v. It marks its members with the
+// cavity bit of a fresh epoch: on return t.cmark[ti] == t.epoch<<2|2
+// exactly for star members. nil means the anchor was broken.
 func (t *Triangulation) collectStar(v int32) []int32 {
 	start := t.vertTet[v]
 	if start == NoTet || start >= int32(len(t.tets)) || t.dead[start] {
 		return nil
 	}
 	t.epoch++
-	t.mark[start] = t.epoch
+	in := t.epoch<<2 | 2
+	t.cmark[start] = in
 	out := []int32{start}
 	for qi := 0; qi < len(out); qi++ {
 		cur := out[qi]
@@ -470,8 +470,8 @@ func (t *Triangulation) collectStar(v int32) []int32 {
 			// The face opposite slot k contains v (k != slot), so the
 			// neighbor across it is incident to v too.
 			nb := tt.N[k]
-			if t.mark[nb] != t.epoch {
-				t.mark[nb] = t.epoch
+			if t.cmark[nb] != in {
+				t.cmark[nb] = in
 				out = append(out, nb)
 			}
 		}
@@ -587,7 +587,7 @@ func (t *Triangulation) removeVertex(v int32) bool {
 			}
 		}
 		nb := tt.N[slot]
-		if t.mark[nb] == t.epoch {
+		if t.cmark[nb] == t.epoch<<2|2 {
 			return false // face opposite v led back into the star
 		}
 		g := int32(-1)
