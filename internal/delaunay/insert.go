@@ -318,12 +318,20 @@ func (t *Triangulation) carveCavity(seed int32, p geom.Vec3) error {
 			ft := faceTable[f]
 			// Record the reciprocal face index now: by the time the cavity
 			// is refilled the slot for cur holds a new tet.
-			g := int32(-1)
-			for j := 0; j < 4; j++ {
-				if t.tets[n].N[j] == cur {
-					g = int32(j)
-					break
-				}
+			// Four independent tests: the compiler makes them conditional
+			// moves, where a loop that breaks mispredicts on most faces.
+			nn, g := &t.tets[n].N, int32(-1)
+			if nn[0] == cur {
+				g = 0
+			}
+			if nn[1] == cur {
+				g = 1
+			}
+			if nn[2] == cur {
+				g = 2
+			}
+			if nn[3] == cur {
+				g = 3
 			}
 			if g < 0 {
 				return geomerr.Corrupt("delaunay.insert", "neighbor symmetry violated between tets %d and %d", cur, n)
