@@ -81,16 +81,16 @@ func int32Buf(buf []int32, n int) []int32 {
 // lies at or beyond len(order), where nothing is written. What the chains
 // leave are cycles among the first len(order) slots. Every live tet moves
 // exactly once, a fixed point onto itself.
-func permuteTets(tets []Tet, dead []bool, order []uint64, perm []int32) {
+func permuteTets(tets []Tet, dead []bool, order []int32, perm []uint64) {
 	for i := range tets {
 		if !dead[i] {
 			n := &tets[i].N
-			n[0], n[1], n[2], n[3] = perm[n[0]], perm[n[1]], perm[n[2]], perm[n[3]]
+			n[0], n[1], n[2], n[3] = int32(perm[n[0]]), int32(perm[n[1]]), int32(perm[n[2]]), int32(perm[n[3]])
 		}
 	}
-	const done = ^uint64(0)
-	n := uint64(len(order))
-	for s := uint64(0); s < n; s++ {
+	const done = int32(-1)
+	n := int32(len(order))
+	for s := int32(0); s < n; s++ {
 		if !dead[s] {
 			continue
 		}
@@ -104,7 +104,7 @@ func permuteTets(tets []Tet, dead []bool, order []uint64, perm []int32) {
 			j = src
 		}
 	}
-	for s := uint64(0); s < n; s++ {
+	for s := int32(0); s < n; s++ {
 		if order[s] == done {
 			continue
 		}
@@ -153,14 +153,13 @@ var maxRadixSlots = 1 << geom.HilbertIndexBits
 func (t *Triangulation) compact() {
 	box := geom.BoundsOf(t.pts) // the insertion-ordered copy has the input's bounds
 
-	// The insert scratch is spent: cmark holds the slot permutation and the
-	// pool is permuted in place, so the pass allocates nothing but the sort
-	// buffer, whose spare words also carry the live-slot order — a second
+	// The insert scratch is spent: the pool is permuted in place and the
+	// live-slot order goes into cmark, so the pass allocates nothing but
+	// the sort buffer, which then holds the slot permutation — a second
 	// pool's worth of garbage would otherwise sit beside the field and the
 	// march SoA that the caller builds next.
-	live := len(t.tets) - len(t.free)      // every dead slot is on the free list
-	perm := int32Buf(t.cmark, len(t.tets)) // old index -> new index
-	buf := make([]uint64, 2*live)
+	live := len(t.tets) - len(t.free) // every dead slot is on the free list
+	buf := make([]uint64, max(2*live, len(t.tets)))
 	radix := len(t.tets) <= maxRadixSlots
 
 	// One scan over the live slots, ascending: input labels, canonical
@@ -256,13 +255,16 @@ func (t *Triangulation) compact() {
 	}
 	infinite := buf[ni:]
 	slices.SortFunc(infinite, func(a, b uint64) int { return vCmp(int32(a), int32(b)) })
-	// The order is the finite slots, then the infinite ones, copied down
-	// from the top of buf to just past whichever half the sort left the
-	// finite ones in.
-	order := finite[:nf+len(infinite)]
-	copy(order[nf:], infinite)
+	order := int32Buf(t.cmark, live) // the finite slots, then the infinite ones
+	for j, ti := range finite {
+		order[j] = int32(ti)
+	}
+	for j, ti := range infinite {
+		order[nf+j] = int32(ti)
+	}
+	perm := buf[:len(t.tets)] // old index -> new index
 	for newIdx, oldIdx := range order {
-		perm[oldIdx] = int32(newIdx)
+		perm[oldIdx] = uint64(newIdx)
 	}
 	permuteTets(t.tets, t.dead, order, perm)
 	n := len(order)
