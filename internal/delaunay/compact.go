@@ -62,15 +62,6 @@ func canonicalize(tet *Tet) [4]int {
 	return [4]int{m, a, b, c}
 }
 
-// int32Buf returns buf resliced to n entries if it has the capacity, else
-// a fresh array. The contents are unspecified.
-func int32Buf(buf []int32, n int) []int32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int32, n)
-}
-
 // permuteTets moves tets[order[j]] to tets[j] for every j < len(order), in
 // place, consuming order, after rewriting every live tet's neighbor
 // indices through perm (old index -> new index; neighbors are always live)
@@ -255,7 +246,7 @@ func (t *Triangulation) compact() {
 	}
 	infinite := buf[ni:]
 	slices.SortFunc(infinite, func(a, b uint64) int { return vCmp(int32(a), int32(b)) })
-	order := int32Buf(t.cmark, live) // the finite slots, then the infinite ones
+	order := t.cmark[:live] // the finite slots, then the infinite ones
 	for j, ti := range finite {
 		order[j] = int32(ti)
 	}
