@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay fuzz loc ci
+.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay bench-cache fuzz loc ci
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,12 @@ bench-ab:
 # catalogs, one pinned core, five counts (ns/point beside ns/op).
 bench-delaunay:
 	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench DelaunayBuildClustered -count 5 ./internal/delaunay/
+
+# The column cache's layer number: colCache alone under the serve_overlap
+# request stream (Zipf over 768 families, default budget), one pinned core,
+# five counts (cold/req_col beside ns/op).
+bench-cache:
+	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench ColumnCacheZipf -count 5 ./internal/fieldserve/
 
 # The harness's own self-test (about 3 s). bench/e2e is a module of its
 # own, so `go test ./...` from the root does not reach it.

@@ -3,11 +3,13 @@ package fieldserve
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"godtfe/internal/fault"
+	"godtfe/internal/render"
 )
 
 // BenchmarkFieldServeColdBuild measures the full cold path: service
@@ -227,4 +229,50 @@ func BenchmarkFieldServeOverlapStorm(b *testing.B) {
 	defer mu.Unlock()
 	b.ReportMetric(float64(served)/float64(b.N), "served/op")
 	b.ReportMetric(float64(shed)/float64(b.N), "shed/op")
+}
+
+// BenchmarkColumnCacheZipf is the column cache's layer benchmark: colCache
+// alone under the serve_overlap request shape, with no mesh and no march.
+// 768 families drawn Zipf(1), each request a window of Nx in [32, 128]
+// columns by 32 rows from its family's column 0, against the service's
+// default 1<<20-cell budget and catalog quota. Like buildUnion, a request
+// gets each of its columns and puts every miss. One op is the whole
+// 20 000-request stream on a fixed seed; cold/req_col is the share of
+// requested columns that missed (and would have been marched) over the
+// last 15 000 requests, after 5 000 that warm the cache.
+func BenchmarkColumnCacheZipf(b *testing.B) {
+	const (
+		families, nxMin, nxMax, ny = 768, 32, 128, 32
+		requests, warmup           = 20000, 5000
+		budget                     = 1 << 20
+	)
+	fams := make([]render.Spec, families)
+	for f := range fams {
+		fams[f] = render.FamilyOf(testSpec(nxMax, int64(1_000_000+f)))
+	}
+	var cold, asked int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(1))
+		zipf := rand.NewZipf(rng, 1.0001, 1, families-1)
+		c := newColCache(budget, int(catalogCacheShare*budget))
+		cold, asked = 0, 0
+		for r := 0; r < requests; r++ {
+			key := colKey{Catalog: "halos", Family: fams[zipf.Uint64()]}
+			nx := nxMin + rng.Intn(nxMax-nxMin+1)
+			for col := 0; col < nx; col++ {
+				key.Col = col
+				if _, ok := c.get(key, ny, 0); !ok {
+					c.put(key, make([]float64, ny), 0, nil)
+					if r >= warmup {
+						cold++
+					}
+				}
+			}
+			if r >= warmup {
+				asked += nx
+			}
+		}
+	}
+	b.ReportMetric(float64(cold)/float64(asked), "cold/req_col")
 }
