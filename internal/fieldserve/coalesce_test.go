@@ -678,4 +678,97 @@ func TestColCache(t *testing.T) {
 	}
 }
 
+// TestColumnCacheKeepsReusedColumns pins the segmented LRU's scan
+// resistance: a column hit once after its insert — through get, or through
+// an assemble that commits — survives a scan of one-time columns twice the
+// budget, while a column never hit, or touched only by an assemble that
+// did not commit, is evicted by it.
+func TestColumnCacheKeepsReusedColumns(t *testing.T) {
+	c := newColCache(100, 0)
+	warm := testSpec(2, 1)
+	warm.Ny = 10
+	half := warm
+	half.Seed = 3 // only column 0 of this family is resident
+	reused := colKey{Catalog: "a", Family: render.FamilyOf(testSpec(8, 2))}
+	partial := colKey{Catalog: "a", Family: render.FamilyOf(half)}
+	once := colKey{Catalog: "a", Family: render.FamilyOf(testSpec(8, 4))}
+	for i := 0; i < warm.Nx; i++ {
+		c.put(colKey{Catalog: "a", Family: render.FamilyOf(warm), Col: i}, make([]float64, 10), 0, nil)
+	}
+	for _, k := range []colKey{reused, partial, once} {
+		c.put(k, make([]float64, 10), 0, nil)
+	}
+	if c.assemble("a", warm, 0) == nil {
+		t.Fatal("warm family did not assemble")
+	}
+	if _, ok := c.get(reused, 10, 0); !ok {
+		t.Fatal("fresh column missed")
+	}
+	if c.assemble("a", half, 0) != nil {
+		t.Fatal("a family missing a column assembled")
+	}
+
+	scan := colKey{Catalog: "a", Family: render.FamilyOf(testSpec(8, 5))}
+	for i := 0; i < 20; i++ {
+		scan.Col = i
+		c.put(scan, make([]float64, 10), 0, nil)
+	}
+	for i := 0; i < warm.Nx; i++ {
+		if _, ok := c.get(colKey{Catalog: "a", Family: render.FamilyOf(warm), Col: i}, 10, 0); !ok {
+			t.Fatalf("column %d of the assembled family did not survive the scan", i)
+		}
+	}
+	if _, ok := c.get(reused, 10, 0); !ok {
+		t.Fatal("the column hit after its insert did not survive the scan")
+	}
+	for name, k := range map[string]colKey{"partial": partial, "once": once} {
+		if _, ok := c.get(k, 10, 0); ok {
+			t.Fatalf("%s column survived a scan twice the budget", name)
+		}
+	}
+	if st := c.stats(); st.Cells != 100 || st.Evicted != 15 {
+		t.Fatalf("want a full budget and 15 evictions: %+v", st)
+	}
+}
+
+// TestColumnCacheQuotaAcrossSegments: a catalog over its share whose
+// columns are all protected still makes room from its own columns only —
+// every other catalog's column stays, and the budget holds.
+func TestColumnCacheQuotaAcrossSegments(t *testing.T) {
+	fam := render.FamilyOf(testSpec(8, 1))
+	key := func(cat string, col int) colKey { return colKey{Catalog: cat, Family: fam, Col: col} }
+	c := newColCache(100, 40)
+	for i := 0; i < 2; i++ {
+		c.put(key("cold", i), make([]float64, 20), 0, nil)
+	}
+	// "h" fills the rest and is hit on every column: 60 cells, all
+	// protected, 20 over its share.
+	for i := 0; i < 3; i++ {
+		c.put(key("h", i), make([]float64, 20), 0, nil)
+		if _, ok := c.get(key("h", i), 20, 0); !ok {
+			t.Fatalf("h column %d missed right after its insert", i)
+		}
+	}
+	for i := 3; i < 8; i++ {
+		c.put(key("h", i), make([]float64, 20), 0, nil)
+		if st := c.stats(); st.Cells > 100 {
+			t.Fatalf("over budget after inserting h column %d: %+v", i, st)
+		}
+		for j := 0; j < 2; j++ {
+			if _, ok := c.get(key("cold", j), 20, 0); !ok {
+				t.Fatalf("inserting h column %d evicted cold column %d", i, j)
+			}
+		}
+		if _, ok := c.get(key("h", i), 20, 0); !ok {
+			t.Fatalf("h column %d was evicted by its own insert", i)
+		}
+	}
+	if _, ok := c.get(key("h", 2), 20, 0); ok {
+		t.Fatal("h kept more than its resident cells")
+	}
+	if st := c.stats(); st.Cells != 100 || st.Evicted != 5 {
+		t.Fatalf("want a full budget and five evictions: %+v", st)
+	}
+}
+
 var _ = grid.ChecksumBits // keep the import honest if assertions change

@@ -38,18 +38,36 @@ type colEntry struct {
 	sum   uint64 // grid.ChecksumBits(vals) at insert; re-verified on every hit
 	epoch uint64
 	elem  *list.Element
+	// protected: elem is in the protected segment, not in probation.
+	protected bool
 }
+
+// protectedShare is the fraction of the cell budget the protected segment
+// may hold. BenchmarkColumnCacheZipf reads 0.1731, 0.1630, 0.1577, 0.1540
+// and 0.1551 cold columns per requested column at 0.5, 0.7, 0.8, 0.9 and
+// 0.95 (a plain LRU: 0.1889).
+const protectedShare = 0.9
 
 // colCache is the service's one cache — a whole grid is a run of columns,
 // and a degraded grid a run of columns of a coarser family — budgeted in
 // cells (float64s) rather than entries so tall and short columns are
-// accounted honestly. Two disciplines hold on every read: hit-time checksum
+// accounted honestly. It is a segmented LRU over that one budget, so a scan
+// of one-off columns cannot flush the columns traffic comes back for: an
+// insert lands at the front of probation, its first hit promotes it to the
+// front of protected, and protected's LRU columns are demoted to the front
+// of probation while it holds more than protectedShare of the budget.
+// Eviction takes probation's LRU column (probation is never empty then: it
+// holds the column being inserted). Traffic that never hits keeps every
+// column on probation, which is exactly a plain LRU.
+//
+// Two disciplines hold on every read: hit-time checksum
 // verification (a corrupted column is evicted and re-marched, never
 // served), and an elastic per-catalog quota (catBudget cells, 0 disables)
 // enforced only under eviction pressure — a catalog may grow past its share
 // while the cache has free space, but once it is full an insert for a
-// catalog over its share evicts that catalog's own LRU column, so one hot
-// catalog can never drain every other catalog's entries.
+// catalog over its share evicts that catalog's own LRU column (probation
+// first, then protected), so one hot catalog can never drain every other
+// catalog's entries.
 //
 // A lookup needs the column's rows 0..ny-1; a cached column taller than ny
 // serves the request as a prefix, and a shorter one is a miss (the caller
@@ -62,7 +80,9 @@ type colCache struct {
 	catBudget int
 	cells     int
 	entries   map[colKey]*colEntry
-	order     *list.List // front = most recently used
+	probation *list.List // front = most recently used, in each segment
+	protected *list.List
+	protCells int // cells held by protected
 	perCat    map[string]int
 
 	hits, misses, evicted, poisoned uint64
@@ -76,7 +96,8 @@ func newColCache(budget, catBudget int) *colCache {
 		budget:    budget,
 		catBudget: catBudget,
 		entries:   make(map[colKey]*colEntry),
-		order:     list.New(),
+		probation: list.New(),
+		protected: list.New(),
 		perCat:    make(map[string]int),
 	}
 }
@@ -97,9 +118,28 @@ func (c *colCache) get(key colKey, ny int, epoch uint64) ([]float64, bool) {
 		c.misses++
 		return nil, false
 	}
-	c.order.MoveToFront(e.elem)
+	c.hitLocked(e)
 	c.hits++
 	return e.vals[:ny], true
+}
+
+// hitLocked records a committed hit: a protected column moves to the
+// protected front; a probation column is promoted there, and protected's
+// LRU columns are demoted to the probation front while it is over its
+// share.
+func (c *colCache) hitLocked(e *colEntry) {
+	if e.protected {
+		c.protected.MoveToFront(e.elem)
+		return
+	}
+	c.probation.Remove(e.elem)
+	e.elem, e.protected = c.protected.PushFront(e), true
+	c.protCells += len(e.vals)
+	for c.protCells > int(protectedShare*float64(c.budget)) {
+		d := c.protected.Remove(c.protected.Back()).(*colEntry)
+		d.elem, d.protected = c.probation.PushFront(d), false
+		c.protCells -= len(d.vals)
+	}
 }
 
 // verifiedLocked re-hashes a resident column against the checksum recorded
@@ -151,7 +191,7 @@ func (c *colCache) assemble(catalog string, spec render.Spec, epoch uint64) *gri
 	out := spec.Grid()
 	for i, e := range cols {
 		out.SetColumn(i, e.vals[:spec.Ny])
-		c.order.MoveToFront(e.elem)
+		c.hitLocked(e)
 	}
 	c.hits += uint64(len(cols))
 	return out
@@ -172,7 +212,8 @@ func (c *colCache) rot(key colKey) {
 	}
 }
 
-// put inserts a freshly marched column. vals is adopted, not copied — the
+// put inserts a freshly marched column at the front of probation, replacing
+// any entry of the key in either segment. vals is adopted, not copied — the
 // caller must hand over a private slice and never write to it again.
 // epoch tags the entry with the mesh epoch it was marched from; insertOK,
 // when non-nil, is evaluated under the cache lock and a false verdict
@@ -191,12 +232,12 @@ func (c *colCache) put(key colKey, vals []float64, epoch uint64, insertOK func()
 		c.removeLocked(old)
 	}
 	e := &colEntry{key: key, vals: vals, sum: grid.ChecksumBits(vals), epoch: epoch}
-	e.elem = c.order.PushFront(e)
+	e.elem = c.probation.PushFront(e)
 	c.entries[key] = e
 	c.cells += len(vals)
 	c.perCat[key.Catalog] += len(vals)
 	for c.cells > c.budget {
-		c.removeLocked(c.victimLocked(key.Catalog))
+		c.removeLocked(c.victimLocked(e))
 		c.evicted++
 	}
 }
@@ -237,7 +278,12 @@ func (c *colCache) invalidate(catalog string, st *delaunay.DeltaStats, newEpoch 
 
 func (c *colCache) removeLocked(e *colEntry) {
 	delete(c.entries, e.key)
-	c.order.Remove(e.elem)
+	if e.protected {
+		c.protected.Remove(e.elem)
+		c.protCells -= len(e.vals)
+	} else {
+		c.probation.Remove(e.elem)
+	}
 	c.cells -= len(e.vals)
 	if n := c.perCat[e.key.Catalog] - len(e.vals); n > 0 {
 		c.perCat[e.key.Catalog] = n
@@ -246,18 +292,24 @@ func (c *colCache) removeLocked(e *colEntry) {
 	}
 }
 
-// victimLocked picks the eviction victim for an insert by owner: the
-// owner's own LRU column when the owner is over its cell quota, the global
-// LRU column otherwise.
-func (c *colCache) victimLocked(owner string) *colEntry {
-	if c.catBudget > 0 && c.perCat[owner] > c.catBudget {
-		for el := c.order.Back(); el != nil; el = el.Prev() {
-			if e := el.Value.(*colEntry); e.key.Catalog == owner {
-				return e
+// victimLocked picks the eviction victim for inserting e. When e's catalog
+// is over its cell quota it is that catalog's own LRU column other than e —
+// on probation first, then in protected — or e itself when the catalog has
+// no other, so an over-share catalog whose columns are all protected makes
+// room from them, never from another catalog. Otherwise it is probation's
+// LRU column: probation holds e, so it is never empty here.
+func (c *colCache) victimLocked(e *colEntry) *colEntry {
+	if owner := e.key.Catalog; c.catBudget > 0 && c.perCat[owner] > c.catBudget {
+		for _, seg := range [2]*list.List{c.probation, c.protected} {
+			for el := seg.Back(); el != nil; el = el.Prev() {
+				if v := el.Value.(*colEntry); v != e && v.key.Catalog == owner {
+					return v
+				}
 			}
 		}
+		return e
 	}
-	return c.order.Back().Value.(*colEntry)
+	return c.probation.Back().Value.(*colEntry)
 }
 
 // colStats is a consistent snapshot of the column-cache counters.

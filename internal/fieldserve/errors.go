@@ -18,8 +18,9 @@
 //     columns of a coarser rendering of the same field are resident it is
 //     assembled and served immediately, flagged Degraded, instead of an
 //     error.
-//   - Marched columns are cached in one LRU; every read re-verifies the
-//     column's FNV-1a checksum, so a poisoned entry is detected, evicted,
+//   - Marched columns are cached in one segmented LRU (a column hit since
+//     its insert outlives a scan of one-off columns); every read re-verifies
+//     the column's FNV-1a checksum, so a poisoned entry is detected, evicted,
 //     and re-marched rather than served.
 package fieldserve
 
