@@ -425,8 +425,12 @@ func Coarsen(spec render.Spec, level int) (render.Spec, bool) {
 	if level <= 0 {
 		return spec, level == 0
 	}
-	f := 1 << uint(level)
-	if spec.Nx%f != 0 || spec.Ny%f != 0 || spec.Nx/f < 1 || spec.Ny/f < 1 {
+	// Checked first: 1<<level wraps at level 63 and beyond.
+	if spec.Nx>>level < 1 || spec.Ny>>level < 1 {
+		return render.Spec{}, false
+	}
+	f := 1 << level
+	if spec.Nx%f != 0 || spec.Ny%f != 0 {
 		return render.Spec{}, false
 	}
 	c := spec

@@ -94,6 +94,15 @@ func TestCoarsen(t *testing.T) {
 	if _, ok := Coarsen(spec, -1); ok {
 		t.Fatal("negative level accepted")
 	}
+	if c6, ok := Coarsen(spec, 6); !ok || c6.Nx != 1 || c6.Ny != 1 {
+		t.Fatalf("level 6 of a 64-cell grid wrong: %+v", c6)
+	}
+	// The factor 1<<level exceeds the grid at 7 and wraps at 63 and beyond.
+	for _, level := range []int{7, 63, 64, 1000} {
+		if c, ok := Coarsen(spec, level); ok || c != (render.Spec{}) {
+			t.Fatalf("level %d: got %+v, %v; want the zero spec and false", level, c, ok)
+		}
+	}
 }
 
 // Every grid the service serves must be bit-identical to a direct
