@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -51,7 +52,8 @@ func main() {
 	overlap := flag.Float64("overlap", 0, "fraction of requests drawn from hot coalescing families with varied window extents")
 	overlapFams := flag.Int("overlap-families", 3, "hot family pool size for -overlap")
 	flag.Parse()
-	if err := checkFlags(*specs, *workers, *gridN, *overlap); err != nil {
+	if err := checkFlags(*in, *particles, *gridN, *specs, *requests, *workers, *queue, *maxBatch, *overlapFams,
+		*rate, *overlap, *cancelProb, *slowProb, *poisonProb); err != nil {
 		fmt.Fprintln(os.Stderr, "dtfe-serve:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -79,18 +81,43 @@ func main() {
 		})
 }
 
-// checkFlags rejects the flag values the load generator cannot run with:
-// the spec mix is indexed modulo -specs, the offered rate is derived from
+// checkFlags rejects the flag values the load generator cannot run with,
+// before a catalog is synthesized or read: a mesh needs four particles, the
+// spec mix is indexed modulo -specs, the offered rate is derived from
 // -workers, and an -overlap window spans half to all of -grid on each axis,
-// which is no cells at all when -grid is 1.
-func checkFlags(specs, workers, gridN int, overlap float64) error {
+// which is no cells at all when -grid is 1. Zero -queue, -max-batch and
+// -rate select their defaults; negative ones are refused, not defaulted.
+func checkFlags(in string, particles, gridN, specs, requests, workers, queue, maxBatch, overlapFams int,
+	rate, overlap, cancelProb, slowProb, poisonProb float64) error {
 	switch {
+	case in == "" && particles < 4:
+		return fmt.Errorf("-particles %d: a synthetic catalog needs at least 4 particles", particles)
+	case gridN < 1:
+		return fmt.Errorf("-grid %d: need at least one column", gridN)
 	case specs < 1:
 		return fmt.Errorf("-specs %d: need at least one spec", specs)
+	case requests < 1:
+		return fmt.Errorf("-requests %d: need at least one request", requests)
 	case workers < 1:
 		return fmt.Errorf("-workers %d: need at least one worker", workers)
+	case queue < 0:
+		return fmt.Errorf("-queue %d: need 0 (2x workers) or a positive depth", queue)
+	case maxBatch < 0:
+		return fmt.Errorf("-max-batch %d: need 0 (the service default) or a positive bound", maxBatch)
+	case !(rate >= 0) || math.IsInf(rate, 1):
+		return fmt.Errorf("-rate %v: need 0 (2x measured capacity) or a finite positive rate", rate)
+	}
+	probs := []float64{overlap, cancelProb, slowProb, poisonProb}
+	for i, name := range []string{"-overlap", "-cancel-prob", "-slow-prob", "-poison-prob"} {
+		if p := probs[i]; !(p >= 0 && p <= 1) {
+			return fmt.Errorf("%s %v: a probability must be in [0, 1]", name, p)
+		}
+	}
+	switch {
 	case gridN < 2 && overlap > 0:
 		return fmt.Errorf("-grid %d: -overlap windows need a grid of at least 2", gridN)
+	case overlapFams < 1 && overlap > 0:
+		return fmt.Errorf("-overlap-families %d: -overlap needs at least one family", overlapFams)
 	}
 	return nil
 }

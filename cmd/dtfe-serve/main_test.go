@@ -22,6 +22,22 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{"-specs 0", "-specs 0"},
 		{"-workers 0", "-workers 0"},
 		{"-grid 1 -overlap 0.5", "-grid 1"},
+		{"-grid 0", "-grid 0"},
+		{"-grid -3", "-grid -3"},
+		{"-requests 0", "-requests 0"},
+		{"-requests -5", "-requests -5"},
+		{"-rate -1", "-rate -1"},
+		{"-rate NaN", "-rate NaN"},
+		{"-rate +Inf", "-rate +Inf"},
+		{"-overlap 1.5", "-overlap 1.5"},
+		{"-overlap -0.1", "-overlap -0.1"},
+		{"-cancel-prob 2", "-cancel-prob 2"},
+		{"-slow-prob -1", "-slow-prob -1"},
+		{"-poison-prob NaN", "-poison-prob NaN"},
+		{"-overlap 0.5 -overlap-families 0", "-overlap-families 0"},
+		{"-queue -1", "-queue -1"},
+		{"-max-batch -2", "-max-batch -2"},
+		{"-particles 3", "-particles 3"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitWithUsage$")
 		cmd.Env = append(os.Environ(), "DTFE_SERVE_ARGS="+tc.args)
