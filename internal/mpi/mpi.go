@@ -93,9 +93,9 @@ const (
 )
 
 const (
-	defaultMaxRetries = 5
-	retryBackoffBase  = 200 * time.Microsecond
-	retryBackoffLimit = 10 * time.Millisecond
+	defaultSendRetries = 5
+	retryBackoffBase   = 200 * time.Microsecond
+	retryBackoffLimit  = 10 * time.Millisecond
 )
 
 // SendVerdict is a fault injector's decision for one delivery attempt.
@@ -350,7 +350,7 @@ type Comm struct {
 
 // Comm returns the communicator for a rank.
 func (w *World) Comm(rank int) *Comm {
-	return &Comm{world: w, rank: rank, maxRetries: defaultMaxRetries}
+	return &Comm{world: w, rank: rank, maxRetries: defaultSendRetries}
 }
 
 // RunEach executes f concurrently on every rank of this world and returns

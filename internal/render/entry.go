@@ -8,21 +8,10 @@ import (
 )
 
 // The entry-location layer answers "which downward hull facet does the
-// vertical line through ξ pierce?" (the paper's Section IV-A2, eq 14).
-// Two structures share one facet list, extracted once per Marcher:
-//
-//   - entryIndex: a uniform bucket grid over the projected facets
-//     (O(1) expected, query-order independent) — the stateless locator and
-//     the arbiter of every tie.
-//   - entryWalk: a visibility walk on the projected facet mesh — the
-//     paper's own entry structure — seeded per worker from the previous
-//     column's facet (Marcher.findEntryIdx), with entryIndex as fallback.
-//
-// Both resolve containment with the same exact 2D orientation predicate
-// (geom.Orient2D) and the walk defers every boundary tie to the bucket
-// index, so they agree on the returned facet index for every query — the
-// foundation of the guarantee that a coherent scan renders the same bits
-// as stateless per-column lookups.
+// vertical line through ξ pierce?" (the paper's Section IV-A2, eq 14) with
+// one stateless structure, entryIndex. Its answer does not depend on query
+// order, so a tile, a run of columns or a whole grid renders the same bits
+// whatever the scan order or worker count.
 
 // entryFace is one downward-facing hull facet: the facet vertices (outward
 // oriented), their x-y projections, and the finite tetrahedron behind it.
@@ -37,8 +26,8 @@ type entryFace struct {
 }
 
 // contains reports whether xi lies in the closed projected facet, using
-// the exact orientation predicate so every locator shares one notion of
-// containment.
+// the exact orientation predicate, so a line on a shared edge or vertex is
+// inside every facet that has it.
 func (f *entryFace) contains(xi geom.Vec2) bool {
 	return geom.Orient2D(f.pa, f.pb, xi) <= 0 &&
 		geom.Orient2D(f.pb, f.pc, xi) <= 0 &&
@@ -46,56 +35,30 @@ func (f *entryFace) contains(xi geom.Vec2) bool {
 }
 
 // buildEntryFaces extracts the downward-facing hull facets ("facing the
-// opposite direction of integration", eq 14) and their projected-edge
-// adjacency: nbr[f][e] is the facet across directed edge e of facet f
-// (edges in the order (a,b), (b,c), (c,a)), or -1 on the projected-hull
-// boundary. The facets of a lower convex hull tile its convex projection,
-// so crossing a -1 edge means the query is strictly outside every facet.
-func buildEntryFaces(tri *delaunay.Triangulation) (faces []entryFace, nbr [][3]int32) {
+// opposite direction of integration", eq 14). The facets of a lower convex
+// hull tile its convex projection, so a vertical line pierces at most one
+// of them in its interior.
+func buildEntryFaces(tri *delaunay.Triangulation) []entryFace {
 	pts := tri.Points()
-	type edgeKey [2]int32
-	type edgeRef struct {
-		face int32
-		edge int32
-	}
-	open := make(map[edgeKey]edgeRef)
-	mk := func(a, b int32) edgeKey {
-		if a > b {
-			a, b = b, a
-		}
-		return edgeKey{a, b}
-	}
+	var faces []entryFace
 	for _, hf := range tri.HullFaces() {
 		a, b, c := pts[hf.V[0]], pts[hf.V[1]], pts[hf.V[2]]
 		n := b.Sub(a).Cross(c.Sub(a)) // outward normal
 		if n.Z >= 0 {
 			continue // not a downward-facing (entry) facet
 		}
-		fi := int32(len(faces))
 		faces = append(faces, entryFace{
 			a: a, b: b, c: c,
 			pa: a.XY(), pb: b.XY(), pc: c.XY(),
 			behind: hf.Behind,
 		})
-		nbr = append(nbr, [3]int32{-1, -1, -1})
-		verts := [3]int32{hf.V[0], hf.V[1], hf.V[2]}
-		for e := 0; e < 3; e++ {
-			k := mk(verts[e], verts[(e+1)%3])
-			if prev, ok := open[k]; ok {
-				nbr[fi][e] = prev.face
-				nbr[prev.face][prev.edge] = fi
-				delete(open, k)
-			} else {
-				open[k] = edgeRef{face: fi, edge: int32(e)}
-			}
-		}
 	}
-	return faces, nbr
+	return faces
 }
 
 // entryIndex locates entry facets through a uniform bucket grid over the
 // projected hull bounding box: O(1) expected lookups, independent of query
-// order. It is the arbiter the walk defers to on ties.
+// order.
 type entryIndex struct {
 	faces []entryFace
 	bmin  geom.Vec2
@@ -172,7 +135,9 @@ func (e *entryIndex) bucket(p geom.Vec2) (bx, by int) {
 }
 
 // find returns the entry facet pierced by the vertical line through xi, or
-// -1 when the line misses the hull.
+// -1 when the line misses the hull. A line on a shared facet edge or vertex
+// gets the lowest-index facet whose closed projection contains it: buckets
+// list their facets in ascending index order.
 func (e *entryIndex) find(xi geom.Vec2) int32 {
 	if len(e.faces) == 0 {
 		return -1

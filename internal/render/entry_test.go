@@ -6,18 +6,17 @@ import (
 	"testing"
 
 	"godtfe/internal/geom"
+	"godtfe/internal/synth"
 )
 
-// TestEntryLocatorsAgree verifies that the coherent walk (a cursor carried
-// from query to query) returns the exact same facet index (not just the
-// same starting tet) as the stateless bucket path for every query: the walk
-// accepts only strict hits and defers ties to the bucket index, so facet
-// choice is bucket-identical by construction.
-func TestEntryLocatorsAgree(t *testing.T) {
+// TestEntryIndexLowestContaining checks the bucket index against a linear
+// scan of every entry facet: find must return the lowest-index facet whose
+// closed projection contains the query, or -1 when none does — including
+// lattice-aligned queries that land on shared facet edges and vertices.
+func TestEntryIndexLowestContaining(t *testing.T) {
 	for name, pts := range equivCatalogs() {
 		t.Run(name, func(t *testing.T) {
 			m := NewMarcher(fieldFor(t, pts))
-			cur := newEntryCursor(0)
 			rng := rand.New(rand.NewSource(42))
 			hits, misses := 0, 0
 			for trial := 0; trial < 2000; trial++ {
@@ -25,12 +24,17 @@ func TestEntryLocatorsAgree(t *testing.T) {
 				if trial%4 == 0 { // lattice-aligned: lands on facet edges and vertices
 					xi = geom.Vec2{X: math.Round(xi.X*10) / 10, Y: math.Round(xi.Y*10) / 10}
 				}
-				bi := m.findEntryIdx(xi, nil)
-				ci := m.findEntryIdx(xi, &cur)
-				if bi != ci {
-					t.Fatalf("disagreement at %v: buckets=%d coherent=%d", xi, bi, ci)
+				want := int32(-1)
+				for fi := range m.entry.faces {
+					if m.entry.faces[fi].contains(xi) {
+						want = int32(fi)
+						break
+					}
 				}
-				if bi < 0 {
+				if got := m.entry.find(xi); got != want {
+					t.Fatalf("find(%v) = %d, linear scan %d", xi, got, want)
+				}
+				if want < 0 {
 					misses++
 				} else {
 					hits++
@@ -43,64 +47,40 @@ func TestEntryLocatorsAgree(t *testing.T) {
 	}
 }
 
-// TestEntryModesSameRender renders a clipped grid with the coherent scan
-// and with one stateless Column call per line of sight and requires
-// bit-identical output.
-func TestEntryModesSameRender(t *testing.T) {
-	for name, pts := range equivCatalogs() {
-		t.Run(name, func(t *testing.T) {
-			m := NewMarcher(fieldFor(t, pts))
-			spec := Spec{Min: geom.Vec2{X: 0.1, Y: 0.1}, Nx: 24, Ny: 24, Cell: 0.8 / 24, ZMin: 0, ZMax: 1}
-			want, _, _ := columnRender(m, spec)
-			got, _, err := m.Render(spec, 2, ScheduleDynamic)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Data {
-				if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
-					t.Fatalf("coherent scan changed cell %d: %v vs %v", i, got.Data[i], want.Data[i])
-				}
-			}
-		})
-	}
-}
-
-func TestEntryWalkEmptyAndMisses(t *testing.T) {
-	f := fieldFor(t, randPoints(50, 44))
-	m := NewMarcher(f)
-	rng := uint64(1)
-	if got := m.walk.findFrom(0, geom.Vec2{X: 99, Y: 99}, &rng); got != -1 {
-		t.Fatalf("far miss = %d", got)
-	}
-	if got := m.walk.findFrom(-5, geom.Vec2{X: 0.5, Y: 0.5}, &rng); got != entryUnresolved {
-		t.Fatalf("bad hint should be unresolved, got %d", got)
-	}
-}
-
+// BenchmarkEntryBuckets times one bucket-index query on two streams:
+// scan256 walks a 256² lattice over 20k uniform points row by row (a
+// whole-grid render); windows32 visits random 32×32 windows of a 256
+// lattice over a 20k synth.HaloSet, each row-major (the resident field
+// service's unique requests).
 func BenchmarkEntryBuckets(b *testing.B) {
-	f := fieldFor(b, randPoints(20000, 45))
-	m := NewMarcher(f)
-	b.ReportAllocs()
-	b.ResetTimer()
-	// Coherent scan like a grid render.
-	n := 256
-	for i := 0; i < b.N; i++ {
-		j := i % (n * n)
-		xi := geom.Vec2{X: float64(j%n) / float64(n), Y: float64(j/n) / float64(n)}
-		m.entry.find(xi)
-	}
-}
-
-func BenchmarkEntryCoherent(b *testing.B) {
-	f := fieldFor(b, randPoints(20000, 45))
-	m := NewMarcher(f)
-	cur := newEntryCursor(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	n := 256
-	for i := 0; i < b.N; i++ {
-		j := i % (n * n)
-		xi := geom.Vec2{X: float64(j%n) / float64(n), Y: float64(j/n) / float64(n)}
-		m.findEntryIdx(xi, &cur)
-	}
+	const n = 256
+	b.Run("scan256", func(b *testing.B) {
+		m := NewMarcher(fieldFor(b, randPoints(20000, 45)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i % (n * n)
+			m.entry.find(geom.Vec2{X: float64(j%n) / float64(n), Y: float64(j/n) / float64(n)})
+		}
+	})
+	b.Run("windows32", func(b *testing.B) {
+		box := geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
+		m := NewMarcher(fieldFor(b, synth.HaloSet(20000, box, synth.DefaultHaloSpec(), 45)))
+		const w, nwin = 32, 1024
+		rng := rand.New(rand.NewSource(46))
+		var origin [nwin][2]int
+		for k := range origin {
+			origin[k] = [2]int{rng.Intn(n - w + 1), rng.Intn(n - w + 1)}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q := i % (nwin * w * w)
+			o, c := origin[q/(w*w)], q%(w*w)
+			m.entry.find(geom.Vec2{
+				X: (float64(o[0]+c%w) + 0.5) / n,
+				Y: (float64(o[1]+c/w) + 0.5) / n,
+			})
+		}
+	})
 }

@@ -64,9 +64,9 @@ func equivSpec(pts []geom.Vec3) Spec {
 	}
 }
 
-// columnRender is the stateless reference for the coherent scan: the same
-// cell centres and jitter as renderInto, but every line of sight located
-// from scratch through the bucket index (Column carries no cursor).
+// columnRender is Render spelled out one Column call at a time: the same
+// cell centres and jitter as renderInto, every line of sight marched on
+// its own.
 func columnRender(m *Marcher, spec Spec) (*grid.Grid2D, OutcomeCounts, int64) {
 	out := spec.Grid()
 	samples := max(spec.Samples, 1)
@@ -95,37 +95,38 @@ func columnRender(m *Marcher, spec Spec) (*grid.Grid2D, OutcomeCounts, int64) {
 	return out, outcomes, steps
 }
 
-// TestEntryModesEquivalence is the entry-location bit-identity gate: on
-// every catalog family the coherent scan (Render: per-worker walk seeded
-// from the previous column, bucket fallback) must produce byte-for-byte
-// the grid, the per-column outcome tallies and the total step count of the
-// stateless bucket path (columnRender) — under both serial and parallel
-// schedules.
-func TestEntryModesEquivalence(t *testing.T) {
+// TestRenderMatchesColumnCalls is the column-loop bit-identity gate: on
+// every catalog family, for a jittered full-chord spec and a clipped one,
+// Render must produce byte-for-byte the grid, the per-column outcome
+// tallies and the total step count of per-column Column calls
+// (columnRender) — serially and on 2 and 4 workers.
+func TestRenderMatchesColumnCalls(t *testing.T) {
 	for name, pts := range equivCatalogs() {
 		t.Run(name, func(t *testing.T) {
 			m := NewMarcher(fieldFor(t, pts))
-			spec := equivSpec(pts)
-			ref, refOutcomes, refSteps := columnRender(m, spec)
-			for _, workers := range []int{1, 4} {
-				g, stats, err := m.Render(spec, workers, ScheduleDynamic)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, v := range g.Data {
-					if math.Float64bits(v) != math.Float64bits(ref.Data[i]) { // exact: no tolerance
-						t.Fatalf("workers %d: cell %d differs: %g != %g", workers, i, v, ref.Data[i])
+			clipped := Spec{Min: geom.Vec2{X: 0.1, Y: 0.1}, Nx: 24, Ny: 24, Cell: 0.8 / 24, ZMin: 0, ZMax: 1}
+			for _, spec := range []Spec{equivSpec(pts), clipped} {
+				ref, refOutcomes, refSteps := columnRender(m, spec)
+				for _, workers := range []int{1, 2, 4} {
+					g, stats, err := m.Render(spec, workers, ScheduleDynamic)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if got := TotalOutcomes(stats); got != refOutcomes {
-					t.Errorf("workers %d: outcomes %v != %v", workers, got, refOutcomes)
-				}
-				var steps int64
-				for _, s := range stats {
-					steps += s.Steps
-				}
-				if steps != refSteps {
-					t.Errorf("workers %d: steps %d != %d", workers, steps, refSteps)
+					for i, v := range g.Data {
+						if math.Float64bits(v) != math.Float64bits(ref.Data[i]) { // exact: no tolerance
+							t.Fatalf("%dx%d, workers %d: cell %d differs: %g != %g", spec.Nx, spec.Ny, workers, i, v, ref.Data[i])
+						}
+					}
+					if got := TotalOutcomes(stats); got != refOutcomes {
+						t.Errorf("%dx%d, workers %d: outcomes %v != %v", spec.Nx, spec.Ny, workers, got, refOutcomes)
+					}
+					var steps int64
+					for _, s := range stats {
+						steps += s.Steps
+					}
+					if steps != refSteps {
+						t.Errorf("%dx%d, workers %d: steps %d != %d", spec.Nx, spec.Ny, workers, steps, refSteps)
+					}
 				}
 			}
 		})
@@ -212,7 +213,7 @@ func (m *Marcher) refPerturb(f *dtfe.Field, xi geom.Vec2, tet int32, attempt int
 	return xi.Add(geom.Vec2{X: eps, Y: eps * 0.7071067811865476})
 }
 
-// refColumn mirrors Marcher.column on top of refTryColumn and refPerturb
+// refColumn mirrors Marcher.Column on top of refTryColumn and refPerturb
 // (same perturb-retry ladder, same fallback), so whole-column results are
 // comparable exactly.
 func (m *Marcher) refColumn(f *dtfe.Field, xi geom.Vec2, zmin, zmax float64) (float64, int, ColumnOutcome) {
@@ -230,7 +231,7 @@ func (m *Marcher) refColumn(f *dtfe.Field, xi geom.Vec2, zmin, zmax float64) (fl
 			if ok {
 				return sigma, steps, attempt, true
 			}
-			if attempt >= m.MaxRetries {
+			if attempt >= maxRetries {
 				return sigma, steps, attempt, false
 			}
 			x = m.refPerturb(f, x, badTet, base+attempt)
@@ -243,7 +244,7 @@ func (m *Marcher) refColumn(f *dtfe.Field, xi geom.Vec2, zmin, zmax float64) (fl
 		}
 		return sigma, steps, ColumnPerturbed
 	}
-	fsigma, fsteps, _, fok := ladder(m.MaxRetries + 1)
+	fsigma, fsteps, _, fok := ladder(maxRetries + 1)
 	steps += fsteps
 	if fok {
 		return fsigma, steps, ColumnFallback
@@ -256,10 +257,10 @@ func (m *Marcher) refColumn(f *dtfe.Field, xi geom.Vec2, zmin, zmax float64) (fl
 
 // TestMarchMatchesReference pins the SoA rewrite to the original
 // pointer-chasing implementation: for every catalog family, Column (the
-// SoA fast path under the default entry mode) must return bit-identical
-// sigma, identical step counts, and identical outcomes to the verbatim
-// pre-SoA reference on a dense set of probe lines, including grid-aligned
-// lines through lattice vertices and edges.
+// SoA fast path) must return bit-identical sigma, identical step counts,
+// and identical outcomes to the verbatim pre-SoA reference on a dense set
+// of probe lines, including grid-aligned lines through lattice vertices
+// and edges.
 func TestMarchMatchesReference(t *testing.T) {
 	for name, pts := range equivCatalogs() {
 		t.Run(name, func(t *testing.T) {
@@ -300,12 +301,11 @@ func TestColumnZeroAllocs(t *testing.T) {
 	pts := synth.HaloSet(2000, geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}, synth.DefaultHaloSpec(), 3)
 	f := fieldFor(t, pts)
 	m := NewMarcher(f)
-	cur := newEntryCursor(0)
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		xi := geom.Vec2{X: 0.1 + 0.0017*float64(i%400), Y: 0.2 + 0.0013*float64(i%350)}
 		i++
-		m.column(xi, 0, 0, &cur)
+		m.Column(xi, 0, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("Column allocates: %v allocs/op", allocs)

@@ -21,73 +21,29 @@ import (
 // mathematically optimal ones.
 //
 // The hot loop runs against an SoA snapshot of the mesh (see soaMesh) and
-// the entry facet of each column is located coherently from the previous
-// column in the worker's scan (see findEntryIdx); both are exact
-// restructurings, so the rendered grid is bit-identical to a stateless
-// per-column bucket lookup and to the original pointer-chasing
-// implementation.
+// every column's entry facet comes from the stateless bucket index (see
+// entryIndex); the SoA view is an exact restructuring, so the rendered grid
+// is bit-identical to the original pointer-chasing implementation.
 type Marcher struct {
 	soa   soaMesh
 	entry *entryIndex
-	walk  *entryWalk
 	eps   float64 // perturbation magnitude for degenerate rays (Fig 2)
-
-	// MaxRetries bounds degeneracy-perturbation attempts per line.
-	MaxRetries int
 }
 
-// entryCursor is per-worker coherent-scan state: the facet located for the
-// previous column (the walk seed) and a private xorshift stream for the
-// walk's stochastic edge order.
-type entryCursor struct {
-	hint int32
-	rng  uint64
-}
-
-func newEntryCursor(worker int) entryCursor {
-	r := splitmix64(uint64(worker)+1) | 1
-	return entryCursor{hint: -1, rng: r}
-}
-
-// findEntryIdx locates the entry facet index for xi. With a cursor the
-// walk is seeded from the previous column located by the same worker —
-// entry location is O(1) amortized for grid scans — falling back to the
-// bucket index on a miss of the hint, a tie, or after a fallback restart;
-// cur may be nil (stateless calls go straight to the bucket index). Every
-// path returns the same facet index the bucket locator would: a strict
-// walk hit names the unique containing facet and everything else is
-// delegated to the buckets.
-func (m *Marcher) findEntryIdx(xi geom.Vec2, cur *entryCursor) int32 {
-	if cur != nil && cur.hint >= 0 {
-		if fi := m.walk.findFrom(cur.hint, xi, &cur.rng); fi != entryUnresolved {
-			if fi >= 0 {
-				cur.hint = fi
-			}
-			return fi
-		}
-	}
-	fi := m.entry.find(xi)
-	if cur != nil && fi >= 0 {
-		cur.hint = fi
-	}
-	return fi
-}
+// maxRetries bounds degeneracy-perturbation attempts per ladder.
+const maxRetries = 16
 
 // NewMarcher prepares the kernel: it extracts the downward-facing hull
-// facets (eq 14), builds the 2D entry-location structures (bucket index
-// and walk mesh over a shared facet list), and flattens the tetrahedra
-// into the SoA view the march runs against, solving each finite tet's
-// gradient into its record. It keeps neither f nor f.Tri, only the SoA
-// view and the shared positions; build a new one after Field.SetValues.
+// facets (eq 14), builds the 2D bucket index over them, and flattens the
+// tetrahedra into the SoA view the march runs against, solving each finite
+// tet's gradient into its record. It keeps neither f nor f.Tri, only the
+// SoA view and the shared positions; build a new one after Field.SetValues.
 func NewMarcher(f *dtfe.Field) *Marcher {
 	diag := geom.BoundsOf(f.Tri.Points()).Diagonal()
-	faces, nbr := buildEntryFaces(f.Tri)
 	return &Marcher{
-		soa:        newSoAMesh(f),
-		entry:      newEntryIndex(faces),
-		walk:       &entryWalk{faces: faces, nbr: nbr},
-		eps:        1e-9 * diag,
-		MaxRetries: 16,
+		soa:   newSoAMesh(f),
+		entry: newEntryIndex(buildEntryFaces(f.Tri)),
+		eps:   1e-9 * diag,
 	}
 }
 
@@ -224,10 +180,9 @@ func (m *Marcher) RenderRunsCtx(ctx context.Context, spec Spec, runs []Tile, dst
 // renderInto is the shared column loop of Render, RenderTileCtx, and
 // RenderRunsCtx: march the tile's columns [t.I0, t.I1) of every row into
 // out, whose column 0 holds global column outBase (t.I0 for re-based tile
-// grids, 0 for full-spec destinations). Entry-location cursors are seeded
-// per worker; the coherent entry walk is bit-exact regardless of seeding,
-// so tile renders and whole-grid renders agree cell for cell. A non-nil
-// cancelled flag is polled once per column; once set, every worker
+// grids, 0 for full-spec destinations). Every column is located from
+// scratch, so tile renders and whole-grid renders agree cell for cell. A
+// non-nil cancelled flag is polled once per column; once set, every worker
 // abandons its remaining columns immediately (the partial grid is then
 // discarded by the caller).
 func (m *Marcher) renderInto(spec Spec, t Tile, out *grid.Grid2D, outBase, workers int, sched Schedule, cancelled *atomic.Bool) []WorkerStat {
@@ -238,12 +193,7 @@ func (m *Marcher) renderInto(spec Spec, t Tile, out *grid.Grid2D, outBase, worke
 	if workers <= 0 {
 		workers = 1
 	}
-	cursors := make([]entryCursor, workers)
-	for w := range cursors {
-		cursors[w] = newEntryCursor(w)
-	}
-	return forEachRow(spec.Ny, workers, sched, func(w, j int, st *WorkerStat) {
-		cur := &cursors[w]
+	return forEachRow(spec.Ny, workers, sched, func(_, j int, st *WorkerStat) {
 		for i := t.I0; i < t.I1; i++ {
 			if cancelled != nil && cancelled.Load() {
 				return
@@ -260,7 +210,7 @@ func (m *Marcher) renderInto(spec Spec, t Tile, out *grid.Grid2D, outBase, worke
 					xi.X += (jitter(spec.Seed, i, j, s, 0) - 0.5) * spec.Cell
 					xi.Y += (jitter(spec.Seed, i, j, s, 1) - 0.5) * spec.Cell
 				}
-				sigma, steps, outcome := m.column(xi, spec.ZMin, spec.ZMax, cur)
+				sigma, steps, outcome := m.Column(xi, spec.ZMin, spec.ZMax)
 				acc += sigma
 				st.Steps += int64(steps)
 				st.Columns.Note(outcome)
@@ -275,20 +225,14 @@ func (m *Marcher) renderInto(spec Spec, t Tile, out *grid.Grid2D, outBase, worke
 // When zmin < zmax the integral is clipped to that interval; otherwise the
 // full hull chord is integrated. It returns the surface density, the
 // number of tetrahedra visited, and how the march ended: clean, perturbed
-// (Fig 2 retries), fallback (restarted from a fresh entry fix after the
-// retry budget ran out), or abandoned (Σ is a partial lower bound and
-// must be counted as lost flux, never reported silently).
+// (Fig 2 retries), fallback (restarted with a second, larger perturbation
+// ladder after the first ran out), or abandoned (Σ is a partial lower
+// bound and must be counted as lost flux, never reported silently).
 func (m *Marcher) Column(xi geom.Vec2, zmin, zmax float64) (float64, int, ColumnOutcome) {
-	return m.column(xi, zmin, zmax, nil)
-}
-
-// column is Column with optional coherent-scan state (Render's per-worker
-// cursor).
-func (m *Marcher) column(xi geom.Vec2, zmin, zmax float64, cur *entryCursor) (float64, int, ColumnOutcome) {
 	if !xi.IsFinite() {
 		return 0, 0, ColumnAbandoned
 	}
-	sigma, steps, attempts, ok := m.marchRetries(xi, zmin, zmax, false, cur)
+	sigma, steps, attempts, ok := m.marchRetries(xi, zmin, zmax, 0)
 	if ok {
 		if attempts == 0 {
 			return sigma, steps, ColumnClean
@@ -296,11 +240,10 @@ func (m *Marcher) column(xi geom.Vec2, zmin, zmax float64, cur *entryCursor) (fl
 		return sigma, steps, ColumnPerturbed
 	}
 	// Watertight fallback: the perturbation ladder is exhausted. Restart
-	// the march from a fresh entry-location fix through the bucket index
-	// (the walking index's locality hint may itself be the problem) with
-	// a fresh, larger perturbation ladder, instead of returning the
-	// partial Σ from the failed march.
-	fsigma, fsteps, _, fok := m.marchRetries(xi, zmin, zmax, true, cur)
+	// the march from ξ with a second ladder whose magnitudes start one
+	// rung beyond the first, instead of returning the partial Σ from the
+	// failed march.
+	fsigma, fsteps, _, fok := m.marchRetries(xi, zmin, zmax, maxRetries+1)
 	steps += fsteps
 	if fok {
 		return fsigma, steps, ColumnFallback
@@ -314,23 +257,18 @@ func (m *Marcher) column(xi geom.Vec2, zmin, zmax float64, cur *entryCursor) (fl
 	return sigma, steps, ColumnAbandoned
 }
 
-// marchRetries runs the perturb-and-retry loop of the paper's Fig 2. With
-// fallback=true the entry face is re-located through the bucket index and
-// the perturbation magnitudes start one rung beyond the first ladder, so
-// the retry sequence explores genuinely new line positions.
-func (m *Marcher) marchRetries(xi geom.Vec2, zmin, zmax float64, fallback bool, cur *entryCursor) (sigma float64, steps int, attempts int, ok bool) {
-	base := 0
-	if fallback {
-		base = m.MaxRetries + 1
-	}
+// marchRetries runs the perturb-and-retry loop of the paper's Fig 2, the
+// perturbation magnitudes starting at rung base, so the fallback ladder
+// explores genuinely new line positions.
+func (m *Marcher) marchRetries(xi geom.Vec2, zmin, zmax float64, base int) (sigma float64, steps int, attempts int, ok bool) {
 	for attempt := 0; ; attempt++ {
-		s, n, badTet, ok := m.tryColumn(xi, zmin, zmax, fallback, cur)
+		s, n, badTet, ok := m.tryColumn(xi, zmin, zmax)
 		steps += n
 		sigma = s
 		if ok {
 			return sigma, steps, attempt, true
 		}
-		if attempt >= m.MaxRetries {
+		if attempt >= maxRetries {
 			return sigma, steps, attempt, false
 		}
 		xi = m.perturb(xi, badTet, base+attempt)
@@ -365,20 +303,10 @@ func (m *Marcher) perturb(xi geom.Vec2, tet int32, attempt int) geom.Vec2 {
 
 // tryColumn marches once against the SoA mesh view. ok=false reports a
 // Plücker degeneracy (the ray met an edge or vertex), returning the tet
-// where it happened. With forceBuckets the entry face comes from the
-// bucket index even when the cursor holds a hint (the fallback's fresh
-// entry-location fix). The loop performs no allocations: all state
-// is a fixed-size vertex buffer on the stack plus the caller's cursor.
-func (m *Marcher) tryColumn(xi geom.Vec2, zmin, zmax float64, forceBuckets bool, cur *entryCursor) (sigma float64, steps int, badTet int32, ok bool) {
-	var fi int32
-	if forceBuckets {
-		fi = m.entry.find(xi)
-		if cur != nil && fi >= 0 {
-			cur.hint = fi // re-seed the coherent scan from the fresh fix
-		}
-	} else {
-		fi = m.findEntryIdx(xi, cur)
-	}
+// where it happened. The loop performs no allocations: all state is a
+// fixed-size vertex buffer on the stack.
+func (m *Marcher) tryColumn(xi geom.Vec2, zmin, zmax float64) (sigma float64, steps int, badTet int32, ok bool) {
+	fi := m.entry.find(xi)
 	if fi < 0 {
 		return 0, 0, -1, true // line misses the hull: Σ = 0
 	}

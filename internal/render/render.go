@@ -123,7 +123,7 @@ const (
 	// after one or more Perturb retries (paper Fig 2).
 	ColumnPerturbed
 	// ColumnFallback: the perturbation budget ran out and the march was
-	// restarted from a fresh entry-location fix, which succeeded.
+	// restarted with a second, larger perturbation ladder, which succeeded.
 	ColumnFallback
 	// ColumnAbandoned: every attempt failed; the reported Σ is a partial
 	// (lower-bound) integral and the column counts as lost flux.

@@ -91,5 +91,5 @@ func (m *Marcher) Mesh(dst []delaunay.Tet) (pts []geom.Vec3, finite []delaunay.T
 // record sizes TestMarcherBytes pins: the SoA records, the positions they
 // share with the caller, the entry facets and the bucket index's headers.
 func (m *Marcher) Bytes() int {
-	return 64*len(m.soa.tets) + 24*len(m.soa.pts) + (128+12)*len(m.entry.faces) + 24*len(m.entry.cells)
+	return 64*len(m.soa.tets) + 24*len(m.soa.pts) + 128*len(m.entry.faces) + 24*len(m.entry.cells)
 }
