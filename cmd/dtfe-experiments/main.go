@@ -24,6 +24,11 @@ func main() {
 	artifacts := flag.String("artifacts", ".", "directory for image artifacts (fig1)")
 	list := flag.Bool("list", false, "list available figures and exit")
 	flag.Parse()
+	if !(*scale > 0 && *scale <= 1) {
+		fmt.Fprintf(os.Stderr, "dtfe-experiments: -scale %g: need a workload scale in (0, 1]\n", *scale)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, id := range experiments.IDs() {

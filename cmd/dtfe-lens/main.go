@@ -36,10 +36,12 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "render workers")
 	ingest := flag.String("ingest", "fail", "invalid-particle policy: fail | drop | clamp")
 	flag.Parse()
-
-	if !fft.IsPow2(*gridN) {
-		log.Fatalf("grid %d must be a power of two for the FFT solvers", *gridN)
+	if err := checkFlags(*gridN, *sigmaCrit, *workers); err != nil {
+		fmt.Fprintln(os.Stderr, "dtfe-lens:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
+
 	policy, err := particleio.ParsePolicy(*ingest)
 	if err != nil {
 		log.Fatalf("ingest: %v", err)
@@ -77,7 +79,7 @@ func main() {
 	}
 	_, hi := sigma.MinMax()
 	sc := *sigmaCrit
-	if sc <= 0 {
+	if sc == 0 {
 		sc = hi / 3
 	}
 	kappa, err := lens.Convergence(sigma, sc)
@@ -119,4 +121,18 @@ func main() {
 	dump("sigma.pgm", sigma, true)
 	dump("kappa.pgm", kappa, true)
 	dump("magnification.pgm", mag, false)
+}
+
+// checkFlags rejects, before the catalog is read, the flag values no
+// analysis can run with.
+func checkFlags(gridN int, sigmaCrit float64, workers int) error {
+	switch {
+	case !fft.IsPow2(gridN):
+		return fmt.Errorf("-grid %d: need a power of two for the FFT solvers", gridN)
+	case !(sigmaCrit >= 0 && sigmaCrit < math.Inf(1)):
+		return fmt.Errorf("-sigmacrit %g: need 0 (auto) or a finite positive density", sigmaCrit)
+	case workers < 1:
+		return fmt.Errorf("-workers %d: need at least one worker", workers)
+	}
+	return nil
 }

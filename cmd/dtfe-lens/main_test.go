@@ -1,0 +1,49 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestBadFlagsExitWithUsage runs the command on flag values it cannot
+// analyse with and expects exit status 2 and the usage text before the
+// catalog is read: the input path names no file, so a check that came
+// after the read would fail with the read's exit status 1 instead. The
+// test binary re-runs itself with DTFE_LENS_ARGS set to execute main on
+// those flags.
+func TestBadFlagsExitWithUsage(t *testing.T) {
+	if args := os.Getenv("DTFE_LENS_ARGS"); args != "" {
+		os.Args = append([]string{"dtfe-lens"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	dir := t.TempDir()
+	io := " -i " + filepath.Join(dir, "missing.dtfe") + " -outdir " + dir
+	for _, tc := range []struct{ args, want string }{
+		{"-grid 0", "-grid 0"},
+		{"-grid -64", "-grid -64"},
+		{"-grid 100", "-grid 100"},
+		{"-sigmacrit -1", "-sigmacrit -1"},
+		{"-sigmacrit NaN", "-sigmacrit NaN"},
+		{"-sigmacrit +Inf", "-sigmacrit +Inf"},
+		{"-sigmacrit -Inf", "-sigmacrit -Inf"},
+		{"-workers 0", "-workers 0"},
+		{"-workers -2", "-workers -2"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitWithUsage$")
+		cmd.Env = append(os.Environ(), "DTFE_LENS_ARGS="+tc.args+io)
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%s: exit %v, want status 2\n%s", tc.args, err, out)
+			continue
+		}
+		if s := string(out); !strings.Contains(s, "dtfe-lens: "+tc.want) || !strings.Contains(s, "Usage of") || strings.Contains(s, "panic: ") {
+			t.Errorf("%s: want the offending flag named, then usage, and no panic:\n%s", tc.args, s)
+		}
+	}
+}

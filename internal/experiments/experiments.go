@@ -30,7 +30,7 @@ type Options struct {
 }
 
 func (o Options) fill() Options {
-	if o.Scale <= 0 || o.Scale > 1 {
+	if !(o.Scale > 0 && o.Scale <= 1) {
 		o.Scale = 1
 	}
 	if o.Seed == 0 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -55,6 +56,9 @@ func TestOptionsFill(t *testing.T) {
 	}
 	if (Options{Scale: 2}).fill().Scale != 1 {
 		t.Fatal("overscale not clamped")
+	}
+	if (Options{Scale: math.NaN()}).fill().Scale != 1 {
+		t.Fatal("NaN scale not clamped")
 	}
 	if (Options{Scale: 0.5}).scaled(100) != 50 {
 		t.Fatal("scaled arithmetic")

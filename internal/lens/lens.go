@@ -16,9 +16,11 @@ import (
 )
 
 // Convergence scales a surface-density map by 1/Σ_crit: κ = Σ/Σ_crit.
+// Σ_crit must be positive and finite: NaN would turn every κ into NaN and
+// +Inf every κ into zero.
 func Convergence(sigma *grid.Grid2D, sigmaCrit float64) (*grid.Grid2D, error) {
-	if sigmaCrit <= 0 {
-		return nil, errors.New("lens: sigmaCrit must be positive")
+	if !(sigmaCrit > 0 && sigmaCrit < math.Inf(1)) {
+		return nil, errors.New("lens: sigmaCrit must be positive and finite")
 	}
 	out := sigma.Clone()
 	inv := 1 / sigmaCrit

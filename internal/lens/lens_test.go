@@ -18,8 +18,10 @@ func TestConvergence(t *testing.T) {
 	if k.At(1, 1) != 2 {
 		t.Fatalf("kappa = %v", k.At(1, 1))
 	}
-	if _, err := Convergence(g, 0); err == nil {
-		t.Fatal("zero sigmaCrit accepted")
+	for _, sc := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Convergence(g, sc); err == nil {
+			t.Fatalf("sigmaCrit %v accepted", sc)
+		}
 	}
 }
 
