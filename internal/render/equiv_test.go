@@ -95,41 +95,56 @@ func columnRender(m *Marcher, spec Spec) (*grid.Grid2D, OutcomeCounts, int64) {
 	return out, outcomes, steps
 }
 
-// TestRenderMatchesColumnCalls is the column-loop bit-identity gate: on
-// every catalog family, for a jittered full-chord spec and a clipped one,
-// Render must produce byte-for-byte the grid, the per-column outcome
-// tallies and the total step count of per-column Column calls
-// (columnRender) — serially and on 2 and 4 workers.
-func TestRenderMatchesColumnCalls(t *testing.T) {
+// TestEntryModesEquivalence is the column-loop bit-identity gate on the
+// jittered full-chord spec: on every catalog family Render must produce
+// byte-for-byte the grid, the per-column outcome tallies and the total
+// step count of per-column Column calls (columnRender) — serially and on
+// 2 and 4 workers. The name predates the single entry locator; the check
+// is what it always guarded, the render loop against stateless columns.
+func TestEntryModesEquivalence(t *testing.T) {
 	for name, pts := range equivCatalogs() {
 		t.Run(name, func(t *testing.T) {
-			m := NewMarcher(fieldFor(t, pts))
-			clipped := Spec{Min: geom.Vec2{X: 0.1, Y: 0.1}, Nx: 24, Ny: 24, Cell: 0.8 / 24, ZMin: 0, ZMax: 1}
-			for _, spec := range []Spec{equivSpec(pts), clipped} {
-				ref, refOutcomes, refSteps := columnRender(m, spec)
-				for _, workers := range []int{1, 2, 4} {
-					g, stats, err := m.Render(spec, workers, ScheduleDynamic)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i, v := range g.Data {
-						if math.Float64bits(v) != math.Float64bits(ref.Data[i]) { // exact: no tolerance
-							t.Fatalf("%dx%d, workers %d: cell %d differs: %g != %g", spec.Nx, spec.Ny, workers, i, v, ref.Data[i])
-						}
-					}
-					if got := TotalOutcomes(stats); got != refOutcomes {
-						t.Errorf("%dx%d, workers %d: outcomes %v != %v", spec.Nx, spec.Ny, workers, got, refOutcomes)
-					}
-					var steps int64
-					for _, s := range stats {
-						steps += s.Steps
-					}
-					if steps != refSteps {
-						t.Errorf("%dx%d, workers %d: steps %d != %d", spec.Nx, spec.Ny, workers, steps, refSteps)
-					}
-				}
-			}
+			checkRenderMatchesColumns(t, NewMarcher(fieldFor(t, pts)), equivSpec(pts))
 		})
+	}
+}
+
+// TestEntryModesSameRender is the same gate on a clipped 24x24 grid with
+// z in [0, 1], so the clip exits and partial chords go through it too.
+func TestEntryModesSameRender(t *testing.T) {
+	for name, pts := range equivCatalogs() {
+		t.Run(name, func(t *testing.T) {
+			spec := Spec{Min: geom.Vec2{X: 0.1, Y: 0.1}, Nx: 24, Ny: 24, Cell: 0.8 / 24, ZMin: 0, ZMax: 1}
+			checkRenderMatchesColumns(t, NewMarcher(fieldFor(t, pts)), spec)
+		})
+	}
+}
+
+// checkRenderMatchesColumns requires Render on 1, 2 and 4 workers to equal
+// columnRender exactly: grid bits, outcome tallies and total steps.
+func checkRenderMatchesColumns(t *testing.T, m *Marcher, spec Spec) {
+	t.Helper()
+	ref, refOutcomes, refSteps := columnRender(m, spec)
+	for _, workers := range []int{1, 2, 4} {
+		g, stats, err := m.Render(spec, workers, ScheduleDynamic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range g.Data {
+			if math.Float64bits(v) != math.Float64bits(ref.Data[i]) { // exact: no tolerance
+				t.Fatalf("workers %d: cell %d differs: %g != %g", workers, i, v, ref.Data[i])
+			}
+		}
+		if got := TotalOutcomes(stats); got != refOutcomes {
+			t.Errorf("workers %d: outcomes %v != %v", workers, got, refOutcomes)
+		}
+		var steps int64
+		for _, s := range stats {
+			steps += s.Steps
+		}
+		if steps != refSteps {
+			t.Errorf("workers %d: steps %d != %d", workers, steps, refSteps)
+		}
 	}
 }
 
