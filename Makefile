@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay bench-cache fuzz loc ci
+.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay bench-cache bench-dist fuzz loc ci
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,12 @@ bench-delaunay:
 # five counts (cold/req_col beside ns/op).
 bench-cache:
 	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench ColumnCacheZipf -count 5 ./internal/fieldserve/
+
+# One distributed-render worker's setup: its mesh built from the catalog,
+# on 20k clustered particles, one pinned core, five counts (ns/point beside
+# ns/op).
+bench-dist:
+	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench WorkerSetup -count 5 ./internal/render/distrender/
 
 # The harness's own self-test (about 3 s). bench/e2e is a module of its
 # own, so `go test ./...` from the root does not reach it.

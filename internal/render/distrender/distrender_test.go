@@ -728,6 +728,26 @@ func BenchmarkDistRender(b *testing.B) {
 	}
 }
 
+// BenchmarkWorkerSetup is the layer number of one worker's setup on the
+// end-to-end workloads' kind of catalog (`make bench-dist`): build is
+// delaunay.New, the field and the SoA kernel from the catalog.
+func BenchmarkWorkerSetup(b *testing.B) {
+	box := geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
+	n := 20000
+	if testing.Short() {
+		n = 2000
+	}
+	pts := synth.HaloSet(n, box, synth.DefaultHaloSpec(), 1)
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := buildMarcher(pts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+	})
+}
+
 func runDistributedBench(ranks int, cfg Config, pts []geom.Vec3) (*Result, error, []error) {
 	w := mpi.NewWorld(ranks)
 	var res *Result
