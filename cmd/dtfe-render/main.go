@@ -11,8 +11,9 @@
 // cost-balanced column tiles (-tiles), scattered over the ranks, marched,
 // and gathered bit-identically to the single-rank render. Every worker
 // streams its tiles straight to rank 0, which acks them per tile and
-// re-dispatches the tiles of lost or stalled ranks. Every rank builds its
-// own mesh, so no mesh is built (or reported by -v) locally, and the other
+// re-dispatches the tiles of lost or stalled ranks. Rank 0 of that world
+// builds the one mesh and ships it to the workers, which restore it rather
+// than build their own; -v, which reports a local build, and the other
 // kernels, which only run locally, are refused.
 package main
 
@@ -50,7 +51,7 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "abort a distributed render after this long (0: no deadline)")
 	verbose := flag.Bool("v", false, "print the build's insert-loop counters (walk, conflict tests, cavity per insert) and the marcher's resident bytes; -ranks 1 only")
 	flag.Parse()
-	if err := checkFlags(*gridN, *kernel, *samples, *workers, *ranks, *tiles, *verbose); err != nil {
+	if err := checkFlags(*gridN, *kernel, *nz, *samples, *workers, *ranks, *tiles, *deadline, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "dtfe-render:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -146,12 +147,14 @@ func main() {
 
 // checkFlags rejects, before the catalog is read, the flag values no render
 // can run with, and -ranks > 1 beside what only a local mesh provides.
-func checkFlags(gridN int, kernel string, samples, workers, ranks, tiles int, verbose bool) error {
+func checkFlags(gridN int, kernel string, nz, samples, workers, ranks, tiles int, deadline time.Duration, verbose bool) error {
 	switch {
 	case gridN < 1:
 		return fmt.Errorf("-grid %d: need at least one column", gridN)
 	case kernel != "marching" && kernel != "walking" && kernel != "zeroorder":
 		return fmt.Errorf("-kernel %q: want marching, walking or zeroorder", kernel)
+	case nz < 0:
+		return fmt.Errorf("-nz %d: need zero (the default: -grid) or more z samples", nz)
 	case samples < 1:
 		return fmt.Errorf("-samples %d: need at least one line per cell", samples)
 	case workers < 1:
@@ -160,8 +163,10 @@ func checkFlags(gridN int, kernel string, samples, workers, ranks, tiles int, ve
 		return fmt.Errorf("-ranks %d: need at least one rank", ranks)
 	case tiles < 0:
 		return fmt.Errorf("-tiles %d: need zero (the default) or more tiles", tiles)
+	case deadline < 0:
+		return fmt.Errorf("-deadline %v: need zero (no deadline) or a positive duration", deadline)
 	case ranks > 1 && (kernel != "marching" || verbose):
-		return errors.New("-ranks > 1 shards the marching kernel and builds no local mesh; it cannot be combined with -kernel walking|zeroorder or -v")
+		return errors.New("-ranks > 1 shards the marching kernel over rank 0's mesh and reports no local build; it cannot be combined with -kernel walking|zeroorder or -v")
 	}
 	return nil
 }

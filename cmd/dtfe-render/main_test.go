@@ -31,6 +31,8 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{"-ranks -2", "-ranks -2"},
 		{"-ranks 0", "-ranks 0"},
 		{"-tiles -1", "-tiles -1"},
+		{"-nz -3 -kernel zeroorder", "-nz -3"},
+		{"-deadline -1s -ranks 2", "-deadline -1s"},
 		{"-ranks 2 -v", "-ranks > 1"},
 		{"-ranks 2 -kernel walking", "-ranks > 1"},
 	} {
