@@ -24,10 +24,11 @@ import (
 //	struct     its fields in declaration order; every field exported
 //	slice      uvarint count, then the elements
 //
-// []float64 and []geom.Vec3 are written as one block — the walk's own
-// bytes, without reflecting per element: particle blocks, centre lists,
-// work packages and grid data are where the bytes are — and []byte as raw
-// bytes. Anything else (map, interface, array, chan, func, float32, an
+// []float64, []geom.Vec3 and []int32 (4 bytes, little-endian, a word) are
+// written as one block — the walk's own bytes, without reflecting per
+// element: particle blocks, centre lists, work packages, grid data and the
+// renderer's mesh pool are where the bytes are — and []byte as raw bytes.
+// Anything else (map, interface, array, chan, func, float32, an
 // unexported field, a recursive type) is an error at Send, never a fallback.
 //
 // Decoded values share no memory with the wire buffer. Nil and empty slices
@@ -116,6 +117,28 @@ func ReadFloat64s(data []byte, v *[]float64) ([]byte, error) {
 	return body[len(s)*8:], nil
 }
 
+// appendInt32s appends a []int32 block (count + words) to buf.
+func appendInt32s(buf []byte, v []int32) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(v)))
+	for _, x := range v {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+	}
+	return buf
+}
+
+// readInt32s decodes an appendInt32s block into *v; it returns the rest.
+func readInt32s(data []byte, v *[]int32) ([]byte, error) {
+	s, body, err := readBlock(data, *v, 4)
+	if err != nil {
+		return nil, err
+	}
+	for i := range s {
+		s[i] = int32(binary.LittleEndian.Uint32(body[i*4:]))
+	}
+	*v = s
+	return body[len(s)*4:], nil
+}
+
 // readBlock reads a block's count, checks that count words of width bytes
 // follow it, and returns s resized to count (reusing its capacity; zero
 // truncates a non-nil s and keeps a nil one nil) with the words.
@@ -192,6 +215,7 @@ func decodeBody(r *reader, dst reflect.Value) error {
 var (
 	float64sType = reflect.TypeOf([]float64(nil))
 	vec3sType    = reflect.TypeOf([]geom.Vec3(nil))
+	int32sType   = reflect.TypeOf([]int32(nil))
 	checked      sync.Map // reflect.Type → true, for the wire types seen
 )
 
@@ -249,6 +273,8 @@ func encodeValue(buf []byte, v reflect.Value) []byte {
 		return AppendFloat64s(buf, v.Interface().([]float64))
 	case vec3sType:
 		return AppendVec3s(buf, v.Interface().([]geom.Vec3))
+	case int32sType:
+		return appendInt32s(buf, v.Interface().([]int32))
 	}
 	switch v.Kind() {
 	case reflect.Bool:
@@ -294,6 +320,9 @@ func decodeValue(r *reader, v reflect.Value) (err error) {
 		return err
 	case vec3sType:
 		r.data, err = ReadVec3s(r.data, v.Addr().Interface().(*[]geom.Vec3))
+		return err
+	case int32sType:
+		r.data, err = readInt32s(r.data, v.Addr().Interface().(*[]int32))
 		return err
 	}
 	switch v.Kind() {

@@ -73,6 +73,8 @@ func goldenCases() []goldenCase {
 			header("[]float64") + "04" + f64hex(1) + f64hex(negZero) + f64hex(math.Inf(-1)) + "010000000000f87f", nil},
 		{"vec3s", []geom.Vec3{{X: 1, Y: 2, Z: 3}, {X: -1e300, Y: 1e-300}}, func() any { return new([]geom.Vec3) },
 			header("[]geom.Vec3") + "02" + f64hex(1) + f64hex(2) + f64hex(3) + f64hex(-1e300) + f64hex(1e-300) + f64hex(0), nil},
+		{"int32s", []int32{1, -1, math.MaxInt32, math.MinInt32}, func() any { return new([]int32) },
+			header("[]int32") + "04" + "01000000" + "ffffffff" + "ffffff7f" + "00000080", nil},
 		{"bytes", []byte{0, 1, 0x80, 0xff}, func() any { return new([]byte) },
 			header("[]uint8") + "04" + "000180ff", nil},
 		{"nil-float64s", []float64(nil), f64s, header("[]float64") + "00", nil},
@@ -105,7 +107,7 @@ func goldenCases() []goldenCase {
 }
 
 // TestCodecGoldenBytes pins the wire format byte for byte, one row per
-// kind: the three bulk slices, nil against empty slices, a nil and a
+// kind: the four bulk slices, nil against empty slices, a nil and a
 // non-nil pointer, and a struct of every supported kind. Each message
 // decodes back to itself (re-encoding it gives the same bytes, which also
 // checks NaN payloads and signed zeros), nil and empty slices both decode
@@ -380,6 +382,9 @@ type (
 		Tiles     []render.Tile
 		Workers   int
 		Particles []geom.Vec3
+		Finite    []int32
+		DupOf     []int32
+		PoolLen   int
 	}
 	tileResult struct {
 		Tile  int
@@ -429,7 +434,8 @@ func productionShapes() []struct {
 		msg  any
 		zero func() any
 	}{
-		{setupMsg{Spec: render.Spec{Nx: 4, Ny: 2, Cell: 0.25, Samples: 2, Seed: 5}, Tiles: []render.Tile{{I0: 0, I1: 2}, {I0: 2, I1: 4}}, Workers: 2, Particles: pts},
+		{setupMsg{Spec: render.Spec{Nx: 4, Ny: 2, Cell: 0.25, Samples: 2, Seed: 5}, Tiles: []render.Tile{{I0: 0, I1: 2}, {I0: 2, I1: 4}}, Workers: 2, Particles: pts,
+			Finite: []int32{0, 1, 2, 3, -1, -1, -1, -1}, DupOf: []int32{0, 1}, PoolLen: 5},
 			func() any { return new(setupMsg) }},
 		{assignBatch{Tiles: []int{1, 200}}, func() any { return new(assignBatch) }},
 		{treeFrame{Tiles: []tileResult{
@@ -465,6 +471,7 @@ func FuzzCodecDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x09, '[', ']', 'f', 'l', 'o', 'a', 't', '6', '4', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{0x07, '[', ']', 'i', 'n', 't', '3', '2', 0x02, 0xff, 0xff, 0xff, 0x7f, 0x00, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := reader{data: data}
 		_, herr := r.bytes()

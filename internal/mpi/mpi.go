@@ -24,6 +24,7 @@
 package mpi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -521,17 +522,39 @@ func (c *Comm) sendRaw(dst, tag int, data []byte, pooled bool) error {
 // and delivers it to rank dst with the given tag (tag >= 0). It does not
 // block on the receiver (buffered semantics).
 func (c *Comm) Send(dst, tag int, v any) error {
-	if tag < 0 {
-		return fmt.Errorf("mpi: user tags must be >= 0, got %d", tag)
-	}
-	if dst < 0 || dst >= c.world.size {
-		return fmt.Errorf("mpi: invalid destination rank %d", dst)
+	if err := c.checkSend(dst, tag); err != nil {
+		return err
 	}
 	data, err := Encode(getBuf(), v)
 	if err != nil {
 		return err
 	}
 	return c.sendRaw(dst, tag, data, true)
+}
+
+// Multicast encodes v once and sends the same unpooled bytes to every rank
+// of dsts, returning one error per destination in dsts' order. Unlike
+// Bcast, a send lost to one rank does not stop the sends to the others.
+func (c *Comm) Multicast(dsts []int, tag int, v any) []error {
+	errs := make([]error, len(dsts))
+	data, err := Encode(nil, v)
+	for i, dst := range dsts {
+		if errs[i] = cmp.Or(err, c.checkSend(dst, tag)); errs[i] == nil {
+			errs[i] = c.sendRaw(dst, tag, data, false)
+		}
+	}
+	return errs
+}
+
+// checkSend rejects a send's tag and destination before anything is encoded.
+func (c *Comm) checkSend(dst, tag int) error {
+	if tag < 0 {
+		return fmt.Errorf("mpi: user tags must be >= 0, got %d", tag)
+	}
+	if dst < 0 || dst >= c.world.size {
+		return fmt.Errorf("mpi: invalid destination rank %d", dst)
+	}
+	return nil
 }
 
 // Recv blocks until a message with the given source (or AnySource) and tag

@@ -10,10 +10,10 @@
 // per tile. See worker.go for the worker side and the recovery ladder.
 //
 // There is one decomposition: the output grid is partitioned, the
-// tessellation never is. The full catalog is broadcast once and every rank
-// builds the same triangulation. The build is deterministic and column
-// marching is independent, so the stitched grid is byte-identical to a
-// single-rank render — the invariant the test suite pins. Sharding the
+// tessellation never is. Rank 0 triangulates the catalog once and ships
+// the mesh; every worker restores it (delaunay.Restore) and marches it.
+// Column marching is independent, so the stitched grid is byte-identical
+// to a single-rank render — the invariant the test suite pins. Sharding the
 // catalog itself is not attempted; DESIGN §9 records what a bit-exact
 // version of it would have to guarantee.
 //
@@ -223,7 +223,7 @@ func buildMarcher(pts []geom.Vec3) (*render.Marcher, error) {
 	return render.NewMarcher(f), nil
 }
 
-// marchTile renders tile k of the setup tiling against the replicated
+// marchTile renders tile k of the setup tiling against the shared mesh's
 // marcher. ctx aborts the march at the next column (the coordinator's
 // self-compute path passes its caller's context; workers pass Background
 // and rely on the shutdown protocol instead). A context error propagates
@@ -363,14 +363,11 @@ func (co *coord) finalize() (*Result, error) {
 	return res, nil
 }
 
-// coordinate is the rank-0 side: tile the grid, broadcast setup, hand every
-// live rank its static round-robin batch, then stream-stitch the frames
-// that come back while per-rank deadlines drive re-dispatch.
+// coordinate is the rank-0 side: tile the grid, build and send the setup,
+// hand every live rank its static round-robin batch, then stream-stitch
+// the frames that come back while per-rank deadlines drive re-dispatch.
 func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (*Result, error) {
 	spec := cfg.Spec
-	if err := spec.Validate(false); err != nil {
-		return nil, err
-	}
 	nt := cfg.Tiles
 	if nt <= 0 {
 		nt = 2 * c.Size()
@@ -382,17 +379,39 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 	co := newCoord(&setup)
 	res := co.res
 	dead := make(map[int]bool)
-
-	// Setup fan-out. A rank whose setup send is lost past the retry
-	// budget never learns the spec; it is written off like a crashed rank
-	// (it unblocks and exits cleanly once the coordinator finishes) and
-	// its share of tiles flows to the survivors.
-	for r := 1; r < c.Size(); r++ {
-		if err := c.Send(r, tagSetup, &setup); err != nil {
-			dead[r] = true
-			res.Failures = append(res.Failures,
-				fmt.Sprintf("setup to rank %d: %s", r, err))
+	liveRanks := func() []int {
+		var out []int
+		for r := 1; r < c.Size(); r++ {
+			if !dead[r] {
+				out = append(out, r)
+			}
 		}
+		return out
+	}
+	if ctx.Err() != nil { // skip the build; no worker has a setup to shut down
+		return co.abort(ctx, func() {})
+	}
+
+	// Setup fan-out: the one build, encoded once for every worker (a
+	// one-rank world packs nothing). A catalog New rejects fails here and
+	// the workers leave as from a coordinator gone before setup. A rank
+	// whose setup is lost past the retry budget is written off like a
+	// crashed rank and its share flows to the survivors. The pool is
+	// dropped once sent: a self-compute fallback builds from the catalog.
+	if workers := liveRanks(); len(workers) > 0 {
+		tri, err := delaunay.New(pts)
+		if err != nil {
+			return nil, err
+		}
+		setup.packMesh(tri)
+		for i, err := range c.Multicast(workers, tagSetup, &setup) {
+			if err != nil {
+				dead[workers[i]] = true
+				res.Failures = append(res.Failures,
+					fmt.Sprintf("setup to rank %d: %s", workers[i], err))
+			}
+		}
+		setup.Finite, setup.DupOf = nil, nil
 	}
 
 	timeout := cfg.tileTimeout()
@@ -409,16 +428,6 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 	pending := make(map[int][]int)      // rank → tiles assigned, not yet arrived
 	owner := make(map[int]int)          // tile → rank currently responsible
 	deadline := make(map[int]time.Time) // rank → progress deadline
-
-	liveRanks := func() []int {
-		var out []int
-		for r := 1; r < c.Size(); r++ {
-			if !dead[r] {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
 
 	// sendBatch dispatches tiles to rank r and arms its deadline. A failed
 	// send writes the rank off; its share is redistributed by the caller

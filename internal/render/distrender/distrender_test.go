@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"godtfe/internal/fault"
 	"godtfe/internal/geom"
+	"godtfe/internal/geomerr"
 	"godtfe/internal/grid"
 	"godtfe/internal/mpi"
 	"godtfe/internal/render"
@@ -452,8 +454,126 @@ func TestFailedRankAttributionInResult(t *testing.T) {
 	})
 }
 
+// TestRejectedCatalogFailsOnce: a catalog delaunay.New refuses fails once,
+// on rank 0, before any setup is sent; the workers, which never see a
+// setup, leave cleanly instead of each failing the same build.
+func TestRejectedCatalogFailsOnce(t *testing.T) {
+	var pts []geom.Vec3
+	for i := 0; i < 53; i++ {
+		pts = append(pts, geom.Vec3{X: float64(i % 8), Y: float64(i / 8), Z: 0.5})
+	}
+	done := make(chan []error, 1)
+	go func() {
+		_, _, errs := runDistributed(4, Config{Spec: testSpec(pts)}, pts, nil)
+		done <- errs
+	}()
+	select {
+	case errs := <-done:
+		if !errors.Is(errs[0], geomerr.ErrDegenerateInput) {
+			t.Fatalf("rank 0: %v, want the degenerate-input error", errs[0])
+		}
+		for r, err := range errs[1:] {
+			if err != nil {
+				t.Fatalf("rank %d: %v, want a clean exit", r+1, err)
+			}
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("world hung on a rejected catalog")
+	}
+}
+
+// dropSetupTo is an mpi.Injector that drops every attempt of the setup
+// send to one rank and nothing else.
+type dropSetupTo int
+
+func (r dropSetupTo) SendVerdict(src, dst, tag, attempt, bytes int) mpi.SendVerdict {
+	return mpi.SendVerdict{Drop: dst == int(r) && tag == tagSetup}
+}
+
+// TestChaosSetupLost: a rank whose setup send is lost past the retry
+// budget is written off; the others march its share, the render is
+// complete and byte-identical to the single-rank one, and the lost rank
+// exits cleanly once the coordinator is done.
+func TestChaosSetupLost(t *testing.T) {
+	pts := testCatalogs()["clustered"]
+	spec := testSpec(pts)
+	ref, refOutcomes := singleRank(t, pts, spec)
+
+	w := mpi.NewWorld(4)
+	w.SetInjector(dropSetupTo(2))
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 9, MaxSendRetries: 1}
+	var res *Result
+	errs := w.RunEach(func(c *mpi.Comm) (err error) {
+		r, err := RunCtx(context.Background(), c, cfg, pts)
+		if c.Rank() == 0 {
+			res = r
+		}
+		return err
+	})
+	for r, e := range errs {
+		if e != nil {
+			t.Fatalf("rank %d: %v", r, e)
+		}
+	}
+	if res.Incomplete {
+		t.Fatalf("a lost setup left a partial result: %v", res.Failures)
+	}
+	if len(res.Failures) != 1 || !strings.HasPrefix(res.Failures[0], "setup to rank 2: ") {
+		t.Fatalf("Failures = %q, want rank 2 written off at setup", res.Failures)
+	}
+	for k, r := range res.TileRank {
+		if r == 2 {
+			t.Fatalf("tile %d stitched from rank 2, which never had the setup", k)
+		}
+	}
+	assertGridsIdentical(t, ref, res.Grid)
+	if !bytes.Equal(pgmBytes(t, ref), pgmBytes(t, res.Grid)) {
+		t.Fatal("PGM bytes differ from single-rank reference")
+	}
+	if res.Outcomes != refOutcomes {
+		t.Fatalf("outcome counts: reference %v, distributed %v", refOutcomes, res.Outcomes)
+	}
+}
+
+// TestRestoreCorruptPool: a setup whose pool, duplicate table or particles
+// cannot be rank 0's mesh is a geomerr.ErrMeshCorrupt on the worker, never
+// a panic; the intact setup restores the mesh buildMarcher builds.
+func TestRestoreCorruptPool(t *testing.T) {
+	for name, corrupt := range map[string]func(s *setupMsg){
+		"ragged":    func(s *setupMsg) { s.Finite = s.Finite[:len(s.Finite)-3] },
+		"vertex":    func(s *setupMsg) { s.Finite[1] = int32(len(s.Particles)) },
+		"neighbour": func(s *setupMsg) { s.Finite[5] = int32(len(s.Finite) / 8) },
+		"pool":      func(s *setupMsg) { s.PoolLen = 5*len(s.Finite)/8 + 1 },
+		"dupof":     func(s *setupMsg) { s.DupOf = s.DupOf[1:] },
+		"particle":  func(s *setupMsg) { s.Particles[3].Y = math.NaN() },
+	} {
+		s := realSetup(t, 200)
+		corrupt(s)
+		if _, err := s.restoreMarcher(); !errors.Is(err, geomerr.ErrMeshCorrupt) {
+			t.Errorf("%s: %v, want a corrupt-mesh error", name, err)
+		}
+	}
+	s := realSetup(t, 200)
+	got, err := s.restoreMarcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Finite != nil || s.DupOf != nil {
+		t.Fatal("the pool words outlive the restore")
+	}
+	want, err := buildMarcher(s.Particles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp, gf := got.Mesh(nil)
+	wp, wf := want.Mesh(nil)
+	if !reflect.DeepEqual(gp, wp) || !reflect.DeepEqual(gf, wf) {
+		t.Fatal("the restored mesh differs from the built one")
+	}
+}
+
 // scriptedWorker is rank 1 of a two-rank world whose rank 0 runs the real
-// coordinator: it has taken the setup broadcast and built the mesh, and the
+// coordinator: it has taken the setup and restored the mesh, and the
 // test's script decides which frames it sends and when. Acks pile up unread
 // in the mailbox unless the script receives them; nothing is ever re-sent.
 type scriptedWorker struct {
@@ -512,7 +632,7 @@ func runScripted(t *testing.T, cfg Config, pts []geom.Vec3, hung string, script 
 			if _, err := c.Recv(0, tagSetup, &w.setup); err != nil {
 				return err
 			}
-			if w.m, err = buildMarcher(w.setup.Particles); err != nil {
+			if w.m, err = w.setup.restoreMarcher(); err != nil {
 				return err
 			}
 			return script(w)
@@ -730,17 +850,37 @@ func BenchmarkDistRender(b *testing.B) {
 
 // BenchmarkWorkerSetup is the layer number of one worker's setup on the
 // end-to-end workloads' kind of catalog (`make bench-dist`): build is
-// delaunay.New, the field and the SoA kernel from the catalog.
+// delaunay.New, the field and the SoA kernel from the catalog (what every
+// worker ran before rank 0 shipped its mesh, and the coordinator's own
+// path still); restore is what a worker runs now, decoding the setup
+// message, then Restore, the field and the SoA kernel.
 func BenchmarkWorkerSetup(b *testing.B) {
-	box := geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
 	n := 20000
 	if testing.Short() {
 		n = 2000
 	}
-	pts := synth.HaloSet(n, box, synth.DefaultHaloSpec(), 1)
+	setup := realSetup(b, n)
+	pts := setup.Particles
 	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := buildMarcher(pts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+	})
+	b.Run("restore", func(b *testing.B) {
+		enc, err := mpi.Encode(nil, setup)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var s setupMsg
+			if err := mpi.Decode(enc, &s); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.restoreMarcher(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,13 +4,16 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"godtfe/internal/delaunay"
 	"godtfe/internal/geom"
 	"godtfe/internal/grid"
 	"godtfe/internal/mpi"
 	"godtfe/internal/render"
+	"godtfe/internal/synth"
 )
 
 // wireCase is one renderer message with a constructor of its zero value
@@ -22,8 +25,8 @@ type wireCase struct {
 	golden string
 }
 
-// wireCases are one message of each wire type: the setup broadcast, a
-// batch and the shutdown batch, a two-tile frame (one healthy tile with its
+// wireCases are one message of each wire type: the setup (one tet's
+// pool), a batch and the shutdown batch, a two-tile frame (one healthy tile with its
 // grid and stats, one Err-only tile), and an ack.
 func wireCases() []wireCase {
 	g := grid.NewGrid2D(2, 1, geom.Vec2{X: 1, Y: -2}, 0.5)
@@ -33,14 +36,21 @@ func wireCases() []wireCase {
 		{"setupMsg", &setupMsg{
 			Spec:  render.Spec{Min: geom.Vec2{X: 1, Y: -2}, Nx: 4, Ny: 1, Cell: 0.5, Samples: 2, Seed: 5},
 			Tiles: []render.Tile{{I0: 0, I1: 2}, {I0: 2, I1: 4}}, Workers: 2,
-			Particles: []geom.Vec3{{X: 1, Y: 2, Z: 3}},
+			Particles: []geom.Vec3{{X: 1, Y: 2, Z: 3}, {}, {}, {}},
+			Finite:    []int32{0, 1, 2, 3, -1, -1, -1, -1},
+			DupOf:     []int32{0, 1, 2, 3}, PoolLen: 5,
 		}, func() any { return new(setupMsg) },
 			"13" + hex.EncodeToString([]byte("distrender.setupMsg")) +
 				"000000000000f03f" + "00000000000000c0" + "08" + "02" + "000000000000e03f" + // Min, Nx 4, Ny 1, Cell 0.5
 				"0000000000000000" + "0000000000000000" + "00" + "04" + "0a" + // ZMin, ZMax, Nz, Samples 2, Seed 5
 				"02" + "00" + "04" + "04" + "08" + // two tiles: [0,2), [2,4)
 				"04" + // Workers 2
-				"01" + "000000000000f03f" + "0000000000000040" + "0000000000000840"}, // one particle
+				"04" + "000000000000f03f" + "0000000000000040" + "0000000000000840" + // four particles
+				strings.Repeat("0000000000000000", 9) +
+				"08" + "00000000" + "01000000" + "02000000" + "03000000" + // one tet: V,
+				strings.Repeat("ffffffff", 4) + // N, all hull faces
+				"04" + "00000000" + "01000000" + "02000000" + "03000000" + // DupOf
+				"0a"}, // PoolLen 5
 		{"assignBatch", &assignBatch{Tiles: []int{1, 200}}, batch,
 			"16" + hex.EncodeToString([]byte("distrender.assignBatch")) + "00" + "02" + "02" + "9003"},
 		{"shutdown", &assignBatch{Shutdown: true}, batch,
@@ -111,6 +121,11 @@ func FuzzTreeWireDecode(f *testing.F) {
 		}
 		f.Add(enc)
 	}
+	enc, err := mpi.Encode(nil, realSetup(f, 12))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
 	f.Add([]byte{})
 	header := "\x14distrender.treeFrame"
 	f.Add(append([]byte(header), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
@@ -118,7 +133,26 @@ func FuzzTreeWireDecode(f *testing.F) {
 		for _, c := range wireCases() {
 			_ = mpi.Decode(data, c.zero())
 		}
+		var s setupMsg
+		if mpi.Decode(data, &s) == nil {
+			_, _ = s.restoreMarcher()
+		}
 	})
+}
+
+// realSetup is the setup rank 0 sends for n clustered particles: the
+// catalog with its mesh packed.
+func realSetup(t testing.TB, n int) *setupMsg {
+	t.Helper()
+	box := geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
+	pts := synth.HaloSet(n, box, synth.DefaultHaloSpec(), 1)
+	tri, err := delaunay.New(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &setupMsg{Spec: testSpec(pts), Tiles: MakeTiles(testSpec(pts), pts, 4, false), Workers: 1, Particles: pts}
+	s.packMesh(tri)
+	return s
 }
 
 // TestWireMessagesOverWorld sends one value of each renderer message type

@@ -30,7 +30,6 @@ import (
 
 	"godtfe/internal/fault"
 	"godtfe/internal/mpi"
-	"godtfe/internal/render"
 )
 
 func clampDuration(d, lo, hi time.Duration) time.Duration {
@@ -43,11 +42,11 @@ func clampDuration(d, lo, hi time.Duration) time.Duration {
 	return d
 }
 
-// work is every non-root rank's loop: take the setup broadcast, march the
-// assigned batches, stream every marched tile to rank 0, and keep re-sending
-// until acked or shut down. A lost frame is retried on a timer; one that
-// never gets through is recovered by the root's deadline re-dispatch — the
-// march is bit-exact, so recomputing elsewhere is safe.
+// work is every non-root rank's loop: restore rank 0's mesh from the setup,
+// march the assigned batches, stream every marched tile to rank 0, and keep
+// re-sending until acked or shut down. A lost frame is retried on a timer;
+// one that never gets through is recovered by the root's deadline
+// re-dispatch — the march is bit-exact, so recomputing elsewhere is safe.
 func work(c *mpi.Comm, cfg Config) error {
 	var setup setupMsg
 	if _, err := c.Recv(0, tagSetup, &setup); err != nil {
@@ -56,10 +55,13 @@ func work(c *mpi.Comm, cfg Config) error {
 		}
 		return err
 	}
+	marcher, err := setup.restoreMarcher()
+	if err != nil {
+		return err
+	}
 	me := c.Rank()
 	retry := clampDuration(cfg.tileTimeout()/4, 25*time.Millisecond, 2*time.Second)
 
-	var marcher *render.Marcher
 	var todo []int
 	pending := make(map[int]tileResult) // tiles unacked by the root (grids held)
 	sentAt := make(map[int]time.Time)   // last send per pending tile
@@ -121,13 +123,6 @@ func work(c *mpi.Comm, cfg Config) error {
 					if !seen[k] {
 						if cfg.Fault != nil && cfg.Fault.ShouldCrash(me, fault.PointTile, marched) {
 							return fault.Crashed(me, fault.PointTile, marched)
-						}
-						if marcher == nil {
-							m, err := buildMarcher(setup.Particles)
-							if err != nil {
-								return err
-							}
-							marcher = m
 						}
 						start := time.Now()
 						r, err := marchTile(context.Background(), marcher, &setup, k, me)
