@@ -576,7 +576,9 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 			}
 		}
 		// Event-driven wait until the next frame, membership change, or
-		// earliest rank deadline.
+		// earliest rank deadline. A deadline that lapsed since the expiry
+		// scan makes the wait negative, which RecvTolerant would read as
+		// "block indefinitely": clamp it to a poll.
 		wait := time.Second
 		if cfg.Poll > 0 {
 			wait = cfg.Poll
@@ -590,7 +592,7 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 				wait = rem
 			}
 		}
-		msg, ep, err := c.RecvTolerant([]int{tagFrame}, epoch, ctxWait(ctx, wait))
+		msg, ep, err := c.RecvTolerant([]int{tagFrame}, epoch, ctxWait(ctx, max(wait, 0)))
 		epoch = ep
 		if err != nil {
 			if errors.Is(err, mpi.ErrTimeout) || errors.Is(err, mpi.ErrWorldChanged) {

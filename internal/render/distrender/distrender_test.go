@@ -764,6 +764,53 @@ func TestChaosMalformedGridRedispatched(t *testing.T) {
 	}
 }
 
+// TestChaosExpiredDeadlineKeepsStealing pins the gather's wait clamp: with
+// a 1 ns straggler deadline every deadline has lapsed by the time the
+// coordinator computes its next wait, so that wait is negative. Read as a
+// timeout it would block the gather until some frame arrived, and the
+// scripted worker sends nothing until it has seen two re-dispatches.
+func TestChaosExpiredDeadlineKeepsStealing(t *testing.T) {
+	pts := testCatalogs()["dirty"]
+	spec := testSpec(pts)
+	ref, _ := singleRank(t, pts, spec)
+
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 2, TileTimeout: time.Nanosecond}
+	res := runScripted(t, cfg, pts, "coordinator hung: a lapsed deadline blocked the gather instead of stealing",
+		func(w *scriptedWorker) error {
+			for i := 0; i < 3; i++ { // the initial batch and two re-dispatches
+				var b assignBatch
+				if _, err := w.c.Recv(0, tagBatch, &b); err != nil {
+					return err
+				}
+				if i == 0 && len(b.Tiles) != 2 {
+					return fmt.Errorf("initial batch has %d tiles, want both", len(b.Tiles))
+				}
+			}
+			for k := range w.setup.Tiles {
+				r, err := w.march(k)
+				if err != nil {
+					return err
+				}
+				if err := w.send(r); err != nil {
+					return err
+				}
+			}
+			for { // the stream of re-dispatches ends with the shutdown
+				var b assignBatch
+				if _, err := w.c.Recv(0, tagBatch, &b); err != nil {
+					return err
+				}
+				if b.Shutdown {
+					return nil
+				}
+			}
+		})
+	assertGridsIdentical(t, ref, res.Grid)
+	if res.Redispatched < 2 {
+		t.Fatalf("expected >= 2 deadline re-dispatches, got %d", res.Redispatched)
+	}
+}
+
 func countStitched(res *Result) int {
 	n := 0
 	for _, r := range res.TileRank {
