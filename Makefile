@@ -23,8 +23,8 @@ vet:
 
 # Concurrency-sensitive packages (the MPI runtime, the fault-tolerant
 # pipeline executor with its chaos tests, the parallel render workers,
-# concurrent point location, and the shared predicate counters/oracle
-# switch in geom) under the race detector.
+# concurrent point location, and the shared predicate counters and the
+# tests' oracle switch in geom) under the race detector.
 race:
 	$(GO) test -race ./internal/mpi/... ./internal/pipeline/... ./internal/render/... ./internal/delaunay/... ./internal/geom/... ./internal/fieldserve/... ./internal/fault/...
 

@@ -1,15 +1,19 @@
-package render
+package geom_test
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
 	"godtfe/internal/delaunay"
+	"godtfe/internal/dtfe"
 	"godtfe/internal/geom"
+	"godtfe/internal/render"
+	"godtfe/internal/synth"
 )
 
 // TestAdaptivePredicatesByteIdentical is the end-to-end gate for the
@@ -38,13 +42,70 @@ func TestAdaptivePredicatesByteIdentical(t *testing.T) {
 	}
 }
 
+// equivCatalogs are the render package's equivalence-test families:
+// clustered halos, an exact lattice (degenerate cosphericity, grid-aligned
+// columns), and a dirty mix with duplicates and coplanar points.
+func equivCatalogs() map[string][]geom.Vec3 {
+	cats := make(map[string][]geom.Vec3)
+
+	box := geom.AABB{Min: geom.Vec3{}, Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
+	cats["clustered"] = synth.HaloSet(1500, box, synth.DefaultHaloSpec(), 7)
+
+	var lattice []geom.Vec3
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 6; j++ {
+			for k := 0; k < 6; k++ {
+				lattice = append(lattice, geom.Vec3{X: float64(i) / 5, Y: float64(j) / 5, Z: float64(k) / 5})
+			}
+		}
+	}
+	cats["lattice"] = lattice
+
+	rng := rand.New(rand.NewSource(42))
+	var dirty []geom.Vec3
+	for len(dirty) < 300 {
+		p := geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
+		dirty = append(dirty, p)
+		if rng.Float64() < 0.2 {
+			dirty = append(dirty, p) // exact duplicate
+		}
+		if rng.Float64() < 0.3 {
+			// coplanar companion: same z, snapped x/y
+			dirty = append(dirty, geom.Vec3{
+				X: math.Round(p.X*4) / 4, Y: math.Round(p.Y*4) / 4, Z: p.Z,
+			})
+		}
+	}
+	cats["dirty"] = dirty
+	return cats
+}
+
+func equivSpec(pts []geom.Vec3) render.Spec {
+	b := geom.BoundsOf(pts)
+	const n = 48
+	pad := 0.02 * (b.Max.X - b.Min.X)
+	w := math.Max(b.Max.X-b.Min.X, b.Max.Y-b.Min.Y) + 2*pad
+	return render.Spec{
+		Min: geom.Vec2{X: b.Min.X - pad, Y: b.Min.Y - pad},
+		Nx:  n, Ny: n, Cell: w / n,
+		Samples: 2, Seed: 5,
+	}
+}
+
 // renderFingerprint builds the triangulation and renders the catalog under
 // whichever predicate backend is currently selected, returning hashes of
 // the sorted finite-tet vertex quadruples, the raw grid cell bits, and the
 // serialized PGM byte stream.
 func renderFingerprint(t *testing.T, pts []geom.Vec3) (tetHash, gridHash, pgmHash [32]byte) {
 	t.Helper()
-	f := fieldFor(t, pts)
+	tri, err := delaunay.New(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := dtfe.NewField(tri, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var quads [][4]int32
 	f.Tri.ForEachFiniteTet(func(ti int32, tet *delaunay.Tet) {
@@ -66,8 +127,8 @@ func renderFingerprint(t *testing.T, pts []geom.Vec3) (tetHash, gridHash, pgmHas
 	}
 	th.Sum(tetHash[:0])
 
-	m := NewMarcher(f)
-	g, _, err := m.Render(equivSpec(pts), 1, ScheduleDynamic)
+	m := render.NewMarcher(f)
+	g, _, err := m.Render(equivSpec(pts), 1, render.ScheduleDynamic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,18 +36,10 @@ import (
 var ExactCalls atomic.Uint64
 
 // oracleExact routes filter misses to the retained big.Rat oracle instead
-// of the adaptive expansion tiers. Used by the differential and
-// byte-identical regression tests; read with atomic.Bool so concurrent
-// render walkers see a consistent value.
+// of the adaptive expansion tiers. Only the differential and byte-identical
+// tests set it (SetOracleFallback in export_test.go); read with atomic.Bool
+// so concurrent render walkers see a consistent value.
 var oracleExact atomic.Bool
-
-// SetOracleFallback toggles the big.Rat oracle fallback for all three
-// predicates and returns the previous setting. Test-only knob: the oracle
-// and the adaptive tiers return identical signs on every input, so this
-// changes performance (and allocation behavior), never results.
-func SetOracleFallback(on bool) (prev bool) {
-	return oracleExact.Swap(on)
-}
 
 // epsilon for the static filters; see Shewchuk (1997) for the style of
 // bound. We use simple, slightly conservative constants.

@@ -16,8 +16,8 @@
 // ErrRankFailed instead of deadlocking. There are two ways to wait: the
 // fail-fast Recv (and the collectives), and RecvTolerant for a rank that
 // owns recovery itself — it never fails on peer death, wakes on every
-// membership change (ErrWorldChanged), takes a bound (ErrTimeout) and
-// polls with a zero one. Those and a fault-injection hook on the send path
+// membership change (ErrWorldChanged) and when its context is done, takes a
+// bound (ErrTimeout) and polls with a zero one. Those and a fault-injection hook on the send path
 // (SetInjector, with capped exponential-backoff retries on injected drops)
 // carry the fault-tolerant modes of internal/pipeline and
 // internal/render/distrender.
@@ -25,6 +25,7 @@ package mpi
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -302,24 +303,28 @@ func (w *World) take(me, src, tag int) (envelope, error) {
 }
 
 // takeMulti blocks until a message whose tag is in tags is queued at rank
-// me, the world's failure epoch moves past epoch, or the deadline (if
-// non-zero) expires — in that priority order. Queued messages always win:
-// a frame sent before its sender died remains deliverable. It never fails
-// on peer death itself (tolerant by construction); the epoch wakeup hands
-// membership changes to the caller as ErrWorldChanged plus the new epoch,
-// so recovery logic runs exactly once per change instead of on poll ticks.
-func (w *World) takeMulti(me int, tags []int, epoch uint64, deadline time.Time) (envelope, uint64, error) {
+// me, ctx is done, the world's failure epoch moves past epoch, or the
+// deadline (if non-zero) expires — in that priority order. Queued messages
+// always win: a frame sent before its sender died remains deliverable. It
+// never fails on peer death itself (tolerant by construction); the epoch
+// wakeup hands membership changes to the caller as ErrWorldChanged plus the
+// new epoch, so recovery logic runs exactly once per change instead of on
+// poll ticks. A context that can never be done registers no wakeup.
+func (w *World) takeMulti(ctx context.Context, me int, tags []int, epoch uint64, deadline time.Time) (envelope, uint64, error) {
 	m := w.boxes[me]
+	wake := func() {
+		m.mu.Lock()
+		m.mu.Unlock() //nolint:staticcheck // park barrier before broadcast
+		m.cond.Broadcast()
+	}
 	hasDeadline := !deadline.IsZero()
 	if hasDeadline {
 		if d := time.Until(deadline); d > 0 {
-			t := time.AfterFunc(d, func() {
-				m.mu.Lock()
-				m.mu.Unlock() //nolint:staticcheck // park barrier before broadcast
-				m.cond.Broadcast()
-			})
-			defer t.Stop()
+			defer time.AfterFunc(d, wake).Stop()
 		}
+	}
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, wake)()
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -331,6 +336,9 @@ func (w *World) takeMulti(me int, tags []int, epoch uint64, deadline time.Time) 
 					return e, epoch, nil
 				}
 			}
+		}
+		if err := ctx.Err(); err != nil {
+			return envelope{}, epoch, fmt.Errorf("recv (multi-tag): %w", err)
 		}
 		if now := w.epoch.Load(); now != epoch {
 			return envelope{}, now, fmt.Errorf("recv (multi-tag): %w", ErrWorldChanged)
@@ -589,13 +597,15 @@ func (m *Message) Decode(v any) error {
 }
 
 // RecvTolerant blocks until a message bearing any tag in tags arrives from
-// any source, the world's failure epoch moves past epoch (ErrWorldChanged,
-// with the new epoch returned so the caller re-arms), or timeout expires
-// (ErrTimeout). timeout < 0 blocks indefinitely — safe because membership
-// changes wake the call; timeout == 0 is a non-blocking poll. Peer death
-// never aborts the wait with ErrRankFailed: this is the monitoring-mode
-// receive for coordinators that own recovery themselves.
-func (c *Comm) RecvTolerant(tags []int, epoch uint64, timeout time.Duration) (*Message, uint64, error) {
+// any source, ctx is done (an error matching ctx.Err()), the world's
+// failure epoch moves past epoch (ErrWorldChanged, with the new epoch
+// returned so the caller re-arms), or timeout expires (ErrTimeout). A
+// queued message wins over all three. timeout < 0 blocks indefinitely —
+// safe because membership changes wake the call; timeout == 0 is a
+// non-blocking poll. Peer death never aborts the wait with ErrRankFailed:
+// this is the monitoring-mode receive for coordinators that own recovery
+// themselves.
+func (c *Comm) RecvTolerant(ctx context.Context, tags []int, epoch uint64, timeout time.Duration) (*Message, uint64, error) {
 	if len(tags) == 0 {
 		return nil, epoch, fmt.Errorf("mpi: RecvTolerant requires at least one tag")
 	}
@@ -608,7 +618,7 @@ func (c *Comm) RecvTolerant(tags []int, epoch uint64, timeout time.Duration) (*M
 	if timeout >= 0 {
 		deadline = time.Now().Add(timeout)
 	}
-	e, ep, err := c.world.takeMulti(c.rank, tags, epoch, deadline)
+	e, ep, err := c.world.takeMulti(ctx, c.rank, tags, epoch, deadline)
 	if err != nil {
 		return nil, ep, fmt.Errorf("mpi: %w", err)
 	}

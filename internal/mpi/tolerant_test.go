@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -21,7 +22,7 @@ func TestRecvTolerantMultiTag(t *testing.T) {
 			got := map[int]int{}
 			epoch := c.FailureEpoch()
 			for len(got) < 2 {
-				msg, ep, err := c.RecvTolerant([]int{7, 9}, epoch, 5*time.Second)
+				msg, ep, err := c.RecvTolerant(context.Background(), []int{7, 9}, epoch, 5*time.Second)
 				epoch = ep
 				if err != nil {
 					if errors.Is(err, ErrWorldChanged) {
@@ -77,7 +78,7 @@ func TestRecvTolerantQueuedMessageWinsOverEpoch(t *testing.T) {
 		for c.Alive(1) && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		msg, ep, err := c.RecvTolerant([]int{5}, epoch, time.Second)
+		msg, ep, err := c.RecvTolerant(context.Background(), []int{5}, epoch, time.Second)
 		if err != nil {
 			return fmt.Errorf("queued message lost to epoch wakeup: %w", err)
 		}
@@ -89,7 +90,7 @@ func TestRecvTolerantQueuedMessageWinsOverEpoch(t *testing.T) {
 			return fmt.Errorf("payload %q", s)
 		}
 		// Now the drained queue exposes the membership change.
-		if _, ep2, err := c.RecvTolerant([]int{5}, epoch, time.Second); !errors.Is(err, ErrWorldChanged) {
+		if _, ep2, err := c.RecvTolerant(context.Background(), []int{5}, epoch, time.Second); !errors.Is(err, ErrWorldChanged) {
 			return fmt.Errorf("want ErrWorldChanged after drain, got %v", err)
 		} else if ep2 == epoch {
 			return fmt.Errorf("epoch did not advance")
@@ -97,7 +98,7 @@ func TestRecvTolerantQueuedMessageWinsOverEpoch(t *testing.T) {
 			ep = ep2
 		}
 		// With the current epoch acknowledged, an empty world times out.
-		if _, _, err := c.RecvTolerant([]int{5}, ep, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		if _, _, err := c.RecvTolerant(context.Background(), []int{5}, ep, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
 			return fmt.Errorf("want ErrTimeout, got %v", err)
 		}
 		return nil
@@ -120,7 +121,7 @@ func TestRecvTolerantEpochWakeupIsImmediate(t *testing.T) {
 			return boom
 		}
 		start := time.Now()
-		_, _, err := c.RecvTolerant([]int{3}, c.FailureEpoch(), 30*time.Second)
+		_, _, err := c.RecvTolerant(context.Background(), []int{3}, c.FailureEpoch(), 30*time.Second)
 		if !errors.Is(err, ErrWorldChanged) {
 			return fmt.Errorf("want ErrWorldChanged, got %v", err)
 		}
@@ -164,7 +165,7 @@ func TestRecvTolerantZeroTimeoutPolls(t *testing.T) {
 		defer close(hold)
 		epoch := c.FailureEpoch()
 		start := time.Now()
-		if _, _, err := c.RecvTolerant([]int{2}, epoch, 0); !errors.Is(err, ErrTimeout) {
+		if _, _, err := c.RecvTolerant(context.Background(), []int{2}, epoch, 0); !errors.Is(err, ErrTimeout) {
 			return fmt.Errorf("empty mailbox: want ErrTimeout, got %v", err)
 		}
 		if wait := time.Since(start); wait > time.Second {
@@ -173,7 +174,7 @@ func TestRecvTolerantZeroTimeoutPolls(t *testing.T) {
 		close(polled)
 		<-sent
 		for _, want := range []struct{ tag, v int }{{2, 20}, {3, 30}} {
-			msg, _, err := c.RecvTolerant([]int{want.tag}, epoch, 0)
+			msg, _, err := c.RecvTolerant(context.Background(), []int{want.tag}, epoch, 0)
 			if err != nil {
 				return fmt.Errorf("tag %d queued but not delivered: %w", want.tag, err)
 			}
@@ -186,7 +187,7 @@ func TestRecvTolerantZeroTimeoutPolls(t *testing.T) {
 			}
 			if want.tag == 2 {
 				// Tag 3 is still queued, but outside the set.
-				if _, _, err := c.RecvTolerant([]int{2}, epoch, 0); !errors.Is(err, ErrTimeout) {
+				if _, _, err := c.RecvTolerant(context.Background(), []int{2}, epoch, 0); !errors.Is(err, ErrTimeout) {
 					return fmt.Errorf("tag 2 drained: want ErrTimeout, got %v", err)
 				}
 			}
@@ -214,7 +215,7 @@ func TestRecvTolerantPeerDeathDoesNotAbortWait(t *testing.T) {
 		}
 		epoch := c.FailureEpoch()
 		for {
-			msg, ep, err := c.RecvTolerant([]int{4}, epoch, 5*time.Second)
+			msg, ep, err := c.RecvTolerant(context.Background(), []int{4}, epoch, 5*time.Second)
 			epoch = ep
 			if errors.Is(err, ErrWorldChanged) {
 				continue
@@ -240,13 +241,76 @@ func TestRecvTolerantPeerDeathDoesNotAbortWait(t *testing.T) {
 	}
 }
 
+// TestRecvTolerantCancelWakesBlockedWait: a wait with no bound and no
+// traffic returns context.Canceled as soon as its context is cancelled;
+// nothing polls for it.
+func TestRecvTolerantCancelWakesBlockedWait(t *testing.T) {
+	c := NewWorld(2).Comm(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	at := make(chan time.Time, 1)
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		at <- time.Now()
+		cancel()
+	}()
+	_, _, err := c.RecvTolerant(ctx, []int{3}, c.FailureEpoch(), -1)
+	woke := time.Since(<-at)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if woke > 50*time.Millisecond {
+		t.Fatalf("returned %v after cancel, want within 50ms", woke)
+	}
+}
+
+// TestRecvTolerantQueuedMessageWinsOverCancel: a message already queued is
+// delivered even under a cancelled context; only the empty mailbox reports
+// the cancellation.
+func TestRecvTolerantQueuedMessageWinsOverCancel(t *testing.T) {
+	w := NewWorld(2)
+	c := w.Comm(0)
+	if err := w.Comm(1).Send(0, 5, 42); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	msg, _, err := c.RecvTolerant(ctx, []int{5}, c.FailureEpoch(), -1)
+	if err != nil {
+		t.Fatalf("queued message not delivered under a cancelled context: %v", err)
+	}
+	var v int
+	if err := msg.Decode(&v); err != nil || v != 42 {
+		t.Fatalf("got %d (%v), want 42", v, err)
+	}
+	if _, _, err := c.RecvTolerant(ctx, []int{5}, c.FailureEpoch(), -1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("empty mailbox: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRecvTolerantContextDeadlineBeforeTimeout: a context deadline that
+// comes before the timeout ends the wait as context.DeadlineExceeded, not
+// as ErrTimeout.
+func TestRecvTolerantContextDeadlineBeforeTimeout(t *testing.T) {
+	c := NewWorld(2).Comm(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err := c.RecvTolerant(ctx, []int{3}, c.FailureEpoch(), 5*time.Second)
+	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded and not ErrTimeout", err)
+	}
+	if wait := time.Since(start); wait > time.Second {
+		t.Fatalf("waited %v for a 20ms context deadline", wait)
+	}
+}
+
 // TestRecvTolerantRejectsNegativeTag pins the argument contract: AnyTag
 // semantics are expressed by listing tags, never by negative sentinels
 // (which would collide with the internal collective tag space).
 func TestRecvTolerantRejectsNegativeTag(t *testing.T) {
 	w := NewWorld(1)
 	errs := w.RunEach(func(c *Comm) error {
-		_, _, err := c.RecvTolerant([]int{-3}, c.FailureEpoch(), time.Millisecond)
+		_, _, err := c.RecvTolerant(context.Background(), []int{-3}, c.FailureEpoch(), time.Millisecond)
 		if err == nil || errors.Is(err, ErrTimeout) {
 			return fmt.Errorf("negative tag accepted: %v", err)
 		}

@@ -31,6 +31,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -188,7 +189,7 @@ func (rt *runtime) recoveryWorker(local []geom.Vec3, pending []int, pred []float
 		var ctl control
 		deadline := time.Now().Add(wait)
 		for c.Alive(0) {
-			msg, ep, err := c.RecvTolerant([]int{tagControl}, epoch, max(time.Until(deadline), 0))
+			msg, ep, err := c.RecvTolerant(context.Background(), []int{tagControl}, epoch, max(time.Until(deadline), 0))
 			epoch = ep
 			if errors.Is(err, mpi.ErrWorldChanged) {
 				continue // re-check rank 0 against the new epoch
@@ -459,7 +460,7 @@ func (rt *runtime) recoveryCoordinator(local []geom.Vec3, pending []int, pred []
 	epoch := c.FailureEpoch()
 	supervise() // a death before the snapshot raises no wakeup
 	await := func(wait time.Duration) (bool, error) {
-		msg, ep, err := c.RecvTolerant([]int{tagHeartbeat}, epoch, wait)
+		msg, ep, err := c.RecvTolerant(context.Background(), []int{tagHeartbeat}, epoch, wait)
 		epoch = ep
 		switch {
 		case errors.Is(err, mpi.ErrTimeout):

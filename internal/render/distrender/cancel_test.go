@@ -31,7 +31,6 @@ func runCancelled(t *testing.T, ranks int, cfg Config, ctx context.Context) (*Re
 	t.Helper()
 	pts, spec := cancelSpec()
 	cfg.Spec = spec
-	cfg.Poll = 5 * time.Millisecond
 
 	var res *Result
 	var resErr error

@@ -20,12 +20,15 @@
 // Failure handling reuses the PR 1 recovery concepts: the coordinator waits
 // with a tolerant AnySource receive, redistributes the outstanding tiles of
 // crashed ranks (mpi failure detection), steals the head tile of a rank
-// that shows no progress within TileTimeout (straggler mitigation), and —
-// because tile renders are bit-exact — resolves duplicate results by
-// first-arrival. If every worker is lost the coordinator computes the
-// remainder itself unless the NoCoordinatorCompute test knob forbids it,
-// in which case the Result is flagged Incomplete with the lost tiles
-// enumerated.
+// that shows no progress within the straggler deadline (straggler
+// mitigation), and — because tile renders are bit-exact — resolves
+// duplicate results by first-arrival. If every worker is lost the
+// coordinator computes the remainder itself. A Result missing tiles is
+// flagged Incomplete with the lost tiles enumerated.
+//
+// The chaos suites reach behaviours no caller chooses (equal-width tiles,
+// injected faults, a short straggler deadline, no self-compute) through
+// the hooks parameter of the unexported run, never through Config.
 package distrender
 
 import (
@@ -62,8 +65,6 @@ type Config struct {
 	// Tiles is the number of column-block tiles; 0 means 2× the world
 	// size (over-decomposition keeps re-dispatch granular).
 	Tiles int
-	// EvenTiles forces equal-width tiles instead of cost-balanced ones.
-	EvenTiles bool
 
 	// Workers is the shared-memory worker count each rank marches with
 	// (1 when 0).
@@ -71,34 +72,25 @@ type Config struct {
 
 	// Gather is read by nothing (see GatherMode).
 	Gather GatherMode
-
-	// Fault optionally injects crashes/stragglers/message faults
-	// (chaos tests). Crash points: fault.PointTile before a march,
-	// fault.PointRelay before a worker sends a frame.
-	Fault *fault.Injector
-
-	// TileTimeout is the per-rank progress deadline (default 30s): a rank
-	// with outstanding tiles and no accepted frame for this long has its
-	// head tile stolen. Poll, when set, caps the coordinator's gather wait;
-	// by default the gather blocks until a message, a membership change, or
-	// the next rank deadline.
-	TileTimeout time.Duration
-	Poll        time.Duration
-	// MaxSendRetries overrides the mpi send retry budget when > 0.
-	MaxSendRetries int
-
-	// NoCoordinatorCompute forbids rank 0 from marching tiles itself.
-	// Production leaves it false (the coordinator is the fallback of
-	// last resort); chaos tests set it to observe flagged-partial
-	// results when all workers die.
-	NoCoordinatorCompute bool
 }
 
-func (cfg *Config) tileTimeout() time.Duration {
-	if cfg.TileTimeout > 0 {
-		return cfg.TileTimeout
-	}
-	return 30 * time.Second
+// hooks are the behaviours of a render that only the test suites choose.
+// The zero value is production's: cost-balanced tiles, no injected faults,
+// the 30 s straggler deadline, and the coordinator as the fallback of last
+// resort.
+type hooks struct {
+	// evenTiles cuts equal-width tiles instead of cost-balanced ones.
+	evenTiles bool
+	// fault injects crashes and straggler sleeps: fault.PointTile before a
+	// march, fault.PointRelay before a worker sends a frame.
+	fault *fault.Injector
+	// tileTimeout, when > 0, replaces the 30 s per-rank progress deadline:
+	// a rank with outstanding tiles and no accepted frame for this long has
+	// its head tile stolen.
+	tileTimeout time.Duration
+	// noCoordinatorCompute forbids rank 0 from marching tiles itself, so
+	// losing every worker yields a flagged-partial Result.
+	noCoordinatorCompute bool
 }
 
 // Result is the stitched output of a distributed render.
@@ -145,19 +137,24 @@ type Result struct {
 // ctx; they are driven entirely by the coordinator's protocol, so a single
 // cancelled coordinator drains the whole world.
 func RunCtx(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (*Result, error) {
+	return run(ctx, c, cfg, pts, hooks{})
+}
+
+// run is RunCtx with the test suites' hooks.
+func run(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h hooks) (*Result, error) {
 	if err := cfg.Spec.Validate(false); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.MaxSendRetries > 0 {
-		c.SetMaxSendRetries(cfg.MaxSendRetries)
+	if h.tileTimeout <= 0 {
+		h.tileTimeout = 30 * time.Second
 	}
 	if c.Rank() == 0 {
-		return coordinate(ctx, c, cfg, pts)
+		return coordinate(ctx, c, cfg, pts, h)
 	}
-	return nil, work(c, cfg)
+	return nil, work(c, h)
 }
 
 // CancelledError reports a distributed render cut short by its caller's
@@ -187,27 +184,6 @@ func (co *coord) abort(ctx context.Context, shutdown func()) (*Result, error) {
 	res, _ := co.finalize()
 	res.Incomplete = true
 	return res, &CancelledError{Cause: cause, Done: len(co.have), Total: len(co.tiles)}
-}
-
-// ctxWait caps an event-driven gather wait so a cancellable context is
-// observed promptly: a context deadline bounds the wait exactly, and a
-// plain cancellation is polled at 100ms (only contexts with a Done channel
-// pay this; Background keeps the full event-driven wait).
-func ctxWait(ctx context.Context, wait time.Duration) time.Duration {
-	if ctx.Done() == nil {
-		return wait
-	}
-	if d, ok := ctx.Deadline(); ok {
-		if r := time.Until(d); r < wait {
-			wait = r
-		}
-	} else if wait > 100*time.Millisecond {
-		wait = 100 * time.Millisecond
-	}
-	if wait < 0 {
-		wait = 0
-	}
-	return wait
 }
 
 // buildMarcher triangulates the catalog and prepares the SoA kernel.
@@ -366,14 +342,14 @@ func (co *coord) finalize() (*Result, error) {
 // coordinate is the rank-0 side: tile the grid, build and send the setup,
 // hand every live rank its static round-robin batch, then stream-stitch
 // the frames that come back while per-rank deadlines drive re-dispatch.
-func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (*Result, error) {
+func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h hooks) (*Result, error) {
 	spec := cfg.Spec
 	nt := cfg.Tiles
 	if nt <= 0 {
 		nt = 2 * c.Size()
 	}
 	setup := setupMsg{
-		Spec: spec, Tiles: MakeTiles(spec, pts, nt, cfg.EvenTiles),
+		Spec: spec, Tiles: makeTiles(spec, pts, nt, h.evenTiles),
 		Workers: cfg.Workers, Particles: pts,
 	}
 	co := newCoord(&setup)
@@ -414,7 +390,7 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 		setup.Finite, setup.DupOf = nil, nil
 	}
 
-	timeout := cfg.tileTimeout()
+	timeout := h.tileTimeout
 	var coordMarcher *render.Marcher
 
 	shutdown := func() {
@@ -547,10 +523,10 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 			reassign(k, r)
 		}
 		// Self-compute fallback: no live worker is left (or the world never
-		// had one), so the root marches what is missing itself — unless the
-		// test knob forbids it, and then the remainder is lost.
+		// had one), so the root marches what is missing itself — unless a
+		// test hook forbids it, and then the remainder is lost.
 		if len(liveRanks()) == 0 {
-			if cfg.NoCoordinatorCompute {
+			if h.noCoordinatorCompute {
 				break
 			}
 			for k := range co.tiles {
@@ -575,14 +551,11 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 				reassign(k, -1)
 			}
 		}
-		// Event-driven wait until the next frame, membership change, or
-		// earliest rank deadline. A deadline that lapsed since the expiry
-		// scan makes the wait negative, which RecvTolerant would read as
-		// "block indefinitely": clamp it to a poll.
+		// Event-driven wait until the next frame, membership change,
+		// cancellation, or earliest rank deadline. A deadline that lapsed
+		// since the expiry scan makes the wait negative, which RecvTolerant
+		// would read as "block indefinitely": clamp it to a poll.
 		wait := time.Second
-		if cfg.Poll > 0 {
-			wait = cfg.Poll
-		}
 		now = time.Now()
 		for r, d := range deadline {
 			if len(pending[r]) == 0 {
@@ -592,10 +565,11 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3) (
 				wait = rem
 			}
 		}
-		msg, ep, err := c.RecvTolerant([]int{tagFrame}, epoch, ctxWait(ctx, max(wait, 0)))
+		msg, ep, err := c.RecvTolerant(ctx, []int{tagFrame}, epoch, max(wait, 0))
 		epoch = ep
 		if err != nil {
-			if errors.Is(err, mpi.ErrTimeout) || errors.Is(err, mpi.ErrWorldChanged) {
+			// A cancellation is handled at the top of the loop.
+			if errors.Is(err, mpi.ErrTimeout) || errors.Is(err, mpi.ErrWorldChanged) || ctx.Err() != nil {
 				continue
 			}
 			return nil, fmt.Errorf("distrender: gather: %w", err)

@@ -85,18 +85,18 @@ func singleRank(t testing.TB, pts []geom.Vec3, spec render.Spec) (*grid.Grid2D, 
 	return g, render.TotalOutcomes(stats)
 }
 
-// runDistributed executes one distributed render over a fresh in-process
-// world and returns rank 0's Result plus every rank's exit error.
-func runDistributed(ranks int, cfg Config, pts []geom.Vec3, inj *fault.Injector) (*Result, error, []error) {
+// runDistributed executes one distributed render with the hooks h over a
+// fresh in-process world, whose traffic h.fault also injects into, and
+// returns rank 0's Result plus every rank's exit error.
+func runDistributed(ranks int, cfg Config, pts []geom.Vec3, h hooks) (*Result, error, []error) {
 	w := mpi.NewWorld(ranks)
-	if inj != nil {
-		w.SetInjector(inj)
-		cfg.Fault = inj
+	if h.fault != nil {
+		w.SetInjector(h.fault)
 	}
 	var res *Result
 	var resErr error
 	errs := w.RunEach(func(c *mpi.Comm) error {
-		r, err := RunCtx(context.Background(), c, cfg, pts)
+		r, err := run(context.Background(), c, cfg, pts, h)
 		if c.Rank() == 0 {
 			res, resErr = r, err
 			return err
@@ -165,10 +165,10 @@ func TestDistributedMatchesSingleRank(t *testing.T) {
 					even := split == "even"
 					t.Run(fmt.Sprintf("%s/%s/ranks=%d/fanout=%d", name, split, ranks, fanout), func(t *testing.T) {
 						cfg := Config{
-							Spec: spec, Workers: workers, EvenTiles: even,
+							Spec: spec, Workers: workers,
 							Tiles: 2*ranks + 1, // odd count: tiles never align with ranks
 						}
-						res, err, errs := runDistributed(ranks, cfg, pts, nil)
+						res, err, errs := runDistributed(ranks, cfg, pts, hooks{evenTiles: even})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -222,7 +222,7 @@ func TestGatherModeInert(t *testing.T) {
 	spec := testSpec(pts)
 	ref, refOutcomes := singleRank(t, pts, spec)
 	for _, mode := range []GatherMode{GatherAuto, GatherFlat, GatherTree} {
-		res, err, _ := runDistributed(5, Config{Spec: spec, Workers: 2, Gather: mode}, pts, nil)
+		res, err, _ := runDistributed(5, Config{Spec: spec, Workers: 2, Gather: mode}, pts, hooks{})
 		if err != nil {
 			t.Fatalf("Gather %d: %v", mode, err)
 		}
@@ -266,8 +266,8 @@ func TestChaosRankCrashMidTile(t *testing.T) {
 		Seed:    1,
 		Crashes: []fault.Crash{{Rank: 2, Point: fault.PointTile, After: 1}},
 	})
-	cfg := Config{Spec: spec, Workers: 2, Tiles: 9, TileTimeout: 300 * time.Millisecond}
-	res, err, errs := runDistributed(4, cfg, pts, inj)
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 9}
+	res, err, errs := runDistributed(4, cfg, pts, hooks{fault: inj, tileTimeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +295,8 @@ func TestChaosStraggler(t *testing.T) {
 		Stragglers:       []fault.Straggler{{Rank: 1, Factor: 200}},
 		MaxStraggleSleep: 150 * time.Millisecond,
 	})
-	cfg := Config{Spec: spec, Workers: 2, Tiles: 6, TileTimeout: 40 * time.Millisecond}
-	res, err, errs := runDistributed(3, cfg, pts, inj)
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 6}
+	res, err, errs := runDistributed(3, cfg, pts, hooks{fault: inj, tileTimeout: 40 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,12 +324,20 @@ func TestChaosDroppedResult(t *testing.T) {
 		DropProb:  0.4,
 		DropCount: 5, // beyond the retry budget: some sends are truly lost
 	})
-	cfg := Config{
-		Spec: spec, Workers: 2, Tiles: 8,
-		TileTimeout: 100 * time.Millisecond, MaxSendRetries: 2,
-	}
-	res, err, errs := runDistributed(3, cfg, pts, inj)
-	if err != nil {
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 8}
+	h := hooks{fault: inj, tileTimeout: 100 * time.Millisecond}
+	w := mpi.NewWorld(3)
+	w.SetInjector(inj)
+	var res *Result
+	errs := w.RunEach(func(c *mpi.Comm) error {
+		c.SetMaxSendRetries(2)
+		r, err := run(context.Background(), c, cfg, pts, h)
+		if c.Rank() == 0 {
+			res = r
+		}
+		return err
+	})
+	if err := errs[0]; err != nil {
 		t.Fatal(err)
 	}
 	for r, e := range errs {
@@ -341,7 +349,7 @@ func TestChaosDroppedResult(t *testing.T) {
 }
 
 // TestChaosAllWorkersLost: when every worker dies and the coordinator is
-// forbidden from computing (NoCoordinatorCompute), the Result must be a
+// forbidden from computing (noCoordinatorCompute), the Result must be a
 // correctly flagged partial — lost tiles enumerated, never silent zeros.
 func TestChaosAllWorkersLost(t *testing.T) {
 	pts := testCatalogs()["dirty"]
@@ -354,11 +362,8 @@ func TestChaosAllWorkersLost(t *testing.T) {
 			{Rank: 2, Point: fault.PointTile, After: 1},
 		},
 	})
-	cfg := Config{
-		Spec: spec, Workers: 2, Tiles: 8,
-		TileTimeout: 200 * time.Millisecond, NoCoordinatorCompute: true,
-	}
-	res, err, errs := runDistributed(3, cfg, pts, inj)
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 8}
+	res, err, errs := runDistributed(3, cfg, pts, hooks{fault: inj, tileTimeout: 200 * time.Millisecond, noCoordinatorCompute: true})
 	if err == nil {
 		t.Fatal("expected an incomplete-render error")
 	}
@@ -392,8 +397,8 @@ func TestChaosCrashBeforeSend(t *testing.T) {
 		Seed:    11,
 		Crashes: []fault.Crash{{Rank: 1, Point: fault.PointRelay, After: 1}},
 	})
-	cfg := Config{Spec: spec, Workers: 2, Tiles: 15, TileTimeout: 300 * time.Millisecond}
-	res, err, errs := runDistributed(4, cfg, pts, inj)
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 15}
+	res, err, errs := runDistributed(4, cfg, pts, hooks{fault: inj, tileTimeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +436,8 @@ func TestFailedRankAttributionInResult(t *testing.T) {
 			Seed:    16,
 			Crashes: []fault.Crash{{Rank: 2, Point: fault.PointTile, After: 0}},
 		})
-		cfg := Config{Spec: spec, Workers: 2, Tiles: 8, TileTimeout: 300 * time.Millisecond}
-		res, err, errs := runDistributed(5, cfg, pts, inj)
+		cfg := Config{Spec: spec, Workers: 2, Tiles: 8}
+		res, err, errs := runDistributed(5, cfg, pts, hooks{fault: inj, tileTimeout: 300 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +469,7 @@ func TestRejectedCatalogFailsOnce(t *testing.T) {
 	}
 	done := make(chan []error, 1)
 	go func() {
-		_, _, errs := runDistributed(4, Config{Spec: testSpec(pts)}, pts, nil)
+		_, _, errs := runDistributed(4, Config{Spec: testSpec(pts)}, pts, hooks{})
 		done <- errs
 	}()
 	select {
@@ -501,9 +506,10 @@ func TestChaosSetupLost(t *testing.T) {
 
 	w := mpi.NewWorld(4)
 	w.SetInjector(dropSetupTo(2))
-	cfg := Config{Spec: spec, Workers: 2, Tiles: 9, MaxSendRetries: 1}
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 9}
 	var res *Result
 	errs := w.RunEach(func(c *mpi.Comm) (err error) {
+		c.SetMaxSendRetries(1)
 		r, err := RunCtx(context.Background(), c, cfg, pts)
 		if c.Rank() == 0 {
 			res = r
@@ -615,17 +621,17 @@ func (w *scriptedWorker) serveUntilShutdown() error {
 	}
 }
 
-// runScripted renders pts on two ranks, the coordinator against script,
-// under a 20 s watchdog (hung names what a hang means), and returns the
-// complete Result once both ranks have exited cleanly.
-func runScripted(t *testing.T, cfg Config, pts []geom.Vec3, hung string, script func(w *scriptedWorker) error) *Result {
+// runScripted renders pts on two ranks, the coordinator with the hooks h
+// against script, under a 20 s watchdog (hung names what a hang means), and
+// returns the complete Result once both ranks have exited cleanly.
+func runScripted(t *testing.T, cfg Config, h hooks, pts []geom.Vec3, hung string, script func(w *scriptedWorker) error) *Result {
 	t.Helper()
 	var res *Result
 	done := make(chan []error, 1)
 	go func() {
 		done <- mpi.NewWorld(2).RunEach(func(c *mpi.Comm) (err error) {
 			if c.Rank() == 0 {
-				res, err = coordinate(context.Background(), c, cfg, pts)
+				res, err = run(context.Background(), c, cfg, pts, h)
 				return err
 			}
 			w := &scriptedWorker{c: c}
@@ -668,8 +674,8 @@ func TestChaosStaleStragglerResultThenLoss(t *testing.T) {
 	spec := testSpec(pts)
 	ref, _ := singleRank(t, pts, spec)
 
-	cfg := Config{Spec: spec, Workers: 2, Tiles: 2, TileTimeout: 200 * time.Millisecond}
-	res := runScripted(t, cfg, pts, "coordinator hung: stale frame for a stolen tile discarded the held tile's tracking",
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 2}
+	res := runScripted(t, cfg, hooks{tileTimeout: 200 * time.Millisecond}, pts, "coordinator hung: stale frame for a stolen tile discarded the held tile's tracking",
 		func(w *scriptedWorker) error {
 			var first, second assignBatch
 			if _, err := w.c.Recv(0, tagBatch, &first); err != nil {
@@ -720,8 +726,8 @@ func TestChaosMalformedGridRedispatched(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg := Config{Spec: spec, Workers: 2, Tiles: 2, TileTimeout: 200 * time.Millisecond}
-			res := runScripted(t, cfg, pts, "coordinator hung: the discarded tile was never re-dispatched",
+			cfg := Config{Spec: spec, Workers: 2, Tiles: 2}
+			res := runScripted(t, cfg, hooks{tileTimeout: 200 * time.Millisecond}, pts, "coordinator hung: the discarded tile was never re-dispatched",
 				func(w *scriptedWorker) error {
 					var b assignBatch
 					if _, err := w.c.Recv(0, tagBatch, &b); err != nil {
@@ -774,8 +780,8 @@ func TestChaosExpiredDeadlineKeepsStealing(t *testing.T) {
 	spec := testSpec(pts)
 	ref, _ := singleRank(t, pts, spec)
 
-	cfg := Config{Spec: spec, Workers: 2, Tiles: 2, TileTimeout: time.Nanosecond}
-	res := runScripted(t, cfg, pts, "coordinator hung: a lapsed deadline blocked the gather instead of stealing",
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 2}
+	res := runScripted(t, cfg, hooks{tileTimeout: time.Nanosecond}, pts, "coordinator hung: a lapsed deadline blocked the gather instead of stealing",
 		func(w *scriptedWorker) error {
 			for i := 0; i < 3; i++ { // the initial batch and two re-dispatches
 				var b assignBatch
@@ -829,7 +835,7 @@ func TestMakeTiles(t *testing.T) {
 	spec := testSpec(pts)
 	for _, n := range []int{1, 2, 3, 5, 7, 16, 48, 100} {
 		for _, even := range []bool{true, false} {
-			tiles := MakeTiles(spec, pts, n, even)
+			tiles := makeTiles(spec, pts, n, even)
 			want := n
 			if want > spec.Nx {
 				want = spec.Nx
@@ -851,8 +857,8 @@ func TestMakeTiles(t *testing.T) {
 	}
 	// Cost balancing: on a strongly clustered catalog the uneven split
 	// must not equal the even one.
-	evenT := MakeTiles(spec, pts, 6, true)
-	costT := MakeTiles(spec, pts, 6, false)
+	evenT := makeTiles(spec, pts, 6, true)
+	costT := makeTiles(spec, pts, 6, false)
 	same := true
 	for i := range evenT {
 		if evenT[i] != costT[i] {
@@ -883,7 +889,7 @@ func BenchmarkDistRender(b *testing.B) {
 			cfg := Config{Spec: spec, Workers: 2, Tiles: 2 * ranks}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err, _ := runDistributedBench(ranks, cfg, pts)
+				res, err, _ := runDistributed(ranks, cfg, pts, hooks{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -933,18 +939,4 @@ func BenchmarkWorkerSetup(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
 	})
-}
-
-func runDistributedBench(ranks int, cfg Config, pts []geom.Vec3) (*Result, error, []error) {
-	w := mpi.NewWorld(ranks)
-	var res *Result
-	var resErr error
-	errs := w.RunEach(func(c *mpi.Comm) error {
-		r, err := RunCtx(context.Background(), c, cfg, pts)
-		if c.Rank() == 0 {
-			res, resErr = r, err
-		}
-		return err
-	})
-	return res, resErr, errs
 }

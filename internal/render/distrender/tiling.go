@@ -39,13 +39,13 @@ func columnWeights(spec render.Spec, pts []geom.Vec3) []float64 {
 	return w
 }
 
-// MakeTiles partitions the spec's columns into n contiguous tiles. With
+// makeTiles partitions the spec's columns into n contiguous tiles. With
 // even=true the split is uniform (equal column counts, remainder spread
 // left); otherwise tile boundaries are chosen greedily so each tile's
 // predicted marching cost (columnWeights) is as close as possible to an
 // equal share. Every tile holds at least one column, so n is clamped to
 // spec.Nx. pts may be nil, which degrades to the even split.
-func MakeTiles(spec render.Spec, pts []geom.Vec3, n int, even bool) []render.Tile {
+func makeTiles(spec render.Spec, pts []geom.Vec3, n int, even bool) []render.Tile {
 	if n < 1 {
 		n = 1
 	}

@@ -150,7 +150,7 @@ func realSetup(t testing.TB, n int) *setupMsg {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &setupMsg{Spec: testSpec(pts), Tiles: MakeTiles(testSpec(pts), pts, 4, false), Workers: 1, Particles: pts}
+	s := &setupMsg{Spec: testSpec(pts), Tiles: makeTiles(testSpec(pts), pts, 4, false), Workers: 1, Particles: pts}
 	s.packMesh(tri)
 	return s
 }

@@ -15,12 +15,12 @@
 //     frame or a lost ack costs one re-send.
 //   - Idempotent dedupe: the coordinator stitches first-wins; tile renders
 //     are bit-exact, so whichever copy arrives first is correct.
-//   - Straggler expiry: a rank that produces nothing for TileTimeout has
-//     the head of its outstanding share stolen and re-dispatched to the
-//     least-loaded live rank. A rank that dies has its whole share (marched
-//     but unsent tiles included) re-dispatched.
+//   - Straggler expiry: a rank that produces nothing for the straggler
+//     deadline (30 s) has the head of its outstanding share stolen and
+//     re-dispatched to the least-loaded live rank. A rank that dies has its
+//     whole share (marched but unsent tiles included) re-dispatched.
 //   - Fallback: with no live workers left the root marches the remainder
-//     itself (unless NoCoordinatorCompute).
+//     itself (unless the noCoordinatorCompute test hook forbids it).
 package distrender
 
 import (
@@ -47,7 +47,7 @@ func clampDuration(d, lo, hi time.Duration) time.Duration {
 // re-sending until acked or shut down. A lost frame is retried on a timer;
 // one that never gets through is recovered by the root's deadline
 // re-dispatch — the march is bit-exact, so recomputing elsewhere is safe.
-func work(c *mpi.Comm, cfg Config) error {
+func work(c *mpi.Comm, h hooks) error {
 	var setup setupMsg
 	if _, err := c.Recv(0, tagSetup, &setup); err != nil {
 		if errors.Is(err, mpi.ErrRankFailed) {
@@ -60,7 +60,7 @@ func work(c *mpi.Comm, cfg Config) error {
 		return err
 	}
 	me := c.Rank()
-	retry := clampDuration(cfg.tileTimeout()/4, 25*time.Millisecond, 2*time.Second)
+	retry := clampDuration(h.tileTimeout/4, 25*time.Millisecond, 2*time.Second)
 
 	var todo []int
 	pending := make(map[int]tileResult) // tiles unacked by the root (grids held)
@@ -82,7 +82,7 @@ func work(c *mpi.Comm, cfg Config) error {
 		if len(due) == 0 {
 			return nil
 		}
-		if cfg.Fault != nil && cfg.Fault.ShouldCrash(me, fault.PointRelay, sent) {
+		if h.fault != nil && h.fault.ShouldCrash(me, fault.PointRelay, sent) {
 			return fault.Crashed(me, fault.PointRelay, sent)
 		}
 		if err := c.Send(0, tagFrame, treeFrame{Tiles: due}); err != nil {
@@ -108,7 +108,7 @@ func work(c *mpi.Comm, cfg Config) error {
 		default:
 			timeout = -1 // idle: pure block, zero CPU
 		}
-		msg, ep, err := c.RecvTolerant([]int{tagBatch, tagAck}, epoch, timeout)
+		msg, ep, err := c.RecvTolerant(context.Background(), []int{tagBatch, tagAck}, epoch, timeout)
 		if err != nil {
 			switch {
 			case errors.Is(err, mpi.ErrWorldChanged):
@@ -121,7 +121,7 @@ func work(c *mpi.Comm, cfg Config) error {
 					k := todo[0]
 					todo = todo[1:]
 					if !seen[k] {
-						if cfg.Fault != nil && cfg.Fault.ShouldCrash(me, fault.PointTile, marched) {
+						if h.fault != nil && h.fault.ShouldCrash(me, fault.PointTile, marched) {
 							return fault.Crashed(me, fault.PointTile, marched)
 						}
 						start := time.Now()
@@ -129,8 +129,8 @@ func work(c *mpi.Comm, cfg Config) error {
 						if err != nil {
 							return err
 						}
-						if cfg.Fault != nil {
-							cfg.Fault.StraggleSleep(me, time.Since(start))
+						if h.fault != nil {
+							h.fault.StraggleSleep(me, time.Since(start))
 						}
 						marched++
 						seen[k] = true

@@ -91,12 +91,12 @@ func (m *Marcher) RenderTileCtx(ctx context.Context, spec Spec, t Tile, workers 
 	return out, stats, nil
 }
 
-// watchCtx arranges context observation for a render loop: one goroutine
-// flips an atomic flag on cancellation, so the column loop pays a single
-// atomic load per column instead of a channel select, and a context with a
-// nil Done channel costs nothing at all. The returned stop func must be
-// called (deferred) to release the watcher; flag is nil for un-cancellable
-// contexts.
+// watchCtx arranges context observation for a render loop: a
+// context.AfterFunc callback flips an atomic flag on cancellation, so the
+// column loop pays a single atomic load per column instead of a channel
+// select, and a context with a nil Done channel costs nothing at all. The
+// returned stop func must be called (deferred) to release the callback;
+// flag is nil for un-cancellable contexts.
 func watchCtx(ctx context.Context) (flag *atomic.Bool, stopFn func(), err error) {
 	if ctx == nil || ctx.Done() == nil {
 		return nil, func() {}, nil
@@ -105,15 +105,8 @@ func watchCtx(ctx context.Context) (flag *atomic.Bool, stopFn func(), err error)
 		return nil, nil, err
 	}
 	flag = new(atomic.Bool)
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			flag.Store(true)
-		case <-stop:
-		}
-	}()
-	return flag, func() { close(stop) }, nil
+	stop := context.AfterFunc(ctx, func() { flag.Store(true) })
+	return flag, func() { stop() }, nil
 }
 
 // renderIntoCtx wraps renderInto with context observation (see watchCtx).

@@ -26,7 +26,6 @@ import (
 // test is gone or no longer mentions it.
 var reachAllow = []struct{ ident, reason, test string }{
 	{"internal/delaunay.NewInputOrder", "reference build the order-independence suites compare New against", "internal/delaunay.TestBuildOrderIndependence"},
-	{"internal/geom.SetOracleFallback", "switches the reachable predicates onto the big.Rat oracle they are compared with (ROADMAP: Oracle switch)", "internal/geom.TestPublicPredicatesMatchOracle"},
 	{"internal/mpi.World.SetInjector", "fault hook: the only way a test drops, delays or kills a rank's traffic", "internal/mpi.TestInjectedDropsAreRetried"},
 	{"internal/mpi.FailedRank", "reads the failed rank out of the reachable RankError chain the attribution suites assert on", "internal/mpi.TestCollectiveFailureAttribution"},
 	{"internal/mpi.World.TotalBytes", "world-wide sum the reachable per-rank Comm.BytesSent is checked against", "internal/mpi.TestByteAccounting"},
