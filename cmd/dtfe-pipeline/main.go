@@ -16,12 +16,10 @@ import (
 	"math"
 	"os"
 
-	"godtfe/internal/domain"
+	"godtfe"
 	"godtfe/internal/geom"
 	"godtfe/internal/halo"
-	"godtfe/internal/mpi"
 	"godtfe/internal/particleio"
-	"godtfe/internal/pipeline"
 	"godtfe/internal/render"
 	"godtfe/internal/sched"
 	"godtfe/internal/stats"
@@ -80,7 +78,7 @@ func main() {
 		centers = synth.Uniform(*nFields, box, *seed)
 	}
 
-	cfg := pipeline.Config{
+	results, err := godtfe.RunDistributed(*ranks, godtfe.PipelineConfig{
 		Box:         box,
 		FieldLen:    *fieldLen,
 		GridN:       *gridN,
@@ -88,29 +86,7 @@ func main() {
 		Periodic:    *periodic,
 		Seed:        *seed,
 		Ingest:      particleio.ValidateOptions{Policy: policy},
-	}
-	// Sanity: decomposition must be constructible.
-	if _, err := domain.NewDecomp(box, *ranks, *fieldLen); err != nil {
-		log.Fatalf("decomp: %v", err)
-	}
-
-	results := make([]*pipeline.Result, *ranks)
-	err = mpi.Run(*ranks, func(c *mpi.Comm) error {
-		var local []geom.Vec3
-		for i := c.Rank(); i < len(pts); i += *ranks {
-			local = append(local, pts[i])
-		}
-		var ctrs []geom.Vec3
-		if c.Rank() == 0 {
-			ctrs = centers
-		}
-		res, err := pipeline.Run(c, cfg, local, ctrs)
-		if err != nil {
-			return err
-		}
-		results[c.Rank()] = res
-		return nil
-	})
+	}, pts, centers)
 	if err != nil {
 		log.Fatalf("pipeline: %v", err)
 	}

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"godtfe/internal/geom"
+	"godtfe/internal/particleio"
+	"godtfe/internal/synth"
 )
 
 // TestHaloCentersPeriodic places fields on a catalog with one blob across
@@ -77,5 +79,30 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		if s := string(out); !strings.Contains(s, "dtfe-pipeline: "+tc.want) || !strings.Contains(s, "Usage of") || strings.Contains(s, "panic: ") {
 			t.Errorf("%s: want the offending flag named, then usage, and no panic:\n%s", tc.args, s)
 		}
+	}
+}
+
+// TestRunPrintsSummary runs the command end to end on a small catalog
+// written with particleio: two ranks, three uniformly placed fields. The
+// test binary re-runs itself with DTFE_PIPELINE_RUN set to execute main.
+func TestRunPrintsSummary(t *testing.T) {
+	if args := os.Getenv("DTFE_PIPELINE_RUN"); args != "" {
+		os.Args = append([]string{"dtfe-pipeline"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	in := filepath.Join(t.TempDir(), "particles.dtfe")
+	box := geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
+	if err := particleio.Write(in, synth.Uniform(20000, box, 5), nil); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRunPrintsSummary$")
+	cmd.Env = append(os.Environ(), "DTFE_PIPELINE_RUN=-i "+in+" -ranks 2 -fields 3 -grid 8 -config uniform")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("exit %v, want 0\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "3 fields over 2 ranks") {
+		t.Fatalf("no \"3 fields over 2 ranks\" summary:\n%s", out)
 	}
 }

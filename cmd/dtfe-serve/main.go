@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"godtfe/internal/delaunay"
 	"godtfe/internal/fault"
 	"godtfe/internal/fieldserve"
 	"godtfe/internal/geom"
@@ -213,12 +214,16 @@ func run(in string, particles, gridN, specPool, requests int, rate float64,
 			for u := 0; u < updates; u++ {
 				time.Sleep(gap)
 				d := bandChurnDelta(cur, rng)
-				st, err := s.Update(context.Background(), "catalog", d)
+				// Mirror the delta so the next one is built against the
+				// catalog as it then stands.
+				next, _, err := delaunay.EditPoints(cur, d)
+				if err == nil {
+					_, err = s.Update(context.Background(), "catalog", d)
+				}
 				if err != nil {
 					log.Fatalf("update %d: %v", u, err)
 				}
-				cur = applyDeltaToPoints(cur, d)
-				_ = st
+				cur = next
 			}
 		}()
 	}
@@ -349,20 +354,4 @@ func bandChurnDelta(pts []geom.Vec3, rnd func() float64) fieldserve.Delta {
 		})
 	}
 	return d
-}
-
-// applyDeltaToPoints mirrors the delta textually so the updater can
-// build the next delta against the current catalog state.
-func applyDeltaToPoints(pts []geom.Vec3, d fieldserve.Delta) []geom.Vec3 {
-	rm := make(map[int]bool, len(d.Remove))
-	for _, r := range d.Remove {
-		rm[r] = true
-	}
-	out := make([]geom.Vec3, 0, len(pts)-len(rm)+len(d.Add))
-	for i, p := range pts {
-		if !rm[i] {
-			out = append(out, p)
-		}
-	}
-	return append(out, d.Add...)
 }

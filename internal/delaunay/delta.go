@@ -225,34 +225,12 @@ func (l *deltaLog) noteNew(t *Triangulation, ti int32) {
 // affinely independent points).
 func (t *Triangulation) ApplyDelta(d Delta) (*Triangulation, *DeltaStats, error) {
 	st := &DeltaStats{}
-	n := len(t.pts)
-	rset := make(map[int32]bool, len(d.Remove))
-	for _, r := range d.Remove {
-		if r < 0 || r >= n {
-			return nil, nil, geomerr.Degenerate("delaunay.ApplyDelta", "removal index %d out of range [0,%d)", r, n)
-		}
-		if rset[int32(r)] {
-			return nil, nil, geomerr.Degenerate("delaunay.ApplyDelta", "removal index %d listed twice", r)
-		}
-		rset[int32(r)] = true
-	}
-	for i, p := range d.Add {
-		if !p.IsFinite() {
-			return nil, nil, fmt.Errorf("delaunay.ApplyDelta: %w: %w",
-				geomerr.ErrDegenerateInput,
-				&geomerr.BadParticleError{Index: n - len(rset) + i, Reason: fmt.Sprintf("non-finite coordinate %v", p)})
-		}
-	}
-
 	// The edited point set — the rebuild fallback's input and the
 	// differential oracle's.
-	final := make([]geom.Vec3, 0, n-len(rset)+len(d.Add))
-	for i, p := range t.pts {
-		if !rset[int32(i)] {
-			final = append(final, p)
-		}
+	final, rset, err := EditPoints(t.pts, d)
+	if err != nil {
+		return nil, nil, err
 	}
-	final = append(final, d.Add...)
 	if len(final) < 4 {
 		return nil, nil, geomerr.Degenerate("delaunay.ApplyDelta", "need at least 4 points after delta, got %d", len(final))
 	}
@@ -305,6 +283,38 @@ func (t *Triangulation) ApplyDelta(d Delta) (*Triangulation, *DeltaStats, error)
 	nt.dlog = nil
 	nt.compact()
 	return nt, st, nil
+}
+
+// EditPoints applies d to pts textually: the points d.Remove does not list,
+// in order, then d.Add. It rejects, as an ErrDegenerateInput, a removal
+// index out of range or listed twice and a non-finite added point, and
+// returns the set of removed indices beside the edited list.
+func EditPoints(pts []geom.Vec3, d Delta) ([]geom.Vec3, map[int32]bool, error) {
+	n := len(pts)
+	rset := make(map[int32]bool, len(d.Remove))
+	for _, r := range d.Remove {
+		if r < 0 || r >= n {
+			return nil, nil, geomerr.Degenerate("delaunay.EditPoints", "removal index %d out of range [0,%d)", r, n)
+		}
+		if rset[int32(r)] {
+			return nil, nil, geomerr.Degenerate("delaunay.EditPoints", "removal index %d listed twice", r)
+		}
+		rset[int32(r)] = true
+	}
+	for i, p := range d.Add {
+		if !p.IsFinite() {
+			return nil, nil, fmt.Errorf("delaunay.EditPoints: %w: %w",
+				geomerr.ErrDegenerateInput,
+				&geomerr.BadParticleError{Index: n - len(rset) + i, Reason: fmt.Sprintf("non-finite coordinate %v", p)})
+		}
+	}
+	out := make([]geom.Vec3, 0, n-len(rset)+len(d.Add))
+	for i, p := range pts {
+		if !rset[int32(i)] {
+			out = append(out, p)
+		}
+	}
+	return append(out, d.Add...), rset, nil
 }
 
 // cloneForDelta copies every pool array so the receiver's state — shared

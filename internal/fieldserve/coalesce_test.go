@@ -474,6 +474,29 @@ func TestChaosMixedSoakNoLeak(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// Whether a soak request finds every column resident and the queue
+	// empty depends on scheduling. The service is idle now: a small spec of
+	// a family of its own (four 4-cell columns fit beside the soak's
+	// protected columns) is marched once, and served again it must take the
+	// inline path.
+	warm := testSpec(32, 6)
+	warm.Nx, warm.Ny = 4, 4
+	g, _, err := m.Render(warm, 1, render.ScheduleDynamic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		resp, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: warm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Checksum != g.Checksum() {
+			t.Fatal("idle serve: bits differ from direct render")
+		}
+		if i == 1 && !resp.CacheHit {
+			t.Fatal("idle serve of a resident spec missed the inline path")
+		}
+	}
 	st := s.Stats()
 	t.Logf("soak: served=%d inline=%d batches=%d marches=%d colEvicted=%d shed=%d expired=%d",
 		st.Served, st.CacheHits, st.Batches, st.Marches, st.ColEvicted, st.Shed, st.Expired)

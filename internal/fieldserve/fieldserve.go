@@ -648,30 +648,12 @@ func (s *Service) Update(ctx context.Context, name string, d delaunay.Delta) (*d
 }
 
 // editPoints applies a delta textually to a particle list (the pre-build
-// update path), with the same Remove validation ApplyDelta performs.
+// update path), with the validation ApplyDelta performs.
 func editPoints(pts []geom.Vec3, d delaunay.Delta) ([]geom.Vec3, *delaunay.DeltaStats, error) {
-	rm := make(map[int]bool, len(d.Remove))
-	for _, r := range d.Remove {
-		if r < 0 || r >= len(pts) {
-			return nil, nil, geomerr.Degenerate("fieldserve.Update", "removal index %d out of range [0,%d)", r, len(pts))
-		}
-		if rm[r] {
-			return nil, nil, geomerr.Degenerate("fieldserve.Update", "removal index %d listed twice", r)
-		}
-		rm[r] = true
+	out, rm, err := delaunay.EditPoints(pts, d)
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, p := range d.Add {
-		if !p.IsFinite() {
-			return nil, nil, geomerr.Degenerate("fieldserve.Update", "added particle has non-finite coordinate %v", p)
-		}
-	}
-	out := make([]geom.Vec3, 0, len(pts)-len(rm)+len(d.Add))
-	for i, p := range pts {
-		if !rm[i] {
-			out = append(out, p)
-		}
-	}
-	out = append(out, d.Add...)
 	if len(out) == 0 {
 		return nil, nil, geomerr.Degenerate("fieldserve.Update", "delta empties the catalog")
 	}

@@ -22,22 +22,23 @@ type rankOut struct {
 	err error
 }
 
-// runChaos executes the pipeline over a world with a fault plan installed
-// on both the message layer and the pipeline's instrumentation points.
-func runChaos(t *testing.T, ranks int, cfg Config, plan *fault.Plan, pts, centers []geom.Vec3) []rankOut {
+// runChaos executes the pipeline with the hooks h over a world with a fault
+// plan installed on both the message layer and the pipeline's
+// instrumentation points.
+func runChaos(t *testing.T, ranks int, cfg Config, h hooks, plan *fault.Plan, pts, centers []geom.Vec3) []rankOut {
 	t.Helper()
 	w := mpi.NewWorld(ranks)
 	if plan != nil {
 		inj := fault.New(*plan)
 		w.SetInjector(inj)
-		cfg.Fault = inj
+		h.fault = inj
 	}
-	return runWorld(w, ranks, cfg, pts, centers)
+	return runWorld(w, ranks, cfg, h, pts, centers)
 }
 
-// runWorld runs the pipeline on every rank of w, with the particles dealt
-// round-robin and every centre starting on rank 0.
-func runWorld(w *mpi.World, ranks int, cfg Config, pts, centers []geom.Vec3) []rankOut {
+// runWorld runs the pipeline with the hooks h on every rank of w, with the
+// particles dealt round-robin and every centre starting on rank 0.
+func runWorld(w *mpi.World, ranks int, cfg Config, h hooks, pts, centers []geom.Vec3) []rankOut {
 	outs := make([]rankOut, ranks)
 	w.RunEach(func(c *mpi.Comm) error {
 		var local []geom.Vec3
@@ -48,7 +49,7 @@ func runWorld(w *mpi.World, ranks int, cfg Config, pts, centers []geom.Vec3) []r
 		if c.Rank() == 0 {
 			ctrs = centers
 		}
-		res, err := Run(c, cfg, local, ctrs)
+		res, err := run(c, cfg, local, ctrs, h)
 		outs[c.Rank()] = rankOut{res, err}
 		return err
 	})
@@ -69,12 +70,13 @@ func collectFields(outs []rankOut) map[geom.Vec3][]float64 {
 	return fields
 }
 
-func chaosConfig() Config {
+// chaosConfig is the recovery suites' run: a small recovery-mode world with
+// a 100 ms dead timeout.
+func chaosConfig() (Config, hooks) {
 	return Config{
 		Box: unitBox(), FieldLen: 0.15, GridN: 8,
 		KeepFields: true, Recovery: true, Seed: 17,
-		DeadTimeout: 100 * time.Millisecond,
-	}
+	}, hooks{deadTimeout: 100 * time.Millisecond}
 }
 
 func TestRecoveryCrashBitExact(t *testing.T) {
@@ -85,9 +87,9 @@ func TestRecoveryCrashBitExact(t *testing.T) {
 	const ranks = 4
 	pts := synth.HaloSet(4000, unitBox(), synth.DefaultHaloSpec(), 41)
 	centers := synth.Uniform(28, unitBox(), 42)
-	cfg := chaosConfig()
+	cfg, h := chaosConfig()
 
-	clean := runChaos(t, ranks, cfg, nil, pts, centers)
+	clean := runChaos(t, ranks, cfg, h, nil, pts, centers)
 	for r, o := range clean {
 		if o.err != nil {
 			t.Fatalf("failure-free recovery run, rank %d: %v", r, o.err)
@@ -95,7 +97,7 @@ func TestRecoveryCrashBitExact(t *testing.T) {
 	}
 	want := collectFields(clean)
 
-	crashed := runChaos(t, ranks, cfg, &fault.Plan{
+	crashed := runChaos(t, ranks, cfg, h, &fault.Plan{
 		Crashes: []fault.Crash{{Rank: 2, Point: fault.PointPhase4, After: 1}},
 	}, pts, centers)
 	if crashed[2].err == nil || !errors.Is(crashed[2].err, fault.ErrInjectedCrash) {
@@ -164,14 +166,14 @@ func TestRecoveryCrashBeforeCoordinatorStarts(t *testing.T) {
 	const ranks = 2
 	pts := synth.HaloSet(4000, unitBox(), synth.DefaultHaloSpec(), 41)
 	centers := synth.Uniform(14, unitBox(), 42)
-	cfg := chaosConfig()
+	cfg, h := chaosConfig()
 	inj := fault.New(fault.Plan{
 		Crashes: []fault.Crash{{Rank: 1, Point: fault.PointPhase4, After: 0}},
 	})
-	cfg.Fault = inj
+	h.fault = inj
 	w := mpi.NewWorld(ranks)
 	w.SetInjector(delayCheckpoint{inj})
-	outs := runWorld(w, ranks, cfg, pts, centers)
+	outs := runWorld(w, ranks, cfg, h, pts, centers)
 
 	if !errors.Is(outs[1].err, fault.ErrInjectedCrash) {
 		t.Fatalf("rank 1 should die of the injected crash, got: %v", outs[1].err)
@@ -202,10 +204,7 @@ func TestRecoveryCrashBeforeCoordinatorStarts(t *testing.T) {
 func TestRecoveryCoordinatorExitsRightAfterDone(t *testing.T) {
 	const ranks = 3
 	pts := synth.Uniform(300, unitBox(), 7)
-	cfg := chaosConfig()
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
+	cfg, h := chaosConfig()
 	results := make([]*Result, ranks)
 	errs := mpi.NewWorld(ranks).RunEach(func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
@@ -219,7 +218,7 @@ func TestRecoveryCoordinatorExitsRightAfterDone(t *testing.T) {
 		for c.Alive(0) {
 			time.Sleep(100 * time.Microsecond)
 		}
-		rt := &runtime{c: c, cfg: cfg, tree: kdtree.New(pts), halo: pts, res: &Result{}, owner: c.Rank()}
+		rt := &runtime{c: c, cfg: cfg, h: h, tree: kdtree.New(pts), halo: pts, res: &Result{}, owner: c.Rank()}
 		results[c.Rank()] = rt.res
 		local := []geom.Vec3{{X: 0.4, Y: 0.5, Z: 0.5}, {X: 0.6, Y: 0.5, Z: 0.5}}
 		return rt.recoveryWorker(local, []int{0, 1}, make([]float64, len(local)), make([]ckptMeta, ranks), -1, nil)
@@ -251,10 +250,7 @@ func (delayControl) SendVerdict(src, dst, tag, attempt, bytes int) mpi.SendVerdi
 func TestRecoveryDoneInFlightWhenCoordinatorExits(t *testing.T) {
 	const ranks = 3
 	pts := synth.Uniform(300, unitBox(), 7)
-	cfg := chaosConfig()
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
+	cfg, h := chaosConfig()
 	results := make([]*Result, ranks)
 	w := mpi.NewWorld(ranks)
 	w.SetInjector(delayControl{})
@@ -270,7 +266,7 @@ func TestRecoveryDoneInFlightWhenCoordinatorExits(t *testing.T) {
 		for c.Alive(0) {
 			time.Sleep(100 * time.Microsecond)
 		}
-		rt := &runtime{c: c, cfg: cfg, tree: kdtree.New(pts), halo: pts, res: &Result{}, owner: c.Rank()}
+		rt := &runtime{c: c, cfg: cfg, h: h, tree: kdtree.New(pts), halo: pts, res: &Result{}, owner: c.Rank()}
 		results[c.Rank()] = rt.res
 		local := []geom.Vec3{{X: 0.4, Y: 0.5, Z: 0.5}}
 		return rt.recoveryWorker(local, []int{0}, make([]float64, len(local)), make([]ckptMeta, ranks), -1, nil)
@@ -292,12 +288,9 @@ func TestRecoveryDoneInFlightWhenCoordinatorExits(t *testing.T) {
 func TestRecoveryCoordinatorSilentButAlive(t *testing.T) {
 	const ranks = 3
 	pts := synth.Uniform(300, unitBox(), 7)
-	cfg := chaosConfig()
-	cfg.DeadTimeout = 20 * time.Millisecond // the bound need only be finite
-	if err := cfg.fill(); err != nil {
-		t.Fatal(err)
-	}
-	bound := 10 * cfg.DeadTimeout
+	cfg, h := chaosConfig()
+	h.deadTimeout = 20 * time.Millisecond // the bound need only be finite
+	bound := 10 * h.deadTimeout
 	results := make([]*Result, ranks)
 	returned := make(chan struct{}, ranks-1)
 	done := make(chan []error, 1)
@@ -311,7 +304,7 @@ func TestRecoveryCoordinatorSilentButAlive(t *testing.T) {
 				return nil
 			}
 			defer func() { returned <- struct{}{} }()
-			rt := &runtime{c: c, cfg: cfg, tree: kdtree.New(pts), halo: pts, res: &Result{}, owner: c.Rank()}
+			rt := &runtime{c: c, cfg: cfg, h: h, tree: kdtree.New(pts), halo: pts, res: &Result{}, owner: c.Rank()}
 			results[c.Rank()] = rt.res
 			local := []geom.Vec3{{X: 0.4, Y: 0.5, Z: 0.5}, {X: 0.6, Y: 0.5, Z: 0.5}}
 			return rt.recoveryWorker(local, []int{0, 1}, make([]float64, len(local)), make([]ckptMeta, ranks), -1, nil)
@@ -341,14 +334,15 @@ func TestRecoveryCoordinatorSilentButAlive(t *testing.T) {
 }
 
 // TestRecoveryGiveUpLeavesOneStatusPerField: a straggler silent past
-// DeadTimeout is given up on while alive. The fields the coordinator lists
+// the dead timeout is given up on while alive. The fields the coordinator lists
 // lost must be exactly those the straggler does not keep: every centre
 // carries one status across the surviving Results, never lost and done.
 func TestRecoveryGiveUpLeavesOneStatusPerField(t *testing.T) {
 	const ranks = 4
 	pts := synth.HaloSet(4000, unitBox(), synth.DefaultHaloSpec(), 45)
 	centers := synth.Uniform(28, unitBox(), 46)
-	outs := runChaos(t, ranks, chaosConfig(), &fault.Plan{
+	cfg, h := chaosConfig()
+	outs := runChaos(t, ranks, cfg, h, &fault.Plan{
 		Stragglers:       []fault.Straggler{{Rank: 1, Factor: 1000}},
 		MaxStraggleSleep: 400 * time.Millisecond,
 	}, pts, centers)
@@ -375,12 +369,12 @@ func TestNoRecoveryCrashDegradesToPartial(t *testing.T) {
 	const ranks = 4
 	pts := synth.HaloSet(3000, unitBox(), synth.DefaultHaloSpec(), 43)
 	centers := synth.Uniform(28, unitBox(), 44)
-	cfg := chaosConfig()
+	cfg, h := chaosConfig()
 	cfg.Recovery = false
 
 	done := make(chan []rankOut, 1)
 	go func() {
-		done <- runChaos(t, ranks, cfg, &fault.Plan{
+		done <- runChaos(t, ranks, cfg, h, &fault.Plan{
 			Crashes: []fault.Crash{{Rank: 2, Point: fault.PointPhase4, After: 0}},
 		}, pts, centers)
 	}()
@@ -424,14 +418,14 @@ func TestRecoveryStragglerYield(t *testing.T) {
 	const ranks = 4
 	pts := synth.HaloSet(4000, unitBox(), synth.DefaultHaloSpec(), 45)
 	centers := synth.Uniform(28, unitBox(), 46)
-	cfg := chaosConfig()
-	cfg.StragglerThreshold = 2
+	cfg, h := chaosConfig()
+	h.stragglerThreshold = 2
 	// The injected sleeps (300ms) silence the straggler's heartbeats far
-	// longer than the default stall guard; a deployment would size
-	// DeadTimeout above its worst-case item time just the same.
-	cfg.DeadTimeout = 5 * time.Second
+	// longer than the default stall guard; a deployment would size the
+	// dead timeout above its worst-case item time just the same.
+	h.deadTimeout = 5 * time.Second
 
-	outs := runChaos(t, ranks, cfg, &fault.Plan{
+	outs := runChaos(t, ranks, cfg, h, &fault.Plan{
 		Stragglers:       []fault.Straggler{{Rank: 1, Factor: 50}},
 		MaxStraggleSleep: 300 * time.Millisecond,
 	}, pts, centers)
@@ -482,11 +476,11 @@ func TestRecoveryUnrecoverableLossIsReported(t *testing.T) {
 	const ranks = 4
 	pts := synth.HaloSet(3000, unitBox(), synth.DefaultHaloSpec(), 47)
 	centers := synth.Uniform(28, unitBox(), 48)
-	cfg := chaosConfig()
+	cfg, h := chaosConfig()
 
 	done := make(chan []rankOut, 1)
 	go func() {
-		done <- runChaos(t, ranks, cfg, &fault.Plan{
+		done <- runChaos(t, ranks, cfg, h, &fault.Plan{
 			Crashes: []fault.Crash{
 				{Rank: 1, Point: fault.PointPhase4, After: 0},
 				{Rank: 2, Point: fault.PointPhase4, After: 0},
@@ -546,9 +540,9 @@ func TestRecoveryUnderMessageChaos(t *testing.T) {
 	const ranks = 4
 	pts := synth.HaloSet(3000, unitBox(), synth.DefaultHaloSpec(), 49)
 	centers := synth.Uniform(28, unitBox(), 50)
-	cfg := chaosConfig()
+	cfg, h := chaosConfig()
 
-	outs := runChaos(t, ranks, cfg, &fault.Plan{
+	outs := runChaos(t, ranks, cfg, h, &fault.Plan{
 		Seed:      51,
 		DropProb:  0.2,
 		DelayProb: 0.2,
@@ -587,11 +581,11 @@ func TestChaosLostWorkPackage(t *testing.T) {
 	for i := 0; i < 18; i++ {
 		centers = append(centers, geom.Vec3{X: 0.1 + 0.02*float64(i%4), Y: 0.1 + 0.02*float64(i/4), Z: 0.15})
 	}
-	cfg := Config{Box: unitBox(), FieldLen: 0.14, GridN: 10, LoadBalance: true, Seed: 7, MaxSendRetries: 1}
+	cfg := Config{Box: unitBox(), FieldLen: 0.14, GridN: 10, LoadBalance: true, Seed: 7}
 	for _, seed := range []int64{6, 39, 51, 52} {
 		done := make(chan []rankOut, 1)
 		go func() {
-			done <- runChaos(t, 4, cfg, &fault.Plan{Seed: seed, DropProb: 0.04, DropCount: 100}, pts, centers)
+			done <- runChaos(t, 4, cfg, hooks{maxSendRetries: 1}, &fault.Plan{Seed: seed, DropProb: 0.04, DropCount: 100}, pts, centers)
 		}()
 		var outs []rankOut
 		select {

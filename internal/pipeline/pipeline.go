@@ -51,6 +51,19 @@ import (
 
 const tagWork = 100
 
+// Fixed tuning of every run. The ghost buffer stays a constant until it is
+// worked out per item from the catalog.
+const (
+	// bufferFrac pads the triangulation cube beyond the field volume on
+	// each side (fraction of FieldLen) so hull-boundary bias stays outside
+	// the rendered region.
+	bufferFrac = 0.25
+	// minParticles is the cube population below which an item renders as
+	// an empty field (a triangulation needs at least 4 independent points
+	// to mean anything).
+	minParticles = 16
+)
+
 // Config configures a pipeline run.
 type Config struct {
 	// Box is the full simulation volume.
@@ -61,12 +74,6 @@ type Config struct {
 	FieldLen float64
 	// GridN is the output grid resolution per field (GridN×GridN).
 	GridN int
-	// BufferFrac pads the triangulation cube beyond the field volume on
-	// each side (fraction of FieldLen) so hull-boundary bias stays outside
-	// the rendered region. Default 0.25.
-	BufferFrac float64
-	// Workers is the shared-memory worker count for each render. Default 1.
-	Workers int
 	// Periodic wraps ghost zones across the box faces, so fields near the
 	// box boundary see the full periodic neighborhood (cosmological
 	// convention).
@@ -75,14 +82,8 @@ type Config struct {
 	LoadBalance bool
 	// KeepFields retains rendered grids in the result.
 	KeepFields bool
-	// MinParticles below which an item renders as an empty field (the
-	// triangulation needs at least 4 independent points to mean anything).
-	// Default 16.
-	MinParticles int
 	// Seed drives the random test-item choice.
 	Seed int64
-
-	// ---- ingestion hardening -----------------------------------------
 
 	// Ingest is the particle-validation policy applied to this rank's
 	// local particles before Phase 1. The zero value is fail-fast: any
@@ -92,72 +93,44 @@ type Config struct {
 	// Result.Ingest.
 	Ingest particleio.ValidateOptions
 
-	// ---- robustness knobs (fault-tolerant Phase 4) -------------------
-
 	// Recovery enables the fault-tolerant Phase 4 executor (buddy
 	// checkpoints, heartbeats, straggler yield, re-dispatch). It replaces
 	// the a-priori work-sharing schedule, so it is mutually exclusive
 	// with LoadBalance.
 	Recovery bool
-	// Fault optionally injects deterministic faults (crashes,
-	// stragglers) at the pipeline's instrumentation points. Message-level
-	// faults are installed on the mpi.World directly.
-	Fault *fault.Injector
-	// StragglerThreshold flags a rank whose measured Phase 4 item times
-	// exceed threshold × the model-predicted times; must exceed 1.
-	// Default 4.
-	StragglerThreshold float64
-	// MaxSendRetries caps mpi-level send retries on injected drops.
-	// Default 5.
-	MaxSendRetries int
-	// DeadTimeout is the silence window after which the recovery
-	// protocol stops waiting for an unresponsive peer and degrades; a
-	// worker waits 10 × DeadTimeout for its next order. Default 500ms.
-	DeadTimeout time.Duration
 }
 
-func (c *Config) fill() error {
+func (c *Config) check() error {
 	if c.FieldLen <= 0 || c.GridN <= 0 {
 		return errors.New("pipeline: FieldLen and GridN must be positive")
 	}
-	if c.BufferFrac == 0 {
-		c.BufferFrac = 0.25
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.MinParticles <= 0 {
-		c.MinParticles = 16
-	}
 	if c.Recovery && c.LoadBalance {
 		return errors.New("pipeline: Recovery replaces the a-priori work-sharing schedule; it cannot be combined with LoadBalance")
-	}
-	if c.StragglerThreshold < 0 {
-		return fmt.Errorf("pipeline: StragglerThreshold must not be negative, got %v", c.StragglerThreshold)
-	}
-	if c.StragglerThreshold > 0 && c.StragglerThreshold <= 1 {
-		return fmt.Errorf("pipeline: StragglerThreshold must exceed 1 (a rank is a straggler only when slower than predicted), got %v", c.StragglerThreshold)
-	}
-	if c.StragglerThreshold == 0 {
-		c.StragglerThreshold = 4
-	}
-	if c.MaxSendRetries < 0 {
-		return fmt.Errorf("pipeline: MaxSendRetries must be >= 0, got %d", c.MaxSendRetries)
-	}
-	if c.MaxSendRetries == 0 {
-		c.MaxSendRetries = 5
-	}
-	if c.DeadTimeout < 0 {
-		return fmt.Errorf("pipeline: DeadTimeout must be >= 0, got %v", c.DeadTimeout)
-	}
-	if c.DeadTimeout == 0 {
-		c.DeadTimeout = 500 * time.Millisecond
 	}
 	return nil
 }
 
 // triCubeSide is the particle-gathering cube edge for one item.
-func (c *Config) triCubeSide() float64 { return c.FieldLen * (1 + 2*c.BufferFrac) }
+func (c *Config) triCubeSide() float64 { return c.FieldLen * (1 + 2*bufferFrac) }
+
+// hooks are the behaviours of a run that only the test suites choose. The
+// zero value is production's: no injected faults, a 4× straggler
+// threshold, a 500 ms dead timeout and mpi's send retry budget.
+type hooks struct {
+	// fault injects crashes and straggler sleeps at the pipeline's
+	// instrumentation points. Message-level faults are installed on the
+	// mpi.World directly.
+	fault *fault.Injector
+	// stragglerThreshold flags a rank whose measured Phase 4 item times
+	// exceed threshold × the model-predicted times (4 when 0).
+	stragglerThreshold float64
+	// deadTimeout is the silence window after which the recovery protocol
+	// stops waiting for an unresponsive peer and degrades; a worker waits
+	// 10 × deadTimeout for its next order (500 ms when 0).
+	deadTimeout time.Duration
+	// maxSendRetries, when > 0, overrides mpi's send retry budget.
+	maxSendRetries int
+}
 
 // PhaseTimes are per-phase wall-clock seconds, the paper's Fig 9/12/13
 // breakdown.
@@ -307,10 +280,23 @@ func degrade(res *Result, stage string, err error) (*Result, error) {
 // must be non-nil on rank 0 (it is broadcast, matching the paper's
 // single-reader + broadcast input path).
 func Run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec3) (*Result, error) {
-	if err := cfg.fill(); err != nil {
+	return run(c, cfg, localParticles, centers, hooks{})
+}
+
+// run is Run with the test suites' hooks.
+func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec3, h hooks) (*Result, error) {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	c.SetMaxSendRetries(cfg.MaxSendRetries)
+	if h.stragglerThreshold == 0 {
+		h.stragglerThreshold = 4
+	}
+	if h.deadTimeout == 0 {
+		h.deadTimeout = 500 * time.Millisecond
+	}
+	if h.maxSendRetries > 0 {
+		c.SetMaxSendRetries(h.maxSendRetries)
+	}
 	res := &Result{Rank: c.Rank()}
 	t0 := time.Now()
 
@@ -326,7 +312,7 @@ func Run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	localParticles = sanitized
 
 	// ---- Phase 1: partition & redistribution -------------------------
-	if err := crashCheck(cfg, c.Rank(), fault.PointPhase1, 0); err != nil {
+	if err := crashCheck(h, c.Rank(), fault.PointPhase1, 0); err != nil {
 		return nil, err
 	}
 	ghost := cfg.triCubeSide() / 2
@@ -356,10 +342,10 @@ func Run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	tree := kdtree.New(halo)
 	res.Phases.Partition = time.Since(t0).Seconds()
 
-	rt := &runtime{c: c, cfg: cfg, tree: tree, halo: halo, res: res, owner: c.Rank()}
+	rt := &runtime{c: c, cfg: cfg, h: h, tree: tree, halo: halo, res: res, owner: c.Rank()}
 
 	// ---- Phase 2: workload modeling -----------------------------------
-	if err := crashCheck(cfg, c.Rank(), fault.PointPhase2, 0); err != nil {
+	if err := crashCheck(h, c.Rank(), fault.PointPhase2, 0); err != nil {
 		return nil, err
 	}
 	tm := time.Now()
@@ -407,7 +393,7 @@ func Run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	res.Phases.Model = time.Since(tm).Seconds()
 
 	// ---- Phase 3: work-sharing schedule --------------------------------
-	if err := crashCheck(cfg, c.Rank(), fault.PointPhase3, 0); err != nil {
+	if err := crashCheck(h, c.Rank(), fault.PointPhase3, 0); err != nil {
 		return nil, err
 	}
 	var pending []int // local item indices still to run
@@ -459,7 +445,7 @@ func Run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	for _, st := range steps {
 		switch st.Kind {
 		case sched.Compute:
-			if err := crashCheck(cfg, c.Rank(), fault.PointPhase4, executed); err != nil {
+			if err := crashCheck(h, c.Rank(), fault.PointPhase4, executed); err != nil {
 				return nil, err
 			}
 			rt.computeTimedItem(local[pending[st.Item]], execLocal)
@@ -529,8 +515,8 @@ func Run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 }
 
 // crashCheck consults the fault injector at an instrumentation point.
-func crashCheck(cfg Config, rank int, point string, progress int) error {
-	if cfg.Fault != nil && cfg.Fault.ShouldCrash(rank, point, progress) {
+func crashCheck(h hooks, rank int, point string, progress int) error {
+	if h.fault != nil && h.fault.ShouldCrash(rank, point, progress) {
 		return fault.Crashed(rank, point, progress)
 	}
 	return nil
@@ -551,6 +537,7 @@ type sample struct{ N, TTri, TRender float64 }
 type runtime struct {
 	c     *mpi.Comm
 	cfg   Config
+	h     hooks
 	tree  *kdtree.Tree
 	halo  []geom.Vec3
 	res   *Result
@@ -578,8 +565,8 @@ func (rt *runtime) computeItem(center geom.Vec3, predict bool, kind execKind) It
 func (rt *runtime) computeTimedItem(center geom.Vec3, kind execKind) ItemRecord {
 	t0 := time.Now()
 	rec := rt.computeItem(center, true, kind)
-	if rt.cfg.Fault != nil {
-		rt.cfg.Fault.StraggleSleep(rt.c.Rank(), time.Since(t0))
+	if rt.h.fault != nil {
+		rt.h.fault.StraggleSleep(rt.c.Rank(), time.Since(t0))
 	}
 	return rec
 }
@@ -625,7 +612,7 @@ func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []ge
 		ZMax: center.Z + cfg.FieldLen/2,
 	}
 	var itemErr error
-	if rec.N >= cfg.MinParticles && rec.N >= 4 {
+	if rec.N >= minParticles {
 		sel := make([]geom.Vec3, len(idx))
 		for i, id := range idx {
 			sel[i] = pts[id]
@@ -645,7 +632,7 @@ func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []ge
 		if err == nil {
 			t1 := time.Now()
 			m := render.NewMarcher(f)
-			gg, stats, rerr := m.Render(spec, cfg.Workers, render.ScheduleDynamic)
+			gg, stats, rerr := m.Render(spec, 1, render.ScheduleDynamic)
 			rec.RenderTime = time.Since(t1).Seconds()
 			rec.Columns = render.TotalOutcomes(stats)
 			rt.res.Columns.Add(rec.Columns)

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"godtfe/internal/geom"
 	"godtfe/internal/mpi"
@@ -417,15 +416,11 @@ func TestConfigValidation(t *testing.T) {
 		want string
 	}{
 		{"recovery+loadbalance", func(c *Config) { c.Recovery = true; c.LoadBalance = true }, "LoadBalance"},
-		{"negative straggler threshold", func(c *Config) { c.StragglerThreshold = -1 }, "StragglerThreshold"},
-		{"sub-unit straggler threshold", func(c *Config) { c.StragglerThreshold = 0.5 }, "exceed 1"},
-		{"negative send retries", func(c *Config) { c.MaxSendRetries = -3 }, "MaxSendRetries"},
-		{"negative dead timeout", func(c *Config) { c.DeadTimeout = -time.Second }, "DeadTimeout"},
 	}
 	for _, tc := range cases {
 		cfg := base
 		tc.mut(&cfg)
-		err := cfg.fill()
+		err := cfg.check()
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -435,16 +430,6 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 
-	// Defaults are applied when the knobs are unset.
-	cfg := base
-	cfg.Recovery = true
-	if err := cfg.fill(); err != nil {
-		t.Fatalf("valid recovery config rejected: %v", err)
-	}
-	if cfg.StragglerThreshold != 4 || cfg.MaxSendRetries != 5 ||
-		cfg.DeadTimeout != 500*time.Millisecond {
-		t.Fatalf("defaults not applied: %+v", cfg)
-	}
 }
 
 // TestWireMessagesOverWorld sends one value of each pipeline message type

@@ -15,7 +15,7 @@
 //     Every wait is an mpi.RecvTolerant: the coordinator acts when a
 //     heartbeat arrives or world membership changes, never on a tick.
 //   - Straggler detection: a rank whose measured item times exceed
-//     StragglerThreshold × its model predictions (the Fig 13 misprediction
+//     4 × its model predictions (the Fig 13 misprediction
 //     signal) is sent a yield order; it stops after the current item and
 //     acknowledges with its exact progress, so no item is executed twice.
 //   - Re-dispatch: the unfinished items of a yielded rank — or the entire
@@ -23,7 +23,7 @@
 //     re-dispatched to its checkpoint buddy, which recomputes them and
 //     reports on its ward's behalf.
 //   - Graceful degradation: when loss is unrecoverable (a rank and its
-//     buddy both die, or a peer goes silent past DeadTimeout), the
+//     buddy both die, or a peer goes silent past the dead timeout), the
 //     coordinator declares the affected fields lost, records them in its
 //     Result's per-field status, and terminates the phase instead of
 //     hanging. A live rank given up on drops what it computed of its own
@@ -238,7 +238,7 @@ func (rt *runtime) recoveryWorker(local []geom.Vec3, pending []int, pred []float
 		}
 	}
 	for k := 0; k < cut && !yielded; k++ {
-		if err := crashCheck(cfg, rank, fault.PointPhase4, k); err != nil {
+		if err := crashCheck(rt.h, rank, fault.PointPhase4, k); err != nil {
 			return err
 		}
 		t0 := time.Now()
@@ -270,7 +270,7 @@ func (rt *runtime) recoveryWorker(local []geom.Vec3, pending []int, pred []float
 	// rank; the bound is generous because the other ranks may still be busy.
 	for !sawDone {
 		if len(orders) == 0 {
-			ctl, err := nextOrder(10 * cfg.DeadTimeout)
+			ctl, err := nextOrder(10 * rt.h.deadTimeout)
 			if err != nil {
 				return coordinatorGone(err)
 			}
@@ -329,7 +329,7 @@ type coordState struct {
 // monitoring heartbeats, detect stragglers and deaths, re-dispatch, and
 // terminate the phase.
 func (rt *runtime) recoveryCoordinator(local []geom.Vec3, pending []int, pred []float64, allMeta []ckptMeta, ward int, wardHalo []geom.Vec3) error {
-	c, cfg := rt.c, rt.cfg
+	c := rt.c
 	n := c.Size()
 	st := make([]coordState, n)
 	for r := range st {
@@ -447,7 +447,7 @@ func (rt *runtime) recoveryCoordinator(local []geom.Vec3, pending []int, pred []
 				// lose the fields, so let the slow rank finish.
 				continue
 			}
-			if s.actualDone > cfg.StragglerThreshold*s.predDone {
+			if s.actualDone > rt.h.stragglerThreshold*s.predDone {
 				if err := c.Send(r, tagControl, control{Kind: ctlYield}); err == nil {
 					s.yieldSent = true
 				}
@@ -480,7 +480,7 @@ func (rt *runtime) recoveryCoordinator(local []geom.Vec3, pending []int, pred []
 
 	// Own items, draining heartbeats between them.
 	for k, pi := range pending {
-		if err := crashCheck(cfg, 0, fault.PointPhase4, k); err != nil {
+		if err := crashCheck(rt.h, 0, fault.PointPhase4, k); err != nil {
 			return err
 		}
 		rt.computeTimedItem(local[pi], execLocal)
@@ -494,10 +494,10 @@ func (rt *runtime) recoveryCoordinator(local []geom.Vec3, pending []int, pred []
 	st[0].finished, st[0].covered = true, true
 
 	// Monitor until every rank's fields are accounted for, or until no
-	// heartbeat has come for DeadTimeout.
+	// heartbeat has come for the dead timeout.
 	unsettled := func(s coordState) bool { return !s.covered && !s.lost }
 	for slices.ContainsFunc(st, unsettled) {
-		moved, err := await(max(cfg.DeadTimeout-time.Since(lastProgress), 0))
+		moved, err := await(max(rt.h.deadTimeout-time.Since(lastProgress), 0))
 		if err != nil {
 			return err
 		}
@@ -508,7 +508,7 @@ func (rt *runtime) recoveryCoordinator(local []geom.Vec3, pending []int, pred []
 				if unsettled(st[r]) {
 					st[r].lost = true
 					rt.res.Failures = append(rt.res.Failures,
-						fmt.Sprintf("recovery: rank %d silent for %v, declaring its fields lost", r, cfg.DeadTimeout))
+						fmt.Sprintf("recovery: rank %d silent for %v, declaring its fields lost", r, rt.h.deadTimeout))
 				}
 			}
 			break

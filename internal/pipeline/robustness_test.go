@@ -83,7 +83,7 @@ func TestPipelineEndToEndDirtyCatalog(t *testing.T) {
 				if rec.Err != "" {
 					t.Fatalf("ranks=%d: item at %v failed: %s", ranks, rec.Center, rec.Err)
 				}
-				if rec.N >= cfg.MinParticles && rec.Columns.Total() == 0 {
+				if rec.Columns.Total() == 0 {
 					t.Fatalf("ranks=%d: item at %v has no column outcomes", ranks, rec.Center)
 				}
 				if rec.Columns.Abandoned != 0 {
