@@ -203,11 +203,10 @@ func SurfaceDensityAlong(dir Vec3, points []Vec3, masses []float64, spec GridSpe
 
 // PipelineConfig configures the distributed framework; see
 // internal/pipeline.Config. It holds only what a program chooses: the box,
-// the field size and grid, periodicity, the schedule (LoadBalance or
-// Recovery), KeepFields, the seed and the ingest policy. The ghost buffer
-// (0.25 × FieldLen a side), one march worker per field, the 16-particle
-// floor below which a field renders empty, and the recovery protocol's
-// straggler threshold (4×) and dead timeout (500 ms) are fixed.
+// the field size and grid, periodicity, whether Phase 3 shares work
+// (LoadBalance), KeepFields, the seed and the ingest policy. The ghost
+// buffer (0.25 × FieldLen a side), one march worker per field and the
+// 16-particle floor below which a field renders empty are fixed.
 type PipelineConfig = pipeline.Config
 
 // PipelineResult is one rank's outcome.

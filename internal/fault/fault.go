@@ -7,9 +7,9 @@
 // runnable under the race detector.
 //
 // Message-level faults interpose on the internal/mpi send path (the
-// Injector implements mpi.Injector); compute-level faults (crashes,
-// stragglers) are consulted by internal/pipeline at its instrumentation
-// points.
+// Injector implements mpi.Injector); compute-level faults are consulted
+// at instrumentation points: crashes by internal/pipeline's Phase 4 and by
+// internal/render/distrender, straggler sleeps by distrender's workers.
 package fault
 
 import (
@@ -24,13 +24,11 @@ import (
 // ErrInjectedCrash marks an error produced by an injected rank crash.
 var ErrInjectedCrash = errors.New("fault: injected crash")
 
-// Instrumentation points where crashes can be scheduled. The pipeline
-// consults the injector with (point, progress) pairs; for PointPhase4,
-// progress is the number of Phase 4 work items completed so far.
+// Instrumentation points where crashes can be scheduled. Callers consult
+// the injector with (point, progress) pairs.
 const (
-	PointPhase1 = "phase1"
-	PointPhase2 = "phase2"
-	PointPhase3 = "phase3"
+	// PointPhase4 is consulted by the pipeline before each Phase 4 compute
+	// step; progress is the number of Phase 4 work items completed so far.
 	PointPhase4 = "phase4"
 	// PointTile is consulted by the distributed renderer before each tile
 	// march; progress is the number of tiles the rank has completed.

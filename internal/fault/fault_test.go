@@ -14,7 +14,7 @@ func TestShouldCrashFiresAtProgress(t *testing.T) {
 	if !in.ShouldCrash(2, PointPhase4, 3) || !in.ShouldCrash(2, PointPhase4, 10) {
 		t.Fatal("did not fire at/after After")
 	}
-	if in.ShouldCrash(1, PointPhase4, 5) || in.ShouldCrash(2, PointPhase1, 5) {
+	if in.ShouldCrash(1, PointPhase4, 5) || in.ShouldCrash(2, PointTile, 5) {
 		t.Fatal("fired for wrong rank or point")
 	}
 }

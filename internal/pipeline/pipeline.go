@@ -14,15 +14,10 @@
 // and reports per-phase wall times, per-item measurements, and (optionally)
 // the rendered fields.
 //
-// Phase 4 has two executors. The default follows the paper's a-priori
-// work-sharing schedule. The fault-tolerant executor (Config.Recovery)
-// replaces it with a runtime protocol — ring buddy checkpoints, per-item
-// progress heartbeats to a coordinator, straggler detection against the
-// model-predicted item costs, and re-dispatch of a failed or yielded
-// rank's unfinished items to its checkpoint buddy — so that the schedule
-// misprediction failures of the paper's Fig 13 (and outright rank deaths)
-// degrade gracefully instead of stalling the job. Runs that suffer
-// unrecoverable loss return a partial Result with per-field status plus an
+// Phase 4 walks this rank's sched.CommList steps, the same list the
+// vtime DES walks. The schedule has no runtime recourse: a peer that dies
+// or a package that cannot be delivered loses the fields it carried, and
+// the survivors return a partial Result with per-field status plus an
 // error summary rather than hanging.
 package pipeline
 
@@ -92,20 +87,11 @@ type Config struct {
 	// or PolicyClamp to sanitize instead; the tally lands in
 	// Result.Ingest.
 	Ingest particleio.ValidateOptions
-
-	// Recovery enables the fault-tolerant Phase 4 executor (buddy
-	// checkpoints, heartbeats, straggler yield, re-dispatch). It replaces
-	// the a-priori work-sharing schedule, so it is mutually exclusive
-	// with LoadBalance.
-	Recovery bool
 }
 
 func (c *Config) check() error {
 	if c.FieldLen <= 0 || c.GridN <= 0 {
 		return errors.New("pipeline: FieldLen and GridN must be positive")
-	}
-	if c.Recovery && c.LoadBalance {
-		return errors.New("pipeline: Recovery replaces the a-priori work-sharing schedule; it cannot be combined with LoadBalance")
 	}
 	return nil
 }
@@ -114,20 +100,12 @@ func (c *Config) check() error {
 func (c *Config) triCubeSide() float64 { return c.FieldLen * (1 + 2*bufferFrac) }
 
 // hooks are the behaviours of a run that only the test suites choose. The
-// zero value is production's: no injected faults, a 4× straggler
-// threshold, a 500 ms dead timeout and mpi's send retry budget.
+// zero value is production's: no injected faults and mpi's send retry
+// budget.
 type hooks struct {
-	// fault injects crashes and straggler sleeps at the pipeline's
-	// instrumentation points. Message-level faults are installed on the
-	// mpi.World directly.
+	// fault injects crashes at Phase 4's compute steps. Message-level
+	// faults are installed on the mpi.World directly.
 	fault *fault.Injector
-	// stragglerThreshold flags a rank whose measured Phase 4 item times
-	// exceed threshold × the model-predicted times (4 when 0).
-	stragglerThreshold float64
-	// deadTimeout is the silence window after which the recovery protocol
-	// stops waiting for an unresponsive peer and degrades; a worker waits
-	// 10 × deadTimeout for its next order (500 ms when 0).
-	deadTimeout time.Duration
 	// maxSendRetries, when > 0, overrides mpi's send retry budget.
 	maxSendRetries int
 }
@@ -162,7 +140,6 @@ type ItemRecord struct {
 	PredTri    float64 // model predictions (0 when modeling was off)
 	PredRender float64
 	Shipped    bool // executed on a rank other than its owner (a-priori LB)
-	Recovered  bool // re-executed here on behalf of a failed/yielded rank
 
 	// Columns classifies the item's lines of sight by how their marches
 	// ended (clean/perturbed/fallback/abandoned).
@@ -183,14 +160,8 @@ type Field struct {
 type FieldState int
 
 const (
-	// FieldDone: computed on its owner as planned.
+	// FieldDone: computed as the schedule planned.
 	FieldDone FieldState = iota
-	// FieldRecovered: recomputed on a survivor after its owner failed or
-	// yielded.
-	FieldRecovered
-	// FieldLost: unrecoverable (owner and its checkpoint buddy both
-	// failed, or the protocol gave up on it).
-	FieldLost
 	// FieldFailed: the executing rank hit a non-recoverable geometry
 	// error (geomerr.ErrMeshCorrupt or a diverged location walk) while
 	// computing the field; the rank survived and reported the failure
@@ -203,10 +174,6 @@ func (s FieldState) String() string {
 	switch s {
 	case FieldDone:
 		return "done"
-	case FieldRecovered:
-		return "recovered"
-	case FieldLost:
-		return "lost"
 	case FieldFailed:
 		return "failed"
 	}
@@ -234,9 +201,8 @@ type Result struct {
 	LocalWork int   // items owned by this rank
 	CommBytes int64 // bytes this rank sent (partition + sharing)
 
-	// Status records the completion state of every field this rank knows
-	// the fate of: fields it computed (done/recovered/failed) and — on
-	// the recovery coordinator — fields declared lost.
+	// Status records the completion state of every field this rank
+	// computed (done or failed).
 	Status []FieldStatus
 	// Incomplete marks a run that lost peers or fields; Failures carries
 	// the human-readable error summary.
@@ -254,20 +220,11 @@ type Result struct {
 	Build delaunay.BuildStats
 }
 
-// execKind says on whose behalf an item is being computed.
-type execKind int
-
-const (
-	execLocal     execKind = iota // this rank's own schedule
-	execShipped                   // received via the a-priori work-sharing schedule
-	execRecovered                 // recomputed for a failed/yielded peer
-)
-
 // degrade converts a peer-failure error into a partial-result return: the
 // rank keeps what it computed, records the failure, and surfaces a
 // non-nil error alongside the Result. Other errors abort as before.
 func degrade(res *Result, stage string, err error) (*Result, error) {
-	if errors.Is(err, mpi.ErrRankFailed) || errors.Is(err, mpi.ErrTimeout) || errors.Is(err, mpi.ErrMessageLost) {
+	if errors.Is(err, mpi.ErrRankFailed) || errors.Is(err, mpi.ErrMessageLost) {
 		res.Incomplete = true
 		res.Failures = append(res.Failures, stage+": "+err.Error())
 		return res, fmt.Errorf("pipeline: incomplete run (%s): %w", stage, err)
@@ -288,12 +245,6 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	if h.stragglerThreshold == 0 {
-		h.stragglerThreshold = 4
-	}
-	if h.deadTimeout == 0 {
-		h.deadTimeout = 500 * time.Millisecond
-	}
 	if h.maxSendRetries > 0 {
 		c.SetMaxSendRetries(h.maxSendRetries)
 	}
@@ -312,9 +263,6 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	localParticles = sanitized
 
 	// ---- Phase 1: partition & redistribution -------------------------
-	if err := crashCheck(h, c.Rank(), fault.PointPhase1, 0); err != nil {
-		return nil, err
-	}
 	ghost := cfg.triCubeSide() / 2
 	dec, err := domain.NewDecomp(cfg.Box, c.Size(), ghost)
 	if err != nil {
@@ -342,12 +290,9 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	tree := kdtree.New(halo)
 	res.Phases.Partition = time.Since(t0).Seconds()
 
-	rt := &runtime{c: c, cfg: cfg, h: h, tree: tree, halo: halo, res: res, owner: c.Rank()}
+	rt := &runtime{cfg: cfg, tree: tree, halo: halo, res: res}
 
 	// ---- Phase 2: workload modeling -----------------------------------
-	if err := crashCheck(h, c.Rank(), fault.PointPhase2, 0); err != nil {
-		return nil, err
-	}
 	tm := time.Now()
 	counts := make([]int, len(local))
 	for i, ctr := range local {
@@ -355,11 +300,10 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	}
 	var mine sample
 	done := make([]bool, len(local))
-	samplePick := -1
 	if len(local) > 0 {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(c.Rank())))
-		samplePick = rng.Intn(len(local))
-		rec := rt.computeItem(local[samplePick], false, execLocal)
+		samplePick := rng.Intn(len(local))
+		rec := rt.computeItem(local[samplePick], false)
 		done[samplePick] = true
 		mine = sample{N: float64(rec.N), TTri: rec.TriTime, TRender: rec.RenderTime}
 	}
@@ -393,9 +337,6 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	res.Phases.Model = time.Since(tm).Seconds()
 
 	// ---- Phase 3: work-sharing schedule --------------------------------
-	if err := crashCheck(h, c.Rank(), fault.PointPhase3, 0); err != nil {
-		return nil, err
-	}
 	var pending []int // local item indices still to run
 	for i := range local {
 		if !done[i] {
@@ -422,21 +363,6 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	}
 
 	// ---- Phase 4: execution & communication ----------------------------
-	if cfg.Recovery && c.Size() > 1 {
-		// Fault-tolerant executor: buddy checkpoints + heartbeats +
-		// re-dispatch; it carries its own termination protocol, so the
-		// final barrier is skipped (dead ranks must not stall it).
-		if err := rt.runRecovery(local, pending, pred, samplePick); err != nil {
-			return degrade(res, "phase 4 recovery", err)
-		}
-		res.CommBytes = c.BytesSent()
-		res.Phases.Total = time.Since(t0).Seconds()
-		if res.Incomplete {
-			return res, fmt.Errorf("pipeline: incomplete run: %s", strings.Join(res.Failures, "; "))
-		}
-		return res, nil
-	}
-
 	// Walk this rank's steps. Compute steps are numbered in order for
 	// crash injection; a package that cannot be shipped is recorded and
 	// the walk goes on.
@@ -448,7 +374,7 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 			if err := crashCheck(h, c.Rank(), fault.PointPhase4, executed); err != nil {
 				return nil, err
 			}
-			rt.computeTimedItem(local[pending[st.Item]], execLocal)
+			rt.computeItem(local[pending[st.Item]], true)
 			executed++
 		case sched.Ship:
 			tw := time.Now()
@@ -482,11 +408,9 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 			res.Phases.WorkShare += time.Since(tw).Seconds()
 			res.Received += len(pkg.Centers)
 			ptree := kdtree.New(pkg.Points)
-			rt.owner = st.Peer // the field's status names the rank it was planned on
 			for _, ctr := range pkg.Centers {
-				rt.computeItemWith(ctr, ptree, pkg.Points, true, execShipped)
+				rt.computeItemWith(ctr, ptree, pkg.Points, true, st.Peer)
 			}
-			rt.owner = c.Rank()
 		}
 	}
 
@@ -535,13 +459,10 @@ type workPackage struct {
 type sample struct{ N, TTri, TRender float64 }
 
 type runtime struct {
-	c     *mpi.Comm
-	cfg   Config
-	h     hooks
-	tree  *kdtree.Tree
-	halo  []geom.Vec3
-	res   *Result
-	owner int // rank whose schedule the current item belongs to
+	cfg  Config
+	tree *kdtree.Tree
+	halo []geom.Vec3
+	res  *Result
 }
 
 func (rt *runtime) cube(center geom.Vec3) geom.AABB {
@@ -555,20 +476,8 @@ func (rt *runtime) cube(center geom.Vec3) geom.AABB {
 // computeItem renders the field at center from the rank's halo particles;
 // predict records the cost model's predictions (off before the model is
 // fit).
-func (rt *runtime) computeItem(center geom.Vec3, predict bool, kind execKind) ItemRecord {
-	return rt.computeItemWith(center, rt.tree, rt.halo, predict, kind)
-}
-
-// computeTimedItem is computeItem plus straggler fault injection: the
-// injected slowdown is charged to the item's wall time so straggler
-// detection sees it.
-func (rt *runtime) computeTimedItem(center geom.Vec3, kind execKind) ItemRecord {
-	t0 := time.Now()
-	rec := rt.computeItem(center, true, kind)
-	if rt.h.fault != nil {
-		rt.h.fault.StraggleSleep(rt.c.Rank(), time.Since(t0))
-	}
-	return rec
+func (rt *runtime) computeItem(center geom.Vec3, predict bool) ItemRecord {
+	return rt.computeItemWith(center, rt.tree, rt.halo, predict, rt.res.Rank)
 }
 
 // lexCompare orders points by (X, Y, Z). It short-circuits: cmp.Or over
@@ -592,9 +501,11 @@ func lexCompare(a, b geom.Vec3) int {
 	return 0
 }
 
-func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []geom.Vec3, predict bool, kind execKind) ItemRecord {
+// computeItemWith renders the field at center from pts (indexed by tree);
+// owner is the rank whose schedule planned the item.
+func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []geom.Vec3, predict bool, owner int) ItemRecord {
 	cfg := rt.cfg
-	rec := ItemRecord{Center: center, Shipped: kind == execShipped, Recovered: kind == execRecovered}
+	rec := ItemRecord{Center: center, Shipped: owner != rt.res.Rank}
 	idx := tree.InBox(rt.cube(center), nil)
 	rec.N = len(idx)
 	if predict {
@@ -651,9 +562,6 @@ func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []ge
 	rt.res.Phases.Triangulate += rec.TriTime
 	rt.res.Phases.Render += rec.RenderTime
 	state := FieldDone
-	if kind == execRecovered {
-		state = FieldRecovered
-	}
 	if itemErr != nil {
 		rec.Err = itemErr.Error()
 		if errors.Is(itemErr, geomerr.ErrDegenerateInput) || errors.Is(itemErr, geomerr.ErrBadParticle) {
@@ -662,8 +570,8 @@ func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []ge
 			// the correct answer; the record carries the reason.
 		} else {
 			// Mesh corruption or a diverged walk: the field's numbers
-			// cannot be trusted. Report a failed item through the
-			// recovery bookkeeping instead of dying with the rank.
+			// cannot be trusted. Report a failed item in the field
+			// status instead of dying with the rank.
 			state = FieldFailed
 			rt.res.Incomplete = true
 			rt.res.Failures = append(rt.res.Failures,
@@ -671,7 +579,7 @@ func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []ge
 		}
 	}
 	rt.res.Items = append(rt.res.Items, rec)
-	rt.res.Status = append(rt.res.Status, FieldStatus{Center: center, State: state, Owner: rt.owner})
+	rt.res.Status = append(rt.res.Status, FieldStatus{Center: center, State: state, Owner: owner})
 	if cfg.KeepFields {
 		rt.res.Fields = append(rt.res.Fields, Field{Center: center, Grid: g})
 	}
