@@ -48,12 +48,12 @@ func main() {
 	poisonProb := flag.Float64("poison-prob", 0, "per-fill probability of cache poisoning")
 	batchWindow := flag.Duration("batch-window", 0, "batch leader wait for same-family followers (0: drain what's queued)")
 	maxBatch := flag.Int("max-batch", 16, "max requests served by one shared march")
-	colCache := flag.Int("col-cache", 1<<20, "column-cache budget in grid cells (negative disables)")
+	colCache := flag.Int("col-cache", 1<<20, "column-cache budget in grid cells (0: the service default)")
 	updates := flag.Int("updates", 0, "incremental catalog updates (band churn) applied concurrently with the load")
 	overlap := flag.Float64("overlap", 0, "fraction of requests drawn from hot coalescing families with varied window extents")
 	overlapFams := flag.Int("overlap-families", 3, "hot family pool size for -overlap")
 	flag.Parse()
-	if err := checkFlags(*in, *particles, *gridN, *specs, *requests, *workers, *queue, *maxBatch, *overlapFams,
+	if err := checkFlags(*in, *particles, *gridN, *specs, *requests, *workers, *queue, *maxBatch, *colCache, *overlapFams,
 		*rate, *overlap, *cancelProb, *slowProb, *poisonProb); err != nil {
 		fmt.Fprintln(os.Stderr, "dtfe-serve:", err)
 		flag.Usage()
@@ -86,9 +86,10 @@ func main() {
 // before a catalog is synthesized or read: a mesh needs four particles, the
 // spec mix is indexed modulo -specs, the offered rate is derived from
 // -workers, and an -overlap window spans half to all of -grid on each axis,
-// which is no cells at all when -grid is 1. Zero -queue, -max-batch and
-// -rate select their defaults; negative ones are refused, not defaulted.
-func checkFlags(in string, particles, gridN, specs, requests, workers, queue, maxBatch, overlapFams int,
+// which is no cells at all when -grid is 1. Zero -queue, -max-batch,
+// -col-cache and -rate select their defaults; negative ones are refused,
+// not defaulted.
+func checkFlags(in string, particles, gridN, specs, requests, workers, queue, maxBatch, colCache, overlapFams int,
 	rate, overlap, cancelProb, slowProb, poisonProb float64) error {
 	switch {
 	case in == "" && particles < 4:
@@ -105,6 +106,8 @@ func checkFlags(in string, particles, gridN, specs, requests, workers, queue, ma
 		return fmt.Errorf("-queue %d: need 0 (2x workers) or a positive depth", queue)
 	case maxBatch < 0:
 		return fmt.Errorf("-max-batch %d: need 0 (the service default) or a positive bound", maxBatch)
+	case colCache < 0:
+		return fmt.Errorf("-col-cache %d: need 0 (the service default) or a positive budget", colCache)
 	case !(rate >= 0) || math.IsInf(rate, 1):
 		return fmt.Errorf("-rate %v: need 0 (2x measured capacity) or a finite positive rate", rate)
 	}

@@ -37,6 +37,7 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{"-overlap 0.5 -overlap-families 0", "-overlap-families 0"},
 		{"-queue -1", "-queue -1"},
 		{"-max-batch -2", "-max-batch -2"},
+		{"-col-cache -1", "-col-cache -1"},
 		{"-particles 3", "-particles 3"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitWithUsage$")

@@ -197,8 +197,7 @@ func (s *Service) executeBatch(members []*task) {
 
 // buildUnion produces the union grid for a batch: pull every column the
 // family has cached, march only the cold runs, then publish the marched
-// columns back to the column cache (with the cache disabled every column
-// is cold and nothing is published). All column traffic is pinned to the
+// columns back to the column cache. All column traffic is pinned to the
 // batch's mesh view: gets require the view's epoch tag and puts carry it
 // (guarded against publishing after a newer epoch landed), so the
 // assembled grid is a pure function of one mesh epoch. The union grid

@@ -109,8 +109,7 @@ func BenchmarkFieldServeShed(b *testing.B) {
 // BenchmarkFieldServeCoalesce measures the shared-march batch path: each
 // iteration bursts 8 concurrent same-family requests with different
 // window extents at a cold family. Coalescing serves the burst with one
-// union march. (For the pre-coalescing baseline — every request marched
-// separately — set MaxBatch: -1, ColumnCacheCells: -1.)
+// union march.
 func BenchmarkFieldServeCoalesce(b *testing.B) {
 	s := New(Options{
 		Workers: 2, QueueDepth: 32,
@@ -233,46 +232,52 @@ func BenchmarkFieldServeOverlapStorm(b *testing.B) {
 
 // BenchmarkColumnCacheZipf is the column cache's layer benchmark: colCache
 // alone under the serve_overlap request shape, with no mesh and no march.
-// 768 families drawn Zipf(1), each request a window of Nx in [32, 128]
-// columns by 32 rows from its family's column 0, against the service's
-// default 1<<20-cell budget and catalog quota. Like buildUnion, a request
-// gets each of its columns and puts every miss. One op is the whole
-// 20 000-request stream on a fixed seed; cold/req_col is the share of
-// requested columns that missed (and would have been marched) over the
-// last 15 000 requests, after 5 000 that warm the cache.
+// One op is zipfColdShare's whole 20 000-request stream; cold/req_col is
+// its result.
 func BenchmarkColumnCacheZipf(b *testing.B) {
+	var share float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		share = zipfColdShare()
+	}
+	b.ReportMetric(share, "cold/req_col")
+}
+
+// zipfColdShare replays a fixed-seed request stream against a colCache at
+// the service's default budget: 768 families drawn Zipf(1), each request a
+// window of Nx in [32, 128] columns by 32 rows from its family's column 0.
+// Like buildUnion, a request gets each of its columns and puts every miss.
+// It returns the share of requested columns that missed (and would have
+// been marched) over the last 15 000 requests, after 5 000 that warm the
+// cache. The result is deterministic.
+func zipfColdShare() float64 {
 	const (
 		families, nxMin, nxMax, ny = 768, 32, 128, 32
 		requests, warmup           = 20000, 5000
-		budget                     = 1 << 20
 	)
 	fams := make([]render.Spec, families)
 	for f := range fams {
 		fams[f] = render.FamilyOf(testSpec(nxMax, int64(1_000_000+f)))
 	}
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.0001, 1, families-1)
+	c := newColCache(defaultColumnCacheCells)
 	var cold, asked int
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(1))
-		zipf := rand.NewZipf(rng, 1.0001, 1, families-1)
-		c := newColCache(budget, int(catalogCacheShare*budget))
-		cold, asked = 0, 0
-		for r := 0; r < requests; r++ {
-			key := colKey{Catalog: "halos", Family: fams[zipf.Uint64()]}
-			nx := nxMin + rng.Intn(nxMax-nxMin+1)
-			for col := 0; col < nx; col++ {
-				key.Col = col
-				if _, ok := c.get(key, ny, 0); !ok {
-					c.put(key, make([]float64, ny), 0, nil)
-					if r >= warmup {
-						cold++
-					}
+	for r := 0; r < requests; r++ {
+		key := colKey{Catalog: "halos", Family: fams[zipf.Uint64()]}
+		nx := nxMin + rng.Intn(nxMax-nxMin+1)
+		for col := 0; col < nx; col++ {
+			key.Col = col
+			if _, ok := c.get(key, ny, 0); !ok {
+				c.put(key, make([]float64, ny), 0, nil)
+				if r >= warmup {
+					cold++
 				}
 			}
-			if r >= warmup {
-				asked += nx
-			}
+		}
+		if r >= warmup {
+			asked += nx
 		}
 	}
-	b.ReportMetric(float64(cold)/float64(asked), "cold/req_col")
+	return float64(cold) / float64(asked)
 }

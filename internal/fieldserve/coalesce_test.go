@@ -497,6 +497,22 @@ func TestChaosMixedSoakNoLeak(t *testing.T) {
 			t.Fatal("idle serve of a resident spec missed the inline path")
 		}
 	}
+	// A whole soak family's grid is half the budget: marched at most once
+	// on the idle service, it is resident for the next request.
+	full := specs[0]
+	for i := 0; i < 2; i++ {
+		cold := s.Stats().ColdColumns
+		resp, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Checksum != want[full] {
+			t.Fatal("idle serve: bits differ from direct render")
+		}
+		if added := s.Stats().ColdColumns - cold; i == 1 && (added != 0 || !resp.CacheHit) {
+			t.Fatalf("idle repeat of the %dx%d soak spec marched %d columns (CacheHit %v)", full.Nx, full.Ny, added, resp.CacheHit)
+		}
+	}
 	st := s.Stats()
 	t.Logf("soak: served=%d inline=%d batches=%d marches=%d colEvicted=%d shed=%d expired=%d",
 		st.Served, st.CacheHits, st.Batches, st.Marches, st.ColEvicted, st.Shed, st.Expired)
@@ -607,8 +623,7 @@ func TestServeOverlapStormSmoke(t *testing.T) {
 }
 
 // TestColCache covers the column cache: prefix hits, short-entry misses,
-// taller replacement, cell-budget eviction, per-catalog quota, poison
-// detection, and nil-cache safety.
+// taller replacement, cell-budget eviction and poison detection.
 func TestColCache(t *testing.T) {
 	fam := render.FamilyOf(testSpec(8, 1))
 	key := func(cat string, col int) colKey { return colKey{Catalog: cat, Family: fam, Col: col} }
@@ -620,7 +635,7 @@ func TestColCache(t *testing.T) {
 		return v
 	}
 
-	c := newColCache(100, 0)
+	c := newColCache(100)
 	c.put(key("a", 0), colVals(10, 1), 0, nil)
 	if got, ok := c.get(key("a", 0), 10, 0); !ok || len(got) != 10 || got[9] != 10 {
 		t.Fatal("full-height lookup failed")
@@ -668,37 +683,6 @@ func TestColCache(t *testing.T) {
 	if st := c.stats(); st.Poisoned != 1 {
 		t.Fatalf("poisoned = %d, want 1", st.Poisoned)
 	}
-
-	// Per-catalog quota: catalog "h" capped at 40 cells out of 100; its
-	// inserts under pressure evict its own columns, not catalog "cold"'s.
-	q := newColCache(100, 40)
-	for i := 0; i < 3; i++ {
-		q.put(key("cold", i), colVals(20, float64(i)), 0, nil)
-	}
-	for i := 0; i < 8; i++ {
-		q.put(key("h", i), colVals(20, float64(100+i)), 0, nil)
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok := q.get(key("cold", i), 20, 0); !ok {
-			t.Fatalf("cold catalog's column %d evicted by the hot catalog", i)
-		}
-	}
-	if qs := q.stats(); qs.Cells > 100 {
-		t.Fatalf("quota cache over budget: %+v", qs)
-	}
-	if _, ok := q.get(key("h", 7), 20, 0); !ok {
-		t.Fatal("hot catalog's newest column missing")
-	}
-
-	// nil cache (disabled) is safe.
-	var nilCache *colCache
-	nilCache.put(key("a", 0), colVals(4, 0), 0, nil)
-	if _, ok := nilCache.get(key("a", 0), 4, 0); ok {
-		t.Fatal("nil cache served a hit")
-	}
-	if st := nilCache.stats(); st != (colStats{}) {
-		t.Fatal("nil cache has stats")
-	}
 }
 
 // TestColumnCacheKeepsReusedColumns pins the segmented LRU's scan
@@ -707,7 +691,7 @@ func TestColCache(t *testing.T) {
 // budget, while a column never hit, or touched only by an assemble that
 // did not commit, is evicted by it.
 func TestColumnCacheKeepsReusedColumns(t *testing.T) {
-	c := newColCache(100, 0)
+	c := newColCache(100)
 	warm := testSpec(2, 1)
 	warm.Ny = 10
 	half := warm
@@ -754,43 +738,67 @@ func TestColumnCacheKeepsReusedColumns(t *testing.T) {
 	}
 }
 
-// TestColumnCacheQuotaAcrossSegments: a catalog over its share whose
-// columns are all protected still makes room from its own columns only —
-// every other catalog's column stays, and the budget holds.
-func TestColumnCacheQuotaAcrossSegments(t *testing.T) {
-	fam := render.FamilyOf(testSpec(8, 1))
-	key := func(cat string, col int) colKey { return colKey{Catalog: cat, Family: fam, Col: col} }
-	c := newColCache(100, 40)
-	for i := 0; i < 2; i++ {
-		c.put(key("cold", i), make([]float64, 20), 0, nil)
-	}
-	// "h" fills the rest and is hit on every column: 60 cells, all
-	// protected, 20 over its share.
-	for i := 0; i < 3; i++ {
-		c.put(key("h", i), make([]float64, 20), 0, nil)
-		if _, ok := c.get(key("h", i), 20, 0); !ok {
-			t.Fatalf("h column %d missed right after its insert", i)
-		}
-	}
-	for i := 3; i < 8; i++ {
-		c.put(key("h", i), make([]float64, 20), 0, nil)
-		if st := c.stats(); st.Cells > 100 {
-			t.Fatalf("over budget after inserting h column %d: %+v", i, st)
-		}
-		for j := 0; j < 2; j++ {
-			if _, ok := c.get(key("cold", j), 20, 0); !ok {
-				t.Fatalf("inserting h column %d evicted cold column %d", i, j)
+// TestColumnCacheKeepsLargeGrid: with protected full of hit columns, one
+// n×n family is requested three times as buildUnion requests it, a get per
+// column and a put per miss. A family of up to half the budget is marched
+// once and then served from the cache; a larger one is re-marched every
+// time, and protected keeps half the budget (less than one of its columns
+// below: the victim rule stops taking from protected once it is at or
+// under half).
+func TestColumnCacheKeepsLargeGrid(t *testing.T) {
+	for _, tc := range []struct{ budget, hot, n int }{
+		{defaultColumnCacheCells, 460, 128},
+		{defaultColumnCacheCells, 460, 384},
+		{defaultColumnCacheCells, 460, 512},
+		{defaultColumnCacheCells, 460, 724},
+		{defaultColumnCacheCells, 460, 725},
+		{defaultColumnCacheCells, 460, 1100},
+		{2 * 32 * 32, 40, 32},
+	} {
+		c := newColCache(tc.budget)
+		hot := colKey{Catalog: "halos", Family: render.FamilyOf(testSpec(8, 1))}
+		for i := 0; i < int(protectedShare*float64(tc.budget))/tc.hot; i++ {
+			hot.Col = i
+			c.put(hot, make([]float64, tc.hot), 0, nil)
+			if _, ok := c.get(hot, tc.hot, 0); !ok {
+				t.Fatalf("budget %d: hot column %d missed after its insert", tc.budget, i)
 			}
 		}
-		if _, ok := c.get(key("h", i), 20, 0); !ok {
-			t.Fatalf("h column %d was evicted by its own insert", i)
+		key := colKey{Catalog: "halos", Family: render.FamilyOf(testSpec(tc.n, 2))}
+		var cold [3]int
+		for r := range cold {
+			for i := 0; i < tc.n; i++ {
+				key.Col = i
+				if _, ok := c.get(key, tc.n, 0); !ok {
+					c.put(key, make([]float64, tc.n), 0, nil)
+					cold[r]++
+				}
+			}
+		}
+		n := tc.n
+		if 2*n*n <= tc.budget {
+			if cold != [3]int{n, 0, 0} {
+				t.Errorf("%d² at budget %d: cold columns per request %v, want [%d 0 0]", n, tc.budget, cold, n)
+			}
+		} else if cold != [3]int{n, n, n} || 2*(c.protCells+tc.hot) <= tc.budget {
+			t.Errorf("%d² at budget %d: cold columns per request %v (want [%d %d %d]), protected %d cells (want over half the budget less one %d-cell column)",
+				n, tc.budget, cold, n, n, n, c.protCells, tc.hot)
+		}
+		if c.cells > tc.budget {
+			t.Errorf("%d² at budget %d: %d cells resident", n, tc.budget, c.cells)
 		}
 	}
-	if _, ok := c.get(key("h", 2), 20, 0); ok {
-		t.Fatal("h kept more than its resident cells")
+}
+
+// TestColumnCacheZipfColdShare pins BenchmarkColumnCacheZipf's
+// cold/req_col (0.154008 for the segmented LRU), so a policy change that
+// gives it back fails here rather than only in make bench-cache.
+func TestColumnCacheZipfColdShare(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a deterministic policy figure: nothing in it can race")
 	}
-	if st := c.stats(); st.Cells != 100 || st.Evicted != 5 {
-		t.Fatalf("want a full budget and five evictions: %+v", st)
+	if got := zipfColdShare(); got >= 0.15405 {
+		t.Fatalf("cold/req_col = %.6f, want < 0.15405", got)
 	}
 }
 

@@ -56,49 +56,33 @@ const protectedShare = 0.9
 // insert lands at the front of probation, its first hit promotes it to the
 // front of protected, and protected's LRU columns are demoted to the front
 // of probation while it holds more than protectedShare of the budget.
-// Eviction takes probation's LRU column (probation is never empty then: it
-// holds the column being inserted). Traffic that never hits keeps every
-// column on probation, which is exactly a plain LRU.
+// Traffic that never hits keeps every column on probation, which is
+// exactly a plain LRU. victimLocked holds the one eviction rule.
 //
-// Two disciplines hold on every read: hit-time checksum
-// verification (a corrupted column is evicted and re-marched, never
-// served), and an elastic per-catalog quota (catBudget cells, 0 disables)
-// enforced only under eviction pressure — a catalog may grow past its share
-// while the cache has free space, but once it is full an insert for a
-// catalog over its share evicts that catalog's own LRU column (probation
-// first, then protected), so one hot catalog can never drain every other
-// catalog's entries.
+// Hit-time checksum verification holds on every read: a corrupted column
+// is evicted and re-marched, never served.
 //
 // A lookup needs the column's rows 0..ny-1; a cached column taller than ny
 // serves the request as a prefix, and a shorter one is a miss (the caller
-// re-marches the full height and the taller result replaces it). A nil
-// *colCache is a valid "caching disabled" cache: get and assemble always
-// miss and put is a no-op.
+// re-marches the full height and the taller result replaces it).
 type colCache struct {
 	mu        sync.Mutex
 	budget    int
-	catBudget int
 	cells     int
 	entries   map[colKey]*colEntry
 	probation *list.List // front = most recently used, in each segment
 	protected *list.List
 	protCells int // cells held by protected
-	perCat    map[string]int
 
 	hits, misses, evicted, poisoned uint64
 }
 
-func newColCache(budget, catBudget int) *colCache {
-	if budget <= 0 {
-		return nil
-	}
+func newColCache(budget int) *colCache {
 	return &colCache{
 		budget:    budget,
-		catBudget: catBudget,
 		entries:   make(map[colKey]*colEntry),
 		probation: list.New(),
 		protected: list.New(),
-		perCat:    make(map[string]int),
 	}
 }
 
@@ -108,9 +92,6 @@ func newColCache(budget, catBudget int) *colCache {
 // is a miss (never served), which is what keeps a batch's assembled union
 // grid internally consistent across concurrent updates.
 func (c *colCache) get(key colKey, ny int, epoch uint64) ([]float64, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -165,9 +146,6 @@ func (c *colCache) verifiedLocked(e *colEntry) bool {
 // makes the result a pure function of one epoch: an update's sweep
 // re-tags or evicts a catalog's columns atomically with respect to it.
 func (c *colCache) assemble(catalog string, spec render.Spec, epoch uint64) *grid.Grid2D {
-	if c == nil {
-		return nil
-	}
 	key := colKey{Catalog: catalog, Family: render.FamilyOf(spec)}
 	var cols []*colEntry // allocated once column 0 is in: a cold family costs one lookup
 	c.mu.Lock()
@@ -201,9 +179,6 @@ func (c *colCache) assemble(catalog string, spec render.Spec, epoch uint64) *gri
 // checksum was recorded (fault injection); hit-time verification must
 // catch it.
 func (c *colCache) rot(key colKey) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
@@ -220,7 +195,7 @@ func (c *colCache) rot(key colKey) {
 // drops the insert — the epoch guard against a stale batch publishing
 // old-epoch columns after an update's sweep already ran.
 func (c *colCache) put(key colKey, vals []float64, epoch uint64, insertOK func() bool) {
-	if c == nil || len(vals) == 0 || len(vals) > c.budget {
+	if len(vals) == 0 || len(vals) > c.budget {
 		return
 	}
 	c.mu.Lock()
@@ -235,7 +210,6 @@ func (c *colCache) put(key colKey, vals []float64, epoch uint64, insertOK func()
 	e.elem = c.probation.PushFront(e)
 	c.entries[key] = e
 	c.cells += len(vals)
-	c.perCat[key.Catalog] += len(vals)
 	for c.cells > c.budget {
 		c.removeLocked(c.victimLocked(e))
 		c.evicted++
@@ -252,9 +226,6 @@ func (c *colCache) put(key colKey, vals []float64, epoch uint64, insertOK func()
 // old-epoch response from their retained mesh view. Returns the evicted
 // count.
 func (c *colCache) invalidate(catalog string, st *delaunay.DeltaStats, newEpoch uint64) int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var victims []*colEntry
@@ -285,31 +256,23 @@ func (c *colCache) removeLocked(e *colEntry) {
 		c.probation.Remove(e.elem)
 	}
 	c.cells -= len(e.vals)
-	if n := c.perCat[e.key.Catalog] - len(e.vals); n > 0 {
-		c.perCat[e.key.Catalog] = n
-	} else {
-		delete(c.perCat, e.key.Catalog)
-	}
 }
 
-// victimLocked picks the eviction victim for inserting e. When e's catalog
-// is over its cell quota it is that catalog's own LRU column other than e —
-// on probation first, then in protected — or e itself when the catalog has
-// no other, so an over-share catalog whose columns are all protected makes
-// room from them, never from another catalog. Otherwise it is probation's
-// LRU column: probation holds e, so it is never empty here.
+// victimLocked picks the eviction victim for inserting e: probation's LRU
+// column (probation holds e, so it is never empty here) — unless that column
+// is of e's own family while protected holds more than half the budget, in
+// which case it is protected's LRU column. Without the exception a grid
+// larger than probation's free share would evict its own earlier columns on
+// every insert and never become resident; with it, protected yields to a
+// family of up to half the budget and stops yielding once it holds half or
+// less, so a larger family is re-marched on every request while protected
+// keeps about half (less by under one of its columns).
 func (c *colCache) victimLocked(e *colEntry) *colEntry {
-	if owner := e.key.Catalog; c.catBudget > 0 && c.perCat[owner] > c.catBudget {
-		for _, seg := range [2]*list.List{c.probation, c.protected} {
-			for el := seg.Back(); el != nil; el = el.Prev() {
-				if v := el.Value.(*colEntry); v != e && v.key.Catalog == owner {
-					return v
-				}
-			}
-		}
-		return e
+	v := c.probation.Back().Value.(*colEntry)
+	if v.key.Catalog == e.key.Catalog && v.key.Family == e.key.Family && 2*c.protCells > c.budget {
+		return c.protected.Back().Value.(*colEntry)
 	}
-	return c.probation.Back().Value.(*colEntry)
+	return v
 }
 
 // colStats is a consistent snapshot of the column-cache counters.
@@ -319,9 +282,6 @@ type colStats struct {
 }
 
 func (c *colCache) stats() colStats {
-	if c == nil {
-		return colStats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return colStats{

@@ -40,11 +40,12 @@ type Options struct {
 	// under load, queueing delay forms batches on its own).
 	BatchWindow time.Duration
 	// MaxBatch bounds how many requests one shared march may serve
-	// (default 16; negative means 1, i.e. no batching beyond the leader).
+	// (default 16, for any value <= 0).
 	MaxBatch int
 	// ColumnCacheCells budgets the column cache — the service's only
-	// cache — in grid cells (default 1<<20 ≈ 8 MB of float64s; 0 uses the
-	// default, negative disables caching).
+	// cache — in grid cells (default 1<<20 ≈ 8 MB of float64s, for any
+	// value <= 0). Any one grid of up to half the budget stays resident
+	// once marched.
 	ColumnCacheCells int
 
 	// Fault optionally injects request-level faults; the service itself
@@ -53,11 +54,9 @@ type Options struct {
 	Fault *fault.Injector
 }
 
-// catalogCacheShare is the fraction of the column cache one catalog may
-// occupy before eviction pressure turns on it (its own LRU columns are
-// evicted instead of other catalogs'). The quota is elastic: with free
-// space a catalog may exceed its share.
-const catalogCacheShare = 0.5
+// defaultColumnCacheCells is the column-cache budget New uses when
+// Options.ColumnCacheCells is not positive.
+const defaultColumnCacheCells = 1 << 20
 
 // Request names a registered catalog and the grid to render.
 type Request struct {
@@ -272,21 +271,15 @@ func New(opt Options) *Service {
 	if opt.RenderWorkers <= 0 {
 		opt.RenderWorkers = 1
 	}
-	if opt.MaxBatch == 0 {
+	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = 16
 	}
-	if opt.MaxBatch < 0 {
-		opt.MaxBatch = 1
-	}
-	if opt.ColumnCacheCells == 0 {
-		opt.ColumnCacheCells = 1 << 20
-	}
-	if opt.ColumnCacheCells < 0 {
-		opt.ColumnCacheCells = 0
+	if opt.ColumnCacheCells <= 0 {
+		opt.ColumnCacheCells = defaultColumnCacheCells
 	}
 	s := &Service{
 		opt:      opt,
-		colcache: newColCache(opt.ColumnCacheCells, int(catalogCacheShare*float64(opt.ColumnCacheCells))),
+		colcache: newColCache(opt.ColumnCacheCells),
 		quit:     make(chan struct{}),
 		inflight: make(map[Key]bool),
 		catalogs: make(map[string]*catalog),

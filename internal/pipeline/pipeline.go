@@ -319,13 +319,8 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 			trs = append(trs, s.TRender)
 		}
 	}
-	wm, ferr := model.Fit(ns, tts, trs)
-	res.ModelOK = ferr == nil
-	if ferr != nil {
-		// Fall back to a proportional model so every rank agrees.
-		wm = fallbackModel(ns, tts, trs)
-	}
-	res.Model = wm
+	wm, ok := fitModel(ns, tts, trs)
+	res.Model, res.ModelOK = wm, ok
 	pred := make([]float64, len(local))
 	var remaining float64
 	for i := range local {
@@ -603,9 +598,24 @@ func (rt *runtime) buildPackage(local []geom.Vec3, pending []int, ship []int) wo
 	return pkg
 }
 
+// fitModel fits Phase 2's work model to the allgathered samples and
+// reports whether the fit is usable. A fit whose cost does not grow with
+// the particle count (Interp.Beta < 0 or Tri.C <= 0, as timing noise on a
+// few samples can give) would let the schedule ship nothing from the most
+// crowded rank, so it counts as failed like an infeasible one and the
+// proportional fallbackModel replaces it. Every rank passes the same
+// samples, so all ranks agree on the model.
+func fitModel(ns, tts, trs []float64) (model.WorkModel, bool) {
+	wm, err := model.Fit(ns, tts, trs)
+	if err != nil || wm.Interp.Beta < 0 || wm.Tri.C <= 0 {
+		return fallbackModel(ns, tts, trs), false
+	}
+	return wm, true
+}
+
 // fallbackModel builds a crude proportional model when the proper fits are
-// infeasible (e.g. a single rank or empty samples); all ranks see the same
-// inputs so they agree.
+// infeasible (e.g. a single rank or empty samples) or unusable; all ranks
+// see the same inputs so they agree.
 func fallbackModel(ns, tts, trs []float64) model.WorkModel {
 	var sn, st, sr float64
 	for i := range ns {

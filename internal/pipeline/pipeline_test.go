@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"godtfe/internal/geom"
+	"godtfe/internal/model"
 	"godtfe/internal/mpi"
 	"godtfe/internal/synth"
 	"godtfe/internal/vtime"
@@ -393,6 +394,34 @@ func TestPipelinePeriodicBoundaryField(t *testing.T) {
 	}
 	if wrapped < 0.75*ref || wrapped > 1.25*ref {
 		t.Fatalf("periodic corner field %v should match interior %v", wrapped, ref)
+	}
+}
+
+// TestFitModelRejectsFallingCost: four samples whose render time falls as
+// the particle count rises fit a negative interpolation exponent. Phase 2
+// must count that fit as failed and take the proportional fallback, whose
+// predicted cost grows with n; so must a triangulation fit with no slope.
+func TestFitModelRejectsFallingCost(t *testing.T) {
+	ns := []float64{1000, 2000, 4000, 8000}
+	tts := []float64{0.010, 0.021, 0.044, 0.090}
+	falling := []float64{0.080, 0.040, 0.020, 0.010}
+	if fit, err := model.Fit(ns, tts, falling); err != nil || fit.Interp.Beta >= 0 {
+		t.Fatalf("samples no longer fit a falling cost: %+v, %v", fit, err)
+	}
+	for name, tc := range map[string][2][]float64{
+		"negative beta": {tts, falling},
+		"zero tri":      {make([]float64, len(ns)), []float64{0.010, 0.020, 0.040, 0.080}},
+	} {
+		wm, ok := fitModel(ns, tc[0], tc[1])
+		if ok || wm != fallbackModel(ns, tc[0], tc[1]) {
+			t.Errorf("%s: fit %+v accepted (ok %v), want the fallback", name, wm, ok)
+		}
+		if !(wm.Predict(8000) > wm.Predict(1000)) {
+			t.Errorf("%s: predicted cost %v at n=8000 is not above %v at n=1000", name, wm.Predict(8000), wm.Predict(1000))
+		}
+	}
+	if wm, ok := fitModel(ns, tts, []float64{0.010, 0.020, 0.040, 0.080}); !ok || wm.Interp.Beta <= 0 {
+		t.Fatalf("a rising cost lost its fit: %+v, ok %v", wm, ok)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestRenderRunsBitIdentical(t *testing.T) {
 			for i := range part.Data {
 				part.Data[i] = -1
 			}
-			if _, err := m.RenderRunsCtx(context.Background(), spec, []Tile{{3, 9}, {40, 44}}, part, 1, ScheduleStatic); err != nil {
+			if _, err := m.RenderRunsCtx(context.Background(), spec, []Tile{{3, 9}, {40, 44}}, part, 1, ScheduleDynamic); err != nil {
 				t.Fatal(err)
 			}
 			for j := 0; j < spec.Ny; j++ {

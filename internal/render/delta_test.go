@@ -27,7 +27,7 @@ func renderGrid(t *testing.T, tri *delaunay.Triangulation, spec Spec) []float64 
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := NewMarcher(f).Render(spec, 1, ScheduleStatic)
+	g, _, err := NewMarcher(f).Render(spec, 1, ScheduleDynamic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,7 @@ func NewMarcher(f *dtfe.Field) *Marcher {
 }
 
 // Render fills the spec's grid with surface density, running the column
-// loop on `workers` goroutines under the given schedule, and returns
-// per-worker stats.
+// loop on `workers` goroutines, and returns per-worker stats.
 func (m *Marcher) Render(spec Spec, workers int, sched Schedule) (*grid.Grid2D, []WorkerStat, error) {
 	return m.RenderCtx(context.Background(), spec, workers, sched)
 }
@@ -59,12 +58,12 @@ func (m *Marcher) Render(spec Spec, workers int, sched Schedule) (*grid.Grid2D, 
 // shared flag once per line of sight, so a cancelled render releases its
 // workers within one column march) and returns the context's error with a
 // nil grid. An uncancelled RenderCtx is bit-identical to Render.
-func (m *Marcher) RenderCtx(ctx context.Context, spec Spec, workers int, sched Schedule) (*grid.Grid2D, []WorkerStat, error) {
+func (m *Marcher) RenderCtx(ctx context.Context, spec Spec, workers int, _ Schedule) (*grid.Grid2D, []WorkerStat, error) {
 	if err := spec.Validate(false); err != nil {
 		return nil, nil, err
 	}
 	out := spec.Grid()
-	stats, err := m.renderIntoCtx(ctx, spec, Tile{I0: 0, I1: spec.Nx}, out, workers, sched)
+	stats, err := m.renderIntoCtx(ctx, spec, Tile{I0: 0, I1: spec.Nx}, out, workers)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -76,7 +75,7 @@ func (m *Marcher) RenderCtx(ctx context.Context, spec Spec, workers int, sched S
 // and Monte Carlo jitter are evaluated at the columns' global indices, so
 // every cell of the tile is bit-identical to the same cell of a whole-grid
 // Render — the invariant the distributed fan-out's stitch relies on.
-func (m *Marcher) RenderTileCtx(ctx context.Context, spec Spec, t Tile, workers int, sched Schedule) (*grid.Grid2D, []WorkerStat, error) {
+func (m *Marcher) RenderTileCtx(ctx context.Context, spec Spec, t Tile, workers int, _ Schedule) (*grid.Grid2D, []WorkerStat, error) {
 	if err := spec.Validate(false); err != nil {
 		return nil, nil, err
 	}
@@ -84,7 +83,7 @@ func (m *Marcher) RenderTileCtx(ctx context.Context, spec Spec, t Tile, workers 
 		return nil, nil, err
 	}
 	out := spec.TileGrid(t)
-	stats, err := m.renderIntoCtx(ctx, spec, t, out, workers, sched)
+	stats, err := m.renderIntoCtx(ctx, spec, t, out, workers)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -110,13 +109,13 @@ func watchCtx(ctx context.Context) (flag *atomic.Bool, stopFn func(), err error)
 }
 
 // renderIntoCtx wraps renderInto with context observation (see watchCtx).
-func (m *Marcher) renderIntoCtx(ctx context.Context, spec Spec, t Tile, out *grid.Grid2D, workers int, sched Schedule) ([]WorkerStat, error) {
+func (m *Marcher) renderIntoCtx(ctx context.Context, spec Spec, t Tile, out *grid.Grid2D, workers int) ([]WorkerStat, error) {
 	cancelled, stop, err := watchCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer stop()
-	stats := m.renderInto(spec, t, out, t.I0, workers, sched, cancelled)
+	stats := m.renderInto(spec, t, out, t.I0, workers, cancelled)
 	if cancelled != nil && cancelled.Load() {
 		if err := ctx.Err(); err != nil {
 			return stats, err
@@ -135,7 +134,7 @@ func (m *Marcher) renderIntoCtx(ctx context.Context, spec Spec, t Tile, out *gri
 // renders rely on. One context watcher covers all runs; cancellation
 // aborts at the next column boundary and returns the context's error
 // (dst is then partial and must be discarded).
-func (m *Marcher) RenderRunsCtx(ctx context.Context, spec Spec, runs []Tile, dst *grid.Grid2D, workers int, sched Schedule) ([]WorkerStat, error) {
+func (m *Marcher) RenderRunsCtx(ctx context.Context, spec Spec, runs []Tile, dst *grid.Grid2D, workers int, _ Schedule) ([]WorkerStat, error) {
 	if err := spec.Validate(false); err != nil {
 		return nil, err
 	}
@@ -159,7 +158,7 @@ func (m *Marcher) RenderRunsCtx(ctx context.Context, spec Spec, runs []Tile, dst
 	defer stop()
 	var merged map[int]*WorkerStat
 	for _, r := range runs {
-		stats := m.renderInto(spec, r, dst, 0, workers, sched, cancelled)
+		stats := m.renderInto(spec, r, dst, 0, workers, cancelled)
 		merged = MergeWorkerStats(merged, stats, 0)
 		if cancelled != nil && cancelled.Load() {
 			if err := ctx.Err(); err != nil {
@@ -178,7 +177,7 @@ func (m *Marcher) RenderRunsCtx(ctx context.Context, spec Spec, runs []Tile, dst
 // non-nil cancelled flag is polled once per column; once set, every worker
 // abandons its remaining columns immediately (the partial grid is then
 // discarded by the caller).
-func (m *Marcher) renderInto(spec Spec, t Tile, out *grid.Grid2D, outBase, workers int, sched Schedule, cancelled *atomic.Bool) []WorkerStat {
+func (m *Marcher) renderInto(spec Spec, t Tile, out *grid.Grid2D, outBase, workers int, cancelled *atomic.Bool) []WorkerStat {
 	samples := spec.Samples
 	if samples < 1 {
 		samples = 1
@@ -186,7 +185,7 @@ func (m *Marcher) renderInto(spec Spec, t Tile, out *grid.Grid2D, outBase, worke
 	if workers <= 0 {
 		workers = 1
 	}
-	return forEachRow(spec.Ny, workers, sched, func(_, j int, st *WorkerStat) {
+	return forEachRow(spec.Ny, workers, func(_, j int, st *WorkerStat) {
 		for i := t.I0; i < t.I1; i++ {
 			if cancelled != nil && cancelled.Load() {
 				return

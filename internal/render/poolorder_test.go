@@ -45,12 +45,12 @@ func poolOrderMarcher(t testing.TB, n int) *Marcher {
 
 func TestShuffledPoolRendersSameBits(t *testing.T) {
 	m := poolOrderMarcher(t, 3000)
-	want, _, err := m.Render(poolOrderSpec, 1, ScheduleStatic)
+	want, _, err := m.Render(poolOrderSpec, 1, ScheduleDynamic)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shufflePool(m, rand.New(rand.NewSource(1)))
-	got, _, err := m.Render(poolOrderSpec, 1, ScheduleStatic)
+	got, _, err := m.Render(poolOrderSpec, 1, ScheduleDynamic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func BenchmarkMarchPoolOrder(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/%s", n, order), func(b *testing.B) {
 				var steps int64
 				for i := 0; i < b.N; i++ {
-					_, st, err := m.Render(poolOrderSpec, 1, ScheduleStatic)
+					_, st, err := m.Render(poolOrderSpec, 1, ScheduleDynamic)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -230,35 +230,20 @@ func FlattenWorkerStats(merged map[int]*WorkerStat) []WorkerStat {
 	return out
 }
 
-// Schedule selects how grid rows are distributed over workers.
+// Schedule names how grid rows are distributed over workers. There is one:
+// ScheduleDynamic, which every render uses. The renderers still take a
+// Schedule argument so existing call sites compile.
 type Schedule int
 
-const (
-	// ScheduleDynamic hands out rows from a shared atomic counter,
-	// balancing naturally (our kernel's mode).
-	ScheduleDynamic Schedule = iota
-	// ScheduleStatic assigns each worker one contiguous block of rows,
-	// mimicking the per-subvolume static decomposition of the DTFE public
-	// software, which is what makes its threads imbalanced on clustered
-	// data (paper Fig 6).
-	ScheduleStatic
-	// ScheduleStaticSerial is ScheduleStatic with worker shares executed
-	// one after another on the calling goroutine. On an oversubscribed
-	// host (more workers than cores) concurrent per-worker wall times are
-	// distorted by timesharing; serial execution measures each share as
-	// if its thread ran alone, which is what per-thread comparisons need.
-	ScheduleStaticSerial
-	// ScheduleInterleavedSerial deals row j to worker j mod W and runs the
-	// shares serially: the deterministic proxy for dynamic
-	// self-scheduling under serialization.
-	ScheduleInterleavedSerial
-)
+// ScheduleDynamic hands out rows from a shared atomic counter, balancing
+// naturally.
+const ScheduleDynamic Schedule = 0
 
-// forEachRow runs fn(worker, j) over all row indices j with the given
-// schedule and returns per-worker stats (Busy filled; Cells/Steps are
-// accumulated by fn via the returned slice). Every stats entry carries its
-// worker id, including workers whose row share came up empty.
-func forEachRow(ny, workers int, sched Schedule, fn func(worker, j int, st *WorkerStat)) []WorkerStat {
+// forEachRow runs fn(worker, j) over all row indices j, handing rows out
+// from a shared counter, and returns per-worker stats (Busy filled;
+// Cells/Steps are accumulated by fn via the returned slice). Every stats
+// entry carries its worker id, including workers that drew no row.
+func forEachRow(ny, workers int, fn func(worker, j int, st *WorkerStat)) []WorkerStat {
 	if workers <= 0 {
 		workers = 1
 	}
@@ -266,65 +251,23 @@ func forEachRow(ny, workers int, sched Schedule, fn func(worker, j int, st *Work
 	for w := range stats {
 		stats[w].Worker = w
 	}
-	if sched == ScheduleStaticSerial || sched == ScheduleInterleavedSerial {
-		chunk := (ny + workers - 1) / workers
-		for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
 			st := &stats[w]
 			start := time.Now()
-			if sched == ScheduleStaticSerial {
-				lo := w * chunk
-				hi := min(lo+chunk, ny)
-				for j := lo; j < hi; j++ {
-					fn(w, j, st)
+			for {
+				j := int(next.Add(1)) - 1
+				if j >= ny {
+					break
 				}
-			} else {
-				for j := w; j < ny; j += workers {
-					fn(w, j, st)
-				}
+				fn(w, j, st)
 			}
 			st.Busy = time.Since(start)
-		}
-		return stats
-	}
-	var wg sync.WaitGroup
-	switch sched {
-	case ScheduleStatic:
-		chunk := (ny + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, ny)
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				st := &stats[w]
-				start := time.Now()
-				for j := lo; j < hi; j++ {
-					fn(w, j, st)
-				}
-				st.Busy = time.Since(start)
-			}(w, lo, hi)
-		}
-	default:
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				st := &stats[w]
-				start := time.Now()
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= ny {
-						break
-					}
-					fn(w, j, st)
-				}
-				st.Busy = time.Since(start)
-			}(w)
-		}
+		}(w)
 	}
 	wg.Wait()
 	return stats

@@ -206,29 +206,6 @@ func TestWalkerMatchesMarcher(t *testing.T) {
 	}
 }
 
-func TestWalkerScheduleModes(t *testing.T) {
-	f := fieldFor(t, randPoints(200, 13))
-	w := NewWalker(f)
-	spec := Spec{Min: geom.Vec2{X: 0.3, Y: 0.3}, Nx: 8, Ny: 8, Cell: 0.05, Nz: 50}
-	gd, sd, err := w.Render(spec, 3, ScheduleDynamic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, ss, err := w.Render(spec, 3, ScheduleStatic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sd) != 3 || len(ss) != 3 {
-		t.Fatalf("stat lengths %d %d", len(sd), len(ss))
-	}
-	// Identical output regardless of schedule.
-	for i := range gd.Data {
-		if gd.Data[i] != gs.Data[i] {
-			t.Fatalf("schedule changed output at %d", i)
-		}
-	}
-}
-
 func TestZeroOrderUniformRegion(t *testing.T) {
 	// Uniform lattice: zero-order surface density through the interior is
 	// ~ chord * density(=1).

@@ -31,7 +31,7 @@ func NewWalker(f *dtfe.Field) *Walker {
 
 // Render computes the projected (surface) density on the spec's 2D grid by
 // sampling Nz points per column.
-func (w *Walker) Render(spec Spec, workers int, sched Schedule) (*grid.Grid2D, []WorkerStat, error) {
+func (w *Walker) Render(spec Spec, workers int, _ Schedule) (*grid.Grid2D, []WorkerStat, error) {
 	if err := spec.Validate(true); err != nil {
 		return nil, nil, err
 	}
@@ -44,7 +44,7 @@ func (w *Walker) Render(spec Spec, workers int, sched Schedule) (*grid.Grid2D, [
 	if samples < 1 {
 		samples = 1
 	}
-	stats := forEachRow(spec.Ny, workers, sched, func(wk, j int, st *WorkerStat) {
+	stats := forEachRow(spec.Ny, workers, func(wk, j int, st *WorkerStat) {
 		seed := delaunay.NoTet
 		rng := splitmix64(uint64(wk)+1) | 1 // private walk stream: no shared-state races
 		for i := 0; i < spec.Nx; i++ {
@@ -142,7 +142,7 @@ func NewZeroOrder(pts []geom.Vec3, density []float64) *ZeroOrder {
 }
 
 // Render computes the projected density with zero-order interpolation.
-func (z *ZeroOrder) Render(spec Spec, workers int, sched Schedule) (*grid.Grid2D, []WorkerStat, error) {
+func (z *ZeroOrder) Render(spec Spec, workers int, _ Schedule) (*grid.Grid2D, []WorkerStat, error) {
 	if err := spec.Validate(true); err != nil {
 		return nil, nil, err
 	}
@@ -156,7 +156,7 @@ func (z *ZeroOrder) Render(spec Spec, workers int, sched Schedule) (*grid.Grid2D
 	if samples < 1 {
 		samples = 1
 	}
-	stats := forEachRow(spec.Ny, workers, sched, func(wk, j int, st *WorkerStat) {
+	stats := forEachRow(spec.Ny, workers, func(wk, j int, st *WorkerStat) {
 		for i := 0; i < spec.Nx; i++ {
 			var acc float64
 			for s := 0; s < samples; s++ {
