@@ -48,10 +48,11 @@ chaos:
 
 # Overload smoke: the resident field service at 2x capacity under the
 # race detector — bounded queue, shedding, degrade ladder, request
-# conservation and the goroutine-leak check — and the 80%-overlap
-# coalescing storm.
+# conservation and the goroutine-leak check — the 80%-overlap
+# coalescing storm, and one dtfe-serve run end to end, whose concurrent
+# updater and open-loop client goroutines are raced with the service.
 serve-smoke:
-	$(GO) test -race -timeout 300s -run 'OverloadSmoke|OverlapStorm' ./internal/fieldserve/
+	$(GO) test -race -timeout 300s -run 'OverloadSmoke|OverlapStorm|RunPrintsSummary' ./internal/fieldserve/ ./cmd/dtfe-serve/
 
 # One-iteration smoke over every benchmark in the tree: catches bit-rot
 # in benchmark code without paying for stable timings. -short skips the

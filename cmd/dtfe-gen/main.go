@@ -18,6 +18,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 
 	"godtfe/internal/geom"
 	"godtfe/internal/nbody"
@@ -25,8 +27,11 @@ import (
 	"godtfe/internal/synth"
 )
 
+// kinds names the generators -kind selects.
+var kinds = []string{"uniform", "halos", "soneira", "pm", "collapse"}
+
 func main() {
-	kind := flag.String("kind", "halos", "generator: uniform | halos | soneira | pm | collapse")
+	kind := flag.String("kind", "halos", "generator: "+strings.Join(kinds, " | "))
 	n := flag.Int("n", 100000, "particle count (approximate for soneira)")
 	boxLen := flag.Float64("box", 1.0, "box edge length")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -36,7 +41,7 @@ func main() {
 	dt := flag.Float64("dt", 0.08, "pm: time step")
 	mesh := flag.Int("mesh", 64, "pm: mesh cells per dimension (power of two)")
 	flag.Parse()
-	if err := checkFlags(*n, *boxLen, *steps, *dt, *mesh); err != nil {
+	if err := checkFlags(*kind, *n, *boxLen, *blocks, *steps, *dt, *mesh); err != nil {
 		fmt.Fprintln(os.Stderr, "dtfe-gen:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -96,8 +101,6 @@ func main() {
 			log.Fatalf("pm: %v", err)
 		}
 		pts = sim.Pos
-	default:
-		log.Fatalf("unknown generator %q", *kind)
 	}
 
 	if err := particleio.WriteDecomposed(*out, pts, *blocks, *blocks, *blocks); err != nil {
@@ -108,13 +111,18 @@ func main() {
 		len(pts), *kind, *out, b.Min.X, b.Max.X, (*blocks)*(*blocks)*(*blocks))
 }
 
-// checkFlags rejects the flag values no generator can make a catalog from.
-func checkFlags(n int, boxLen float64, steps int, dt float64, mesh int) error {
+// checkFlags rejects the flag values no generator can make a catalog from
+// or write out.
+func checkFlags(kind string, n int, boxLen float64, blocks, steps int, dt float64, mesh int) error {
 	switch {
+	case !slices.Contains(kinds, kind):
+		return fmt.Errorf("-kind %q: need one of %s", kind, strings.Join(kinds, ", "))
 	case n < 1:
 		return fmt.Errorf("-n %d: need at least one particle", n)
 	case !(boxLen > 0) || math.IsInf(boxLen, 1):
 		return fmt.Errorf("-box %v: need a positive, finite edge length", boxLen)
+	case blocks < 1:
+		return fmt.Errorf("-blocks %d: need at least one block per dimension", blocks)
 	case steps < 0:
 		return fmt.Errorf("-steps %d: need zero or more steps", steps)
 	case !(dt > 0) || math.IsInf(dt, 1):

@@ -10,9 +10,10 @@ import (
 )
 
 // TestBadFlagsExitWithUsage runs the command on flag values it cannot
-// generate a catalog from and expects exit status 2 and the usage text,
-// not a panic or a file of NaN or inverted-box particles. The test binary
-// re-runs itself with DTFE_GEN_ARGS set to execute main on those flags.
+// generate or write a catalog with and expects exit status 2 and the usage
+// text before anything is generated, not a panic, a late write error or a
+// file of NaN or inverted-box particles. The test binary re-runs itself
+// with DTFE_GEN_ARGS set to execute main on those flags.
 func TestBadFlagsExitWithUsage(t *testing.T) {
 	if args := os.Getenv("DTFE_GEN_ARGS"); args != "" {
 		os.Args = append([]string{"dtfe-gen"}, strings.Fields(args)...)
@@ -31,6 +32,8 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{"-kind pm -dt 0", "-dt 0"},
 		{"-kind pm -mesh 48", "-mesh 48"},
 		{"-kind pm -mesh 0", "-mesh 0"},
+		{"-kind pm -blocks 0", "-blocks 0"},
+		{"-kind bogus", `-kind "bogus"`},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitWithUsage$")
 		cmd.Env = append(os.Environ(), "DTFE_GEN_ARGS="+tc.args+" -o "+out)

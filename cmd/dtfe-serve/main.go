@@ -41,56 +41,48 @@ func main() {
 	rate := flag.Float64("rate", 0, "offered load in requests/sec (0: 2x measured capacity)")
 	workers := flag.Int("workers", 2, "serving workers")
 	queue := flag.Int("queue", 0, "admission queue depth (0: 2x workers)")
-	degrade := flag.Int("degrade", 2, "max degrade ladder depth")
 	seed := flag.Int64("seed", 1, "seed for synthesis and fault injection")
 	cancelProb := flag.Float64("cancel-prob", 0, "per-request probability of a mid-flight cancellation")
 	slowProb := flag.Float64("slow-prob", 0, "per-request probability of a slow client")
-	poisonProb := flag.Float64("poison-prob", 0, "per-fill probability of cache poisoning")
-	batchWindow := flag.Duration("batch-window", 0, "batch leader wait for same-family followers (0: drain what's queued)")
-	maxBatch := flag.Int("max-batch", 16, "max requests served by one shared march")
 	colCache := flag.Int("col-cache", 1<<20, "column-cache budget in grid cells (0: the service default)")
 	updates := flag.Int("updates", 0, "incremental catalog updates (band churn) applied concurrently with the load")
 	overlap := flag.Float64("overlap", 0, "fraction of requests drawn from hot coalescing families with varied window extents")
 	overlapFams := flag.Int("overlap-families", 3, "hot family pool size for -overlap")
 	flag.Parse()
-	if err := checkFlags(*in, *particles, *gridN, *specs, *requests, *workers, *queue, *maxBatch, *colCache, *overlapFams,
-		*rate, *overlap, *cancelProb, *slowProb, *poisonProb); err != nil {
+	if err := checkFlags(*in, *particles, *gridN, *specs, *requests, *workers, *queue, *colCache, *updates, *overlapFams,
+		*rate, *overlap, *cancelProb, *slowProb); err != nil {
 		fmt.Fprintln(os.Stderr, "dtfe-serve:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
 
 	var inj *fault.Injector
-	if *cancelProb > 0 || *slowProb > 0 || *poisonProb > 0 || *overlap > 0 {
+	if *cancelProb > 0 || *slowProb > 0 || *overlap > 0 {
 		inj = fault.New(fault.Plan{
 			Seed:            *seed,
 			SlowClientProb:  *slowProb,
 			SlowClientDelay: 5 * time.Millisecond,
 			CancelProb:      *cancelProb,
 			CancelAfter:     2 * time.Millisecond,
-			PoisonProb:      *poisonProb,
 			OverlapProb:     *overlap,
 			OverlapFamilies: *overlapFams,
 		})
 	}
 
-	run(*in, *particles, *gridN, *specs, *requests, *rate,
-		*workers, *queue, *degrade, *seed, *updates, inj, fieldserve.Options{
-			BatchWindow:      *batchWindow,
-			MaxBatch:         *maxBatch,
-			ColumnCacheCells: *colCache,
-		})
+	opt := fieldserve.Options{Workers: *workers, QueueDepth: *queue, ColumnCacheCells: *colCache}
+	run(*in, *particles, *gridN, *specs, *requests, *rate, *seed, *updates, inj, opt)
 }
 
 // checkFlags rejects the flag values the load generator cannot run with,
 // before a catalog is synthesized or read: a mesh needs four particles, the
 // spec mix is indexed modulo -specs, the offered rate is derived from
 // -workers, and an -overlap window spans half to all of -grid on each axis,
-// which is no cells at all when -grid is 1. Zero -queue, -max-batch,
-// -col-cache and -rate select their defaults; negative ones are refused,
-// not defaulted.
-func checkFlags(in string, particles, gridN, specs, requests, workers, queue, maxBatch, colCache, overlapFams int,
-	rate, overlap, cancelProb, slowProb, poisonProb float64) error {
+// which is no cells at all when -grid is 1, and the open loop's schedule,
+// -requests / -rate seconds, must fit in a time.Duration. Zero -queue,
+// -col-cache, -rate and -updates select their defaults; negative ones are
+// refused, not defaulted.
+func checkFlags(in string, particles, gridN, specs, requests, workers, queue, colCache, updates, overlapFams int,
+	rate, overlap, cancelProb, slowProb float64) error {
 	switch {
 	case in == "" && particles < 4:
 		return fmt.Errorf("-particles %d: a synthetic catalog needs at least 4 particles", particles)
@@ -104,15 +96,17 @@ func checkFlags(in string, particles, gridN, specs, requests, workers, queue, ma
 		return fmt.Errorf("-workers %d: need at least one worker", workers)
 	case queue < 0:
 		return fmt.Errorf("-queue %d: need 0 (2x workers) or a positive depth", queue)
-	case maxBatch < 0:
-		return fmt.Errorf("-max-batch %d: need 0 (the service default) or a positive bound", maxBatch)
 	case colCache < 0:
 		return fmt.Errorf("-col-cache %d: need 0 (the service default) or a positive budget", colCache)
+	case updates < 0:
+		return fmt.Errorf("-updates %d: need 0 (no updates) or a positive count", updates)
 	case !(rate >= 0) || math.IsInf(rate, 1):
 		return fmt.Errorf("-rate %v: need 0 (2x measured capacity) or a finite positive rate", rate)
+	case rate > 0 && float64(requests)/rate*float64(time.Second) >= math.MaxInt64:
+		return fmt.Errorf("-rate %v: %d requests at this rate outlast a time.Duration", rate, requests)
 	}
-	probs := []float64{overlap, cancelProb, slowProb, poisonProb}
-	for i, name := range []string{"-overlap", "-cancel-prob", "-slow-prob", "-poison-prob"} {
+	probs := []float64{overlap, cancelProb, slowProb}
+	for i, name := range []string{"-overlap", "-cancel-prob", "-slow-prob"} {
 		if p := probs[i]; !(p >= 0 && p <= 1) {
 			return fmt.Errorf("%s %v: a probability must be in [0, 1]", name, p)
 		}
@@ -127,7 +121,7 @@ func checkFlags(in string, particles, gridN, specs, requests, workers, queue, ma
 }
 
 func run(in string, particles, gridN, specPool, requests int, rate float64,
-	workers, queue, degrade int, seed int64, updates int, inj *fault.Injector, copt fieldserve.Options) {
+	seed int64, updates int, inj *fault.Injector, opt fieldserve.Options) {
 	var pts []geom.Vec3
 	if in != "" {
 		var err error
@@ -148,9 +142,6 @@ func run(in string, particles, gridN, specPool, requests int, rate float64,
 		Samples: 1,
 	}
 
-	opt := copt
-	opt.Workers, opt.QueueDepth = workers, queue
-	opt.MaxDegrade, opt.Fault = degrade, inj
 	s := fieldserve.New(opt)
 	defer s.Close()
 	if err := s.Register("catalog", pts); err != nil {
@@ -186,12 +177,12 @@ func run(in string, particles, gridN, specPool, requests int, rate float64,
 	}
 	renderTime := time.Since(t0)
 	if rate <= 0 {
-		rate = 2 * float64(workers) / renderTime.Seconds()
+		rate = 2 * float64(opt.Workers) / renderTime.Seconds()
 	}
 	fmt.Printf("catalog: %d particles, build+first render %v, cold render %v\n",
 		len(pts), buildTime.Round(time.Millisecond), renderTime.Round(time.Microsecond))
 	fmt.Printf("offering %d requests at %.0f/s (%d workers, %d specs of %dx%d)\n",
-		requests, rate, workers, specPool, gridN, gridN)
+		requests, rate, opt.Workers, specPool, gridN, gridN)
 
 	// Open loop: arrivals on a fixed clock, regardless of completions.
 	var (

@@ -29,15 +29,15 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{"-rate -1", "-rate -1"},
 		{"-rate NaN", "-rate NaN"},
 		{"-rate +Inf", "-rate +Inf"},
+		{"-rate 1e-12", "-rate 1e-12"},
 		{"-overlap 1.5", "-overlap 1.5"},
 		{"-overlap -0.1", "-overlap -0.1"},
 		{"-cancel-prob 2", "-cancel-prob 2"},
 		{"-slow-prob -1", "-slow-prob -1"},
-		{"-poison-prob NaN", "-poison-prob NaN"},
 		{"-overlap 0.5 -overlap-families 0", "-overlap-families 0"},
 		{"-queue -1", "-queue -1"},
-		{"-max-batch -2", "-max-batch -2"},
 		{"-col-cache -1", "-col-cache -1"},
+		{"-updates -3", "-updates -3"},
 		{"-particles 3", "-particles 3"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitWithUsage$")
@@ -50,6 +50,29 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		}
 		if s := string(out); !strings.Contains(s, "dtfe-serve: "+tc.want) || !strings.Contains(s, "Usage of") || strings.Contains(s, "panic: ") {
 			t.Errorf("%s: want the offending flag named, then usage, and no panic:\n%s", tc.args, s)
+		}
+	}
+}
+
+// TestRunPrintsSummary runs the command end to end on a small synthetic
+// catalog: an open-loop load with overlapping families, one concurrent
+// catalog update, cancellations and slow clients. The test binary re-runs
+// itself with DTFE_SERVE_RUN set to execute main.
+func TestRunPrintsSummary(t *testing.T) {
+	if args := os.Getenv("DTFE_SERVE_RUN"); args != "" {
+		os.Args = append([]string{"dtfe-serve"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRunPrintsSummary$")
+	cmd.Env = append(os.Environ(), "DTFE_SERVE_RUN=-particles 2000 -grid 16 -requests 200 -overlap 0.5 -updates 1 -cancel-prob 0.05 -slow-prob 0.05")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("exit %v, want 0\n%s", err, out)
+	}
+	for _, want := range []string{" failed 0\n", "updates: 1 applied"} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("no %q in the summary:\n%s", want, out)
 		}
 	}
 }

@@ -10,6 +10,8 @@
 // Injector implements mpi.Injector); compute-level faults are consulted
 // at instrumentation points: crashes by internal/pipeline's Phase 4 and by
 // internal/render/distrender, straggler sleeps by distrender's workers.
+// Request-level faults and the overlap workload shape are drawn by the
+// field service's load generators; the service consults no injector.
 package fault
 
 import (
@@ -74,8 +76,8 @@ type Plan struct {
 	// Default 250ms.
 	MaxStraggleSleep time.Duration
 
-	// Request-level faults, consulted by the resident field service and
-	// its load generators. Requests are identified by a monotonically
+	// Request-level faults, consulted by the resident field service's
+	// load generators. Requests are identified by a monotonically
 	// assigned id, so the same plan and seed replay the same per-request
 	// faults regardless of scheduling order.
 	//
@@ -84,14 +86,11 @@ type Plan struct {
 	// deterministically in [0.5, 1.5]×), holding service resources from
 	// the caller's side. CancelProb cancels the affected request's
 	// context ~CancelAfter after admission (same jitter), exercising the
-	// mid-march release path. PoisonProb corrupts the cache entry that
-	// the affected request fills, exercising checksum-based poison
-	// detection on later hits.
+	// mid-march release path.
 	SlowClientProb  float64
 	SlowClientDelay time.Duration
 	CancelProb      float64
 	CancelAfter     time.Duration
-	PoisonProb      float64
 
 	// OverlapProb shapes the request *workload* rather than injecting a
 	// failure: with probability OverlapProb a request is drawn from one of
@@ -220,15 +219,6 @@ func (in *Injector) RequestVerdict(id uint64) RequestFault {
 		}
 	}
 	return v
-}
-
-// ShouldPoisonCache reports whether the cache fill performed by request
-// id must be corrupted (deterministic per id).
-func (in *Injector) ShouldPoisonCache(id uint64) bool {
-	if in.plan.PoisonProb <= 0 {
-		return false
-	}
-	return frac(in.hash(0x9015, 0, 0, 0, id)) < in.plan.PoisonProb
 }
 
 // OverlapVerdict decides, deterministically per request id, whether the

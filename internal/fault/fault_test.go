@@ -116,10 +116,9 @@ func TestRequestVerdictDeterministic(t *testing.T) {
 		SlowClientDelay: 10 * time.Millisecond,
 		CancelProb:      0.2,
 		CancelAfter:     4 * time.Millisecond,
-		PoisonProb:      0.1,
 	}
 	a, b := New(plan), New(plan)
-	var slow, cancels, poisons int
+	var slow, cancels int
 	diverged := false
 	plan2 := plan
 	plan2.Seed = 18
@@ -128,9 +127,6 @@ func TestRequestVerdictDeterministic(t *testing.T) {
 		va, vb := a.RequestVerdict(id), b.RequestVerdict(id)
 		if va != vb {
 			t.Fatalf("id %d: same plan diverged: %+v vs %+v", id, va, vb)
-		}
-		if a.ShouldPoisonCache(id) != b.ShouldPoisonCache(id) {
-			t.Fatalf("id %d: poison decision diverged", id)
 		}
 		if va != c.RequestVerdict(id) {
 			diverged = true
@@ -149,9 +145,6 @@ func TestRequestVerdictDeterministic(t *testing.T) {
 				t.Fatalf("id %d: cancel-after %v outside jitter bounds", id, va.CancelAfter)
 			}
 		}
-		if a.ShouldPoisonCache(id) {
-			poisons++
-		}
 	}
 	if !diverged {
 		t.Fatal("different seed never changed a verdict")
@@ -165,7 +158,6 @@ func TestRequestVerdictDeterministic(t *testing.T) {
 	}
 	check("slow-client", slow, plan.SlowClientProb)
 	check("cancel", cancels, plan.CancelProb)
-	check("poison", poisons, plan.PoisonProb)
 }
 
 func TestRequestVerdictZeroPlanSilent(t *testing.T) {
@@ -173,9 +165,6 @@ func TestRequestVerdictZeroPlanSilent(t *testing.T) {
 	for id := uint64(0); id < 100; id++ {
 		if v := in.RequestVerdict(id); v != (RequestFault{}) {
 			t.Fatalf("zero plan injected %+v", v)
-		}
-		if in.ShouldPoisonCache(id) {
-			t.Fatal("zero plan poisoned")
 		}
 	}
 }

@@ -2,7 +2,6 @@ package fieldserve
 
 import (
 	"context"
-	"slices"
 	"time"
 
 	"godtfe/internal/grid"
@@ -68,14 +67,14 @@ func (s *Service) nextLeader() (*task, Key) {
 	}
 }
 
-// collectBatch optionally waits BatchWindow for followers, then removes
-// every queued task in the leader's family (up to MaxBatch members) from
-// the queue. Later same-family arrivals stay queued behind the in-flight
-// family lock and form the next batch — by then the column cache is warm,
-// so they assemble instead of marching.
+// collectBatch optionally waits the batch window for followers, then
+// removes every queued task in the leader's family (up to maxBatch
+// members) from the queue. Later same-family arrivals stay queued behind
+// the in-flight family lock and form the next batch — by then the column
+// cache is warm, so they assemble instead of marching.
 func (s *Service) collectBatch(leader *task, fk Key) []*task {
 	members := []*task{leader}
-	if w := s.opt.BatchWindow; w > 0 && s.opt.MaxBatch > 1 {
+	if w := s.hooks.batchWindow; w > 0 {
 		timer := time.NewTimer(w)
 		select {
 		case <-timer.C:
@@ -84,7 +83,7 @@ func (s *Service) collectBatch(leader *task, fk Key) []*task {
 		}
 	}
 	s.qmu.Lock()
-	for i := 0; i < len(s.q) && len(members) < s.opt.MaxBatch; {
+	for i := 0; i < len(s.q) && len(members) < maxBatch; {
 		if famKey(s.q[i].key) == fk {
 			members = append(members, s.q[i])
 			s.q = append(s.q[:i], s.q[i+1:]...)
@@ -142,7 +141,7 @@ func (s *Service) executeBatch(members []*task) {
 	if n > 1 {
 		s.coalesced.Add(n - 1)
 	}
-	atomicMax(&s.maxBatch, n)
+	atomicMax(&s.maxBatchSeen, n)
 
 	mctx, stopMerge := batchContext(members)
 	defer stopMerge()
@@ -165,12 +164,8 @@ func (s *Service) executeBatch(members []*task) {
 		return
 	}
 
-	poisonCol := s.opt.Fault != nil && slices.ContainsFunc(members, func(t *task) bool {
-		return s.opt.Fault.ShouldPoisonCache(t.id)
-	})
-
 	start := time.Now()
-	shared, err := s.buildUnion(mctx, mv, cat, Key{Catalog: leader.key.Catalog, Spec: union}, poisonCol)
+	shared, err := s.buildUnion(mctx, mv, cat, Key{Catalog: leader.key.Catalog, Spec: union})
 	if err != nil {
 		s.failBatch(members, err)
 		return
@@ -202,7 +197,7 @@ func (s *Service) executeBatch(members []*task) {
 // (guarded against publishing after a newer epoch landed), so the
 // assembled grid is a pure function of one mesh epoch. The union grid
 // itself is not stored anywhere: its columns are.
-func (s *Service) buildUnion(ctx context.Context, mv *meshView, cat *catalog, key Key, poisonCol bool) (*grid.Grid2D, error) {
+func (s *Service) buildUnion(ctx context.Context, mv *meshView, cat *catalog, key Key) (*grid.Grid2D, error) {
 	s.unions.Add(1)
 	spec := key.Spec
 
@@ -239,13 +234,7 @@ func (s *Service) buildUnion(ctx context.Context, mv *meshView, cat *catalog, ke
 		for _, r := range runs {
 			s.coldCols.Add(uint64(r.I1 - r.I0))
 			for i := r.I0; i < r.I1; i++ {
-				ck := colKey{Catalog: key.Catalog, Family: fam, Col: i}
-				s.colcache.put(ck, dst.Column(i, nil), mv.epoch, insertOK)
-				if poisonCol && i == r.I0 {
-					// Fault injection: the one poison path. dst itself stays
-					// pristine — Column handed put a private copy.
-					s.colcache.rot(ck)
-				}
+				s.colcache.put(colKey{Catalog: key.Catalog, Family: fam, Col: i}, dst.Column(i, nil), mv.epoch, insertOK)
 			}
 		}
 	}

@@ -65,7 +65,7 @@ func BenchmarkFieldServeCacheHit(b *testing.B) {
 // ladder cold, request rejected with the typed overload error.
 func BenchmarkFieldServeShed(b *testing.B) {
 	pts := testPoints(2500, 31)
-	s := New(Options{Workers: 1, QueueDepth: 1, MaxDegrade: 1})
+	s := New(Options{Workers: 1, QueueDepth: 1})
 	defer s.Close()
 	if err := s.Register("halos", pts); err != nil {
 		b.Fatal(err)
@@ -111,10 +111,7 @@ func BenchmarkFieldServeShed(b *testing.B) {
 // window extents at a cold family. Coalescing serves the burst with one
 // union march.
 func BenchmarkFieldServeCoalesce(b *testing.B) {
-	s := New(Options{
-		Workers: 2, QueueDepth: 32,
-		BatchWindow: 500 * time.Microsecond, MaxBatch: 16,
-	})
+	s := newService(Options{Workers: 2, QueueDepth: 32}, hooks{batchWindow: 500 * time.Microsecond})
 	defer s.Close()
 	if err := s.Register("halos", testPoints(400, 31)); err != nil {
 		b.Fatal(err)
@@ -180,7 +177,7 @@ func BenchmarkFieldServeColumnCacheHit(b *testing.B) {
 // the storm takes the shared marches and the column cache.
 func BenchmarkFieldServeOverlapStorm(b *testing.B) {
 	inj := fault.New(fault.Plan{Seed: 99, OverlapProb: 0.8, OverlapFamilies: 3})
-	s := New(Options{Workers: 2, QueueDepth: 64, MaxBatch: 16})
+	s := New(Options{Workers: 2, QueueDepth: 64})
 	defer s.Close()
 	if err := s.Register("halos", testPoints(400, 31)); err != nil {
 		b.Fatal(err)

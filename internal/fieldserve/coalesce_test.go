@@ -76,7 +76,7 @@ func TestCoalescedBitIdentical(t *testing.T) {
 	extents := [][2]int{{48, 48}, {32, 40}, {40, 24}, {16, 48}, {24, 32}}
 	for name, pts := range serveCatalogs() {
 		t.Run(name, func(t *testing.T) {
-			s := New(Options{Workers: 2, QueueDepth: 32, BatchWindow: 2 * time.Millisecond, MaxBatch: 8})
+			s := newService(Options{Workers: 2, QueueDepth: 32}, hooks{batchWindow: 2 * time.Millisecond})
 			defer s.Close()
 			if err := s.Register(name, pts); err != nil {
 				t.Fatal(err)
@@ -209,7 +209,7 @@ func TestCoalescedBitIdentical(t *testing.T) {
 // no lost work) with bit-identical output.
 func TestBatchLeaderCancelPromotesFollower(t *testing.T) {
 	pts := testPoints(2500, 7)
-	s := New(Options{Workers: 1, QueueDepth: 8, BatchWindow: 150 * time.Millisecond, MaxBatch: 8})
+	s := newService(Options{Workers: 1, QueueDepth: 8}, hooks{batchWindow: 150 * time.Millisecond})
 	defer s.Close()
 	if err := s.Register("halos", pts); err != nil {
 		t.Fatal(err)
@@ -422,7 +422,7 @@ func TestChaosMixedSoakNoLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	pts := testPoints(400, 17)
 	const budget = 2 * 32 * 32
-	s := New(Options{Workers: 2, QueueDepth: 8, ColumnCacheCells: budget, MaxBatch: 4})
+	s := New(Options{Workers: 2, QueueDepth: 8, ColumnCacheCells: budget})
 	if err := s.Register("halos", pts); err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestServeOverlapStormSmoke(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	pts := testPoints(600, 21)
 	inj := fault.New(fault.Plan{Seed: 99, OverlapProb: 0.8, OverlapFamilies: 3})
-	s := New(Options{Workers: 2, QueueDepth: 64, BatchWindow: 2 * time.Millisecond, MaxBatch: 16})
+	s := newService(Options{Workers: 2, QueueDepth: 64}, hooks{batchWindow: 2 * time.Millisecond})
 	if err := s.Register("halos", pts); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package fieldserve
 
 import (
 	"container/list"
-	"math"
 	"sync"
 
 	"godtfe/internal/delaunay"
@@ -173,18 +172,6 @@ func (c *colCache) assemble(catalog string, spec render.Spec, epoch uint64) *gri
 	}
 	c.hits += uint64(len(cols))
 	return out
-}
-
-// rot flips one mantissa bit of a resident column in place, after its
-// checksum was recorded (fault injection); hit-time verification must
-// catch it.
-func (c *colCache) rot(key colKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		i := len(e.vals) / 2
-		e.vals[i] = math.Float64frombits(math.Float64bits(e.vals[i]) ^ 1)
-	}
 }
 
 // put inserts a freshly marched column at the front of probation, replacing

@@ -10,7 +10,6 @@ import (
 
 	"godtfe/internal/delaunay"
 	"godtfe/internal/dtfe"
-	"godtfe/internal/fault"
 	"godtfe/internal/geom"
 	"godtfe/internal/geomerr"
 	"godtfe/internal/grid"
@@ -27,36 +26,34 @@ type Options struct {
 	// request arriving at a full queue is degraded or shed, never
 	// queued unboundedly.
 	QueueDepth int
-	// MaxDegrade is the deepest coarsening level the degrade ladder
-	// tries before shedding (default 2; negative disables degradation).
-	MaxDegrade int
 	// RenderWorkers is the marching parallelism per render (default 1:
 	// concurrency comes from serving many requests, not one).
 	RenderWorkers int
-
-	// BatchWindow is how long a batch leader waits after claiming its
-	// first request for same-family followers to arrive before marching
-	// (default 0: drain whatever is already queued without waiting —
-	// under load, queueing delay forms batches on its own).
-	BatchWindow time.Duration
-	// MaxBatch bounds how many requests one shared march may serve
-	// (default 16, for any value <= 0).
-	MaxBatch int
 	// ColumnCacheCells budgets the column cache — the service's only
 	// cache — in grid cells (default 1<<20 ≈ 8 MB of float64s, for any
 	// value <= 0). Any one grid of up to half the budget stays resident
 	// once marched.
 	ColumnCacheCells int
-
-	// Fault optionally injects request-level faults; the service itself
-	// only consults the cache-poisoning decision (slow clients and
-	// cancellations are the load generator's side of the contract).
-	Fault *fault.Injector
 }
 
-// defaultColumnCacheCells is the column-cache budget New uses when
-// Options.ColumnCacheCells is not positive.
-const defaultColumnCacheCells = 1 << 20
+const (
+	// defaultColumnCacheCells is the column-cache budget New uses when
+	// Options.ColumnCacheCells is not positive.
+	defaultColumnCacheCells = 1 << 20
+	// maxBatch bounds how many requests one shared march serves.
+	maxBatch = 16
+	// maxDegrade is the deepest level the degrade ladder tries before shedding.
+	maxDegrade = 2
+)
+
+// hooks are the behaviours of a service that only the test suites choose.
+// The zero value is production's: no batch window.
+type hooks struct {
+	// batchWindow is how long a batch leader waits for same-family
+	// followers before marching. Production drains what is already queued:
+	// under load, queueing delay forms batches on its own.
+	batchWindow time.Duration
+}
 
 // Request names a registered catalog and the grid to render.
 type Request struct {
@@ -201,7 +198,6 @@ type Key struct {
 
 type task struct {
 	ctx  context.Context
-	id   uint64
 	key  Key
 	done chan taskResult
 }
@@ -216,16 +212,16 @@ type taskResult struct {
 //
 // While nothing is queued, a request whose columns are all resident is
 // assembled inline on the calling goroutine. Everything else is plan-based:
-// workers claim a queued request as a batch leader, optionally wait
-// BatchWindow for followers,
-// gather every queued request in the same coalescing family (same catalog,
-// same origin/spacing/jitter — see render.FamilyOf), and execute ONE march
-// over the union extent's cold columns, slicing each requester's grid out
-// of the shared result. An in-flight family lock serializes batches of the
-// same family — it is the service's single-flight — so concurrent
-// overlapping traffic never marches the same columns twice.
+// workers claim a queued request as a batch leader, gather every queued
+// request in the same coalescing family (same catalog, same
+// origin/spacing/jitter — see render.FamilyOf), and execute ONE march over
+// the union extent's cold columns, slicing each requester's grid out of the
+// shared result. An in-flight family lock serializes batches of the same
+// family — it is the service's single-flight — so concurrent overlapping
+// traffic never marches the same columns twice.
 type Service struct {
 	opt      Options
+	hooks    hooks
 	colcache *colCache
 	quit     chan struct{}
 	wg       sync.WaitGroup
@@ -240,45 +236,41 @@ type Service struct {
 	closed   bool
 	catalogs map[string]*catalog
 
-	reqID     atomic.Uint64
 	ewmaNs    atomic.Int64  // exponentially averaged batch wall time
 	ewmaBatch atomic.Uint64 // exponentially averaged batch size (float64 bits)
 
-	served, shed, degraded, expired, builds   atomic.Uint64
-	buildNs                                   atomic.Uint64
-	inlineHits, unions                        atomic.Uint64
-	batches, batchedReqs, coalesced, maxBatch atomic.Uint64
-	marches, coldCols                         atomic.Uint64
-	updates, dirtyCols, epochs                atomic.Uint64
-	active, residentBytes                     atomic.Int64
+	served, shed, degraded, expired, builds       atomic.Uint64
+	buildNs                                       atomic.Uint64
+	inlineHits, unions                            atomic.Uint64
+	batches, batchedReqs, coalesced, maxBatchSeen atomic.Uint64
+	marches, coldCols                             atomic.Uint64
+	updates, dirtyCols, epochs                    atomic.Uint64
+	active, residentBytes                         atomic.Int64
 }
 
 // New starts a service with opt (zero-value fields defaulted) and its
 // serving workers.
 func New(opt Options) *Service {
+	return newService(opt, hooks{})
+}
+
+// newService is New with the test suites' hooks.
+func newService(opt Options, h hooks) *Service {
 	if opt.Workers <= 0 {
 		opt.Workers = 2
 	}
 	if opt.QueueDepth <= 0 {
 		opt.QueueDepth = 2 * opt.Workers
 	}
-	if opt.MaxDegrade == 0 {
-		opt.MaxDegrade = 2
-	}
-	if opt.MaxDegrade < 0 {
-		opt.MaxDegrade = 0
-	}
 	if opt.RenderWorkers <= 0 {
 		opt.RenderWorkers = 1
-	}
-	if opt.MaxBatch <= 0 {
-		opt.MaxBatch = 16
 	}
 	if opt.ColumnCacheCells <= 0 {
 		opt.ColumnCacheCells = defaultColumnCacheCells
 	}
 	s := &Service{
 		opt:      opt,
+		hooks:    h,
 		colcache: newColCache(opt.ColumnCacheCells),
 		quit:     make(chan struct{}),
 		inflight: make(map[Key]bool),
@@ -349,7 +341,7 @@ func (s *Service) Serve(ctx context.Context, req Request) (*Response, error) {
 		}
 	}
 
-	t := &task{ctx: ctx, id: s.reqID.Add(1), key: key, done: make(chan taskResult, 1)}
+	t := &task{ctx: ctx, key: key, done: make(chan taskResult, 1)}
 	s.qmu.Lock()
 	if s.quitting {
 		s.qmu.Unlock()
@@ -437,7 +429,7 @@ func Coarsen(spec render.Spec, level int) (render.Spec, bool) {
 // same field in a coarser family, resident columns only — or shed with a
 // retry-after hint.
 func (s *Service) degradeOrShed(cat *catalog, key Key, depth int) (*Response, error) {
-	for level := 1; level <= s.opt.MaxDegrade; level++ {
+	for level := 1; level <= maxDegrade; level++ {
 		coarse, ok := Coarsen(key.Spec, level)
 		if !ok {
 			break
@@ -683,7 +675,7 @@ func (s *Service) Stats() Stats {
 		Batches:      s.batches.Load(),
 		BatchedReqs:  s.batchedReqs.Load(),
 		Coalesced:    s.coalesced.Load(),
-		MaxBatchSeen: s.maxBatch.Load(),
+		MaxBatchSeen: s.maxBatchSeen.Load(),
 		Marches:      s.marches.Load(),
 		ColdColumns:  s.coldCols.Load(),
 

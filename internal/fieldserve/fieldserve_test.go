@@ -3,6 +3,7 @@ package fieldserve
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,15 +11,10 @@ import (
 
 	"godtfe/internal/delaunay"
 	"godtfe/internal/dtfe"
-	"godtfe/internal/fault"
 	"godtfe/internal/geom"
 	"godtfe/internal/render"
 	"godtfe/internal/synth"
 )
-
-func faultInjectorAllPoison() *fault.Injector {
-	return fault.New(fault.Plan{Seed: 1, PoisonProb: 1})
-}
 
 func testPoints(n int, seed int64) []geom.Vec3 {
 	box := geom.AABB{Min: geom.Vec3{}, Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
@@ -291,7 +287,7 @@ func TestDegradedFallback(t *testing.T) {
 
 func testDegradedFallback(t *testing.T, warmNx, warmNy int) {
 	pts := testPoints(2500, 9)
-	s := New(Options{Workers: 1, QueueDepth: 2, MaxDegrade: 2})
+	s := New(Options{Workers: 1, QueueDepth: 2})
 	defer s.Close()
 	if err := s.Register("halos", pts); err != nil {
 		t.Fatal(err)
@@ -384,13 +380,23 @@ func testDegradedFallback(t *testing.T, warmNx, warmNy int) {
 	}
 }
 
+// rot flips one mantissa bit of a resident column in place, after its
+// checksum was recorded; hit-time verification must catch it.
+func (c *colCache) rot(key colKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
+		i := len(e.vals) / 2
+		e.vals[i] = math.Float64frombits(math.Float64bits(e.vals[i]) ^ 1)
+	}
+}
+
 // Rot in one stored column is caught by hit-time checksum verification:
 // the inline probe that finds it falls through, the column is evicted and
 // counted, and the response is re-marched bit-identically.
 func TestPoisonDetection(t *testing.T) {
 	pts := testPoints(600, 11)
-	inj := faultInjectorAllPoison()
-	s := New(Options{Workers: 1, Fault: inj})
+	s := New(Options{Workers: 1})
 	defer s.Close()
 	if err := s.Register("halos", pts); err != nil {
 		t.Fatal(err)
@@ -403,8 +409,9 @@ func TestPoisonDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if first.Checksum != want {
-		t.Fatal("filling request served poisoned bits")
+		t.Fatal("filling request served wrong bits")
 	}
+	s.colcache.rot(colKey{Catalog: "halos", Family: render.FamilyOf(spec), Col: 0})
 	st0 := s.Stats()
 	second, err := s.Serve(context.Background(), Request{Catalog: "halos", Spec: spec})
 	if err != nil {

@@ -28,7 +28,7 @@ func TestServeOverloadSmoke(t *testing.T) {
 		CancelProb:      0.2,
 		CancelAfter:     2 * time.Millisecond,
 	})
-	s := New(Options{Workers: 2, QueueDepth: 4, MaxDegrade: 1})
+	s := New(Options{Workers: 2, QueueDepth: 4})
 	if err := s.Register("halos", pts); err != nil {
 		t.Fatal(err)
 	}

@@ -300,7 +300,7 @@ func TestChaosUpdateRenderInterleave(t *testing.T) {
 	}
 
 	inj := fault.New(fault.Plan{Seed: 5, CancelProb: 0.4, CancelAfter: 50 * time.Microsecond})
-	s := New(Options{Workers: 2, QueueDepth: 64, Fault: inj})
+	s := New(Options{Workers: 2, QueueDepth: 64})
 	defer s.Close()
 	if err := s.Register("halos", pts); err != nil {
 		t.Fatal(err)
