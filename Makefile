@@ -23,10 +23,11 @@ vet:
 
 # Concurrency-sensitive packages (the MPI runtime, the pipeline's Phase 4
 # executor with its chaos tests, the parallel render workers,
-# concurrent point location, and the shared predicate counters and the
-# tests' oracle switch in geom) under the race detector.
+# concurrent point location, concurrent Field.At queries in dtfe, and the
+# shared predicate counters and the tests' oracle switch in geom) under the
+# race detector.
 race:
-	$(GO) test -race ./internal/mpi/... ./internal/pipeline/... ./internal/render/... ./internal/delaunay/... ./internal/geom/... ./internal/fieldserve/... ./internal/fault/...
+	$(GO) test -race ./internal/mpi/... ./internal/pipeline/... ./internal/render/... ./internal/delaunay/... ./internal/dtfe/... ./internal/geom/... ./internal/fieldserve/... ./internal/fault/...
 
 # Fault-injection and cancellation suites under the race detector: worker
 # death mid-march and before a send, a pipeline rank dead in Phase 4 or

@@ -21,9 +21,13 @@ func xorshiftStar(rng *uint64) uint64 {
 // an internal hint. The result is an infinite tet when p lies outside the
 // convex hull. It returns geomerr.ErrDegenerateInput for a non-finite
 // query and geomerr.ErrLocateDiverged if the walk fails to terminate
-// (possible only on a corrupted mesh).
+// (possible only on a corrupted mesh). The walk draws from a private copy
+// of the triangulation's stream, so concurrent Locate calls on a finished
+// triangulation are race-free.
 func (t *Triangulation) Locate(p geom.Vec3) (int32, error) {
-	return t.LocateFrom(t.last, p)
+	rng := t.rng
+	ti, _, err := t.LocateSeeded(t.last, p, &rng)
+	return ti, err
 }
 
 // LocateFrom walks toward p starting from the given tet (which may be dead

@@ -1,8 +1,10 @@
 package dtfe
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"godtfe/internal/delaunay"
@@ -190,6 +192,47 @@ func TestOutsideHull(t *testing.T) {
 	f := mustField(t, randPoints(80, 15), nil)
 	if _, ok, _ := f.At(geom.Vec3{X: 10, Y: 10, Z: 10}); ok {
 		t.Fatal("point far outside hull should report !ok")
+	}
+}
+
+// TestAtConcurrent queries one field from several goroutines, as
+// godtfe.DensityField.At allows, and checks each answer against a
+// sequential one. Under -race it also fails if At writes state the
+// goroutines share.
+func TestAtConcurrent(t *testing.T) {
+	pts := randPoints(300, 17)
+	f := mustField(t, pts, nil)
+	qs := randPoints(200, 19)
+	want := make([]float64, len(qs))
+	for i, q := range qs {
+		rho, _, err := f.At(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rho
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, q := range qs {
+				rho, _, err := f.At(q)
+				if err == nil && rho != want[i] {
+					err = fmt.Errorf("At(%v) = %v, sequential %v", q, rho, want[i])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
