@@ -80,7 +80,7 @@ func BenchmarkKernelWalking(b *testing.B) {
 	spec := render.Spec{Min: geom.Vec2{}, Nx: 64, Ny: 64, Cell: 1.0 / 64, ZMin: 0, ZMax: 1, Nz: 256}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := w.Render(spec, 1, render.ScheduleDynamic); err != nil {
+		if _, _, err := w.Render(spec, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func BenchmarkKernelZeroOrder(b *testing.B) {
 	spec := render.Spec{Min: geom.Vec2{}, Nx: 64, Ny: 64, Cell: 1.0 / 64, ZMin: 0, ZMax: 1, Nz: 256}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := z.Render(spec, 1, render.ScheduleDynamic); err != nil {
+		if _, _, err := z.Render(spec, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

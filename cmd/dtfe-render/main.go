@@ -112,14 +112,14 @@ func main() {
 			}
 			g, stats, err = m.Render(spec, *workers, render.ScheduleDynamic)
 		case "walking":
-			g, stats, err = render.NewWalker(field).Render(spec, *workers, render.ScheduleDynamic)
+			g, stats, err = render.NewWalker(field).Render(spec, *workers)
 		case "zeroorder":
 			var vorDen []float64
 			vorDen, _, err = dtfe.VoronoiDensities(tri, nil)
 			if err != nil {
 				log.Fatalf("voronoi: %v", err)
 			}
-			g, stats, err = render.NewZeroOrder(pts, vorDen).Render(spec, *workers, render.ScheduleDynamic)
+			g, stats, err = render.NewZeroOrder(pts, vorDen).Render(spec, *workers)
 		}
 	}
 	if err != nil {

@@ -65,7 +65,7 @@ func main() {
 	})
 	w := render.NewWalker(field)
 	run("walking (DTFE 1.1.1)", func() (*grid.Grid2D, []godtfe.WorkerStat, error) {
-		return w.Render(spec, 1, render.ScheduleDynamic)
+		return w.Render(spec, 1)
 	})
 	vorDen, _, err := dtfe.VoronoiDensities(tri, nil)
 	if err != nil {
@@ -73,7 +73,7 @@ func main() {
 	}
 	z := render.NewZeroOrder(pts, vorDen)
 	run("zero-order (TESS/DENSE)", func() (*grid.Grid2D, []godtfe.WorkerStat, error) {
-		return z.Render(spec, 1, render.ScheduleDynamic)
+		return z.Render(spec, 1)
 	})
 
 	fmt.Printf("\n%-24s %10s %14s %14s %12s\n", "kernel", "wall", "steps", "proj. mass", "L1 vs march")

@@ -173,7 +173,7 @@ func SurfaceDensityStats(field *DensityField, spec GridSpec, workers int) (*Grid
 // kernel is both faster and exact per tetrahedron.
 func SurfaceDensityBaseline(field *DensityField, spec GridSpec, workers int) (*Grid2D, []WorkerStat, error) {
 	w := render.NewWalker(field)
-	return w.Render(spec, workers, render.ScheduleDynamic)
+	return w.Render(spec, workers)
 }
 
 // SurfaceDensityAlong integrates along an arbitrary line-of-sight

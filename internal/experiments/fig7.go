@@ -100,7 +100,7 @@ func Fig7(opt Options) (*Report, error) {
 			z := render.NewZeroOrder(sel, vorDen)
 			st.tess = time.Since(t2).Seconds()
 			t3 := time.Now()
-			if _, _, err := z.Render(spec, 1, render.ScheduleDynamic); err != nil {
+			if _, _, err := z.Render(spec, 1); err != nil {
 				return maxT, sumT, err
 			}
 			st.dense = time.Since(t3).Seconds()

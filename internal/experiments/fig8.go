@@ -54,7 +54,7 @@ func Fig8(opt Options) (*Report, error) {
 		return nil, err
 	}
 	z := render.NewZeroOrder(pts, vorDen)
-	denseMap, _, err := z.Render(spec, 1, render.ScheduleDynamic)
+	denseMap, _, err := z.Render(spec, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -228,7 +228,7 @@ func (s *Service) buildUnion(ctx context.Context, mv *meshView, cat *catalog, ke
 
 	if len(runs) > 0 {
 		s.marches.Add(1)
-		if _, err := mv.m.RenderRunsCtx(ctx, spec, runs, dst, s.opt.RenderWorkers, render.ScheduleDynamic); err != nil {
+		if _, err := mv.m.RenderRunsCtx(ctx, spec, runs, dst, s.opt.RenderWorkers); err != nil {
 			return nil, err
 		}
 		for _, r := range runs {

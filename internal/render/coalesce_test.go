@@ -61,7 +61,7 @@ func TestRenderRunsBitIdentical(t *testing.T) {
 			// Full cover from uneven runs.
 			dst := spec.Grid()
 			runs := []Tile{{0, 5}, {5, 17}, {17, 18}, {18, spec.Nx}}
-			if _, err := m.RenderRunsCtx(context.Background(), spec, runs, dst, 2, ScheduleDynamic); err != nil {
+			if _, err := m.RenderRunsCtx(context.Background(), spec, runs, dst, 2); err != nil {
 				t.Fatal(err)
 			}
 			if dst.Checksum() != want.Checksum() {
@@ -73,7 +73,7 @@ func TestRenderRunsBitIdentical(t *testing.T) {
 			for i := range part.Data {
 				part.Data[i] = -1
 			}
-			if _, err := m.RenderRunsCtx(context.Background(), spec, []Tile{{3, 9}, {40, 44}}, part, 1, ScheduleDynamic); err != nil {
+			if _, err := m.RenderRunsCtx(context.Background(), spec, []Tile{{3, 9}, {40, 44}}, part, 1); err != nil {
 				t.Fatal(err)
 			}
 			for j := 0; j < spec.Ny; j++ {
@@ -98,23 +98,23 @@ func TestRenderRunsValidation(t *testing.T) {
 	spec := equivSpec(pts)
 	dst := spec.Grid()
 	bg := context.Background()
-	if _, err := m.RenderRunsCtx(bg, spec, []Tile{{5, 3}}, dst, 1, ScheduleDynamic); err == nil {
+	if _, err := m.RenderRunsCtx(bg, spec, []Tile{{5, 3}}, dst, 1); err == nil {
 		t.Fatal("inverted run accepted")
 	}
-	if _, err := m.RenderRunsCtx(bg, spec, []Tile{{0, spec.Nx + 1}}, dst, 1, ScheduleDynamic); err == nil {
+	if _, err := m.RenderRunsCtx(bg, spec, []Tile{{0, spec.Nx + 1}}, dst, 1); err == nil {
 		t.Fatal("out-of-range run accepted")
 	}
-	if _, err := m.RenderRunsCtx(bg, spec, []Tile{{4, 8}, {6, 10}}, dst, 1, ScheduleDynamic); err == nil {
+	if _, err := m.RenderRunsCtx(bg, spec, []Tile{{4, 8}, {6, 10}}, dst, 1); err == nil {
 		t.Fatal("overlapping runs accepted")
 	}
 	small := spec
 	small.Nx--
-	if _, err := m.RenderRunsCtx(bg, spec, []Tile{{0, 1}}, small.Grid(), 1, ScheduleDynamic); err == nil {
+	if _, err := m.RenderRunsCtx(bg, spec, []Tile{{0, 1}}, small.Grid(), 1); err == nil {
 		t.Fatal("mismatched dst accepted")
 	}
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	if _, err := m.RenderRunsCtx(ctx, spec, []Tile{{0, spec.Nx}}, dst, 1, ScheduleDynamic); err != context.Canceled {
+	if _, err := m.RenderRunsCtx(ctx, spec, []Tile{{0, spec.Nx}}, dst, 1); err != context.Canceled {
 		t.Fatalf("cancelled render returned %v", err)
 	}
 }

@@ -59,7 +59,7 @@ func TestRenderCtxBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, _, err := m.RenderTileCtx(context.Background(), spec, tile, 2, ScheduleDynamic)
+	gt, _, err := m.RenderTileCtx(context.Background(), spec, tile, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

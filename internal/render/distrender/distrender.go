@@ -207,7 +207,7 @@ func buildMarcher(pts []geom.Vec3) (*render.Marcher, error) {
 // failing; any other render error is the tile's own (Err).
 func marchTile(ctx context.Context, m *render.Marcher, setup *setupMsg, k, rank int) (tileResult, error) {
 	res := tileResult{Tile: k, Rank: rank}
-	g, stats, err := m.RenderTileCtx(ctx, setup.Spec, setup.Tiles[k], setup.Workers, render.ScheduleDynamic)
+	g, stats, err := m.RenderTileCtx(ctx, setup.Spec, setup.Tiles[k], setup.Workers)
 	if err != nil {
 		if ctx.Err() != nil {
 			return res, err

@@ -3,7 +3,6 @@ package render
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"godtfe/internal/delaunay"
 	"godtfe/internal/dtfe"
@@ -55,15 +54,15 @@ func (m *Marcher) Render(spec Spec, workers int, sched Schedule) (*grid.Grid2D, 
 
 // RenderCtx is Render under a context: cancellation or deadline expiry
 // aborts the column loop at the next column boundary (each worker checks a
-// shared flag once per line of sight, so a cancelled render releases its
-// workers within one column march) and returns the context's error with a
-// nil grid. An uncancelled RenderCtx is bit-identical to Render.
+// shared flag once per cell, so a cancelled render releases its workers
+// within one cell's marches) and returns the context's error with a nil
+// grid. An uncancelled RenderCtx is bit-identical to Render.
 func (m *Marcher) RenderCtx(ctx context.Context, spec Spec, workers int, _ Schedule) (*grid.Grid2D, []WorkerStat, error) {
 	if err := spec.Validate(false); err != nil {
 		return nil, nil, err
 	}
 	out := spec.Grid()
-	stats, err := m.renderIntoCtx(ctx, spec, Tile{I0: 0, I1: spec.Nx}, out, workers)
+	stats, err := sampleRuns(ctx, spec, []Tile{{I0: 0, I1: spec.Nx}}, out, 0, workers, m.rows(spec))
 	if err != nil {
 		return nil, stats, err
 	}
@@ -75,7 +74,7 @@ func (m *Marcher) RenderCtx(ctx context.Context, spec Spec, workers int, _ Sched
 // and Monte Carlo jitter are evaluated at the columns' global indices, so
 // every cell of the tile is bit-identical to the same cell of a whole-grid
 // Render — the invariant the distributed fan-out's stitch relies on.
-func (m *Marcher) RenderTileCtx(ctx context.Context, spec Spec, t Tile, workers int, _ Schedule) (*grid.Grid2D, []WorkerStat, error) {
+func (m *Marcher) RenderTileCtx(ctx context.Context, spec Spec, t Tile, workers int) (*grid.Grid2D, []WorkerStat, error) {
 	if err := spec.Validate(false); err != nil {
 		return nil, nil, err
 	}
@@ -83,45 +82,11 @@ func (m *Marcher) RenderTileCtx(ctx context.Context, spec Spec, t Tile, workers 
 		return nil, nil, err
 	}
 	out := spec.TileGrid(t)
-	stats, err := m.renderIntoCtx(ctx, spec, t, out, workers)
+	stats, err := sampleRuns(ctx, spec, []Tile{t}, out, t.I0, workers, m.rows(spec))
 	if err != nil {
 		return nil, stats, err
 	}
 	return out, stats, nil
-}
-
-// watchCtx arranges context observation for a render loop: a
-// context.AfterFunc callback flips an atomic flag on cancellation, so the
-// column loop pays a single atomic load per column instead of a channel
-// select, and a context with a nil Done channel costs nothing at all. The
-// returned stop func must be called (deferred) to release the callback;
-// flag is nil for un-cancellable contexts.
-func watchCtx(ctx context.Context) (flag *atomic.Bool, stopFn func(), err error) {
-	if ctx == nil || ctx.Done() == nil {
-		return nil, func() {}, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	flag = new(atomic.Bool)
-	stop := context.AfterFunc(ctx, func() { flag.Store(true) })
-	return flag, func() { stop() }, nil
-}
-
-// renderIntoCtx wraps renderInto with context observation (see watchCtx).
-func (m *Marcher) renderIntoCtx(ctx context.Context, spec Spec, t Tile, out *grid.Grid2D, workers int) ([]WorkerStat, error) {
-	cancelled, stop, err := watchCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer stop()
-	stats := m.renderInto(spec, t, out, t.I0, workers, cancelled)
-	if cancelled != nil && cancelled.Load() {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
 }
 
 // RenderRunsCtx marches a set of disjoint, ascending column runs of the
@@ -131,10 +96,10 @@ func (m *Marcher) renderIntoCtx(ctx context.Context, spec Spec, t Tile, out *gri
 // what lets a caller assemble a grid from cached columns plus marched
 // runs. Each marched cell is bit-identical to the same cell of a
 // whole-grid Render, by the same global-column-index invariant tile
-// renders rely on. One context watcher covers all runs; cancellation
-// aborts at the next column boundary and returns the context's error
-// (dst is then partial and must be discarded).
-func (m *Marcher) RenderRunsCtx(ctx context.Context, spec Spec, runs []Tile, dst *grid.Grid2D, workers int, _ Schedule) ([]WorkerStat, error) {
+// renders rely on. All runs share one worker fan-out; cancellation aborts
+// at the next column boundary and returns the context's error (dst is
+// then partial and must be discarded).
+func (m *Marcher) RenderRunsCtx(ctx context.Context, spec Spec, runs []Tile, dst *grid.Grid2D, workers int) ([]WorkerStat, error) {
 	if err := spec.Validate(false); err != nil {
 		return nil, err
 	}
@@ -151,66 +116,20 @@ func (m *Marcher) RenderRunsCtx(ctx context.Context, spec Spec, runs []Tile, dst
 		}
 		prev = r.I1
 	}
-	cancelled, stop, err := watchCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer stop()
-	var merged map[int]*WorkerStat
-	for _, r := range runs {
-		stats := m.renderInto(spec, r, dst, 0, workers, cancelled)
-		merged = MergeWorkerStats(merged, stats, 0)
-		if cancelled != nil && cancelled.Load() {
-			if err := ctx.Err(); err != nil {
-				return FlattenWorkerStats(merged), err
-			}
-		}
-	}
-	return FlattenWorkerStats(merged), nil
+	return sampleRuns(ctx, spec, runs, dst, 0, workers, m.rows(spec))
 }
 
-// renderInto is the shared column loop of Render, RenderTileCtx, and
-// RenderRunsCtx: march the tile's columns [t.I0, t.I1) of every row into
-// out, whose column 0 holds global column outBase (t.I0 for re-based tile
-// grids, 0 for full-spec destinations). Every column is located from
-// scratch, so tile renders and whole-grid renders agree cell for cell. A
-// non-nil cancelled flag is polled once per column; once set, every worker
-// abandons its remaining columns immediately (the partial grid is then
-// discarded by the caller).
-func (m *Marcher) renderInto(spec Spec, t Tile, out *grid.Grid2D, outBase, workers int, cancelled *atomic.Bool) []WorkerStat {
-	samples := spec.Samples
-	if samples < 1 {
-		samples = 1
+// rows is the marching kernel's row function for sampleRuns: every line is
+// one Column, its tets visited and its outcome noted in the worker's stats.
+// Columns are stateless, so every row shares one sampler.
+func (m *Marcher) rows(spec Spec) func(int) sampler {
+	sample := func(xi geom.Vec2, st *WorkerStat) float64 {
+		sigma, steps, outcome := m.Column(xi, spec.ZMin, spec.ZMax)
+		st.Steps += int64(steps)
+		st.Columns.Note(outcome)
+		return sigma
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-	return forEachRow(spec.Ny, workers, func(_, j int, st *WorkerStat) {
-		for i := t.I0; i < t.I1; i++ {
-			if cancelled != nil && cancelled.Load() {
-				return
-			}
-			var acc float64
-			for s := 0; s < samples; s++ {
-				// Global-index cell center: the exact expression
-				// Grid2D.Center uses for the whole grid.
-				xi := geom.Vec2{
-					X: spec.Min.X + (float64(i)+0.5)*spec.Cell,
-					Y: spec.Min.Y + (float64(j)+0.5)*spec.Cell,
-				}
-				if samples > 1 {
-					xi.X += (jitter(spec.Seed, i, j, s, 0) - 0.5) * spec.Cell
-					xi.Y += (jitter(spec.Seed, i, j, s, 1) - 0.5) * spec.Cell
-				}
-				sigma, steps, outcome := m.Column(xi, spec.ZMin, spec.ZMax)
-				acc += sigma
-				st.Steps += int64(steps)
-				st.Columns.Note(outcome)
-			}
-			out.Set(i-outBase, j, acc/float64(samples))
-			st.Cells++
-		}
-	})
+	return func(int) sampler { return sample }
 }
 
 // Column integrates the DTFE density along the vertical line through xi.

@@ -16,6 +16,7 @@
 package render
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -231,46 +232,87 @@ func FlattenWorkerStats(merged map[int]*WorkerStat) []WorkerStat {
 }
 
 // Schedule names how grid rows are distributed over workers. There is one:
-// ScheduleDynamic, which every render uses. The renderers still take a
-// Schedule argument so existing call sites compile.
+// ScheduleDynamic, which every render uses. Only Marcher.Render and
+// Marcher.RenderCtx still take a Schedule, because the end-to-end harness
+// calls them with one.
 type Schedule int
 
 // ScheduleDynamic hands out rows from a shared atomic counter, balancing
 // naturally.
 const ScheduleDynamic Schedule = 0
 
-// forEachRow runs fn(worker, j) over all row indices j, handing rows out
-// from a shared counter, and returns per-worker stats (Busy filled;
-// Cells/Steps are accumulated by fn via the returned slice). Every stats
-// entry carries its worker id, including workers that drew no row.
-func forEachRow(ny, workers int, fn func(worker, j int, st *WorkerStat)) []WorkerStat {
-	if workers <= 0 {
-		workers = 1
+// sampler integrates one line of sight through xi and returns its surface
+// density, noting its work (Steps) and outcome (Columns) in st.
+type sampler func(xi geom.Vec2, st *WorkerStat) float64
+
+// sampleRuns is the one cell loop of every renderer. It evaluates the
+// columns of runs, global column indices of spec, in every row into out,
+// whose column 0 holds global column outBase (0 for a full-spec grid, the
+// tile's first column for a tile grid). Workers draw rows from a shared
+// counter and call row(worker) once per row for that row's sampler. A cell
+// is the mean of spec.Samples lines through its global-index center,
+// jittered by (Seed, i, j, s) when Samples > 1, so a cell's bits do not
+// depend on the run, tile or worker that evaluates it.
+//
+// Cancellation is polled once per cell through an atomic flag that a
+// context.AfterFunc callback sets, so an uncancellable context costs
+// nothing. Once it is set, every worker stops and sampleRuns returns the
+// context's error; out is then partial and must be discarded.
+func sampleRuns(ctx context.Context, spec Spec, runs []Tile, out *grid.Grid2D, outBase, workers int, row func(worker int) sampler) ([]WorkerStat, error) {
+	var cancelled *atomic.Bool // nil when ctx cannot be cancelled
+	if ctx.Done() != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		cancelled = new(atomic.Bool)
+		stop := context.AfterFunc(ctx, func() { cancelled.Store(true) })
+		defer stop()
 	}
-	stats := make([]WorkerStat, workers)
-	for w := range stats {
-		stats[w].Worker = w
-	}
+	samples := max(spec.Samples, 1)
+	stats := make([]WorkerStat, max(workers, 1))
 	var wg sync.WaitGroup
 	var next atomic.Int64
-	for w := 0; w < workers; w++ {
+	for w := range stats {
+		stats[w].Worker = w
 		wg.Add(1)
-		go func(w int) {
+		go func(st *WorkerStat) {
 			defer wg.Done()
-			st := &stats[w]
 			start := time.Now()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= ny {
-					break
+		rows:
+			for j := int(next.Add(1)) - 1; j < spec.Ny; j = int(next.Add(1)) - 1 {
+				sample := row(st.Worker)
+				for _, r := range runs {
+					for i := r.I0; i < r.I1; i++ {
+						if cancelled != nil && cancelled.Load() {
+							break rows
+						}
+						var acc float64
+						for s := 0; s < samples; s++ {
+							// The exact expression Grid2D.Center uses for
+							// the whole grid.
+							xi := geom.Vec2{
+								X: spec.Min.X + (float64(i)+0.5)*spec.Cell,
+								Y: spec.Min.Y + (float64(j)+0.5)*spec.Cell,
+							}
+							if samples > 1 {
+								xi.X += (jitter(spec.Seed, i, j, s, 0) - 0.5) * spec.Cell
+								xi.Y += (jitter(spec.Seed, i, j, s, 1) - 0.5) * spec.Cell
+							}
+							acc += sample(xi, st)
+						}
+						out.Set(i-outBase, j, acc/float64(samples))
+						st.Cells++
+					}
 				}
-				fn(w, j, st)
 			}
 			st.Busy = time.Since(start)
-		}(w)
+		}(&stats[w])
 	}
 	wg.Wait()
-	return stats
+	if cancelled != nil && cancelled.Load() {
+		return stats, ctx.Err()
+	}
+	return stats, nil
 }
 
 // TotalBusy sums worker busy times (a proxy for total work under

@@ -192,7 +192,7 @@ func TestWalkerMatchesMarcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, _, err := w.Render(spec, 2, ScheduleDynamic)
+	gw, _, err := w.Render(spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestZeroOrderUniformRegion(t *testing.T) {
 	f := fieldFor(t, pts)
 	z := NewZeroOrder(pts, f.Density)
 	spec := Spec{Min: geom.Vec2{X: 2, Y: 2}, Nx: 4, Ny: 4, Cell: 0.25, Nz: 200, ZMin: 1, ZMax: 4}
-	g, _, err := z.Render(spec, 2, ScheduleDynamic)
+	g, _, err := z.Render(spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSpecValidate(t *testing.T) {
 		t.Fatal("3D kernel without Nz accepted")
 	}
 	f := fieldFor(t, randPoints(50, 15))
-	if _, _, err := NewWalker(f).Render(no3d, 1, ScheduleDynamic); err == nil {
+	if _, _, err := NewWalker(f).Render(no3d, 1); err == nil {
 		t.Fatal("walker must reject Nz=0")
 	}
 }

@@ -1,6 +1,8 @@
 package render
 
 import (
+	"context"
+
 	"godtfe/internal/delaunay"
 	"godtfe/internal/dtfe"
 	"godtfe/internal/geom"
@@ -30,8 +32,10 @@ func NewWalker(f *dtfe.Field) *Walker {
 }
 
 // Render computes the projected (surface) density on the spec's 2D grid by
-// sampling Nz points per column.
-func (w *Walker) Render(spec Spec, workers int, _ Schedule) (*grid.Grid2D, []WorkerStat, error) {
+// sampling Nz points per column. Each row's walk starts afresh and draws
+// from its worker's private stream, each line seeded from the previous
+// line's last tet.
+func (w *Walker) Render(spec Spec, workers int) (*grid.Grid2D, []WorkerStat, error) {
 	if err := spec.Validate(true); err != nil {
 		return nil, nil, err
 	}
@@ -40,36 +44,22 @@ func (w *Walker) Render(spec Spec, workers int, _ Schedule) (*grid.Grid2D, []Wor
 		zmin, zmax = w.zlo, w.zhi
 	}
 	out := spec.Grid()
-	samples := spec.Samples
-	if samples < 1 {
-		samples = 1
-	}
-	stats := forEachRow(spec.Ny, workers, func(wk, j int, st *WorkerStat) {
+	stats, err := sampleRuns(context.Background(), spec, []Tile{{I0: 0, I1: spec.Nx}}, out, 0, workers, func(wk int) sampler {
 		seed := delaunay.NoTet
 		rng := splitmix64(uint64(wk)+1) | 1 // private walk stream: no shared-state races
-		for i := 0; i < spec.Nx; i++ {
-			var acc float64
-			for s := 0; s < samples; s++ {
-				xi := out.Center(i, j)
-				if samples > 1 {
-					xi.X += (jitter(spec.Seed, i, j, s, 0) - 0.5) * spec.Cell
-					xi.Y += (jitter(spec.Seed, i, j, s, 1) - 0.5) * spec.Cell
-				}
-				sigma, n, last, err := w.column(xi, zmin, zmax, spec.Nz, seed, &rng)
-				seed = last
-				acc += sigma
-				st.Steps += int64(n)
-				if err != nil {
-					st.Columns.Note(ColumnAbandoned)
-				} else {
-					st.Columns.Note(ColumnClean)
-				}
+		return func(xi geom.Vec2, st *WorkerStat) float64 {
+			sigma, n, last, err := w.column(xi, zmin, zmax, spec.Nz, seed, &rng)
+			seed = last
+			st.Steps += int64(n)
+			if err != nil {
+				st.Columns.Note(ColumnAbandoned)
+			} else {
+				st.Columns.Note(ColumnClean)
 			}
-			out.Set(i, j, acc/float64(samples))
-			st.Cells++
+			return sigma
 		}
 	})
-	return out, stats, nil
+	return out, stats, err
 }
 
 // Column walks the Nz z-samples of one column, seeding each location from
@@ -142,7 +132,7 @@ func NewZeroOrder(pts []geom.Vec3, density []float64) *ZeroOrder {
 }
 
 // Render computes the projected density with zero-order interpolation.
-func (z *ZeroOrder) Render(spec Spec, workers int, _ Schedule) (*grid.Grid2D, []WorkerStat, error) {
+func (z *ZeroOrder) Render(spec Spec, workers int) (*grid.Grid2D, []WorkerStat, error) {
 	if err := spec.Validate(true); err != nil {
 		return nil, nil, err
 	}
@@ -151,33 +141,18 @@ func (z *ZeroOrder) Render(spec Spec, workers int, _ Schedule) (*grid.Grid2D, []
 		zmin, zmax = z.zlo, z.zhi
 	}
 	dz := (zmax - zmin) / float64(spec.Nz)
-	out := spec.Grid()
-	samples := spec.Samples
-	if samples < 1 {
-		samples = 1
-	}
-	stats := forEachRow(spec.Ny, workers, func(wk, j int, st *WorkerStat) {
-		for i := 0; i < spec.Nx; i++ {
-			var acc float64
-			for s := 0; s < samples; s++ {
-				xi := out.Center(i, j)
-				if samples > 1 {
-					xi.X += (jitter(spec.Seed, i, j, s, 0) - 0.5) * spec.Cell
-					xi.Y += (jitter(spec.Seed, i, j, s, 1) - 0.5) * spec.Cell
-				}
-				var sigma float64
-				for k := 0; k < spec.Nz; k++ {
-					p := geom.Vec3{X: xi.X, Y: xi.Y, Z: zmin + (float64(k)+0.5)*dz}
-					if n, _ := z.Tree.Nearest(p); n >= 0 {
-						sigma += z.Density[n] * dz
-					}
-					st.Steps++
-				}
-				acc += sigma
+	sample := func(xi geom.Vec2, st *WorkerStat) float64 {
+		var sigma float64
+		for k := 0; k < spec.Nz; k++ {
+			p := geom.Vec3{X: xi.X, Y: xi.Y, Z: zmin + (float64(k)+0.5)*dz}
+			if n, _ := z.Tree.Nearest(p); n >= 0 {
+				sigma += z.Density[n] * dz
 			}
-			out.Set(i, j, acc/float64(samples))
-			st.Cells++
+			st.Steps++
 		}
-	})
-	return out, stats, nil
+		return sigma
+	}
+	out := spec.Grid()
+	stats, err := sampleRuns(context.Background(), spec, []Tile{{I0: 0, I1: spec.Nx}}, out, 0, workers, func(int) sampler { return sample })
+	return out, stats, err
 }
