@@ -2,11 +2,14 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"godtfe/internal/particleio"
 )
 
 // TestBadFlagsExitWithUsage runs the command on flag values it cannot
@@ -35,8 +38,7 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{"-kind pm -blocks 0", "-blocks 0"},
 		{"-kind bogus", `-kind "bogus"`},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitWithUsage$")
-		cmd.Env = append(os.Environ(), "DTFE_GEN_ARGS="+tc.args+" -o "+out)
+		cmd := rerun("TestBadFlagsExitWithUsage", "DTFE_GEN_ARGS="+tc.args+" -o "+out)
 		got, err := cmd.CombinedOutput()
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
@@ -50,4 +52,40 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 			t.Fatalf("%s: wrote %s", tc.args, out)
 		}
 	}
+}
+
+// TestRunPrintsSummary runs the command end to end: a small halo catalog is
+// generated, written and read back. The test binary re-runs itself with
+// DTFE_GEN_RUN set to execute main.
+func TestRunPrintsSummary(t *testing.T) {
+	if args := os.Getenv("DTFE_GEN_RUN"); args != "" {
+		os.Args = append([]string{"dtfe-gen"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	path := filepath.Join(t.TempDir(), "p.dtfe")
+	out, err := rerun("TestRunPrintsSummary", "DTFE_GEN_RUN=-kind halos -n 500 -blocks 2 -o "+path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("exit %v, want 0\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "wrote 500 particles (halos)") {
+		t.Fatalf("no \"wrote 500 particles (halos)\" summary:\n%s", out)
+	}
+	if pts, err := particleio.ReadAll(path); err != nil || len(pts) != 500 {
+		t.Fatalf("read back %d particles, err %v", len(pts), err)
+	}
+}
+
+// rerun starts this test binary again on the one test named, with env
+// added to its environment; the test then runs main as the command. Under
+// go test -cover it passes on the coverage directory, so a child whose
+// test returns counts its lines too (one that main ends with os.Exit
+// already writes them through the inherited GOCOVERDIR).
+func rerun(test string, env ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$")
+	cmd.Env = append(os.Environ(), env...)
+	if f := flag.Lookup("test.gocoverdir"); f != nil && f.Value.String() != "" {
+		cmd.Args = append(cmd.Args, "-test.gocoverdir="+f.Value.String())
+	}
+	return cmd
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"math"
 	"math/rand"
 	"os"
@@ -68,8 +69,7 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{"-fieldlen NaN", "-fieldlen NaN"},
 		{"-config bogus", `-config "bogus"`},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitWithUsage$")
-		cmd.Env = append(os.Environ(), "DTFE_PIPELINE_ARGS="+tc.args+in)
+		cmd := rerun("TestBadFlagsExitWithUsage", "DTFE_PIPELINE_ARGS="+tc.args+in)
 		out, err := cmd.CombinedOutput()
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
@@ -96,8 +96,7 @@ func TestRunPrintsSummary(t *testing.T) {
 	if err := particleio.Write(in, synth.Uniform(20000, box, 5), nil); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestRunPrintsSummary$")
-	cmd.Env = append(os.Environ(), "DTFE_PIPELINE_RUN=-i "+in+" -ranks 2 -fields 3 -grid 8 -config uniform")
+	cmd := rerun("TestRunPrintsSummary", "DTFE_PIPELINE_RUN=-i "+in+" -ranks 2 -fields 3 -grid 8 -config uniform")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("exit %v, want 0\n%s", err, out)
@@ -105,4 +104,18 @@ func TestRunPrintsSummary(t *testing.T) {
 	if !strings.Contains(string(out), "3 fields over 2 ranks") {
 		t.Fatalf("no \"3 fields over 2 ranks\" summary:\n%s", out)
 	}
+}
+
+// rerun starts this test binary again on the one test named, with env
+// added to its environment; the test then runs main as the command. Under
+// go test -cover it passes on the coverage directory, so a child whose
+// test returns counts its lines too (one that main ends with os.Exit
+// already writes them through the inherited GOCOVERDIR).
+func rerun(test string, env ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$")
+	cmd.Env = append(os.Environ(), env...)
+	if f := flag.Lookup("test.gocoverdir"); f != nil && f.Value.String() != "" {
+		cmd.Args = append(cmd.Args, "-test.gocoverdir="+f.Value.String())
+	}
+	return cmd
 }

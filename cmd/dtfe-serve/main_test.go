@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"strings"
@@ -40,8 +41,7 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{"-updates -3", "-updates -3"},
 		{"-particles 3", "-particles 3"},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestBadFlagsExitWithUsage$")
-		cmd.Env = append(os.Environ(), "DTFE_SERVE_ARGS="+tc.args)
+		cmd := rerun("TestBadFlagsExitWithUsage", "DTFE_SERVE_ARGS="+tc.args)
 		out, err := cmd.CombinedOutput()
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
@@ -64,8 +64,7 @@ func TestRunPrintsSummary(t *testing.T) {
 		main()
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestRunPrintsSummary$")
-	cmd.Env = append(os.Environ(), "DTFE_SERVE_RUN=-particles 2000 -grid 16 -requests 200 -overlap 0.5 -updates 1 -cancel-prob 0.05 -slow-prob 0.05")
+	cmd := rerun("TestRunPrintsSummary", "DTFE_SERVE_RUN=-particles 2000 -grid 16 -requests 200 -overlap 0.5 -updates 1 -cancel-prob 0.05 -slow-prob 0.05")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("exit %v, want 0\n%s", err, out)
@@ -75,4 +74,18 @@ func TestRunPrintsSummary(t *testing.T) {
 			t.Fatalf("no %q in the summary:\n%s", want, out)
 		}
 	}
+}
+
+// rerun starts this test binary again on the one test named, with env
+// added to its environment; the test then runs main as the command. Under
+// go test -cover it passes on the coverage directory, so a child whose
+// test returns counts its lines too (one that main ends with os.Exit
+// already writes them through the inherited GOCOVERDIR).
+func rerun(test string, env ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$")
+	cmd.Env = append(os.Environ(), env...)
+	if f := flag.Lookup("test.gocoverdir"); f != nil && f.Value.String() != "" {
+		cmd.Args = append(cmd.Args, "-test.gocoverdir="+f.Value.String())
+	}
+	return cmd
 }
