@@ -11,8 +11,10 @@
 //     constant) density at every 3D grid sample via nearest-particle
 //     lookup, summed along z.
 //
-// All renderers run on a shared-memory worker pool with per-worker busy
-// time accounting (the quantity compared in the paper's Fig 6).
+// All renderers run one cell loop, sampleRuns, on a shared-memory worker
+// pool with per-worker busy time accounting (the quantity compared in the
+// paper's Fig 6); each kernel supplies only the integral along one line of
+// sight. Only Marcher.Render and Marcher.RenderCtx take a Schedule.
 package render
 
 import (
