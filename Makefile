@@ -31,9 +31,10 @@ race:
 
 # Fault-injection and cancellation suites under the race detector: worker
 # death mid-march and before a send, a pipeline rank dead in Phase 4 or
-# before Phase 1, lost work packages, dropped/duplicated/malformed frames,
-# straggler re-dispatch, stale frames, caller cancellation, tolerant
-# receives, and collective attribution. The -timeout
+# before Phase 1, lost work packages, dropped/duplicated/malformed tile
+# results, a lost tile handed back to the only worker, straggler
+# re-dispatch, stale results, caller cancellation, tolerant receives, and
+# collective attribution. The -timeout
 # is the watchdog: a hang fails the run instead of wedging CI.
 # The loop first prints how many tests the -run pattern selects in each
 # package and fails on zero, so a renamed suite cannot silently drop out.

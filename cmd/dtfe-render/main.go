@@ -10,8 +10,8 @@
 // in-process MPI world: the catalog is replicated, the grid is cut into
 // cost-balanced column tiles (-tiles), scattered over the ranks, marched,
 // and gathered bit-identically to the single-rank render. Every worker
-// streams its tiles straight to rank 0, which acks them per tile and
-// re-dispatches the tiles of lost or stalled ranks. Rank 0 of that world
+// sends each tile straight to rank 0 once, and rank 0 re-dispatches every
+// tile that does not arrive, from a lost or stalled rank. Rank 0 of that world
 // builds the one mesh and ships it to the workers, which restore it rather
 // than build their own; -v, which reports a local build, and the other
 // kernels, which only run locally, are refused.

@@ -36,8 +36,9 @@ const (
 	// march; progress is the number of tiles the rank has completed.
 	PointTile = "tile"
 	// PointRelay is consulted by the distributed renderer before a worker
-	// sends a frame to rank 0; progress is the number of frames the rank
-	// has sent. Crashing here loses tiles that were marched but never sent.
+	// sends a marched tile to rank 0; progress is the number of tiles the
+	// rank has sent. Crashing here loses a tile that was marched but never
+	// sent.
 	PointRelay = "relay"
 )
 

@@ -15,12 +15,13 @@
 // Recv or a collective on a message that can no longer arrive observe
 // ErrRankFailed instead of deadlocking. There are two ways to wait: the
 // fail-fast Recv (and the collectives), and RecvTolerant for a rank that
-// owns recovery itself — it never fails on peer death, wakes on every
-// membership change (ErrWorldChanged) and when its context is done, takes a
-// bound (ErrTimeout) and polls with a zero one. Those and a fault-injection hook on the send path
-// (SetInjector, with capped exponential-backoff retries on injected drops)
-// carry the fault-tolerant modes of internal/pipeline and
-// internal/render/distrender.
+// owns recovery itself — it waits on one tag from any source, never fails
+// on peer death, wakes on every membership change (ErrWorldChanged) and
+// when its context is done, takes a bound (ErrTimeout) and polls with a
+// zero one. Its one user is the gather of internal/render/distrender. A
+// fault-injection hook on the send path (SetInjector, with capped
+// exponential-backoff retries on injected drops) is installed only by
+// tests.
 package mpi
 
 import (
@@ -261,7 +262,7 @@ func (w *World) totalInFlight() int64 {
 // Failure semantics: for a specific src, the take fails with ErrRankFailed
 // as soon as src is no longer alive (and nothing is queued or in flight
 // from it). For AnySource the take fails if any peer has failed or every
-// peer has exited. A caller that owns recovery itself waits in takeMulti,
+// peer has exited. A caller that owns recovery itself waits in takeTolerant,
 // which never fails on peer death.
 func (w *World) take(me, src, tag int) (envelope, error) {
 	m := w.boxes[me]
@@ -302,15 +303,15 @@ func (w *World) take(me, src, tag int) (envelope, error) {
 	}
 }
 
-// takeMulti blocks until a message whose tag is in tags is queued at rank
-// me, ctx is done, the world's failure epoch moves past epoch, or the
-// deadline (if non-zero) expires — in that priority order. Queued messages
-// always win: a frame sent before its sender died remains deliverable. It
-// never fails on peer death itself (tolerant by construction); the epoch
-// wakeup hands membership changes to the caller as ErrWorldChanged plus the
-// new epoch, so recovery logic runs exactly once per change instead of on
-// poll ticks. A context that can never be done registers no wakeup.
-func (w *World) takeMulti(ctx context.Context, me int, tags []int, epoch uint64, deadline time.Time) (envelope, uint64, error) {
+// takeTolerant blocks until a message bearing tag is queued at rank me, ctx
+// is done, the world's failure epoch moves past epoch, or the deadline (if
+// non-zero) expires — in that priority order. Queued messages always win: a
+// result sent before its sender died remains deliverable. It never fails on
+// peer death itself (tolerant by construction); the epoch wakeup hands
+// membership changes to the caller as ErrWorldChanged plus the new epoch,
+// so recovery logic runs exactly once per change instead of on poll ticks.
+// A context that can never be done registers no wakeup.
+func (w *World) takeTolerant(ctx context.Context, me, tag int, epoch uint64, deadline time.Time) (envelope, uint64, error) {
 	m := w.boxes[me]
 	wake := func() {
 		m.mu.Lock()
@@ -330,21 +331,19 @@ func (w *World) takeMulti(ctx context.Context, me int, tags []int, epoch uint64,
 	defer m.mu.Unlock()
 	for {
 		for i, e := range m.queue {
-			for _, t := range tags {
-				if e.tag == t {
-					m.queue = append(m.queue[:i], m.queue[i+1:]...)
-					return e, epoch, nil
-				}
+			if e.tag == tag {
+				m.queue = append(m.queue[:i], m.queue[i+1:]...)
+				return e, epoch, nil
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			return envelope{}, epoch, fmt.Errorf("recv (multi-tag): %w", err)
+			return envelope{}, epoch, fmt.Errorf("recv tag %d (tolerant): %w", tag, err)
 		}
 		if now := w.epoch.Load(); now != epoch {
-			return envelope{}, now, fmt.Errorf("recv (multi-tag): %w", ErrWorldChanged)
+			return envelope{}, now, fmt.Errorf("recv tag %d (tolerant): %w", tag, ErrWorldChanged)
 		}
 		if hasDeadline && !time.Now().Before(deadline) {
-			return envelope{}, epoch, fmt.Errorf("recv (multi-tag): %w", ErrTimeout)
+			return envelope{}, epoch, fmt.Errorf("recv tag %d (tolerant): %w", tag, ErrTimeout)
 		}
 		m.cond.Wait()
 	}
@@ -596,29 +595,23 @@ func (m *Message) Decode(v any) error {
 	return decodeFrom(m.env, fmt.Sprintf("recv tag %d", m.Tag), v)
 }
 
-// RecvTolerant blocks until a message bearing any tag in tags arrives from
-// any source, ctx is done (an error matching ctx.Err()), the world's
-// failure epoch moves past epoch (ErrWorldChanged, with the new epoch
-// returned so the caller re-arms), or timeout expires (ErrTimeout). A
-// queued message wins over all three. timeout < 0 blocks indefinitely —
-// safe because membership changes wake the call; timeout == 0 is a
-// non-blocking poll. Peer death never aborts the wait with ErrRankFailed:
-// this is the monitoring-mode receive for coordinators that own recovery
-// themselves.
-func (c *Comm) RecvTolerant(ctx context.Context, tags []int, epoch uint64, timeout time.Duration) (*Message, uint64, error) {
-	if len(tags) == 0 {
-		return nil, epoch, fmt.Errorf("mpi: RecvTolerant requires at least one tag")
-	}
-	for _, t := range tags {
-		if t < 0 {
-			return nil, epoch, fmt.Errorf("mpi: user tags must be >= 0, got %d", t)
-		}
+// RecvTolerant blocks until a message bearing tag arrives from any source,
+// ctx is done (an error matching ctx.Err()), the world's failure epoch
+// moves past epoch (ErrWorldChanged, with the new epoch returned so the
+// caller re-arms), or timeout expires (ErrTimeout). A queued message wins
+// over all three. timeout < 0 blocks indefinitely — safe because
+// membership changes wake the call; timeout == 0 is a non-blocking poll.
+// Peer death never aborts the wait with ErrRankFailed: this is the
+// monitoring-mode receive for coordinators that own recovery themselves.
+func (c *Comm) RecvTolerant(ctx context.Context, tag int, epoch uint64, timeout time.Duration) (*Message, uint64, error) {
+	if tag < 0 {
+		return nil, epoch, fmt.Errorf("mpi: user tags must be >= 0, got %d", tag)
 	}
 	var deadline time.Time
 	if timeout >= 0 {
 		deadline = time.Now().Add(timeout)
 	}
-	e, ep, err := c.world.takeMulti(ctx, c.rank, tags, epoch, deadline)
+	e, ep, err := c.world.takeTolerant(ctx, c.rank, tag, epoch, deadline)
 	if err != nil {
 		return nil, ep, fmt.Errorf("mpi: %w", err)
 	}

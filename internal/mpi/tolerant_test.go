@@ -8,21 +8,25 @@ import (
 	"time"
 )
 
-// TestRecvTolerantMultiTag: a tolerant receive matches any tag in its set
-// and reports the actual source and tag; Decode yields the payload.
-func TestRecvTolerantMultiTag(t *testing.T) {
+// TestRecvTolerantAnySource: a tolerant receive matches its tag from any
+// source and reports the actual source and tag; Decode yields the payload.
+// A message on another tag is left queued for a receive of that tag.
+func TestRecvTolerantAnySource(t *testing.T) {
 	w := NewWorld(3)
 	errs := w.RunEach(func(c *Comm) error {
 		switch c.Rank() {
 		case 1:
 			return c.Send(0, 7, 41)
 		case 2:
-			return c.Send(0, 9, 43)
+			if err := c.Send(0, 9, 99); err != nil {
+				return err
+			}
+			return c.Send(0, 7, 43)
 		case 0:
 			got := map[int]int{}
 			epoch := c.FailureEpoch()
 			for len(got) < 2 {
-				msg, ep, err := c.RecvTolerant(context.Background(), []int{7, 9}, epoch, 5*time.Second)
+				msg, ep, err := c.RecvTolerant(context.Background(), 7, epoch, 5*time.Second)
 				epoch = ep
 				if err != nil {
 					if errors.Is(err, ErrWorldChanged) {
@@ -34,14 +38,21 @@ func TestRecvTolerantMultiTag(t *testing.T) {
 				if err := msg.Decode(&v); err != nil {
 					return err
 				}
-				got[msg.Tag] = v
-				wantSrc := map[int]int{7: 1, 9: 2}[msg.Tag]
-				if msg.Src != wantSrc {
-					return fmt.Errorf("tag %d from src %d, want %d", msg.Tag, msg.Src, wantSrc)
+				if msg.Tag != 7 {
+					return fmt.Errorf("receive of tag 7 matched tag %d", msg.Tag)
 				}
+				got[msg.Src] = v
 			}
-			if got[7] != 41 || got[9] != 43 {
-				return fmt.Errorf("payloads %v", got)
+			if got[1] != 41 || got[2] != 43 {
+				return fmt.Errorf("payloads by source %v, want 41 from 1 and 43 from 2", got)
+			}
+			msg, _, err := c.RecvTolerant(context.Background(), 9, epoch, 0)
+			if err != nil {
+				return fmt.Errorf("the tag-9 message was not left queued: %w", err)
+			}
+			var v int
+			if err := msg.Decode(&v); err != nil || msg.Src != 2 || v != 99 {
+				return fmt.Errorf("tag 9: %d from rank %d (%v), want 99 from rank 2", v, msg.Src, err)
 			}
 		}
 		return nil
@@ -78,7 +89,7 @@ func TestRecvTolerantQueuedMessageWinsOverEpoch(t *testing.T) {
 		for c.Alive(1) && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		msg, ep, err := c.RecvTolerant(context.Background(), []int{5}, epoch, time.Second)
+		msg, ep, err := c.RecvTolerant(context.Background(), 5, epoch, time.Second)
 		if err != nil {
 			return fmt.Errorf("queued message lost to epoch wakeup: %w", err)
 		}
@@ -90,7 +101,7 @@ func TestRecvTolerantQueuedMessageWinsOverEpoch(t *testing.T) {
 			return fmt.Errorf("payload %q", s)
 		}
 		// Now the drained queue exposes the membership change.
-		if _, ep2, err := c.RecvTolerant(context.Background(), []int{5}, epoch, time.Second); !errors.Is(err, ErrWorldChanged) {
+		if _, ep2, err := c.RecvTolerant(context.Background(), 5, epoch, time.Second); !errors.Is(err, ErrWorldChanged) {
 			return fmt.Errorf("want ErrWorldChanged after drain, got %v", err)
 		} else if ep2 == epoch {
 			return fmt.Errorf("epoch did not advance")
@@ -98,7 +109,7 @@ func TestRecvTolerantQueuedMessageWinsOverEpoch(t *testing.T) {
 			ep = ep2
 		}
 		// With the current epoch acknowledged, an empty world times out.
-		if _, _, err := c.RecvTolerant(context.Background(), []int{5}, ep, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		if _, _, err := c.RecvTolerant(context.Background(), 5, ep, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
 			return fmt.Errorf("want ErrTimeout, got %v", err)
 		}
 		return nil
@@ -121,7 +132,7 @@ func TestRecvTolerantEpochWakeupIsImmediate(t *testing.T) {
 			return boom
 		}
 		start := time.Now()
-		_, _, err := c.RecvTolerant(context.Background(), []int{3}, c.FailureEpoch(), 30*time.Second)
+		_, _, err := c.RecvTolerant(context.Background(), 3, c.FailureEpoch(), 30*time.Second)
 		if !errors.Is(err, ErrWorldChanged) {
 			return fmt.Errorf("want ErrWorldChanged, got %v", err)
 		}
@@ -165,7 +176,7 @@ func TestRecvTolerantZeroTimeoutPolls(t *testing.T) {
 		defer close(hold)
 		epoch := c.FailureEpoch()
 		start := time.Now()
-		if _, _, err := c.RecvTolerant(context.Background(), []int{2}, epoch, 0); !errors.Is(err, ErrTimeout) {
+		if _, _, err := c.RecvTolerant(context.Background(), 2, epoch, 0); !errors.Is(err, ErrTimeout) {
 			return fmt.Errorf("empty mailbox: want ErrTimeout, got %v", err)
 		}
 		if wait := time.Since(start); wait > time.Second {
@@ -174,7 +185,7 @@ func TestRecvTolerantZeroTimeoutPolls(t *testing.T) {
 		close(polled)
 		<-sent
 		for _, want := range []struct{ tag, v int }{{2, 20}, {3, 30}} {
-			msg, _, err := c.RecvTolerant(context.Background(), []int{want.tag}, epoch, 0)
+			msg, _, err := c.RecvTolerant(context.Background(), want.tag, epoch, 0)
 			if err != nil {
 				return fmt.Errorf("tag %d queued but not delivered: %w", want.tag, err)
 			}
@@ -187,7 +198,7 @@ func TestRecvTolerantZeroTimeoutPolls(t *testing.T) {
 			}
 			if want.tag == 2 {
 				// Tag 3 is still queued, but outside the set.
-				if _, _, err := c.RecvTolerant(context.Background(), []int{2}, epoch, 0); !errors.Is(err, ErrTimeout) {
+				if _, _, err := c.RecvTolerant(context.Background(), 2, epoch, 0); !errors.Is(err, ErrTimeout) {
 					return fmt.Errorf("tag 2 drained: want ErrTimeout, got %v", err)
 				}
 			}
@@ -215,7 +226,7 @@ func TestRecvTolerantPeerDeathDoesNotAbortWait(t *testing.T) {
 		}
 		epoch := c.FailureEpoch()
 		for {
-			msg, ep, err := c.RecvTolerant(context.Background(), []int{4}, epoch, 5*time.Second)
+			msg, ep, err := c.RecvTolerant(context.Background(), 4, epoch, 5*time.Second)
 			epoch = ep
 			if errors.Is(err, ErrWorldChanged) {
 				continue
@@ -253,7 +264,7 @@ func TestRecvTolerantCancelWakesBlockedWait(t *testing.T) {
 		at <- time.Now()
 		cancel()
 	}()
-	_, _, err := c.RecvTolerant(ctx, []int{3}, c.FailureEpoch(), -1)
+	_, _, err := c.RecvTolerant(ctx, 3, c.FailureEpoch(), -1)
 	woke := time.Since(<-at)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -274,7 +285,7 @@ func TestRecvTolerantQueuedMessageWinsOverCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	msg, _, err := c.RecvTolerant(ctx, []int{5}, c.FailureEpoch(), -1)
+	msg, _, err := c.RecvTolerant(ctx, 5, c.FailureEpoch(), -1)
 	if err != nil {
 		t.Fatalf("queued message not delivered under a cancelled context: %v", err)
 	}
@@ -282,7 +293,7 @@ func TestRecvTolerantQueuedMessageWinsOverCancel(t *testing.T) {
 	if err := msg.Decode(&v); err != nil || v != 42 {
 		t.Fatalf("got %d (%v), want 42", v, err)
 	}
-	if _, _, err := c.RecvTolerant(ctx, []int{5}, c.FailureEpoch(), -1); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.RecvTolerant(ctx, 5, c.FailureEpoch(), -1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("empty mailbox: err = %v, want context.Canceled", err)
 	}
 }
@@ -295,7 +306,7 @@ func TestRecvTolerantContextDeadlineBeforeTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := c.RecvTolerant(ctx, []int{3}, c.FailureEpoch(), 5*time.Second)
+	_, _, err := c.RecvTolerant(ctx, 3, c.FailureEpoch(), 5*time.Second)
 	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded and not ErrTimeout", err)
 	}
@@ -304,13 +315,13 @@ func TestRecvTolerantContextDeadlineBeforeTimeout(t *testing.T) {
 	}
 }
 
-// TestRecvTolerantRejectsNegativeTag pins the argument contract: AnyTag
-// semantics are expressed by listing tags, never by negative sentinels
-// (which would collide with the internal collective tag space).
+// TestRecvTolerantRejectsNegativeTag pins the argument contract: a
+// tolerant receive names one user tag, never a negative sentinel (which
+// would collide with the internal collective tag space).
 func TestRecvTolerantRejectsNegativeTag(t *testing.T) {
 	w := NewWorld(1)
 	errs := w.RunEach(func(c *Comm) error {
-		_, _, err := c.RecvTolerant(context.Background(), []int{-3}, c.FailureEpoch(), time.Millisecond)
+		_, _, err := c.RecvTolerant(context.Background(), -3, c.FailureEpoch(), time.Millisecond)
 		if err == nil || errors.Is(err, ErrTimeout) {
 			return fmt.Errorf("negative tag accepted: %v", err)
 		}

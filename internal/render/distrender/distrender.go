@@ -1,13 +1,14 @@
 // Package distrender shards one render.Spec grid into column-block tiles
 // and fans them out over the internal/mpi runtime: rank 0 coordinates (it
 // owns the catalog, cuts cost-balanced tiles, scatters static batches,
-// stream-stitches the frames that come back into one Result), the
+// stream-stitches the tiles that come back into one Result), the
 // remaining ranks march tiles with the shared-memory SoA kernel and stream
 // them straight back to rank 0.
 //
 // There is one gather protocol and one topology: the star. Every worker
-// sends its finished tiles to rank 0 as treeFrames and rank 0 acks them
-// per tile. See worker.go for the worker side and the recovery ladder.
+// sends each finished tile to rank 0 once, as a tileResult, and rank 0's
+// progress deadline recovers any that never arrives. See worker.go for the
+// worker side and the recovery ladder.
 //
 // There is one decomposition: the output grid is partitioned, the
 // tessellation never is. Rank 0 triangulates the catalog once and ships
@@ -82,10 +83,10 @@ type hooks struct {
 	// evenTiles cuts equal-width tiles instead of cost-balanced ones.
 	evenTiles bool
 	// fault injects crashes and straggler sleeps: fault.PointTile before a
-	// march, fault.PointRelay before a worker sends a frame.
+	// march, fault.PointRelay before a worker sends a marched tile.
 	fault *fault.Injector
 	// tileTimeout, when > 0, replaces the 30 s per-rank progress deadline:
-	// a rank with outstanding tiles and no accepted frame for this long has
+	// a rank with outstanding tiles and no accepted tile for this long has
 	// its head tile stolen.
 	tileTimeout time.Duration
 	// noCoordinatorCompute forbids rank 0 from marching tiles itself, so
@@ -255,8 +256,8 @@ func newCoord(setup *setupMsg) *coord {
 
 // wellFormed reports whether r names a tile of the setup tiling and, when
 // healthy, carries exactly that tile's grid (I1-I0 columns, Ny rows, and
-// that many data words). Frames arrive off the wire; an entry that fails
-// this is never stitched.
+// that many data words). Results arrive off the wire; one that fails this
+// is never stitched.
 func (s *setupMsg) wellFormed(r tileResult) bool {
 	if r.Tile < 0 || r.Tile >= len(s.Tiles) {
 		return false
@@ -267,13 +268,13 @@ func (s *setupMsg) wellFormed(r tileResult) bool {
 
 // accept ingests one tile: a healthy tile's grid is stitched immediately
 // and dropped. Returns true when the tile was new (first-wins); duplicates
-// and malformed entries return false, the latter left un-ingested so the
+// and malformed results return false, the latter left un-ingested so the
 // deadline re-dispatch recovers the tile.
 func (co *coord) accept(r tileResult) bool {
 	k := r.Tile
 	if !co.setup.wellFormed(r) {
 		co.res.Failures = append(co.res.Failures,
-			fmt.Sprintf("discarded malformed frame entry for tile %d from rank %d", k, r.Rank))
+			fmt.Sprintf("discarded malformed result for tile %d from rank %d", k, r.Rank))
 		return false
 	}
 	if _, ok := co.have[k]; ok {
@@ -341,7 +342,7 @@ func (co *coord) finalize() (*Result, error) {
 
 // coordinate is the rank-0 side: tile the grid, build and send the setup,
 // hand every live rank its static round-robin batch, then stream-stitch
-// the frames that come back while per-rank deadlines drive re-dispatch.
+// the tiles that come back while per-rank deadlines drive re-dispatch.
 func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h hooks) (*Result, error) {
 	spec := cfg.Spec
 	nt := cfg.Tiles
@@ -466,7 +467,7 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 	}
 
 	// cleared drops an accepted tile from its owner's outstanding share.
-	// It is keyed by the tile, never by the sender: a stale frame for a
+	// It is keyed by the tile, never by the sender: a stale result for a
 	// tile that was stolen from a rank must not touch the tracking of the
 	// tiles that rank still holds.
 	cleared := func(tile int) {
@@ -511,7 +512,7 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 		// progress within its deadline has its head tile stolen and
 		// re-dispatched; the remaining share gets a fresh window (either
 		// the rank is slow — its eventual duplicates are deduped — or its
-		// frames were lost, and re-dispatch elsewhere recovers them).
+		// results were lost or malformed, and the re-dispatch recovers them).
 		now := time.Now()
 		for r, d := range deadline {
 			if len(pending[r]) == 0 || now.Before(d) {
@@ -551,7 +552,7 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 				reassign(k, -1)
 			}
 		}
-		// Event-driven wait until the next frame, membership change,
+		// Event-driven wait until the next result, membership change,
 		// cancellation, or earliest rank deadline. A deadline that lapsed
 		// since the expiry scan makes the wait negative, which RecvTolerant
 		// would read as "block indefinitely": clamp it to a poll.
@@ -565,7 +566,7 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 				wait = rem
 			}
 		}
-		msg, ep, err := c.RecvTolerant(ctx, []int{tagFrame}, epoch, max(wait, 0))
+		msg, ep, err := c.RecvTolerant(ctx, tagResult, epoch, max(wait, 0))
 		epoch = ep
 		if err != nil {
 			// A cancellation is handled at the top of the loop.
@@ -574,7 +575,12 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 			}
 			return nil, fmt.Errorf("distrender: gather: %w", err)
 		}
-		ingestFrame(c, co, msg, cleared)
+		var r tileResult
+		if err := msg.Decode(&r); err != nil {
+			res.Failures = append(res.Failures, fmt.Sprintf("gather decode: %s", err))
+		} else if co.accept(r) {
+			cleared(r.Tile)
+		}
 	}
 
 	shutdown()
@@ -588,27 +594,4 @@ func removeTile(s []int, k int) []int {
 		}
 	}
 	return s
-}
-
-// ingestFrame accepts every tile of a treeFrame into the coordinator state
-// and acks the sender. cleared is invoked for each newly accepted tile so
-// the caller can clear its tracking.
-func ingestFrame(c *mpi.Comm, co *coord, msg *mpi.Message, cleared func(tile int)) {
-	var f treeFrame
-	if err := msg.Decode(&f); err != nil {
-		co.res.Failures = append(co.res.Failures, fmt.Sprintf("gather decode: %s", err))
-		return
-	}
-	ack := frameAck{Tiles: make([]int, 0, len(f.Tiles))}
-	for _, r := range f.Tiles {
-		// Ack everything in the frame — duplicates and malformed entries
-		// included — so the child stops re-sending; a tile rejected as
-		// malformed is recovered by the deadline re-dispatch, not by a
-		// retry of the same bytes.
-		ack.Tiles = append(ack.Tiles, r.Tile)
-		if co.accept(r) {
-			cleared(r.Tile)
-		}
-	}
-	_ = c.Send(msg.Src, tagAck, ack)
 }

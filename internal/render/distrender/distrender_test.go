@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -385,7 +386,7 @@ func TestChaosAllWorkersLost(t *testing.T) {
 }
 
 // TestChaosCrashBeforeSend: rank 1 dies between a march and the send of
-// its second frame, taking a marched-but-unsent tile and the rest of its
+// its second result, taking a marched-but-unsent tile and the rest of its
 // batch with it. The coordinator must write the rank off, re-dispatch its
 // whole share, and still stitch the bit-exact grid.
 func TestChaosCrashBeforeSend(t *testing.T) {
@@ -580,8 +581,8 @@ func TestRestoreCorruptPool(t *testing.T) {
 
 // scriptedWorker is rank 1 of a two-rank world whose rank 0 runs the real
 // coordinator: it has taken the setup and restored the mesh, and the
-// test's script decides which frames it sends and when. Acks pile up unread
-// in the mailbox unless the script receives them; nothing is ever re-sent.
+// test's script decides which results it sends and when; nothing is ever
+// re-sent unless the script sends it again.
 type scriptedWorker struct {
 	c     *mpi.Comm
 	setup setupMsg
@@ -592,8 +593,14 @@ func (w *scriptedWorker) march(k int) (tileResult, error) {
 	return marchTile(context.Background(), w.m, &w.setup, k, w.c.Rank())
 }
 
+// send sends each result on its own, in order, as the real worker does.
 func (w *scriptedWorker) send(tiles ...tileResult) error {
-	return w.c.Send(0, tagFrame, treeFrame{Tiles: tiles})
+	for _, r := range tiles {
+		if err := w.c.Send(0, tagResult, r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // serveUntilShutdown marches and sends every tile of every further batch.
@@ -661,11 +668,11 @@ func runScripted(t *testing.T, cfg Config, h hooks, pts []geom.Vec3, hung string
 }
 
 // TestChaosStaleStragglerResultThenLoss pins the deadline-tracking rule: a
-// late frame for a tile that was *stolen* from a rank must not clear the
+// late result for a tile that was *stolen* from a rank must not clear the
 // tracking of the tile the rank still holds. The scripted worker sits on
 // its batch {A, B} until A's deadline expires and the coordinator steals A
 // (and, this rank being the only live one, hands it straight back), then
-// sends the stale A frame and drops B's result exactly as a lost gather
+// sends the stale A result and drops B's result exactly as a lost gather
 // send would. Only B's own deadline can recover it: if the stale arrival
 // cleared the rank's tracking instead of the tile's, nothing would ever
 // re-dispatch B and the coordinator would spin forever.
@@ -675,7 +682,7 @@ func TestChaosStaleStragglerResultThenLoss(t *testing.T) {
 	ref, _ := singleRank(t, pts, spec)
 
 	cfg := Config{Spec: spec, Workers: 2, Tiles: 2}
-	res := runScripted(t, cfg, hooks{tileTimeout: 200 * time.Millisecond}, pts, "coordinator hung: stale frame for a stolen tile discarded the held tile's tracking",
+	res := runScripted(t, cfg, hooks{tileTimeout: 200 * time.Millisecond}, pts, "coordinator hung: stale result for a stolen tile discarded the held tile's tracking",
 		func(w *scriptedWorker) error {
 			var first, second assignBatch
 			if _, err := w.c.Recv(0, tagBatch, &first); err != nil {
@@ -705,11 +712,11 @@ func TestChaosStaleStragglerResultThenLoss(t *testing.T) {
 	}
 }
 
-// TestChaosMalformedGridRedispatched feeds the root's ingestFrame a frame
-// whose first grid is one column too narrow, one row too short, or one
-// data word short for its tile, next to a healthy tile. The bad entry must be discarded (never
-// stitched at some offset), acked like the good one (the same bytes again
-// would be no better), and recovered by the deadline re-dispatch.
+// TestChaosMalformedGridRedispatched feeds the root's gather a result whose
+// grid is one column too narrow, one row too short, or one data word short
+// for its tile, followed by a healthy tile. The bad result must be
+// discarded (never stitched at some offset) and recovered by the deadline
+// re-dispatch.
 func TestChaosMalformedGridRedispatched(t *testing.T) {
 	pts := testCatalogs()["dirty"]
 	spec := testSpec(pts)
@@ -750,13 +757,6 @@ func TestChaosMalformedGridRedispatched(t *testing.T) {
 					if err := w.send(bad, good); err != nil {
 						return err
 					}
-					var ack frameAck
-					if _, err := w.c.Recv(0, tagAck, &ack); err != nil {
-						return err
-					}
-					if len(ack.Tiles) != 2 || ack.Tiles[0] != bad.Tile || ack.Tiles[1] != good.Tile {
-						return fmt.Errorf("ack names %v, want the discarded tile %d and the stitched tile %d", ack.Tiles, bad.Tile, good.Tile)
-					}
 					return w.serveUntilShutdown()
 				})
 			assertGridsIdentical(t, ref, res.Grid)
@@ -773,7 +773,7 @@ func TestChaosMalformedGridRedispatched(t *testing.T) {
 // TestChaosExpiredDeadlineKeepsStealing pins the gather's wait clamp: with
 // a 1 ns straggler deadline every deadline has lapsed by the time the
 // coordinator computes its next wait, so that wait is negative. Read as a
-// timeout it would block the gather until some frame arrived, and the
+// timeout it would block the gather until some result arrived, and the
 // scripted worker sends nothing until it has seen two re-dispatches.
 func TestChaosExpiredDeadlineKeepsStealing(t *testing.T) {
 	pts := testCatalogs()["dirty"]
@@ -814,6 +814,88 @@ func TestChaosExpiredDeadlineKeepsStealing(t *testing.T) {
 	assertGridsIdentical(t, ref, res.Grid)
 	if res.Redispatched < 2 {
 		t.Fatalf("expected >= 2 deadline re-dispatches, got %d", res.Redispatched)
+	}
+}
+
+// dropFirstResult is an mpi.Injector that drops every attempt of rank 1's
+// first result send and nothing else. Only rank 1 sends results, so one
+// counter suffices.
+type dropFirstResult struct{ sends atomic.Int32 }
+
+func (d *dropFirstResult) SendVerdict(src, dst, tag, attempt, bytes int) mpi.SendVerdict {
+	if src != 1 || tag != tagResult {
+		return mpi.SendVerdict{}
+	}
+	n := d.sends.Load()
+	if attempt == 0 {
+		n = d.sends.Add(1)
+	}
+	return mpi.SendVerdict{Drop: n == 1}
+}
+
+// TestChaosLostTileToOnlyWorker: rank 1, the only worker, loses its first
+// result past mpi's retries. The deadline steals the tile and, with no other
+// live rank, hands it back to rank 1, which must march and send it again:
+// a worker that remembered the tile as done would never send it, and the
+// render would hang.
+func TestChaosLostTileToOnlyWorker(t *testing.T) {
+	pts := testCatalogs()["clustered"]
+	spec := testSpec(pts)
+	ref, refOutcomes := singleRank(t, pts, spec)
+
+	w := mpi.NewWorld(2)
+	w.SetInjector(new(dropFirstResult))
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 4}
+	var res *Result
+	done := make(chan []error, 1)
+	go func() {
+		done <- w.RunEach(func(c *mpi.Comm) error {
+			r, err := run(context.Background(), c, cfg, pts, hooks{tileTimeout: 100 * time.Millisecond})
+			if c.Rank() == 0 {
+				res = r
+			}
+			return err
+		})
+	}()
+	select {
+	case errs := <-done:
+		for r, e := range errs {
+			if e != nil {
+				t.Fatalf("rank %d: %v", r, e)
+			}
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("render hung: the lost tile was never sent again")
+	}
+	if res.Incomplete {
+		t.Fatalf("a lost result left a partial render: %v", res.Failures)
+	}
+	t.Logf("re-dispatched %d, duplicates %d", res.Redispatched, res.Duplicates)
+	assertGridsIdentical(t, ref, res.Grid)
+	if res.Outcomes != refOutcomes {
+		t.Fatalf("outcome counts: reference %v, distributed %v", refOutcomes, res.Outcomes)
+	}
+}
+
+// TestGatherDecodeFailure: a message on the result tag that is no
+// tileResult is recorded once as a gather decode failure and otherwise
+// ignored; the worker's real results complete the render bit for bit.
+func TestGatherDecodeFailure(t *testing.T) {
+	pts := testCatalogs()["dirty"]
+	spec := testSpec(pts)
+	ref, _ := singleRank(t, pts, spec)
+
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 2}
+	res := runScripted(t, cfg, hooks{}, pts, "coordinator hung after a result it could not decode",
+		func(w *scriptedWorker) error {
+			if err := w.c.Send(0, tagResult, assignBatch{Tiles: []int{0}}); err != nil {
+				return err
+			}
+			return w.serveUntilShutdown()
+		})
+	assertGridsIdentical(t, ref, res.Grid)
+	if len(res.Failures) != 1 || !strings.HasPrefix(res.Failures[0], "gather decode: ") {
+		t.Fatalf("Failures = %q, want the one gather decode failure", res.Failures)
 	}
 }
 

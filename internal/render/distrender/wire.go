@@ -1,8 +1,8 @@
 // Wire protocol of the distributed renderer. Every message is a plain
 // struct carried by the mpi wire codec: setup (spec + tiling + catalog +
-// rank 0's mesh) once, then batches, frames and acks. A truncated or
-// mistyped message is a decode error that leaves the receiver untouched,
-// so nothing is ever half-accepted.
+// rank 0's mesh) once, then batches to the workers and one tileResult per
+// marched tile back. A truncated or mistyped message is a decode error
+// that leaves the receiver untouched, so nothing is ever half-accepted.
 package distrender
 
 import (
@@ -19,10 +19,9 @@ import (
 // Message tags. The pipeline owns 100–103; the distributed renderer's
 // block starts at 120.
 const (
-	tagSetup = 120 // coordinator → worker: setupMsg (once)
-	tagBatch = 123 // coordinator → worker: assignBatch
-	tagFrame = 124 // worker → coordinator: treeFrame
-	tagAck   = 125 // coordinator → worker: frameAck
+	tagSetup  = 120 // coordinator → worker: setupMsg (once)
+	tagBatch  = 123 // coordinator → worker: assignBatch
+	tagResult = 124 // worker → coordinator: tileResult
 )
 
 // setupMsg is the one-shot message that primes every worker: the render
@@ -89,10 +88,12 @@ func (s *setupMsg) restoreMarcher() (*render.Marcher, error) {
 }
 
 // tileResult is one marched tile, as a rank holds it in memory and as it
-// travels inside a treeFrame: the tile's own grid (exactly its columns of
-// the tiling, I1-I0 wide) and the tile-local worker stats (worker ids
-// 0..W-1, re-based at the gather). The column span is not carried: every
-// rank reads it from the setup tiling by index.
+// travels to the coordinator, one message a tile: the tile's own grid
+// (exactly its columns of the tiling, I1-I0 wide) and the tile-local worker
+// stats (worker ids 0..W-1, re-based at the gather). The column span is not
+// carried: every rank reads it from the setup tiling by index. Results are
+// idempotent — the coordinator dedupes tiles first-wins — so a tile marched
+// twice after a re-dispatch is always safe.
 type tileResult struct {
 	Tile  int
 	Rank  int    // the rank that marched it
@@ -107,22 +108,4 @@ type tileResult struct {
 type assignBatch struct {
 	Shutdown bool
 	Tiles    []int
-}
-
-// treeFrame is the unit of streaming to the coordinator: every tile its
-// sender has marched and not yet had acknowledged, each with its own grid.
-// (The name, which the wire header carries, predates the star.) Frames are
-// idempotent — the coordinator dedupes tiles first-wins — so re-sending
-// after a lost frame or a lost ack is always safe.
-type treeFrame struct {
-	Tiles []tileResult
-}
-
-// frameAck acknowledges the tiles of a frame the coordinator has ingested
-// (stitched, deduped or discarded as malformed), so the worker stops
-// re-sending them. A tile that never reaches the coordinator is recovered
-// by its per-rank deadline re-dispatch (tile renders are bit-exact, so
-// recomputing elsewhere is always safe).
-type frameAck struct {
-	Tiles []int
 }

@@ -26,12 +26,13 @@ type wireCase struct {
 }
 
 // wireCases are one message of each wire type: the setup (one tet's
-// pool), a batch and the shutdown batch, a two-tile frame (one healthy tile with its
-// grid and stats, one Err-only tile), and an ack.
+// pool), a batch and the shutdown batch, and two tile results (a healthy
+// tile with its grid and stats, an Err-only tile).
 func wireCases() []wireCase {
 	g := grid.NewGrid2D(2, 1, geom.Vec2{X: 1, Y: -2}, 0.5)
 	g.Data[0], g.Data[1] = 1.5, -0.25
 	batch := func() any { return new(assignBatch) }
+	result := func() any { return new(tileResult) }
 	return []wireCase{
 		{"setupMsg", &setupMsg{
 			Spec:  render.Spec{Min: geom.Vec2{X: 1, Y: -2}, Nx: 4, Ny: 1, Cell: 0.5, Samples: 2, Seed: 5},
@@ -55,24 +56,22 @@ func wireCases() []wireCase {
 			"16" + hex.EncodeToString([]byte("distrender.assignBatch")) + "00" + "02" + "02" + "9003"},
 		{"shutdown", &assignBatch{Shutdown: true}, batch,
 			"16" + hex.EncodeToString([]byte("distrender.assignBatch")) + "01" + "00"},
-		{"treeFrame", &treeFrame{Tiles: []tileResult{
-			{Tile: 3, Rank: 4, Grid: g, Stats: []render.WorkerStat{{
+		{"tileResult", &tileResult{
+			Tile: 3, Rank: 4, Grid: g, Stats: []render.WorkerStat{{
 				Worker: 1, Busy: time.Millisecond, Cells: 2, Steps: 300,
 				Columns: render.OutcomeCounts{Clean: 2, Perturbed: 1},
-			}}},
-			{Tile: 5, Rank: 4, Err: "march failed"},
-		}}, func() any { return new(treeFrame) },
-			"14" + hex.EncodeToString([]byte("distrender.treeFrame")) +
-				"02" + // two tiles
+			}},
+		}, result,
+			"15" + hex.EncodeToString([]byte("distrender.tileResult")) +
 				"06" + "08" + "00" + // tile 3, rank 4, no error
 				"01" + // grid present:
 				"04" + "02" + "000000000000f03f" + "00000000000000c0" + "000000000000e03f" + // 2x1 at (1,-2), cell 0.5
 				"02" + "000000000000f83f" + "000000000000d0bf" + // 2 words: 1.5, -0.25
-				"01" + "02" + "80897a" + "04" + "d804" + "04" + "02" + "00" + "00" + // one stat
+				"01" + "02" + "80897a" + "04" + "d804" + "04" + "02" + "00" + "00"}, // one stat
+		{"tileResultErr", &tileResult{Tile: 5, Rank: 4, Err: "march failed"}, result,
+			"15" + hex.EncodeToString([]byte("distrender.tileResult")) +
 				"0a" + "08" + "0c" + hex.EncodeToString([]byte("march failed")) + // tile 5, rank 4
 				"00" + "00"}, // no grid, no stats
-		{"frameAck", &frameAck{Tiles: []int{3, 4, 5}}, func() any { return new(frameAck) },
-			"13" + hex.EncodeToString([]byte("distrender.frameAck")) + "03" + "06" + "08" + "0a"},
 	}
 }
 
@@ -127,7 +126,9 @@ func FuzzTreeWireDecode(f *testing.F) {
 	}
 	f.Add(enc)
 	f.Add([]byte{})
-	header := "\x14distrender.treeFrame"
+	// A healthy tile result whose 2x1 grid claims 2^64-1 data words: the
+	// decoder must reject the count before it allocates.
+	header := "\x15distrender.tileResult" + "\x06\x08\x00" + "\x01" + "\x04\x02" + strings.Repeat("\x00", 24)
 	f.Add(append([]byte(header), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range wireCases() {
