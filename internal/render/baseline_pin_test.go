@@ -7,25 +7,12 @@ import (
 	"godtfe/internal/grid"
 )
 
-// baselineRender renders spec with either 3D-grid baseline. The baselines'
-// Render has been called with and without a trailing Schedule argument;
-// the pins below read the same bits through whichever form r has.
-func baselineRender(t *testing.T, r any, spec Spec, workers int) *grid.Grid2D {
+// baselineRender renders spec with either 3D-grid baseline.
+func baselineRender(t *testing.T, r interface {
+	Render(Spec, int) (*grid.Grid2D, []WorkerStat, error)
+}, spec Spec, workers int) *grid.Grid2D {
 	t.Helper()
-	var g *grid.Grid2D
-	var err error
-	switch r := r.(type) {
-	case interface {
-		Render(Spec, int) (*grid.Grid2D, []WorkerStat, error)
-	}:
-		g, _, err = r.Render(spec, workers)
-	case interface {
-		Render(Spec, int, Schedule) (*grid.Grid2D, []WorkerStat, error)
-	}:
-		g, _, err = r.Render(spec, workers, ScheduleDynamic)
-	default:
-		t.Fatalf("%T has no baseline Render", r)
-	}
+	g, _, err := r.Render(spec, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +30,9 @@ func TestBaselinesPinned(t *testing.T) {
 	f := fieldFor(t, pts)
 	kernels := []struct {
 		name string
-		r    any
+		r    interface {
+			Render(Spec, int) (*grid.Grid2D, []WorkerStat, error)
+		}
 		want [2]uint64 // Samples 1, Samples 3
 	}{
 		{"walking", NewWalker(f), [2]uint64{0x4b3e6003345a80a0, 0xf0b6192c82a7acc1}},
@@ -57,6 +46,35 @@ func TestBaselinesPinned(t *testing.T) {
 				if got != k.want[si] {
 					t.Errorf("%s samples=%d workers=%d: checksum %#x, want %#x", k.name, samples, workers, got, k.want[si])
 				}
+			}
+		}
+	}
+}
+
+// TestWalkerStepsIndependentOfWorkers pins the walking baseline's work
+// count: each row's walk draws from a stream keyed on the row, so the
+// summed Steps, like the grid bits, do not depend on how many workers
+// render it or which worker draws which row.
+func TestWalkerStepsIndependentOfWorkers(t *testing.T) {
+	w := NewWalker(fieldFor(t, randPoints(3000, 5)))
+	spec := Spec{Min: geom.Vec2{X: 0.05, Y: 0.05}, Nx: 40, Ny: 40, Cell: 0.0225, Nz: 40}
+	run := func(workers int) (int64, uint64) {
+		g, stats, err := w.Render(spec, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var steps int64
+		for _, s := range stats {
+			steps += s.Steps
+		}
+		return steps, g.Checksum()
+	}
+	wantSteps, wantSum := run(1)
+	for rep := 0; rep < 4; rep++ {
+		for _, workers := range []int{1, 3} {
+			if steps, sum := run(workers); steps != wantSteps || sum != wantSum {
+				t.Fatalf("repeat %d, %d workers: %d steps, checksum %#x; one worker: %d steps, checksum %#x",
+					rep, workers, steps, sum, wantSteps, wantSum)
 			}
 		}
 	}

@@ -251,7 +251,7 @@ type sampler func(xi geom.Vec2, st *WorkerStat) float64
 // columns of runs, global column indices of spec, in every row into out,
 // whose column 0 holds global column outBase (0 for a full-spec grid, the
 // tile's first column for a tile grid). Workers draw rows from a shared
-// counter and call row(worker) once per row for that row's sampler. A cell
+// counter and call row(j) once per row j for that row's sampler. A cell
 // is the mean of spec.Samples lines through its global-index center,
 // jittered by (Seed, i, j, s) when Samples > 1, so a cell's bits do not
 // depend on the run, tile or worker that evaluates it.
@@ -260,7 +260,7 @@ type sampler func(xi geom.Vec2, st *WorkerStat) float64
 // context.AfterFunc callback sets, so an uncancellable context costs
 // nothing. Once it is set, every worker stops and sampleRuns returns the
 // context's error; out is then partial and must be discarded.
-func sampleRuns(ctx context.Context, spec Spec, runs []Tile, out *grid.Grid2D, outBase, workers int, row func(worker int) sampler) ([]WorkerStat, error) {
+func sampleRuns(ctx context.Context, spec Spec, runs []Tile, out *grid.Grid2D, outBase, workers int, row func(j int) sampler) ([]WorkerStat, error) {
 	var cancelled *atomic.Bool // nil when ctx cannot be cancelled
 	if ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
@@ -282,7 +282,7 @@ func sampleRuns(ctx context.Context, spec Spec, runs []Tile, out *grid.Grid2D, o
 			start := time.Now()
 		rows:
 			for j := int(next.Add(1)) - 1; j < spec.Ny; j = int(next.Add(1)) - 1 {
-				sample := row(st.Worker)
+				sample := row(j)
 				for _, r := range runs {
 					for i := r.I0; i < r.I1; i++ {
 						if cancelled != nil && cancelled.Load() {

@@ -33,8 +33,9 @@ func NewWalker(f *dtfe.Field) *Walker {
 
 // Render computes the projected (surface) density on the spec's 2D grid by
 // sampling Nz points per column. Each row's walk starts afresh and draws
-// from its worker's private stream, each line seeded from the previous
-// line's last tet.
+// from a private stream keyed on the row, each line seeded from the
+// previous line's last tet, so the walk lengths (Steps), like the grid
+// bits, do not depend on the worker count.
 func (w *Walker) Render(spec Spec, workers int) (*grid.Grid2D, []WorkerStat, error) {
 	if err := spec.Validate(true); err != nil {
 		return nil, nil, err
@@ -44,9 +45,9 @@ func (w *Walker) Render(spec Spec, workers int) (*grid.Grid2D, []WorkerStat, err
 		zmin, zmax = w.zlo, w.zhi
 	}
 	out := spec.Grid()
-	stats, err := sampleRuns(context.Background(), spec, []Tile{{I0: 0, I1: spec.Nx}}, out, 0, workers, func(wk int) sampler {
+	stats, err := sampleRuns(context.Background(), spec, []Tile{{I0: 0, I1: spec.Nx}}, out, 0, workers, func(j int) sampler {
 		seed := delaunay.NoTet
-		rng := splitmix64(uint64(wk)+1) | 1 // private walk stream: no shared-state races
+		rng := splitmix64(uint64(j)+1) | 1 // private walk stream: no shared-state races
 		return func(xi geom.Vec2, st *WorkerStat) float64 {
 			sigma, n, last, err := w.column(xi, zmin, zmax, spec.Nz, seed, &rng)
 			seed = last
@@ -74,7 +75,7 @@ func (w *Walker) Column(xi geom.Vec2, zmin, zmax float64, nz int, seed int32) (f
 }
 
 // column is Column with an optional caller-owned walk rng (Render's
-// per-worker stream). With rng == nil it draws from the triangulation's
+// per-row stream). With rng == nil it draws from the triangulation's
 // internal stream, which is fine single-threaded but races concurrently.
 func (w *Walker) column(xi geom.Vec2, zmin, zmax float64, nz int, seed int32, rng *uint64) (float64, int, int32, error) {
 	locate := func(start int32, p geom.Vec3) (int32, int, error) {
