@@ -12,9 +12,10 @@
 // and gathered bit-identically to the single-rank render. Every worker
 // sends each tile straight to rank 0 once, and rank 0 re-dispatches every
 // tile that does not arrive, from a lost or stalled rank. Rank 0 of that world
-// builds the one mesh and ships it to the workers, which restore it rather
-// than build their own; -v, which reports a local build, and the other
-// kernels, which only run locally, are refused.
+// builds the one mesh and sends each worker only the slab of it that the
+// worker's tiles cross, which the worker marches rather than build its own
+// mesh; -v, which reports a local build, and the other kernels, which only
+// run locally, are refused.
 package main
 
 import (

@@ -77,23 +77,20 @@ func (f *Field) SetValues(values []float64) error {
 	return nil
 }
 
-// Gradient solves, for finite tet ti with vertices x0..x3 in slot order,
-// the 3x3 system (xi - x0)·∇ρ = ρi - ρ0 (i = 1..3) and returns ∇ρ, zero
-// when it is singular: the one expression every per-tet table is built by.
+// Gradient is TetGradient of finite tet ti's vertices and densities.
 func (f *Field) Gradient(ti int32) geom.Vec3 {
-	tet := &f.Tri.Tets()[ti]
-	pts := f.Tri.Points()
-	x0 := pts[tet.V[0]]
-	r0 := pts[tet.V[1]].Sub(x0)
-	r1 := pts[tet.V[2]].Sub(x0)
-	r2 := pts[tet.V[3]].Sub(x0)
-	d0 := f.Density[tet.V[0]]
-	rhs := geom.Vec3{
-		X: f.Density[tet.V[1]] - d0,
-		Y: f.Density[tet.V[2]] - d0,
-		Z: f.Density[tet.V[3]] - d0,
-	}
-	g, _ := geom.Solve3(r0, r1, r2, rhs) // zero when singular
+	v := &f.Tri.Tets()[ti].V
+	pts, d := f.Tri.Points(), f.Density
+	return TetGradient(pts[v[0]], pts[v[1]], pts[v[2]], pts[v[3]], d[v[0]], d[v[1]], d[v[2]], d[v[3]])
+}
+
+// TetGradient solves, for a tet with vertices x0..x3 in slot order and
+// vertex values d0..d3, the 3x3 system (xi - x0)·∇ρ = di - d0 (i = 1..3)
+// and returns ∇ρ, zero when it is singular: the one expression every
+// per-tet gradient is built by, from a Field or from a slab of one.
+func TetGradient(x0, x1, x2, x3 geom.Vec3, d0, d1, d2, d3 float64) geom.Vec3 {
+	rhs := geom.Vec3{X: d1 - d0, Y: d2 - d0, Z: d3 - d0}
+	g, _ := geom.Solve3(x1.Sub(x0), x2.Sub(x0), x3.Sub(x0), rhs) // zero when singular
 	return g
 }
 

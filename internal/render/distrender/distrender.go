@@ -11,12 +11,17 @@
 // worker side and the recovery ladder.
 //
 // There is one decomposition: the output grid is partitioned, the
-// tessellation never is. Rank 0 triangulates the catalog once and ships
-// the mesh; every worker restores it (delaunay.Restore) and marches it.
-// Column marching is independent, so the stitched grid is byte-identical
-// to a single-rank render — the invariant the test suite pins. Sharding the
-// catalog itself is not attempted; DESIGN §9 records what a bit-exact
-// version of it would have to guarantee.
+// tessellation never is. Rank 0 triangulates the catalog once, estimates
+// the field once and keeps both; every batch it sends carries the slab of
+// that one mesh its tiles cross (render.CutSlab: the finite tets whose
+// x-extent meets the tiles' columns widened by the perturbation ladders'
+// reach), and the worker builds its Marcher straight from the slab. A
+// slab is a piece of the mesh, not a re-triangulated ghost zone, and
+// column marching is independent, so the stitched grid is byte-identical
+// to a single-rank render — the invariant the test suite pins. A static
+// share is a contiguous block of tiles, so the slabs overlap only by their
+// pads. Sharding the catalog itself is not attempted; DESIGN §9 records
+// what a bit-exact version of it would have to guarantee.
 //
 // Failure handling reuses the PR 1 recovery concepts: the coordinator waits
 // with a tolerant AnySource receive, redistributes the outstanding tiles of
@@ -187,23 +192,11 @@ func (co *coord) abort(ctx context.Context, shutdown func()) (*Result, error) {
 	return res, &CancelledError{Cause: cause, Done: len(co.have), Total: len(co.tiles)}
 }
 
-// buildMarcher triangulates the catalog and prepares the SoA kernel.
-func buildMarcher(pts []geom.Vec3) (*render.Marcher, error) {
-	tri, err := delaunay.New(pts)
-	if err != nil {
-		return nil, err
-	}
-	f, err := dtfe.NewField(tri, nil)
-	if err != nil {
-		return nil, err
-	}
-	return render.NewMarcher(f), nil
-}
-
-// marchTile renders tile k of the setup tiling against the shared mesh's
-// marcher. ctx aborts the march at the next column (the coordinator's
-// self-compute path passes its caller's context; workers pass Background
-// and rely on the shutdown protocol instead). A context error propagates
+// marchTile renders tile k of the setup tiling with m, a Marcher of rank
+// 0's mesh or of a slab of it that covers the tile. ctx aborts the march
+// at the next column (the coordinator's self-compute path passes its
+// caller's context; workers pass Background and rely on the shutdown
+// protocol instead). A context error propagates
 // as the rank-level error — it is the caller cancelling, not the tile
 // failing; any other render error is the tile's own (Err).
 func marchTile(ctx context.Context, m *render.Marcher, setup *setupMsg, k, rank int) (tileResult, error) {
@@ -226,6 +219,7 @@ func marchTile(ctx context.Context, m *render.Marcher, setup *setupMsg, k, rank 
 // footprint is one output grid regardless of tile or rank count.
 type coord struct {
 	setup      *setupMsg
+	field      *dtfe.Field // rank 0's one mesh and its densities
 	tiles      []render.Tile
 	res        *Result
 	have       map[int]string // accepted tile → its Err ("" once stitched)
@@ -233,7 +227,7 @@ type coord struct {
 	workersAll int
 }
 
-func newCoord(setup *setupMsg) *coord {
+func newCoord(setup *setupMsg, field *dtfe.Field) *coord {
 	workersAll := setup.Workers
 	if workersAll <= 0 {
 		workersAll = 1
@@ -247,7 +241,7 @@ func newCoord(setup *setupMsg) *coord {
 		res.TileRank[k] = -1
 	}
 	return &coord{
-		setup: setup, tiles: setup.Tiles, res: res,
+		setup: setup, field: field, tiles: setup.Tiles, res: res,
 		have:       make(map[int]string),
 		merged:     make(map[int]*render.WorkerStat),
 		workersAll: workersAll,
@@ -299,15 +293,12 @@ func (co *coord) accept(r tileResult) bool {
 func (co *coord) complete() bool { return len(co.have) == len(co.tiles) }
 
 // selfCompute marches one tile on the coordinator (the fallback of last
-// resort when no live worker can take it). ctx aborts the march at the
-// next column so a cancelled caller is not stuck behind a full self-march.
+// resort when no live worker can take it) against rank 0's own field,
+// whose Marcher is built on first use. ctx aborts the march at the next
+// column so a cancelled caller is not stuck behind a full self-march.
 func (co *coord) selfCompute(ctx context.Context, k int, marcher **render.Marcher) error {
 	if *marcher == nil {
-		m, err := buildMarcher(co.setup.Particles)
-		if err != nil {
-			return err
-		}
-		*marcher = m
+		*marcher = render.NewMarcher(co.field)
 	}
 	r, err := marchTile(ctx, *marcher, co.setup, k, 0)
 	if err != nil {
@@ -340,20 +331,31 @@ func (co *coord) finalize() (*Result, error) {
 	return res, nil
 }
 
-// coordinate is the rank-0 side: tile the grid, build and send the setup,
-// hand every live rank its static round-robin batch, then stream-stitch
-// the tiles that come back while per-rank deadlines drive re-dispatch.
+// coordinate is the rank-0 side: tile the grid, build the one mesh and
+// send the setup, hand every live rank its static contiguous batch with
+// its slab, then stream-stitch the tiles that come back while per-rank
+// deadlines drive re-dispatch.
 func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h hooks) (*Result, error) {
 	spec := cfg.Spec
 	nt := cfg.Tiles
 	if nt <= 0 {
 		nt = 2 * c.Size()
 	}
-	setup := setupMsg{
-		Spec: spec, Tiles: makeTiles(spec, pts, nt, h.evenTiles),
-		Workers: cfg.Workers, Particles: pts,
+	setup := setupMsg{Spec: spec, Tiles: makeTiles(spec, pts, nt, h.evenTiles), Workers: cfg.Workers}
+	if ctx.Err() != nil { // skip the build; no worker has a setup to shut down
+		return newCoord(&setup, nil).abort(ctx, func() {})
 	}
-	co := newCoord(&setup)
+	// The one build. A catalog New rejects fails here, and the workers
+	// leave as from a coordinator gone before setup.
+	tri, err := delaunay.New(pts)
+	if err != nil {
+		return nil, err
+	}
+	field, err := dtfe.NewField(tri, nil)
+	if err != nil {
+		return nil, err
+	}
+	co := newCoord(&setup, field)
 	res := co.res
 	dead := make(map[int]bool)
 	liveRanks := func() []int {
@@ -365,22 +367,11 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 		}
 		return out
 	}
-	if ctx.Err() != nil { // skip the build; no worker has a setup to shut down
-		return co.abort(ctx, func() {})
-	}
 
-	// Setup fan-out: the one build, encoded once for every worker (a
-	// one-rank world packs nothing). A catalog New rejects fails here and
-	// the workers leave as from a coordinator gone before setup. A rank
-	// whose setup is lost past the retry budget is written off like a
-	// crashed rank and its share flows to the survivors. The pool is
-	// dropped once sent: a self-compute fallback builds from the catalog.
+	// Setup fan-out, encoded once for every worker. A rank whose setup is
+	// lost past the retry budget is written off like a crashed rank and
+	// its share flows to the survivors.
 	if workers := liveRanks(); len(workers) > 0 {
-		tri, err := delaunay.New(pts)
-		if err != nil {
-			return nil, err
-		}
-		setup.packMesh(tri)
 		for i, err := range c.Multicast(workers, tagSetup, &setup) {
 			if err != nil {
 				dead[workers[i]] = true
@@ -388,7 +379,6 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 					fmt.Sprintf("setup to rank %d: %s", workers[i], err))
 			}
 		}
-		setup.Finite, setup.DupOf = nil, nil
 	}
 
 	timeout := h.tileTimeout
@@ -406,11 +396,12 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 	owner := make(map[int]int)          // tile → rank currently responsible
 	deadline := make(map[int]time.Time) // rank → progress deadline
 
-	// sendBatch dispatches tiles to rank r and arms its deadline. A failed
-	// send writes the rank off; its share is redistributed by the caller
-	// via markDead.
+	// sendBatch dispatches tiles to rank r with the slab they cross and
+	// arms its deadline. A failed send writes the rank off; its share is
+	// redistributed by the caller via markDead.
 	sendBatch := func(r int, tiles []int) bool {
-		if err := c.Send(r, tagBatch, assignBatch{Tiles: tiles}); err != nil {
+		slab := render.CutSlab(field, spec, span(co.tiles, tiles))
+		if err := c.Send(r, tagBatch, assignBatch{Tiles: tiles, Slab: &slab}); err != nil {
 			return false
 		}
 		for _, k := range tiles {
@@ -484,19 +475,12 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 		}
 	}
 
-	// Initial static round-robin distribution over the live world.
-	if live := liveRanks(); len(live) > 0 {
-		shares := make(map[int][]int)
-		for k := range co.tiles {
-			r := live[k%len(live)]
-			shares[r] = append(shares[r], k)
-		}
-		for _, r := range live {
-			if tiles := shares[r]; len(tiles) > 0 {
-				if !sendBatch(r, tiles) {
-					markDead(r)
-				}
-			}
+	// Initial static distribution: a contiguous block of the cost-balanced
+	// tiles to each live rank, so each batch crosses one slab of the mesh.
+	live := liveRanks()
+	for i, tiles := range shares(len(co.tiles), len(live)) {
+		if len(tiles) > 0 && !sendBatch(live[i], tiles) {
+			markDead(live[i])
 		}
 	}
 
@@ -585,6 +569,28 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 
 	shutdown()
 	return co.finalize()
+}
+
+// shares splits tiles 0..nt-1 into n contiguous blocks of nearly equal
+// count, the static share of each of n ranks; a block is empty when there
+// are fewer tiles than ranks.
+func shares(nt, n int) [][]int {
+	out := make([][]int, n)
+	for i := range out {
+		for k := i * nt / n; k < (i+1)*nt/n; k++ {
+			out[i] = append(out[i], k)
+		}
+	}
+	return out
+}
+
+// span is the column block from the first to the last column of tiles.
+func span(all []render.Tile, tiles []int) render.Tile {
+	s := all[tiles[0]]
+	for _, k := range tiles[1:] {
+		s.I0, s.I1 = min(s.I0, all[k].I0), max(s.I1, all[k].I1)
+	}
+	return s
 }
 
 func removeTile(s []int, k int) []int {

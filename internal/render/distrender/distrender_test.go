@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"godtfe/internal/delaunay"
+	"godtfe/internal/dtfe"
 	"godtfe/internal/fault"
 	"godtfe/internal/geom"
 	"godtfe/internal/geomerr"
@@ -69,6 +71,20 @@ func testSpec(pts []geom.Vec3) render.Spec {
 		Nx:  n, Ny: n, Cell: w / n,
 		Samples: 2, Seed: 5,
 	}
+}
+
+// buildMarcher triangulates the catalog and prepares the SoA kernel over
+// the whole mesh: rank 0's one build, marched whole.
+func buildMarcher(pts []geom.Vec3) (*render.Marcher, error) {
+	tri, err := delaunay.New(pts)
+	if err != nil {
+		return nil, err
+	}
+	f, err := dtfe.NewField(tri, nil)
+	if err != nil {
+		return nil, err
+	}
+	return render.NewMarcher(f), nil
 }
 
 // singleRank renders the reference the distributed output must match byte
@@ -423,6 +439,44 @@ func TestChaosCrashBeforeSend(t *testing.T) {
 	}
 }
 
+// TestChaosMovedTileCarriesItsSlab: rank 1, which holds the first
+// contiguous share, dies before marching anything. Its tiles move to the
+// survivors as single-tile batches, each with the slab it crosses, so a
+// survivor marches tiles outside the block its first slab was cut for,
+// and the grid is still bit-equal to the single-rank render.
+func TestChaosMovedTileCarriesItsSlab(t *testing.T) {
+	pts := testCatalogs()["clustered"]
+	spec := testSpec(pts)
+	ref, refOutcomes := singleRank(t, pts, spec)
+
+	inj := fault.New(fault.Plan{
+		Seed:    21,
+		Crashes: []fault.Crash{{Rank: 1, Point: fault.PointTile, After: 0}},
+	})
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 9}
+	res, err, errs := runDistributed(4, cfg, pts, hooks{fault: inj, tileTimeout: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(errs[1], fault.ErrInjectedCrash) {
+		t.Fatalf("rank 1 should have crashed, got %v", errs[1])
+	}
+	first := shares(len(res.Tiles), 3)
+	for _, k := range first[0] {
+		r := res.TileRank[k]
+		if r != 2 && r != 3 {
+			t.Fatalf("tile %d of rank 1's share stitched from rank %d, want a survivor", k, r)
+		}
+		if slices.Contains(first[r-1], k) {
+			t.Fatalf("tile %d is in rank %d's first block", k, r)
+		}
+	}
+	assertGridsIdentical(t, ref, res.Grid)
+	if res.Outcomes != refOutcomes {
+		t.Fatalf("outcome counts after recovery: want %v, got %v", refOutcomes, res.Outcomes)
+	}
+}
+
 // TestFailedRankAttributionInResult: when a rank dies, the gather must name
 // it in Result.Failures with the underlying cause — operators debugging a
 // 1k-rank run need the rank id, not just "a rank died somewhere".
@@ -542,47 +596,65 @@ func TestChaosSetupLost(t *testing.T) {
 	}
 }
 
-// TestRestoreCorruptPool: a setup whose pool, duplicate table or particles
-// cannot be rank 0's mesh is a geomerr.ErrMeshCorrupt on the worker, never
-// a panic; the intact setup restores the mesh buildMarcher builds.
-func TestRestoreCorruptPool(t *testing.T) {
-	for name, corrupt := range map[string]func(s *setupMsg){
-		"ragged":    func(s *setupMsg) { s.Finite = s.Finite[:len(s.Finite)-3] },
-		"vertex":    func(s *setupMsg) { s.Finite[1] = int32(len(s.Particles)) },
-		"neighbour": func(s *setupMsg) { s.Finite[5] = int32(len(s.Finite) / 8) },
-		"pool":      func(s *setupMsg) { s.PoolLen = 5*len(s.Finite)/8 + 1 },
-		"dupof":     func(s *setupMsg) { s.DupOf = s.DupOf[1:] },
-		"particle":  func(s *setupMsg) { s.Particles[3].Y = math.NaN() },
+// TestSlabCorrupt: a batch slab that cannot be a piece of a mesh —
+// ragged words, an out-of-range vertex, neighbour or facet index, a
+// non-finite vertex, a density count that differs from the vertex count —
+// is a geomerr.ErrMeshCorrupt, never a panic, and on a worker a tile
+// error, not a rank failure; the intact slab marches its tiles as the
+// whole mesh does.
+func TestSlabCorrupt(t *testing.T) {
+	for name, corrupt := range map[string]func(s *render.Slab){
+		"ragged":       func(s *render.Slab) { s.Tets = s.Tets[:len(s.Tets)-3] },
+		"ragged-entry": func(s *render.Slab) { s.Entry = s.Entry[:len(s.Entry)-1] },
+		"vertex":       func(s *render.Slab) { s.Tets[1] = int32(len(s.Pts)) },
+		"neighbour":    func(s *render.Slab) { s.Tets[5] = int32(len(s.Tets) / 8) },
+		"sentinel":     func(s *render.Slab) { s.Tets[6] = -3 },
+		"facet":        func(s *render.Slab) { s.Entry[3] = int32(len(s.Tets) / 8) },
+		"facet-vertex": func(s *render.Slab) { s.Entry[0] = -1 },
+		"particle":     func(s *render.Slab) { s.Pts[3].Y = math.NaN() },
+		"density":      func(s *render.Slab) { s.Density = s.Density[1:] },
+		"span":         func(s *render.Slab) { s.X1 = math.Inf(1) },
+		"extent":       func(s *render.Slab) { s.Pts[0].X, s.Pts[1].X = -1e308, 1e308 },
+		"steps":        func(s *render.Slab) { s.MaxSteps = len(s.Tets)/8 - 1 },
 	} {
-		s := realSetup(t, 200)
-		corrupt(s)
-		if _, err := s.restoreMarcher(); !errors.Is(err, geomerr.ErrMeshCorrupt) {
+		setup, b := realBatch(t, 200)
+		corrupt(b.Slab)
+		if _, err := render.NewSlabMarcher(b.Slab); !errors.Is(err, geomerr.ErrMeshCorrupt) {
 			t.Errorf("%s: %v, want a corrupt-mesh error", name, err)
 		}
+		// On a worker it fails the batch's tiles, not the rank.
+		held := &batch{tiles: b.Tiles, slab: b.Slab}
+		if r, err := held.march(setup, b.Tiles[0], 1); err != nil || !strings.Contains(r.Err, geomerr.ErrMeshCorrupt.Error()) {
+			t.Errorf("%s: worker march: %v, tile error %q", name, err, r.Err)
+		}
 	}
-	s := realSetup(t, 200)
-	got, err := s.restoreMarcher()
+	setup, b := realBatch(t, 200)
+	got, err := render.NewSlabMarcher(b.Slab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Finite != nil || s.DupOf != nil {
-		t.Fatal("the pool words outlive the restore")
-	}
-	want, err := buildMarcher(s.Particles)
+	want, err := buildMarcher(realCatalog(200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, gf := got.Mesh(nil)
-	wp, wf := want.Mesh(nil)
-	if !reflect.DeepEqual(gp, wp) || !reflect.DeepEqual(gf, wf) {
-		t.Fatal("the restored mesh differs from the built one")
+	for _, k := range b.Tiles {
+		g, err := marchTile(context.Background(), got, setup, k, 1)
+		if err != nil || g.Err != "" {
+			t.Fatalf("tile %d: %v %s", k, err, g.Err)
+		}
+		w, _ := marchTile(context.Background(), want, setup, k, 1)
+		if g.Grid.Checksum() != w.Grid.Checksum() {
+			t.Fatalf("tile %d: the slab marches other bits than the whole mesh", k)
+		}
 	}
 }
 
 // scriptedWorker is rank 1 of a two-rank world whose rank 0 runs the real
-// coordinator: it has taken the setup and restored the mesh, and the
-// test's script decides which results it sends and when; nothing is ever
-// re-sent unless the script sends it again.
+// coordinator: it has taken the setup, and the test's script receives the
+// batches and decides which results it sends and when; nothing is ever
+// re-sent unless the script sends it again. It marches the whole mesh of
+// the catalog, so a script need not hand it the slabs its batches carry:
+// a slab marches the same bits (render.TestSlabMarchesSameBits).
 type scriptedWorker struct {
 	c     *mpi.Comm
 	setup setupMsg
@@ -645,7 +717,7 @@ func runScripted(t *testing.T, cfg Config, h hooks, pts []geom.Vec3, hung string
 			if _, err := c.Recv(0, tagSetup, &w.setup); err != nil {
 				return err
 			}
-			if w.m, err = w.setup.restoreMarcher(); err != nil {
+			if w.m, err = buildMarcher(pts); err != nil {
 				return err
 			}
 			return script(w)
@@ -983,42 +1055,117 @@ func BenchmarkDistRender(b *testing.B) {
 	}
 }
 
+// distGridCase is the end-to-end dist_grid workload's shape: 20k
+// clustered particles over a 256² grid whose cells span the catalog's x
+// extent, on 4 ranks with the default 8 tiles, and rank 0's one field of
+// it. n shrinks the catalog.
+func distGridCase(t testing.TB, n int) (setup *setupMsg, f *dtfe.Field, workers int) {
+	t.Helper()
+	pts := realCatalog(n)
+	tri, err := delaunay.New(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err = dtfe.NewField(tri, nil); err != nil {
+		t.Fatal(err)
+	}
+	b := geom.BoundsOf(pts)
+	spec := render.Spec{Min: b.Min.XY(), Nx: 256, Ny: 256, Cell: (b.Max.X - b.Min.X) / 256, ZMin: b.Min.Z, ZMax: b.Max.Z}
+	const ranks = 4
+	return &setupMsg{Spec: spec, Tiles: makeTiles(spec, pts, 2*ranks, false), Workers: 1}, f, ranks - 1
+}
+
+// staticBatches encodes the static batch of each of the workers, as
+// coordinate sends them.
+func staticBatches(t testing.TB, setup *setupMsg, f *dtfe.Field, workers int) [][]byte {
+	t.Helper()
+	var encs [][]byte
+	for _, tiles := range shares(len(setup.Tiles), workers) {
+		slab := render.CutSlab(f, setup.Spec, span(setup.Tiles, tiles))
+		enc, err := mpi.Encode(nil, assignBatch{Tiles: tiles, Slab: &slab})
+		if err != nil {
+			t.Fatal(err)
+		}
+		encs = append(encs, enc)
+	}
+	return encs
+}
+
+// TestSlabBytes pins what the slabs save on the dist_grid workload's
+// shape, counting bytes, not time: the three workers' static batches sum
+// to at most 1.3 encodings of the whole mesh (each worker got one before
+// slabs), and none exceeds 0.55 of one.
+func TestSlabBytes(t *testing.T) {
+	setup, f, workers := distGridCase(t, 20000)
+	whole := render.CutSlab(f, setup.Spec, render.Tile{I0: 0, I1: setup.Spec.Nx})
+	if len(whole.Tets)/8 != f.Tri.NumFiniteTets() {
+		t.Fatalf("the whole grid's slab carries %d of %d tets", len(whole.Tets)/8, f.Tri.NumFiniteTets())
+	}
+	full, err := mpi.Encode(nil, assignBatch{Slab: &whole})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int
+	for w, enc := range staticBatches(t, setup, f, workers) {
+		frac := float64(len(enc)) / float64(len(full))
+		t.Logf("worker %d: %d B, %.2f of the whole mesh's %d B", w+1, len(enc), frac, len(full))
+		if frac > 0.55 {
+			t.Errorf("worker %d's batch is %.2f of the whole mesh, want <= 0.55", w+1, frac)
+		}
+		sum += len(enc)
+	}
+	if frac := float64(sum) / float64(len(full)); frac > 1.3 {
+		t.Errorf("the static batches sum to %.2f whole meshes, want <= 1.3", frac)
+	}
+}
+
 // BenchmarkWorkerSetup is the layer number of one worker's setup on the
-// end-to-end workloads' kind of catalog (`make bench-dist`): build is
-// delaunay.New, the field and the SoA kernel from the catalog (what every
-// worker ran before rank 0 shipped its mesh, and the coordinator's own
-// path still); restore is what a worker runs now, decoding the setup
-// message, then Restore, the field and the SoA kernel.
+// dist_grid workload's shape (`make bench-dist`), per catalog point and
+// with the bytes a worker is sent: build is delaunay.New, the field and
+// the SoA kernel over the whole mesh (rank 0's one build, and every
+// worker's before rank 0 shipped its mesh), fed the catalog; slab is what
+// a worker runs now, decoding its static batch and building its Marcher
+// from the slab, averaged over the three workers.
 func BenchmarkWorkerSetup(b *testing.B) {
 	n := 20000
 	if testing.Short() {
 		n = 2000
 	}
-	setup := realSetup(b, n)
-	pts := setup.Particles
+	setup, f, workers := distGridCase(b, n)
+	pts := f.Tri.Points()
 	b.Run("build", func(b *testing.B) {
+		enc, err := mpi.Encode(nil, pts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := buildMarcher(pts); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+		b.ReportMetric(float64(len(enc)), "B/worker")
 	})
-	b.Run("restore", func(b *testing.B) {
-		enc, err := mpi.Encode(nil, setup)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("slab", func(b *testing.B) {
+		encs := staticBatches(b, setup, f, workers)
+		var bytes int
+		for _, enc := range encs {
+			bytes += len(enc)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var s setupMsg
-			if err := mpi.Decode(enc, &s); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.restoreMarcher(); err != nil {
-				b.Fatal(err)
+			for _, enc := range encs {
+				var a assignBatch
+				if err := mpi.Decode(enc, &a); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := render.NewSlabMarcher(a.Slab); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*workers*n), "ns/point")
+		b.ReportMetric(float64(bytes)/float64(workers), "B/worker")
 	})
 }

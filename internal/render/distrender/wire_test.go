@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"godtfe/internal/delaunay"
+	"godtfe/internal/dtfe"
 	"godtfe/internal/geom"
 	"godtfe/internal/grid"
 	"godtfe/internal/mpi"
@@ -25,8 +26,8 @@ type wireCase struct {
 	golden string
 }
 
-// wireCases are one message of each wire type: the setup (one tet's
-// pool), a batch and the shutdown batch, and two tile results (a healthy
+// wireCases are one message of each wire type: the setup, a batch with a
+// one-tet slab and the shutdown batch, and two tile results (a healthy
 // tile with its grid and stats, an Err-only tile).
 func wireCases() []wireCase {
 	g := grid.NewGrid2D(2, 1, geom.Vec2{X: 1, Y: -2}, 0.5)
@@ -37,25 +38,29 @@ func wireCases() []wireCase {
 		{"setupMsg", &setupMsg{
 			Spec:  render.Spec{Min: geom.Vec2{X: 1, Y: -2}, Nx: 4, Ny: 1, Cell: 0.5, Samples: 2, Seed: 5},
 			Tiles: []render.Tile{{I0: 0, I1: 2}, {I0: 2, I1: 4}}, Workers: 2,
-			Particles: []geom.Vec3{{X: 1, Y: 2, Z: 3}, {}, {}, {}},
-			Finite:    []int32{0, 1, 2, 3, -1, -1, -1, -1},
-			DupOf:     []int32{0, 1, 2, 3}, PoolLen: 5,
 		}, func() any { return new(setupMsg) },
 			"13" + hex.EncodeToString([]byte("distrender.setupMsg")) +
 				"000000000000f03f" + "00000000000000c0" + "08" + "02" + "000000000000e03f" + // Min, Nx 4, Ny 1, Cell 0.5
 				"0000000000000000" + "0000000000000000" + "00" + "04" + "0a" + // ZMin, ZMax, Nz, Samples 2, Seed 5
 				"02" + "00" + "04" + "04" + "08" + // two tiles: [0,2), [2,4)
-				"04" + // Workers 2
-				"04" + "000000000000f03f" + "0000000000000040" + "0000000000000840" + // four particles
+				"04"}, // Workers 2
+		{"assignBatch", &assignBatch{Tiles: []int{1, 200}, Slab: &render.Slab{
+			X0: 1, X1: 2, Eps: 0.5, MaxSteps: 21,
+			Pts:     []geom.Vec3{{X: 1, Y: 2, Z: 3}, {}, {}, {}},
+			Density: []float64{1, 0, 0, 0},
+			Tets:    []int32{0, 1, 2, 3, -1, -1, -2, -1},
+			Entry:   []int32{0, 2, 1, 0},
+		}}, batch,
+			"16" + hex.EncodeToString([]byte("distrender.assignBatch")) + "00" + "02" + "02" + "9003" + // tiles 1, 200
+				"01" + "000000000000f03f" + "0000000000000040" + "000000000000e03f" + "2a" + // a slab: X0 1, X1 2, Eps 0.5, MaxSteps 21
+				"04" + "000000000000f03f" + "0000000000000040" + "0000000000000840" + // four vertices
 				strings.Repeat("0000000000000000", 9) +
+				"04" + "000000000000f03f" + strings.Repeat("0000000000000000", 3) + // four densities
 				"08" + "00000000" + "01000000" + "02000000" + "03000000" + // one tet: V,
-				strings.Repeat("ffffffff", 4) + // N, all hull faces
-				"04" + "00000000" + "01000000" + "02000000" + "03000000" + // DupOf
-				"0a"}, // PoolLen 5
-		{"assignBatch", &assignBatch{Tiles: []int{1, 200}}, batch,
-			"16" + hex.EncodeToString([]byte("distrender.assignBatch")) + "00" + "02" + "02" + "9003"},
+				"ffffffff" + "ffffffff" + "feffffff" + "ffffffff" + // N: hull, hull, outside, hull
+				"04" + "00000000" + "02000000" + "01000000" + "00000000"}, // one entry facet
 		{"shutdown", &assignBatch{Shutdown: true}, batch,
-			"16" + hex.EncodeToString([]byte("distrender.assignBatch")) + "01" + "00"},
+			"16" + hex.EncodeToString([]byte("distrender.assignBatch")) + "01" + "00" + "00"}, // no tiles, no slab
 		{"tileResult", &tileResult{
 			Tile: 3, Rank: 4, Grid: g, Stats: []render.WorkerStat{{
 				Worker: 1, Busy: time.Millisecond, Cells: 2, Steps: 300,
@@ -120,7 +125,8 @@ func FuzzTreeWireDecode(f *testing.F) {
 		}
 		f.Add(enc)
 	}
-	enc, err := mpi.Encode(nil, realSetup(f, 12))
+	_, b := realBatch(f, 12)
+	enc, err := mpi.Encode(nil, b)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -134,26 +140,39 @@ func FuzzTreeWireDecode(f *testing.F) {
 		for _, c := range wireCases() {
 			_ = mpi.Decode(data, c.zero())
 		}
-		var s setupMsg
-		if mpi.Decode(data, &s) == nil {
-			_, _ = s.restoreMarcher()
+		var b assignBatch
+		if mpi.Decode(data, &b) == nil && b.Slab != nil {
+			_, _ = render.NewSlabMarcher(b.Slab)
 		}
 	})
 }
 
-// realSetup is the setup rank 0 sends for n clustered particles: the
-// catalog with its mesh packed.
-func realSetup(t testing.TB, n int) *setupMsg {
-	t.Helper()
+// realCatalog is n clustered particles in the unit cube, the end-to-end
+// workloads' kind of catalog.
+func realCatalog(n int) []geom.Vec3 {
 	box := geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
-	pts := synth.HaloSet(n, box, synth.DefaultHaloSpec(), 1)
+	return synth.HaloSet(n, box, synth.DefaultHaloSpec(), 1)
+}
+
+// realBatch is the setup and the static batch rank 0 sends the second of
+// three workers for n clustered particles: the middle block of eight
+// cost-balanced tiles, with the slab it crosses.
+func realBatch(t testing.TB, n int) (*setupMsg, *assignBatch) {
+	t.Helper()
+	pts := realCatalog(n)
 	tri, err := delaunay.New(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &setupMsg{Spec: testSpec(pts), Tiles: makeTiles(testSpec(pts), pts, 4, false), Workers: 1, Particles: pts}
-	s.packMesh(tri)
-	return s
+	f, err := dtfe.NewField(tri, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(pts)
+	setup := &setupMsg{Spec: spec, Tiles: makeTiles(spec, pts, 8, false), Workers: 1}
+	tiles := shares(len(setup.Tiles), 3)[1]
+	slab := render.CutSlab(f, spec, span(setup.Tiles, tiles))
+	return setup, &assignBatch{Tiles: tiles, Slab: &slab}
 }
 
 // TestWireMessagesOverWorld sends one value of each renderer message type

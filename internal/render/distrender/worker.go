@@ -30,12 +30,36 @@ import (
 
 	"godtfe/internal/fault"
 	"godtfe/internal/mpi"
+	"godtfe/internal/render"
 )
 
-// work is every non-root rank's loop: restore rank 0's mesh from the setup,
-// then drain the queued batches, march one tile and send it to rank 0, until
-// shut down. A send mpi gives up on is left to the root's deadline
-// re-dispatch — the march is bit-exact, so recomputing is safe.
+// batch is one assignment as a worker holds it: the tiles still to march
+// and the slab they cross, built into a Marcher at the first march and
+// dropped with the batch.
+type batch struct {
+	tiles []int
+	slab  *render.Slab
+	m     *render.Marcher
+	err   error // the slab builds no Marcher: every tile fails with this
+}
+
+// march marches tile k of the batch. A slab that is no piece of a mesh
+// fails each of its tiles, never the rank.
+func (b *batch) march(setup *setupMsg, k, me int) (tileResult, error) {
+	if b.m == nil && b.err == nil {
+		b.m, b.err = render.NewSlabMarcher(b.slab)
+		b.slab = nil
+	}
+	if b.err != nil {
+		return tileResult{Tile: k, Rank: me, Err: b.err.Error()}, nil
+	}
+	return marchTile(context.Background(), b.m, setup, k, me)
+}
+
+// work is every non-root rank's loop: take the setup, then drain the
+// queued batches, march one tile against its batch's slab and send it to
+// rank 0, until shut down. A send mpi gives up on is left to the root's
+// deadline re-dispatch — the march is bit-exact, so recomputing is safe.
 func work(c *mpi.Comm, h hooks) error {
 	var setup setupMsg
 	if _, err := c.Recv(0, tagSetup, &setup); err != nil {
@@ -44,12 +68,8 @@ func work(c *mpi.Comm, h hooks) error {
 		}
 		return err
 	}
-	marcher, err := setup.restoreMarcher()
-	if err != nil {
-		return err
-	}
 	me := c.Rank()
-	var todo []int
+	var todo []*batch
 	epoch := c.FailureEpoch()
 	marched := 0
 	for {
@@ -66,13 +86,16 @@ func work(c *mpi.Comm, h hooks) error {
 					return nil // coordinator gone; render is over
 				}
 			case errors.Is(err, mpi.ErrTimeout):
-				k := todo[0]
-				todo = todo[1:]
+				b := todo[0]
+				k := b.tiles[0]
+				if b.tiles = b.tiles[1:]; len(b.tiles) == 0 {
+					todo = todo[1:]
+				}
 				if h.fault != nil && h.fault.ShouldCrash(me, fault.PointTile, marched) {
 					return fault.Crashed(me, fault.PointTile, marched)
 				}
 				start := time.Now()
-				r, err := marchTile(context.Background(), marcher, &setup, k, me)
+				r, err := b.march(&setup, k, me)
 				if err != nil {
 					return err
 				}
@@ -92,17 +115,21 @@ func work(c *mpi.Comm, h hooks) error {
 			continue
 		}
 		epoch = ep
-		var b assignBatch
-		if err := msg.Decode(&b); err != nil {
+		var a assignBatch
+		if err := msg.Decode(&a); err != nil || !a.Shutdown && a.Slab == nil {
 			continue // the root's deadline re-dispatch recovers the batch
 		}
-		if b.Shutdown {
+		if a.Shutdown {
 			return nil
 		}
-		for _, k := range b.Tiles {
+		b := &batch{slab: a.Slab}
+		for _, k := range a.Tiles {
 			if k >= 0 && k < len(setup.Tiles) { // indexes the tiling: checked off the wire
-				todo = append(todo, k)
+				b.tiles = append(b.tiles, k)
 			}
+		}
+		if len(b.tiles) > 0 {
+			todo = append(todo, b)
 		}
 	}
 }

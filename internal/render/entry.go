@@ -3,7 +3,6 @@ package render
 import (
 	"math"
 
-	"godtfe/internal/delaunay"
 	"godtfe/internal/geom"
 )
 
@@ -32,28 +31,6 @@ func (f *entryFace) contains(xi geom.Vec2) bool {
 	return geom.Orient2D(f.pa, f.pb, xi) <= 0 &&
 		geom.Orient2D(f.pb, f.pc, xi) <= 0 &&
 		geom.Orient2D(f.pc, f.pa, xi) <= 0
-}
-
-// buildEntryFaces extracts the downward-facing hull facets ("facing the
-// opposite direction of integration", eq 14). The facets of a lower convex
-// hull tile its convex projection, so a vertical line pierces at most one
-// of them in its interior.
-func buildEntryFaces(tri *delaunay.Triangulation) []entryFace {
-	pts := tri.Points()
-	var faces []entryFace
-	for _, hf := range tri.HullFaces() {
-		a, b, c := pts[hf.V[0]], pts[hf.V[1]], pts[hf.V[2]]
-		n := b.Sub(a).Cross(c.Sub(a)) // outward normal
-		if n.Z >= 0 {
-			continue // not a downward-facing (entry) facet
-		}
-		faces = append(faces, entryFace{
-			a: a, b: b, c: c,
-			pa: a.XY(), pb: b.XY(), pc: c.XY(),
-			behind: hf.Behind,
-		})
-	}
-	return faces
 }
 
 // entryIndex locates entry facets through a uniform bucket grid over the

@@ -3,9 +3,10 @@ package render
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"godtfe/internal/delaunay"
-	"godtfe/internal/dtfe"
 	"godtfe/internal/geom"
 	"godtfe/internal/grid"
 )
@@ -22,29 +23,24 @@ import (
 // The hot loop runs against an SoA snapshot of the mesh (see soaMesh) and
 // every column's entry facet comes from the stateless bucket index (see
 // entryIndex); the SoA view is an exact restructuring, so the rendered grid
-// is bit-identical to the original pointer-chasing implementation.
+// is bit-identical to the original pointer-chasing implementation. A
+// Marcher holds a whole mesh (NewMarcher) or a slab of one
+// (NewSlabMarcher), which marches the columns it was cut for bit for bit
+// as the whole mesh does.
 type Marcher struct {
 	soa   soaMesh
 	entry *entryIndex
 	eps   float64 // perturbation magnitude for degenerate rays (Fig 2)
+	// x0, x1 bound the x of the columns it marches: ±Inf for a whole mesh,
+	// the slab's span for a slab.
+	x0, x1 float64
+	// maxSteps caps one march (marchSteps of the whole mesh, also in a
+	// slab, so a cycle ends where the whole mesh's would).
+	maxSteps int
 }
 
 // maxRetries bounds degeneracy-perturbation attempts per ladder.
 const maxRetries = 16
-
-// NewMarcher prepares the kernel: it extracts the downward-facing hull
-// facets (eq 14), builds the 2D bucket index over them, and flattens the
-// tetrahedra into the SoA view the march runs against, solving each finite
-// tet's gradient into its record. It keeps neither f nor f.Tri, only the
-// SoA view and the shared positions; build a new one after Field.SetValues.
-func NewMarcher(f *dtfe.Field) *Marcher {
-	diag := geom.BoundsOf(f.Tri.Points()).Diagonal()
-	return &Marcher{
-		soa:   newSoAMesh(f),
-		entry: newEntryIndex(buildEntryFaces(f.Tri)),
-		eps:   1e-9 * diag,
-	}
-}
 
 // Render fills the spec's grid with surface density, running the column
 // loop on `workers` goroutines, and returns per-worker stats.
@@ -62,7 +58,7 @@ func (m *Marcher) RenderCtx(ctx context.Context, spec Spec, workers int, _ Sched
 		return nil, nil, err
 	}
 	out := spec.Grid()
-	stats, err := sampleRuns(ctx, spec, []Tile{{I0: 0, I1: spec.Nx}}, out, 0, workers, m.rows(spec))
+	stats, err := m.march(ctx, spec, []Tile{{I0: 0, I1: spec.Nx}}, out, 0, workers)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -82,7 +78,7 @@ func (m *Marcher) RenderTileCtx(ctx context.Context, spec Spec, t Tile, workers 
 		return nil, nil, err
 	}
 	out := spec.TileGrid(t)
-	stats, err := sampleRuns(ctx, spec, []Tile{t}, out, t.I0, workers, m.rows(spec))
+	stats, err := m.march(ctx, spec, []Tile{t}, out, t.I0, workers)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -116,15 +112,38 @@ func (m *Marcher) RenderRunsCtx(ctx context.Context, spec Spec, runs []Tile, dst
 		}
 		prev = r.I1
 	}
-	return sampleRuns(ctx, spec, runs, dst, 0, workers, m.rows(spec))
+	return m.march(ctx, spec, runs, dst, 0, workers)
+}
+
+// march runs the marching kernel over runs through sampleRuns, once they
+// are checked to lie inside the Marcher's span. A column whose march
+// needed a tet outside the slab fails the whole render with
+// ErrOutsideSlab.
+func (m *Marcher) march(ctx context.Context, spec Spec, runs []Tile, out *grid.Grid2D, outBase, workers int) ([]WorkerStat, error) {
+	if n := len(runs); n > 0 {
+		if x0, x1 := spec.colX(runs[0].I0), spec.colX(runs[n-1].I1); x0 < m.x0 || x1 > m.x1 {
+			return nil, fmt.Errorf("%w: columns [%d,%d) span x [%g,%g], the slab [%g,%g]",
+				ErrOutsideSlab, runs[0].I0, runs[n-1].I1, x0, x1, m.x0, m.x1)
+		}
+	}
+	var outside atomic.Bool
+	stats, err := sampleRuns(ctx, spec, runs, out, outBase, workers, m.rows(spec, &outside))
+	if err == nil && outside.Load() {
+		err = fmt.Errorf("%w: a column of [%d,%d) crossed its edge", ErrOutsideSlab, runs[0].I0, runs[len(runs)-1].I1)
+	}
+	return stats, err
 }
 
 // rows is the marching kernel's row function for sampleRuns: every line is
-// one Column, its tets visited and its outcome noted in the worker's stats.
-// Columns are stateless, so every row shares one sampler.
-func (m *Marcher) rows(spec Spec) func(int) sampler {
+// one Column, its tets visited and its outcome noted in the worker's stats,
+// and a line that left the slab flagged in outside. Columns are stateless,
+// so every row shares one sampler.
+func (m *Marcher) rows(spec Spec, outside *atomic.Bool) func(int) sampler {
 	sample := func(xi geom.Vec2, st *WorkerStat) float64 {
 		sigma, steps, outcome := m.Column(xi, spec.ZMin, spec.ZMax)
+		if outcome == ColumnOutsideSlab {
+			outside.Store(true)
+		}
 		st.Steps += int64(steps)
 		st.Columns.Note(outcome)
 		return sigma
@@ -137,13 +156,17 @@ func (m *Marcher) rows(spec Spec) func(int) sampler {
 // full hull chord is integrated. It returns the surface density, the
 // number of tetrahedra visited, and how the march ended: clean, perturbed
 // (Fig 2 retries), fallback (restarted with a second, larger perturbation
-// ladder after the first ran out), or abandoned (Σ is a partial lower
-// bound and must be counted as lost flux, never reported silently).
+// ladder after the first ran out), abandoned (Σ is a partial lower bound
+// and must be counted as lost flux, never reported silently), or outside
+// the slab (Σ is NaN; only a slab Marcher ends a march so).
 func (m *Marcher) Column(xi geom.Vec2, zmin, zmax float64) (float64, int, ColumnOutcome) {
 	if !xi.IsFinite() {
 		return 0, 0, ColumnAbandoned
 	}
-	sigma, steps, attempts, ok := m.marchRetries(xi, zmin, zmax, 0)
+	sigma, steps, attempts, ok, outside := m.marchRetries(xi, zmin, zmax, 0)
+	if outside {
+		return math.NaN(), steps, ColumnOutsideSlab
+	}
 	if ok {
 		if attempts == 0 {
 			return sigma, steps, ColumnClean
@@ -154,8 +177,11 @@ func (m *Marcher) Column(xi geom.Vec2, zmin, zmax float64) (float64, int, Column
 	// the march from ξ with a second ladder whose magnitudes start one
 	// rung beyond the first, instead of returning the partial Σ from the
 	// failed march.
-	fsigma, fsteps, _, fok := m.marchRetries(xi, zmin, zmax, maxRetries+1)
+	fsigma, fsteps, _, fok, outside := m.marchRetries(xi, zmin, zmax, maxRetries+1)
 	steps += fsteps
+	if outside {
+		return math.NaN(), steps, ColumnOutsideSlab
+	}
 	if fok {
 		return fsigma, steps, ColumnFallback
 	}
@@ -170,17 +196,21 @@ func (m *Marcher) Column(xi geom.Vec2, zmin, zmax float64) (float64, int, Column
 
 // marchRetries runs the perturb-and-retry loop of the paper's Fig 2, the
 // perturbation magnitudes starting at rung base, so the fallback ladder
-// explores genuinely new line positions.
-func (m *Marcher) marchRetries(xi geom.Vec2, zmin, zmax float64, base int) (sigma float64, steps int, attempts int, ok bool) {
+// explores genuinely new line positions. A march that reaches a tet the
+// slab does not carry ends the loop at once with outside set.
+func (m *Marcher) marchRetries(xi geom.Vec2, zmin, zmax float64, base int) (sigma float64, steps int, attempts int, ok, outside bool) {
 	for attempt := 0; ; attempt++ {
 		s, n, badTet, ok := m.tryColumn(xi, zmin, zmax)
 		steps += n
 		sigma = s
 		if ok {
-			return sigma, steps, attempt, true
+			return sigma, steps, attempt, true, false
+		}
+		if badTet == outsideSlab {
+			return sigma, steps, attempt, false, true
 		}
 		if attempt >= maxRetries {
-			return sigma, steps, attempt, false
+			return sigma, steps, attempt, false, false
 		}
 		xi = m.perturb(xi, badTet, base+attempt)
 	}
@@ -191,7 +221,7 @@ func (m *Marcher) marchRetries(xi geom.Vec2, zmin, zmax float64, base int) (sigm
 // tet is always finite (an entry facet's tet or a march step's), so its
 // SoA record carries the triangulation's vertex slots.
 func (m *Marcher) perturb(xi geom.Vec2, tet int32, attempt int) geom.Vec2 {
-	eps := m.eps * float64(uint(1)<<uint(min(attempt, 20)))
+	eps := m.eps * float64(uint(1)<<uint(min(attempt, maxRung)))
 	pts := m.soa.pts
 	if tet >= 0 {
 		tt := &m.soa.tets[tet]
@@ -233,7 +263,7 @@ func (m *Marcher) tryColumn(xi geom.Vec2, zmin, zmax float64) (sigma float64, st
 
 	stets := m.soa.tets
 	pts := m.soa.pts
-	maxSteps := len(stets) + 16
+	maxSteps := m.maxSteps
 	xiX, xiY := xi.X, xi.Y
 	for ; steps < maxSteps; steps++ {
 		st := &stets[tet]
@@ -309,6 +339,9 @@ func (m *Marcher) tryColumn(xi geom.Vec2, zmin, zmax float64) (sigma float64, st
 			sigma += (st.D0 + (st.G.X*(xiX-p0.X) + st.G.Y*(xiY-p0.Y) + st.G.Z*(midZ-p0.Z))) * (hi - lo)
 		}
 		if next < 0 {
+			if next == outsideSlab {
+				return sigma, steps + 1, outsideSlab, false // left the slab: a tile error
+			}
 			return sigma, steps + 1, -1, true // left the hull: done
 		}
 		if clip && zExit >= zmax {

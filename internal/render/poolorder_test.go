@@ -9,17 +9,16 @@ import (
 	"godtfe/internal/synth"
 )
 
-// shufflePool permutes the marcher's finite SoA records at random and
+// shufflePool permutes the marcher's SoA records at random and
 // remaps every neighbour reference and every entry facet's tet to match:
 // the march visits the same tets in the same order and computes the same
 // bits, from scattered addresses instead of the Hilbert-ordered pool
 // compaction leaves.
 func shufflePool(m *Marcher, rng *rand.Rand) {
 	s := &m.soa
-	to := rng.Perm(s.finite) // record i moves to to[i]
+	to := rng.Perm(len(s.tets)) // record i moves to to[i]
 	tets := make([]soaTet, len(s.tets))
-	copy(tets[s.finite:], s.tets[s.finite:])
-	for i, st := range s.tets[:s.finite] {
+	for i, st := range s.tets {
 		for k, nn := range st.N {
 			if nn >= 0 {
 				st.N[k] = int32(to[nn])

@@ -131,6 +131,10 @@ const (
 	// ColumnAbandoned: every attempt failed; the reported Σ is a partial
 	// (lower-bound) integral and the column counts as lost flux.
 	ColumnAbandoned
+	// ColumnOutsideSlab: the march reached a tet its slab does not carry;
+	// Σ is NaN and the render fails with ErrOutsideSlab (it counts as
+	// abandoned).
+	ColumnOutsideSlab
 )
 
 // String names the outcome for logs.
@@ -144,6 +148,8 @@ func (o ColumnOutcome) String() string {
 		return "fallback"
 	case ColumnAbandoned:
 		return "abandoned"
+	case ColumnOutsideSlab:
+		return "outside-slab"
 	}
 	return fmt.Sprintf("ColumnOutcome(%d)", uint8(o))
 }
