@@ -91,9 +91,10 @@ bench-delaunay:
 bench-cache:
 	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench ColumnCacheZipf -count 5 ./internal/fieldserve/
 
-# One distributed-render worker's setup: its mesh built from the catalog,
-# on 20k clustered particles, one pinned core, five counts (ns/point beside
-# ns/op).
+# One distributed-render worker's setup on dist_grid's shape (20k
+# clustered particles, 4 ranks): the whole mesh built from the catalog
+# (build) against a worker's decode and build of its slab (slab), one
+# pinned core, five counts (ns/point and B/worker beside ns/op).
 bench-dist:
 	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench WorkerSetup -count 5 ./internal/render/distrender/
 
