@@ -115,10 +115,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHilbertOrder -fuzztime 10s ./internal/geom/
 	$(GO) test -run '^$$' -fuzz FuzzFOF -fuzztime 10s ./internal/halo/
 
-# Production-line count: every non-test .go file outside the benchmark
-# harness. The one number ROADMAP's "fewer production lines" target and the
-# simplicity PRs' before/after figures quote.
+# Line counts of every .go file outside the benchmark harness: production
+# (non-test files), the one number ROADMAP's "fewer production lines" target
+# and the simplicity PRs' before/after figures quote, and test (_test.go).
+LOC_FILES = find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*'
 loc:
-	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
+	@echo "production $$($(LOC_FILES) ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test       $$($(LOC_FILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
 ci: tier1 fmt vet race chaos serve-smoke bench-smoke bench-e2e-test fuzz

@@ -377,11 +377,6 @@ func TestCodecFastPathsOverWorld(t *testing.T) {
 // (render and grid types are used as they are). The wire body depends only
 // on the shape, so these decode exactly the bodies production encodes.
 type (
-	setupMsg struct {
-		Spec    render.Spec
-		Tiles   []render.Tile
-		Workers int
-	}
 	tileResult struct {
 		Tile  int
 		Rank  int
@@ -391,8 +386,14 @@ type (
 	}
 	assignBatch struct {
 		Shutdown bool
-		Tiles    []int
+		Spec     render.Spec
+		Workers  int
+		Tiles    []batchTile
 		Slab     *render.Slab
+	}
+	batchTile struct {
+		K    int
+		Span render.Tile
 	}
 	treeFrame   struct{ Tiles []tileResult }
 	frameAck    struct{ Tiles []int }
@@ -431,11 +432,11 @@ func productionShapes() []struct {
 		msg  any
 		zero func() any
 	}{
-		{setupMsg{Spec: render.Spec{Nx: 4, Ny: 2, Cell: 0.25, Samples: 2, Seed: 5}, Tiles: []render.Tile{{I0: 0, I1: 2}, {I0: 2, I1: 4}}, Workers: 2},
-			func() any { return new(setupMsg) }},
-		{assignBatch{Tiles: []int{1, 200}, Slab: &render.Slab{X0: 1, X1: 2, Eps: 1e-9, MaxSteps: 21, Pts: append(pts, pts...), Density: []float64{1, 2, 3, 4},
-			Tets: []int32{0, 1, 2, 3, -1, -1, -2, -1}, Entry: []int32{0, 2, 1, 0}}},
+		{assignBatch{Spec: render.Spec{Nx: 4, Ny: 2, Cell: 0.25, Samples: 2, Seed: 5}, Workers: 2,
+			Tiles: []batchTile{{K: 1, Span: render.Tile{I0: 0, I1: 2}}, {K: 200, Span: render.Tile{I0: 2, I1: 4}}}, Slab: &render.Slab{X0: 1, X1: 2, Eps: 1e-9, MaxSteps: 21, Pts: append(pts, pts...), Density: []float64{1, 2, 3, 4},
+				Tets: []int32{0, 1, 2, 3, -1, -1, -2, -1}, Entry: []int32{0, 2, 1, 0}}},
 			func() any { return new(assignBatch) }},
+		{assignBatch{Shutdown: true}, func() any { return new(assignBatch) }},
 		{treeFrame{Tiles: []tileResult{
 			{Tile: 3, Rank: 4, Grid: g, Stats: []render.WorkerStat{{Worker: 1, Busy: time.Millisecond, Cells: 2, Steps: 300}}},
 			{Tile: 5, Rank: 4, Err: "march failed"},

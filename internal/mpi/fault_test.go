@@ -2,8 +2,6 @@ package mpi
 
 import (
 	"errors"
-	"fmt"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -242,55 +240,4 @@ func errString(err error) string {
 		return "<nil>"
 	}
 	return err.Error()
-}
-
-// TestMulticastLosesOneRank: a multicast whose sends to one rank are all
-// dropped still delivers the one encoding to every other rank, reports one
-// error per destination in the order given (the lost rank's a
-// ErrMessageLost naming it, an invalid rank's its own), and counts every
-// attempt as wire traffic.
-func TestMulticastLosesOneRank(t *testing.T) {
-	payload := []int32{7, -1, 1 << 30}
-	enc, err := Encode(nil, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWorld(4)
-	w.SetInjector(&testInjector{dropN: map[[3]int]int{{0, 2, 9}: 1 << 30}})
-	errs := w.RunEach(func(c *Comm) error {
-		switch c.Rank() {
-		case 0:
-			c.SetMaxSendRetries(1)
-			errs := c.Multicast([]int{3, 2, 7, 1}, 9, payload)
-			if len(errs) != 4 || errs[0] != nil || errs[3] != nil {
-				return fmt.Errorf("per-rank errors %v, want delivery to ranks 3 and 1", errs)
-			}
-			if r, ok := FailedRank(errs[1]); !ok || r != 2 || !errors.Is(errs[1], ErrMessageLost) {
-				return fmt.Errorf("errs[1] = %v, want rank 2's send lost", errs[1])
-			}
-			if errs[2] == nil || !strings.Contains(errs[2].Error(), "invalid destination rank 7") {
-				return fmt.Errorf("errs[2] = %v, want the invalid rank refused", errs[2])
-			}
-			// Ranks 3 and 1 once each, rank 2 twice (one retry): one
-			// encoding's bytes per attempt.
-			if got, want := c.BytesSent(), int64(4*len(enc)); got != want {
-				return fmt.Errorf("BytesSent = %d, want %d", got, want)
-			}
-		case 2:
-		default:
-			var got []int32
-			if _, err := c.Recv(0, 9, &got); err != nil {
-				return err
-			}
-			if !reflect.DeepEqual(got, payload) {
-				return fmt.Errorf("rank %d received %v, want %v", c.Rank(), got, payload)
-			}
-		}
-		return nil
-	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
 }

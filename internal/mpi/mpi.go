@@ -25,7 +25,6 @@
 package mpi
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -537,20 +536,6 @@ func (c *Comm) Send(dst, tag int, v any) error {
 		return err
 	}
 	return c.sendRaw(dst, tag, data, true)
-}
-
-// Multicast encodes v once and sends the same unpooled bytes to every rank
-// of dsts, returning one error per destination in dsts' order. Unlike
-// Bcast, a send lost to one rank does not stop the sends to the others.
-func (c *Comm) Multicast(dsts []int, tag int, v any) []error {
-	errs := make([]error, len(dsts))
-	data, err := Encode(nil, v)
-	for i, dst := range dsts {
-		if errs[i] = cmp.Or(err, c.checkSend(dst, tag)); errs[i] == nil {
-			errs[i] = c.sendRaw(dst, tag, data, false)
-		}
-	}
-	return errs
 }
 
 // checkSend rejects a send's tag and destination before anything is encoded.

@@ -3,7 +3,9 @@
 // owns the catalog, cuts cost-balanced tiles, scatters static batches,
 // stream-stitches the tiles that come back into one Result), the
 // remaining ranks march tiles with the shared-memory SoA kernel and stream
-// them straight back to rank 0.
+// them straight back to rank 0. A batch is the only message a worker is
+// sent, and it needs nothing before it: the spec, the worker count, each
+// tile's index and column span, and its slab.
 //
 // There is one gather protocol and one topology: the star. Every worker
 // sends each finished tile to rank 0 once, as a tileResult, and rank 0's
@@ -29,8 +31,10 @@
 // that shows no progress within the straggler deadline (straggler
 // mitigation), and — because tile renders are bit-exact — resolves
 // duplicate results by first-arrival. If every worker is lost the
-// coordinator computes the remainder itself. A Result missing tiles is
-// flagged Incomplete with the lost tiles enumerated.
+// coordinator stitches the results already delivered, then cuts one slab
+// for the tiles still missing and marches it with the workers' batch code,
+// so every tile is marched from a slab. A Result missing tiles is flagged
+// Incomplete with the lost tiles enumerated.
 //
 // The chaos suites reach behaviours no caller chooses (equal-width tiles,
 // injected faults, a short straggler deadline, no self-compute) through
@@ -192,72 +196,58 @@ func (co *coord) abort(ctx context.Context, shutdown func()) (*Result, error) {
 	return res, &CancelledError{Cause: cause, Done: len(co.have), Total: len(co.tiles)}
 }
 
-// marchTile renders tile k of the setup tiling with m, a Marcher of rank
-// 0's mesh or of a slab of it that covers the tile. ctx aborts the march
-// at the next column (the coordinator's self-compute path passes its
-// caller's context; workers pass Background and rely on the shutdown
-// protocol instead). A context error propagates
-// as the rank-level error — it is the caller cancelling, not the tile
-// failing; any other render error is the tile's own (Err).
-func marchTile(ctx context.Context, m *render.Marcher, setup *setupMsg, k, rank int) (tileResult, error) {
-	res := tileResult{Tile: k, Rank: rank}
-	g, stats, err := m.RenderTileCtx(ctx, setup.Spec, setup.Tiles[k], setup.Workers)
-	if err != nil {
-		if ctx.Err() != nil {
-			return res, err
-		}
-		res.Err = err.Error()
-		return res, nil
-	}
-	res.Grid, res.Stats = g, stats
-	return res, nil
-}
-
 // coord is the rank-0 gather state. Tile grids are stitched into the output
 // grid the moment they are accepted (streaming stitch) and then dropped;
 // per tile only its failure string is retained, so the coordinator's
 // footprint is one output grid regardless of tile or rank count.
 type coord struct {
-	setup      *setupMsg
-	field      *dtfe.Field // rank 0's one mesh and its densities
-	tiles      []render.Tile
-	res        *Result
-	have       map[int]string // accepted tile → its Err ("" once stitched)
-	merged     map[int]*render.WorkerStat
-	workersAll int
+	spec    render.Spec
+	tiles   []render.Tile // the authoritative tiling
+	workers int           // each rank's march goroutines
+	field   *dtfe.Field   // rank 0's one mesh and its densities
+	res     *Result
+	have    map[int]string // accepted tile → its Err ("" once stitched)
+	merged  map[int]*render.WorkerStat
 }
 
-func newCoord(setup *setupMsg, field *dtfe.Field) *coord {
-	workersAll := setup.Workers
-	if workersAll <= 0 {
-		workersAll = 1
-	}
+func newCoord(spec render.Spec, tiles []render.Tile, workers int, field *dtfe.Field) *coord {
 	res := &Result{
-		Grid:     setup.Spec.Grid(),
-		Tiles:    setup.Tiles,
-		TileRank: make([]int, len(setup.Tiles)),
+		Grid:     spec.Grid(),
+		Tiles:    tiles,
+		TileRank: make([]int, len(tiles)),
 	}
 	for k := range res.TileRank {
 		res.TileRank[k] = -1
 	}
 	return &coord{
-		setup: setup, field: field, tiles: setup.Tiles, res: res,
-		have:       make(map[int]string),
-		merged:     make(map[int]*render.WorkerStat),
-		workersAll: workersAll,
+		spec: spec, tiles: tiles, workers: max(workers, 1), field: field, res: res,
+		have:   make(map[int]string),
+		merged: make(map[int]*render.WorkerStat),
 	}
 }
 
-// wellFormed reports whether r names a tile of the setup tiling and, when
+// batch is the assignment of tiles: the spec, the worker count, each
+// tile's index and span, and the one slab of rank 0's mesh they cross.
+func (co *coord) batch(tiles []int) assignBatch {
+	a := assignBatch{Spec: co.spec, Workers: co.workers}
+	for _, k := range tiles {
+		a.Tiles = append(a.Tiles, batchTile{K: k, Span: co.tiles[k]})
+	}
+	slab := render.CutSlab(co.field, co.spec, span(co.tiles, tiles))
+	a.Slab = &slab
+	return a
+}
+
+// wellFormed reports whether r names a tile of the tiling and, when
 // healthy, carries exactly that tile's grid (I1-I0 columns, Ny rows, and
 // that many data words). Results arrive off the wire; one that fails this
 // is never stitched.
-func (s *setupMsg) wellFormed(r tileResult) bool {
-	if r.Tile < 0 || r.Tile >= len(s.Tiles) {
+func (co *coord) wellFormed(r tileResult) bool {
+	if r.Tile < 0 || r.Tile >= len(co.tiles) {
 		return false
 	}
-	t, g := s.Tiles[r.Tile], r.Grid
-	return r.Err != "" || g != nil && g.Nx == t.I1-t.I0 && g.Ny == s.Spec.Ny && len(g.Data) == g.Nx*g.Ny
+	t, g := co.tiles[r.Tile], r.Grid
+	return r.Err != "" || g != nil && g.Nx == t.Width() && g.Ny == co.spec.Ny && len(g.Data) == g.Nx*g.Ny
 }
 
 // accept ingests one tile: a healthy tile's grid is stitched immediately
@@ -266,7 +256,7 @@ func (s *setupMsg) wellFormed(r tileResult) bool {
 // deadline re-dispatch recovers the tile.
 func (co *coord) accept(r tileResult) bool {
 	k := r.Tile
-	if !co.setup.wellFormed(r) {
+	if !co.wellFormed(r) {
 		co.res.Failures = append(co.res.Failures,
 			fmt.Sprintf("discarded malformed result for tile %d from rank %d", k, r.Rank))
 		return false
@@ -283,7 +273,7 @@ func (co *coord) accept(r tileResult) bool {
 			}
 		}
 		co.res.TileRank[k] = r.Rank
-		co.merged = render.MergeWorkerStats(co.merged, r.Stats, r.Rank*co.workersAll)
+		co.merged = render.MergeWorkerStats(co.merged, r.Stats, r.Rank*co.workers)
 	}
 	co.have[k] = r.Err
 	return true
@@ -292,19 +282,25 @@ func (co *coord) accept(r tileResult) bool {
 // complete reports whether every tile has been ingested.
 func (co *coord) complete() bool { return len(co.have) == len(co.tiles) }
 
-// selfCompute marches one tile on the coordinator (the fallback of last
-// resort when no live worker can take it) against rank 0's own field,
-// whose Marcher is built on first use. ctx aborts the march at the next
+// selfCompute is the fallback of last resort when no live worker is left:
+// the coordinator cuts one slab for every tile still missing and marches
+// them with the workers' batch code. ctx aborts the march at the next
 // column so a cancelled caller is not stuck behind a full self-march.
-func (co *coord) selfCompute(ctx context.Context, k int, marcher **render.Marcher) error {
-	if *marcher == nil {
-		*marcher = render.NewMarcher(co.field)
+func (co *coord) selfCompute(ctx context.Context) error {
+	var missing []int
+	for k := range co.tiles {
+		if _, ok := co.have[k]; !ok {
+			missing = append(missing, k)
+		}
 	}
-	r, err := marchTile(ctx, *marcher, co.setup, k, 0)
-	if err != nil {
-		return err
+	b := batch{assignBatch: co.batch(missing)}
+	for _, t := range b.Tiles {
+		r, err := b.march(ctx, t, 0)
+		if err != nil {
+			return err
+		}
+		co.accept(r)
 	}
-	co.accept(r)
 	return nil
 }
 
@@ -331,22 +327,30 @@ func (co *coord) finalize() (*Result, error) {
 	return res, nil
 }
 
-// coordinate is the rank-0 side: tile the grid, build the one mesh and
-// send the setup, hand every live rank its static contiguous batch with
-// its slab, then stream-stitch the tiles that come back while per-rank
-// deadlines drive re-dispatch.
+// coordinate is the rank-0 side: tile the grid, build the one mesh, hand
+// every live rank its static contiguous batch with its slab, then
+// stream-stitch the tiles that come back while per-rank deadlines drive
+// re-dispatch.
 func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h hooks) (*Result, error) {
 	spec := cfg.Spec
 	nt := cfg.Tiles
 	if nt <= 0 {
 		nt = 2 * c.Size()
 	}
-	setup := setupMsg{Spec: spec, Tiles: makeTiles(spec, pts, nt, h.evenTiles), Workers: cfg.Workers}
-	if ctx.Err() != nil { // skip the build; no worker has a setup to shut down
-		return newCoord(&setup, nil).abort(ctx, func() {})
+	tiling := makeTiles(spec, pts, nt, h.evenTiles)
+	dead := make(map[int]bool)
+	shutdown := func() {
+		for r := 1; r < c.Size(); r++ {
+			if !dead[r] && c.Alive(r) {
+				_ = c.Send(r, tagBatch, assignBatch{Shutdown: true})
+			}
+		}
+	}
+	if ctx.Err() != nil { // skip the build
+		return newCoord(spec, tiling, cfg.Workers, nil).abort(ctx, shutdown)
 	}
 	// The one build. A catalog New rejects fails here, and the workers
-	// leave as from a coordinator gone before setup.
+	// leave as from any coordinator that is gone.
 	tri, err := delaunay.New(pts)
 	if err != nil {
 		return nil, err
@@ -355,9 +359,8 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 	if err != nil {
 		return nil, err
 	}
-	co := newCoord(&setup, field)
+	co := newCoord(spec, tiling, cfg.Workers, field)
 	res := co.res
-	dead := make(map[int]bool)
 	liveRanks := func() []int {
 		var out []int
 		for r := 1; r < c.Size(); r++ {
@@ -368,54 +371,30 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 		return out
 	}
 
-	// Setup fan-out, encoded once for every worker. A rank whose setup is
-	// lost past the retry budget is written off like a crashed rank and
-	// its share flows to the survivors.
-	if workers := liveRanks(); len(workers) > 0 {
-		for i, err := range c.Multicast(workers, tagSetup, &setup) {
-			if err != nil {
-				dead[workers[i]] = true
-				res.Failures = append(res.Failures,
-					fmt.Sprintf("setup to rank %d: %s", workers[i], err))
-			}
-		}
-	}
-
 	timeout := h.tileTimeout
-	var coordMarcher *render.Marcher
-
-	shutdown := func() {
-		for r := 1; r < c.Size(); r++ {
-			if !dead[r] && c.Alive(r) {
-				_ = c.Send(r, tagBatch, assignBatch{Shutdown: true})
-			}
-		}
-	}
-
 	pending := make(map[int][]int)      // rank → tiles assigned, not yet arrived
 	owner := make(map[int]int)          // tile → rank currently responsible
 	deadline := make(map[int]time.Time) // rank → progress deadline
 
 	// sendBatch dispatches tiles to rank r with the slab they cross and
-	// arms its deadline. A failed send writes the rank off; its share is
-	// redistributed by the caller via markDead.
-	sendBatch := func(r int, tiles []int) bool {
-		slab := render.CutSlab(field, spec, span(co.tiles, tiles))
-		if err := c.Send(r, tagBatch, assignBatch{Tiles: tiles, Slab: &slab}); err != nil {
-			return false
+	// arms its deadline. The caller writes off a rank whose batch is lost
+	// (markDead), and its share is redistributed.
+	sendBatch := func(r int, tiles []int) error {
+		if err := c.Send(r, tagBatch, co.batch(tiles)); err != nil {
+			return err
 		}
 		for _, k := range tiles {
 			owner[k] = r
 		}
 		pending[r] = append(pending[r], tiles...)
 		deadline[r] = time.Now().Add(timeout)
-		return true
+		return nil
 	}
 
 	// reassign hands one missing tile to the least-loaded live rank
 	// (excluding `not` when another candidate exists). With no live rank
 	// it stays unowned for the self-compute fallback.
-	var markDead func(r int)
+	var markDead func(r int, why error)
 	reassign := func(k, not int) {
 		for {
 			if _, ok := co.have[k]; ok {
@@ -435,20 +414,20 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 				delete(owner, k) // self-compute fallback picks it up
 				return
 			}
-			if sendBatch(best, []int{k}) {
+			err := sendBatch(best, []int{k})
+			if err == nil {
 				res.Redispatched++
 				return
 			}
-			markDead(best) // and retry with the next-best live rank
+			markDead(best, err) // and retry with the next-best live rank
 		}
 	}
 
-	markDead = func(r int) {
-		if dead[r] {
-			return
-		}
+	// markDead writes live rank r off for why — its failure, or the batch
+	// send mpi gave up on — and redistributes its outstanding share.
+	markDead = func(r int, why error) {
 		dead[r] = true
-		res.Failures = append(res.Failures, fmt.Sprintf("rank %d lost: %s", r, c.RankFailure(r)))
+		res.Failures = append(res.Failures, fmt.Sprintf("rank %d lost: %s", r, why))
 		orphans := pending[r]
 		delete(pending, r)
 		delete(deadline, r)
@@ -479,8 +458,10 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 	// tiles to each live rank, so each batch crosses one slab of the mesh.
 	live := liveRanks()
 	for i, tiles := range shares(len(co.tiles), len(live)) {
-		if len(tiles) > 0 && !sendBatch(live[i], tiles) {
-			markDead(live[i])
+		if len(tiles) > 0 {
+			if err := sendBatch(live[i], tiles); err != nil {
+				markDead(live[i], err)
+			}
 		}
 	}
 
@@ -490,7 +471,9 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 			return co.abort(ctx, shutdown)
 		}
 		for _, r := range c.FailedRanks() {
-			markDead(r)
+			if !dead[r] {
+				markDead(r, c.RankFailure(r))
+			}
 		}
 		// Straggler expiry: a rank with outstanding tiles and no accepted
 		// progress within its deadline has its head tile stolen and
@@ -507,25 +490,6 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 			deadline[r] = now.Add(timeout)
 			reassign(k, r)
 		}
-		// Self-compute fallback: no live worker is left (or the world never
-		// had one), so the root marches what is missing itself — unless a
-		// test hook forbids it, and then the remainder is lost.
-		if len(liveRanks()) == 0 {
-			if h.noCoordinatorCompute {
-				break
-			}
-			for k := range co.tiles {
-				if _, ok := co.have[k]; !ok {
-					if err := co.selfCompute(ctx, k, &coordMarcher); err != nil {
-						if ctx.Err() != nil {
-							return co.abort(ctx, shutdown)
-						}
-						return nil, err
-					}
-				}
-			}
-			break
-		}
 		// A missing tile with no live owner (its owner was written off
 		// while no rank was live to take it) is reassigned now.
 		for k := range co.tiles {
@@ -539,7 +503,9 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 		// Event-driven wait until the next result, membership change,
 		// cancellation, or earliest rank deadline. A deadline that lapsed
 		// since the expiry scan makes the wait negative, which RecvTolerant
-		// would read as "block indefinitely": clamp it to a poll.
+		// would read as "block indefinitely": clamp it to a poll. With no
+		// live worker left the wait is a poll that drains the results
+		// already delivered before the fallback below.
 		wait := time.Second
 		now = time.Now()
 		for r, d := range deadline {
@@ -550,9 +516,29 @@ func coordinate(ctx context.Context, c *mpi.Comm, cfg Config, pts []geom.Vec3, h
 				wait = rem
 			}
 		}
+		orphaned := len(liveRanks()) == 0
+		if orphaned {
+			wait = 0
+		}
 		msg, ep, err := c.RecvTolerant(ctx, tagResult, epoch, max(wait, 0))
 		epoch = ep
 		if err != nil {
+			// Self-compute fallback: no live worker is left (or the world
+			// never had one) and nothing is waiting, so the root marches
+			// what is missing itself — unless a test hook forbids it, and
+			// then the remainder is lost.
+			if orphaned && errors.Is(err, mpi.ErrTimeout) {
+				if h.noCoordinatorCompute {
+					break
+				}
+				if err := co.selfCompute(ctx); err != nil {
+					if ctx.Err() != nil {
+						return co.abort(ctx, shutdown)
+					}
+					return nil, err
+				}
+				break
+			}
 			// A cancellation is handled at the top of the loop.
 			if errors.Is(err, mpi.ErrTimeout) || errors.Is(err, mpi.ErrWorldChanged) || ctx.Err() != nil {
 				continue

@@ -401,6 +401,45 @@ func TestChaosAllWorkersLost(t *testing.T) {
 	}
 }
 
+// TestChaosCoordinatorFinishesPartial: both workers stitch one tile each
+// and crash on their second, and the coordinator may compute. It must
+// stitch the two results already delivered, then march the remainder, a
+// set of tiles with holes in it, from one slab of its own mesh, and the
+// grid must equal the single-rank render.
+func TestChaosCoordinatorFinishesPartial(t *testing.T) {
+	pts := testCatalogs()["dirty"]
+	spec := testSpec(pts)
+	ref, refOutcomes := singleRank(t, pts, spec)
+
+	inj := fault.New(fault.Plan{
+		Seed: 4,
+		Crashes: []fault.Crash{
+			{Rank: 1, Point: fault.PointTile, After: 1},
+			{Rank: 2, Point: fault.PointTile, After: 1},
+		},
+	})
+	cfg := Config{Spec: spec, Workers: 2, Tiles: 8}
+	res, err, errs := runDistributed(3, cfg, pts, hooks{fault: inj, tileTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, e := range errs[1:] {
+		if !errors.Is(e, fault.ErrInjectedCrash) {
+			t.Fatalf("rank %d should have crashed, got %v", r+1, e)
+		}
+	}
+	assertGridsIdentical(t, ref, res.Grid)
+	if !bytes.Equal(pgmBytes(t, ref), pgmBytes(t, res.Grid)) {
+		t.Fatal("PGM bytes differ from single-rank reference")
+	}
+	if res.Outcomes != refOutcomes {
+		t.Fatalf("outcome counts: reference %v, distributed %v", refOutcomes, res.Outcomes)
+	}
+	if !slices.Contains(res.TileRank, 0) || !slices.ContainsFunc(res.TileRank, func(r int) bool { return r > 0 }) {
+		t.Fatalf("TileRank = %v, want tiles stitched from a worker and from rank 0", res.TileRank)
+	}
+}
+
 // TestChaosCrashBeforeSend: rank 1 dies between a march and the send of
 // its second result, taking a marched-but-unsent tile and the rest of its
 // batch with it. The coordinator must write the rank off, re-dispatch its
@@ -515,8 +554,8 @@ func TestFailedRankAttributionInResult(t *testing.T) {
 }
 
 // TestRejectedCatalogFailsOnce: a catalog delaunay.New refuses fails once,
-// on rank 0, before any setup is sent; the workers, which never see a
-// setup, leave cleanly instead of each failing the same build.
+// on rank 0, before any batch is sent; the workers, which never see one,
+// leave cleanly instead of each failing the same build.
 func TestRejectedCatalogFailsOnce(t *testing.T) {
 	var pts []geom.Vec3
 	for i := 0; i < 53; i++ {
@@ -542,25 +581,26 @@ func TestRejectedCatalogFailsOnce(t *testing.T) {
 	}
 }
 
-// dropSetupTo is an mpi.Injector that drops every attempt of the setup
+// dropBatchTo is an mpi.Injector that drops every attempt of every batch
 // send to one rank and nothing else.
-type dropSetupTo int
+type dropBatchTo int
 
-func (r dropSetupTo) SendVerdict(src, dst, tag, attempt, bytes int) mpi.SendVerdict {
-	return mpi.SendVerdict{Drop: dst == int(r) && tag == tagSetup}
+func (r dropBatchTo) SendVerdict(src, dst, tag, attempt, bytes int) mpi.SendVerdict {
+	return mpi.SendVerdict{Drop: dst == int(r) && tag == tagBatch}
 }
 
-// TestChaosSetupLost: a rank whose setup send is lost past the retry
-// budget is written off; the others march its share, the render is
-// complete and byte-identical to the single-rank one, and the lost rank
-// exits cleanly once the coordinator is done.
-func TestChaosSetupLost(t *testing.T) {
+// TestChaosBatchLost: a rank whose static batch is lost past the retry
+// budget is written off for that lost send, not reported as exited; the
+// others march its share, the render is complete and byte-identical to
+// the single-rank one, and the lost rank exits cleanly once the
+// coordinator is done.
+func TestChaosBatchLost(t *testing.T) {
 	pts := testCatalogs()["clustered"]
 	spec := testSpec(pts)
 	ref, refOutcomes := singleRank(t, pts, spec)
 
 	w := mpi.NewWorld(4)
-	w.SetInjector(dropSetupTo(2))
+	w.SetInjector(dropBatchTo(2))
 	cfg := Config{Spec: spec, Workers: 2, Tiles: 9}
 	var res *Result
 	errs := w.RunEach(func(c *mpi.Comm) (err error) {
@@ -577,14 +617,16 @@ func TestChaosSetupLost(t *testing.T) {
 		}
 	}
 	if res.Incomplete {
-		t.Fatalf("a lost setup left a partial result: %v", res.Failures)
+		t.Fatalf("a lost batch left a partial result: %v", res.Failures)
 	}
-	if len(res.Failures) != 1 || !strings.HasPrefix(res.Failures[0], "setup to rank 2: ") {
-		t.Fatalf("Failures = %q, want rank 2 written off at setup", res.Failures)
+	if len(res.Failures) != 1 || !strings.HasPrefix(res.Failures[0], "rank 2 lost: ") ||
+		!strings.Contains(res.Failures[0], fmt.Sprintf("tag %d dropped", tagBatch)) ||
+		!strings.Contains(res.Failures[0], mpi.ErrMessageLost.Error()) {
+		t.Fatalf("Failures = %q, want rank 2 written off for its lost batch", res.Failures)
 	}
 	for k, r := range res.TileRank {
 		if r == 2 {
-			t.Fatalf("tile %d stitched from rank 2, which never had the setup", k)
+			t.Fatalf("tile %d stitched from rank 2, which never had a batch", k)
 		}
 	}
 	assertGridsIdentical(t, ref, res.Grid)
@@ -600,9 +642,11 @@ func TestChaosSetupLost(t *testing.T) {
 // ragged words, an out-of-range vertex, neighbour or facet index, a
 // non-finite vertex, a density count that differs from the vertex count —
 // is a geomerr.ErrMeshCorrupt, never a panic, and on a worker a tile
-// error, not a rank failure; the intact slab marches its tiles as the
-// whole mesh does.
+// error, not a rank failure; so is a tile span outside the batch's spec
+// or outside its slab's span, which fails that tile alone. The intact
+// slab marches its tiles as the whole mesh does.
 func TestSlabCorrupt(t *testing.T) {
+	ctx := context.Background()
 	for name, corrupt := range map[string]func(s *render.Slab){
 		"ragged":       func(s *render.Slab) { s.Tets = s.Tets[:len(s.Tets)-3] },
 		"ragged-entry": func(s *render.Slab) { s.Entry = s.Entry[:len(s.Entry)-1] },
@@ -617,52 +661,73 @@ func TestSlabCorrupt(t *testing.T) {
 		"extent":       func(s *render.Slab) { s.Pts[0].X, s.Pts[1].X = -1e308, 1e308 },
 		"steps":        func(s *render.Slab) { s.MaxSteps = len(s.Tets)/8 - 1 },
 	} {
-		setup, b := realBatch(t, 200)
+		b := realBatch(t, 200)
 		corrupt(b.Slab)
 		if _, err := render.NewSlabMarcher(b.Slab); !errors.Is(err, geomerr.ErrMeshCorrupt) {
 			t.Errorf("%s: %v, want a corrupt-mesh error", name, err)
 		}
 		// On a worker it fails the batch's tiles, not the rank.
-		held := &batch{tiles: b.Tiles, slab: b.Slab}
-		if r, err := held.march(setup, b.Tiles[0], 1); err != nil || !strings.Contains(r.Err, geomerr.ErrMeshCorrupt.Error()) {
+		held := &batch{assignBatch: *b}
+		if r, err := held.march(ctx, b.Tiles[0], 1); err != nil || !strings.Contains(r.Err, geomerr.ErrMeshCorrupt.Error()) {
 			t.Errorf("%s: worker march: %v, tile error %q", name, err, r.Err)
 		}
 	}
-	setup, b := realBatch(t, 200)
-	got, err := render.NewSlabMarcher(b.Slab)
-	if err != nil {
-		t.Fatal(err)
+	for name, c := range map[string]struct {
+		span func(spec render.Spec) render.Tile
+		want string
+	}{
+		"tile-outside-spec": {func(spec render.Spec) render.Tile { return render.Tile{I0: spec.Nx - 1, I1: spec.Nx + 1} }, "outside grid columns"},
+		"tile-outside-slab": {func(render.Spec) render.Tile { return render.Tile{I0: 0, I1: 1} }, render.ErrOutsideSlab.Error()},
+	} {
+		b := realBatch(t, 200)
+		b.Tiles[0].Span = c.span(b.Spec)
+		held := &batch{assignBatch: *b}
+		if r, err := held.march(ctx, b.Tiles[0], 1); err != nil || r.Tile != b.Tiles[0].K || !strings.Contains(r.Err, c.want) {
+			t.Errorf("%s: worker march: %v, tile %d error %q", name, err, r.Tile, r.Err)
+		}
+		if r, err := held.march(ctx, b.Tiles[1], 1); err != nil || r.Err != "" || r.Grid == nil {
+			t.Errorf("%s: the batch's next tile: %v, tile error %q", name, err, r.Err)
+		}
 	}
+	b := realBatch(t, 200)
 	want, err := buildMarcher(realCatalog(200))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, whole := &batch{assignBatch: *b}, &batch{assignBatch: *b, m: want}
 	for _, k := range b.Tiles {
-		g, err := marchTile(context.Background(), got, setup, k, 1)
+		g, err := got.march(ctx, k, 1)
 		if err != nil || g.Err != "" {
-			t.Fatalf("tile %d: %v %s", k, err, g.Err)
+			t.Fatalf("tile %d: %v %s", k.K, err, g.Err)
 		}
-		w, _ := marchTile(context.Background(), want, setup, k, 1)
+		w, _ := whole.march(ctx, k, 1)
 		if g.Grid.Checksum() != w.Grid.Checksum() {
-			t.Fatalf("tile %d: the slab marches other bits than the whole mesh", k)
+			t.Fatalf("tile %d: the slab marches other bits than the whole mesh", k.K)
 		}
 	}
 }
 
 // scriptedWorker is rank 1 of a two-rank world whose rank 0 runs the real
-// coordinator: it has taken the setup, and the test's script receives the
-// batches and decides which results it sends and when; nothing is ever
-// re-sent unless the script sends it again. It marches the whole mesh of
-// the catalog, so a script need not hand it the slabs its batches carry:
-// a slab marches the same bits (render.TestSlabMarchesSameBits).
+// coordinator: the test's script receives the batches and decides which
+// results it sends and when; nothing is ever re-sent unless the script
+// sends it again. It marches a tile from its batch's slab, as a worker
+// does.
 type scriptedWorker struct {
-	c     *mpi.Comm
-	setup setupMsg
-	m     *render.Marcher
+	c *mpi.Comm
 }
 
-func (w *scriptedWorker) march(k int) (tileResult, error) {
-	return marchTile(context.Background(), w.m, &w.setup, k, w.c.Rank())
+// recv takes the next batch.
+func (w *scriptedWorker) recv() (*batch, error) {
+	var a assignBatch
+	if _, err := w.c.Recv(0, tagBatch, &a); err != nil {
+		return nil, err
+	}
+	return &batch{assignBatch: a}, nil
+}
+
+// march marches tile i of b.
+func (w *scriptedWorker) march(b *batch, i int) (tileResult, error) {
+	return b.march(context.Background(), b.Tiles[i], w.c.Rank())
 }
 
 // send sends each result on its own, in order, as the real worker does.
@@ -678,8 +743,8 @@ func (w *scriptedWorker) send(tiles ...tileResult) error {
 // serveUntilShutdown marches and sends every tile of every further batch.
 func (w *scriptedWorker) serveUntilShutdown() error {
 	for {
-		var b assignBatch
-		if _, err := w.c.Recv(0, tagBatch, &b); err != nil {
+		b, err := w.recv()
+		if err != nil {
 			if errors.Is(err, mpi.ErrRankFailed) {
 				return nil
 			}
@@ -688,8 +753,8 @@ func (w *scriptedWorker) serveUntilShutdown() error {
 		if b.Shutdown {
 			return nil
 		}
-		for _, k := range b.Tiles {
-			r, err := w.march(k)
+		for i := range b.Tiles {
+			r, err := w.march(b, i)
 			if err != nil {
 				return err
 			}
@@ -713,14 +778,7 @@ func runScripted(t *testing.T, cfg Config, h hooks, pts []geom.Vec3, hung string
 				res, err = run(context.Background(), c, cfg, pts, h)
 				return err
 			}
-			w := &scriptedWorker{c: c}
-			if _, err := c.Recv(0, tagSetup, &w.setup); err != nil {
-				return err
-			}
-			if w.m, err = buildMarcher(pts); err != nil {
-				return err
-			}
-			return script(w)
+			return script(&scriptedWorker{c: c})
 		})
 	}()
 	select {
@@ -756,8 +814,8 @@ func TestChaosStaleStragglerResultThenLoss(t *testing.T) {
 	cfg := Config{Spec: spec, Workers: 2, Tiles: 2}
 	res := runScripted(t, cfg, hooks{tileTimeout: 200 * time.Millisecond}, pts, "coordinator hung: stale result for a stolen tile discarded the held tile's tracking",
 		func(w *scriptedWorker) error {
-			var first, second assignBatch
-			if _, err := w.c.Recv(0, tagBatch, &first); err != nil {
+			first, err := w.recv()
+			if err != nil {
 				return err
 			}
 			if len(first.Tiles) != 2 {
@@ -765,10 +823,10 @@ func TestChaosStaleStragglerResultThenLoss(t *testing.T) {
 			}
 			// Blocking here until the coordinator re-dispatches guarantees
 			// tile A's deadline has expired and A has been stolen.
-			if _, err := w.c.Recv(0, tagBatch, &second); err != nil {
+			if _, err := w.recv(); err != nil {
 				return err
 			}
-			a, err := w.march(first.Tiles[0])
+			a, err := w.march(first, 0)
 			if err != nil {
 				return err
 			}
@@ -808,21 +866,21 @@ func TestChaosMalformedGridRedispatched(t *testing.T) {
 			cfg := Config{Spec: spec, Workers: 2, Tiles: 2}
 			res := runScripted(t, cfg, hooks{tileTimeout: 200 * time.Millisecond}, pts, "coordinator hung: the discarded tile was never re-dispatched",
 				func(w *scriptedWorker) error {
-					var b assignBatch
-					if _, err := w.c.Recv(0, tagBatch, &b); err != nil {
+					b, err := w.recv()
+					if err != nil {
 						return err
 					}
 					if len(b.Tiles) != 2 {
 						return fmt.Errorf("initial batch has %d tiles, want both", len(b.Tiles))
 					}
-					bad, err := w.march(b.Tiles[0])
+					bad, err := w.march(b, 0)
 					if err != nil {
 						return err
 					}
 					if bad.Grid, err = trim(bad.Grid); err != nil {
 						return err
 					}
-					good, err := w.march(b.Tiles[1])
+					good, err := w.march(b, 1)
 					if err != nil {
 						return err
 					}
@@ -855,17 +913,20 @@ func TestChaosExpiredDeadlineKeepsStealing(t *testing.T) {
 	cfg := Config{Spec: spec, Workers: 2, Tiles: 2}
 	res := runScripted(t, cfg, hooks{tileTimeout: time.Nanosecond}, pts, "coordinator hung: a lapsed deadline blocked the gather instead of stealing",
 		func(w *scriptedWorker) error {
-			for i := 0; i < 3; i++ { // the initial batch and two re-dispatches
-				var b assignBatch
-				if _, err := w.c.Recv(0, tagBatch, &b); err != nil {
+			first, err := w.recv()
+			if err != nil {
+				return err
+			}
+			if len(first.Tiles) != 2 {
+				return fmt.Errorf("initial batch has %d tiles, want both", len(first.Tiles))
+			}
+			for i := 0; i < 2; i++ { // two re-dispatches
+				if _, err := w.recv(); err != nil {
 					return err
 				}
-				if i == 0 && len(b.Tiles) != 2 {
-					return fmt.Errorf("initial batch has %d tiles, want both", len(b.Tiles))
-				}
 			}
-			for k := range w.setup.Tiles {
-				r, err := w.march(k)
+			for i := range first.Tiles {
+				r, err := w.march(first, i)
 				if err != nil {
 					return err
 				}
@@ -874,8 +935,8 @@ func TestChaosExpiredDeadlineKeepsStealing(t *testing.T) {
 				}
 			}
 			for { // the stream of re-dispatches ends with the shutdown
-				var b assignBatch
-				if _, err := w.c.Recv(0, tagBatch, &b); err != nil {
+				b, err := w.recv()
+				if err != nil {
 					return err
 				}
 				if b.Shutdown {
@@ -960,7 +1021,7 @@ func TestGatherDecodeFailure(t *testing.T) {
 	cfg := Config{Spec: spec, Workers: 2, Tiles: 2}
 	res := runScripted(t, cfg, hooks{}, pts, "coordinator hung after a result it could not decode",
 		func(w *scriptedWorker) error {
-			if err := w.c.Send(0, tagResult, assignBatch{Tiles: []int{0}}); err != nil {
+			if err := w.c.Send(0, tagResult, assignBatch{Tiles: []batchTile{{}}}); err != nil {
 				return err
 			}
 			return w.serveUntilShutdown()
@@ -1057,32 +1118,32 @@ func BenchmarkDistRender(b *testing.B) {
 
 // distGridCase is the end-to-end dist_grid workload's shape: 20k
 // clustered particles over a 256² grid whose cells span the catalog's x
-// extent, on 4 ranks with the default 8 tiles, and rank 0's one field of
-// it. n shrinks the catalog.
-func distGridCase(t testing.TB, n int) (setup *setupMsg, f *dtfe.Field, workers int) {
+// extent, on 4 ranks with the default 8 tiles, and its coordinator, which
+// holds rank 0's one field of it. n shrinks the catalog.
+func distGridCase(t testing.TB, n int) (co *coord, workers int) {
 	t.Helper()
 	pts := realCatalog(n)
 	tri, err := delaunay.New(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, err = dtfe.NewField(tri, nil); err != nil {
+	f, err := dtfe.NewField(tri, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	b := geom.BoundsOf(pts)
 	spec := render.Spec{Min: b.Min.XY(), Nx: 256, Ny: 256, Cell: (b.Max.X - b.Min.X) / 256, ZMin: b.Min.Z, ZMax: b.Max.Z}
 	const ranks = 4
-	return &setupMsg{Spec: spec, Tiles: makeTiles(spec, pts, 2*ranks, false), Workers: 1}, f, ranks - 1
+	return newCoord(spec, makeTiles(spec, pts, 2*ranks, false), 1, f), ranks - 1
 }
 
 // staticBatches encodes the static batch of each of the workers, as
 // coordinate sends them.
-func staticBatches(t testing.TB, setup *setupMsg, f *dtfe.Field, workers int) [][]byte {
+func staticBatches(t testing.TB, co *coord, workers int) [][]byte {
 	t.Helper()
 	var encs [][]byte
-	for _, tiles := range shares(len(setup.Tiles), workers) {
-		slab := render.CutSlab(f, setup.Spec, span(setup.Tiles, tiles))
-		enc, err := mpi.Encode(nil, assignBatch{Tiles: tiles, Slab: &slab})
+	for _, tiles := range shares(len(co.tiles), workers) {
+		enc, err := mpi.Encode(nil, co.batch(tiles))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1096,17 +1157,17 @@ func staticBatches(t testing.TB, setup *setupMsg, f *dtfe.Field, workers int) []
 // to at most 1.3 encodings of the whole mesh (each worker got one before
 // slabs), and none exceeds 0.55 of one.
 func TestSlabBytes(t *testing.T) {
-	setup, f, workers := distGridCase(t, 20000)
-	whole := render.CutSlab(f, setup.Spec, render.Tile{I0: 0, I1: setup.Spec.Nx})
-	if len(whole.Tets)/8 != f.Tri.NumFiniteTets() {
-		t.Fatalf("the whole grid's slab carries %d of %d tets", len(whole.Tets)/8, f.Tri.NumFiniteTets())
+	co, workers := distGridCase(t, 20000)
+	whole := render.CutSlab(co.field, co.spec, render.Tile{I0: 0, I1: co.spec.Nx})
+	if nf := co.field.Tri.NumFiniteTets(); len(whole.Tets)/8 != nf {
+		t.Fatalf("the whole grid's slab carries %d of %d tets", len(whole.Tets)/8, nf)
 	}
 	full, err := mpi.Encode(nil, assignBatch{Slab: &whole})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum int
-	for w, enc := range staticBatches(t, setup, f, workers) {
+	for w, enc := range staticBatches(t, co, workers) {
 		frac := float64(len(enc)) / float64(len(full))
 		t.Logf("worker %d: %d B, %.2f of the whole mesh's %d B", w+1, len(enc), frac, len(full))
 		if frac > 0.55 {
@@ -1131,8 +1192,8 @@ func BenchmarkWorkerSetup(b *testing.B) {
 	if testing.Short() {
 		n = 2000
 	}
-	setup, f, workers := distGridCase(b, n)
-	pts := f.Tri.Points()
+	co, workers := distGridCase(b, n)
+	pts := co.field.Tri.Points()
 	b.Run("build", func(b *testing.B) {
 		enc, err := mpi.Encode(nil, pts)
 		if err != nil {
@@ -1148,7 +1209,7 @@ func BenchmarkWorkerSetup(b *testing.B) {
 		b.ReportMetric(float64(len(enc)), "B/worker")
 	})
 	b.Run("slab", func(b *testing.B) {
-		encs := staticBatches(b, setup, f, workers)
+		encs := staticBatches(b, co, workers)
 		var bytes int
 		for _, enc := range encs {
 			bytes += len(enc)

@@ -26,32 +26,33 @@ type wireCase struct {
 	golden string
 }
 
-// wireCases are one message of each wire type: the setup, a batch with a
-// one-tet slab and the shutdown batch, and two tile results (a healthy
-// tile with its grid and stats, an Err-only tile).
+// wireCases are one message of each wire type: a batch with its spec,
+// spans and a one-tet slab, the shutdown batch, and two tile results (a
+// healthy tile with its grid and stats, an Err-only tile).
 func wireCases() []wireCase {
 	g := grid.NewGrid2D(2, 1, geom.Vec2{X: 1, Y: -2}, 0.5)
 	g.Data[0], g.Data[1] = 1.5, -0.25
 	batch := func() any { return new(assignBatch) }
 	result := func() any { return new(tileResult) }
+	zeroSpec := strings.Repeat("00", 8*2+2+8*3+3) // Min, Nx, Ny, Cell, ZMin, ZMax, Nz, Samples, Seed
 	return []wireCase{
-		{"setupMsg", &setupMsg{
-			Spec:  render.Spec{Min: geom.Vec2{X: 1, Y: -2}, Nx: 4, Ny: 1, Cell: 0.5, Samples: 2, Seed: 5},
-			Tiles: []render.Tile{{I0: 0, I1: 2}, {I0: 2, I1: 4}}, Workers: 2,
-		}, func() any { return new(setupMsg) },
-			"13" + hex.EncodeToString([]byte("distrender.setupMsg")) +
+		{"assignBatch", &assignBatch{
+			Spec:    render.Spec{Min: geom.Vec2{X: 1, Y: -2}, Nx: 4, Ny: 1, Cell: 0.5, Samples: 2, Seed: 5},
+			Workers: 2,
+			Tiles:   []batchTile{{K: 1, Span: render.Tile{I0: 0, I1: 2}}, {K: 200, Span: render.Tile{I0: 2, I1: 4}}},
+			Slab: &render.Slab{
+				X0: 1, X1: 2, Eps: 0.5, MaxSteps: 21,
+				Pts:     []geom.Vec3{{X: 1, Y: 2, Z: 3}, {}, {}, {}},
+				Density: []float64{1, 0, 0, 0},
+				Tets:    []int32{0, 1, 2, 3, -1, -1, -2, -1},
+				Entry:   []int32{0, 2, 1, 0},
+			},
+		}, batch,
+			"16" + hex.EncodeToString([]byte("distrender.assignBatch")) + "00" + // not a shutdown
 				"000000000000f03f" + "00000000000000c0" + "08" + "02" + "000000000000e03f" + // Min, Nx 4, Ny 1, Cell 0.5
 				"0000000000000000" + "0000000000000000" + "00" + "04" + "0a" + // ZMin, ZMax, Nz, Samples 2, Seed 5
-				"02" + "00" + "04" + "04" + "08" + // two tiles: [0,2), [2,4)
-				"04"}, // Workers 2
-		{"assignBatch", &assignBatch{Tiles: []int{1, 200}, Slab: &render.Slab{
-			X0: 1, X1: 2, Eps: 0.5, MaxSteps: 21,
-			Pts:     []geom.Vec3{{X: 1, Y: 2, Z: 3}, {}, {}, {}},
-			Density: []float64{1, 0, 0, 0},
-			Tets:    []int32{0, 1, 2, 3, -1, -1, -2, -1},
-			Entry:   []int32{0, 2, 1, 0},
-		}}, batch,
-			"16" + hex.EncodeToString([]byte("distrender.assignBatch")) + "00" + "02" + "02" + "9003" + // tiles 1, 200
+				"04" + // Workers 2
+				"02" + "02" + "00" + "04" + "9003" + "04" + "08" + // tile 1 [0,2), tile 200 [2,4)
 				"01" + "000000000000f03f" + "0000000000000040" + "000000000000e03f" + "2a" + // a slab: X0 1, X1 2, Eps 0.5, MaxSteps 21
 				"04" + "000000000000f03f" + "0000000000000040" + "0000000000000840" + // four vertices
 				strings.Repeat("0000000000000000", 9) +
@@ -60,7 +61,7 @@ func wireCases() []wireCase {
 				"ffffffff" + "ffffffff" + "feffffff" + "ffffffff" + // N: hull, hull, outside, hull
 				"04" + "00000000" + "02000000" + "01000000" + "00000000"}, // one entry facet
 		{"shutdown", &assignBatch{Shutdown: true}, batch,
-			"16" + hex.EncodeToString([]byte("distrender.assignBatch")) + "01" + "00" + "00"}, // no tiles, no slab
+			"16" + hex.EncodeToString([]byte("distrender.assignBatch")) + "01" + zeroSpec + "00" + "00" + "00"}, // no workers, tiles or slab
 		{"tileResult", &tileResult{
 			Tile: 3, Rank: 4, Grid: g, Stats: []render.WorkerStat{{
 				Worker: 1, Busy: time.Millisecond, Cells: 2, Steps: 300,
@@ -125,12 +126,15 @@ func FuzzTreeWireDecode(f *testing.F) {
 		}
 		f.Add(enc)
 	}
-	_, b := realBatch(f, 12)
-	enc, err := mpi.Encode(nil, b)
-	if err != nil {
-		f.Fatal(err)
+	// Real batches: a static share and a single-tile re-dispatch.
+	co := realCoord(f, 12)
+	for _, tiles := range [][]int{shares(8, 3)[1], {5}} {
+		enc, err := mpi.Encode(nil, co.batch(tiles))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
 	}
-	f.Add(enc)
 	f.Add([]byte{})
 	// A healthy tile result whose 2x1 grid claims 2^64-1 data words: the
 	// decoder must reject the count before it allocates.
@@ -154,10 +158,9 @@ func realCatalog(n int) []geom.Vec3 {
 	return synth.HaloSet(n, box, synth.DefaultHaloSpec(), 1)
 }
 
-// realBatch is the setup and the static batch rank 0 sends the second of
-// three workers for n clustered particles: the middle block of eight
-// cost-balanced tiles, with the slab it crosses.
-func realBatch(t testing.TB, n int) (*setupMsg, *assignBatch) {
+// realCoord is rank 0's coordinator for n clustered particles on eight
+// cost-balanced tiles, holding the one field of them.
+func realCoord(t testing.TB, n int) *coord {
 	t.Helper()
 	pts := realCatalog(n)
 	tri, err := delaunay.New(pts)
@@ -169,10 +172,16 @@ func realBatch(t testing.TB, n int) (*setupMsg, *assignBatch) {
 		t.Fatal(err)
 	}
 	spec := testSpec(pts)
-	setup := &setupMsg{Spec: spec, Tiles: makeTiles(spec, pts, 8, false), Workers: 1}
-	tiles := shares(len(setup.Tiles), 3)[1]
-	slab := render.CutSlab(f, spec, span(setup.Tiles, tiles))
-	return setup, &assignBatch{Tiles: tiles, Slab: &slab}
+	return newCoord(spec, makeTiles(spec, pts, 8, false), 1, f)
+}
+
+// realBatch is the static batch rank 0 sends the second of three workers
+// for n clustered particles: the middle block of the eight tiles, with
+// their spans and the slab they cross.
+func realBatch(t testing.TB, n int) *assignBatch {
+	t.Helper()
+	a := realCoord(t, n).batch(shares(8, 3)[1])
+	return &a
 }
 
 // TestWireMessagesOverWorld sends one value of each renderer message type
@@ -182,10 +191,10 @@ func TestWireMessagesOverWorld(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			errs := mpi.NewWorld(2).RunEach(func(comm *mpi.Comm) error {
 				if comm.Rank() == 0 {
-					return comm.Send(1, tagSetup, c.msg)
+					return comm.Send(1, tagBatch, c.msg)
 				}
 				got := c.zero()
-				if _, err := comm.Recv(0, tagSetup, got); err != nil {
+				if _, err := comm.Recv(0, tagBatch, got); err != nil {
 					return err
 				}
 				if !reflect.DeepEqual(got, c.msg) {

@@ -19,8 +19,10 @@
 //     lost past mpi's retries alike. A rank that dies has its whole share
 //     (marched but unsent tiles included) re-dispatched. A tile handed back
 //     to the rank that marched it is marched again.
-//   - Fallback: with no live workers left the root marches the remainder
-//     itself (unless the noCoordinatorCompute test hook forbids it).
+//   - Fallback: with no live workers left and no result waiting, the root
+//     cuts one slab for the tiles still missing and marches them as a
+//     worker marches a batch (unless the noCoordinatorCompute test hook
+//     forbids it).
 package distrender
 
 import (
@@ -35,44 +37,54 @@ import (
 
 // batch is one assignment as a worker holds it: the tiles still to march
 // and the slab they cross, built into a Marcher at the first march and
-// dropped with the batch.
+// dropped with the batch. The coordinator's self-compute fallback marches
+// its batch with the same code.
 type batch struct {
-	tiles []int
-	slab  *render.Slab
-	m     *render.Marcher
-	err   error // the slab builds no Marcher: every tile fails with this
+	assignBatch
+	m   *render.Marcher
+	err error // the slab builds no Marcher: every tile fails with this
 }
 
-// march marches tile k of the batch. A slab that is no piece of a mesh
-// fails each of its tiles, never the rank.
-func (b *batch) march(setup *setupMsg, k, me int) (tileResult, error) {
+// march renders tile t of the batch under ctx (the coordinator's
+// self-compute passes its caller's context; workers pass Background and
+// rely on the shutdown batch instead). A context error is the rank-level
+// error — the caller cancelling, not the tile failing. Any other error is
+// the tile's own (Err), never the rank's: a slab that is no piece of a
+// mesh, a span outside the spec, a span outside the slab.
+func (b *batch) march(ctx context.Context, t batchTile, me int) (tileResult, error) {
 	if b.m == nil && b.err == nil {
-		b.m, b.err = render.NewSlabMarcher(b.slab)
-		b.slab = nil
+		b.m, b.err = render.NewSlabMarcher(b.Slab)
+		b.Slab = nil
 	}
+	res := tileResult{Tile: t.K, Rank: me}
 	if b.err != nil {
-		return tileResult{Tile: k, Rank: me, Err: b.err.Error()}, nil
+		res.Err = b.err.Error()
+		return res, nil
 	}
-	return marchTile(context.Background(), b.m, setup, k, me)
+	g, stats, err := b.m.RenderTileCtx(ctx, b.Spec, t.Span, b.Workers)
+	if err != nil {
+		if ctx.Err() != nil {
+			return res, err
+		}
+		res.Err = err.Error()
+		return res, nil
+	}
+	res.Grid, res.Stats = g, stats
+	return res, nil
 }
 
-// work is every non-root rank's loop: take the setup, then drain the
-// queued batches, march one tile against its batch's slab and send it to
-// rank 0, until shut down. A send mpi gives up on is left to the root's
+// work is every non-root rank's loop: drain the queued batches, march one
+// tile against its batch's slab and send it to rank 0, until shut down or
+// the coordinator is gone. A send mpi gives up on is left to the root's
 // deadline re-dispatch — the march is bit-exact, so recomputing is safe.
 func work(c *mpi.Comm, h hooks) error {
-	var setup setupMsg
-	if _, err := c.Recv(0, tagSetup, &setup); err != nil {
-		if errors.Is(err, mpi.ErrRankFailed) {
-			return nil // coordinator gone before setup; nothing to serve
-		}
-		return err
-	}
 	me := c.Rank()
 	var todo []*batch
 	epoch := c.FailureEpoch()
 	marched := 0
-	for {
+	// The epoch is read first: a coordinator that exits after this check
+	// moves it and wakes the receive.
+	for c.Alive(0) {
 		timeout := time.Duration(-1) // idle: pure block, zero CPU
 		if len(todo) > 0 {
 			timeout = 0 // drain queued batches, then march
@@ -82,20 +94,17 @@ func work(c *mpi.Comm, h hooks) error {
 			switch {
 			case errors.Is(err, mpi.ErrWorldChanged):
 				epoch = ep
-				if !c.Alive(0) {
-					return nil // coordinator gone; render is over
-				}
 			case errors.Is(err, mpi.ErrTimeout):
 				b := todo[0]
-				k := b.tiles[0]
-				if b.tiles = b.tiles[1:]; len(b.tiles) == 0 {
+				t := b.Tiles[0]
+				if b.Tiles = b.Tiles[1:]; len(b.Tiles) == 0 {
 					todo = todo[1:]
 				}
 				if h.fault != nil && h.fault.ShouldCrash(me, fault.PointTile, marched) {
 					return fault.Crashed(me, fault.PointTile, marched)
 				}
 				start := time.Now()
-				r, err := b.march(&setup, k, me)
+				r, err := b.march(context.Background(), t, me)
 				if err != nil {
 					return err
 				}
@@ -122,14 +131,9 @@ func work(c *mpi.Comm, h hooks) error {
 		if a.Shutdown {
 			return nil
 		}
-		b := &batch{slab: a.Slab}
-		for _, k := range a.Tiles {
-			if k >= 0 && k < len(setup.Tiles) { // indexes the tiling: checked off the wire
-				b.tiles = append(b.tiles, k)
-			}
-		}
-		if len(b.tiles) > 0 {
-			todo = append(todo, b)
+		if len(a.Tiles) > 0 {
+			todo = append(todo, &batch{assignBatch: a})
 		}
 	}
+	return nil // coordinator gone; render is over
 }
