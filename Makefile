@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay bench-cache bench-dist fuzz loc ci
+.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay bench-cache bench-dist bench-march fuzz loc ci
 
 build:
 	$(GO) build ./...
@@ -97,6 +97,13 @@ bench-cache:
 # pinned core, five counts (ns/point and B/worker beside ns/op).
 bench-dist:
 	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench WorkerSetup -count 5 ./internal/render/distrender/
+
+# The march's layer number on batch_march's shape (12k clustered particles,
+# 640 columns, lines through the whole z extent, the marcher built outside
+# the timer), one pinned core, five counts (ns/step and steps/column beside
+# ns/op).
+bench-march:
+	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench 'MarchPoolOrder/batch_march' -count 5 ./internal/render/
 
 # The harness's own self-test (about 3 s). bench/e2e is a module of its
 # own, so `go test ./...` from the root does not reach it.

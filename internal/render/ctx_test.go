@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,6 +113,74 @@ func TestRenderCtxCancellation(t *testing.T) {
 		if s.Cells != 0 {
 			t.Fatal("expired ctx marched cells")
 		}
+	}
+}
+
+// A cancel issued inside a band of a multi-band grid must stop the cell
+// loop at the next cell: no worker starts a cell once the cancel has had
+// time to land (each cell here lasts cellTime, far longer than the
+// AfterFunc callback takes to set the flag), sampleRuns returns the
+// context's error, and no goroutine outlives it.
+func TestCancelInsideBand(t *testing.T) {
+	const cellTime = 20 * time.Millisecond
+	spec := Spec{Nx: 40, Ny: 64, Cell: 1.0 / 64}
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 3} {
+		band := bandHeight(spec.Ny, workers)
+		if spec.Ny <= band || band <= 1 {
+			t.Fatalf("workers=%d: band of %d rows on %d rows is not a multi-band grid", workers, band, spec.Ny)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		// The cancel lands mid-band: the 20th cell sampled lies past the
+		// first row of the first chunk of a 16-row band, and inside the
+		// first row of every worker's band when three share the grid.
+		const target = 20
+		var calls, lateStarts atomic.Int64
+		var cancelledAt atomic.Int64 // calls made when cancel was issued
+		row := func(int) sampler {
+			return func(geom.Vec2, *WorkerStat) float64 {
+				n := calls.Add(1)
+				if at := cancelledAt.Load(); at != 0 && n > at {
+					lateStarts.Add(1)
+				}
+				if n == target {
+					cancelledAt.Store(n)
+					cancel()
+				}
+				time.Sleep(cellTime)
+				return 0
+			}
+		}
+		start := time.Now()
+		stats, err := sampleRuns(ctx, spec, []Tile{{I0: 0, I1: spec.Nx}}, spec.Grid(), 0, workers, row)
+		elapsed := time.Since(start)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		// A worker mid-cell when the cancel lands finishes that cell; one
+		// that starts a new cell afterwards would need the flag to lag a
+		// whole cellTime.
+		if n := lateStarts.Load(); n > int64(workers-1) {
+			t.Errorf("workers=%d: %d cells started after the cancel", workers, n)
+		}
+		var cells int
+		for _, s := range stats {
+			cells += s.Cells
+		}
+		if int64(cells) != calls.Load() || cells >= spec.Nx*spec.Ny {
+			t.Errorf("workers=%d: %d cells counted, %d sampled, of %d", workers, cells, calls.Load(), spec.Nx*spec.Ny)
+		}
+		if limit := time.Duration(target+workers+2) * cellTime * 4; elapsed > limit {
+			t.Errorf("workers=%d: cancelled loop took %v", workers, elapsed)
+		}
+		cancel()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the cancelled renders, %d before", n, before)
 	}
 }
 

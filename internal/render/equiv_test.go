@@ -69,30 +69,45 @@ func equivSpec(pts []geom.Vec3) Spec {
 // its own.
 func columnRender(m *Marcher, spec Spec) (*grid.Grid2D, OutcomeCounts, int64) {
 	out := spec.Grid()
-	samples := max(spec.Samples, 1)
 	var outcomes OutcomeCounts
 	var steps int64
 	for j := 0; j < spec.Ny; j++ {
 		for i := 0; i < spec.Nx; i++ {
-			var acc float64
-			for s := 0; s < samples; s++ {
-				xi := geom.Vec2{
-					X: spec.Min.X + (float64(i)+0.5)*spec.Cell,
-					Y: spec.Min.Y + (float64(j)+0.5)*spec.Cell,
-				}
-				if samples > 1 {
-					xi.X += (jitter(spec.Seed, i, j, s, 0) - 0.5) * spec.Cell
-					xi.Y += (jitter(spec.Seed, i, j, s, 1) - 0.5) * spec.Cell
-				}
-				sigma, n, outcome := m.Column(xi, spec.ZMin, spec.ZMax)
-				acc += sigma
-				steps += int64(n)
-				outcomes.Note(outcome)
-			}
-			out.Set(i, j, acc/float64(samples))
+			sigma, n := columnCell(m, spec, i, j, &outcomes)
+			out.Set(i, j, sigma)
+			steps += n
 		}
 	}
 	return out, outcomes, steps
+}
+
+// columnCell is one cell of columnRender: the mean of its lines' Column
+// integrals and their summed steps, each line's outcome noted in outcomes.
+func columnCell(m *Marcher, spec Spec, i, j int, outcomes *OutcomeCounts) (float64, int64) {
+	samples := max(spec.Samples, 1)
+	var acc float64
+	var steps int64
+	for s := 0; s < samples; s++ {
+		sigma, n, outcome := m.Column(cellLine(spec, i, j, s), spec.ZMin, spec.ZMax)
+		acc += sigma
+		steps += int64(n)
+		outcomes.Note(outcome)
+	}
+	return acc / float64(samples), steps
+}
+
+// cellLine is line s of cell (i, j): its global-index centre, jittered when
+// the spec takes more than one line a cell.
+func cellLine(spec Spec, i, j, s int) geom.Vec2 {
+	xi := geom.Vec2{
+		X: spec.Min.X + (float64(i)+0.5)*spec.Cell,
+		Y: spec.Min.Y + (float64(j)+0.5)*spec.Cell,
+	}
+	if spec.Samples > 1 {
+		xi.X += (jitter(spec.Seed, i, j, s, 0) - 0.5) * spec.Cell
+		xi.Y += (jitter(spec.Seed, i, j, s, 1) - 0.5) * spec.Cell
+	}
+	return xi
 }
 
 // TestEntryModesEquivalence is the column-loop bit-identity gate on the

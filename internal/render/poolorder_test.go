@@ -60,29 +60,47 @@ func TestShuffledPoolRendersSameBits(t *testing.T) {
 
 // BenchmarkMarchPoolOrder measures the cost of a march step against the
 // order of the tet pool: Hilbert (as built) or shuffled, on clustered
-// catalogs of 12k (batch_march's size) and 100k particles.
+// catalogs of 12k (batch_march's size) and 100k particles. batch_march is
+// the end-to-end workload's render alone: 12k clustered particles, 640
+// columns across the catalog's x extent, lines through its whole z extent,
+// one worker; `make bench-march` runs it on one pinned core.
 func BenchmarkMarchPoolOrder(b *testing.B) {
 	for _, n := range []int{12000, 100000} {
-		if n > 12000 && testing.Short() {
-			continue
-		}
-		m := poolOrderMarcher(b, n)
-		for _, order := range []string{"hilbert", "shuffled"} {
-			if order == "shuffled" {
-				shufflePool(m, rand.New(rand.NewSource(1)))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			if n > 12000 && testing.Short() {
+				b.Skip("100k build under -short")
 			}
-			b.Run(fmt.Sprintf("n=%d/%s", n, order), func(b *testing.B) {
-				var steps int64
-				for i := 0; i < b.N; i++ {
-					_, st, err := m.Render(poolOrderSpec, 1, ScheduleDynamic)
-					if err != nil {
-						b.Fatal(err)
-					}
-					steps += st[0].Steps
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
-				b.ReportMetric(float64(steps)/float64(b.N*poolOrderSpec.Nx*poolOrderSpec.Ny), "steps/column")
-			})
-		}
+			m := poolOrderMarcher(b, n)
+			b.Run("hilbert", func(b *testing.B) { benchMarch(b, m, poolOrderSpec) })
+			shufflePool(m, rand.New(rand.NewSource(1)))
+			b.Run("shuffled", func(b *testing.B) { benchMarch(b, m, poolOrderSpec) })
+		})
 	}
+	b.Run("batch_march", func(b *testing.B) {
+		box := geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
+		pts := synth.HaloSet(12000, box, synth.DefaultHaloSpec(), 1)
+		bb := geom.BoundsOf(pts)
+		sz := bb.Size()
+		cell := sz.X / 640
+		spec := Spec{
+			Min: geom.Vec2{X: bb.Min.X, Y: bb.Min.Y}, Nx: 640, Ny: int(sz.Y/cell) + 1, Cell: cell,
+			ZMin: bb.Min.Z, ZMax: bb.Max.Z,
+		}
+		benchMarch(b, NewMarcher(fieldFor(b, pts)), spec)
+	})
+}
+
+// benchMarch renders spec on one worker per iteration and reports the
+// march's ns/step and steps/column beside ns/op.
+func benchMarch(b *testing.B, m *Marcher, spec Spec) {
+	var steps int64
+	for i := 0; i < b.N; i++ {
+		_, st, err := m.Render(spec, 1, ScheduleDynamic)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps += st[0].Steps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+	b.ReportMetric(float64(steps)/float64(b.N*spec.Nx*spec.Ny), "steps/column")
 }

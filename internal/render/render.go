@@ -13,8 +13,9 @@
 //
 // All renderers run one cell loop, sampleRuns, on a shared-memory worker
 // pool with per-worker busy time accounting (the quantity compared in the
-// paper's Fig 6); each kernel supplies only the integral along one line of
-// sight. Only Marcher.Render and Marcher.RenderCtx take a Schedule.
+// paper's Fig 6): workers draw bands of rows and visit each band in
+// 16×16-cell blocks, and each kernel supplies only the integral along one
+// line of sight. Only Marcher.Render and Marcher.RenderCtx take a Schedule.
 package render
 
 import (
@@ -239,28 +240,43 @@ func FlattenWorkerStats(merged map[int]*WorkerStat) []WorkerStat {
 	return out
 }
 
-// Schedule names how grid rows are distributed over workers. There is one:
-// ScheduleDynamic, which every render uses. Only Marcher.Render and
+// Schedule names how grid cells are distributed over workers. There is
+// one: ScheduleDynamic, which every render uses. Only Marcher.Render and
 // Marcher.RenderCtx still take a Schedule, because the end-to-end harness
 // calls them with one.
 type Schedule int
 
-// ScheduleDynamic hands out rows from a shared atomic counter, balancing
-// naturally.
+// ScheduleDynamic hands out bands of consecutive rows from a shared atomic
+// counter, balancing naturally.
 const ScheduleDynamic Schedule = 0
 
 // sampler integrates one line of sight through xi and returns its surface
 // density, noting its work (Steps) and outcome (Columns) in st.
 type sampler func(xi geom.Vec2, st *WorkerStat) float64
 
+// bandRows×chunkCols is the cell loop's block. A worker draws a band of
+// bandRows rows and visits it chunkCols columns at a time, every row of the
+// band per chunk, so the tets a chunk's lines cross are still in cache when
+// the band's next row crosses them; a whole row of a large grid touches more
+// tets than L2 holds. 16×16 lies in the fast region of a sweep of block
+// shapes (DESIGN §18).
+const (
+	bandRows  = 16
+	chunkCols = 16
+)
+
 // sampleRuns is the one cell loop of every renderer. It evaluates the
 // columns of runs, global column indices of spec, in every row into out,
 // whose column 0 holds global column outBase (0 for a full-spec grid, the
-// tile's first column for a tile grid). Workers draw rows from a shared
-// counter and call row(j) once per row j for that row's sampler. A cell
-// is the mean of spec.Samples lines through its global-index center,
-// jittered by (Seed, i, j, s) when Samples > 1, so a cell's bits do not
-// depend on the run, tile or worker that evaluates it.
+// tile's first column for a tile grid). Workers draw bands of consecutive
+// rows from a shared counter, call row(j) once per row j of the band, and
+// walk each run chunkCols columns at a time: per chunk, the band's rows in
+// order, each row's columns of the chunk ascending. A row's sampler thus
+// sees its row's columns in ascending order on one worker, which a stateful
+// sampler (the Walker's seed chain) relies on. A cell is the mean of
+// spec.Samples lines through its global-index center, jittered by
+// (Seed, i, j, s) when Samples > 1, so a cell's bits do not depend on the
+// run, tile, block or worker that evaluates it.
 //
 // Cancellation is polled once per cell through an atomic flag that a
 // context.AfterFunc callback sets, so an uncancellable context costs
@@ -278,6 +294,7 @@ func sampleRuns(ctx context.Context, spec Spec, runs []Tile, out *grid.Grid2D, o
 	}
 	samples := max(spec.Samples, 1)
 	stats := make([]WorkerStat, max(workers, 1))
+	band := bandHeight(spec.Ny, len(stats))
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	for w := range stats {
@@ -286,30 +303,40 @@ func sampleRuns(ctx context.Context, spec Spec, runs []Tile, out *grid.Grid2D, o
 		go func(st *WorkerStat) {
 			defer wg.Done()
 			start := time.Now()
-		rows:
-			for j := int(next.Add(1)) - 1; j < spec.Ny; j = int(next.Add(1)) - 1 {
-				sample := row(j)
+			var samplers [bandRows]sampler
+		bands:
+			for j0 := (int(next.Add(1)) - 1) * band; j0 < spec.Ny; j0 = (int(next.Add(1)) - 1) * band {
+				rows := samplers[:min(band, spec.Ny-j0)]
+				for k := range rows {
+					rows[k] = row(j0 + k)
+				}
 				for _, r := range runs {
-					for i := r.I0; i < r.I1; i++ {
-						if cancelled != nil && cancelled.Load() {
-							break rows
-						}
-						var acc float64
-						for s := 0; s < samples; s++ {
-							// The exact expression Grid2D.Center uses for
-							// the whole grid.
-							xi := geom.Vec2{
-								X: spec.Min.X + (float64(i)+0.5)*spec.Cell,
-								Y: spec.Min.Y + (float64(j)+0.5)*spec.Cell,
+					for c0 := r.I0; c0 < r.I1; c0 += chunkCols {
+						c1 := min(c0+chunkCols, r.I1)
+						for k, sample := range rows {
+							j := j0 + k
+							for i := c0; i < c1; i++ {
+								if cancelled != nil && cancelled.Load() {
+									break bands
+								}
+								var acc float64
+								for s := 0; s < samples; s++ {
+									// The exact expression Grid2D.Center
+									// uses for the whole grid.
+									xi := geom.Vec2{
+										X: spec.Min.X + (float64(i)+0.5)*spec.Cell,
+										Y: spec.Min.Y + (float64(j)+0.5)*spec.Cell,
+									}
+									if samples > 1 {
+										xi.X += (jitter(spec.Seed, i, j, s, 0) - 0.5) * spec.Cell
+										xi.Y += (jitter(spec.Seed, i, j, s, 1) - 0.5) * spec.Cell
+									}
+									acc += sample(xi, st)
+								}
+								out.Set(i-outBase, j, acc/float64(samples))
+								st.Cells++
 							}
-							if samples > 1 {
-								xi.X += (jitter(spec.Seed, i, j, s, 0) - 0.5) * spec.Cell
-								xi.Y += (jitter(spec.Seed, i, j, s, 1) - 0.5) * spec.Cell
-							}
-							acc += sample(xi, st)
 						}
-						out.Set(i-outBase, j, acc/float64(samples))
-						st.Cells++
 					}
 				}
 			}
@@ -321,6 +348,16 @@ func sampleRuns(ctx context.Context, spec Spec, runs []Tile, out *grid.Grid2D, o
 		return stats, ctx.Err()
 	}
 	return stats, nil
+}
+
+// bandHeight is the rows of one band: bandRows, or fewer when the grid is
+// too short to give each of several workers four bands, so that a small
+// grid still spreads over every worker.
+func bandHeight(ny, workers int) int {
+	if workers == 1 {
+		return bandRows
+	}
+	return min(bandRows, max(1, ny/(4*workers)))
 }
 
 // TotalBusy sums worker busy times (a proxy for total work under
