@@ -116,31 +116,8 @@ func (d Decomp) SubVolume(rank int) geom.AABB {
 // clipped to the box (periodic decompositions additionally receive
 // shifted images covering the unclipped halo; see Exchange).
 func (d Decomp) GhostVolume(rank int) geom.AABB {
-	sv := d.SubVolume(rank)
-	g := geom.Vec3{X: d.Ghost, Y: d.Ghost, Z: d.Ghost}
-	out := geom.AABB{Min: sv.Min.Sub(g), Max: sv.Max.Add(g)}
-	// Clip to box.
-	out.Min.X = maxf(out.Min.X, d.Box.Min.X)
-	out.Min.Y = maxf(out.Min.Y, d.Box.Min.Y)
-	out.Min.Z = maxf(out.Min.Z, d.Box.Min.Z)
-	out.Max.X = minf(out.Max.X, d.Box.Max.X)
-	out.Max.Y = minf(out.Max.Y, d.Box.Max.Y)
-	out.Max.Z = minf(out.Max.Z, d.Box.Max.Z)
-	return out
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
+	out := d.ghostVolumeUnclipped(rank)
+	return geom.AABB{Min: d.Box.Clamp(out.Min), Max: d.Box.Clamp(out.Max)}
 }
 
 // OwnerOf returns the rank whose sub-volume contains p (points exactly on
@@ -148,10 +125,13 @@ func minf(a, b float64) float64 {
 // to the nearest cell).
 func (d Decomp) OwnerOf(p geom.Vec3) int {
 	sz := d.Box.Size()
-	ci := clampCell(int(float64(d.Nx)*(p.X-d.Box.Min.X)/sz.X), d.Nx)
-	cj := clampCell(int(float64(d.Ny)*(p.Y-d.Box.Min.Y)/sz.Y), d.Ny)
-	ck := clampCell(int(float64(d.Nz)*(p.Z-d.Box.Min.Z)/sz.Z), d.Nz)
-	return d.Rank(ci, cj, ck)
+	return d.Rank(cellOf(p.X, d.Box.Min.X, sz.X, d.Nx), cellOf(p.Y, d.Box.Min.Y, sz.Y, d.Ny), cellOf(p.Z, d.Box.Min.Z, sz.Z, d.Nz))
+}
+
+// cellOf is the cell owning v along one axis of n cells spanning size
+// from lo.
+func cellOf(v, lo, size float64, n int) int {
+	return clampCell(int(float64(n)*(v-lo)/size), n)
 }
 
 func clampCell(c, n int) int {
@@ -164,119 +144,94 @@ func clampCell(c, n int) int {
 	return c
 }
 
-// GhostRanksOf returns every rank whose ghost volume contains p (including
-// its owner). Particles are replicated to all of them.
-func (d Decomp) GhostRanksOf(p geom.Vec3) []int {
-	// Candidate cells: those within Ghost of p along each axis.
-	sz := d.Box.Size()
-	dx := sz.X / float64(d.Nx)
-	dy := sz.Y / float64(d.Ny)
-	dz := sz.Z / float64(d.Nz)
-	loX := clampCell(int((p.X-d.Ghost-d.Box.Min.X)/dx), d.Nx)
-	hiX := clampCell(int((p.X+d.Ghost-d.Box.Min.X)/dx), d.Nx)
-	loY := clampCell(int((p.Y-d.Ghost-d.Box.Min.Y)/dy), d.Ny)
-	hiY := clampCell(int((p.Y+d.Ghost-d.Box.Min.Y)/dy), d.Ny)
-	loZ := clampCell(int((p.Z-d.Ghost-d.Box.Min.Z)/dz), d.Nz)
-	hiZ := clampCell(int((p.Z+d.Ghost-d.Box.Min.Z)/dz), d.Nz)
-	var out []int
-	for k := loZ; k <= hiZ; k++ {
-		for j := loY; j <= hiY; j++ {
-			for i := loX; i <= hiX; i++ {
-				r := d.Rank(i, j, k)
-				if d.GhostVolume(r).Contains(p) {
-					out = append(out, r)
-				}
-			}
-		}
-	}
-	return out
+// ghostBoxes is what Exchange computes once per call to place particles:
+// the decomposition's grid and each rank's ghost box (clipped to the box,
+// or unclipped when periodic).
+type ghostBoxes struct {
+	min, size, cell geom.Vec3 // the box's corner and edges, a cell's edges
+	nx, ny, nz      int
+	ghost           float64
+	periodic        bool
+	box             []geom.AABB
 }
 
-// ghostImages returns every (rank, image position) pair that should
-// receive a ghost copy of p, excluding p's owner at its unshifted
-// position. For periodic decompositions the images include the ±L shifts
-// whose shifted position falls in a rank's (unclipped) ghost halo.
-func (d Decomp) ghostImages(p geom.Vec3) []GhostImage {
-	owner := d.OwnerOf(p)
-	var out []GhostImage
-	if !d.Periodic {
-		for _, r := range d.GhostRanksOf(p) {
-			if r != owner {
-				out = append(out, GhostImage{Rank: r, Pos: p})
-			}
-		}
-		return out
-	}
+func newGhostBoxes(d Decomp) *ghostBoxes {
 	sz := d.Box.Size()
-	for sx := -1; sx <= 1; sx++ {
-		for sy := -1; sy <= 1; sy++ {
-			for sz3 := -1; sz3 <= 1; sz3++ {
-				img := geom.Vec3{
-					X: p.X + float64(sx)*sz.X,
-					Y: p.Y + float64(sy)*sz.Y,
-					Z: p.Z + float64(sz3)*sz.Z,
-				}
-				for _, r := range d.ranksNear(img) {
-					if sx == 0 && sy == 0 && sz3 == 0 && r == owner {
-						continue
+	g := &ghostBoxes{
+		min: d.Box.Min, size: sz,
+		cell: geom.Vec3{X: sz.X / float64(d.Nx), Y: sz.Y / float64(d.Ny), Z: sz.Z / float64(d.Nz)},
+		nx:   d.Nx, ny: d.Ny, nz: d.Nz, ghost: d.Ghost, periodic: d.Periodic,
+		box: make([]geom.AABB, d.NumRanks()),
+	}
+	for r := range g.box {
+		if d.Periodic {
+			g.box[r] = d.ghostVolumeUnclipped(r)
+		} else {
+			g.box[r] = d.GhostVolume(r)
+		}
+	}
+	return g
+}
+
+// owner is Decomp.OwnerOf(p).
+func (g *ghostBoxes) owner(p geom.Vec3) int {
+	i, j, k := cellOf(p.X, g.min.X, g.size.X, g.nx), cellOf(p.Y, g.min.Y, g.size.Y, g.ny), cellOf(p.Z, g.min.Z, g.size.Z, g.nz)
+	return (k*g.ny+j)*g.nx + i
+}
+
+// images calls emit(r, q) for every ghost copy of p, which owner owns: q
+// is p or, when periodic, one of its ±L shifts, and lies in rank r's ghost
+// box; p at its owner is no ghost. Shifts go -L, 0, +L per axis, x
+// outermost, and each shift's candidate ranks, those whose cells lie
+// within Ghost of q, go in rank order.
+func (g *ghostBoxes) images(p geom.Vec3, owner int, emit func(r int, q geom.Vec3)) {
+	var x, y, z [3]float64
+	var xlo, xhi, ylo, yhi, zlo, zhi [3]int
+	s0, s1 := 1, 1 // the shifts taken, as indices into x, y, z: -L, 0, +L
+	if g.periodic {
+		s0, s1 = 0, 2
+		for s := s0; s <= s1; s++ {
+			f := float64(s - 1)
+			x[s], y[s], z[s] = p.X+f*g.size.X, p.Y+f*g.size.Y, p.Z+f*g.size.Z
+		}
+	} else {
+		x[1], y[1], z[1] = p.X, p.Y, p.Z
+	}
+	for s := s0; s <= s1; s++ {
+		xlo[s], xhi[s] = cellSpan(x[s], g.ghost, g.min.X, g.cell.X, g.nx, g.periodic)
+		ylo[s], yhi[s] = cellSpan(y[s], g.ghost, g.min.Y, g.cell.Y, g.ny, g.periodic)
+		zlo[s], zhi[s] = cellSpan(z[s], g.ghost, g.min.Z, g.cell.Z, g.nz, g.periodic)
+	}
+	for sx := s0; sx <= s1; sx++ {
+		for sy := s0; sy <= s1; sy++ {
+			for sz := s0; sz <= s1; sz++ {
+				q := geom.Vec3{X: x[sx], Y: y[sy], Z: z[sz]}
+				unshifted := sx == 1 && sy == 1 && sz == 1
+				for k := zlo[sz]; k <= zhi[sz]; k++ {
+					for j := ylo[sy]; j <= yhi[sy]; j++ {
+						for i := xlo[sx]; i <= xhi[sx]; i++ {
+							r := (k*g.ny+j)*g.nx + i
+							if (r != owner || !unshifted) && g.box[r].Contains(q) {
+								emit(r, q)
+							}
+						}
 					}
-					if d.ghostVolumeUnclipped(r).Contains(img) {
-						out = append(out, GhostImage{Rank: r, Pos: img})
-					}
 				}
 			}
 		}
 	}
-	return out
 }
 
-// GhostImage is a ghost copy destination: a rank plus the (possibly
-// periodically shifted) position the copy carries.
-type GhostImage struct {
-	Rank int
-	Pos  geom.Vec3
-}
-
-// ranksNear returns the ranks whose unclipped ghost halo could contain
-// img (a bounding cell-range query; no wrapping — img is already a
-// shifted image in absolute coordinates).
-func (d Decomp) ranksNear(img geom.Vec3) []int {
-	sz := d.Box.Size()
-	dx := sz.X / float64(d.Nx)
-	dy := sz.Y / float64(d.Ny)
-	dz := sz.Z / float64(d.Nz)
-	loX := int(math.Floor((img.X - d.Ghost - d.Box.Min.X) / dx))
-	hiX := int(math.Floor((img.X + d.Ghost - d.Box.Min.X) / dx))
-	loY := int(math.Floor((img.Y - d.Ghost - d.Box.Min.Y) / dy))
-	hiY := int(math.Floor((img.Y + d.Ghost - d.Box.Min.Y) / dy))
-	loZ := int(math.Floor((img.Z - d.Ghost - d.Box.Min.Z) / dz))
-	hiZ := int(math.Floor((img.Z + d.Ghost - d.Box.Min.Z) / dz))
-	loX, hiX = maxi(loX, 0), mini(hiX, d.Nx-1)
-	loY, hiY = maxi(loY, 0), mini(hiY, d.Ny-1)
-	loZ, hiZ = maxi(loZ, 0), mini(hiZ, d.Nz-1)
-	var out []int
-	for k := loZ; k <= hiZ; k++ {
-		for j := loY; j <= hiY; j++ {
-			for i := loX; i <= hiX; i++ {
-				out = append(out, d.Rank(i, j, k))
-			}
-		}
+// cellSpan is the range of cells within ghost of v along one axis of n
+// cells of width w from lo. A periodic image outside the grid has an
+// empty range; otherwise both ends clamp into the grid, so a particle
+// outside the box is tested against the nearest cells' boxes.
+func cellSpan(v, ghost, lo, w float64, n int, periodic bool) (int, int) {
+	a, b := (v-ghost-lo)/w, (v+ghost-lo)/w
+	if periodic {
+		return max(int(math.Floor(a)), 0), min(int(math.Floor(b)), n-1)
 	}
-	return out
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return clampCell(int(a), n), clampCell(int(b), n)
 }
 
 // ghostVolumeUnclipped is the ghost halo without clipping to the box.
@@ -304,21 +259,66 @@ func Exchange(c *mpi.Comm, d Decomp, local []geom.Vec3) (owned, ghosts []geom.Ve
 	if c.Size() != d.NumRanks() {
 		return nil, nil, fmt.Errorf("domain: world size %d != decomp ranks %d", c.Size(), d.NumRanks())
 	}
-	send := make([]packet, c.Size())
-	for _, p := range local {
-		owner := d.OwnerOf(p)
-		send[owner].Owned = append(send[owner].Owned, p)
-		for _, gi := range d.ghostImages(p) {
-			send[gi.Rank].Ghost = append(send[gi.Rank].Ghost, gi.Pos)
-		}
-	}
-	recv, err := mpi.Alltoall(c, send)
+	recv, err := mpi.Alltoall(c, pack(d, local))
 	if err != nil {
 		return nil, nil, err
 	}
+	no, ng := 0, 0
+	for _, pk := range recv {
+		no, ng = no+len(pk.Owned), ng+len(pk.Ghost)
+	}
+	owned, ghosts = make([]geom.Vec3, 0, no), make([]geom.Vec3, 0, ng)
 	for _, pk := range recv {
 		owned = append(owned, pk.Owned...)
 		ghosts = append(ghosts, pk.Ghost...)
 	}
 	return owned, ghosts, nil
+}
+
+// pack sorts local into one packet per rank, each list in local's order.
+// A first pass counts what every rank receives, so the second appends
+// into one exactly sized buffer: the call allocates the same whatever the
+// particle count. The first pass also keeps each particle's owner,
+// complemented when the particle has ghost copies, so the second scans
+// for copies only where there are some.
+func pack(d Decomp, local []geom.Vec3) []packet {
+	g := newGhostBoxes(d)
+	nr := d.NumRanks()
+	n := make([]int, 2*nr) // rank r receives n[2r] owned and n[2r+1] ghosts
+	owners := make([]int32, len(local))
+	copies := false
+	count := func(r int, _ geom.Vec3) { n[2*r+1]++; copies = true }
+	for i, p := range local {
+		owner := g.owner(p)
+		n[2*owner]++
+		copies = false
+		g.images(p, owner, count)
+		owners[i] = int32(owner)
+		if copies {
+			owners[i] = ^owners[i]
+		}
+	}
+	total := 0
+	for _, k := range n {
+		total += k
+	}
+	buf := make([]geom.Vec3, total)
+	send := make([]packet, nr)
+	off := 0
+	for r := range send {
+		no, ng := n[2*r], n[2*r+1]
+		send[r].Owned = buf[off : off : off+no]
+		send[r].Ghost = buf[off+no : off+no : off+no+ng]
+		off += no + ng
+	}
+	put := func(r int, q geom.Vec3) { send[r].Ghost = append(send[r].Ghost, q) }
+	for i, p := range local {
+		owner := int(owners[i])
+		if owner < 0 {
+			owner = ^owner
+			g.images(p, owner, put)
+		}
+		send[owner].Owned = append(send[owner].Owned, p)
+	}
+	return send
 }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"godtfe/internal/geom"
 	"godtfe/internal/mpi"
+	"godtfe/internal/synth"
 )
 
 func unitBox() geom.AABB {
@@ -95,34 +97,49 @@ func TestGhostVolume(t *testing.T) {
 	}
 }
 
-func TestGhostRanksOf(t *testing.T) {
-	d, err := NewDecomp(unitBox(), 8, 0.1) // 2x2x2
+// TestExchangeGhostRanks: a particle reaches exactly the ranks whose
+// ghost volume contains it, as owned or as a ghost.
+func TestExchangeGhostRanks(t *testing.T) {
+	const ranks = 8
+	d, err := NewDecomp(unitBox(), ranks, 0.1) // 2x2x2
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A point near the box center is within 0.1 of all 8 sub-volumes.
-	rs := d.GhostRanksOf(geom.Vec3{X: 0.5, Y: 0.5, Z: 0.5})
-	if len(rs) != 8 {
-		t.Fatalf("center point ghost ranks = %v", rs)
-	}
-	// A corner point belongs only to its own sub-volume's ghost.
-	rs = d.GhostRanksOf(geom.Vec3{X: 0.05, Y: 0.05, Z: 0.05})
-	if len(rs) != 1 {
-		t.Fatalf("corner point ghost ranks = %v", rs)
-	}
-	// Brute-force check for random points.
+	center := geom.Vec3{X: 0.5, Y: 0.5, Z: 0.5}    // within 0.1 of all 8 sub-volumes
+	corner := geom.Vec3{X: 0.05, Y: 0.05, Z: 0.05} // in its own sub-volume's only
+	pts := []geom.Vec3{center, corner}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 300; trial++ {
-		p := geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
-		got := map[int]bool{}
-		for _, r := range d.GhostRanksOf(p) {
-			got[r] = true
+		pts = append(pts, geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()})
+	}
+	held := make([]map[geom.Vec3]bool, ranks)
+	err = mpi.Run(ranks, func(c *mpi.Comm) error {
+		var local []geom.Vec3
+		for i := c.Rank(); i < len(pts); i += ranks {
+			local = append(local, pts[i])
 		}
-		for r := 0; r < 8; r++ {
-			want := d.GhostVolume(r).Contains(p)
-			if got[r] != want {
-				t.Fatalf("point %v rank %d: got %v want %v", p, r, got[r], want)
+		owned, ghosts, err := Exchange(c, d, local)
+		held[c.Rank()] = map[geom.Vec3]bool{}
+		for _, p := range append(owned, ghosts...) {
+			held[c.Rank()][p] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		n := 0
+		for r := 0; r < ranks; r++ {
+			if held[r][p] {
+				n++
 			}
+			if want := d.GhostVolume(r).Contains(p); held[r][p] != want {
+				t.Fatalf("point %v rank %d: held %v, want %v", p, r, held[r][p], want)
+			}
+		}
+		if i == 0 && n != 8 || i == 1 && n != 1 {
+			t.Fatalf("point %v reaches %d ranks", p, n)
 		}
 	}
 }
@@ -373,5 +390,49 @@ func TestPacketOverWorld(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExchangeAllocs: one Exchange call, and the packing of particles for
+// an eight-rank world, allocate the same at 10k and at 40k particles.
+func TestExchangeAllocs(t *testing.T) {
+	// A garbage collection, which the larger buffers start more often,
+	// now and then counts a malloc of its own.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	box := unitBox()
+	allocs := func(n int, periodic bool) (pk, ex float64) {
+		pts := synth.HaloSet(n, box, synth.DefaultHaloSpec(), 5)
+		d8, err := NewDecomp(box, 8, 0.09)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d8.Periodic = periodic
+		pk = testing.AllocsPerRun(5, func() { pack(d8, pts) })
+		d1, err := NewDecomp(box, 1, 0.09)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d1.Periodic = periodic
+		err = mpi.Run(1, func(c *mpi.Comm) error {
+			var err error
+			ex = testing.AllocsPerRun(5, func() {
+				if _, _, e := Exchange(c, d1, pts); e != nil {
+					err = e
+				}
+			})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pk, ex
+	}
+	for _, periodic := range []bool{false, true} {
+		pk10, ex10 := allocs(10_000, periodic)
+		pk40, ex40 := allocs(40_000, periodic)
+		if pk10 != pk40 || ex10 != ex40 {
+			t.Errorf("periodic=%v: pack allocates %v then %v, Exchange %v then %v at 10k then 40k particles",
+				periodic, pk10, pk40, ex10, ex40)
+		}
 	}
 }
