@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay bench-cache bench-dist bench-march fuzz loc ci
+.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay bench-cache bench-dist bench-march bench-partition fuzz loc ci
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,13 @@ bench-dist:
 # ns/op).
 bench-march:
 	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench 'MarchPoolOrder/batch_march' -count 5 ./internal/render/
+
+# Phase 1's layer numbers on dist_fields' shape (100k clustered particles,
+# 4 ranks, FieldLen 0.12, 40 halo-centred fields): the exchange, every
+# rank's cell index and the cube queries, one pinned core, five counts
+# (ns/particle beside ns/op). The 100k case is skipped under -short.
+bench-partition:
+	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench 'Partition/100k' -count 5 ./internal/pipeline/
 
 # The harness's own self-test (about 3 s). bench/e2e is a module of its
 # own, so `go test ./...` from the root does not reach it.

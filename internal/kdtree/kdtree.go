@@ -1,8 +1,9 @@
 // Package kdtree implements a 3D kd-tree over points with nearest-neighbor,
 // range-count and range-query operations. It backs the
 // zero-order (Voronoi-cell) density baseline — nearest-particle lookup is
-// exactly Voronoi-cell membership — and fast particle counting for the
-// workload model.
+// exactly Voronoi-cell membership — and the experiments' particle counts
+// and cube gathers. The distributed pipeline answers its cube queries
+// with a cell index of its own.
 package kdtree
 
 import (
@@ -13,9 +14,8 @@ import (
 
 // Tree is an immutable 3D kd-tree. Build one with New.
 type Tree struct {
-	pts  []geom.Vec3
-	idx  []int32 // permutation of point indices in tree layout
-	axis []int8  // split axis per internal node, -1 for leaf range
+	pts []geom.Vec3
+	idx []int32 // permutation of point indices in tree layout
 	// The tree is stored implicitly: node n covers idx[lo:hi] with the
 	// median at mid; children are the sub-ranges. We store it as a simple
 	// recursive median layout and recompute ranges during traversal.

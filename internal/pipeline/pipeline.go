@@ -36,7 +36,6 @@ import (
 	"godtfe/internal/geom"
 	"godtfe/internal/geomerr"
 	"godtfe/internal/grid"
-	"godtfe/internal/kdtree"
 	"godtfe/internal/model"
 	"godtfe/internal/mpi"
 	"godtfe/internal/particleio"
@@ -287,16 +286,16 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	halo := make([]geom.Vec3, 0, len(owned)+len(ghosts))
 	halo = append(halo, owned...)
 	halo = append(halo, ghosts...)
-	tree := kdtree.New(halo)
+	index := newCellIndex(halo, cfg.triCubeSide()/2)
 	res.Phases.Partition = time.Since(t0).Seconds()
 
-	rt := &runtime{cfg: cfg, tree: tree, halo: halo, res: res}
+	rt := &runtime{cfg: cfg, index: index, res: res}
 
 	// ---- Phase 2: workload modeling -----------------------------------
 	tm := time.Now()
 	counts := make([]int, len(local))
 	for i, ctr := range local {
-		counts[i] = tree.CountInBox(rt.cube(ctr))
+		counts[i] = index.CountInBox(rt.cube(ctr))
 	}
 	var mine sample
 	done := make([]bool, len(local))
@@ -402,9 +401,9 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 			}
 			res.Phases.WorkShare += time.Since(tw).Seconds()
 			res.Received += len(pkg.Centers)
-			ptree := kdtree.New(pkg.Points)
+			pindex := newCellIndex(pkg.Points, cfg.triCubeSide()/2)
 			for _, ctr := range pkg.Centers {
-				rt.computeItemWith(ctr, ptree, pkg.Points, true, st.Peer)
+				rt.computeItemWith(ctr, pindex, true, st.Peer)
 			}
 		}
 	}
@@ -454,10 +453,10 @@ type workPackage struct {
 type sample struct{ N, TTri, TRender float64 }
 
 type runtime struct {
-	cfg  Config
-	tree *kdtree.Tree
-	halo []geom.Vec3
-	res  *Result
+	cfg   Config
+	index *cellIndex // over the rank's halo: owned then ghost particles
+	res   *Result
+	ids   []int32 // an item's cube query, reused from item to item
 }
 
 func (rt *runtime) cube(center geom.Vec3) geom.AABB {
@@ -472,7 +471,7 @@ func (rt *runtime) cube(center geom.Vec3) geom.AABB {
 // predict records the cost model's predictions (off before the model is
 // fit).
 func (rt *runtime) computeItem(center geom.Vec3, predict bool) ItemRecord {
-	return rt.computeItemWith(center, rt.tree, rt.halo, predict, rt.res.Rank)
+	return rt.computeItemWith(center, rt.index, predict, rt.res.Rank)
 }
 
 // lexCompare orders points by (X, Y, Z). It short-circuits: cmp.Or over
@@ -496,13 +495,13 @@ func lexCompare(a, b geom.Vec3) int {
 	return 0
 }
 
-// computeItemWith renders the field at center from pts (indexed by tree);
+// computeItemWith renders the field at center from the points of index;
 // owner is the rank whose schedule planned the item.
-func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []geom.Vec3, predict bool, owner int) ItemRecord {
+func (rt *runtime) computeItemWith(center geom.Vec3, index *cellIndex, predict bool, owner int) ItemRecord {
 	cfg := rt.cfg
 	rec := ItemRecord{Center: center, Shipped: owner != rt.res.Rank}
-	idx := tree.InBox(rt.cube(center), nil)
-	rec.N = len(idx)
+	rt.ids = index.InBox(rt.cube(center), rt.ids[:0])
+	rec.N = len(rt.ids)
 	if predict {
 		rec.PredTri = rt.res.Model.Tri.Predict(float64(rec.N))
 		rec.PredRender = rt.res.Model.Interp.Predict(float64(rec.N))
@@ -519,9 +518,9 @@ func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []ge
 	}
 	var itemErr error
 	if rec.N >= minParticles {
-		sel := make([]geom.Vec3, len(idx))
-		for i, id := range idx {
-			sel[i] = pts[id]
+		sel := make([]geom.Vec3, len(rt.ids))
+		for i, id := range rt.ids {
+			sel[i] = index.pts[id]
 		}
 		// A rank holds its points local-then-ghost, and the mesh's numbers
 		// follow its vertex indices, so the build takes the cube's points in
@@ -584,14 +583,16 @@ func (rt *runtime) computeItemWith(center geom.Vec3, tree *kdtree.Tree, pts []ge
 // buildPackage gathers the particles needed by the shipped items.
 func (rt *runtime) buildPackage(local []geom.Vec3, pending []int, ship []int) workPackage {
 	var pkg workPackage
-	seen := make(map[int32]struct{})
+	halo := rt.index.pts
+	seen := make([]bool, len(halo))
 	for _, pi := range ship {
 		ctr := local[pending[pi]]
 		pkg.Centers = append(pkg.Centers, ctr)
-		for _, id := range rt.tree.InBox(rt.cube(ctr), nil) {
-			if _, ok := seen[id]; !ok {
-				seen[id] = struct{}{}
-				pkg.Points = append(pkg.Points, rt.halo[id])
+		rt.ids = rt.index.InBox(rt.cube(ctr), rt.ids[:0])
+		for _, id := range rt.ids {
+			if !seen[id] {
+				seen[id] = true
+				pkg.Points = append(pkg.Points, halo[id])
 			}
 		}
 	}
