@@ -226,15 +226,22 @@ func newCoord(spec render.Spec, tiles []render.Tile, workers int, field *dtfe.Fi
 	}
 }
 
-// batch is the assignment of tiles: the spec, the worker count, each
-// tile's index and span, and the one slab of rank 0's mesh they cross.
+// batch is the assignment of tiles with the one slab of rank 0's mesh
+// they cross.
 func (co *coord) batch(tiles []int) assignBatch {
+	a := co.assign(tiles)
+	slab := render.CutSlab(co.field, co.spec, span(co.tiles, tiles))
+	a.Slab = &slab
+	return a
+}
+
+// assign is the assignment of tiles without a slab: the spec, the worker
+// count, and each tile's index and span.
+func (co *coord) assign(tiles []int) assignBatch {
 	a := assignBatch{Spec: co.spec, Workers: co.workers}
 	for _, k := range tiles {
 		a.Tiles = append(a.Tiles, batchTile{K: k, Span: co.tiles[k]})
 	}
-	slab := render.CutSlab(co.field, co.spec, span(co.tiles, tiles))
-	a.Slab = &slab
 	return a
 }
 
@@ -284,8 +291,12 @@ func (co *coord) complete() bool { return len(co.have) == len(co.tiles) }
 
 // selfCompute is the fallback of last resort when no live worker is left:
 // the coordinator cuts one slab for every tile still missing and marches
-// them with the workers' batch code. ctx aborts the march at the next
-// column so a cancelled caller is not stuck behind a full self-march.
+// them with the workers' batch code. When those tiles span every column,
+// as in every single-rank render, the slab would be the whole mesh: the
+// coordinator marches its field instead, which marches bit for bit what
+// the slab would (DESIGN §7) without copying the mesh. ctx aborts the
+// march at the next column so a cancelled caller is not stuck behind a
+// full self-march.
 func (co *coord) selfCompute(ctx context.Context) error {
 	var missing []int
 	for k := range co.tiles {
@@ -293,7 +304,12 @@ func (co *coord) selfCompute(ctx context.Context) error {
 			missing = append(missing, k)
 		}
 	}
-	b := batch{assignBatch: co.batch(missing)}
+	var b batch
+	if s := span(co.tiles, missing); s.I0 == 0 && s.I1 == co.spec.Nx {
+		b = batch{assignBatch: co.assign(missing), m: render.NewMarcher(co.field)}
+	} else {
+		b = batch{assignBatch: co.batch(missing)}
+	}
 	for _, t := range b.Tiles {
 		r, err := b.march(ctx, t, 0)
 		if err != nil {
