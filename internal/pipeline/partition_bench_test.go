@@ -33,6 +33,9 @@ func BenchmarkPartition(b *testing.B) {
 	}
 }
 
+// partitionSink keeps the benchmarked results alive.
+var partitionSink any
+
 func benchPartition(b *testing.B, n int) {
 	const ranks = 4
 	cfg := Config{Box: unitBox(), FieldLen: 0.12, GridN: 64}
@@ -64,7 +67,7 @@ func benchPartition(b *testing.B, n int) {
 
 	b.Run("exchange", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			exchange()
+			partitionSink = exchange()
 		}
 		perParticle(b)
 	})
@@ -73,7 +76,7 @@ func benchPartition(b *testing.B, n int) {
 	b.Run("index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, h := range halos {
-				newCellIndex(h, side)
+				partitionSink = newCellIndex(h, side)
 			}
 		}
 		perParticle(b)
@@ -101,6 +104,7 @@ func benchPartition(b *testing.B, n int) {
 				}
 			}
 		}
+		partitionSink = ids
 		perParticle(b)
 		b.ReportMetric(float64(len(centers)), "queries")
 	})
