@@ -81,44 +81,47 @@ func (ci *cellIndex) key(p geom.Vec3) int {
 	return (ci.cell(p.Z, ci.lo.Z, ci.nz)*ci.ny+ci.cell(p.Y, ci.lo.Y, ci.ny))*ci.nx + ci.cell(p.X, ci.lo.X, ci.nx)
 }
 
-// rows calls visit with the indices of every row of cells b meets, the
-// row's cells from b's x-range only.
-func (ci *cellIndex) rows(b geom.AABB, visit func(ids []int32)) {
-	x0, x1 := ci.cell(b.Min.X, ci.lo.X, ci.nx), ci.cell(b.Max.X, ci.lo.X, ci.nx)
-	y0, y1 := ci.cell(b.Min.Y, ci.lo.Y, ci.ny), ci.cell(b.Max.Y, ci.lo.Y, ci.ny)
-	z0, z1 := ci.cell(b.Min.Z, ci.lo.Z, ci.nz), ci.cell(b.Max.Z, ci.lo.Z, ci.nz)
+// bounds is the range of cells b meets along each axis; the z range is
+// empty when b is inverted along x.
+func (ci *cellIndex) bounds(b geom.AABB) (x0, x1, y0, y1, z0, z1 int) {
+	x0, x1 = ci.cell(b.Min.X, ci.lo.X, ci.nx), ci.cell(b.Max.X, ci.lo.X, ci.nx)
+	y0, y1 = ci.cell(b.Min.Y, ci.lo.Y, ci.ny), ci.cell(b.Max.Y, ci.lo.Y, ci.ny)
+	z0, z1 = ci.cell(b.Min.Z, ci.lo.Z, ci.nz), ci.cell(b.Max.Z, ci.lo.Z, ci.nz)
 	if x0 > x1 {
-		return
+		z1 = z0 - 1
 	}
-	for z := z0; z <= z1; z++ {
-		for y := y0; y <= y1; y++ {
-			row := (z*ci.ny + y) * ci.nx
-			visit(ci.idx[ci.start[row+x0]:ci.start[row+x1+1]])
-		}
-	}
+	return
 }
 
 // InBox appends the indices of the points inside the closed box b to dst
-// and returns it.
+// and returns it. Each row of cells b meets is one range of idx.
 func (ci *cellIndex) InBox(b geom.AABB, dst []int32) []int32 {
-	ci.rows(b, func(ids []int32) {
-		for _, i := range ids {
-			if b.Contains(ci.pts[i]) {
-				dst = append(dst, i)
+	x0, x1, y0, y1, z0, z1 := ci.bounds(b)
+	for z := z0; z <= z1; z++ {
+		for y := y0; y <= y1; y++ {
+			row := (z*ci.ny + y) * ci.nx
+			for _, i := range ci.idx[ci.start[row+x0]:ci.start[row+x1+1]] {
+				if b.Contains(ci.pts[i]) {
+					dst = append(dst, i)
+				}
 			}
 		}
-	})
+	}
 	return dst
 }
 
 // CountInBox returns the number of points inside the closed box b.
 func (ci *cellIndex) CountInBox(b geom.AABB) (n int) {
-	ci.rows(b, func(ids []int32) {
-		for _, i := range ids {
-			if b.Contains(ci.pts[i]) {
-				n++
+	x0, x1, y0, y1, z0, z1 := ci.bounds(b)
+	for z := z0; z <= z1; z++ {
+		for y := y0; y <= y1; y++ {
+			row := (z*ci.ny + y) * ci.nx
+			for _, i := range ci.idx[ci.start[row+x0]:ci.start[row+x1+1]] {
+				if b.Contains(ci.pts[i]) {
+					n++
+				}
 			}
 		}
-	})
+	}
 	return n
 }
