@@ -145,8 +145,9 @@ func clampCell(c, n int) int {
 }
 
 // ghostBoxes is what Exchange computes once per call to place particles:
-// the decomposition's grid and each rank's ghost box (clipped to the box,
-// or unclipped when periodic).
+// the decomposition's grid, copied out of Decomp so the per-particle loop
+// passes no Decomp by value, and each rank's ghost box (clipped to the
+// box, or unclipped when periodic).
 type ghostBoxes struct {
 	min, size, cell geom.Vec3 // the box's corner and edges, a cell's edges
 	nx, ny, nz      int
