@@ -290,13 +290,11 @@ func (co *coord) accept(r tileResult) bool {
 func (co *coord) complete() bool { return len(co.have) == len(co.tiles) }
 
 // selfCompute is the fallback of last resort when no live worker is left:
-// the coordinator cuts one slab for every tile still missing and marches
-// them with the workers' batch code. When those tiles span every column,
-// as in every single-rank render, the slab would be the whole mesh: the
-// coordinator marches its field instead, which marches bit for bit what
-// the slab would (DESIGN §7) without copying the mesh. ctx aborts the
-// march at the next column so a cancelled caller is not stuck behind a
-// full self-march.
+// the coordinator marches every tile still missing with the workers'
+// batch code on its own field, which marches bit for bit what a slab of
+// it would (DESIGN §7) without copying the mesh. ctx aborts the march at
+// the next column so a cancelled caller is not stuck behind a full
+// self-march.
 func (co *coord) selfCompute(ctx context.Context) error {
 	var missing []int
 	for k := range co.tiles {
@@ -304,12 +302,7 @@ func (co *coord) selfCompute(ctx context.Context) error {
 			missing = append(missing, k)
 		}
 	}
-	var b batch
-	if s := span(co.tiles, missing); s.I0 == 0 && s.I1 == co.spec.Nx {
-		b = batch{assignBatch: co.assign(missing), m: render.NewMarcher(co.field)}
-	} else {
-		b = batch{assignBatch: co.batch(missing)}
-	}
+	b := batch{assignBatch: co.assign(missing), m: render.NewMarcher(co.field)}
 	for _, t := range b.Tiles {
 		r, err := b.march(ctx, t, 0)
 		if err != nil {
