@@ -24,6 +24,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -89,8 +90,8 @@ type Config struct {
 }
 
 func (c *Config) check() error {
-	if c.FieldLen <= 0 || c.GridN <= 0 {
-		return errors.New("pipeline: FieldLen and GridN must be positive")
+	if !(c.FieldLen > 0) || math.IsInf(c.FieldLen, 1) || c.GridN <= 0 {
+		return errors.New("pipeline: FieldLen must be positive and finite, GridN positive")
 	}
 	return nil
 }
@@ -295,7 +296,8 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	tm := time.Now()
 	counts := make([]int, len(local))
 	for i, ctr := range local {
-		counts[i] = index.CountInBox(rt.cube(ctr))
+		rt.ids = index.InBox(rt.cube(ctr), rt.ids[:0])
+		counts[i] = len(rt.ids)
 	}
 	var mine sample
 	done := make([]bool, len(local))

@@ -445,6 +445,8 @@ func TestConfigValidation(t *testing.T) {
 		want string
 	}{
 		{"zero FieldLen", func(c *Config) { c.FieldLen = 0 }, "FieldLen"},
+		{"NaN FieldLen", func(c *Config) { c.FieldLen = math.NaN() }, "FieldLen"},
+		{"infinite FieldLen", func(c *Config) { c.FieldLen = math.Inf(1) }, "FieldLen"},
 		{"negative GridN", func(c *Config) { c.GridN = -1 }, "GridN"},
 	}
 	for _, tc := range cases {
