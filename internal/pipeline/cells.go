@@ -109,19 +109,3 @@ func (ci *cellIndex) InBox(b geom.AABB, dst []int32) []int32 {
 	}
 	return dst
 }
-
-// CountInBox returns the number of points inside the closed box b.
-func (ci *cellIndex) CountInBox(b geom.AABB) (n int) {
-	x0, x1, y0, y1, z0, z1 := ci.bounds(b)
-	for z := z0; z <= z1; z++ {
-		for y := y0; y <= y1; y++ {
-			row := (z*ci.ny + y) * ci.nx
-			for _, i := range ci.idx[ci.start[row+x0]:ci.start[row+x1+1]] {
-				if b.Contains(ci.pts[i]) {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}

@@ -18,8 +18,8 @@ import (
 //
 //   - exchange: domain.Exchange over the 4-rank world;
 //   - index: every rank's cell index over its halo (owned then ghosts);
-//   - queries: every rank's CountInBox (Phase 2) and InBox (the item's
-//     gather) for the centres it owns.
+//   - queries: every rank's InBox for Phase 2's count and again for the
+//     item's gather, for the centres it owns.
 //
 // The 10k case runs under -short, the 100k one only without it.
 func BenchmarkPartition(b *testing.B) {
@@ -99,8 +99,8 @@ func benchPartition(b *testing.B, n int) {
 			for r, ci := range indexes {
 				for _, ctr := range mine[r] {
 					cube := rt.cube(ctr)
-					ci.CountInBox(cube)
-					ids = ci.InBox(cube, ids[:0])
+					ids = ci.InBox(cube, ids[:0]) // Phase 2's count
+					ids = ci.InBox(cube, ids[:0]) // the item's gather
 				}
 			}
 		}
