@@ -94,22 +94,29 @@ func (d Decomp) Cell(rank int) (i, j, k int) {
 	return
 }
 
-// Rank returns the rank owning grid cell (i, j, k).
-func (d Decomp) Rank(i, j, k int) int { return (k*d.Ny+j)*d.Nx + i }
+// cellRank is the rank owning cell (i, j, k) of a grid nx cells along x
+// and ny along y, numbered x fastest: the inverse of Cell. It takes the
+// grid's extents, not a Decomp: Exchange calls it for every candidate cell
+// of every particle, and an inlined Decomp method copies the whole Decomp
+// at each call.
+func cellRank(i, j, k, nx, ny int) int { return (k*ny+j)*nx + i }
 
 // SubVolume returns rank's owned region.
 func (d Decomp) SubVolume(rank int) geom.AABB {
 	i, j, k := d.Cell(rank)
-	sz := d.Box.Size()
-	dx := sz.X / float64(d.Nx)
-	dy := sz.Y / float64(d.Ny)
-	dz := sz.Z / float64(d.Nz)
+	c := d.cellSize()
 	min := geom.Vec3{
-		X: d.Box.Min.X + float64(i)*dx,
-		Y: d.Box.Min.Y + float64(j)*dy,
-		Z: d.Box.Min.Z + float64(k)*dz,
+		X: d.Box.Min.X + float64(i)*c.X,
+		Y: d.Box.Min.Y + float64(j)*c.Y,
+		Z: d.Box.Min.Z + float64(k)*c.Z,
 	}
-	return geom.AABB{Min: min, Max: min.Add(geom.Vec3{X: dx, Y: dy, Z: dz})}
+	return geom.AABB{Min: min, Max: min.Add(c)}
+}
+
+// cellSize is a sub-volume's edges.
+func (d Decomp) cellSize() geom.Vec3 {
+	sz := d.Box.Size()
+	return geom.Vec3{X: sz.X / float64(d.Nx), Y: sz.Y / float64(d.Ny), Z: sz.Z / float64(d.Nz)}
 }
 
 // GhostVolume returns rank's owned region expanded by the ghost width,
@@ -125,7 +132,7 @@ func (d Decomp) GhostVolume(rank int) geom.AABB {
 // to the nearest cell).
 func (d Decomp) OwnerOf(p geom.Vec3) int {
 	sz := d.Box.Size()
-	return d.Rank(cellOf(p.X, d.Box.Min.X, sz.X, d.Nx), cellOf(p.Y, d.Box.Min.Y, sz.Y, d.Ny), cellOf(p.Z, d.Box.Min.Z, sz.Z, d.Nz))
+	return cellRank(cellOf(p.X, d.Box.Min.X, sz.X, d.Nx), cellOf(p.Y, d.Box.Min.Y, sz.Y, d.Ny), cellOf(p.Z, d.Box.Min.Z, sz.Z, d.Nz), d.Nx, d.Ny)
 }
 
 // cellOf is the cell owning v along one axis of n cells spanning size
@@ -145,25 +152,17 @@ func clampCell(c, n int) int {
 }
 
 // ghostBoxes is what Exchange computes once per call to place particles:
-// the decomposition's grid, copied out of Decomp so the per-particle loop
-// passes no Decomp by value, and each rank's ghost box (clipped to the
-// box, or unclipped when periodic).
+// each rank's ghost box, clipped to the box or, when periodic, unclipped,
+// and a sub-volume's edges, whose three divisions made Exchange half again
+// as slow when images redid them for every particle.
 type ghostBoxes struct {
-	min, size, cell geom.Vec3 // the box's corner and edges, a cell's edges
-	nx, ny, nz      int
-	ghost           float64
-	periodic        bool
-	box             []geom.AABB
+	Decomp
+	cell geom.Vec3
+	box  []geom.AABB
 }
 
 func newGhostBoxes(d Decomp) *ghostBoxes {
-	sz := d.Box.Size()
-	g := &ghostBoxes{
-		min: d.Box.Min, size: sz,
-		cell: geom.Vec3{X: sz.X / float64(d.Nx), Y: sz.Y / float64(d.Ny), Z: sz.Z / float64(d.Nz)},
-		nx:   d.Nx, ny: d.Ny, nz: d.Nz, ghost: d.Ghost, periodic: d.Periodic,
-		box: make([]geom.AABB, d.NumRanks()),
-	}
+	g := &ghostBoxes{Decomp: d, cell: d.cellSize(), box: make([]geom.AABB, d.NumRanks())}
 	for r := range g.box {
 		if d.Periodic {
 			g.box[r] = d.ghostVolumeUnclipped(r)
@@ -174,12 +173,6 @@ func newGhostBoxes(d Decomp) *ghostBoxes {
 	return g
 }
 
-// owner is Decomp.OwnerOf(p).
-func (g *ghostBoxes) owner(p geom.Vec3) int {
-	i, j, k := cellOf(p.X, g.min.X, g.size.X, g.nx), cellOf(p.Y, g.min.Y, g.size.Y, g.ny), cellOf(p.Z, g.min.Z, g.size.Z, g.nz)
-	return (k*g.ny+j)*g.nx + i
-}
-
 // images calls emit(r, q) for every ghost copy of p, which owner owns: q
 // is p or, when periodic, one of its ±L shifts, and lies in rank r's ghost
 // box; p at its owner is no ghost. Shifts go -L, 0, +L per axis, x
@@ -188,20 +181,22 @@ func (g *ghostBoxes) owner(p geom.Vec3) int {
 func (g *ghostBoxes) images(p geom.Vec3, owner int, emit func(r int, q geom.Vec3)) {
 	var x, y, z [3]float64
 	var xlo, xhi, ylo, yhi, zlo, zhi [3]int
+	d, cell := &g.Decomp, g.cell
 	s0, s1 := 1, 1 // the shifts taken, as indices into x, y, z: -L, 0, +L
-	if g.periodic {
+	if d.Periodic {
 		s0, s1 = 0, 2
+		size := d.Box.Size()
 		for s := s0; s <= s1; s++ {
 			f := float64(s - 1)
-			x[s], y[s], z[s] = p.X+f*g.size.X, p.Y+f*g.size.Y, p.Z+f*g.size.Z
+			x[s], y[s], z[s] = p.X+f*size.X, p.Y+f*size.Y, p.Z+f*size.Z
 		}
 	} else {
 		x[1], y[1], z[1] = p.X, p.Y, p.Z
 	}
 	for s := s0; s <= s1; s++ {
-		xlo[s], xhi[s] = cellSpan(x[s], g.ghost, g.min.X, g.cell.X, g.nx, g.periodic)
-		ylo[s], yhi[s] = cellSpan(y[s], g.ghost, g.min.Y, g.cell.Y, g.ny, g.periodic)
-		zlo[s], zhi[s] = cellSpan(z[s], g.ghost, g.min.Z, g.cell.Z, g.nz, g.periodic)
+		xlo[s], xhi[s] = cellSpan(x[s], d.Ghost, d.Box.Min.X, cell.X, d.Nx, d.Periodic)
+		ylo[s], yhi[s] = cellSpan(y[s], d.Ghost, d.Box.Min.Y, cell.Y, d.Ny, d.Periodic)
+		zlo[s], zhi[s] = cellSpan(z[s], d.Ghost, d.Box.Min.Z, cell.Z, d.Nz, d.Periodic)
 	}
 	for sx := s0; sx <= s1; sx++ {
 		for sy := s0; sy <= s1; sy++ {
@@ -211,7 +206,7 @@ func (g *ghostBoxes) images(p geom.Vec3, owner int, emit func(r int, q geom.Vec3
 				for k := zlo[sz]; k <= zhi[sz]; k++ {
 					for j := ylo[sy]; j <= yhi[sy]; j++ {
 						for i := xlo[sx]; i <= xhi[sx]; i++ {
-							r := (k*g.ny+j)*g.nx + i
+							r := cellRank(i, j, k, d.Nx, d.Ny)
 							if (r != owner || !unshifted) && g.box[r].Contains(q) {
 								emit(r, q)
 							}
@@ -290,7 +285,7 @@ func pack(d Decomp, local []geom.Vec3) []packet {
 	copies := false
 	count := func(r int, _ geom.Vec3) { n[2*r+1]++; copies = true }
 	for i, p := range local {
-		owner := g.owner(p)
+		owner := d.OwnerOf(p)
 		n[2*owner]++
 		copies = false
 		g.images(p, owner, count)

@@ -73,7 +73,7 @@ func TestCellRankRoundTrip(t *testing.T) {
 	}
 	for r := 0; r < 24; r++ {
 		i, j, k := d.Cell(r)
-		if d.Rank(i, j, k) != r {
+		if cellRank(i, j, k, d.Nx, d.Ny) != r {
 			t.Fatalf("cell/rank roundtrip failed for %d", r)
 		}
 	}
