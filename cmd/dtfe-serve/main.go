@@ -298,8 +298,8 @@ func run(in string, particles, gridN, specPool, requests int, rate float64,
 		st.ColHits, st.ColMisses, st.ColEvicted, st.ColPoisoned, st.ColEntries, st.ColCells)
 	fmt.Printf("updates: %d applied (epoch %d), %d dirty columns evicted\n",
 		st.Updates, st.Epochs, st.DirtyColumns)
-	fmt.Printf("mesh: %d resident bytes (%.0f B/particle)\n",
-		st.ResidentBytes, float64(st.ResidentBytes)/float64(len(pts)))
+	fmt.Printf("mesh: %d resident bytes (%.0f B/particle); column cache: %d bytes\n",
+		st.ResidentBytes, float64(st.ResidentBytes)/float64(len(pts)), st.ColBytes)
 	if failed > 0 {
 		log.Fatalf("%d requests failed unexpectedly", failed)
 	}

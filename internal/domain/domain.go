@@ -221,13 +221,15 @@ func (g *ghostBoxes) images(p geom.Vec3, owner int, emit func(r int, q geom.Vec3
 // cellSpan is the range of cells within ghost of v along one axis of n
 // cells of width w from lo. A periodic image outside the grid has an
 // empty range; otherwise both ends clamp into the grid, so a particle
-// outside the box is tested against the nearest cells' boxes.
+// outside the box is tested against the nearest cells' boxes. A bound
+// within 1e-9 cells of a cell edge takes the cell beyond it too: v may lie
+// on that cell's ghost face.
 func cellSpan(v, ghost, lo, w float64, n int, periodic bool) (int, int) {
-	a, b := (v-ghost-lo)/w, (v+ghost-lo)/w
+	i, j := math.Floor((v-ghost-lo)/w-1e-9), math.Floor((v+ghost-lo)/w+1e-9)
 	if periodic {
-		return max(int(math.Floor(a)), 0), min(int(math.Floor(b)), n-1)
+		return max(int(i), 0), min(int(j), n-1)
 	}
-	return clampCell(int(a), n), clampCell(int(b), n)
+	return clampCell(int(i), n), clampCell(int(j), n)
 }
 
 // ghostVolumeUnclipped is the ghost halo without clipping to the box.

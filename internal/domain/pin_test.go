@@ -16,17 +16,20 @@ import (
 // exchangePins are FNV-64a digests of every rank's owned and ghost lists,
 // in the order Exchange returns them, for the pinCatalog strided over the
 // world. They were recorded before Exchange's per-particle loop was
-// rewritten, so a change to which rank receives a particle, to a ghost
-// image's coordinates or to the order of either list fails here.
+// rewritten and re-recorded when cellSpan began to offer a particle on a
+// ghost box's upper face to that box's rank (every digest but the
+// one-rank non-periodic one moved), so a change to which rank receives a
+// particle, to a ghost image's coordinates or to the order of either list
+// fails here.
 var exchangePins = map[string]uint64{
 	"ranks=1/periodic=false": 0x98e4d0850931809f,
-	"ranks=1/periodic=true":  0xb80f865ce7dd366e,
-	"ranks=2/periodic=false": 0xcad3db9642975203,
-	"ranks=2/periodic=true":  0x4a3d9994250914c3,
-	"ranks=4/periodic=false": 0x790f320b9ae63244,
-	"ranks=4/periodic=true":  0x61630aacf755adff,
-	"ranks=8/periodic=false": 0xf6de5eb49a71a71e,
-	"ranks=8/periodic=true":  0x0fe5cf4d7de549d6,
+	"ranks=1/periodic=true":  0x7c6716d2b66268fa,
+	"ranks=2/periodic=false": 0x931e7534f7ba2f61,
+	"ranks=2/periodic=true":  0xeb5504f39005f74e,
+	"ranks=4/periodic=false": 0x91a0056113e27b0f,
+	"ranks=4/periodic=true":  0xd7a2fee90e365322,
+	"ranks=8/periodic=false": 0x6e07cdc1ba158b76,
+	"ranks=8/periodic=true":  0x88437e21cbd47705,
 }
 
 // pinCatalog is a clustered catalog plus, for the decomposition d, points
@@ -120,6 +123,83 @@ func TestExchangePinnedToParent(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s: digest %#x, pinned %#x", name, got, want)
+			}
+		}
+	}
+}
+
+// TestExchangeMatchesClosedGhostBoxes checks Exchange against brute force
+// on pinCatalog, whose points lie on every sub-volume and ghost-box face:
+// rank r receives, as ghosts, exactly the copies of every particle (its
+// ±L shifts too when periodic) that r's closed ghost box holds, less the
+// particle itself at its owner.
+func TestExchangeMatchesClosedGhostBoxes(t *testing.T) {
+	box := geom.AABB{Min: geom.Vec3{X: -0.5, Y: 0, Z: 0.25}, Max: geom.Vec3{X: 0.5, Y: 1, Z: 1.25}}
+	for _, ranks := range []int{1, 2, 4, 8} {
+		for _, periodic := range []bool{false, true} {
+			d, err := NewDecomp(box, ranks, 0.09)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Periodic = periodic
+			pts := pinCatalog(d)
+			want := make([]map[geom.Vec3]int, ranks)
+			for r := range want {
+				want[r] = map[geom.Vec3]int{}
+			}
+			shifts, sz := []float64{0}, d.Box.Size()
+			if periodic {
+				shifts = []float64{-1, 0, 1}
+			}
+			for _, p := range pts {
+				owner := d.OwnerOf(p)
+				for _, fx := range shifts {
+					for _, fy := range shifts {
+						for _, fz := range shifts {
+							q := geom.Vec3{X: p.X + fx*sz.X, Y: p.Y + fy*sz.Y, Z: p.Z + fz*sz.Z}
+							for r := 0; r < ranks; r++ {
+								gb := d.GhostVolume(r)
+								if periodic {
+									gb = d.ghostVolumeUnclipped(r)
+								}
+								if gb.Contains(q) && (r != owner || fx != 0 || fy != 0 || fz != 0) {
+									want[r][q]++
+								}
+							}
+						}
+					}
+				}
+			}
+			got := make([][]geom.Vec3, ranks)
+			err = mpi.Run(ranks, func(c *mpi.Comm) error {
+				var local []geom.Vec3
+				for i := c.Rank(); i < len(pts); i += ranks {
+					local = append(local, pts[i])
+				}
+				_, ghosts, err := Exchange(c, d, local)
+				got[c.Rank()] = ghosts
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			missed, extra, copies := 0, 0, 0
+			for r := range got {
+				copies += len(got[r])
+				for _, q := range got[r] {
+					want[r][q]--
+				}
+				for _, n := range want[r] {
+					if n > 0 {
+						missed += n
+					} else {
+						extra -= n
+					}
+				}
+			}
+			t.Logf("ranks=%d/periodic=%v: %d ghost copies", ranks, periodic, copies)
+			if missed != 0 || extra != 0 {
+				t.Errorf("ranks=%d/periodic=%v: %d ghost copies missed, %d not in the closed ghost box", ranks, periodic, missed, extra)
 			}
 		}
 	}

@@ -207,12 +207,13 @@ func (s *Service) buildUnion(ctx context.Context, mv *meshView, cat *catalog, ke
 	// dropped — the members are still served the consistent old-epoch
 	// grid, its columns just never become resident.
 	insertOK := func() bool { return cat.epoch() == mv.epoch }
-	fam := render.FamilyOf(spec)
+	fam := s.colcache.intern(famKey(key))
+	defer s.colcache.release(fam)
 	dst := spec.Grid()
 	var runs []render.Tile
 	coldStart := -1
 	for i := 0; i < spec.Nx; i++ {
-		if vals, ok := s.colcache.get(colKey{Catalog: key.Catalog, Family: fam, Col: i}, spec.Ny, mv.epoch); ok {
+		if vals, ok := s.colcache.getCol(fam, i, spec.Ny, mv.epoch); ok {
 			dst.SetColumn(i, vals)
 			if coldStart >= 0 {
 				runs = append(runs, render.Tile{I0: coldStart, I1: i})
@@ -234,7 +235,7 @@ func (s *Service) buildUnion(ctx context.Context, mv *meshView, cat *catalog, ke
 		for _, r := range runs {
 			s.coldCols.Add(uint64(r.I1 - r.I0))
 			for i := r.I0; i < r.I1; i++ {
-				s.colcache.put(colKey{Catalog: key.Catalog, Family: fam, Col: i}, dst.Column(i, nil), mv.epoch, insertOK)
+				s.colcache.putCol(fam, i, dst.Column(i, nil), mv.epoch, insertOK)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -230,24 +231,39 @@ func BenchmarkFieldServeOverlapStorm(b *testing.B) {
 // BenchmarkColumnCacheZipf is the column cache's layer benchmark: colCache
 // alone under the serve_overlap request shape, with no mesh and no march.
 // One op is zipfColdShare's whole 20 000-request stream; cold/req_col is
-// its result.
+// its result, and heap-B/col and book-B/col what the cache it leaves holds
+// per resident column: in all, and beyond the column's own cells.
 func BenchmarkColumnCacheZipf(b *testing.B) {
 	var share float64
+	var c *colCache
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		share = zipfColdShare()
+		share, c = zipfColdShare()
 	}
+	b.StopTimer()
+	var held, gone runtime.MemStats
+	st := c.stats()
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	runtime.KeepAlive(c)
+	c = nil
+	runtime.GC()
+	runtime.ReadMemStats(&gone)
+	heap := float64(held.HeapAlloc) - float64(gone.HeapAlloc)
 	b.ReportMetric(share, "cold/req_col")
+	b.ReportMetric(heap/float64(st.Entries), "heap-B/col")
+	b.ReportMetric((heap-8*float64(st.Cells))/float64(st.Entries), "book-B/col")
 }
 
 // zipfColdShare replays a fixed-seed request stream against a colCache at
 // the service's default budget: 768 families drawn Zipf(1), each request a
 // window of Nx in [32, 128] columns by 32 rows from its family's column 0.
-// Like buildUnion, a request gets each of its columns and puts every miss.
-// It returns the share of requested columns that missed (and would have
-// been marched) over the last 15 000 requests, after 5 000 that warm the
-// cache. The result is deterministic.
-func zipfColdShare() float64 {
+// Like buildUnion, a request holds its family's id, gets each of its
+// columns and puts every miss. It returns the share of requested columns
+// that missed (and would have been marched) over the last 15 000 requests,
+// after 5 000 that warm the cache, and the cache. The share is
+// deterministic.
+func zipfColdShare() (float64, *colCache) {
 	const (
 		families, nxMin, nxMax, ny = 768, 32, 128, 32
 		requests, warmup           = 20000, 5000
@@ -261,20 +277,20 @@ func zipfColdShare() float64 {
 	c := newColCache(defaultColumnCacheCells)
 	var cold, asked int
 	for r := 0; r < requests; r++ {
-		key := colKey{Catalog: "halos", Family: fams[zipf.Uint64()]}
+		f := c.intern(Key{Catalog: "halos", Spec: fams[zipf.Uint64()]})
 		nx := nxMin + rng.Intn(nxMax-nxMin+1)
 		for col := 0; col < nx; col++ {
-			key.Col = col
-			if _, ok := c.get(key, ny, 0); !ok {
-				c.put(key, make([]float64, ny), 0, nil)
+			if _, ok := c.getCol(f, col, ny, 0); !ok {
+				c.putCol(f, col, make([]float64, ny), 0, nil)
 				if r >= warmup {
 					cold++
 				}
 			}
 		}
+		c.release(f)
 		if r >= warmup {
 			asked += nx
 		}
 	}
-	return float64(cold) / float64(asked)
+	return float64(cold) / float64(asked), c
 }

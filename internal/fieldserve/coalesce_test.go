@@ -675,7 +675,7 @@ func TestColCache(t *testing.T) {
 	}
 
 	// Poison detection: corrupt a resident column in place.
-	e := c.entries[key("a", 5)]
+	e, _ := c.peek(key("a", 5))
 	e.vals[3] = math.Float64frombits(math.Float64bits(e.vals[3]) ^ 1)
 	if _, ok := c.get(key("a", 5), 20, 0); ok {
 		t.Fatal("poisoned column served")
@@ -797,7 +797,7 @@ func TestColumnCacheZipfColdShare(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a deterministic policy figure: nothing in it can race")
 	}
-	if got := zipfColdShare(); got >= 0.15405 {
+	if got, _ := zipfColdShare(); got >= 0.15405 {
 		t.Fatalf("cold/req_col = %.6f, want < 0.15405", got)
 	}
 }

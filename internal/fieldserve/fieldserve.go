@@ -111,6 +111,7 @@ type Stats struct {
 	ColPoisoned uint64
 	ColCells    int
 	ColEntries  int
+	ColBytes    int // the cells and the cache's bookkeeping, counted from its slice lengths
 
 	// Delta-update counters (Service.Update).
 	Updates      uint64 // accepted catalog updates, incl. pre-build edits
@@ -685,6 +686,7 @@ func (s *Service) Stats() Stats {
 		ColPoisoned: cc.Poisoned,
 		ColCells:    cc.Cells,
 		ColEntries:  cc.Entries,
+		ColBytes:    cc.Bytes,
 
 		Updates:      s.updates.Load(),
 		DirtyColumns: s.dirtyCols.Load(),

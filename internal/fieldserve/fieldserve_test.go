@@ -383,9 +383,7 @@ func testDegradedFallback(t *testing.T, warmNx, warmNy int) {
 // rot flips one mantissa bit of a resident column in place, after its
 // checksum was recorded; hit-time verification must catch it.
 func (c *colCache) rot(key colKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
+	if e, ok := c.peek(key); ok {
 		i := len(e.vals) / 2
 		e.vals[i] = math.Float64frombits(math.Float64bits(e.vals[i]) ^ 1)
 	}

@@ -158,13 +158,11 @@ func TestUpdateColumnCacheSurvival(t *testing.T) {
 	// Snapshot the warmed column cache.
 	fam := render.FamilyOf(spec)
 	preSum := make(map[int]uint64)
-	s.colcache.mu.Lock()
-	for k, e := range s.colcache.entries {
-		if k.Family == fam {
-			preSum[k.Col] = e.sum
+	for i := 0; i < spec.Nx; i++ {
+		if e, ok := s.colcache.peek(colKey{Catalog: "lat", Family: fam, Col: i}); ok {
+			preSum[i] = e.sum
 		}
 	}
-	s.colcache.mu.Unlock()
 	if len(preSum) != spec.Nx {
 		t.Fatalf("warm-up cached %d/%d columns", len(preSum), spec.Nx)
 	}
@@ -189,30 +187,24 @@ func TestUpdateColumnCacheSurvival(t *testing.T) {
 		t.Fatalf("degenerate dirty set %d/%d columns: %+v", len(dirty), spec.Nx, st)
 	}
 
-	s.colcache.mu.Lock()
 	for i := 0; i < spec.Nx; i++ {
-		e, ok := s.colcache.entries[colKey{Catalog: "lat", Family: fam, Col: i}]
+		e, ok := s.colcache.peek(colKey{Catalog: "lat", Family: fam, Col: i})
 		if dirty[i] {
 			if ok {
-				s.colcache.mu.Unlock()
 				t.Fatalf("dirty column %d survived the update sweep", i)
 			}
 			continue
 		}
 		if !ok {
-			s.colcache.mu.Unlock()
 			t.Fatalf("clean column %d was evicted by the update sweep", i)
 		}
 		if e.epoch != 1 {
-			s.colcache.mu.Unlock()
 			t.Fatalf("clean column %d not re-tagged: epoch %d, want 1", i, e.epoch)
 		}
 		if grid.ChecksumBits(e.vals) != e.sum || e.sum != preSum[i] {
-			s.colcache.mu.Unlock()
 			t.Fatalf("clean column %d bits changed across the update", i)
 		}
 	}
-	s.colcache.mu.Unlock()
 
 	if got := s.Stats().DirtyColumns; got != uint64(len(dirty)) {
 		t.Fatalf("DirtyColumns = %d, want %d", got, len(dirty))
