@@ -225,11 +225,11 @@ func (g *ghostBoxes) images(p geom.Vec3, owner int, emit func(r int, q geom.Vec3
 // within 1e-9 cells of a cell edge takes the cell beyond it too: v may lie
 // on that cell's ghost face.
 func cellSpan(v, ghost, lo, w float64, n int, periodic bool) (int, int) {
-	i, j := math.Floor((v-ghost-lo)/w-1e-9), math.Floor((v+ghost-lo)/w+1e-9)
+	a, b := (v-ghost-lo)/w-1e-9, (v+ghost-lo)/w+1e-9
 	if periodic {
-		return max(int(i), 0), min(int(j), n-1)
+		return max(int(math.Floor(a)), 0), min(int(math.Floor(b)), n-1)
 	}
-	return clampCell(int(i), n), clampCell(int(j), n)
+	return clampCell(int(a), n), clampCell(int(b), n)
 }
 
 // ghostVolumeUnclipped is the ghost halo without clipping to the box.
