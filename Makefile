@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay bench-cache bench-dist bench-march bench-partition fuzz loc ci
+.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay bench-cache bench-dist bench-march bench-field bench-partition fuzz loc ci
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,14 @@ bench-dist:
 bench-march:
 	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench 'MarchPoolOrder/batch_march' -count 5 ./internal/render/
 
+# The field march's layer number on dist_fields' shape (100k clustered
+# particles, FieldLen 0.12, 64² grids, 40 halo-centred cubes built as an
+# item builds them, outside the timer), one pinned core, five counts
+# (ns/column and steps/column beside ns/op). The 10k case is what -short
+# (`make bench-smoke`) runs.
+bench-field:
+	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench 'FieldMarch/100k' -count 5 ./internal/pipeline/
+
 # Phase 1's layer numbers on dist_fields' shape (100k clustered particles,
 # 4 ranks, FieldLen 0.12, 40 halo-centred fields): the exchange, every
 # rank's cell index and the cube queries, one pinned core, five counts
@@ -125,6 +133,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDelaunayDelta -fuzztime 10s ./internal/delaunay/
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzTreeWireDecode -fuzztime 10s ./internal/render/distrender/
+	$(GO) test -run '^$$' -fuzz FuzzFloorStart -fuzztime 10s ./internal/render/
 	$(GO) test -run '^$$' -fuzz FuzzPredicatesExact -fuzztime 10s ./internal/geom/
 	$(GO) test -run '^$$' -fuzz FuzzHilbertOrder -fuzztime 10s ./internal/geom/
 	$(GO) test -run '^$$' -fuzz FuzzFOF -fuzztime 10s ./internal/halo/

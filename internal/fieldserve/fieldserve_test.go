@@ -216,6 +216,51 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// Specs a family key cannot hold (a NaN never equals itself, so no later
+// lookup would find its in-flight mark, family record or columns) are
+// rejected before they reach the queue or the column cache: they leave
+// no entry behind, and a valid request still serves.
+func TestNonFiniteSpecsLeaveNoState(t *testing.T) {
+	s := New(Options{Workers: 2})
+	defer s.Close()
+	if err := s.Register("a", testPoints(300, 1)); err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for i := 0; i < 50; i++ {
+		spec := testSpec(8, int64(i))
+		switch i % 4 {
+		case 0:
+			spec.ZMin, spec.ZMax = nan, 1
+		case 1:
+			spec.ZMax = nan
+		case 2:
+			spec.Cell = nan
+		case 3:
+			spec.Min.X = math.Inf(-1)
+		}
+		if _, err := s.Serve(context.Background(), Request{Catalog: "a", Spec: spec}); err == nil {
+			t.Fatalf("spec %+v accepted", spec)
+		}
+	}
+	if _, err := s.Serve(context.Background(), Request{Catalog: "a", Spec: testSpec(8, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	s.qmu.Lock()
+	inflight := len(s.inflight)
+	s.qmu.Unlock()
+	s.colcache.mu.Lock()
+	defer s.colcache.mu.Unlock()
+	for k := range s.colcache.fams {
+		if k.Spec != famKey(Key{Catalog: "a", Spec: testSpec(8, 0)}).Spec {
+			t.Errorf("family %+v resident", k.Spec)
+		}
+	}
+	if inflight != 0 {
+		t.Errorf("%d families left in flight", inflight)
+	}
+}
+
 // A cancelled request surfaces the context error and releases its worker
 // promptly: a follow-up request on the same single-worker service
 // completes instead of waiting out the aborted render.

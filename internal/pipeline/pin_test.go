@@ -8,7 +8,10 @@ import (
 	"slices"
 	"testing"
 
+	"godtfe/internal/delaunay"
+	"godtfe/internal/dtfe"
 	"godtfe/internal/geom"
+	"godtfe/internal/render"
 	"godtfe/internal/synth"
 )
 
@@ -91,5 +94,73 @@ func TestFieldsPinnedToParent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// pinCatalog is TestFieldsPinnedToParent's catalog and field centres,
+// whose fields fieldPins pin.
+func pinCatalog() (pts, centers []geom.Vec3) {
+	pts = synth.HaloSet(6000, unitBox(), synth.DefaultHaloSpec(), 31)
+	centers = synth.Uniform(8, unitBox(), 32)
+	centers = append(centers,
+		geom.Vec3{X: 0.5, Y: 0.5, Z: 0.5}, // on the 2×2×1 rank boundary
+		geom.Vec3{X: 0.03, Y: 0.04, Z: 0.02},
+		geom.Vec3{X: 0.97, Y: 0.5, Z: 0.99},
+	)
+	// Six more in one rank's quarter, so work sharing has items to ship.
+	for i := 0; i < 6; i++ {
+		centers = append(centers, geom.Vec3{X: 0.2 + 0.04*float64(i%3), Y: 0.2 + 0.05*float64(i/3), Z: 0.4})
+	}
+	return pts, centers
+}
+
+// TestFieldStepsFromTheFloor: on the pinned catalog, each item's Steps is
+// what its field's march took, started at the field's floor, and no more
+// than the hull-entry march of the same lines (Marcher.Column) takes;
+// across the items it is fewer, with the fields still the pinned bits.
+func TestFieldStepsFromTheFloor(t *testing.T) {
+	pts, centers := pinCatalog()
+	cfg := Config{Box: unitBox(), FieldLen: 0.14, GridN: 12, KeepFields: true, Seed: 33}
+	results := runPipeline(t, 1, cfg, pts, centers)
+	if got, _ := fieldDigest(t, results, len(centers)); got != fieldPins[false] {
+		t.Fatalf("digest %#x, pinned %#x", got, fieldPins[false])
+	}
+	index := newCellIndex(pts, cfg.triCubeSide()/2)
+	rt := &runtime{cfg: cfg}
+	var floor, hull int64
+	for _, it := range results[0].Items {
+		var sel []geom.Vec3
+		for _, id := range index.InBox(rt.cube(it.Center), nil) {
+			sel = append(sel, index.pts[id])
+		}
+		if len(sel) < minParticles {
+			continue
+		}
+		slices.SortFunc(sel, lexCompare)
+		tri, err := delaunay.New(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := dtfe.NewField(tri, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, spec := render.NewMarcher(f), itemSpec(cfg, it.Center)
+		var steps int64
+		for j := 0; j < spec.Ny; j++ {
+			for i := 0; i < spec.Nx; i++ {
+				xi := geom.Vec2{X: spec.Min.X + (float64(i)+0.5)*spec.Cell, Y: spec.Min.Y + (float64(j)+0.5)*spec.Cell}
+				_, n, _ := m.Column(xi, spec.ZMin, spec.ZMax)
+				steps += int64(n)
+			}
+		}
+		if it.Steps > steps {
+			t.Errorf("item at %v: %d steps, %d through the hull", it.Center, it.Steps, steps)
+		}
+		floor, hull = floor+it.Steps, hull+steps
+	}
+	t.Logf("%d steps from the floor, %d through the hull", floor, hull)
+	if floor >= hull {
+		t.Errorf("%d steps from the floor, not fewer than the hull entry's %d", floor, hull)
 	}
 }

@@ -142,8 +142,10 @@ type ItemRecord struct {
 	Shipped    bool // executed on a rank other than its owner (a-priori LB)
 
 	// Columns classifies the item's lines of sight by how their marches
-	// ended (clean/perturbed/fallback/abandoned).
+	// ended (clean/perturbed/fallback/abandoned), and Steps counts the tets
+	// those marches visited.
 	Columns render.OutcomeCounts
+	Steps   int64
 	// Err is the geometry failure that voided this item's field, if any
 	// (degenerate input renders empty with Err set; mesh corruption marks
 	// the field failed).
@@ -542,6 +544,9 @@ func (rt *runtime) computeItemWith(center geom.Vec3, index *cellIndex, predict b
 			gg, stats, rerr := m.Render(spec, 1, render.ScheduleDynamic)
 			rec.RenderTime = time.Since(t1).Seconds()
 			rec.Columns = render.TotalOutcomes(stats)
+			for _, st := range stats {
+				rec.Steps += st.Steps
+			}
 			rt.res.Columns.Add(rec.Columns)
 			if rerr == nil {
 				g = gg

@@ -73,7 +73,7 @@ func columnRender(m *Marcher, spec Spec) (*grid.Grid2D, OutcomeCounts, int64) {
 	var steps int64
 	for j := 0; j < spec.Ny; j++ {
 		for i := 0; i < spec.Nx; i++ {
-			sigma, n := columnCell(m, spec, i, j, &outcomes)
+			sigma, n := columnCell(m, nil, spec, i, j, &outcomes)
 			out.Set(i, j, sigma)
 			steps += n
 		}
@@ -82,13 +82,14 @@ func columnRender(m *Marcher, spec Spec) (*grid.Grid2D, OutcomeCounts, int64) {
 }
 
 // columnCell is one cell of columnRender: the mean of its lines' Column
-// integrals and their summed steps, each line's outcome noted in outcomes.
-func columnCell(m *Marcher, spec Spec, i, j int, outcomes *OutcomeCounts) (float64, int64) {
+// integrals and their summed steps, each line's outcome noted in outcomes,
+// and each line started at fl's floor when fl is not nil.
+func columnCell(m *Marcher, fl *floorIndex, spec Spec, i, j int, outcomes *OutcomeCounts) (float64, int64) {
 	samples := max(spec.Samples, 1)
 	var acc float64
 	var steps int64
 	for s := 0; s < samples; s++ {
-		sigma, n, outcome := m.Column(cellLine(spec, i, j, s), spec.ZMin, spec.ZMax)
+		sigma, n, outcome := m.column(cellLine(spec, i, j, s), spec.ZMin, spec.ZMax, fl)
 		acc += sigma
 		steps += int64(n)
 		outcomes.Note(outcome)
@@ -326,7 +327,8 @@ func TestMarchMatchesReference(t *testing.T) {
 }
 
 // TestColumnZeroAllocs enforces the hot-loop allocation budget: a Column
-// call (entry location + full march) performs zero heap allocations.
+// call (entry location + full march) performs zero heap allocations, and
+// so does a column started at its floor.
 func TestColumnZeroAllocs(t *testing.T) {
 	pts := synth.HaloSet(2000, geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}, synth.DefaultHaloSpec(), 3)
 	f := fieldFor(t, pts)
@@ -339,6 +341,20 @@ func TestColumnZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Column allocates: %v allocs/op", allocs)
+	}
+	spec := Spec{Min: geom.Vec2{X: 0.1, Y: 0.1}, Nx: 40, Ny: 40, Cell: 0.02, ZMin: 0.3, ZMax: 0.7}
+	fl := newFloorIndex(m, spec)
+	floor := 0
+	allocs = testing.AllocsPerRun(200, func() {
+		xi := cellLine(spec, i%40, (i/40)%40, 0)
+		i++
+		if fl.start(m, xi) >= 0 {
+			floor++
+		}
+		m.column(xi, spec.ZMin, spec.ZMax, fl)
+	})
+	if allocs != 0 || floor == 0 {
+		t.Fatalf("a floor-started column allocates %v allocs/op (%d of its lines started at the floor)", allocs, floor)
 	}
 }
 

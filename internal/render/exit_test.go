@@ -144,3 +144,16 @@ func TestExitVerticalEdgeConsistency(t *testing.T) {
 		t.Fatalf("tets sharing the degenerate edge must disagree: up=%v down=%v", okUp, okDown)
 	}
 }
+
+// exitVertical finds the face through which the vertical line at xi leaves
+// the tetrahedron, and the exit z, gathering the vertices through the
+// triangulation's native layout: the AoS reference refTryColumn marches
+// with. The march itself runs exitVerticalVerts, the one arithmetic core,
+// on SoA vertices.
+func exitVertical(tt *delaunay.Tet, pts []geom.Vec3, xi geom.Vec2) (face int, zExit float64, ok bool) {
+	var v [4]geom.Vec3
+	for i := 0; i < 4; i++ {
+		v[i] = pts[tt.V[i]]
+	}
+	return exitVerticalVerts(&v, xi)
+}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"godtfe/internal/delaunay"
 	"godtfe/internal/geom"
 	"godtfe/internal/grid"
 )
@@ -116,9 +115,9 @@ func (m *Marcher) RenderRunsCtx(ctx context.Context, spec Spec, runs []Tile, dst
 }
 
 // march runs the marching kernel over runs through sampleRuns, once they
-// are checked to lie inside the Marcher's span. A column whose march
-// needed a tet outside the slab fails the whole render with
-// ErrOutsideSlab.
+// are checked to lie inside the Marcher's span, from their floor where
+// floorIndex has one. A column whose march needed a tet outside the slab
+// fails the whole render with ErrOutsideSlab.
 func (m *Marcher) march(ctx context.Context, spec Spec, runs []Tile, out *grid.Grid2D, outBase, workers int) ([]WorkerStat, error) {
 	if n := len(runs); n > 0 {
 		if x0, x1 := spec.colX(runs[0].I0), spec.colX(runs[n-1].I1); x0 < m.x0 || x1 > m.x1 {
@@ -127,7 +126,7 @@ func (m *Marcher) march(ctx context.Context, spec Spec, runs []Tile, out *grid.G
 		}
 	}
 	var outside atomic.Bool
-	stats, err := sampleRuns(ctx, spec, runs, out, outBase, workers, m.rows(spec, &outside))
+	stats, err := sampleRuns(ctx, spec, runs, out, outBase, workers, m.rows(spec, newFloorIndex(m, spec), &outside))
 	if err == nil && outside.Load() {
 		err = fmt.Errorf("%w: a column of [%d,%d) crossed its edge", ErrOutsideSlab, runs[0].I0, runs[len(runs)-1].I1)
 	}
@@ -135,12 +134,12 @@ func (m *Marcher) march(ctx context.Context, spec Spec, runs []Tile, out *grid.G
 }
 
 // rows is the marching kernel's row function for sampleRuns: every line is
-// one Column, its tets visited and its outcome noted in the worker's stats,
-// and a line that left the slab flagged in outside. Columns are stateless,
-// so every row shares one sampler.
-func (m *Marcher) rows(spec Spec, outside *atomic.Bool) func(int) sampler {
+// one column from fl's floor, its tets visited and its outcome noted in the
+// worker's stats, and a line that left the slab flagged in outside.
+// Columns are stateless, so every row shares one sampler.
+func (m *Marcher) rows(spec Spec, fl *floorIndex, outside *atomic.Bool) func(int) sampler {
 	sample := func(xi geom.Vec2, st *WorkerStat) float64 {
-		sigma, steps, outcome := m.Column(xi, spec.ZMin, spec.ZMax)
+		sigma, steps, outcome := m.column(xi, spec.ZMin, spec.ZMax, fl)
 		if outcome == ColumnOutsideSlab {
 			outside.Store(true)
 		}
@@ -160,10 +159,17 @@ func (m *Marcher) rows(spec Spec, outside *atomic.Bool) func(int) sampler {
 // and must be counted as lost flux, never reported silently), or outside
 // the slab (Σ is NaN; only a slab Marcher ends a march so).
 func (m *Marcher) Column(xi geom.Vec2, zmin, zmax float64) (float64, int, ColumnOutcome) {
+	return m.column(xi, zmin, zmax, nil)
+}
+
+// column is Column with every attempt started at fl's floor (a nil fl has
+// none) where fl.start finds it: Column's Σ and outcome in no more steps,
+// but for the lines DESIGN §7 names.
+func (m *Marcher) column(xi geom.Vec2, zmin, zmax float64, fl *floorIndex) (float64, int, ColumnOutcome) {
 	if !xi.IsFinite() {
 		return 0, 0, ColumnAbandoned
 	}
-	sigma, steps, attempts, ok, outside := m.marchRetries(xi, zmin, zmax, 0)
+	sigma, steps, attempts, ok, outside := m.marchRetries(xi, zmin, zmax, 0, fl)
 	if outside {
 		return math.NaN(), steps, ColumnOutsideSlab
 	}
@@ -177,7 +183,7 @@ func (m *Marcher) Column(xi geom.Vec2, zmin, zmax float64) (float64, int, Column
 	// the march from ξ with a second ladder whose magnitudes start one
 	// rung beyond the first, instead of returning the partial Σ from the
 	// failed march.
-	fsigma, fsteps, _, fok, outside := m.marchRetries(xi, zmin, zmax, maxRetries+1)
+	fsigma, fsteps, _, fok, outside := m.marchRetries(xi, zmin, zmax, maxRetries+1, fl)
 	steps += fsteps
 	if outside {
 		return math.NaN(), steps, ColumnOutsideSlab
@@ -196,11 +202,11 @@ func (m *Marcher) Column(xi geom.Vec2, zmin, zmax float64) (float64, int, Column
 
 // marchRetries runs the perturb-and-retry loop of the paper's Fig 2, the
 // perturbation magnitudes starting at rung base, so the fallback ladder
-// explores genuinely new line positions. A march that reaches a tet the
-// slab does not carry ends the loop at once with outside set.
-func (m *Marcher) marchRetries(xi geom.Vec2, zmin, zmax float64, base int) (sigma float64, steps int, attempts int, ok, outside bool) {
+// explores genuinely new line positions, each started afresh. A march
+// that reaches a tet the slab does not carry ends the loop at once.
+func (m *Marcher) marchRetries(xi geom.Vec2, zmin, zmax float64, base int, fl *floorIndex) (sigma float64, steps int, attempts int, ok, outside bool) {
 	for attempt := 0; ; attempt++ {
-		s, n, badTet, ok := m.tryColumn(xi, zmin, zmax)
+		s, n, badTet, ok := m.tryColumn(xi, zmin, zmax, fl)
 		steps += n
 		sigma = s
 		if ok {
@@ -242,24 +248,34 @@ func (m *Marcher) perturb(xi geom.Vec2, tet int32, attempt int) geom.Vec2 {
 	return xi.Add(geom.Vec2{X: eps, Y: eps * 0.7071067811865476})
 }
 
-// tryColumn marches once against the SoA mesh view. ok=false reports a
-// Plücker degeneracy (the ray met an edge or vertex), returning the tet
-// where it happened. The loop performs no allocations: all state is a
-// fixed-size vertex buffer on the stack.
-func (m *Marcher) tryColumn(xi geom.Vec2, zmin, zmax float64) (sigma float64, steps int, badTet int32, ok bool) {
+// tryColumn marches once against the SoA mesh view, from fl's floor or the
+// lower hull. ok=false reports a Plücker degeneracy (the ray met an edge
+// or vertex), returning the tet where it happened. The loop performs no
+// allocations: all state is a fixed-size vertex buffer on the stack.
+func (m *Marcher) tryColumn(xi geom.Vec2, zmin, zmax float64, fl *floorIndex) (sigma float64, steps int, badTet int32, ok bool) {
+	if fl != nil {
+		if p := fl.start(m, xi); p >= 0 {
+			return m.marchFrom(xi, zmin, zmax, p, zmin)
+		}
+	}
 	fi := m.entry.find(xi)
 	if fi < 0 {
 		return 0, 0, -1, true // line misses the hull: Σ = 0
 	}
 	f := &m.entry.faces[fi]
-	clip := zmin < zmax
 	ray := geom.PluckerFromRay(geom.Vec3{X: xi.X, Y: xi.Y, Z: 0}, geom.Vec3{Z: 1})
 
 	zPrev, entryOK := crossZ(ray, f.a, f.b, f.c, +1)
 	if !entryOK {
 		return 0, 0, f.behind, false
 	}
-	tet := f.behind
+	return m.marchFrom(xi, zmin, zmax, f.behind, zPrev)
+}
+
+// marchFrom is tryColumn's march from tet, entered at zPrev, in a function
+// of its own so that the entries do not move its registers (DESIGN §14).
+func (m *Marcher) marchFrom(xi geom.Vec2, zmin, zmax float64, tet int32, zPrev float64) (sigma float64, steps int, badTet int32, ok bool) {
+	clip := zmin < zmax
 
 	stets := m.soa.tets
 	pts := m.soa.pts
@@ -373,18 +389,6 @@ var (
 		{{1, 1}, {3, -1}, {0, -1}},
 	}
 )
-
-// exitVertical finds the face through which the vertical line at xi leaves
-// the tetrahedron, and the exit z, gathering the vertices through the
-// triangulation's native layout. The march itself uses exitVerticalVerts
-// on pre-flattened SoA vertices; both share one arithmetic core.
-func exitVertical(tt *delaunay.Tet, pts []geom.Vec3, xi geom.Vec2) (face int, zExit float64, ok bool) {
-	var v [4]geom.Vec3
-	for i := 0; i < 4; i++ {
-		v[i] = pts[tt.V[i]]
-	}
-	return exitVerticalVerts(&v, xi)
-}
 
 // exitVerticalVerts is the exit-face core. For a vertical ray the Plücker
 // permuted inner product against an edge reduces to the 2D orientation of

@@ -57,24 +57,38 @@ func totalSteps(stats []WorkerStat) int64 {
 // TestBlockedOrderMatchesColumns checks the cell loop's visiting order
 // against a reference built cell by cell with Column in row-major order:
 // gapped runs, a tile that does not start at column 0 and a whole render,
-// at one and four lines a cell and on one and three workers, must give
-// the reference's bits for every cell they cover and the reference's
-// summed Steps for those cells.
+// at one and four lines a cell on one and three workers, and lines clipped
+// from a floor inside the mesh (each started there, as the cell loop
+// starts it) on one, two and four workers, must give the reference's bits
+// for every cell they cover and the reference's summed Steps for those
+// cells.
 func TestBlockedOrderMatchesColumns(t *testing.T) {
 	box := geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
 	m := NewMarcher(fieldFor(t, synth.HaloSet(1500, box, synth.DefaultHaloSpec(), 4)))
 	ctx := context.Background()
-	for _, samples := range []int{1, 4} {
-		spec := orderSpec(samples)
+	floor := orderSpec(1)
+	floor.ZMin, floor.ZMax = 0.35, 0.8
+	for _, c := range []struct {
+		spec    Spec
+		workers []int
+	}{{orderSpec(1), []int{1, 3}}, {orderSpec(4), []int{1, 3}}, {floor, []int{1, 2, 4}}} {
+		spec, samples := c.spec, c.spec.Samples
+		fl := newFloorIndex(m, spec)
 		ref := spec.Grid()
 		colSteps := make([]int64, spec.Nx) // reference steps of each column, all rows
 		var outcomes OutcomeCounts
+		var hullSteps, steps int64
 		for j := 0; j < spec.Ny; j++ {
 			for i := 0; i < spec.Nx; i++ {
-				sigma, n := columnCell(m, spec, i, j, &outcomes)
+				sigma, n := columnCell(m, fl, spec, i, j, &outcomes)
 				ref.Set(i, j, sigma)
 				colSteps[i] += n
+				_, hn := columnCell(m, nil, spec, i, j, new(OutcomeCounts))
+				hullSteps, steps = hullSteps+hn, steps+n
 			}
+		}
+		if (fl != nil) != (steps < hullSteps) {
+			t.Fatalf("floor %v: %d steps from the floor, %d from the hull", spec.ZMin, steps, hullSteps)
 		}
 		stepsOf := func(cols []int) int64 {
 			var n int64
@@ -83,8 +97,8 @@ func TestBlockedOrderMatchesColumns(t *testing.T) {
 			}
 			return n
 		}
-		for _, workers := range []int{1, 3} {
-			name := fmt.Sprintf("samples=%d/workers=%d", samples, workers)
+		for _, workers := range c.workers {
+			name := fmt.Sprintf("samples=%d/zmin=%v/workers=%d", samples, spec.ZMin, workers)
 			check := func(form string, got *grid.Grid2D, base int, cols []int, stats []WorkerStat, err error) {
 				t.Helper()
 				if err != nil {

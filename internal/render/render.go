@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,10 +59,12 @@ type Spec struct {
 	Seed int64
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: a grid shape that is not positive
+// and finite, a corner that is not finite, a z bound that is NaN (±Inf
+// bounds are fine).
 func (s *Spec) Validate(need3D bool) error {
-	if s.Nx <= 0 || s.Ny <= 0 || s.Cell <= 0 {
-		return errors.New("render: grid shape must be positive")
+	if s.Nx <= 0 || s.Ny <= 0 || !(s.Cell > 0) || math.IsInf(s.Cell, 1) || !s.Min.IsFinite() || math.IsNaN(s.ZMin) || math.IsNaN(s.ZMax) {
+		return fmt.Errorf("render: grid %dx%d of cell %v from %v, z in [%v, %v]: the shape must be positive and finite, the corner finite, the z bounds numbers", s.Nx, s.Ny, s.Cell, s.Min, s.ZMin, s.ZMax)
 	}
 	if need3D && s.Nz <= 0 {
 		return errors.New("render: 3D-grid kernel requires Nz > 0")

@@ -240,6 +240,25 @@ func TestSpecValidate(t *testing.T) {
 	if err := no3d.Validate(true); err == nil {
 		t.Fatal("3D kernel without Nz accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mut := range map[string]func(*Spec){
+		"cell NaN": func(s *Spec) { s.Cell = nan }, "cell +Inf": func(s *Spec) { s.Cell = inf }, "cell -Inf": func(s *Spec) { s.Cell = -inf },
+		"min NaN": func(s *Spec) { s.Min.Y = nan }, "min Inf": func(s *Spec) { s.Min.X = -inf },
+		"zmin NaN": func(s *Spec) { s.ZMin = nan }, "zmax NaN": func(s *Spec) { s.ZMax = nan },
+	} {
+		bad := no3d
+		mut(&bad)
+		if err := bad.Validate(false); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	for _, z := range [][2]float64{{-inf, inf}, {-inf, 0.5}, {0.5, inf}, {inf, -inf}} {
+		ok := no3d
+		ok.ZMin, ok.ZMax = z[0], z[1]
+		if err := ok.Validate(false); err != nil {
+			t.Errorf("z bounds %v rejected: %v", z, err)
+		}
+	}
 	f := fieldFor(t, randPoints(50, 15))
 	if _, _, err := NewWalker(f).Render(no3d, 1); err == nil {
 		t.Fatal("walker must reject Nz=0")

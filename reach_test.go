@@ -34,7 +34,6 @@ var reachAllow = []struct{ ident, reason, test string }{
 	{"internal/nbody.PowerSpectrum", "measures the clustering the reachable PM integrator must grow", "internal/nbody.TestPowerSpectrumGrowsUnderGravity"},
 	{"internal/nbody.Sim.Momentum", "conservation check of the reachable PM integrator", "internal/nbody.TestMomentumConservation"},
 	{"internal/particleio.WriteWithVelocities", "only producer of the velocity-block files the reachable reader must parse", "internal/particleio.TestVelocitiesRoundTrip"},
-	{"internal/render.exitVertical", "AoS reference of the SoA exit kernel, and of refTryColumn in TestMarchMatchesReference", "internal/render.TestExitVerticalMatchesCrossZ"},
 	{"internal/sched.CommList.BalancedTimes", "applies a schedule's transfers: how the suites check the reachable CreateCommunicationList leaves no rank above the mean", "internal/sched.TestCommListPropertyRandom"},
 }
 
