@@ -10,6 +10,10 @@ import (
 
 var fig12Procs = []int{8, 16, 32, 64, 128, 220}
 
+// fig12Planes is the number of lens planes along each line of sight:
+// 700*13 = 9100 ≈ the paper's 9,061.
+const fig12Planes = 13
+
 // Fig12 reproduces the multiplane lensing scaling experiment (paper Fig
 // 12): 700 line-of-sight stacks × ~13 planes ≈ 9,061 fields mixing high-
 // and low-density sub-volumes. The paper observes better overall
@@ -21,13 +25,30 @@ func Fig12(opt Options) (*Report, error) {
 	start := time.Now()
 	r := &Report{ID: "fig12", Title: "multiplane lensing: 9,061 fields along 700 lines of sight"}
 
+	study, err := multiplaneStudy(opt)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := study.run(fig12Procs, true)
+	if err != nil {
+		return nil, err
+	}
+	reportScaling(r, rows)
+	r.Notef("paper: near-linear with only small deviation; mixed high/low density items make bin packing more effective than fig9's")
+	r.Notef("%d stacks x %d planes = %d fields", len(study.Centers)/fig12Planes, fig12Planes, len(study.Centers))
+	r.Elapsed = time.Since(start)
+	return r, nil
+}
+
+// multiplaneStudy builds Fig 12's items: fields on 700 lines of sight of
+// fig12Planes planes each through a clustered box, each counted from its
+// cube, with costs from the real-kernel calibration.
+func multiplaneStudy(opt Options) (*scalingStudy, error) {
 	box := geom.AABB{Min: geom.Vec3{}, Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
 	nPart := opt.scaled(150000)
 	pts := synth.HaloSet(nPart, box, synth.DefaultHaloSpec(), opt.Seed+3)
 
-	nLOS := opt.scaled(700)
-	planes := 13 // 700*13 = 9100 ≈ the paper's 9,061
-	centers := synth.LineOfSightStacks(nLOS, planes, box, opt.Seed+9)
+	centers := synth.LineOfSightStacks(opt.scaled(700), fig12Planes, box, opt.Seed+9)
 
 	tree := kdtree.New(pts)
 	// Multiplane lens planes cover a generous region around each line of
@@ -47,7 +68,7 @@ func Fig12(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	study := &scalingStudy{
+	return &scalingStudy{
 		Box:            box,
 		Centers:        centers,
 		Counts:         counts,
@@ -55,14 +76,5 @@ func Fig12(opt Options) (*Report, error) {
 		NoiseSigma:     0.2,
 		TotalParticles: float64(nPart),
 		Seed:           opt.Seed + 10,
-	}
-	rows, err := study.run(fig12Procs, true)
-	if err != nil {
-		return nil, err
-	}
-	reportScaling(r, rows)
-	r.Notef("paper: near-linear with only small deviation; mixed high/low density items make bin packing more effective than fig9's")
-	r.Notef("%d stacks x %d planes = %d fields", nLOS, planes, len(centers))
-	r.Elapsed = time.Since(start)
-	return r, nil
+	}, nil
 }

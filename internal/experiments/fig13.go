@@ -25,6 +25,42 @@ func Fig13(opt Options) (*Report, error) {
 	start := time.Now()
 	r := &Report{ID: "fig13", Title: "large scale: 233,230 fields at 4k-16k ranks (with degenerate items)"}
 
+	study, err := miraStudy(opt)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := study.run(fig13Procs, true)
+	if err != nil {
+		return nil, err
+	}
+	reportScaling(r, rows)
+
+	// The work-sharing speedup: compare against the unbalanced makespan.
+	unb, err := study.run(fig13Procs, false)
+	if err != nil {
+		return nil, err
+	}
+	r.Rowf("%-6s %16s %16s %12s", "procs", "unbalanced tot", "balanced tot", "LB speedup")
+	for i := range rows {
+		gain := 0.0
+		if rows[i].Total > 0 {
+			gain = unb[i].Total / rows[i].Total
+		}
+		r.Rowf("%-6d %15.2fs %15.2fs %11.2fx", rows[i].Procs, unb[i].Total, rows[i].Total, gain)
+	}
+	r.Notef("paper: ~3.6x work-sharing speedup, near-linear until 16,384 ranks where mispredicted degenerate items delay sends")
+	nFields := len(study.Centers)
+	r.Notef("%d fields, %d degenerate items (actual ~%gx predicted)", nFields, nFields/8192, 12.0)
+	sum := stats.Summarize(float64s(study.Counts))
+	r.Notef("item particle counts: mean=%.0f median=%.0f max=%.0f", sum.Mean, sum.Median, sum.Max)
+	r.Elapsed = time.Since(start)
+	return r, nil
+}
+
+// miraStudy builds Fig 13's items: 233,230 distinct objects over a
+// (1.5 Gpc)³ volume, each priced from its environment's richness, a few
+// of them degenerate, with costs from the real-kernel calibration.
+func miraStudy(opt Options) (*scalingStudy, error) {
 	box := geom.AABB{Min: geom.Vec3{}, Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
 	nFields := opt.scaled(233230)
 	// The paper's fields sit on the 233,230 most massive FOF objects: each
@@ -75,7 +111,7 @@ func Fig13(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	study := &scalingStudy{
+	return &scalingStudy{
 		Box:             box,
 		Centers:         centers,
 		Counts:          counts,
@@ -86,32 +122,7 @@ func Fig13(opt Options) (*Report, error) {
 		TotalParticles:  32e9 * opt.Scale, // MiraU-scale IO volume
 		IoPerPart:       2e-6,             // BG/Q-class parallel filesystem
 		Seed:            opt.Seed + 13,
-	}
-	rows, err := study.run(fig13Procs, true)
-	if err != nil {
-		return nil, err
-	}
-	reportScaling(r, rows)
-
-	// The work-sharing speedup: compare against the unbalanced makespan.
-	unb, err := study.run(fig13Procs, false)
-	if err != nil {
-		return nil, err
-	}
-	r.Rowf("%-6s %16s %16s %12s", "procs", "unbalanced tot", "balanced tot", "LB speedup")
-	for i := range rows {
-		gain := 0.0
-		if rows[i].Total > 0 {
-			gain = unb[i].Total / rows[i].Total
-		}
-		r.Rowf("%-6d %15.2fs %15.2fs %11.2fx", rows[i].Procs, unb[i].Total, rows[i].Total, gain)
-	}
-	r.Notef("paper: ~3.6x work-sharing speedup, near-linear until 16,384 ranks where mispredicted degenerate items delay sends")
-	r.Notef("%d fields, %d degenerate items (actual ~%gx predicted)", nFields, nFields/8192, 12.0)
-	sum := stats.Summarize(float64s(counts))
-	r.Notef("item particle counts: mean=%.0f median=%.0f max=%.0f", sum.Mean, sum.Median, sum.Max)
-	r.Elapsed = time.Since(start)
-	return r, nil
+	}, nil
 }
 
 func float64s(xs []int) []float64 {
