@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay bench-cache bench-dist bench-march bench-field bench-partition fuzz loc ci
+.PHONY: build test tier1 fmt vet race chaos serve-smoke bench bench-smoke bench-e2e bench-e2e-test bench-ab bench-delaunay bench-cache bench-dist bench-march bench-field bench-partition placement fuzz loc ci
 
 build:
 	$(GO) build ./...
@@ -119,6 +119,25 @@ bench-field:
 # (ns/particle beside ns/op). The 100k case is skipped under -short.
 bench-partition:
 	GOMAXPROCS=1 taskset -c 1 $(GO) test -run '^$$' -bench 'Partition/100k' -count 5 ./internal/pipeline/
+
+# Where the march's hot functions and the harness's reference kernel sit in
+# the e2e binary: each one's address and that address mod 64. The binary is
+# built as bench/e2e/run.sh builds it, into .bench_build/. A change that
+# resizes a package linked before them moves them, and an offset that moves
+# mod 64 has shifted batch_march and the normalised op_ms by a few per cent
+# with no code of theirs changed; compare both sides of an A/B.
+PLACEMENT_ENV  = GOCACHE=$(CURDIR)/.bench_build/go-cache GOTMPDIR=$(CURDIR)/.bench_build/tmp GOWORK=off GOTOOLCHAIN=local GOPROXY=off
+PLACEMENT_SYMS = 'godtfe/internal/render.(*Marcher).tryColumn' 'godtfe/internal/render.(*Marcher).marchFrom' \
+	'godtfe/internal/render.(*entryIndex).find' 'godtfe/internal/render.exitVerticalVerts' 'main.refPass'
+placement:
+	@mkdir -p .bench_build/tmp
+	@$(PLACEMENT_ENV) $(GO) -C bench/e2e build -o $(CURDIR)/.bench_build/e2e .
+	@nm=$$($(PLACEMENT_ENV) $(GO) tool nm .bench_build/e2e); \
+	for s in $(PLACEMENT_SYMS); do \
+		a=$$(printf '%s\n' "$$nm" | awk -v s="$$s" '$$2 == "T" && $$3 == s { print $$1 }'); \
+		[ -n "$$a" ] || { echo "placement: $$s is not in the binary"; exit 1; }; \
+		printf '%-44s 0x%s %2d\n' "$$s" "$$a" $$((0x$$a % 64)); \
+	done
 
 # The harness's own self-test (about 3 s). bench/e2e is a module of its
 # own, so `go test ./...` from the root does not reach it.

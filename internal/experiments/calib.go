@@ -5,11 +5,9 @@ import (
 	"math/rand"
 	"time"
 
-	"godtfe/internal/delaunay"
-	"godtfe/internal/dtfe"
 	"godtfe/internal/geom"
-	"godtfe/internal/kdtree"
 	"godtfe/internal/model"
+	"godtfe/internal/pipeline"
 	"godtfe/internal/render"
 	"godtfe/internal/synth"
 )
@@ -36,7 +34,7 @@ func calibrate(opt Options, gridN int) (*calibration, error) {
 		nPart = 20000
 	}
 	pts := synth.HaloSet(nPart, box, synth.DefaultHaloSpec(), opt.Seed+101)
-	tree := kdtree.New(pts)
+	index := pipeline.NewCellIndex(pts, 0.05)
 	rng := rand.New(rand.NewSource(opt.Seed + 102))
 	cal := &calibration{}
 	// Sample cubes of several sizes at random positions to span the n
@@ -49,24 +47,15 @@ func calibrate(opt Options, gridN int) (*calibration, error) {
 				Y: side/2 + rng.Float64()*(1-side),
 				Z: side/2 + rng.Float64()*(1-side),
 			}
-			h := side / 2
-			cube := geom.AABB{
-				Min: c.Sub(geom.Vec3{X: h, Y: h, Z: h}),
-				Max: c.Add(geom.Vec3{X: h, Y: h, Z: h}),
-			}
-			idx := tree.InBox(cube, nil)
-			if len(idx) < 64 {
+			sel := gather(index, pts, cube(c, side/2))
+			if len(sel) < 64 {
 				continue
 			}
-			sel := make([]geom.Vec3, len(idx))
-			for i, id := range idx {
-				sel[i] = pts[id]
-			}
-			nTri, tTri, tRend, err := timeItem(sel, c, side*0.8, gridN)
+			tTri, tRend, err := timeItem(sel, c, side*0.8, gridN)
 			if err != nil {
 				continue
 			}
-			cal.NS = append(cal.NS, float64(nTri))
+			cal.NS = append(cal.NS, float64(len(sel)))
 			cal.Tri = append(cal.Tri, tTri)
 			cal.Rend = append(cal.Rend, tRend)
 		}
@@ -79,30 +68,51 @@ func calibrate(opt Options, gridN int) (*calibration, error) {
 	return cal, nil
 }
 
-// timeItem triangulates and renders one field, returning the particle
-// count and phase seconds.
-func timeItem(sel []geom.Vec3, center geom.Vec3, fieldLen float64, gridN int) (int, float64, float64, error) {
+// timeItem builds and renders one field the way the pipeline's item does,
+// lex sort included, and returns the two phases' seconds.
+func timeItem(sel []geom.Vec3, center geom.Vec3, fieldLen float64, gridN int) (tTri, tRend float64, err error) {
 	t0 := time.Now()
-	tri, err := delaunay.New(sel)
+	f, err := pipeline.ItemField(sel)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
-	f, err := dtfe.NewField(tri, nil)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	tTri := time.Since(t0).Seconds()
-	spec := render.Spec{
-		Min: geom.Vec2{X: center.X - fieldLen/2, Y: center.Y - fieldLen/2},
-		Nx:  gridN, Ny: gridN, Cell: fieldLen / float64(gridN),
-		ZMin: center.Z - fieldLen/2, ZMax: center.Z + fieldLen/2,
-	}
+	tTri = time.Since(t0).Seconds()
 	t1 := time.Now()
 	m := render.NewMarcher(f)
-	if _, _, err := m.Render(spec, 1, render.ScheduleDynamic); err != nil {
-		return 0, 0, 0, err
+	if _, _, err := m.Render(pipeline.ItemSpec(center, fieldLen, gridN), 1, render.ScheduleDynamic); err != nil {
+		return 0, 0, err
 	}
-	return len(sel), tTri, time.Since(t1).Seconds(), nil
+	return tTri, time.Since(t1).Seconds(), nil
+}
+
+// cube is the closed cube of half-width h centred on c.
+func cube(c geom.Vec3, h float64) geom.AABB {
+	return geom.AABB{Min: c.Sub(geom.Vec3{X: h, Y: h, Z: h}), Max: c.Add(geom.Vec3{X: h, Y: h, Z: h})}
+}
+
+// gather copies out the points of pts, which index indexes, inside the
+// closed box b.
+func gather(index *pipeline.CellIndex, pts []geom.Vec3, b geom.AABB) []geom.Vec3 {
+	ids := index.InBox(b, nil)
+	sel := make([]geom.Vec3, len(ids))
+	for i, id := range ids {
+		sel[i] = pts[id]
+	}
+	return sel
+}
+
+// cubeCounts is the number of points of pts in the closed cube of the
+// given side centred on each of centers, counted as Phase 2 counts an
+// item: the length of the cube's query.
+func cubeCounts(pts, centers []geom.Vec3, side float64) []int {
+	index := pipeline.NewCellIndex(pts, side/2)
+	counts := make([]int, len(centers))
+	var ids []int32
+	for i, c := range centers {
+		ids = index.InBox(cube(c, side/2), ids[:0])
+		counts[i] = len(ids)
+	}
+	return counts
 }
 
 // lognoise returns a multiplicative log-normal noise factor.

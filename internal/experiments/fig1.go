@@ -7,12 +7,10 @@ import (
 	"path/filepath"
 	"time"
 
-	"godtfe/internal/delaunay"
-	"godtfe/internal/dtfe"
 	"godtfe/internal/geom"
 	"godtfe/internal/halo"
-	"godtfe/internal/kdtree"
 	"godtfe/internal/nbody"
+	"godtfe/internal/pipeline"
 	"godtfe/internal/render"
 )
 
@@ -63,43 +61,26 @@ func Fig1(opt Options) (*Report, error) {
 	// Sub-volume cube around the object, 1/8 of the box across; at tiny
 	// scales grow it until it holds enough particles to triangulate.
 	side := 0.125
-	tree := kdtree.New(pts)
-	var idx []int32
+	index := pipeline.NewCellIndex(pts, side*0.75)
+	var sel []geom.Vec3
 	for {
-		h := side * 0.75 // triangulation buffer beyond the rendered region
-		cube := geom.AABB{
-			Min: center.Sub(geom.Vec3{X: h, Y: h, Z: h}),
-			Max: center.Add(geom.Vec3{X: h, Y: h, Z: h}),
-		}
-		idx = tree.InBox(cube, nil)
-		if len(idx) >= 64 || side >= 0.6 {
+		// The triangulation buffer reaches side/4 beyond the rendered region.
+		sel = gather(index, pts, cube(center, side*0.75))
+		if len(sel) >= 64 || side >= 0.6 {
 			break
 		}
 		side *= 1.5
 	}
-	if len(idx) < 16 {
-		return nil, fmt.Errorf("fig1: only %d particles near the object", len(idx))
+	if len(sel) < 16 {
+		return nil, fmt.Errorf("fig1: only %d particles near the object", len(sel))
 	}
-	sel := make([]geom.Vec3, len(idx))
-	for i, id := range idx {
-		sel[i] = pts[id]
-	}
-	tri, err := delaunay.New(sel)
-	if err != nil {
-		return nil, err
-	}
-	field, err := dtfe.NewField(tri, nil)
+	field, err := pipeline.ItemField(sel)
 	if err != nil {
 		return nil, err
 	}
 	gridN := 64 + opt.scaled(448) // 512 at scale 1 (the paper used 2048)
-	spec := render.Spec{
-		Min: geom.Vec2{X: center.X - side/2, Y: center.Y - side/2},
-		Nx:  gridN, Ny: gridN, Cell: side / float64(gridN),
-		ZMin: center.Z - side/2, ZMax: center.Z + side/2,
-	}
 	m := render.NewMarcher(field)
-	g, stats, err := m.Render(spec, 1, render.ScheduleDynamic)
+	g, stats, err := m.Render(pipeline.ItemSpec(center, side, gridN), 1, render.ScheduleDynamic)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +102,7 @@ func Fig1(opt Options) (*Report, error) {
 	lo, hi := g.MinMax()
 	r.Rowf("snapshot: %d PM particles evolved 18 steps; %d FOF groups (link %.4f)", len(pts), len(halos), link)
 	r.Rowf("largest object: %d members at (%.3f, %.3f, %.3f)", objN, center.X, center.Y, center.Z)
-	r.Rowf("sub-volume: %d particles, %d tetrahedra", len(sel), tri.NumFiniteTets())
+	r.Rowf("sub-volume: %d particles, %d tetrahedra", len(sel), field.Tri.NumFiniteTets())
 	r.Rowf("map: %dx%d, sigma in [%.3g, %.3g], dynamic range %.1f dex", gridN, gridN, lo, hi, dexRange(lo, hi))
 	r.Rowf("tetrahedra marched: %d", stats[0].Steps)
 	r.Rowf("artifact: %s", path)

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"godtfe/internal/geom"
-	"godtfe/internal/kdtree"
 	"godtfe/internal/model"
+	"godtfe/internal/pipeline"
 	"godtfe/internal/stats"
 	"godtfe/internal/synth"
 )
@@ -24,32 +24,23 @@ func Fig11(opt Options) (*Report, error) {
 	nItems := opt.scaled(160)
 	box := geom.AABB{Min: geom.Vec3{}, Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
 	pts := synth.HaloSet(opt.scaled(80000), box, synth.DefaultHaloSpec(), opt.Seed+7)
-	tree := kdtree.New(pts)
-	rng := rand.New(rand.NewSource(opt.Seed + 8))
-
 	const fieldLen = 0.07
 	side := fieldLen * 1.5
+	index := pipeline.NewCellIndex(pts, side/2)
+	rng := rand.New(rand.NewSource(opt.Seed + 8))
+
 	var ns, triT, rendT []float64
 	for len(ns) < nItems {
 		c := pts[rng.Intn(len(pts))] // halo-weighted positions
-		h := side / 2
-		cube := geom.AABB{
-			Min: c.Sub(geom.Vec3{X: h, Y: h, Z: h}),
-			Max: c.Add(geom.Vec3{X: h, Y: h, Z: h}),
-		}
-		idx := tree.InBox(cube, nil)
-		if len(idx) < 64 {
+		sel := gather(index, pts, cube(c, side/2))
+		if len(sel) < 64 {
 			continue
 		}
-		sel := make([]geom.Vec3, len(idx))
-		for i, id := range idx {
-			sel[i] = pts[id]
-		}
-		n, tt, tr, err := timeItem(sel, c, fieldLen, 48)
+		tt, tr, err := timeItem(sel, c, fieldLen, 48)
 		if err != nil {
 			continue
 		}
-		ns = append(ns, float64(n))
+		ns = append(ns, float64(len(sel)))
 		triT = append(triT, tt)
 		rendT = append(rendT, tr)
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"godtfe/internal/geom"
-	"godtfe/internal/kdtree"
 	"godtfe/internal/synth"
 )
 
@@ -50,20 +49,11 @@ func multiplaneStudy(opt Options) (*scalingStudy, error) {
 
 	centers := synth.LineOfSightStacks(opt.scaled(700), fig12Planes, box, opt.Seed+9)
 
-	tree := kdtree.New(pts)
 	// Multiplane lens planes cover a generous region around each line of
 	// sight, so even low-density planes carry real work (unlike fig9's
 	// tight halo-centered cubes).
 	const fieldLen = 0.1
-	side := fieldLen * 1.5
-	counts := make([]int, len(centers))
-	for i, c := range centers {
-		h := side / 2
-		counts[i] = tree.CountInBox(geom.AABB{
-			Min: c.Sub(geom.Vec3{X: h, Y: h, Z: h}),
-			Max: c.Add(geom.Vec3{X: h, Y: h, Z: h}),
-		})
-	}
+	counts := cubeCounts(pts, centers, fieldLen*1.5)
 	cal, err := calibrate(opt, 64)
 	if err != nil {
 		return nil, err

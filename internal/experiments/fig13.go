@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"godtfe/internal/geom"
-	"godtfe/internal/kdtree"
 	"godtfe/internal/stats"
 	"godtfe/internal/synth"
 )
@@ -80,19 +79,14 @@ func miraStudy(opt Options) (*scalingStudy, error) {
 	// Environment factor: object richness rises mildly with local center
 	// density (the paper: "work items themselves are more costly" in
 	// concentrated regions).
-	ctree := kdtree.New(centers)
 	const probe = 0.04
 	const meanCount = 20000 // cluster-sized objects
+	env := cubeCounts(centers, centers, probe)
 	counts := make([]int, nFields)
 	rel := make([]float64, nFields)
 	var relSum float64
-	for i, c := range centers {
-		h := probe / 2
-		env := float64(ctree.CountInBox(geom.AABB{
-			Min: c.Sub(geom.Vec3{X: h, Y: h, Z: h}),
-			Max: c.Add(geom.Vec3{X: h, Y: h, Z: h}),
-		})) + 1
-		r := math.Pow(env, 0.3) * lognoise(rng, 0.5)
+	for i := range centers {
+		r := math.Pow(float64(env[i]+1), 0.3) * lognoise(rng, 0.5)
 		rel[i] = r
 		relSum += r
 	}

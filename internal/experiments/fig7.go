@@ -6,7 +6,7 @@ import (
 	"godtfe/internal/delaunay"
 	"godtfe/internal/dtfe"
 	"godtfe/internal/geom"
-	"godtfe/internal/kdtree"
+	"godtfe/internal/pipeline"
 	"godtfe/internal/render"
 	"godtfe/internal/stats"
 	"godtfe/internal/synth"
@@ -39,7 +39,7 @@ func Fig7(opt Options) (*Report, error) {
 
 	box := geom.AABB{Min: geom.Vec3{}, Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
 	pts := synth.HaloSet(nPart, box, synth.DefaultHaloSpec(), opt.Seed+1)
-	tree := kdtree.New(pts)
+	index := pipeline.NewCellIndex(pts, 0.1)
 
 	type stageTimes struct{ tri, interp, tess, dense float64 }
 	timesFor := func(p int) (maxT stageTimes, sumT stageTimes, err error) {
@@ -58,11 +58,7 @@ func Fig7(opt Options) (*Report, error) {
 				Min: geom.Vec3{X: 0, Y: maxf(lo, 0), Z: 0},
 				Max: geom.Vec3{X: 1, Y: minf(hi, 1), Z: 1},
 			}
-			idx := tree.InBox(slab, nil)
-			sel := make([]geom.Vec3, len(idx))
-			for i, id := range idx {
-				sel[i] = pts[id]
-			}
+			sel := gather(index, pts, slab)
 
 			var st stageTimes
 			// Our pipeline: triangulation, then marching interpolation.

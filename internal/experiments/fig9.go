@@ -6,7 +6,6 @@ import (
 
 	"godtfe/internal/geom"
 	"godtfe/internal/halo"
-	"godtfe/internal/kdtree"
 	"godtfe/internal/synth"
 )
 
@@ -48,17 +47,7 @@ func galaxyGalaxyStudy(opt Options, nFields int, fieldLen float64) (*scalingStud
 		centers = synth.Uniform(nFields, box, opt.Seed+5)
 	}
 
-	tree := kdtree.New(pts)
-	side := fieldLen * 1.5
-	counts := make([]int, len(centers))
-	for i, c := range centers {
-		h := side / 2
-		counts[i] = tree.CountInBox(geom.AABB{
-			Min: c.Sub(geom.Vec3{X: h, Y: h, Z: h}),
-			Max: c.Add(geom.Vec3{X: h, Y: h, Z: h}),
-		})
-	}
-
+	counts := cubeCounts(pts, centers, fieldLen*1.5)
 	cal, err := calibrate(opt, 64)
 	if err != nil {
 		return nil, err

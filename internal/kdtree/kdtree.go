@@ -1,9 +1,7 @@
-// Package kdtree implements a 3D kd-tree over points with nearest-neighbor,
-// range-count and range-query operations. It backs the
-// zero-order (Voronoi-cell) density baseline — nearest-particle lookup is
-// exactly Voronoi-cell membership — and the experiments' particle counts
-// and cube gathers. The distributed pipeline answers its cube queries
-// with a cell index of its own.
+// Package kdtree implements a 3D kd-tree over points with one query, the
+// nearest point. It is the private index of the zero-order (Voronoi-cell)
+// density baseline, render.ZeroOrder: nearest-particle lookup is exactly
+// Voronoi-cell membership. Box queries go through pipeline.CellIndex.
 package kdtree
 
 import (
@@ -149,85 +147,4 @@ func (t *Tree) nearest(q geom.Vec3, lo, hi, depth int, best *int, bestD *float64
 			t.nearest(q, lo, mid, depth+1, best, bestD)
 		}
 	}
-}
-
-// CountInBox returns the number of points inside the closed box.
-func (t *Tree) CountInBox(box geom.AABB) int {
-	return t.countInBox(box, 0, len(t.pts), 0)
-}
-
-func (t *Tree) countInBox(box geom.AABB, lo, hi, depth int) int {
-	if hi-lo <= t.leafSize {
-		n := 0
-		for _, i := range t.idx[lo:hi] {
-			if box.Contains(t.pts[i]) {
-				n++
-			}
-		}
-		return n
-	}
-	axis := depth % 3
-	mid := (lo + hi) / 2
-	mp := t.pts[t.idx[mid]]
-	n := 0
-	if box.Contains(mp) {
-		n++
-	}
-	c := coord(mp, axis)
-	var bmin, bmax float64
-	switch axis {
-	case 0:
-		bmin, bmax = box.Min.X, box.Max.X
-	case 1:
-		bmin, bmax = box.Min.Y, box.Max.Y
-	default:
-		bmin, bmax = box.Min.Z, box.Max.Z
-	}
-	if bmin <= c {
-		n += t.countInBox(box, lo, mid, depth+1)
-	}
-	if bmax >= c {
-		n += t.countInBox(box, mid+1, hi, depth+1)
-	}
-	return n
-}
-
-// InBox appends the indices of points inside the closed box to dst and
-// returns it.
-func (t *Tree) InBox(box geom.AABB, dst []int32) []int32 {
-	return t.inBox(box, 0, len(t.pts), 0, dst)
-}
-
-func (t *Tree) inBox(box geom.AABB, lo, hi, depth int, dst []int32) []int32 {
-	if hi-lo <= t.leafSize {
-		for _, i := range t.idx[lo:hi] {
-			if box.Contains(t.pts[i]) {
-				dst = append(dst, i)
-			}
-		}
-		return dst
-	}
-	axis := depth % 3
-	mid := (lo + hi) / 2
-	mp := t.pts[t.idx[mid]]
-	if box.Contains(mp) {
-		dst = append(dst, t.idx[mid])
-	}
-	c := coord(mp, axis)
-	var bmin, bmax float64
-	switch axis {
-	case 0:
-		bmin, bmax = box.Min.X, box.Max.X
-	case 1:
-		bmin, bmax = box.Min.Y, box.Max.Y
-	default:
-		bmin, bmax = box.Min.Z, box.Max.Z
-	}
-	if bmin <= c {
-		dst = t.inBox(box, lo, mid, depth+1, dst)
-	}
-	if bmax >= c {
-		dst = t.inBox(box, mid+1, hi, depth+1, dst)
-	}
-	return dst
 }

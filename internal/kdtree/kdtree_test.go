@@ -47,35 +47,6 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestCountInBoxMatchesBruteForce(t *testing.T) {
-	pts := randPts(800, 7)
-	tree := New(pts)
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 100; trial++ {
-		lo := geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
-		sz := 0.3 * rng.Float64()
-		box := geom.AABB{Min: lo, Max: lo.Add(geom.Vec3{X: sz, Y: sz, Z: sz})}
-		want := 0
-		for _, p := range pts {
-			if box.Contains(p) {
-				want++
-			}
-		}
-		if got := tree.CountInBox(box); got != want {
-			t.Fatalf("count %d want %d", got, want)
-		}
-		ids := tree.InBox(box, nil)
-		if len(ids) != want {
-			t.Fatalf("InBox returned %d want %d", len(ids), want)
-		}
-		for _, i := range ids {
-			if !box.Contains(pts[i]) {
-				t.Fatalf("InBox returned outside point %d", i)
-			}
-		}
-	}
-}
-
 func TestDuplicatePointsTree(t *testing.T) {
 	pts := make([]geom.Vec3, 64)
 	for i := range pts {
@@ -86,18 +57,12 @@ func TestDuplicatePointsTree(t *testing.T) {
 	if i < 0 || d != 0.75 {
 		t.Fatalf("nearest = %d, %v", i, d)
 	}
-	if n := tree.CountInBox(geom.AABB{Min: geom.Vec3{}, Max: geom.Vec3{X: 1, Y: 1, Z: 1}}); n != 64 {
-		t.Fatalf("count = %d", n)
-	}
 }
 
 func TestEmptyTree(t *testing.T) {
 	tree := New(nil)
 	if i, _ := tree.Nearest(geom.Vec3{}); i != -1 {
 		t.Fatalf("empty tree nearest = %d", i)
-	}
-	if n := tree.CountInBox(geom.AABB{Min: geom.Vec3{}, Max: geom.Vec3{X: 1, Y: 1, Z: 1}}); n != 0 {
-		t.Fatalf("empty count = %d", n)
 	}
 }
 
@@ -154,31 +119,4 @@ func clampQ(x float64) float64 {
 		return 0.5
 	}
 	return math.Mod(x, 100)
-}
-
-func TestQuickCountInBoxProperty(t *testing.T) {
-	f := func(raw []float64, ax, ay, az, sx, sy, sz float64) bool {
-		var pts []geom.Vec3
-		if len(raw) > 120 {
-			raw = raw[:120]
-		}
-		for i := 0; i+2 < len(raw); i += 3 {
-			pts = append(pts, geom.Vec3{X: clampQ(raw[i]), Y: clampQ(raw[i+1]), Z: clampQ(raw[i+2])})
-		}
-		lo := geom.Vec3{X: clampQ(ax), Y: clampQ(ay), Z: clampQ(az)}
-		box := geom.AABB{Min: lo, Max: lo.Add(geom.Vec3{
-			X: math.Abs(clampQ(sx)), Y: math.Abs(clampQ(sy)), Z: math.Abs(clampQ(sz)),
-		})}
-		tree := New(pts)
-		want := 0
-		for _, p := range pts {
-			if box.Contains(p) {
-				want++
-			}
-		}
-		return tree.CountInBox(box) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }

@@ -6,13 +6,14 @@ import (
 	"godtfe/internal/geom"
 )
 
-// cellIndex answers the pipeline's cube queries. It buckets the points into
-// a grid of cubic cells over their bounding box with one counting sort, so
-// each cell's point indices are contiguous and ascending, and so is each
-// row of cells along x. A query scans the rows of cells its box meets and
-// tests every point there with the box's closed Contains: it returns the
-// same points as any exact range search, in cell order.
-type cellIndex struct {
+// CellIndex answers the pipeline's cube queries and the experiments'. It
+// buckets the points into a grid of cubic cells over their bounding box
+// with one counting sort, so each cell's point indices are contiguous and
+// ascending, and so is each row of cells along x. A query scans the rows
+// of cells its box meets and tests every point there with the box's closed
+// Contains: it returns the same points as any exact range search, in cell
+// order.
+type CellIndex struct {
 	pts        []geom.Vec3
 	lo         geom.Vec3 // the points' bounding-box minimum
 	inv        float64   // 1 / the cell side
@@ -21,10 +22,10 @@ type cellIndex struct {
 	idx        []int32
 }
 
-// newCellIndex indexes pts, which it references, in cells of the given
+// NewCellIndex indexes pts, which it references, in cells of the given
 // positive side, doubled until there are no more cells than points.
-func newCellIndex(pts []geom.Vec3, side float64) *cellIndex {
-	ci := &cellIndex{pts: pts, nx: 1, ny: 1, nz: 1}
+func NewCellIndex(pts []geom.Vec3, side float64) *CellIndex {
+	ci := &CellIndex{pts: pts, nx: 1, ny: 1, nz: 1}
 	if len(pts) > 0 {
 		box := geom.EmptyAABB()
 		for _, p := range pts {
@@ -66,7 +67,7 @@ func newCellIndex(pts []geom.Vec3, side float64) *cellIndex {
 // cell is the cell along one axis of n cells from lo that holds v. It is
 // monotone in v, so the cells of a box's bounds bracket the cells of every
 // point inside it, faces included.
-func (ci *cellIndex) cell(v, lo float64, n int) int {
+func (ci *CellIndex) cell(v, lo float64, n int) int {
 	f := (v - lo) * ci.inv
 	switch {
 	case !(f >= 0): // below the grid, or NaN
@@ -77,13 +78,13 @@ func (ci *cellIndex) cell(v, lo float64, n int) int {
 	return int(f)
 }
 
-func (ci *cellIndex) key(p geom.Vec3) int {
+func (ci *CellIndex) key(p geom.Vec3) int {
 	return (ci.cell(p.Z, ci.lo.Z, ci.nz)*ci.ny+ci.cell(p.Y, ci.lo.Y, ci.ny))*ci.nx + ci.cell(p.X, ci.lo.X, ci.nx)
 }
 
 // bounds is the range of cells b meets along each axis; the z range is
 // empty when b is inverted along x.
-func (ci *cellIndex) bounds(b geom.AABB) (x0, x1, y0, y1, z0, z1 int) {
+func (ci *CellIndex) bounds(b geom.AABB) (x0, x1, y0, y1, z0, z1 int) {
 	x0, x1 = ci.cell(b.Min.X, ci.lo.X, ci.nx), ci.cell(b.Max.X, ci.lo.X, ci.nx)
 	y0, y1 = ci.cell(b.Min.Y, ci.lo.Y, ci.ny), ci.cell(b.Max.Y, ci.lo.Y, ci.ny)
 	z0, z1 = ci.cell(b.Min.Z, ci.lo.Z, ci.nz), ci.cell(b.Max.Z, ci.lo.Z, ci.nz)
@@ -95,7 +96,7 @@ func (ci *cellIndex) bounds(b geom.AABB) (x0, x1, y0, y1, z0, z1 int) {
 
 // InBox appends the indices of the points inside the closed box b to dst
 // and returns it. Each row of cells b meets is one range of idx.
-func (ci *cellIndex) InBox(b geom.AABB, dst []int32) []int32 {
+func (ci *CellIndex) InBox(b geom.AABB, dst []int32) []int32 {
 	x0, x1, y0, y1, z0, z1 := ci.bounds(b)
 	for z := z0; z <= z1; z++ {
 		for y := y0; y <= y1; y++ {

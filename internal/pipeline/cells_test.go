@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"godtfe/internal/geom"
 	"godtfe/internal/synth"
@@ -72,7 +74,7 @@ func TestCellIndexMatchesBruteForce(t *testing.T) {
 	boxes := queryBoxes(rng)
 	for name, pts := range cellCatalogs() {
 		for _, side := range []float64{0.1, 0.09, 0.37, 2, 1e-6} {
-			ci := newCellIndex(pts, side)
+			ci := NewCellIndex(pts, side)
 			var got []int32
 			for _, b := range boxes {
 				var want []int32
@@ -91,13 +93,52 @@ func TestCellIndexMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestQuickInBoxProperty: on up to 40 arbitrary points anywhere in ±100,
+// a box of any aspect there and any positive cell side, InBox returns
+// exactly the indices a scan of every point finds in the closed box.
+func TestQuickInBoxProperty(t *testing.T) {
+	f := func(raw []float64, ax, ay, az, sx, sy, sz, side float64) bool {
+		if len(raw) > 120 {
+			raw = raw[:120]
+		}
+		var pts []geom.Vec3
+		for i := 0; i+2 < len(raw); i += 3 {
+			pts = append(pts, geom.Vec3{X: clampQ(raw[i]), Y: clampQ(raw[i+1]), Z: clampQ(raw[i+2])})
+		}
+		lo := geom.Vec3{X: clampQ(ax), Y: clampQ(ay), Z: clampQ(az)}
+		box := geom.AABB{Min: lo, Max: lo.Add(geom.Vec3{
+			X: math.Abs(clampQ(sx)), Y: math.Abs(clampQ(sy)), Z: math.Abs(clampQ(sz)),
+		})}
+		var want []int32
+		for i, p := range pts {
+			if box.Contains(p) {
+				want = append(want, int32(i))
+			}
+		}
+		got := NewCellIndex(pts, 1e-6+math.Abs(clampQ(side))).InBox(box, nil)
+		slices.Sort(got)
+		return slices.Equal(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// clampQ folds an arbitrary float into ±100, a non-finite one to 0.5.
+func clampQ(x float64) float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0.5
+	}
+	return math.Mod(x, 100)
+}
+
 // TestCellIndexCellsLinear: however small the side, the index holds no
 // more cells than points.
 func TestCellIndexCellsLinear(t *testing.T) {
 	for _, n := range []int{1, 2, 1000, 100_000} {
 		pts := synth.HaloSet(n, unitBox(), synth.DefaultHaloSpec(), 43)
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			ci := newCellIndex(pts, 1e-9)
+			ci := NewCellIndex(pts, 1e-9)
 			if cells := len(ci.start) - 1; cells > n {
 				t.Fatalf("%d cells for %d points", cells, n)
 			}

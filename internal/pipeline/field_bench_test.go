@@ -2,11 +2,8 @@ package pipeline
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
-	"godtfe/internal/delaunay"
-	"godtfe/internal/dtfe"
 	"godtfe/internal/geom"
 	"godtfe/internal/halo"
 	"godtfe/internal/render"
@@ -35,7 +32,7 @@ func benchFieldMarch(b *testing.B, n int) {
 	cfg := Config{Box: unitBox(), FieldLen: 0.12, GridN: 64}
 	pts := synth.HaloSet(n, cfg.Box, synth.DefaultHaloSpec(), 1)
 	centers := halo.Centers(halo.Find(pts, 0.2*halo.MeanSeparation(pts), 5), 40)
-	index := newCellIndex(pts, cfg.triCubeSide()/2)
+	index := NewCellIndex(pts, cfg.triCubeSide()/2)
 	rt := &runtime{cfg: cfg}
 	var marchers []*render.Marcher
 	var specs []render.Spec
@@ -44,17 +41,12 @@ func benchFieldMarch(b *testing.B, n int) {
 		for _, id := range index.InBox(rt.cube(c), nil) {
 			sel = append(sel, index.pts[id])
 		}
-		slices.SortFunc(sel, lexCompare)
-		tri, err := delaunay.New(sel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f, err := dtfe.NewField(tri, nil)
+		f, err := ItemField(sel)
 		if err != nil {
 			b.Fatal(err)
 		}
 		marchers = append(marchers, render.NewMarcher(f))
-		specs = append(specs, itemSpec(cfg, c))
+		specs = append(specs, ItemSpec(c, cfg.FieldLen, cfg.GridN))
 	}
 	b.ResetTimer()
 	var steps int64
@@ -70,12 +62,4 @@ func benchFieldMarch(b *testing.B, n int) {
 	cols := float64(b.N * len(marchers) * cfg.GridN * cfg.GridN)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cols, "ns/column")
 	b.ReportMetric(float64(steps)/cols, "steps/column")
-}
-
-// itemSpec is the grid computeItemWith renders the field centred at c on.
-func itemSpec(cfg Config, c geom.Vec3) render.Spec {
-	return render.Spec{
-		Min: geom.Vec2{X: c.X - cfg.FieldLen/2, Y: c.Y - cfg.FieldLen/2}, Nx: cfg.GridN, Ny: cfg.GridN,
-		Cell: cfg.FieldLen / float64(cfg.GridN), ZMin: c.Z - cfg.FieldLen/2, ZMax: c.Z + cfg.FieldLen/2,
-	}
 }

@@ -76,16 +76,16 @@ func benchPartition(b *testing.B, n int) {
 	b.Run("index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, h := range halos {
-				partitionSink = newCellIndex(h, side)
+				partitionSink = NewCellIndex(h, side)
 			}
 		}
 		perParticle(b)
 	})
 	rt := &runtime{cfg: cfg}
-	indexes := make([]*cellIndex, ranks)
+	indexes := make([]*CellIndex, ranks)
 	mine := make([][]geom.Vec3, ranks)
 	for r := range indexes {
-		indexes[r] = newCellIndex(halos[r], side)
+		indexes[r] = NewCellIndex(halos[r], side)
 		sub := dec.SubVolume(r)
 		for _, ctr := range centers {
 			if dec.OwnerOf(ctr) == r && sub.Contains(ctr) {

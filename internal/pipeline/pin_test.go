@@ -8,8 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"godtfe/internal/delaunay"
-	"godtfe/internal/dtfe"
 	"godtfe/internal/geom"
 	"godtfe/internal/render"
 	"godtfe/internal/synth"
@@ -125,7 +123,7 @@ func TestFieldStepsFromTheFloor(t *testing.T) {
 	if got, _ := fieldDigest(t, results, len(centers)); got != fieldPins[false] {
 		t.Fatalf("digest %#x, pinned %#x", got, fieldPins[false])
 	}
-	index := newCellIndex(pts, cfg.triCubeSide()/2)
+	index := NewCellIndex(pts, cfg.triCubeSide()/2)
 	rt := &runtime{cfg: cfg}
 	var floor, hull int64
 	for _, it := range results[0].Items {
@@ -136,16 +134,11 @@ func TestFieldStepsFromTheFloor(t *testing.T) {
 		if len(sel) < minParticles {
 			continue
 		}
-		slices.SortFunc(sel, lexCompare)
-		tri, err := delaunay.New(sel)
+		f, err := ItemField(sel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := dtfe.NewField(tri, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, spec := render.NewMarcher(f), itemSpec(cfg, it.Center)
+		m, spec := render.NewMarcher(f), ItemSpec(it.Center, cfg.FieldLen, cfg.GridN)
 		var steps int64
 		for j := 0; j < spec.Ny; j++ {
 			for i := 0; i < spec.Nx; i++ {

@@ -289,7 +289,7 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	halo := make([]geom.Vec3, 0, len(owned)+len(ghosts))
 	halo = append(halo, owned...)
 	halo = append(halo, ghosts...)
-	index := newCellIndex(halo, cfg.triCubeSide()/2)
+	index := NewCellIndex(halo, cfg.triCubeSide()/2)
 	res.Phases.Partition = time.Since(t0).Seconds()
 
 	rt := &runtime{cfg: cfg, index: index, res: res}
@@ -405,7 +405,7 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 			}
 			res.Phases.WorkShare += time.Since(tw).Seconds()
 			res.Received += len(pkg.Centers)
-			pindex := newCellIndex(pkg.Points, cfg.triCubeSide()/2)
+			pindex := NewCellIndex(pkg.Points, cfg.triCubeSide()/2)
 			for _, ctr := range pkg.Centers {
 				rt.computeItemWith(ctr, pindex, true, st.Peer)
 			}
@@ -458,7 +458,7 @@ type sample struct{ N, TTri, TRender float64 }
 
 type runtime struct {
 	cfg   Config
-	index *cellIndex // over the rank's halo: owned then ghost particles
+	index *CellIndex // over the rank's halo: owned then ghost particles
 	res   *Result
 	ids   []int32 // an item's cube query, reused from item to item
 }
@@ -499,9 +499,35 @@ func lexCompare(a, b geom.Vec3) int {
 	return 0
 }
 
+// ItemSpec is the grid of the field centred at center: fieldLen across in
+// x and y, gridN cells a side, integrated over fieldLen in z.
+func ItemSpec(center geom.Vec3, fieldLen float64, gridN int) render.Spec {
+	return render.Spec{
+		Min:  geom.Vec2{X: center.X - fieldLen/2, Y: center.Y - fieldLen/2},
+		Nx:   gridN,
+		Ny:   gridN,
+		Cell: fieldLen / float64(gridN),
+		ZMin: center.Z - fieldLen/2,
+		ZMax: center.Z + fieldLen/2,
+	}
+}
+
+// ItemField builds the DTFE field of an item's cube from its points, which
+// it first sorts in place into coordinate order. A rank holds its points
+// local-then-ghost, and the mesh's numbers follow its vertex indices, so
+// the field is then the same at any rank count.
+func ItemField(sel []geom.Vec3) (*dtfe.Field, error) {
+	slices.SortFunc(sel, lexCompare)
+	tri, err := delaunay.New(sel)
+	if err != nil {
+		return nil, err
+	}
+	return dtfe.NewField(tri, nil)
+}
+
 // computeItemWith renders the field at center from the points of index;
 // owner is the rank whose schedule planned the item.
-func (rt *runtime) computeItemWith(center geom.Vec3, index *cellIndex, predict bool, owner int) ItemRecord {
+func (rt *runtime) computeItemWith(center geom.Vec3, index *CellIndex, predict bool, owner int) ItemRecord {
 	cfg := rt.cfg
 	rec := ItemRecord{Center: center, Shipped: owner != rt.res.Rank}
 	rt.ids = index.InBox(rt.cube(center), rt.ids[:0])
@@ -512,33 +538,18 @@ func (rt *runtime) computeItemWith(center geom.Vec3, index *cellIndex, predict b
 	}
 
 	var g *grid.Grid2D
-	spec := render.Spec{
-		Min:  geom.Vec2{X: center.X - cfg.FieldLen/2, Y: center.Y - cfg.FieldLen/2},
-		Nx:   cfg.GridN,
-		Ny:   cfg.GridN,
-		Cell: cfg.FieldLen / float64(cfg.GridN),
-		ZMin: center.Z - cfg.FieldLen/2,
-		ZMax: center.Z + cfg.FieldLen/2,
-	}
+	spec := ItemSpec(center, cfg.FieldLen, cfg.GridN)
 	var itemErr error
 	if rec.N >= minParticles {
 		sel := make([]geom.Vec3, len(rt.ids))
 		for i, id := range rt.ids {
 			sel[i] = index.pts[id]
 		}
-		// A rank holds its points local-then-ghost, and the mesh's numbers
-		// follow its vertex indices, so the build takes the cube's points in
-		// coordinate order: the field is then the same at any rank count.
 		t0 := time.Now()
-		slices.SortFunc(sel, lexCompare)
-		tri, err := delaunay.New(sel)
-		var f *dtfe.Field
-		if err == nil {
-			rt.res.Build.Add(tri.BuildStats())
-			f, err = dtfe.NewField(tri, nil)
-		}
+		f, err := ItemField(sel)
 		rec.TriTime = time.Since(t0).Seconds()
 		if err == nil {
+			rt.res.Build.Add(f.Tri.BuildStats())
 			t1 := time.Now()
 			m := render.NewMarcher(f)
 			gg, stats, rerr := m.Render(spec, 1, render.ScheduleDynamic)

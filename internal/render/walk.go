@@ -120,7 +120,7 @@ func (w *Walker) column(xi geom.Vec2, zmin, zmax float64, nz int, seed int32, rn
 // kd-tree plays the role of the Voronoi tessellation (stage "TESS"); Render
 // is the grid-estimation stage ("DENSE").
 type ZeroOrder struct {
-	Tree    *kdtree.Tree
+	tree    *kdtree.Tree
 	Density []float64 // per-particle density (e.g. dtfe.Field.Density)
 	zlo     float64
 	zhi     float64
@@ -129,7 +129,7 @@ type ZeroOrder struct {
 // NewZeroOrder indexes the particles and their densities.
 func NewZeroOrder(pts []geom.Vec3, density []float64) *ZeroOrder {
 	b := geom.BoundsOf(pts)
-	return &ZeroOrder{Tree: kdtree.New(pts), Density: density, zlo: b.Min.Z, zhi: b.Max.Z}
+	return &ZeroOrder{tree: kdtree.New(pts), Density: density, zlo: b.Min.Z, zhi: b.Max.Z}
 }
 
 // Render computes the projected density with zero-order interpolation.
@@ -146,7 +146,7 @@ func (z *ZeroOrder) Render(spec Spec, workers int) (*grid.Grid2D, []WorkerStat, 
 		var sigma float64
 		for k := 0; k < spec.Nz; k++ {
 			p := geom.Vec3{X: xi.X, Y: xi.Y, Z: zmin + (float64(k)+0.5)*dz}
-			if n, _ := z.Tree.Nearest(p); n >= 0 {
+			if n, _ := z.tree.Nearest(p); n >= 0 {
 				sigma += z.Density[n] * dz
 			}
 			st.Steps++
