@@ -125,8 +125,10 @@ bench-partition:
 # built as bench/e2e/run.sh builds it, into .bench_build/. A change that
 # resizes a package linked before them moves them, and an offset that moves
 # mod 64 has shifted batch_march and the normalised op_ms by a few per cent
-# with no code of theirs changed; compare both sides of an A/B.
-PLACEMENT_ENV  = GOCACHE=$(CURDIR)/.bench_build/go-cache GOTMPDIR=$(CURDIR)/.bench_build/tmp GOWORK=off GOTOOLCHAIN=local GOPROXY=off
+# with no code of theirs changed; compare both sides of an A/B. Like
+# bench/ab.sh it builds without VCS stamps, so a git checkout and an
+# unpacked archive of the same revision link alike.
+PLACEMENT_ENV  = GOCACHE=$(CURDIR)/.bench_build/go-cache GOTMPDIR=$(CURDIR)/.bench_build/tmp GOWORK=off GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-buildvcs=false
 PLACEMENT_SYMS = 'godtfe/internal/render.(*Marcher).tryColumn' 'godtfe/internal/render.(*Marcher).marchFrom' \
 	'godtfe/internal/render.(*entryIndex).find' 'godtfe/internal/render.exitVerticalVerts' 'main.refPass'
 placement:

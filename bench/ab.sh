@@ -8,7 +8,10 @@
 # .bench_build/ab/parent and builds there with a cache of its own, exactly
 # as a fresh checkout would, and is removed again on exit (60 MB of another
 # revision's source and build cache is a trap for every tool that walks the
-# tree); the change is the working tree. Pair i runs
+# tree); the change is the working tree. Both sides build with
+# GOFLAGS=-buildvcs=false: the unpacked parent has no .git, so otherwise only
+# the change would carry VCS build stamps, which lengthen its build info and
+# shift all of its data and read-only data by 32 bytes. Pair i runs
 # both sides on seed i, the parent first when i is odd. Prints each pair's
 # end-to-end metrics, then both medians and the verdict of
 # `bench/e2e/run.sh -compare` on the two sample sets.
@@ -19,6 +22,7 @@ pairs=${3:-5}
 seconds=${4:-18}
 metrics="setup_s op_ms ops_per_s peak_rss_mb"
 
+export GOFLAGS="${GOFLAGS:+$GOFLAGS }-buildvcs=false"
 root=$PWD
 ab=$root/.bench_build/ab
 rm -rf "$ab/parent"
