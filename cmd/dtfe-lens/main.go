@@ -34,17 +34,13 @@ func main() {
 	sigmaCrit := flag.Float64("sigmacrit", 0, "critical surface density (0 = auto: 1/3 of the max Σ, a strong-lens regime)")
 	outdir := flag.String("outdir", ".", "output directory for PGM maps")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "render workers")
-	ingest := flag.String("ingest", "fail", "invalid-particle policy: fail | drop | clamp")
+	ingest := flag.String("ingest", "fail", "invalid-particle policy: fail | drop")
 	flag.Parse()
-	if err := checkFlags(*gridN, *sigmaCrit, *workers); err != nil {
+	policy, err := checkFlags(*gridN, *sigmaCrit, *workers, *ingest)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dtfe-lens:", err)
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	policy, err := particleio.ParsePolicy(*ingest)
-	if err != nil {
-		log.Fatalf("ingest: %v", err)
 	}
 	pts, rep, err := particleio.ReadAllValidated(*in, particleio.ValidateOptions{Policy: policy})
 	if err != nil {
@@ -124,15 +120,18 @@ func main() {
 }
 
 // checkFlags rejects, before the catalog is read, the flag values no
-// analysis can run with.
-func checkFlags(gridN int, sigmaCrit float64, workers int) error {
+// analysis can run with, and returns the parsed -ingest policy.
+func checkFlags(gridN int, sigmaCrit float64, workers int, ingest string) (particleio.Policy, error) {
+	policy, err := particleio.ParsePolicy(ingest)
 	switch {
 	case !fft.IsPow2(gridN):
-		return fmt.Errorf("-grid %d: need a power of two for the FFT solvers", gridN)
+		return 0, fmt.Errorf("-grid %d: need a power of two for the FFT solvers", gridN)
 	case !(sigmaCrit >= 0 && sigmaCrit < math.Inf(1)):
-		return fmt.Errorf("-sigmacrit %g: need 0 (auto) or a finite positive density", sigmaCrit)
+		return 0, fmt.Errorf("-sigmacrit %g: need 0 (auto) or a finite positive density", sigmaCrit)
 	case workers < 1:
-		return fmt.Errorf("-workers %d: need at least one worker", workers)
+		return 0, fmt.Errorf("-workers %d: need at least one worker", workers)
+	case err != nil:
+		return 0, fmt.Errorf("-ingest %q: want fail or drop", ingest)
 	}
-	return nil
+	return policy, nil
 }

@@ -38,6 +38,8 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{"-sigmacrit -Inf", "-sigmacrit -Inf"},
 		{"-workers 0", "-workers 0"},
 		{"-workers -2", "-workers -2"},
+		{"-ingest bogus", `-ingest "bogus"`},
+		{"-ingest clamp", `-ingest "clamp"`},
 	} {
 		cmd := rerun("TestBadFlagsExitWithUsage", "DTFE_LENS_ARGS="+tc.args+io)
 		out, err := cmd.CombinedOutput()

@@ -37,20 +37,19 @@ func main() {
 	periodic := flag.Bool("periodic", false, "wrap ghost zones across box faces")
 	showSched := flag.Bool("schedule", false, "print the work-sharing schedule (paper Fig 4 style)")
 	seed := flag.Int64("seed", 3, "random seed")
-	ingest := flag.String("ingest", "fail", "invalid-particle policy: fail | drop | clamp")
+	ingest := flag.String("ingest", "fail", "invalid-particle policy: fail | drop")
 	flag.Parse()
-	if err := checkFlags(*ranks, *nFields, *gridN, *fieldLen, *config); err != nil {
+	policy, err := checkFlags(*ranks, *nFields, *gridN, *fieldLen, *config, *ingest)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dtfe-pipeline:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	policy, err := particleio.ParsePolicy(*ingest)
-	if err != nil {
-		log.Fatalf("ingest: %v", err)
-	}
-	// Sanitize at read time: a single NaN would otherwise poison the
-	// bounding box and the whole decomposition below.
+	// Sanitize at read time, once: a single NaN would otherwise poison the
+	// bounding box and the whole decomposition below. The pipeline's own
+	// Phase 0 then runs under its zero (fail) policy, which a validated
+	// catalog cannot trip.
 	pts, rep, err := particleio.ReadAllValidated(*in, particleio.ValidateOptions{Policy: policy})
 	if err != nil {
 		log.Fatalf("read: %v", err)
@@ -85,7 +84,6 @@ func main() {
 		LoadBalance: *lb,
 		Periodic:    *periodic,
 		Seed:        *seed,
-		Ingest:      particleio.ValidateOptions{Policy: policy},
 	}, pts, centers)
 	if err != nil {
 		log.Fatalf("pipeline: %v", err)
@@ -93,14 +91,12 @@ func main() {
 
 	var compute []float64
 	items, sent := 0, 0
-	var ing particleio.IngestReport
 	var cols render.OutcomeCounts
 	for _, r := range results {
 		fmt.Println(r)
 		compute = append(compute, r.Phases.Triangulate+r.Phases.Render)
 		items += len(r.Items)
 		sent += r.Sent
-		ing.Add(r.Ingest)
 		cols.Add(r.Columns)
 		for _, f := range r.Failures {
 			fmt.Printf("  FAILED: %s\n", f)
@@ -109,9 +105,6 @@ func main() {
 	s := stats.Summarize(compute)
 	fmt.Printf("\n%d fields over %d ranks (%d shipped); compute imbalance std/mean = %.3f\n",
 		items, *ranks, sent, s.NormalizedStd())
-	if !ing.Clean() {
-		fmt.Printf("%v\n", ing)
-	}
 	fmt.Printf("columns: %v\n", cols)
 	if *showSched {
 		// Reconstruct the schedule the run would have built from the
@@ -139,19 +132,23 @@ func haloCenters(pts []geom.Vec3, box geom.AABB, n int, periodic bool) ([]geom.V
 }
 
 // checkFlags rejects, before the catalog is read, the flag values the run
-// cannot honour (halo.Centers would read -fields 0 as "every halo").
-func checkFlags(ranks, fields, gridN int, fieldLen float64, config string) error {
+// cannot honour (halo.Centers would read -fields 0 as "every halo"), and
+// returns the parsed -ingest policy.
+func checkFlags(ranks, fields, gridN int, fieldLen float64, config, ingest string) (particleio.Policy, error) {
+	policy, err := particleio.ParsePolicy(ingest)
 	switch {
 	case ranks < 1:
-		return fmt.Errorf("-ranks %d: need at least one rank", ranks)
+		return 0, fmt.Errorf("-ranks %d: need at least one rank", ranks)
 	case fields < 1:
-		return fmt.Errorf("-fields %d: need at least one field", fields)
+		return 0, fmt.Errorf("-fields %d: need at least one field", fields)
 	case gridN < 1:
-		return fmt.Errorf("-grid %d: need at least one column", gridN)
+		return 0, fmt.Errorf("-grid %d: need at least one column", gridN)
 	case !(fieldLen > 0) || math.IsInf(fieldLen, 1):
-		return fmt.Errorf("-fieldlen %v: need a positive, finite cube edge", fieldLen)
+		return 0, fmt.Errorf("-fieldlen %v: need a positive, finite cube edge", fieldLen)
 	case config != "halos" && config != "los" && config != "uniform":
-		return fmt.Errorf("-config %q: want halos, los or uniform", config)
+		return 0, fmt.Errorf("-config %q: want halos, los or uniform", config)
+	case err != nil:
+		return 0, fmt.Errorf("-ingest %q: want fail or drop", ingest)
 	}
-	return nil
+	return policy, nil
 }

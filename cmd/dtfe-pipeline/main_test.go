@@ -68,6 +68,8 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{"-fieldlen 0", "-fieldlen 0"},
 		{"-fieldlen NaN", "-fieldlen NaN"},
 		{"-config bogus", `-config "bogus"`},
+		{"-ingest bogus", `-ingest "bogus"`},
+		{"-ingest clamp", `-ingest "clamp"`},
 	} {
 		cmd := rerun("TestBadFlagsExitWithUsage", "DTFE_PIPELINE_ARGS="+tc.args+in)
 		out, err := cmd.CombinedOutput()

@@ -46,22 +46,19 @@ func main() {
 	samples := flag.Int("samples", 1, "Monte Carlo lines per cell")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "render workers")
 	out := flag.String("o", "sigma.pgm", "output PGM path")
-	ingest := flag.String("ingest", "fail", "invalid-particle policy: fail | drop | clamp")
+	ingest := flag.String("ingest", "fail", "invalid-particle policy: fail | drop")
 	ranks := flag.Int("ranks", 1, "simulated MPI ranks for the distributed marching render")
 	tiles := flag.Int("tiles", 0, "column tiles for -ranks > 1 (default: 2x ranks, cost-balanced)")
 	deadline := flag.Duration("deadline", 0, "abort a distributed render after this long (0: no deadline)")
 	verbose := flag.Bool("v", false, "print the build's insert-loop counters (walk, conflict tests, cavity per insert) and the marcher's resident bytes; -ranks 1 only")
 	flag.Parse()
-	if err := checkFlags(*gridN, *kernel, *nz, *samples, *workers, *ranks, *tiles, *deadline, *verbose); err != nil {
+	policy, err := checkFlags(*gridN, *kernel, *nz, *samples, *workers, *ranks, *tiles, *deadline, *verbose, *ingest)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dtfe-render:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	policy, err := particleio.ParsePolicy(*ingest)
-	if err != nil {
-		log.Fatalf("ingest: %v", err)
-	}
 	pts, rep, err := particleio.ReadAllValidated(*in, particleio.ValidateOptions{Policy: policy})
 	if err != nil {
 		log.Fatalf("read: %v", err)
@@ -147,29 +144,33 @@ func main() {
 }
 
 // checkFlags rejects, before the catalog is read, the flag values no render
-// can run with, and -ranks > 1 beside what only a local mesh provides.
-func checkFlags(gridN int, kernel string, nz, samples, workers, ranks, tiles int, deadline time.Duration, verbose bool) error {
+// can run with, and -ranks > 1 beside what only a local mesh provides; it
+// returns the parsed -ingest policy.
+func checkFlags(gridN int, kernel string, nz, samples, workers, ranks, tiles int, deadline time.Duration, verbose bool, ingest string) (particleio.Policy, error) {
+	policy, err := particleio.ParsePolicy(ingest)
 	switch {
 	case gridN < 1:
-		return fmt.Errorf("-grid %d: need at least one column", gridN)
+		return 0, fmt.Errorf("-grid %d: need at least one column", gridN)
 	case kernel != "marching" && kernel != "walking" && kernel != "zeroorder":
-		return fmt.Errorf("-kernel %q: want marching, walking or zeroorder", kernel)
+		return 0, fmt.Errorf("-kernel %q: want marching, walking or zeroorder", kernel)
 	case nz < 0:
-		return fmt.Errorf("-nz %d: need zero (the default: -grid) or more z samples", nz)
+		return 0, fmt.Errorf("-nz %d: need zero (the default: -grid) or more z samples", nz)
 	case samples < 1:
-		return fmt.Errorf("-samples %d: need at least one line per cell", samples)
+		return 0, fmt.Errorf("-samples %d: need at least one line per cell", samples)
 	case workers < 1:
-		return fmt.Errorf("-workers %d: need at least one worker", workers)
+		return 0, fmt.Errorf("-workers %d: need at least one worker", workers)
 	case ranks < 1:
-		return fmt.Errorf("-ranks %d: need at least one rank", ranks)
+		return 0, fmt.Errorf("-ranks %d: need at least one rank", ranks)
 	case tiles < 0:
-		return fmt.Errorf("-tiles %d: need zero (the default) or more tiles", tiles)
+		return 0, fmt.Errorf("-tiles %d: need zero (the default) or more tiles", tiles)
 	case deadline < 0:
-		return fmt.Errorf("-deadline %v: need zero (no deadline) or a positive duration", deadline)
+		return 0, fmt.Errorf("-deadline %v: need zero (no deadline) or a positive duration", deadline)
 	case ranks > 1 && (kernel != "marching" || verbose):
-		return errors.New("-ranks > 1 shards the marching kernel over rank 0's mesh and reports no local build; it cannot be combined with -kernel walking|zeroorder or -v")
+		return 0, errors.New("-ranks > 1 shards the marching kernel over rank 0's mesh and reports no local build; it cannot be combined with -kernel walking|zeroorder or -v")
+	case err != nil:
+		return 0, fmt.Errorf("-ingest %q: want fail or drop", ingest)
 	}
-	return nil
+	return policy, nil
 }
 
 // distributedRender fans the marching render out over an in-process MPI

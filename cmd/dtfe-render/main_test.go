@@ -41,6 +41,8 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{"-deadline -1s -ranks 2", "-deadline -1s"},
 		{"-ranks 2 -v", "-ranks > 1"},
 		{"-ranks 2 -kernel walking", "-ranks > 1"},
+		{"-ingest bogus", `-ingest "bogus"`},
+		{"-ingest clamp", `-ingest "clamp"`},
 	} {
 		cmd := rerun("TestBadFlagsExitWithUsage", "DTFE_RENDER_ARGS="+tc.args+io)
 		out, err := cmd.CombinedOutput()

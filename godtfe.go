@@ -59,28 +59,30 @@ var (
 )
 
 // IngestPolicy selects what happens to invalid particles during catalog
-// sanitization: PolicyFail (reject the catalog), PolicyDrop (discard and
-// count), or PolicyClamp (repair what is repairable).
+// sanitization: PolicyFail (reject the catalog) or PolicyDrop (discard
+// and count).
 type IngestPolicy = particleio.Policy
 
 // Ingestion policies.
 const (
-	PolicyFail  = particleio.PolicyFail
-	PolicyDrop  = particleio.PolicyDrop
-	PolicyClamp = particleio.PolicyClamp
+	PolicyFail = particleio.PolicyFail
+	PolicyDrop = particleio.PolicyDrop
 )
 
-// IngestOptions configures SanitizeParticles (policy, domain box,
-// duplicate handling).
+// IngestOptions configures SanitizeParticles (policy and an optional
+// domain box).
 type IngestOptions = particleio.ValidateOptions
 
 // IngestReport tallies what sanitization did to a catalog.
 type IngestReport = particleio.IngestReport
 
 // SanitizeParticles validates a particle catalog under the given policy:
-// non-finite coordinates, non-positive masses, and out-of-domain
-// positions are rejected, dropped, or repaired, and coincident points
-// optionally merged or deterministically jittered. masses may be nil.
+// a particle with a non-finite coordinate, a non-positive or non-finite
+// mass, or a position outside the domain either rejects the catalog or is
+// dropped and counted. masses may be nil; otherwise they are filtered in
+// step with the points. Valid particles pass unchanged, duplicates
+// included: the triangulation merges each exact duplicate into one vertex
+// carrying the summed mass.
 func SanitizeParticles(points []Vec3, masses []float64, opts IngestOptions) ([]Vec3, []float64, IngestReport, error) {
 	return particleio.ValidateParticles(points, masses, opts)
 }

@@ -15,7 +15,7 @@
 //     The mesh must be discarded; the work item is reported failed.
 //   - ErrBadParticle: one particle of a catalog is invalid (NaN/Inf
 //     coordinate, non-positive mass, outside the declared domain).
-//     Recoverable by the ingestion policies (drop, clamp).
+//     Recoverable by the drop ingestion policy.
 //   - ErrBadFormat: a particle file is malformed or truncated; the
 //     wrapped FormatError carries the byte offset of the defect.
 //

@@ -66,11 +66,22 @@ func FuzzParticleIO(f *testing.F) {
 			t.Fatalf("read %d particles, header says %d", len(got), h.NumParticles)
 		}
 		// Whatever the format layer accepted, sanitization must classify
-		// without panicking under every policy.
-		for _, pol := range []Policy{PolicyFail, PolicyDrop, PolicyClamp} {
-			_, _, _, _ = ValidateParticles(got, nil, ValidateOptions{
-				Policy: pol, Coincident: CoincidentJitter,
-			})
+		// without panicking under both policies, with and without a
+		// domain, and account for every particle.
+		for _, pol := range []Policy{PolicyFail, PolicyDrop} {
+			for _, dom := range []geom.AABB{{}, {Max: geom.Vec3{X: 1, Y: 1, Z: 1}}} {
+				out, _, rep, err := ValidateParticles(got, nil, ValidateOptions{Policy: pol, Domain: dom})
+				if err != nil {
+					if pol != PolicyFail || !errors.Is(err, geomerr.ErrBadParticle) {
+						t.Fatalf("%v: untyped or unexpected error: %v", pol, err)
+					}
+					continue
+				}
+				if len(out) != rep.Kept || rep.Kept+rep.Dropped != len(got) ||
+					rep.Dropped != rep.NonFinite+rep.BadMass+rep.OutOfDomain {
+					t.Fatalf("%v: kept %d, report %v for %d particles", pol, len(out), rep, len(got))
+				}
+			}
 		}
 	})
 }

@@ -17,11 +17,6 @@ const (
 	PolicyFail Policy = iota
 	// PolicyDrop discards invalid particles and counts them.
 	PolicyDrop
-	// PolicyClamp repairs what it can — out-of-domain coordinates are
-	// clamped to the domain box, non-positive masses are replaced by the
-	// smallest positive mass seen (or 1) — and drops only particles with
-	// non-finite coordinates, which have no meaningful repair.
-	PolicyClamp
 )
 
 // String names the policy (and is the flag spelling understood by
@@ -32,59 +27,19 @@ func (p Policy) String() string {
 		return "fail"
 	case PolicyDrop:
 		return "drop"
-	case PolicyClamp:
-		return "clamp"
 	}
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
-// ParsePolicy parses a policy name ("fail", "drop", "clamp").
+// ParsePolicy parses a policy name ("fail", "drop").
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "fail", "":
 		return PolicyFail, nil
 	case "drop":
 		return PolicyDrop, nil
-	case "clamp":
-		return PolicyClamp, nil
 	}
-	return PolicyFail, fmt.Errorf("particleio: unknown ingestion policy %q (want fail, drop, or clamp)", s)
-}
-
-// CoincidentMode selects how exactly-duplicate and near-coincident
-// points are treated. Duplicate points are legal input for the
-// triangulation (it canonicalizes them), but they carry no geometric
-// information and in pathological catalogs (every particle written
-// twice) they double the insert work; near-coincident pairs additionally
-// force the exact-arithmetic slow path of the predicates.
-type CoincidentMode int
-
-const (
-	// CoincidentKeep passes duplicates through untouched (default: the
-	// triangulation's canonicalization handles them correctly).
-	CoincidentKeep CoincidentMode = iota
-	// CoincidentMerge keeps the first point of each coincident cluster
-	// and accumulates the masses of the rest onto it.
-	CoincidentMerge
-	// CoincidentJitter deterministically displaces later members of a
-	// coincident cluster by a fraction of the coincidence radius, so the
-	// triangulation sees distinct well-separated points. The jitter is a
-	// pure function of the particle index (splitmix64), so ingestion
-	// stays reproducible across runs and ranks.
-	CoincidentJitter
-)
-
-// String names the mode.
-func (m CoincidentMode) String() string {
-	switch m {
-	case CoincidentKeep:
-		return "keep"
-	case CoincidentMerge:
-		return "merge"
-	case CoincidentJitter:
-		return "jitter"
-	}
-	return fmt.Sprintf("CoincidentMode(%d)", int(m))
+	return PolicyFail, fmt.Errorf("particleio: unknown ingestion policy %q (want fail or drop)", s)
 }
 
 // ValidateOptions configures ValidateParticles.
@@ -94,29 +49,20 @@ type ValidateOptions struct {
 	Policy Policy
 
 	// Domain, when non-empty, is the valid coordinate box: particles
-	// outside are invalid (dropped, clamped, or fatal per Policy).
+	// outside are invalid (dropped or fatal per Policy).
 	// Leave zero/empty to accept any finite coordinate.
 	Domain geom.AABB
-
-	// Coincident selects duplicate handling; Eps is the coincidence
-	// radius (points closer than Eps in every axis are coincident;
-	// Eps = 0 means exact duplicates only).
-	Coincident CoincidentMode
-	Eps        float64
 }
 
-// IngestReport accounts for every particle touched by validation: the
-// pipeline's per-item and global ingestion ledgers aggregate these, so a
-// sanitized catalog is never silently smaller than the input.
+// IngestReport accounts for every particle examined by validation: the
+// pipeline's per-rank ingestion ledgers aggregate these, so a sanitized
+// catalog is never silently smaller than the input.
 type IngestReport struct {
-	Total    int // particles examined
-	Kept     int // particles surviving validation
-	Dropped  int // particles removed
-	Clamped  int // particles moved onto the domain boundary or given a repaired mass
-	Merged   int // coincident particles folded into a cluster head
-	Jittered int // coincident particles displaced
+	Total   int // particles examined
+	Kept    int // particles surviving validation
+	Dropped int // particles removed
 
-	// Reasons counts dropped/clamped particles by defect.
+	// Reasons counts invalid particles by defect.
 	NonFinite   int
 	BadMass     int
 	OutOfDomain int
@@ -131,9 +77,6 @@ func (r *IngestReport) Add(other IngestReport) {
 	r.Total += other.Total
 	r.Kept += other.Kept
 	r.Dropped += other.Dropped
-	r.Clamped += other.Clamped
-	r.Merged += other.Merged
-	r.Jittered += other.Jittered
 	r.NonFinite += other.NonFinite
 	r.BadMass += other.BadMass
 	r.OutOfDomain += other.OutOfDomain
@@ -142,15 +85,14 @@ func (r *IngestReport) Add(other IngestReport) {
 	}
 }
 
-// Clean reports whether every particle passed untouched.
+// Clean reports whether every particle passed.
 func (r IngestReport) Clean() bool {
-	return r.Dropped == 0 && r.Clamped == 0 && r.Merged == 0 && r.Jittered == 0
+	return r.Dropped == 0
 }
 
 func (r IngestReport) String() string {
-	return fmt.Sprintf("ingest{total=%d kept=%d dropped=%d clamped=%d merged=%d jittered=%d nonfinite=%d badmass=%d outside=%d}",
-		r.Total, r.Kept, r.Dropped, r.Clamped, r.Merged, r.Jittered,
-		r.NonFinite, r.BadMass, r.OutOfDomain)
+	return fmt.Sprintf("ingest{total=%d kept=%d dropped=%d nonfinite=%d badmass=%d outside=%d}",
+		r.Total, r.Kept, r.Dropped, r.NonFinite, r.BadMass, r.OutOfDomain)
 }
 
 func (o ValidateOptions) hasDomain() bool {
@@ -159,258 +101,66 @@ func (o ValidateOptions) hasDomain() bool {
 		o.Domain.Min.Z < o.Domain.Max.Z
 }
 
-// ValidateParticles applies the ingestion policy to a catalog. masses may
-// be nil (unit masses; mass checks are skipped and the returned masses
-// stay nil unless merging needs them). It returns the sanitized catalog
-// and a report; under PolicyFail the first defect is returned as an
-// error matching geomerr.ErrBadParticle.
+// ValidateParticles checks a catalog particle by particle. masses may be
+// nil (unit masses: the mass check is skipped and the returned masses stay
+// nil); otherwise they are filtered in step with the points. Under
+// PolicyFail the first invalid particle is returned as an error matching
+// geomerr.ErrBadParticle; under PolicyDrop every invalid particle is
+// removed and counted. Valid particles pass unchanged, coincident ones
+// included: the triangulation folds each exact duplicate into one vertex
+// that carries the summed mass.
 //
-// The input slices are never mutated; when validation changes nothing
-// the original slices are returned as-is (zero-copy fast path).
+// The input slices are never mutated; when nothing is dropped the original
+// slices are returned as-is (zero-copy fast path).
 func ValidateParticles(pts []geom.Vec3, masses []float64, opts ValidateOptions) ([]geom.Vec3, []float64, IngestReport, error) {
-	var rep IngestReport
-	rep.Total = len(pts)
+	rep := IngestReport{Total: len(pts)}
 	if masses != nil && len(masses) != len(pts) {
 		err := geomerr.Format(0, nil, "particleio: %d masses for %d particles", len(masses), len(pts))
 		return nil, nil, rep, err
 	}
 
-	// Pass 1: per-particle validity.
-	outPts := pts
-	outMasses := masses
-	dirty := false
-	ensureCopy := func(i int) {
-		if dirty {
-			return
-		}
-		dirty = true
-		outPts = append(make([]geom.Vec3, 0, len(pts)), pts[:i]...)
-		if masses != nil {
-			outMasses = append(make([]float64, 0, len(masses)), masses[:i]...)
-		}
-	}
-	minMass := math.Inf(1)
-	if masses != nil {
-		for _, m := range masses {
-			if m > 0 && m < minMass {
-				minMass = m
+	outPts, outMasses := pts, masses
+	dirty := false // outPts is a copy holding the valid particles before i
+	hasDomain := opts.hasDomain()
+	for i, p := range pts {
+		var reason string
+		switch {
+		case !p.IsFinite():
+			reason = fmt.Sprintf("non-finite coordinate %v", p)
+			rep.NonFinite++
+		case masses != nil && (math.IsNaN(masses[i]) || math.IsInf(masses[i], 0) || masses[i] <= 0):
+			reason = fmt.Sprintf("non-positive mass %v", masses[i])
+			rep.BadMass++
+		case hasDomain && !opts.Domain.Contains(p):
+			reason = fmt.Sprintf("outside domain %v", p)
+			rep.OutOfDomain++
+		default:
+			if dirty {
+				outPts = append(outPts, p)
+				if masses != nil {
+					outMasses = append(outMasses, masses[i])
+				}
 			}
+			continue
 		}
-	}
-	if math.IsInf(minMass, 1) {
-		minMass = 1
-	}
-	note := func(i int, reason string) error {
 		err := &geomerr.BadParticleError{Index: i, Reason: reason}
 		if rep.FirstBad == nil {
 			rep.FirstBad = err
 		}
-		return err
-	}
-	for i, p := range pts {
-		m := 1.0
-		if masses != nil {
-			m = masses[i]
-		}
-		bad := ""
-		clampable := false
-		switch {
-		case !p.IsFinite():
-			bad = fmt.Sprintf("non-finite coordinate %v", p)
-			rep.NonFinite++
-		case masses != nil && (math.IsNaN(m) || math.IsInf(m, 0) || m <= 0):
-			bad = fmt.Sprintf("non-positive mass %v", m)
-			rep.BadMass++
-			clampable = true
-		case opts.hasDomain() && !opts.Domain.Contains(p):
-			bad = fmt.Sprintf("outside domain %v", p)
-			rep.OutOfDomain++
-			clampable = true
-		}
-		if bad == "" {
-			if dirty {
-				outPts = append(outPts, p)
-				if masses != nil {
-					outMasses = append(outMasses, m)
-				}
-			}
-			continue
-		}
-		err := note(i, bad)
-		switch opts.Policy {
-		case PolicyFail:
+		if opts.Policy == PolicyFail {
 			return nil, nil, rep, err
-		case PolicyClamp:
-			if clampable {
-				ensureCopy(i)
-				q := p
-				if opts.hasDomain() {
-					q = opts.Domain.Clamp(p)
-				}
-				if masses != nil && (math.IsNaN(m) || math.IsInf(m, 0) || m <= 0) {
-					m = minMass
-				}
-				outPts = append(outPts, q)
-				if masses != nil {
-					outMasses = append(outMasses, m)
-				}
-				rep.Clamped++
-				continue
-			}
-			fallthrough // non-finite coordinates cannot be repaired
-		default: // PolicyDrop
-			ensureCopy(i)
-			rep.Dropped++
 		}
+		if !dirty {
+			dirty = true
+			outPts = append(make([]geom.Vec3, 0, len(pts)), pts[:i]...)
+			if masses != nil {
+				outMasses = append(make([]float64, 0, len(masses)), masses[:i]...)
+			}
+		}
+		rep.Dropped++
 	}
-
-	// Pass 2: coincident-point handling on the surviving catalog.
-	if opts.Coincident != CoincidentKeep && len(outPts) > 1 {
-		outPts, outMasses, dirty = resolveCoincident(outPts, outMasses, opts, &rep, dirty)
-		_ = dirty
-	}
-
 	rep.Kept = len(outPts)
 	return outPts, outMasses, rep, nil
-}
-
-// resolveCoincident merges or jitters coincident clusters. Points are
-// bucketed on an eps-quantized hash grid and compared against the 27
-// neighboring cells, so the scan is O(n) for well-distributed catalogs.
-func resolveCoincident(pts []geom.Vec3, masses []float64, opts ValidateOptions, rep *IngestReport, dirty bool) ([]geom.Vec3, []float64, bool) {
-	eps := opts.Eps
-	cell := eps
-	if cell <= 0 {
-		// Exact duplicates only: quantize on the raw coordinates.
-		cell = 0
-	}
-	key := func(p geom.Vec3) [3]int64 {
-		if cell <= 0 {
-			return [3]int64{int64(math.Float64bits(p.X)), int64(math.Float64bits(p.Y)), int64(math.Float64bits(p.Z))}
-		}
-		return [3]int64{
-			int64(math.Floor(p.X / cell)),
-			int64(math.Floor(p.Y / cell)),
-			int64(math.Floor(p.Z / cell)),
-		}
-	}
-	coincident := func(a, b geom.Vec3) bool {
-		if eps <= 0 {
-			return a == b
-		}
-		return math.Abs(a.X-b.X) <= eps && math.Abs(a.Y-b.Y) <= eps && math.Abs(a.Z-b.Z) <= eps
-	}
-	grid := make(map[[3]int64][]int, len(pts))
-
-	ensureCopy := func() {
-		if dirty {
-			return
-		}
-		dirty = true
-		pts = append(make([]geom.Vec3, 0, len(pts)), pts...)
-		if masses != nil {
-			masses = append(make([]float64, 0, len(masses)), masses...)
-		}
-	}
-
-	keepMask := make([]bool, len(pts))
-	for i := range keepMask {
-		keepMask[i] = true
-	}
-	for i, p := range pts {
-		k := key(p)
-		head := -1
-		if cell <= 0 {
-			for _, j := range grid[k] {
-				if keepMask[j] && coincident(pts[j], p) {
-					head = j
-					break
-				}
-			}
-		} else {
-		scan:
-			for dx := int64(-1); dx <= 1; dx++ {
-				for dy := int64(-1); dy <= 1; dy++ {
-					for dz := int64(-1); dz <= 1; dz++ {
-						nk := [3]int64{k[0] + dx, k[1] + dy, k[2] + dz}
-						for _, j := range grid[nk] {
-							if keepMask[j] && coincident(pts[j], p) {
-								head = j
-								break scan
-							}
-						}
-					}
-				}
-			}
-		}
-		if head < 0 {
-			grid[k] = append(grid[k], i)
-			continue
-		}
-		switch opts.Coincident {
-		case CoincidentMerge:
-			ensureCopy()
-			if masses != nil {
-				masses[head] += masses[i]
-			}
-			keepMask[i] = false
-			rep.Merged++
-		case CoincidentJitter:
-			ensureCopy()
-			pts[i] = jitterPoint(pts[i], i, eps)
-			rep.Jittered++
-			grid[key(pts[i])] = append(grid[key(pts[i])], i)
-		}
-	}
-	if opts.Coincident == CoincidentMerge && rep.Merged > 0 {
-		outPts := pts[:0]
-		var outMasses []float64
-		if masses != nil {
-			outMasses = masses[:0]
-		}
-		for i := range keepMask {
-			if !keepMask[i] {
-				continue
-			}
-			outPts = append(outPts, pts[i])
-			if masses != nil {
-				outMasses = append(outMasses, masses[i])
-			}
-		}
-		return outPts, outMasses, dirty
-	}
-	return pts, masses, dirty
-}
-
-// jitterPoint displaces a coincident particle by a deterministic
-// pseudo-random offset of magnitude ~scale (a symbolic jitter: large
-// enough to separate the points for the predicates' float filter, small
-// enough to be physically irrelevant).
-func jitterPoint(p geom.Vec3, i int, eps float64) geom.Vec3 {
-	scale := eps
-	if scale <= 0 {
-		// Exact duplicates with no radius: displace relative to the
-		// coordinate magnitude (a few ulps worth of separation).
-		scale = 1e-9 * (1 + math.Abs(p.X) + math.Abs(p.Y) + math.Abs(p.Z))
-	}
-	u := func(k uint64) float64 {
-		h := splitmix64(uint64(i)*0x9e3779b97f4a7c15 + k)
-		return float64(h>>11)/float64(1<<53) - 0.5
-	}
-	return geom.Vec3{
-		X: p.X + scale*u(1),
-		Y: p.Y + scale*u(2),
-		Z: p.Z + scale*u(3),
-	}
-}
-
-// splitmix64 is the jitter's deterministic hash.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // ReadAllValidated reads every particle in the file and applies the

@@ -24,6 +24,17 @@ func TestValidatePolicyFail(t *testing.T) {
 	if rep.NonFinite != 1 {
 		t.Fatalf("report %v", rep)
 	}
+
+	// A finite particle outside the domain is as fatal as a NaN.
+	dom := geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
+	pts = []geom.Vec3{{X: 0.5, Y: 0.5, Z: 0.5}, {X: 0.2, Y: 0.5, Z: -1}}
+	_, _, rep, err = ValidateParticles(pts, nil, ValidateOptions{Policy: PolicyFail, Domain: dom})
+	if !errors.As(err, &bp) || bp.Index != 1 || !errors.Is(err, geomerr.ErrBadParticle) {
+		t.Fatalf("want BadParticleError{Index:1}, got %v", err)
+	}
+	if rep.OutOfDomain != 1 || rep.FirstBad != err {
+		t.Fatalf("report %v", rep)
+	}
 }
 
 func TestValidatePolicyDrop(t *testing.T) {
@@ -51,33 +62,32 @@ func TestValidatePolicyDrop(t *testing.T) {
 	if !math.IsInf(pts[1].X, 1) || masses[2] != -2 {
 		t.Fatal("input mutated")
 	}
-}
 
-func TestValidatePolicyClamp(t *testing.T) {
-	dom := geom.AABB{Min: geom.Vec3{}, Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
-	pts := []geom.Vec3{
+	// Under a domain, a finite particle outside it is dropped too, counted
+	// by its own reason, and its mass goes with it. The box is closed: a
+	// particle on its face stays.
+	dom := geom.AABB{Max: geom.Vec3{X: 1, Y: 1, Z: 1}}
+	pts = []geom.Vec3{
 		{X: 0.5, Y: 0.5, Z: 0.5},
-		{X: 2, Y: 0.5, Z: -1},    // out of domain: clamped
-		{X: 0.3, Y: 0.3, Z: 0.3}, // negative mass: repaired
-		{X: math.NaN()},          // unrepairable: dropped
+		{X: 2, Y: 0.5, Z: 0.5},
+		{X: 1, Y: 0, Z: 0.3},
+		{X: 0.3, Y: 0.3, Z: -1e-9},
+		{X: math.NaN()},
 	}
-	masses := []float64{2, 4, -1, 1}
-	out, m, rep, err := ValidateParticles(pts, masses, ValidateOptions{Policy: PolicyClamp, Domain: dom})
+	masses = []float64{2, 3, 4, 5, 6}
+	out, m, rep, err = ValidateParticles(pts, masses, ValidateOptions{Policy: PolicyDrop, Domain: dom})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 3 {
-		t.Fatalf("kept %v", out)
+	if len(out) != 2 || out[0] != pts[0] || out[1] != pts[2] || len(m) != 2 || m[0] != 2 || m[1] != 4 {
+		t.Fatalf("kept %v (masses %v)", out, m)
 	}
-	want := geom.Vec3{X: 1, Y: 0.5, Z: 0}
-	if out[1] != want {
-		t.Fatalf("clamped to %v, want %v", out[1], want)
-	}
-	if m[2] != 1 { // smallest positive mass in the catalog
-		t.Fatalf("repaired mass %v, want 1", m[2])
-	}
-	if rep.Clamped != 2 || rep.Dropped != 1 || rep.BadMass != 1 || rep.OutOfDomain != 1 {
+	if rep.Dropped != 3 || rep.OutOfDomain != 2 || rep.NonFinite != 1 || rep.Kept != 2 || rep.Total != 5 {
 		t.Fatalf("report %v", rep)
+	}
+	var bp *geomerr.BadParticleError
+	if !errors.As(rep.FirstBad, &bp) || bp.Index != 1 {
+		t.Fatalf("FirstBad = %v, want particle 1", rep.FirstBad)
 	}
 }
 
@@ -92,77 +102,6 @@ func TestValidateCleanFastPath(t *testing.T) {
 	}
 	if !rep.Clean() || rep.Kept != 3 {
 		t.Fatalf("report %v", rep)
-	}
-}
-
-func TestValidateCoincidentMerge(t *testing.T) {
-	p := geom.Vec3{X: 0.5, Y: 0.5, Z: 0.5}
-	pts := []geom.Vec3{p, {X: 0.1}, p, p}
-	masses := []float64{1, 1, 2, 3}
-	out, m, rep, err := ValidateParticles(pts, masses, ValidateOptions{
-		Policy: PolicyDrop, Coincident: CoincidentMerge,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || rep.Merged != 2 {
-		t.Fatalf("out=%v report %v", out, rep)
-	}
-	if m[0] != 6 {
-		t.Fatalf("merged mass %v, want 6", m[0])
-	}
-}
-
-func TestValidateCoincidentJitterDeterministic(t *testing.T) {
-	p := geom.Vec3{X: 0.5, Y: 0.5, Z: 0.5}
-	pts := []geom.Vec3{p, p, p, {X: 0.500000001, Y: 0.5, Z: 0.5}}
-	opts := ValidateOptions{Policy: PolicyDrop, Coincident: CoincidentJitter, Eps: 1e-6}
-	out1, _, rep, err := ValidateParticles(pts, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Jittered != 3 {
-		t.Fatalf("report %v", rep)
-	}
-	// The head keeps its exact position; later members move, but by at
-	// most eps in each axis.
-	if out1[0] != p {
-		t.Fatalf("cluster head moved: %v", out1[0])
-	}
-	seen := map[geom.Vec3]bool{}
-	for i, q := range out1 {
-		if seen[q] {
-			t.Fatalf("still coincident after jitter: %v", q)
-		}
-		seen[q] = true
-		if d := math.Abs(q.X-pts[i].X) + math.Abs(q.Y-pts[i].Y) + math.Abs(q.Z-pts[i].Z); d > 3e-6 {
-			t.Fatalf("jitter too large: %v", d)
-		}
-	}
-	// Deterministic: a second run produces identical output.
-	out2, _, _, err := ValidateParticles(pts, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out1 {
-		if out1[i] != out2[i] {
-			t.Fatalf("jitter not deterministic at %d: %v vs %v", i, out1[i], out2[i])
-		}
-	}
-}
-
-func TestValidateExactDuplicateJitterNoEps(t *testing.T) {
-	p := geom.Vec3{X: 1, Y: 2, Z: 3}
-	pts := []geom.Vec3{p, p}
-	out, _, rep, err := ValidateParticles(pts, nil, ValidateOptions{Coincident: CoincidentJitter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Jittered != 1 || out[0] == out[1] {
-		t.Fatalf("out=%v report %v", out, rep)
-	}
-	if out[1].Sub(p).Norm() > 1e-7 {
-		t.Fatalf("default jitter too large: %v", out[1].Sub(p))
 	}
 }
 

@@ -84,7 +84,7 @@ type Config struct {
 	// local particles before Phase 1. The zero value is fail-fast: any
 	// non-finite coordinate aborts the run with a typed error
 	// (geomerr.ErrBadParticle). Set Ingest.Policy to particleio.PolicyDrop
-	// or PolicyClamp to sanitize instead; the tally lands in
+	// to drop and count invalid particles instead; the tally lands in
 	// Result.Ingest.
 	Ingest particleio.ValidateOptions
 }
@@ -211,8 +211,8 @@ type Result struct {
 	Incomplete bool
 	Failures   []string
 
-	// Ingest tallies this rank's particle validation (dropped, clamped,
-	// jittered particles and why).
+	// Ingest tallies this rank's particle validation (dropped particles
+	// and why).
 	Ingest particleio.IngestReport
 	// Columns aggregates per-column march outcomes over every item this
 	// rank computed.
@@ -256,7 +256,7 @@ func run(c *mpi.Comm, cfg Config, localParticles []geom.Vec3, centers []geom.Vec
 	// ---- Phase 0: ingestion validation --------------------------------
 	// Sanitize before any particle crosses a rank boundary: a NaN that
 	// reaches the exact predicates would once have panicked an entire
-	// rank; now it is dropped/clamped/reported per the policy.
+	// rank; now it is dropped or reported per the policy.
 	sanitized, _, ingest, err := particleio.ValidateParticles(localParticles, nil, cfg.Ingest)
 	res.Ingest = ingest
 	if err != nil {
